@@ -11,7 +11,8 @@ the infinite line.
 The representation is (S_g f)(x) = e^{ibx} f(ax).  Phases are evaluated in
 extended precision (the arguments b x reach a few thousand, where double
 rounding alone would eat the 1e-12 budget) and the verification routines
-report max residuals over random trials.  The one-dimensional characters
+report max residuals over random trials; a NaN residual propagates
+through the max instead of reading as 0.  The one-dimensional characters
 U_lambda^eps(g) = |a|^{i lambda} (sgn a)^eps and the recorded index pair
 (1, 1) complete the catalog.
 """
@@ -157,6 +158,11 @@ def seam_free_window(grid: LogGrid, m1: int, m2: int) -> np.ndarray:
     return k[(inner >= 0) & (inner < size) & (total >= 0) & (total < size)]
 
 
+def _nanmax(worst: float, value: float) -> float:
+    """max(worst, value), except that a NaN on either side is kept."""
+    return value if math.isnan(value) or value > worst else worst
+
+
 def verify_homomorphism(
     g1: AffineElement,
     g2: AffineElement,
@@ -183,7 +189,7 @@ def verify_homomorphism(
         if not include_seam:
             gap = gap[:, window]
         if gap.size:
-            worst = max(worst, float(np.max(gap)))
+            worst = _nanmax(worst, float(np.max(gap)))
     return worst
 
 
@@ -195,7 +201,7 @@ def verify_unitarity(
     worst = 0.0
     for _ in range(trials):
         f = grid.random_function(rng)
-        worst = max(
+        worst = _nanmax(
             worst,
             abs(grid.norm_squared(rep_S(g, grid, f)) - grid.norm_squared(f)),
         )
@@ -222,6 +228,49 @@ def random_aligned_element(
     sign = rng.choice((1.0, -1.0))
     a = np.longdouble(sign) * np.exp(np.longdouble(m) * np.longdouble(grid.h))
     return AffineElement(a, rng.uniform(-3.0, 3.0))
+
+
+def worst_residuals(grid: LogGrid, trials: int, seed: int) -> dict:
+    """Worst homomorphism, unitarity and character residuals on the grid.
+
+    Each trial draws a random aligned pair (g1, g2) and measures one
+    random function under S_{g1} S_{g2} = S_{g1 g2}, one under unitarity
+    of S_{g1}, and one random character U_lambda^eps on the pair.  A
+    non-finite residual means the grid's coordinates or phases overflow
+    floating point, and is reported as an input error.
+    """
+    rng = random.Random(seed)
+    worst_hom = worst_unit = worst_char = 0.0
+    for _ in range(trials):
+        g1 = random_aligned_element(grid, rng)
+        g2 = random_aligned_element(grid, rng)
+        worst_hom = _nanmax(
+            worst_hom,
+            verify_homomorphism(g1, g2, grid, trials=1, seed=rng.randrange(1 << 30)),
+        )
+        worst_unit = _nanmax(
+            worst_unit,
+            verify_unitarity(g1, grid, trials=1, seed=rng.randrange(1 << 30)),
+        )
+        lam = rng.uniform(-2.0, 2.0)
+        eps = rng.choice((0, 1))
+        gap = abs(
+            character_U(lam, eps, g1.compose(g2))
+            - character_U(lam, eps, g1) * character_U(lam, eps, g2)
+        )
+        worst_char = _nanmax(worst_char, gap)
+    residuals = {
+        "homomorphism_residual": worst_hom,
+        "unitarity_residual": worst_unit,
+        "character_residual": worst_char,
+    }
+    bad = sorted(name for name, value in residuals.items() if not math.isfinite(value))
+    if bad:
+        raise InputError(
+            f"non-finite {', '.join(bad)} on the grid L = {grid.L}, h = {grid.h}: "
+            "its coordinates or phases overflow floating point"
+        )
+    return residuals
 
 
 def index_metadata() -> dict:

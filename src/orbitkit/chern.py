@@ -5,7 +5,9 @@ the Chern-character matrices: for SU(m) the square matrix taking the
 K-theory exterior generators beta(rho_k) to the odd cohomology generators
 x_{2i+1}, and for SO(2n+1) the rows for beta(lambda_1..lambda_{n-1})
 together with the spin row for eps_{2n+1} against x_3, x_7, ..., x_{4n-1}.
-Everything is exact: big-integer binomials and Fraction matrix entries.
+Everything is exact: big-integer binomials and Fraction matrix entries,
+with determinant and rank from the exact elimination of
+:class:`~orbitkit.exactnum.ExactMatrix`.
 
 For SU the determinant is computed and invertibility over Q reported.  For
 SO_odd the displayed row family stops at k = n - 1, so the matrix's rank is
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactnum import ExactMatrix
 from .liealg import InputError
 
 FAMILIES = ("SU", "SO_odd", "Sp")
@@ -108,54 +111,6 @@ def ring_models(family: str, rank: int):
     return k_model, h_model
 
 
-def _determinant(rows) -> Fraction:
-    # fraction-free enough at these sizes: plain elimination over Fraction
-    n = len(rows)
-    work = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
-        for r in range(c + 1, n):
-            if work[r][c] == 0:
-                continue
-            factor = work[r][c] * inv
-            for j in range(c, n):
-                work[r][j] -= factor * work[c][j]
-    return det
-
-
-def _rank(rows) -> int:
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    nrows, ncols = len(work), len(work[0])
-    rank = 0
-    row = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(row, nrows) if work[r][c] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = 1 / work[row][c]
-        for r in range(nrows):
-            if r != row and work[r][c] != 0:
-                factor = work[r][c] * inv
-                for j in range(c, ncols):
-                    work[r][j] -= factor * work[row][j]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class ChernMatrix:
     """Exact rational Chern-character coefficient matrix."""
@@ -214,11 +169,12 @@ def chern_matrix(family: str, rank: int) -> ChernMatrix:
             )
             for k in range(1, m)
         )
-        det = _determinant(rows)
+        matrix = ExactMatrix.from_rows(rows)
+        det = matrix.determinant().re
         labels_k = tuple(f"beta(rho_{k})" for k in range(1, m))
         labels_h = tuple(f"x_{2 * i + 1}" for i in range(1, m))
         return ChernMatrix(
-            family, rank, rows, labels_k, labels_h, det, _rank(rows), det != 0
+            family, rank, rows, labels_k, labels_h, det, matrix.rank(), det != 0
         )
     n = rank
     rows = []
@@ -242,6 +198,7 @@ def chern_matrix(family: str, rank: int) -> ChernMatrix:
     labels.append(f"eps_{2 * n + 1}")
     rows = tuple(rows)
     labels_h = tuple(f"x_{4 * i - 1}" for i in range(1, n + 1))
+    matrix_rank = ExactMatrix.from_rows(rows).rank()
     return ChernMatrix(
-        family, rank, rows, tuple(labels), labels_h, None, _rank(rows), None
+        family, rank, rows, tuple(labels), labels_h, None, matrix_rank, None
     )

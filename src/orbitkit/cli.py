@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import random
 import time
 
 import click
@@ -185,8 +183,8 @@ def lie_strata(ctx, algebra, samples, coordinate_range):
         found = _strata.stratify(L, config)
         result = {
             "strata": [s.to_json() for s in found],
-            "generic_rank": _strata.generic_rank(L, config),
-            "foliation": [_strata.foliation_check(L, s, config) for s in found],
+            "generic_rank": _strata.generic_rank(L, found),
+            "foliation": [_strata.foliation_check(s) for s in found],
         }
         inputs = {
             "algebra": L.to_json(),
@@ -489,36 +487,8 @@ def affine_verify(ctx, length, step, trials):
 
     def build():
         grid = _affine.LogGrid(L=length, h=step)
-        rng = random.Random(ctx.obj["seed"])
-        worst_hom = worst_unit = worst_char = 0.0
-        for _ in range(trials):
-            g1 = _affine.random_aligned_element(grid, rng)
-            g2 = _affine.random_aligned_element(grid, rng)
-            worst_hom = max(
-                worst_hom,
-                _affine.verify_homomorphism(
-                    g1, g2, grid, trials=1, seed=rng.randrange(1 << 30)
-                ),
-            )
-            worst_unit = max(
-                worst_unit,
-                _affine.verify_unitarity(
-                    g1, grid, trials=1, seed=rng.randrange(1 << 30)
-                ),
-            )
-            lam = rng.uniform(-2.0, 2.0)
-            eps = rng.choice((0, 1))
-            gap = abs(
-                _affine.character_U(lam, eps, g1.compose(g2))
-                - _affine.character_U(lam, eps, g1) * _affine.character_U(lam, eps, g2)
-            )
-            worst_char = max(worst_char, gap)
-        result = {
-            "homomorphism_residual": worst_hom,
-            "unitarity_residual": worst_unit,
-            "character_residual": worst_char,
-            "index": list(_affine.index_metadata()["index"]),
-        }
+        result = _affine.worst_residuals(grid, trials, ctx.obj["seed"])
+        result["index"] = list(_affine.index_metadata()["index"])
         inputs = {
             "L": length,
             "h": step,

@@ -3,9 +3,10 @@
 Scalars are built on :class:`fractions.Fraction`: Gaussian rationals
 (``a + b*i`` with rational ``a``, ``b``) and polynomials in a formal
 scale parameter ``hbar`` with Gaussian-rational coefficients.  Matrices
-over the Gaussian rationals support exact rank and kernel computations
-via Gaussian elimination; no floating point is involved anywhere in
-this module.
+over the Gaussian rationals get their rank, pivot columns, determinant
+and kernel from one exact Gauss-Jordan elimination,
+:meth:`ExactMatrix._echelon`, the package's only dense elimination; no
+floating point is involved anywhere in this module.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ __all__ = [
     "ExactMatrix",
     "rational_to_str",
     "rational_from_str",
-    "tensor_flatten",
-    "tensor_unflatten",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -380,13 +379,17 @@ class ExactMatrix:
         )
 
     def _echelon(self):
-        """Row echelon form by exact Gaussian elimination.
+        """Reduced row echelon form by exact Gauss-Jordan elimination.
 
-        Returns (rows, pivot_columns).  Entries stay reduced because
-        Fraction arithmetic normalizes after every operation.
+        Returns (rows, pivot_columns, pivot_product): pivot_product is
+        the product of the pivots, negated once per row swap, which is
+        the determinant when the matrix is square of full rank.  Entries
+        stay reduced because Fraction arithmetic normalizes after every
+        operation.
         """
         rows = [list(r) for r in self.rows]
         pivots = []
+        product = GaussRational.one()
         r = 0
         for c in range(self.ncols):
             pivot = None
@@ -396,7 +399,10 @@ class ExactMatrix:
                     break
             if pivot is None:
                 continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
+            if pivot != r:
+                rows[r], rows[pivot] = rows[pivot], rows[r]
+                product = -product
+            product = product * rows[r][c]
             inv = rows[r][c].inverse()
             rows[r] = [inv * x for x in rows[r]]
             for i in range(len(rows)):
@@ -407,17 +413,36 @@ class ExactMatrix:
             r += 1
             if r == len(rows):
                 break
-        return rows, pivots
+        return rows, pivots, product
 
     def rank(self) -> int:
         return len(self._echelon()[1])
+
+    def pivot_columns(self) -> tuple:
+        """Indices of the first maximal linearly independent set of columns.
+
+        Column j is a pivot exactly when it is not in the span of the
+        columns before it, so there are rank() of them.
+        """
+        return tuple(self._echelon()[1])
+
+    def determinant(self) -> GaussRational:
+        """Exact determinant of a square matrix.
+
+        >>> ExactMatrix.from_rows([[0, 2], [3, 4]]).determinant() == GaussRational.from_int(-6)
+        True
+        """
+        if self.nrows != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
+        _, pivots, product = self._echelon()
+        return product if len(pivots) == self.nrows else GaussRational.zero()
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel, one vector per free column.
 
         Satisfies rank + len(kernel_basis()) == ncols.
         """
-        rows, pivots = self._echelon()
+        rows, pivots, _ = self._echelon()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
@@ -437,31 +462,3 @@ class ExactMatrix:
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
         return f"ExactMatrix[{body}]"
 
-
-def tensor_flatten(multi: Sequence[int], dim: int) -> int:
-    """Row-major flat index of a multi-index over ``{0..dim-1}``.
-
-    >>> tensor_flatten((1, 0, 2), 3)
-    11
-    """
-    flat = 0
-    for ix in multi:
-        if not 0 <= ix < dim:
-            raise ValueError("index out of range")
-        flat = flat * dim + ix
-    return flat
-
-
-def tensor_unflatten(flat: int, dim: int, length: int) -> tuple:
-    """Inverse of :func:`tensor_flatten` for words of a given length.
-
-    >>> tensor_unflatten(11, 3, 3)
-    (1, 0, 2)
-    """
-    if not 0 <= flat < dim**length:
-        raise ValueError("flat index out of range")
-    out = []
-    for _ in range(length):
-        out.append(flat % dim)
-        flat //= dim
-    return tuple(reversed(out))

@@ -34,7 +34,6 @@ __all__ = [
     "poisson_matrix",
     "orbit_dimension",
     "stabilizer",
-    "hamiltonian_fields",
     "check_polarization",
     "heisenberg",
     "aff1",
@@ -353,17 +352,6 @@ def stabilizer(L: LieAlgebra, F: Covector) -> list:
                     "internal error: stabilizer not closed under bracket"
                 )
     return vectors
-
-
-def hamiltonian_fields(L: LieAlgebra, F: Covector) -> list:
-    """Tangent directions of the coadjoint orbit at ``F``: rows of B.
-
-    Row ``k`` collects ``<F, [X_k, X_j]>`` over ``j``; the span of the
-    rows is the image of the Poisson matrix, with dimension the orbit
-    dimension.
-    """
-    B = poisson_matrix(L, F)
-    return [tuple(x.re for x in row) for row in B.rows]
 
 
 @dataclass(frozen=True)

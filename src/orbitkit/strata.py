@@ -1,11 +1,14 @@
 """Orbit-dimension stratification of the dual by exact sampled ranks.
 
-Covectors are drawn from a seeded rational grid; each sample's Poisson
-matrix rank is computed exactly, samples are grouped into strata of
-constant (even) rank, and each stratum carries a minor certificate.
-The top stratum feeds a constant-rank foliation check and a structural
-report of the resulting tower of extensions; an index vector pushes
-through the integer connecting matrix of such a tower.
+Covectors are drawn from a seeded rational grid; each distinct sample's
+Poisson matrix B is ranked exactly once, samples are grouped into strata
+of constant (even) rank r, and each stratum carries certificates: an
+r x r minor that is nonzero at the sample (rank >= r) and, where
+(r+2)-minors exist, a kernel basis K of d - r columns with B K = 0
+(rank <= r, so every (r+2)-minor vanishes).  The top stratum's minor
+feeds a symbolic generic-rank certificate, and the strata feed a
+constant-rank foliation report and a structural report of the
+resulting tower of extensions.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .exactnum import ExactMatrix, GaussRational, rational_to_str
+from .exactnum import ExactMatrix, rational_to_str
 from .liealg import Covector, InputError, LieAlgebra, poisson_matrix
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "generic_rank",
     "foliation_check",
     "extension_tower",
-    "compose_index",
 ]
 
 
@@ -66,7 +67,7 @@ class Stratum:
     sample_count: int
     witness: Covector
     minors_used: tuple          # distinct (rows, cols) index pairs certifying rank
-    higher_minors_vanish: bool  # all (2n+2)-minors vanish at every sample
+    higher_minors_vanish: bool  # B K = 0, K of d - r columns, at every sample
 
     def to_json(self) -> dict:
         return {
@@ -84,102 +85,70 @@ def sample_covectors(L: LieAlgebra, config: SamplerConfig) -> list:
     return config.draw(L.dim)
 
 
-def _det(m: ExactMatrix) -> GaussRational:
-    """Exact determinant by cofactor expansion; sizes stay tiny here."""
-    n = m.nrows
-    if n == 0:
-        return GaussRational.one()
-    if n == 1:
-        return m[0, 0]
-    total = GaussRational.zero()
-    sign = 1
-    for j in range(n):
-        a = m[0, j]
-        if not a.is_zero():
-            sub = ExactMatrix(
-                [
-                    [m[i, jj] for jj in range(n) if jj != j]
-                    for i in range(1, n)
-                ]
-            )
-            term = a * _det(sub)
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+def _invertible_submatrix(B: ExactMatrix):
+    """(rows, cols) of an r x r submatrix of full rank r = rank B.
+
+    cols are the pivot columns of B, its first r independent columns;
+    rows are the first r independent rows of those columns, i.e. the
+    pivot columns of their transpose.  Both are the greedy left-to-right
+    choices.
+    """
+    cols = B.pivot_columns()
+    rows = ExactMatrix([[B[i, j] for i in range(B.nrows)] for j in cols]).pivot_columns()
+    return rows, cols
 
 
-def _submatrix(B: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
-    return ExactMatrix([[B[i, j] for j in cols] for i in rows])
+def _kernel_certifies(B: ExactMatrix, r: int) -> bool:
+    """True when a kernel basis K of B has d - r columns and B K = 0.
+
+    The basis vectors are independent by construction (each is 1 at its
+    own free column and 0 at the others), so this bounds rank B by r and
+    every (r+2)-minor of B vanishes.
+    """
+    K = ExactMatrix(B.kernel_basis()).transpose()
+    return K.ncols == B.ncols - r and B @ K == ExactMatrix.zero(B.nrows, K.ncols)
 
 
-def _invertible_submatrix(B: ExactMatrix, r: int):
-    """Greedy (rows, cols) of an r x r submatrix of full rank r."""
-    if r == 0:
-        return (), ()
-    cols: list = []
-    for j in range(B.ncols):
-        trial = cols + [j]
-        sub = ExactMatrix([[B[i, jj] for jj in trial] for i in range(B.nrows)])
-        if sub.rank() == len(trial):
-            cols = trial
-            if len(cols) == r:
-                break
-    rows: list = []
-    for i in range(B.nrows):
-        trial = rows + [i]
-        sub = ExactMatrix([[B[ii, jj] for jj in cols] for ii in trial])
-        if sub.rank() == len(trial):
-            rows = trial
-            if len(rows) == r:
-                break
-    if len(rows) != r or len(cols) != r:
-        raise RuntimeError("internal error: failed to locate a full-rank submatrix")
-    return tuple(rows), tuple(cols)
+def _certify(L: LieAlgebra, F: Covector) -> tuple:
+    """(rank, certifying minor, kernel certificate) of B at one covector."""
+    B = poisson_matrix(L, F)
+    rows, cols = _invertible_submatrix(B)
+    r = len(cols)
+    if r % 2 != 0:
+        raise RuntimeError("internal error: odd rank of an antisymmetric matrix")
+    minor = ExactMatrix([[B[i, j] for j in cols] for i in rows])
+    if minor.determinant().is_zero():
+        raise RuntimeError("internal error: certifying minor vanished")
+    return r, (rows, cols), r + 2 > L.dim or _kernel_certifies(B, r)
 
 
 def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
     """Group sampled covectors by exact orbit dimension.
 
-    Returns strata sorted by decreasing orbit dimension.  Every rank is
-    certified per sample: one nonvanishing 2n-minor (recorded), and
-    exact vanishing of all (2n+2)-minors.
+    Returns strata sorted by decreasing orbit dimension.  Each distinct
+    covector is certified once, however often it is drawn: one
+    nonvanishing 2n-minor (recorded), and where (2n+2)-minors exist, the
+    kernel certificate that makes them all vanish.
     """
     if config.samples < 1:
         raise InputError("sampler needs at least one sample")
-    samples = sample_covectors(L, config)
+    certified: dict = {}
     by_rank: dict = {}
-    for F in samples:
-        B = poisson_matrix(L, F)
-        r = B.rank()
-        if r % 2 != 0:
-            raise RuntimeError("internal error: odd rank of an antisymmetric matrix")
-        by_rank.setdefault(r, []).append((F, B))
+    for F in sample_covectors(L, config):
+        if F.coords not in certified:
+            certified[F.coords] = _certify(L, F)
+        r, minor, kernel_ok = certified[F.coords]
+        by_rank.setdefault(r, []).append((F, minor, kernel_ok))
     strata = []
     for r in sorted(by_rank, reverse=True):
         entries = by_rank[r]
-        minors = []
-        seen = set()
-        higher_ok = True
-        for F, B in entries:
-            rows, cols = _invertible_submatrix(B, r)
-            if (rows, cols) not in seen:
-                seen.add((rows, cols))
-                minors.append((rows, cols))
-            if _det(_submatrix(B, rows, cols)).is_zero() and r > 0:
-                raise RuntimeError("internal error: certifying minor vanished")
-            k = r + 2
-            if k <= L.dim:
-                for rset in combinations(range(L.dim), k):
-                    for cset in combinations(range(L.dim), k):
-                        if not _det(_submatrix(B, rset, cset)).is_zero():
-                            higher_ok = False
         strata.append(
             Stratum(
                 orbit_dimension=r,
                 sample_count=len(entries),
                 witness=entries[0][0],
-                minors_used=tuple(minors),
-                higher_minors_vanish=higher_ok,
+                minors_used=tuple(dict.fromkeys(minor for _, minor, _ in entries)),
+                higher_minors_vanish=all(ok for _, _, ok in entries),
             )
         )
     return strata
@@ -285,14 +254,15 @@ def _symbolic_poisson(L: LieAlgebra) -> list:
     return rows
 
 
-def generic_rank(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> dict:
+def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
     """Maximal sampled orbit dimension with a symbolic certificate.
 
-    The returned report includes a 2n-minor of the symbolic Poisson
-    matrix that is nonzero as a polynomial in the dual coordinates and
-    evaluates to a nonzero rational at the witness sample.
+    ``strata`` is the output of :func:`stratify`; nothing is sampled or
+    ranked again.  The top stratum's first recorded minor is the
+    witness's, and the report includes it as a 2n-minor of the symbolic
+    Poisson matrix that is nonzero as a polynomial in the dual
+    coordinates and evaluates to a nonzero rational at the witness.
     """
-    strata = stratify(L, config)
     top = strata[0]
     r = top.orbit_dimension
     if r == 0:
@@ -302,8 +272,7 @@ def generic_rank(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> dict
             "minor": None,
             "minor_polynomial": "1",
         }
-    B = poisson_matrix(L, top.witness)
-    rows, cols = _invertible_submatrix(B, r)
+    rows, cols = top.minors_used[0]
     sym = _symbolic_poisson(L)
     sub = [[sym[i][j] for j in cols] for i in rows]
     det_poly = _poly_det(sub)
@@ -322,47 +291,21 @@ def generic_rank(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> dict
     }
 
 
-def foliation_check(
-    L: LieAlgebra,
-    stratum: Stratum,
-    config: SamplerConfig = SamplerConfig(),
-) -> dict:
-    """Constant-rank check of the orbit distribution on one stratum.
+def foliation_check(stratum: Stratum) -> dict:
+    """Constant-rank report of the orbit distribution on one stratum.
 
-    At each sample of the stratum's rank, the Hamiltonian directions
-    (rows of B) must span a space of exactly the stratum dimension and
-    coincide with the image of B.  Both checks are exact.
+    The Hamiltonian directions at a sample are the rows of its Poisson
+    matrix B.  Every member of a stratum has rank r by construction, so
+    they span exactly r dimensions at each sample, and B = -B^T, so the
+    row space of B is its image.  The report therefore follows from the
+    stratum and needs no elimination.
     """
     if stratum.sample_count < 1:
         raise InputError("stratum has no samples to check")
-    r = stratum.orbit_dimension
-    count = 0
-    for F in sample_covectors(L, config):
-        B = poisson_matrix(L, F)
-        if B.rank() != r:
-            continue
-        count += 1
-        row_rank = ExactMatrix(list(B.rows)).rank()
-        if row_rank != r:
-            return {
-                "constant_rank": False,
-                "distribution_is_image": False,
-                "samples_checked": count,
-                "failure": F.to_json(),
-            }
-        cols = B.transpose()
-        stacked = ExactMatrix(list(B.rows) + list(cols.rows))
-        if stacked.rank() != r:
-            return {
-                "constant_rank": True,
-                "distribution_is_image": False,
-                "samples_checked": count,
-                "failure": F.to_json(),
-            }
     return {
         "constant_rank": True,
         "distribution_is_image": True,
-        "samples_checked": count,
+        "samples_checked": stratum.sample_count,
         "failure": None,
     }
 
@@ -430,15 +373,3 @@ def extension_tower(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> T
         strata=tuple(strata),
     )
 
-
-def compose_index(matrix: Sequence[Sequence[int]], index: Sequence[int]) -> list:
-    """Integer pairing of a connecting matrix with an index vector.
-
-    Entry i of the result is ``sum_j matrix[i][j] * index[j]``.
-    """
-    out = []
-    for row in matrix:
-        if len(row) != len(index):
-            raise InputError("index vector length does not match matrix")
-        out.append(sum(int(a) * int(b) for a, b in zip(row, index)))
-    return out

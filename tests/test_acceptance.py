@@ -172,19 +172,20 @@ def test_criterion_05_stratification():
         for name in ("heisenberg", "aff1", "sl2", "abelian3")
     }
     expected_dims = {"heisenberg": {2, 0}, "aff1": {2, 0}, "abelian3": {0}}
+    stratified = {}
     for name, L in loaded.items():
-        found = strata.stratify(L, CONFIG)
+        found = stratified[name] = strata.stratify(L, CONFIG)
         dims = {s.orbit_dimension for s in found}
         if name in expected_dims and dims != expected_dims[name]:
             failures.append(f"{name} strata dims {sorted(dims)}")
         if any(s.orbit_dimension % 2 for s in found):
             failures.append(f"{name} has an odd orbit dimension")
         for s in found:
-            report = strata.foliation_check(L, s, CONFIG)
+            report = strata.foliation_check(s)
             if not (report["constant_rank"] and report["distribution_is_image"]):
                 failures.append(f"{name} foliation fails on dim {s.orbit_dimension}")
     for name in ("heisenberg", "aff1", "sl2"):
-        rank = strata.generic_rank(loaded[name], CONFIG)["rank"]
+        rank = strata.generic_rank(loaded[name], stratified[name])["rank"]
         if rank != 2:
             failures.append(f"{name} generic rank {rank}")
     elapsed = time.perf_counter() - t0

@@ -16,6 +16,7 @@ from orbitkit.affine import (
     seam_free_window,
     verify_homomorphism,
     verify_unitarity,
+    worst_residuals,
 )
 from orbitkit.liealg import InputError
 
@@ -136,6 +137,27 @@ def test_homomorphism_over_random_aligned_pairs():
 def test_unitarity():
     assert verify_unitarity(AffineElement(math.exp(GRID.h), 1.0), GRID) <= 1e-12
     assert verify_unitarity(AffineElement(-math.exp(5 * GRID.h), -2.5), GRID) <= 1e-12
+
+
+def test_worst_residuals_within_tolerance():
+    residuals = worst_residuals(GRID, 20, 0)
+    assert sorted(residuals) == [
+        "character_residual",
+        "homomorphism_residual",
+        "unitarity_residual",
+    ]
+    assert all(0.0 <= v <= 1e-12 for v in residuals.values())
+
+
+def test_overflowing_grid_residuals_are_nan_not_zero():
+    # e^12000 overflows: coordinates become inf and the phases NaN
+    grid = LogGrid(L=12000.0, h=1.0)
+    g = AffineElement(math.e, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(verify_homomorphism(g, g, grid, trials=1))
+        assert math.isnan(verify_unitarity(g, grid, trials=1))
+        with pytest.raises(InputError, match="non-finite"):
+            worst_residuals(grid, 2, 0)
 
 
 def test_random_aligned_elements_are_aligned():

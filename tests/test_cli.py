@@ -1,6 +1,7 @@
 """End-to-end CLI checks: schemas, determinism, exit codes, rendering."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -10,7 +11,8 @@ import jsonschema
 
 import orbitkit
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 CLI = [sys.executable, "-m", "orbitkit.cli"]
 
 REPORT_COMMANDS = [
@@ -116,6 +118,8 @@ def test_input_errors_exit_two_with_error_object():
         ["chern", "phi", "2", "0", "1"],
         ["affine", "verify", "--l", "1.0", "--h", "0.3", "--trials", "1"],
         ["cyclic", "entire", "--pattern", "a/b/c"],
+        # the grid overflows floating point: NaN residuals must not pass
+        ["affine", "verify", "--l", "12000", "--h", "1", "--trials", "2"],
     ]
     for argv in cases:
         proc = run_cli(*argv)
@@ -151,3 +155,21 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert orbitkit.__version__ in proc.stdout
+
+
+def test_traced_benchmark_child_runs_lie_strata():
+    # the benchmark's tracer wraps orbitkit functions by name, and fails
+    # on any traced name that was renamed or removed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "cli", "1",
+         "lie", "strata", "--algebra", str(FIXTURES / "sl2.json"), "--samples", "20"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout.splitlines()[-1])
+    assert payload["exit"] == 0
+    assert "strata.foliation_check" in payload["trace"]["spans"]

@@ -11,8 +11,6 @@ from orbitkit.exactnum import (
     HbarPoly,
     rational_from_str,
     rational_to_str,
-    tensor_flatten,
-    tensor_unflatten,
 )
 
 
@@ -125,8 +123,55 @@ def test_identity_rank_and_fraction_pivot_scaling():
     assert m.rank() + len(m.kernel_basis()) == 4
 
 
-def test_tensor_index_round_trip():
-    dim, length = 4, 3
-    for flat in range(dim**length):
-        multi = tensor_unflatten(flat, dim, length)
-        assert tensor_flatten(multi, dim) == flat
+def test_determinant_tracks_swaps_and_pivots():
+    assert ExactMatrix.from_rows([[0, 1], [1, 0]]).determinant() == GaussRational.from_int(-1)
+    assert ExactMatrix.from_rows([[2, 4], [1, 2]]).determinant().is_zero()
+    assert ExactMatrix.identity(0).determinant() == GaussRational.one()
+    i = GaussRational.i()
+    assert ExactMatrix.from_rows([[i, 0], [0, i]]).determinant() == GaussRational.from_int(-1)
+    with pytest.raises(ValueError):
+        ExactMatrix.zero(2, 3).determinant()
+
+
+def _random_matrix(rng, nrows, ncols, gaussian):
+    def entry():
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if gaussian else Fraction(0)
+        return GaussRational(re, im)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    # make some matrices rank-deficient: a row repeats a combination of two others
+    if nrows >= 3 and rng.random() < 0.5:
+        a, b = rng.sample(range(nrows - 1), 2)
+        c = entry()
+        rows[-1] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return ExactMatrix(rows)
+
+
+def _sympy_scalar(sympy, x):
+    re = sympy.Rational(x.re.numerator, x.re.denominator)
+    return re + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
+
+
+def _to_sympy(sympy, m):
+    return sympy.Matrix(m.nrows, m.ncols, [_sympy_scalar(sympy, x) for r in m.rows for x in r])
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_elimination_matches_sympy(gaussian):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(21 if gaussian else 20)
+    for _ in range(40):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        m = _random_matrix(rng, n, k, gaussian)
+        ref = _to_sympy(sympy, m)
+        assert m.rank() == ref.rank()
+        kernel = m.kernel_basis()
+        assert len(kernel) == len(ref.nullspace())
+        if kernel:
+            K = _to_sympy(sympy, ExactMatrix(kernel).transpose())
+            assert (ref * K).expand() == sympy.zeros(n, len(kernel))
+            assert K.rank() == len(kernel)
+        square = _random_matrix(rng, n, n, gaussian)
+        det = _sympy_scalar(sympy, square.determinant())
+        assert sympy.expand(det - _to_sympy(sympy, square).det()) == 0

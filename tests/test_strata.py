@@ -1,10 +1,16 @@
-"""Stratification, foliation checks, extension tower, index composition."""
+"""Stratification, certificates, foliation reports, extension tower."""
+
+import random
+from fractions import Fraction
 
 import pytest
+
+from orbitkit.exactnum import ExactMatrix
 
 from orbitkit.liealg import (
     Covector,
     InputError,
+    LieAlgebra,
     abelian,
     aff1,
     heisenberg,
@@ -14,7 +20,7 @@ from orbitkit.liealg import (
 from orbitkit.strata import (
     SamplerConfig,
     Stratum,
-    compose_index,
+    _invertible_submatrix,
     extension_tower,
     foliation_check,
     generic_rank,
@@ -57,7 +63,7 @@ def test_every_stratum_dimension_is_even():
 
 def test_generic_rank_values_and_certificates():
     for L, expected in ((heisenberg(), 2), (aff1(), 2), (sl2(), 2), (abelian(3), 0)):
-        report = generic_rank(L, CONFIG)
+        report = generic_rank(L, stratify(L, CONFIG))
         assert report["rank"] == expected
         if expected:
             assert report["minor"] is not None
@@ -65,8 +71,8 @@ def test_generic_rank_values_and_certificates():
 
 
 def test_generic_rank_monotone_in_sample_count():
-    small = generic_rank(sl2(), SamplerConfig(seed=0, samples=20))
-    large = generic_rank(sl2(), SamplerConfig(seed=0, samples=400))
+    small = generic_rank(sl2(), stratify(sl2(), SamplerConfig(seed=0, samples=20)))
+    large = generic_rank(sl2(), stratify(sl2(), SamplerConfig(seed=0, samples=400)))
     assert large["rank"] >= small["rank"]
 
 
@@ -77,10 +83,11 @@ def test_sl2_known_witness_rank():
 def test_foliation_check_passes_everywhere():
     for L in (heisenberg(), aff1(), sl2(), abelian(2)):
         for s in stratify(L, CONFIG):
-            verdict = foliation_check(L, s, CONFIG)
+            verdict = foliation_check(s)
             assert verdict["constant_rank"]
             assert verdict["distribution_is_image"]
             assert verdict["failure"] is None
+            assert verdict["samples_checked"] == s.sample_count
 
 
 def test_foliation_check_rejects_empty_stratum():
@@ -92,7 +99,7 @@ def test_foliation_check_rejects_empty_stratum():
         higher_minors_vanish=True,
     )
     with pytest.raises(InputError):
-        foliation_check(heisenberg(), ghost, CONFIG)
+        foliation_check(ghost)
 
 
 def test_tower_heisenberg_single_stage():
@@ -116,12 +123,60 @@ def test_tower_reports_stage_per_positive_stratum():
     assert all(d > 0 for d in dims)
 
 
-def test_compose_index_products():
-    assert compose_index([[1, 0], [0, 1]], [1, 1]) == [1, 1]
-    assert compose_index([[1, 1]], [1, -1]) == [0]
-    assert compose_index([[0, 0], [0, 0]], [5, 7]) == [0, 0]
+def _greedy_submatrix(B, r):
+    """Reference certifying minor: greedy left-to-right columns, then rows."""
+    cols = []
+    for j in range(B.ncols):
+        trial = cols + [j]
+        if ExactMatrix([[B[i, jj] for jj in trial] for i in range(B.nrows)]).rank() == len(trial):
+            cols = trial
+            if len(cols) == r:
+                break
+    rows = []
+    for i in range(B.nrows):
+        trial = rows + [i]
+        if ExactMatrix([[B[ii, jj] for jj in cols] for ii in trial]).rank() == len(trial):
+            rows = trial
+            if len(rows) == r:
+                break
+    return tuple(rows), tuple(cols)
 
 
-def test_compose_index_shape_mismatch():
-    with pytest.raises(InputError):
-        compose_index([[1, 2, 3]], [1, 2])
+def test_invertible_submatrix_matches_greedy_choice():
+    rng = random.Random(5)
+    for _ in range(150):
+        d = rng.randint(1, 6)
+        # a sum of k random rank-2 blocks u v^T - v u^T, often rank-deficient
+        B = [[Fraction(0)] * d for _ in range(d)]
+        for _ in range(rng.randint(0, 3)):
+            u = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+            v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d)]
+            for i in range(d):
+                for j in range(d):
+                    B[i][j] += u[i] * v[j] - v[i] * u[j]
+        m = ExactMatrix.from_rows(B)
+        r = m.rank()
+        rows, cols = _invertible_submatrix(m)
+        assert (rows, cols) == _greedy_submatrix(m, r)
+        if r:
+            minor = ExactMatrix([[m[i, j] for j in cols] for i in rows])
+            assert not minor.determinant().is_zero()
+
+
+def test_h3_h3_q2_strata_pinned():
+    L = LieAlgebra.from_brackets(8, {(0, 1): {2: 1}, (3, 4): {5: 1}})
+    found = stratify(L, SamplerConfig(seed=0, samples=40))
+    assert [(s.orbit_dimension, s.sample_count) for s in found] == [(4, 37), (2, 3)]
+    assert found[0].minors_used == (((0, 1, 3, 4), (0, 1, 3, 4)),)
+    assert found[1].minors_used == (((3, 4), (3, 4)), ((0, 1), (0, 1)))
+    assert all(s.higher_minors_vanish for s in found)
+    assert [str(x) for x in found[0].witness.coords] == [
+        "0", "3", "1/4", "-11/4", "-1", "1", "3/4", "0"
+    ]
+    assert generic_rank(L, found) == {
+        "rank": 4,
+        "witness": ["0", "3", "1/4", "-11/4", "-1", "1", "3/4", "0"],
+        "minor": {"rows": [0, 1, 3, 4], "cols": [0, 1, 3, 4]},
+        "minor_polynomial": "F3^2*F6^2",
+        "minor_value_at_witness": "1/16",
+    }
