@@ -75,36 +75,29 @@ def _render(report: dict, fmt: str, table_text) -> str:
     return "\n".join(head) + "\n\n" + body
 
 
+def _fail(ctx, name: str, kind: str, message: str, code: int) -> None:
+    error = {"kind": kind, "message": message, "subcommand": name}
+    click.echo(json.dumps({"error": error}, sort_keys=True, indent=2))
+    ctx.exit(code)
+
+
 def _finish(ctx, name: str, build) -> None:
     """Run a subcommand body and emit its report with the exit contract.
 
     ``build`` returns (result, inputs, table_text or None).  Input
     problems exit 2 with a machine-readable error object; internal
-    invariant violations exit 1.
+    invariant violations and any other fault (MemoryError,
+    OverflowError, ...) exit 1 with one.
     """
     t0 = time.perf_counter()
     try:
         result, inputs, table_text = build()
     except (InputError, ValueError, OSError) as err:
-        click.echo(
-            json.dumps(
-                {"error": {"kind": "input", "message": str(err), "subcommand": name}},
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        ctx.exit(2)
-        return
+        return _fail(ctx, name, "input", str(err), 2)
     except RuntimeError as err:
-        click.echo(
-            json.dumps(
-                {"error": {"kind": "internal", "message": str(err), "subcommand": name}},
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        ctx.exit(1)
-        return
+        return _fail(ctx, name, "internal", str(err), 1)
+    except Exception as err:
+        return _fail(ctx, name, "internal", f"{type(err).__name__}: {err}", 1)
     report = {
         "subcommand": name,
         "input_digest": _digest({"inputs": inputs, "subcommand": name}),

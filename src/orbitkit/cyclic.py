@@ -2,9 +2,13 @@
 
 A `FinAlgebra` is a finite-dimensional unital *-algebra over the Gaussian
 rationals, given by structure constants.  Chains of level n are elements of
-the (n+1)-fold tensor power, and the standard operators b, b', lambda, N, S
-act on them through `apply_operator`.  `hp_homology` computes the homology
-of the truncated cyclic total complex
+the (n+1)-fold tensor power, stored as maps from words of basis indices to
+nonzero coefficients, with the dense coordinate vector as the `coords` view.
+The standard operators b, b', lambda, N, S act on them through
+`apply_operator`.  `_op_terms` is the one word-level expansion of these
+operators: `apply_operator` and the boundary columns of the total complex
+are both built from it.  `hp_homology` computes the homology of the
+truncated cyclic total complex
 
     Tot_n = direct sum over q <= n of C_q(A),
 
@@ -34,7 +38,7 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -216,13 +220,6 @@ class FinAlgebra:
             except json.JSONDecodeError as exc:
                 raise InputError(f"bad algebra file: {exc}") from None
         return FinAlgebra.from_json(data)
-
-
-def _coords(dim: int, entries: dict) -> tuple:
-    out = [_ZERO] * dim
-    for k, v in entries.items():
-        out[k] = v
-    return tuple(out)
 
 
 def gauss_field() -> FinAlgebra:
@@ -486,91 +483,97 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
 
 @dataclass(frozen=True)
 class Chain:
-    """Element of C_n(A) = A^{tensor (n+1)} as a flat coordinate vector.
+    """Element of C_n(A) = A^{tensor (n+1)} as a sparse word map.
 
-    Coordinates are indexed row-major by words (a_0, ..., a_n) of basis
-    indices, so the vector has length dim^(n+1).
+    ``terms`` maps each word (a_0, ..., a_n) of basis indices to its
+    nonzero coefficient; the constructor drops zero coefficients and
+    rejects words of the wrong length or with an index outside
+    0..dim-1.  ``coords`` is the dense view: the flat coordinate vector of
+    length dim^(n+1), indexed row-major by words and built on demand.
     """
 
     algebra: FinAlgebra
     level: int
-    coords: tuple
+    terms: dict = field(hash=False)
 
     def __post_init__(self):
         if self.level < 0:
             raise InputError("chain level must be nonnegative")
-        want = self.algebra.dim ** (self.level + 1)
-        if len(self.coords) != want:
-            raise InputError(
-                f"chain at level {self.level} needs {want} coordinates, "
-                f"got {len(self.coords)}"
-            )
+        n, dim = self.level + 1, self.algebra.dim
+        for word in self.terms:
+            if not (
+                isinstance(word, tuple)
+                and len(word) == n
+                and all(isinstance(a, int) and 0 <= a < dim for a in word)
+            ):
+                raise InputError(
+                    f"word {word} is not a word of length {n} in basis indices "
+                    f"0..{dim - 1}"
+                )
+        object.__setattr__(
+            self, "terms", {w: v for w, v in self.terms.items() if not v.is_zero()}
+        )
+
+    @property
+    def coords(self) -> tuple:
+        words = itertools.product(range(self.algebra.dim), repeat=self.level + 1)
+        return tuple(self.terms.get(w, _ZERO) for w in words)
 
     @staticmethod
     def zero(algebra: FinAlgebra, level: int) -> "Chain":
-        return Chain(algebra, level, (_ZERO,) * algebra.dim ** (level + 1))
+        return Chain(algebra, level, {})
 
     @staticmethod
     def from_words(algebra: FinAlgebra, level: int, terms: dict) -> "Chain":
-        coords = [_ZERO] * algebra.dim ** (level + 1)
-        for word, coeff in terms.items():
-            if len(word) != level + 1:
-                raise InputError(f"word {word} does not have length {level + 1}")
-            if not isinstance(coeff, GaussRational):
-                coeff = GaussRational.from_rational(coeff)
-            i = _flatten(word, algebra.dim)
-            coords[i] = coords[i] + coeff
-        return Chain(algebra, level, tuple(coords))
+        return Chain(
+            algebra,
+            level,
+            {
+                w: c if isinstance(c, GaussRational) else GaussRational.from_rational(c)
+                for w, c in terms.items()
+            },
+        )
 
     @staticmethod
     def random(
         algebra: FinAlgebra, level: int, rng: random.Random, entries: int = 4
     ) -> "Chain":
         size = algebra.dim ** (level + 1)
-        coords = [_ZERO] * size
+        terms = {}
         for _ in range(min(entries, size)):
-            coords[rng.randrange(size)] = GaussRational(
+            word = _unflatten(rng.randrange(size), algebra.dim, level + 1)
+            terms[word] = GaussRational(
                 Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
             )
-        return Chain(algebra, level, tuple(coords))
+        return Chain(algebra, level, terms)
 
     def coefficient(self, word) -> GaussRational:
-        return self.coords[_flatten(word, self.algebra.dim)]
+        return self.terms.get(tuple(word), _ZERO)
 
     def nonzero_terms(self):
-        n = self.level + 1
-        for i, v in enumerate(self.coords):
-            if not v.is_zero():
-                yield _unflatten(i, self.algebra.dim, n), v
+        """(word, coeff) pairs in row-major word order."""
+        return iter(sorted(self.terms.items()))
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.coords)
+        return not self.terms
 
     def __add__(self, other: "Chain") -> "Chain":
         if self.algebra != other.algebra or self.level != other.level:
             raise InputError("chain addition needs matching algebra and level")
-        return Chain(
-            self.algebra,
-            self.level,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        terms = dict(self.terms)
+        for w, v in other.terms.items():
+            terms[w] = terms[w] + v if w in terms else v
+        return Chain(self.algebra, self.level, terms)
 
     def __neg__(self) -> "Chain":
-        return Chain(self.algebra, self.level, tuple(-a for a in self.coords))
+        return Chain(self.algebra, self.level, {w: -v for w, v in self.terms.items()})
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
     def scale(self, c) -> "Chain":
         cc = c if isinstance(c, GaussRational) else GaussRational.from_rational(c)
-        return Chain(self.algebra, self.level, tuple(cc * a for a in self.coords))
-
-
-def _flatten(word, dim: int) -> int:
-    out = 0
-    for w in word:
-        out = out * dim + w
-    return out
+        return Chain(self.algebra, self.level, {w: cc * v for w, v in self.terms.items()})
 
 
 def _unflatten(index: int, dim: int, length: int) -> tuple:
@@ -586,39 +589,40 @@ _LEVEL_SHIFT = {"b": -1, "bprime": -1, "lambda": 0, "N": 0, "S": -2}
 _ALIASES = {"b'": "bprime", "λ": "lambda", "lam": "lambda"}
 
 
-def _op_terms(A: FinAlgebra, kind: str, word):
-    """Expand an operator on a basis word into [(word, coeff)] terms."""
+def _op_terms(pairs, one, kind: str, word, negate: bool = False) -> list:
+    """Expand b, b', lambda, N or S on a basis word into [(word, coeff)].
+
+    This is the one word-level expansion of the operators: `apply_operator`
+    calls it with the Gaussian-rational table, and the total complex with
+    the scalar kit of `_scalar_kit`.  ``pairs[a][b]`` lists the (c, v) with
+    e_a e_b = sum v e_c, ``one`` is the unit of the coefficient ring, and
+    ``negate`` flips every sign.  Terms are not collected, so one word may
+    appear more than once.
+    """
     n = len(word) - 1
     out = []
-    if kind in ("b", "bprime"):
-        top = n if kind == "b" else n - 1
-        for j in range(top + 1):
-            sign = -1 if j % 2 else 1
-            if j < n:
-                merged = A.basis_product(word[j], word[j + 1])
-                for c, v in merged:
-                    w = word[:j] + (c,) + word[j + 2 :]
-                    out.append((w, -v if sign < 0 else v))
-            else:
-                merged = A.basis_product(word[n], word[0])
-                for c, v in merged:
-                    w = (c,) + word[1:n]
-                    out.append((w, -v if sign < 0 else v))
+    if kind == "b" or kind == "bprime":
+        for j in range(n):
+            neg = (j % 2 == 1) != negate
+            for c, v in pairs[word[j]][word[j + 1]]:
+                out.append((word[:j] + (c,) + word[j + 2 :], -v if neg else v))
+        if kind == "b":
+            neg = (n % 2 == 1) != negate
+            for c, v in pairs[word[n]][word[0]]:
+                out.append(((c,) + word[1:n], -v if neg else v))
     elif kind == "lambda":
-        rotated = (word[n],) + word[:n]
-        out.append((rotated, -_ONE if n % 2 else _ONE))
+        neg = (n % 2 == 1) != negate
+        out.append(((word[n],) + word[:n], -one if neg else one))
     elif kind == "N":
-        cur = word
-        sign = 1
+        cur, neg = word, negate
         for _ in range(n + 1):
-            out.append((cur, -_ONE if sign < 0 else _ONE))
+            out.append((cur, -one if neg else one))
             cur = (cur[n],) + cur[:n]
-            if n % 2:
-                sign = -sign
+            neg = neg != (n % 2 == 1)
     elif kind == "S":
-        for x, c1 in A.basis_product(word[0], word[1]):
-            for y, c2 in A.basis_product(x, word[2]):
-                out.append(((y,) + word[3:], c1 * c2))
+        for x, c1 in pairs[word[0]][word[1]]:
+            for y, c2 in pairs[x][word[2]]:
+                out.append(((y,) + word[3:], -(c1 * c2) if negate else c1 * c2))
     else:
         raise InputError(f"unknown operator {kind!r}")
     return out
@@ -636,34 +640,31 @@ def apply_operator(kind: str, x: Chain, adjoint: bool = False) -> Chain:
     if kind not in _MIN_LEVEL:
         raise InputError(f"unknown operator {kind!r}")
     A = x.algebra
+    terms = {}
     if not adjoint:
         if x.level < _MIN_LEVEL[kind]:
             raise InputError(
                 f"operator {kind} needs level >= {_MIN_LEVEL[kind]}, got {x.level}"
             )
-        out_level = x.level + _LEVEL_SHIFT[kind]
-        coords = [_ZERO] * A.dim ** (out_level + 1)
-        for word, coeff in x.nonzero_terms():
-            for w, v in _op_terms(A, kind, word):
-                i = _flatten(w, A.dim)
-                coords[i] = coords[i] + coeff * v
-        return Chain(A, out_level, tuple(coords))
+        for word, coeff in x.terms.items():
+            for w, v in _op_terms(A._pairs, _ONE, kind, word):
+                terms[w] = terms[w] + coeff * v if w in terms else coeff * v
+        return Chain(A, x.level + _LEVEL_SHIFT[kind], terms)
     src_level = x.level - _LEVEL_SHIFT[kind]
     if src_level < _MIN_LEVEL[kind]:
         raise InputError(
             f"adjoint of {kind} from level {x.level} would transpose an "
             f"operator below its level range"
         )
-    coords = [_ZERO] * A.dim ** (src_level + 1)
-    for u in range(A.dim ** (src_level + 1)):
-        word = _unflatten(u, A.dim, src_level + 1)
+    for word in itertools.product(range(A.dim), repeat=src_level + 1):
         acc = _ZERO
-        for w, v in _op_terms(A, kind, word):
-            t = x.coords[_flatten(w, A.dim)]
-            if not t.is_zero():
+        for w, v in _op_terms(A._pairs, _ONE, kind, word):
+            t = x.terms.get(w)
+            if t is not None:
                 acc = acc + v.conjugate() * t
-        coords[u] = acc
-    return Chain(A, src_level, tuple(coords))
+        if not acc.is_zero():
+            terms[word] = acc
+    return Chain(A, src_level, terms)
 
 
 def chain_pairing(x: Chain, y: Chain) -> GaussRational:
@@ -671,8 +672,10 @@ def chain_pairing(x: Chain, y: Chain) -> GaussRational:
     if x.algebra != y.algebra or x.level != y.level:
         raise InputError("pairing needs matching algebra and level")
     out = _ZERO
-    for a, b in zip(x.coords, y.coords):
-        out = out + a.conjugate() * b
+    for w, a in x.terms.items():
+        b = y.terms.get(w)
+        if b is not None:
+            out = out + a.conjugate() * b
     return out
 
 
@@ -697,71 +700,47 @@ def _scalar_kit(A: FinAlgebra):
     return A._pairs, _ZERO, _ONE
 
 
-def _column_terms(A: FinAlgebra, n: int, q: int, word):
-    """One column of the total differential Tot_n -> Tot_{n-1}.
+def _column(kit, dim: int, n: int, q: int, word, offsets_prev) -> dict:
+    """Column (q, word) of the total differential Tot_n -> Tot_{n-1}.
 
-    Returns [(q_target, word, coeff)] with coeffs in the scalar kit ring.
     Even columns p = n - q carry b vertically and N horizontally, odd
     columns carry -b' and 1 - lambda; the p = 0 block has no horizontal
-    part and the q = 0 row no vertical one.
+    part and the q = 0 row no vertical one.  Coefficients are in the ring
+    of ``kit`` = (pairs, zero, one), keyed by row of Tot_{n-1}.
     """
-    pairs, zero, one = _scalar_kit(A)
-    p = n - q
-    out = []
+    pairs, zero, one = kit
+    odd = (n - q) % 2 == 1
+    blocks = []
     if q >= 1:
-        if p % 2 == 0:
-            top = q
-        else:
-            top = q - 1
-        for j in range(top + 1):
-            sign = -1 if j % 2 else 1
-            if p % 2 == 1:
-                sign = -sign
-            if j < q:
-                merged = pairs[word[j]][word[j + 1]]
-                for c, v in merged:
-                    w = word[:j] + (c,) + word[j + 2 :]
-                    out.append((q - 1, w, -v if sign < 0 else v))
-            else:
-                merged = pairs[word[q]][word[0]]
-                for c, v in merged:
-                    w = (c,) + word[1:q]
-                    out.append((q - 1, w, -v if sign < 0 else v))
-    if p >= 1:
-        if p % 2 == 1:
-            out.append((q, word, one))
-            rotated = (word[q],) + word[:q]
-            out.append((q, rotated, -one if q % 2 == 0 else one))
-        else:
-            cur = word
-            sign = 1
-            for _ in range(q + 1):
-                out.append((q, cur, one if sign > 0 else -one))
-                cur = (cur[q],) + cur[:q]
-                if q % 2:
-                    sign = -sign
-    return out
-
-
-def _column(A: FinAlgebra, n: int, q: int, word, offsets_prev) -> dict:
-    _, zero, _ = _scalar_kit(A)
+        vertical = _op_terms(pairs, one, "bprime" if odd else "b", word, odd)
+        blocks.append((offsets_prev[q - 1], vertical))
+    if n > q:
+        horizontal = _op_terms(pairs, one, "lambda" if odd else "N", word, odd)
+        if odd:
+            horizontal.append((word, one))
+        blocks.append((offsets_prev[q], horizontal))
     col = {}
-    for qt, w, v in _column_terms(A, n, q, word):
-        r = offsets_prev[qt] + _flatten(w, A.dim)
-        acc = col.get(r, zero) + v
-        if acc == zero:
-            col.pop(r, None)
-        else:
-            col[r] = acc
+    for offset, terms in blocks:
+        for w, v in terms:
+            r = 0
+            for a in w:
+                r = r * dim + a
+            r += offset
+            acc = col.get(r, zero) + v
+            if acc == zero:
+                col.pop(r, None)
+            else:
+                col[r] = acc
     return col
 
 
 def _iter_columns(A: FinAlgebra, n: int):
     """Columns of the boundary Tot_n -> Tot_{n-1} in source order."""
+    kit = _scalar_kit(A)
     offsets_prev, _ = _block_offsets(A.dim, n - 1)
     for q in range(n + 1):
         for word in itertools.product(range(A.dim), repeat=q + 1):
-            yield _column(A, n, q, word, offsets_prev)
+            yield _column(kit, A.dim, n, q, word, offsets_prev)
 
 
 def _gcd_normalize(col: dict) -> dict:
@@ -856,17 +835,18 @@ def _square_check(A: FinAlgebra, n: int) -> str:
     offsets_prev, _ = _block_offsets(A.dim, n - 1)
     offsets_prev2, _ = _block_offsets(A.dim, n - 2)
     _, ncols = _block_offsets(A.dim, n)
-    _, zero, _ = _scalar_kit(A)
+    kit = _scalar_kit(A)
+    zero = kit[1]
 
     def column_prev(r: int) -> dict:
         q = 0
         while q < n - 1 and offsets_prev[q + 1] <= r:
             q += 1
         word = _unflatten(r - offsets_prev[q], A.dim, q + 1)
-        return _column(A, n - 1, q, word, offsets_prev2)
+        return _column(kit, A.dim, n - 1, q, word, offsets_prev2)
 
     def check_source(q: int, word) -> None:
-        col = _column(A, n, q, word, offsets_prev)
+        col = _column(kit, A.dim, n, q, word, offsets_prev)
         acc = {}
         for r, v in col.items():
             for r2, v2 in column_prev(r).items():

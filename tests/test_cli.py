@@ -8,8 +8,11 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
+from click.testing import CliRunner
 
 import orbitkit
+from orbitkit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -127,6 +130,31 @@ def test_input_errors_exit_two_with_error_object():
         payload = json.loads(proc.stdout)
         jsonschema.validate(payload, schema)
         assert payload["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "module, attribute, fault, argv",
+    [
+        ("qgroup", "build_rep_su2", MemoryError,
+         ["qgroup", "verify", "--q", "0.5", "--truncation", "100000"]),
+        ("affine", "worst_residuals", OverflowError,
+         ["affine", "verify", "--l", "12000", "--h", "4000"]),
+    ],
+)
+def test_unexpected_faults_exit_one_with_error_object(monkeypatch, module, attribute, fault, argv):
+    def raise_fault(*args, **kwargs):
+        raise fault("simulated")
+
+    monkeypatch.setattr(f"orbitkit.{module}.{attribute}", raise_fault)
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.output)
+    jsonschema.validate(payload, load_schema("error"))
+    assert payload["error"] == {
+        "kind": "internal",
+        "message": f"{fault.__name__}: simulated",
+        "subcommand": " ".join(argv[:2]),
+    }
 
 
 def test_unknown_subcommand_is_a_usage_error():

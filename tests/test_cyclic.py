@@ -1,5 +1,6 @@
 """Algebra fixtures, traces, cyclic operators, homology tables, entirety."""
 
+import itertools
 import json
 import math
 import random
@@ -37,6 +38,22 @@ I = GaussRational.i()
 
 def _unit_chain(A, level, word):
     return Chain.from_words(A, level, {word: ONE})
+
+
+def _u_squared_i():
+    # u^2 = i forces Gaussian structure constants through the rank kit
+    zero, one, i = GaussRational.zero(), ONE, I
+    mult = (
+        ((one, zero), (zero, one)),
+        ((zero, one), (i, zero)),
+    )
+    return FinAlgebra(
+        dim=2,
+        mult=mult,
+        unit=(one, zero),
+        star=((one, zero), (zero, i)),
+        basis=("1", "u"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +184,17 @@ def test_chain_from_words_and_coefficient():
     assert (x + x).coefficient((1, 0)) == ONE + ONE
 
 
-def test_chain_coordinate_count_enforced():
-    with pytest.raises(InputError):
-        Chain(gauss_field(), 1, (GaussRational.zero(),) * 3)
+def test_chain_rejects_malformed_words():
+    A = matrix_algebra(2)
+    # (0, 4) once aliased onto (1, 0) and (1, -1) onto (0, 3)
+    for word in ((0, 4), (1, -1), (0,), (0, 1, 2)):
+        with pytest.raises(InputError):
+            Chain.from_words(A, 1, {word: 1})
+        with pytest.raises(InputError):
+            Chain(A, 1, {word: ONE})
+    x = Chain(A, 1, {(0, 3): ONE, (1, 0): GaussRational.zero()})
+    assert x.terms == {(0, 3): ONE}
+    assert x.coords[3] == ONE and sum(not v.is_zero() for v in x.coords) == 1
 
 
 def test_bprime_multiplies_down():
@@ -265,10 +290,11 @@ def test_adjoints_match_pairing():
 
 
 def test_boundary_columns_agree_with_operator_assembly():
-    from orbitkit.cyclic import _column_terms
+    from orbitkit.cyclic import _block_offsets, _column, _scalar_kit, _unflatten
 
-    A = dual_numbers()
-    for n in (2, 3):
+    for A, n in itertools.product((dual_numbers(), _u_squared_i()), (2, 3)):
+        kit = _scalar_kit(A)
+        offsets_prev, _ = _block_offsets(A.dim, n - 1)
         for q in range(n + 1):
             p = n - q
             for flat in range(A.dim ** (q + 1)):
@@ -277,7 +303,9 @@ def test_boundary_columns_agree_with_operator_assembly():
                 )
                 vertical = Chain.zero(A, q - 1) if q >= 1 else None
                 horizontal = Chain.zero(A, q)
-                for qt, w, v in _column_terms(A, n, q, word):
+                for r, v in _column(kit, A.dim, n, q, word, offsets_prev).items():
+                    qt = max(k for k in range(n) if offsets_prev[k] <= r)
+                    w = _unflatten(r - offsets_prev[qt], A.dim, qt + 1)
                     coeff = (
                         GaussRational.from_rational(Fraction(v))
                         if not isinstance(v, GaussRational)
@@ -412,19 +440,7 @@ def test_hp_matrix_algebra_matches_scalars():
 
 
 def test_hp_realification_path():
-    # u^2 = i forces Gaussian structure constants through the rank kit
-    zero, one, i = GaussRational.zero(), ONE, I
-    mult = (
-        ((one, zero), (zero, one)),
-        ((zero, one), (i, zero)),
-    )
-    A = FinAlgebra(
-        dim=2,
-        mult=mult,
-        unit=(one, zero),
-        star=((one, zero), (zero, i)),
-        basis=("1", "u"),
-    )
+    A = _u_squared_i()
     A._validate()
     report = hp_homology(A, truncation=4)
     assert (report.hp0, report.hp1) == (2, 0)

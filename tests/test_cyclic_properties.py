@@ -1,0 +1,100 @@
+"""Property tests of the sparse chain operators (optional: needs hypothesis)."""
+
+import itertools
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from orbitkit.cyclic import (  # noqa: E402
+    Chain,
+    FinAlgebra,
+    apply_operator,
+    chain_pairing,
+    dual_numbers,
+    gauss_field,
+    matrix_algebra,
+)
+from orbitkit.exactnum import GaussRational  # noqa: E402
+
+ZERO, ONE, I = GaussRational.zero(), GaussRational.one(), GaussRational.i()
+# u^2 = i and u* = i u: a structure constant off the real line, so the
+# adjoint's conjugation shows
+GAUSSIAN_LINE = FinAlgebra(
+    2,
+    (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (I, ZERO))),
+    (ONE, ZERO),
+    ((ONE, ZERO), (ZERO, I)),
+    ("1", "u"),
+)
+ALGEBRAS = (gauss_field(), dual_numbers(), matrix_algebra(2), GAUSSIAN_LINE)
+SETTINGS = hypothesis.settings(
+    max_examples=50, deadline=None, derandomize=True, database=None
+)
+# kind -> level shift; S needs level >= 2, the others level >= 1
+SHIFTS = {"b": -1, "bprime": -1, "lambda": 0, "N": 0, "S": -2}
+
+_PARTS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_COEFFS = st.builds(GaussRational, _PARTS, _PARTS)
+
+
+def _chain(draw, A, level):
+    word = st.tuples(*[st.integers(0, A.dim - 1)] * (level + 1))
+    return Chain(A, level, draw(st.dictionaries(word, _COEFFS, max_size=6)))
+
+
+@st.composite
+def chains(draw, min_level=1):
+    A = draw(st.sampled_from(ALGEBRAS))
+    return _chain(draw, A, draw(st.integers(min_level, 4)))
+
+
+@st.composite
+def pairing_cases(draw, kind):
+    """(x, y) with x a source and y a target chain of `kind` on one algebra."""
+    A = draw(st.sampled_from(ALGEBRAS))
+    level = draw(st.integers(2 if kind == "S" else 1, 4))
+    return _chain(draw, A, level), _chain(draw, A, level + SHIFTS[kind])
+
+
+@SETTINGS
+@hypothesis.given(chains(min_level=2))
+def test_b_and_bprime_square_to_zero(x):
+    for kind in ("b", "bprime"):
+        assert apply_operator(kind, apply_operator(kind, x)).is_zero()
+
+
+@SETTINGS
+@hypothesis.given(chains())
+def test_norm_and_one_minus_lambda_compose_to_zero(x):
+    lam_x = apply_operator("lambda", x)
+    n_x = apply_operator("N", x)
+    assert apply_operator("N", x - lam_x).is_zero()
+    assert (n_x - apply_operator("lambda", n_x)).is_zero()
+
+
+@pytest.mark.parametrize("kind", sorted(SHIFTS))
+def test_adjoint_matches_pairing(kind):
+    @SETTINGS
+    @hypothesis.given(pairing_cases(kind))
+    def check(case):
+        x, y = case
+        lhs = chain_pairing(apply_operator(kind, x), y)
+        assert lhs == chain_pairing(x, apply_operator(kind, y, adjoint=True))
+
+    check()
+
+
+@SETTINGS
+@hypothesis.given(chains(min_level=0))
+def test_dense_view_matches_word_map(x):
+    dim, length = x.algebra.dim, x.level + 1
+    coords = x.coords
+    assert len(coords) == dim**length
+    for word in itertools.product(range(dim), repeat=length):
+        flat = 0
+        for a in word:
+            flat = flat * dim + a
+        assert x.coefficient(word) == coords[flat]
+    assert all(not v.is_zero() for v in x.terms.values())
