@@ -106,7 +106,7 @@ class LogGrid:
     def shift_steps(self, a: float) -> int:
         """The integer m with |a| = e^{mh}, or an input error naming the
         nearest aligned dilation."""
-        u = math.log(abs(a))
+        u = math.log(_double_magnitude(a))
         m = u / self.h
         m_round = round(m)
         if abs(m - m_round) > 1e-9:
@@ -116,6 +116,14 @@ class LogGrid:
                 f"magnitude is e^({m_round}*h) = {nearest}"
             )
         return m_round
+
+
+def _double_magnitude(a) -> float:
+    """|a| as a double; an input error when it is not finite and nonzero."""
+    magnitude = abs(float(a))
+    if not 0.0 < magnitude < math.inf:
+        raise InputError(f"dilation |a| = {abs(a)!s} is not a finite nonzero double")
+    return magnitude
 
 
 def _phases(theta: np.ndarray) -> np.ndarray:
@@ -226,7 +234,9 @@ def random_aligned_element(
     """Random group element whose dilation the grid can shift exactly."""
     m = rng.randint(-max_steps, max_steps)
     sign = rng.choice((1.0, -1.0))
-    a = np.longdouble(sign) * np.exp(np.longdouble(m) * np.longdouble(grid.h))
+    with np.errstate(over="ignore", under="ignore"):
+        a = np.longdouble(sign) * np.exp(np.longdouble(m) * np.longdouble(grid.h))
+    _double_magnitude(a)
     return AffineElement(a, rng.uniform(-3.0, 3.0))
 
 
@@ -235,10 +245,14 @@ def worst_residuals(grid: LogGrid, trials: int, seed: int) -> dict:
 
     Each trial draws a random aligned pair (g1, g2) and measures one
     random function under S_{g1} S_{g2} = S_{g1 g2}, one under unitarity
-    of S_{g1}, and one random character U_lambda^eps on the pair.  A
-    non-finite residual means the grid's coordinates or phases overflow
-    floating point, and is reported as an input error.
+    of S_{g1}, and one random character U_lambda^eps on the pair.  A grid
+    whose edge coordinate e^L overflows extended precision, a dilation
+    outside the double range, and a non-finite residual (overflowing
+    phases) are input errors.
     """
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.exp(np.longdouble(grid.L))):
+            raise InputError(f"non-finite grid: e^L overflows extended precision at L = {grid.L}")
     rng = random.Random(seed)
     worst_hom = worst_unit = worst_char = 0.0
     for _ in range(trials):

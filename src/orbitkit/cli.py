@@ -241,51 +241,15 @@ def quantize_verify(ctx, alpha, max_degree, nvars):
             raise InputError("max degree must be at least 1")
         model = _quantize.SymplecticModel(nvars)
         form = _quantize.parse_one_form(alpha, model)
-        curvature = _quantize.check_curvature(form)
-        monomials = _monomials(model, max_degree)
-        failures = []
-        for name_f, f in monomials:
-            for name_g, g in monomials:
-                verdict = _quantize.check_dirac(f, g, form)
-                if not verdict["passes"]:
-                    failures.append(
-                        {"f": name_f, "g": name_g, "residual": verdict["residual"]}
-                    )
         result = {
-            "curvature": curvature,
-            "dirac": {
-                "pairs": len(monomials) ** 2,
-                "failures": failures,
-                "passes": not failures,
-            },
+            "curvature": _quantize.check_curvature(form),
+            "dirac": _quantize.check_dirac_pairs(form, max_degree),
             "max_degree": max_degree,
         }
         inputs = {"alpha": alpha, "max_degree": max_degree, "vars": nvars}
         return result, inputs, None
 
     _finish(ctx, "quantize verify", build)
-
-
-def _monomials(model, max_degree):
-    """All monomials of total degree 0..max_degree, with display names."""
-    out = []
-    exponents = [[]]
-    for _ in range(model.nvars):
-        exponents = [e + [k] for e in exponents for k in range(max_degree + 1)]
-    for exps in exponents:
-        if sum(exps) > max_degree:
-            continue
-        poly = _quantize.Poly.constant(model, 1)
-        names = []
-        for idx, k in enumerate(exps):
-            for _ in range(k):
-                poly = poly * _quantize.Poly.variable(model, idx)
-            if k == 1:
-                names.append(model.var_name(idx))
-            elif k > 1:
-                names.append(f"{model.var_name(idx)}^{k}")
-        out.append(("*".join(names) or "1", poly))
-    return out
 
 
 # ---------------------------------------------------------------------------

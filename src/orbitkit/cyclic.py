@@ -6,23 +6,23 @@ the (n+1)-fold tensor power, stored as maps from words of basis indices to
 nonzero coefficients, with the dense coordinate vector as the `coords` view.
 The standard operators b, b', lambda, N, S act on them through
 `apply_operator`.  `_op_terms` is the one word-level expansion of these
-operators: `apply_operator` and the boundary columns of the total complex
-are both built from it.  `hp_homology` computes the homology of the
-truncated cyclic total complex
+operators: `apply_operator` and the boundary of Connes' complex are both
+built from it.  `hp_homology` computes cyclic homology in characteristic 0
+as the homology of Connes' complex
 
-    Tot_n = direct sum over q <= n of C_q(A),
+    C^lambda_n = C_n(A) / (1 - lambda),   differential b,
 
-where the block C_q sits in column p = n - q, even columns carry the
-vertical differential b and the horizontal map N, odd columns carry -b' and
-1 - lambda, and the leftmost column (p = 0) has no horizontal map.  The
-report lists the top even/odd homology dimensions and whether they agree
-with the pair two truncation steps down, which is the computable surrogate
-for the stabilization of the periodic theory.
+whose cells are the rotation classes of words that are not killed (a class
+is killed when a rotation returns its word with sign -1).  The report
+lists the top even/odd homology dimensions and whether they agree with the
+pair two degrees down, which is the computable surrogate for the
+stabilization of the periodic theory.
 
-Ranks are computed exactly by a streaming sparse column reduction.  Columns
-with denominators are cleared to Gaussian integers; a matrix with imaginary
-entries is realified (rank over Q(i) is half the real rank of the doubled
-matrix).
+Ranks are computed exactly by a streaming sparse column reduction over the
+integers: b is linear in the structure constants, so it runs on one
+integer table scaled by the lcm of their denominators, and an algebra with
+imaginary structure constants is realified (rank over Q(i) is half the
+real rank of the doubled matrix).
 
 `verify_trace` checks the four trace axioms (normalization, positivity on
 samples, strict positivity via the Gram matrix, ad-invariance), with
@@ -96,27 +96,30 @@ class FinAlgebra:
             for a in range(d)
         )
         object.__setattr__(self, "_pairs", pairs)
-        int_ok = all(
-            v.im == 0 and v.re.denominator == 1
-            for plane in self.mult
-            for row in plane
-            for v in row
-        )
-        if int_ok:
-            ipairs = tuple(
+        # b is linear in the structure constants, so L * b on the integer
+        # table (re, im), with L the lcm of their denominators, has the rank
+        # of b; im is None for a real algebra
+        scale = 1
+        for plane in self.mult:
+            for row in plane:
+                for v in row:
+                    scale = math.lcm(scale, v.re.denominator, v.im.denominator)
+
+        def table(part):
+            return tuple(
                 tuple(
-                    tuple((c, int(v.re)) for c, v in pairs[a][b])
+                    tuple((c, int(part(v) * scale)) for c, v in pairs[a][b] if part(v))
                     for b in range(d)
                 )
                 for a in range(d)
             )
-        else:
-            ipairs = None
-        object.__setattr__(self, "_int_pairs", ipairs)
-        has_imag = any(
-            v.im != 0 for plane in self.mult for row in plane for v in row
+
+        imag = any(v.im for plane in self.mult for row in plane for v in row)
+        object.__setattr__(
+            self,
+            "_int_table",
+            (table(lambda v: v.re), table(lambda v: v.im) if imag else None),
         )
-        object.__setattr__(self, "_has_imag", has_imag)
         self._validate()
 
     def _validate(self):
@@ -589,32 +592,29 @@ _LEVEL_SHIFT = {"b": -1, "bprime": -1, "lambda": 0, "N": 0, "S": -2}
 _ALIASES = {"b'": "bprime", "λ": "lambda", "lam": "lambda"}
 
 
-def _op_terms(pairs, one, kind: str, word, negate: bool = False) -> list:
+def _op_terms(pairs, one, kind: str, word) -> list:
     """Expand b, b', lambda, N or S on a basis word into [(word, coeff)].
 
     This is the one word-level expansion of the operators: `apply_operator`
-    calls it with the Gaussian-rational table, and the total complex with
-    the scalar kit of `_scalar_kit`.  ``pairs[a][b]`` lists the (c, v) with
-    e_a e_b = sum v e_c, ``one`` is the unit of the coefficient ring, and
-    ``negate`` flips every sign.  Terms are not collected, so one word may
-    appear more than once.
+    calls it with the Gaussian-rational table, and Connes' complex with
+    the integer table ``FinAlgebra._int_table``.  ``pairs[a][b]`` lists the
+    (c, v) with e_a e_b = sum v e_c and ``one`` is the unit of the
+    coefficient ring.  Terms are not collected, so one word may appear more
+    than once.
     """
     n = len(word) - 1
     out = []
     if kind == "b" or kind == "bprime":
         for j in range(n):
-            neg = (j % 2 == 1) != negate
             for c, v in pairs[word[j]][word[j + 1]]:
-                out.append((word[:j] + (c,) + word[j + 2 :], -v if neg else v))
+                out.append((word[:j] + (c,) + word[j + 2 :], -v if j % 2 else v))
         if kind == "b":
-            neg = (n % 2 == 1) != negate
             for c, v in pairs[word[n]][word[0]]:
-                out.append(((c,) + word[1:n], -v if neg else v))
+                out.append(((c,) + word[1:n], -v if n % 2 else v))
     elif kind == "lambda":
-        neg = (n % 2 == 1) != negate
-        out.append(((word[n],) + word[:n], -one if neg else one))
+        out.append(((word[n],) + word[:n], -one if n % 2 else one))
     elif kind == "N":
-        cur, neg = word, negate
+        cur, neg = word, False
         for _ in range(n + 1):
             out.append((cur, -one if neg else one))
             cur = (cur[n],) + cur[:n]
@@ -622,7 +622,7 @@ def _op_terms(pairs, one, kind: str, word, negate: bool = False) -> list:
     elif kind == "S":
         for x, c1 in pairs[word[0]][word[1]]:
             for y, c2 in pairs[x][word[2]]:
-                out.append(((y,) + word[3:], -(c1 * c2) if negate else c1 * c2))
+                out.append(((y,) + word[3:], c1 * c2))
     else:
         raise InputError(f"unknown operator {kind!r}")
     return out
@@ -680,67 +680,86 @@ def chain_pairing(x: Chain, y: Chain) -> GaussRational:
 
 
 # ---------------------------------------------------------------------------
-# the truncated total complex
+# Connes' complex
 
 
-def _block_offsets(dim: int, n: int):
-    """Offsets of the blocks C_0, ..., C_n inside Tot_n."""
-    offs = []
-    acc = 0
-    for q in range(n + 1):
-        offs.append(acc)
-        acc += dim ** (q + 1)
-    return offs, acc
+def _flat(word, dim: int) -> int:
+    r = 0
+    for a in word:
+        r = r * dim + a
+    return r
 
 
-def _scalar_kit(A: FinAlgebra):
-    """(pairs, zero, one) in the fastest exact scalar ring for A."""
-    if A._int_pairs is not None:
-        return A._int_pairs, 0, 1
-    return A._pairs, _ZERO, _ONE
+def _cells(dim: int, n: int):
+    """(least rotation, period) of each cell of C^lambda_n, in word order.
 
-
-def _column(kit, dim: int, n: int, q: int, word, offsets_prev) -> dict:
-    """Column (q, word) of the total differential Tot_n -> Tot_{n-1}.
-
-    Even columns p = n - q carry b vertically and N horizontally, odd
-    columns carry -b' and 1 - lambda; the p = 0 block has no horizontal
-    part and the q = 0 row no vertical one.  Coefficients are in the ring
-    of ``kit`` = (pairs, zero, one), keyed by row of Tot_{n-1}.
+    C^lambda_n = C_n/(1 - lambda) identifies a word with its rotation
+    (last letter to the front) times (-1)^n, so a class whose period p has
+    n * p odd equals its own negative and is killed; the other classes are
+    the cells.  Least rotations come from the FKM algorithm
+    (Fredricksen-Kessler-Maiorana): after incrementing position i and
+    repeating the prefix, the word is a necklace of period i + 1 when that
+    divides the length.
     """
-    pairs, zero, one = kit
-    odd = (n - q) % 2 == 1
-    blocks = []
-    if q >= 1:
-        vertical = _op_terms(pairs, one, "bprime" if odd else "b", word, odd)
-        blocks.append((offsets_prev[q - 1], vertical))
-    if n > q:
-        horizontal = _op_terms(pairs, one, "lambda" if odd else "N", word, odd)
-        if odd:
-            horizontal.append((word, one))
-        blocks.append((offsets_prev[q], horizontal))
-    col = {}
-    for offset, terms in blocks:
-        for w, v in terms:
-            r = 0
-            for a in w:
-                r = r * dim + a
-            r += offset
-            acc = col.get(r, zero) + v
-            if acc == zero:
-                col.pop(r, None)
-            else:
-                col[r] = acc
-    return col
+    length = n + 1
+    a = [0] * length
+    p = 1
+    while True:
+        if length % p == 0 and (n * p) % 2 == 0:
+            yield tuple(a), p
+        i = length - 1
+        while i >= 0 and a[i] == dim - 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, length):
+            a[j] = a[j - i - 1]
+        p = i + 1
 
 
-def _iter_columns(A: FinAlgebra, n: int):
-    """Columns of the boundary Tot_n -> Tot_{n-1} in source order."""
-    kit = _scalar_kit(A)
-    offsets_prev, _ = _block_offsets(A.dim, n - 1)
-    for q in range(n + 1):
-        for word in itertools.product(range(A.dim), repeat=q + 1):
-            yield _column(kit, A.dim, n, q, word, offsets_prev)
+def _classes(dim: int, n: int) -> list:
+    """(row, negate) of every word of C_n by flat index, None when killed.
+
+    The word rotated k times from its least rotation is (-1)^(nk) times
+    that cell in C^lambda_n; the row is the flat index of the cell.
+    """
+    table = [None] * dim ** (n + 1)
+    for rep, p in _cells(dim, n):
+        row, word = _flat(rep, dim), rep
+        for k in range(p):
+            table[_flat(word, dim)] = (row, (n * k) % 2 == 1)
+            word = (word[n],) + word[:n]
+    return table
+
+
+def _columns(A: FinAlgebra, n: int, word, classes) -> list:
+    """Integer columns of L * b on `word`, from C_n to C^lambda_{n-1}.
+
+    ``classes`` is `_classes(A.dim, n - 1)`.  A real algebra gives one
+    column; a Gaussian one gives the two real columns of the realification
+    (the images of the word and of i times it), with imaginary parts in
+    rows shifted by dim^n.
+    """
+    parts = []
+    for pairs in A._int_table:
+        if pairs is None:
+            continue
+        col = {}
+        for w, v in _op_terms(pairs, 1, "b", word):
+            cell = classes[_flat(w, A.dim)]
+            if cell is not None:
+                r, negate = cell
+                col[r] = col.get(r, 0) + (-v if negate else v)
+        parts.append({r: v for r, v in col.items() if v})
+    if len(parts) == 1:
+        return parts
+    re_col, im_col = parts
+    shift = A.dim**n
+    return [
+        {**re_col, **{r + shift: v for r, v in im_col.items()}},
+        {**{r + shift: v for r, v in re_col.items()}, **{r: -v for r, v in im_col.items()}},
+    ]
 
 
 def _gcd_normalize(col: dict) -> dict:
@@ -777,114 +796,69 @@ def _reduce_column(col: dict, pivots: dict) -> None:
         col = new
 
 
-def _int_columns(A: FinAlgebra, raw_cols):
-    """Convert streamed columns to integer columns, realifying if needed."""
-    if A._int_pairs is not None:
-        yield from raw_cols
-        return
-    realify = A._has_imag
-    for col in raw_cols:
-        if not col:
-            continue
-        lcm = 1
-        for v in col.values():
-            lcm = math.lcm(lcm, v.re.denominator, v.im.denominator)
-        ints = {r: (int(v.re * lcm), int(v.im * lcm)) for r, v in col.items()}
-        if not realify:
-            yield {r: re_v for r, (re_v, _) in ints.items() if re_v}
-            continue
-        # realified rows: r holds the real part, r + nrows the imaginary
-        # part; the caller splits each pair column into its two real columns
-        yield ints
-
-
-def _boundary_rank(A: FinAlgebra, n: int, nrows: int) -> int:
-    raw = _iter_columns(A, n)
-    if A._int_pairs is not None or not A._has_imag:
-        pivots = {}
-        for col in _int_columns(A, raw):
-            if col:
-                _reduce_column(dict(col), pivots)
-        return len(pivots)
+def _boundary_rank(A: FinAlgebra, n: int, classes) -> tuple:
+    """Rank of b: C^lambda_n -> C^lambda_{n-1} and the cell count of C^lambda_n."""
     pivots = {}
-    for ints in _int_columns(A, raw):
-        re_col = {}
-        im_col = {}
-        for r, (re_v, im_v) in ints.items():
-            if re_v:
-                re_col[r] = re_v
-                im_col[r + nrows] = re_v
-            if im_v:
-                re_col[r + nrows] = im_v
-                im_col[r] = -im_v
-        if re_col:
-            _reduce_column(re_col, pivots)
-        if im_col:
-            _reduce_column(im_col, pivots)
-    rank2 = len(pivots)
-    if rank2 % 2:
-        raise RuntimeError("realified rank is odd; exact reduction is broken")
-    return rank2 // 2
+    cells = 0
+    for word, _ in _cells(A.dim, n):
+        cells += 1
+        for col in _columns(A, n, word, classes):
+            if col:
+                _reduce_column(col, pivots)
+    rank = len(pivots)
+    if A._int_table[1] is not None:
+        if rank % 2:
+            raise RuntimeError("realified rank is odd; exact reduction is broken")
+        rank //= 2
+    return rank, cells
 
 
 _SQUARE_CHECK_LIMIT = 50000
 
 
-def _square_check(A: FinAlgebra, n: int) -> str:
-    """Verify the composite Tot_n -> Tot_{n-2} vanishes; returns the mode."""
-    offsets_prev, _ = _block_offsets(A.dim, n - 1)
-    offsets_prev2, _ = _block_offsets(A.dim, n - 2)
-    _, ncols = _block_offsets(A.dim, n)
-    kit = _scalar_kit(A)
-    zero = kit[1]
+def _square_check(A: FinAlgebra, n: int, cells: int, classes_prev, classes_prev2) -> str:
+    """Verify b o b = 0 from C^lambda_n to C^lambda_{n-2}; returns the mode.
 
-    def column_prev(r: int) -> dict:
-        q = 0
-        while q < n - 1 and offsets_prev[q + 1] <= r:
-            q += 1
-        word = _unflatten(r - offsets_prev[q], A.dim, q + 1)
-        return _column(kit, A.dim, n - 1, q, word, offsets_prev2)
+    The check runs on every cell when C^lambda_n has at most
+    `_SQUARE_CHECK_LIMIT` of them and on 64 random words otherwise.
+    """
+    shift = A.dim**n
 
-    def check_source(q: int, word) -> None:
-        col = _column(kit, A.dim, n, q, word, offsets_prev)
+    def check(word) -> None:
         acc = {}
-        for r, v in col.items():
-            for r2, v2 in column_prev(r).items():
-                s = acc.get(r2, zero) + v * v2
-                if s == zero:
-                    acc.pop(r2, None)
-                else:
-                    acc[r2] = s
-        if acc:
-            raise RuntimeError(
-                f"boundary composite is nonzero at level {n}, block {q}, "
-                f"word {word}"
-            )
+        for r, v in _columns(A, n, word, classes_prev)[0].items():
+            prev = _unflatten(r % shift, A.dim, n)
+            for r2, v2 in _columns(A, n - 1, prev, classes_prev2)[r // shift].items():
+                acc[r2] = acc.get(r2, 0) + v * v2
+        if any(acc.values()):
+            raise RuntimeError(f"b o b is nonzero at level {n} on word {word}")
 
-    if ncols <= _SQUARE_CHECK_LIMIT:
-        for q in range(n + 1):
-            for word in itertools.product(range(A.dim), repeat=q + 1):
-                check_source(q, word)
+    if cells <= _SQUARE_CHECK_LIMIT:
+        for word, _ in _cells(A.dim, n):
+            check(word)
         return "full"
     rng = random.Random(2026 * n + A.dim)
     for _ in range(64):
-        q = rng.randrange(n + 1)
-        word = tuple(rng.randrange(A.dim) for _ in range(q + 1))
-        check_source(q, word)
+        check(tuple(rng.randrange(A.dim) for _ in range(n + 1)))
     return "sampled"
 
 
 @lru_cache(maxsize=32)
 def _rank_table(A: FinAlgebra, truncation: int):
-    """Ranks of the boundaries and the square-check modes up to Tot_T."""
-    ranks = [0]
-    modes = []
+    """Ranks of b, cell counts and the square-check mode of C^lambda up to T."""
+    # every letter is a cell of C^lambda_0, and b vanishes on it
+    ranks, cells, modes = [0], [A.dim], []
+    classes = [_classes(A.dim, 0)]
     for n in range(1, truncation + 1):
-        _, nrows = _block_offsets(A.dim, n - 1)
-        ranks.append(_boundary_rank(A, n, nrows))
+        rank, count = _boundary_rank(A, n, classes[n - 1])
+        ranks.append(rank)
+        cells.append(count)
         if n >= 2:
-            modes.append(_square_check(A, n))
-    return tuple(ranks), ("full" if all(m == "full" for m in modes) else "sampled")
+            modes.append(_square_check(A, n, count, classes[n - 1], classes[n - 2]))
+        if n < truncation:
+            classes.append(_classes(A.dim, n))
+    mode = "full" if all(m == "full" for m in modes) else "sampled"
+    return tuple(ranks), tuple(cells), mode
 
 
 @dataclass(frozen=True)
@@ -912,20 +886,23 @@ class HPReport:
 
 
 def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
-    """Homology of the cyclic total complex truncated at level `truncation`.
+    """Cyclic homology HC_0..HC_{T-1} of A, with T = `truncation`.
 
-    The report's (hp0, hp1) are the homology dimensions in the top even and
-    odd degrees below the truncation; `stabilized` records whether they
-    agree with the pair two degrees down, which is the same comparison as
-    rerunning at truncation - 2.
+    HC_n is the homology of Connes' complex C^lambda (Loday, Cyclic
+    Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  The
+    report's (hp0, hp1) are the homology dimensions in the top even and odd
+    degrees below T; `stabilized` records whether they agree with the pair
+    two degrees down, which is the same comparison as rerunning at T - 2.
+    `boundary_check` says whether b o b = 0 was verified on every cell of
+    each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells, on
+    sampled words.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
-    ranks, mode = _rank_table(A, truncation)
-    dims = [_block_offsets(A.dim, m)[1] for m in range(truncation)]
+    ranks, cells, mode = _rank_table(A, truncation)
     hc = []
     for m in range(truncation):
-        h = dims[m] - ranks[m] - ranks[m + 1]
+        h = cells[m] - ranks[m] - ranks[m + 1]
         if h < 0:
             raise RuntimeError(f"negative homology dimension at degree {m}")
         hc.append(h)

@@ -18,6 +18,7 @@ vanishes exactly when alpha is admissible.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,8 @@ __all__ = [
     "quantize_op",
     "check_curvature",
     "check_dirac",
+    "monomials",
+    "check_dirac_pairs",
     "action_cocycle",
     "parse_poly",
     "parse_one_form",
@@ -486,6 +489,39 @@ def check_dirac(f: Poly, g: Poly, alpha: PolyOneForm) -> dict:
     lhs = quantize_op(poisson(f, g), alpha)
     residual = lhs - rhs
     return {"passes": residual.is_zero(), "residual": str(residual)}
+
+
+def monomials(model: SymplecticModel, max_degree: int) -> list:
+    """(name, monomial) for all monomials of total degree 0..max_degree.
+
+    Exponent vectors over q1..qn, p1..pn run in lexicographic order, so
+    "1" comes first; other names read like "q1^2*p1".
+    """
+    out = []
+    for exps in itertools.product(range(max_degree + 1), repeat=model.nvars):
+        if sum(exps) <= max_degree:
+            names = [
+                model.var_name(idx) + (f"^{k}" if k > 1 else "")
+                for idx, k in enumerate(exps)
+                if k
+            ]
+            out.append(("*".join(names) or "1", Poly(model, {exps: 1})))
+    return out
+
+
+def check_dirac_pairs(alpha: PolyOneForm, max_degree: int) -> dict:
+    """`check_dirac` on every ordered pair of `monomials` up to max_degree.
+
+    Failures are listed by monomial names in pair order, never raised.
+    """
+    monos = monomials(alpha.model, max_degree)
+    failures = []
+    for name_f, f in monos:
+        for name_g, g in monos:
+            verdict = check_dirac(f, g, alpha)
+            if not verdict["passes"]:
+                failures.append({"f": name_f, "g": name_g, "residual": verdict["residual"]})
+    return {"pairs": len(monos) ** 2, "failures": failures, "passes": not failures}
 
 
 def action_cocycle(L: LieAlgebra, moment: Sequence[Poly]) -> dict:

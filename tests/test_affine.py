@@ -160,6 +160,18 @@ def test_overflowing_grid_residuals_are_nan_not_zero():
             worst_residuals(grid, 2, 0)
 
 
+def test_non_finite_grids_and_dilations_are_input_errors():
+    # e^12000 overflows extended precision; e^(m*400) leaves the double
+    # range for |m| >= 2, which the first trials draw
+    with pytest.raises(InputError, match="non-finite grid"):
+        worst_residuals(LogGrid(L=12000.0, h=4000.0), 1, 0)
+    with pytest.raises(InputError, match="finite nonzero double"):
+        worst_residuals(LogGrid(L=8000.0, h=400.0), 5, 0)
+    for a in (math.inf, -math.inf, 0.0, math.nan, np.exp(np.longdouble(1000))):
+        with pytest.raises(InputError, match="finite nonzero double"):
+            GRID.shift_steps(a)
+
+
 def test_random_aligned_elements_are_aligned():
     rng = random.Random(3)
     for _ in range(50):

@@ -123,6 +123,9 @@ def test_input_errors_exit_two_with_error_object():
         ["cyclic", "entire", "--pattern", "a/b/c"],
         # the grid overflows floating point: NaN residuals must not pass
         ["affine", "verify", "--l", "12000", "--h", "1", "--trials", "2"],
+        # e^L overflows, or the dilations e^(mh) leave the double range
+        ["affine", "verify", "--l", "12000", "--h", "4000"],
+        ["affine", "verify", "--l", "8000", "--h", "400"],
     ]
     for argv in cases:
         proc = run_cli(*argv)
@@ -185,13 +188,22 @@ def test_version_flag():
     assert orbitkit.__version__ in proc.stdout
 
 
-def test_traced_benchmark_child_runs_lie_strata():
+@pytest.mark.parametrize(
+    "argv, span, counter",
+    [
+        (["lie", "strata", "--algebra", str(FIXTURES / "sl2.json"), "--samples", "20"],
+         "strata.foliation_check", None),
+        (["cyclic", "hp", "--algebra", str(FIXTURES / "m2.json"), "--truncation", "4"],
+         "cyclic.hp_homology", "cyclic.boundary_columns"),
+    ],
+    ids=["lie-strata", "cyclic-hp"],
+)
+def test_traced_benchmark_child_runs(argv, span, counter):
     # the benchmark's tracer wraps orbitkit functions by name, and fails
     # on any traced name that was renamed or removed
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), "cli", "1",
-         "lie", "strata", "--algebra", str(FIXTURES / "sl2.json"), "--samples", "20"],
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "cli", "1", *argv],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -200,4 +212,6 @@ def test_traced_benchmark_child_runs_lie_strata():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout.splitlines()[-1])
     assert payload["exit"] == 0
-    assert "strata.foliation_check" in payload["trace"]["spans"]
+    assert span in payload["trace"]["spans"]
+    if counter:
+        assert counter in payload["trace"]["counters"]

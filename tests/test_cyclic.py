@@ -289,49 +289,111 @@ def test_adjoints_match_pairing():
             assert lhs == rhs
 
 
-def test_boundary_columns_agree_with_operator_assembly():
-    from orbitkit.cyclic import _block_offsets, _column, _scalar_kit, _unflatten
+def _rescaled(A, factors):
+    """A in the basis e'_a = s_a e_a for nonzero rationals s_a."""
+    s = [GaussRational.from_rational(Fraction(f)) for f in factors]
+    d = range(A.dim)
+    return FinAlgebra(
+        A.dim,
+        tuple(
+            tuple(tuple(s[a] * s[b] * A.mult[a][b][c] / s[c] for c in d) for b in d)
+            for a in d
+        ),
+        tuple(A.unit[c] / s[c] for c in d),
+        tuple(tuple(s[a] * A.star[a][c] / s[c] for c in d) for a in d),
+        A.basis,
+    )
 
-    for A, n in itertools.product((dual_numbers(), _u_squared_i()), (2, 3)):
-        kit = _scalar_kit(A)
-        offsets_prev, _ = _block_offsets(A.dim, n - 1)
-        for q in range(n + 1):
-            p = n - q
-            for flat in range(A.dim ** (q + 1)):
-                word = tuple(
-                    (flat // A.dim**k) % A.dim for k in reversed(range(q + 1))
-                )
-                vertical = Chain.zero(A, q - 1) if q >= 1 else None
-                horizontal = Chain.zero(A, q)
-                for r, v in _column(kit, A.dim, n, q, word, offsets_prev).items():
-                    qt = max(k for k in range(n) if offsets_prev[k] <= r)
-                    w = _unflatten(r - offsets_prev[qt], A.dim, qt + 1)
-                    coeff = (
-                        GaussRational.from_rational(Fraction(v))
-                        if not isinstance(v, GaussRational)
-                        else v
-                    )
-                    term = Chain.from_words(A, qt, {w: coeff})
-                    if qt == q - 1:
-                        vertical = vertical + term
-                    else:
-                        horizontal = horizontal + term
-                source = _unit_chain(A, q, word)
-                if q >= 1:
-                    expected = apply_operator("b" if p % 2 == 0 else "bprime", source)
-                    if p % 2 == 1:
-                        expected = -expected
-                    assert vertical == expected
-                if p >= 1:
-                    if q == 0:
-                        # rotation fixes a singleton, so 1 - lambda dies
-                        # and the symmetrizer is the identity
-                        expected = source if p % 2 == 0 else Chain.zero(A, 0)
-                    elif p % 2 == 1:
-                        expected = source - apply_operator("lambda", source)
-                    else:
-                        expected = apply_operator("N", source)
-                    assert horizontal == expected
+
+# ---------------------------------------------------------------------------
+# an independent oracle: the truncated cyclic bicomplex
+
+
+def _block_rank(columns):
+    """Exact rank of sparse columns, one ExactMatrix per block of linked rows."""
+    root = {}
+
+    def find(r):
+        while root.setdefault(r, r) != r:
+            r = root[r]
+        return r
+
+    for col in columns:
+        heads = [find(r) for r in col]
+        for r in heads[1:]:
+            root[r] = heads[0]
+    blocks = {}
+    for col in columns:
+        if col:
+            blocks.setdefault(find(next(iter(col))), []).append(col)
+    rank = 0
+    for block in blocks.values():
+        rows = sorted({r for col in block for r in col})
+        rank += ExactMatrix.from_rows(
+            [[col.get(r, GaussRational.zero()) for r in rows] for col in block]
+        ).rank()
+    return rank
+
+
+def _total_boundary_rank(A, n):
+    """Rank of Tot_n -> Tot_{n-1}, Tot_n = sum over q <= n of C_q(A).
+
+    The block C_q sits in column p = n - q; even columns carry b
+    vertically and N horizontally, odd ones -b' and 1 - lambda, and the
+    p = 0 column has no horizontal map.
+    """
+    columns = []
+    for q in range(n + 1):
+        p = n - q
+        for word in itertools.product(range(A.dim), repeat=q + 1):
+            x = _unit_chain(A, q, word)
+            images = []
+            if q >= 1:
+                down = apply_operator("bprime" if p % 2 else "b", x)
+                images.append(-down if p % 2 else down)
+            if p >= 1:
+                if q == 0:
+                    # rotation fixes a singleton: 1 - lambda dies, N is 1
+                    images.append(Chain.zero(A, 0) if p % 2 else x)
+                elif p % 2:
+                    images.append(x - apply_operator("lambda", x))
+                else:
+                    images.append(apply_operator("N", x))
+            col = {}
+            for image in images:
+                for w, v in image.terms.items():
+                    key = (image.level, w)
+                    col[key] = col.get(key, GaussRational.zero()) + v
+            columns.append({k: v for k, v in col.items() if not v.is_zero()})
+    return _block_rank(columns)
+
+
+def _bicomplex_hc(A, truncation):
+    ranks = [0] + [_total_boundary_rank(A, n) for n in range(1, truncation + 1)]
+    sizes = [sum(A.dim ** (q + 1) for q in range(m + 1)) for m in range(truncation)]
+    return tuple(sizes[m] - ranks[m] - ranks[m + 1] for m in range(truncation))
+
+
+@pytest.mark.parametrize(
+    "name, truncation",
+    [
+        ("gauss_field", 6),
+        ("dual_numbers", 4),
+        ("u_squared_i", 4),
+        ("dual_tensor_dual", 4),
+        ("half_field", 4),
+    ],
+)
+def test_bicomplex_oracle_agrees_with_connes_complex(name, truncation):
+    A = {
+        "gauss_field": gauss_field,
+        "dual_numbers": dual_numbers,
+        "u_squared_i": _u_squared_i,
+        "dual_tensor_dual": lambda: tensor_product(dual_numbers(), dual_numbers()),
+        # f = 1/2 * 1: f f = f/2 and the unit is 2 f
+        "half_field": lambda: _rescaled(gauss_field(), ["1/2"]),
+    }[name]()
+    assert _bicomplex_hc(A, truncation) == hp_homology(A, truncation).hc
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +465,7 @@ def _quotient_complex_hc(A, degrees):
     return out
 
 
-def test_quotient_complex_agrees_with_total_complex():
+def test_dense_quotient_complex_agrees_with_sparse_reduction():
     table = hp_homology(gauss_field(), truncation=6)
     assert _quotient_complex_hc(gauss_field(), range(5)) == list(table.hc[:5])
     dual_table = hp_homology(dual_numbers(), truncation=4)
@@ -444,6 +506,44 @@ def test_hp_realification_path():
     A._validate()
     report = hp_homology(A, truncation=4)
     assert (report.hp0, report.hp1) == (2, 0)
+
+
+def test_hp_is_independent_of_rational_basis_scaling():
+    # constants 1/2, 1/3, 2 and 3: the integer table is scaled by lcm 6,
+    # which no single denominator reaches
+    A = matrix_algebra(2)
+    scaled = _rescaled(A, ["1/2", 1, 1, "1/3"])
+    assert {v.re.denominator for p in scaled.mult for r in p for v in r} == {1, 2, 3}
+    assert hp_homology(scaled, 4).hc == hp_homology(A, 4).hc == (1, 0, 1, 0)
+    dual = _rescaled(dual_numbers(), ["1/2", "2/3"])
+    assert hp_homology(dual, 5).hc == hp_homology(dual_numbers(), 5).hc
+
+
+def _pauli_m2():
+    # M_2 in the basis 1, sx, sy, sz: s_a s_b = delta_ab 1 + i eps_abc s_c
+    zero = GaussRational.zero()
+    mult = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        mult[0][a][a] = mult[a][0][a] = ONE
+    for a in range(1, 4):
+        mult[a][a][0] = ONE
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        mult[a][b][c], mult[b][a][c] = I, -I
+    return FinAlgebra(
+        4,
+        tuple(tuple(tuple(row) for row in plane) for plane in mult),
+        (ONE, zero, zero, zero),
+        tuple(tuple(ONE if a == c else zero for c in range(4)) for a in range(4)),
+        ("1", "sx", "sy", "sz"),
+    )
+
+
+def test_hp_pauli_basis_matches_matrix_units():
+    # imaginary structure constants: the realified columns and their
+    # composite in the square check both see the i
+    report = hp_homology(_pauli_m2(), truncation=4)
+    assert report.hc == hp_homology(matrix_algebra(2), truncation=4).hc == (1, 0, 1, 0)
+    assert report.boundary_check == "full"
 
 
 def test_hp_truncation_guard():

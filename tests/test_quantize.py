@@ -11,7 +11,9 @@ from orbitkit.quantize import (
     action_cocycle,
     check_curvature,
     check_dirac,
+    check_dirac_pairs,
     hamiltonian_field,
+    monomials,
     parse_one_form,
     parse_poly,
     poisson,
@@ -25,18 +27,8 @@ ALPHA = parse_one_form("p1*dq1", MODEL)
 
 
 def _monomials(max_degree):
-    out = [Poly.constant(MODEL, 1)]
-    for a in range(max_degree + 1):
-        for b in range(max_degree + 1 - a):
-            if a + b == 0:
-                continue
-            f = Poly.constant(MODEL, 1)
-            for _ in range(a):
-                f = f * Q
-            for _ in range(b):
-                f = f * P
-            out.append(f)
-    return out
+    # the library's order: 1, then q1^a p1^b by a, then b
+    return [f for _, f in monomials(MODEL, max_degree)]
 
 
 def test_parse_round_trips_through_arithmetic():
@@ -121,6 +113,23 @@ def test_dirac_all_pairs_up_to_degree_three():
     for f in monos:
         for g in monos:
             assert check_dirac(f, g, ALPHA)["passes"]
+
+
+def test_monomials_are_named_in_lexicographic_exponent_order():
+    names = [name for name, _ in monomials(SymplecticModel(2), 2)]
+    assert names == [
+        "1", "p2", "p2^2", "p1", "p1*p2", "p1^2", "q2", "q2*p2", "q2*p1",
+        "q2^2", "q1", "q1*p2", "q1*p1", "q1*q2", "q1^2",
+    ]
+    assert monomials(MODEL, 2)[4] == ("q1*p1", Q * P)
+
+
+def test_dirac_pairs_report_failures_by_name():
+    assert check_dirac_pairs(ALPHA, 2) == {"pairs": 36, "failures": [], "passes": True}
+    report = check_dirac_pairs(parse_one_form("2*p1*dq1", MODEL), 1)
+    assert report["pairs"] == 9 and not report["passes"]
+    assert ("q1", "p1") in {(f["f"], f["g"]) for f in report["failures"]}
+    assert all(f["residual"] != "0" for f in report["failures"])
 
 
 def test_dirac_fails_for_scaled_alpha():
