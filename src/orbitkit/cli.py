@@ -3,7 +3,9 @@
 Reports are deterministic by construction: sorted keys, two-space
 indent, no wall time unless ``--timing`` is passed.  Identical argv and
 input files therefore produce byte-identical output, which is what the
-golden-file tests pin.
+golden-file tests pin.  The numpy models, affine and qgroup, are
+imported inside their own subcommands, so the exact ones start without
+numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ import time
 import click
 
 from . import __version__
-from . import affine as _affine
 from . import chern as _chern
 from . import cyclic as _cyclic
-from . import qgroup as _qgroup
 from . import quantize as _quantize
 from . import strata as _strata
 from .liealg import (
@@ -239,6 +239,7 @@ def quantize_verify(ctx, alpha, max_degree, nvars):
             raise InputError("need at least one conjugate pair of variables")
         if max_degree < 1:
             raise InputError("max degree must be at least 1")
+        _quantize.dirac_pair_count(nvars, max_degree)  # size guard, before any model
         model = _quantize.SymplecticModel(nvars)
         form = _quantize.parse_one_form(alpha, model)
         result = {
@@ -382,6 +383,8 @@ def qgroup_reps(ctx, family, rank, t_samples):
     """Representation catalog over the Weyl group and sampled torus."""
 
     def build():
+        from . import qgroup as _qgroup
+
         catalog = _qgroup.rep_catalog(family, rank, t_samples)
         order = len(_qgroup.weyl_group(family, rank))
         result = {
@@ -407,6 +410,8 @@ def qgroup_verify(ctx, q, truncation, degree, t_samples):
     """Relation residuals, character constraints, joint-kernel rank."""
 
     def build():
+        from . import qgroup as _qgroup
+
         rep = _qgroup.build_rep_su2(q, 0.0, truncation)
         residuals = _qgroup.relation_residuals(rep)
         character = _qgroup.character_constraints(q)
@@ -443,6 +448,8 @@ def affine_verify(ctx, length, step, trials):
     """Homomorphism, unitarity, and character residuals plus the index."""
 
     def build():
+        from . import affine as _affine
+
         grid = _affine.LogGrid(L=length, h=step)
         result = _affine.worst_residuals(grid, trials, ctx.obj["seed"])
         result["index"] = list(_affine.index_metadata()["index"])

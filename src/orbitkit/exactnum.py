@@ -88,9 +88,6 @@ class GaussRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
@@ -216,9 +213,6 @@ class HbarPoly:
     @staticmethod
     def hbar(power: int = 1) -> "HbarPoly":
         return HbarPoly.from_dict({power: GaussRational.one()})
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -11,18 +11,21 @@ The quantization rule assigns to a polynomial observable f the operator
     Q(f) = f + (hbar/i) * L_{xi_f} + alpha(xi_f)
 
 with ``xi_f`` the Hamiltonian field of f and ``alpha`` a polynomial
-one-form whose curvature should satisfy ``d alpha = -omega``.  The
-bracket-compatibility residual ``Q({f,g}) - (i/hbar)[Q(f), Q(g)]``
-vanishes exactly when alpha is admissible.
+one-form whose curvature should satisfy ``d alpha = -omega``.  Q(f) is
+first order, so the bracket-compatibility residual
+``Q({f,g}) - (i/hbar)[Q(f), Q(g)]`` is the multiplication operator by
+the curvature defect ``-(d alpha + omega)(xi_f, xi_g)`` (the
+Kostant-Souriau prequantization condition).  `check_dirac` evaluates
+that polynomial directly, without composing operators; it vanishes on
+every pair exactly when alpha is admissible.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence
 
 from .exactnum import GaussRational, HbarPoly
@@ -39,10 +42,13 @@ __all__ = [
     "check_curvature",
     "check_dirac",
     "monomials",
+    "dirac_pair_count",
+    "MAX_DIRAC_PAIRS",
     "check_dirac_pairs",
     "action_cocycle",
     "parse_poly",
     "parse_one_form",
+    "MAX_EXPONENT",
 ]
 
 
@@ -55,7 +61,6 @@ def _hp(x) -> HbarPoly:
 
 
 MINUS_I_HBAR = HbarPoly.from_dict({1: GaussRational(Fraction(0), Fraction(-1))})
-I_CONST = HbarPoly.constant(GaussRational.i())
 
 
 @dataclass(frozen=True)
@@ -166,16 +171,8 @@ class Poly:
             if e == 0:
                 continue
             m2 = tuple(x - 1 if t == idx else x for t, x in enumerate(m))
-            out[m2] = out.get(m2, HbarPoly.zero()) + c * e
+            out[m2] = out.get(m2, HbarPoly.zero()) + (c * e if e > 1 else c)
         return Poly(self.model, out)
-
-    def divide_by_hbar(self) -> "Poly":
-        return Poly(
-            self.model, {m: c.divide_by_hbar() for m, c in self.terms.items()}
-        )
-
-    def hbar_free(self) -> bool:
-        return all(c.is_constant() for c in self.terms.values())
 
     # -- rendering ----------------------------------------------------------
 
@@ -218,23 +215,11 @@ class PolyOneForm:
     model: SymplecticModel
     comps: tuple  # tuple of Poly, length 2n
 
-    @staticmethod
-    def zero(model: SymplecticModel) -> "PolyOneForm":
-        return PolyOneForm(model, tuple(Poly.zero(model) for _ in range(model.nvars)))
-
     def evaluate_on(self, field: "VectorField") -> Poly:
         out = Poly.zero(self.model)
         for a, x in zip(self.comps, field.comps):
             out = out + a * x
         return out
-
-    def __str__(self) -> str:
-        parts = [
-            f"({c})*d{self.model.var_name(j)}"
-            for j, c in enumerate(self.comps)
-            if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -250,14 +235,6 @@ class VectorField:
             if not comp.is_zero():
                 out = out + comp * g.diff(j)
         return out
-
-    def __str__(self) -> str:
-        parts = [
-            f"({c})*d/d{self.model.var_name(j)}"
-            for j, c in enumerate(self.comps)
-            if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
 
 
 class PolyDiffOp:
@@ -280,21 +257,8 @@ class PolyDiffOp:
         self.terms = clean
 
     @staticmethod
-    def zero(model: SymplecticModel) -> "PolyDiffOp":
-        return PolyDiffOp(model)
-
-    @staticmethod
     def multiplication(f: Poly) -> "PolyDiffOp":
         return PolyDiffOp(f.model, {(0,) * f.model.nvars: f})
-
-    @staticmethod
-    def derivative(model: SymplecticModel, idx: int) -> "PolyDiffOp":
-        der = tuple(1 if t == idx else 0 for t in range(model.nvars))
-        return PolyDiffOp(model, {der: Poly.constant(model, 1)})
-
-    @staticmethod
-    def identity(model: SymplecticModel) -> "PolyDiffOp":
-        return PolyDiffOp.multiplication(Poly.constant(model, 1))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -323,33 +287,6 @@ class PolyDiffOp:
         c = _hp(c)
         return PolyDiffOp(self.model, {d: f * c for d, f in self.terms.items()})
 
-    def __matmul__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        """Composition self after other, renormalized by the Leibniz rule."""
-        model = self.model
-        out = PolyDiffOp.zero(model)
-        for beta, f in self.terms.items():
-            for gamma, g in other.terms.items():
-                # D^beta (g D^gamma h) expands over mu <= beta
-                for mu in _submulti(beta):
-                    coeff = 1
-                    for b, m in zip(beta, mu):
-                        coeff *= comb(b, m)
-                    dg = g
-                    for idx, m in enumerate(mu):
-                        for _ in range(m):
-                            dg = dg.diff(idx)
-                        if dg.is_zero():
-                            break
-                    if dg.is_zero():
-                        continue
-                    der = tuple(b - m + c for b, m, c in zip(beta, mu, gamma))
-                    term = PolyDiffOp(model, {der: (f * dg) * coeff})
-                    out = out + term
-        return out
-
-    def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return (self @ other) - (other @ self)
-
     def apply(self, g: Poly) -> Poly:
         out = Poly.zero(self.model)
         for der, f in self.terms.items():
@@ -362,18 +299,6 @@ class PolyDiffOp:
             if not dg.is_zero():
                 out = out + f * dg
         return out
-
-    def hbar_divisible(self) -> bool:
-        return all(
-            coeff.coefficient(0).is_zero()
-            for f in self.terms.values()
-            for _, coeff in f.terms.items()
-        )
-
-    def divide_by_hbar(self) -> "PolyDiffOp":
-        return PolyDiffOp(
-            self.model, {d: f.divide_by_hbar() for d, f in self.terms.items()}
-        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -396,17 +321,6 @@ class PolyDiffOp:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def _submulti(beta):
-    """All multi-indices mu with 0 <= mu <= beta, componentwise."""
-    if not beta:
-        yield ()
-        return
-    head, rest = beta[0], beta[1:]
-    for tail in _submulti(rest):
-        for m in range(head + 1):
-            yield (m,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -434,19 +348,12 @@ def poisson(f: Poly, g: Poly) -> Poly:
 
 def quantize_op(f: Poly, alpha: PolyOneForm) -> PolyDiffOp:
     """Operator f + (hbar/i) L_{xi_f} + alpha(xi_f) in normal form."""
-    model = f.model
+    nvars = f.model.nvars
     xi = hamiltonian_field(f)
-    op = PolyDiffOp.multiplication(f + alpha.evaluate_on(xi))
+    terms = {(0,) * nvars: f + alpha.evaluate_on(xi)}
     for j, comp in enumerate(xi.comps):
-        if not comp.is_zero():
-            op = op + PolyDiffOp(
-                model,
-                {
-                    tuple(1 if t == j else 0 for t in range(model.nvars)): comp
-                    * MINUS_I_HBAR
-                },
-            )
-    return op
+        terms[tuple(int(t == j) for t in range(nvars))] = comp * MINUS_I_HBAR
+    return PolyDiffOp(f.model, terms)
 
 
 def check_curvature(alpha: PolyOneForm) -> dict:
@@ -472,23 +379,67 @@ def check_curvature(alpha: PolyOneForm) -> dict:
     return {"passes": not deviations, "deviations": deviations}
 
 
+def _dirac_residual(alpha: PolyOneForm, xi_f, xi_g, g: Poly, alpha_f, alpha_g) -> Poly:
+    """R(f, g) = alpha(xi_{f,g}) - {f,g} - xi_f(alpha_g) + xi_g(alpha_f).
+
+    ``alpha_f`` is alpha(xi_f) and ``alpha_g`` is alpha(xi_g).
+    """
+    bracket = xi_f.apply(g)
+    return (
+        alpha.evaluate_on(hamiltonian_field(bracket))
+        - bracket
+        - xi_f.apply(alpha_g)
+        + xi_g.apply(alpha_f)
+    )
+
+
 def check_dirac(f: Poly, g: Poly, alpha: PolyOneForm) -> dict:
     """Residual of Q({f,g}) = (i/hbar) [Q(f), Q(g)], exactly.
 
-    The commutator must be divisible by hbar before the comparison; a
-    failure there signals an inconsistent alpha convention and raises.
+    Q(f) = (hbar/i) xi_f + u_f is first order, with u_f = f + alpha(xi_f),
+    so (i/hbar)[Q(f), Q(g)] = (hbar/i)[xi_f, xi_g] + xi_f(u_g) - xi_g(u_f).
+    As [xi_f, xi_g] = xi_{f,g}, the derivative parts of both sides agree
+    and the residual is the multiplication operator by
+
+        R(f, g) = alpha(xi_{f,g}) - {f,g} - xi_f(alpha(xi_g)) + xi_g(alpha(xi_f)),
+
+    which is -(d alpha + omega)(xi_f, xi_g) by Cartan's formula for
+    d alpha and omega(xi_f, xi_g) = {f,g}.  R is evaluated as a
+    polynomial; no operator is composed.
     """
-    qf = quantize_op(f, alpha)
-    qg = quantize_op(g, alpha)
-    comm = qf.commutator(qg)
-    if not comm.hbar_divisible():
-        raise RuntimeError(
-            "internal error: commutator of quantized operators not divisible by hbar"
-        )
-    rhs = comm.divide_by_hbar().scale(I_CONST)
-    lhs = quantize_op(poisson(f, g), alpha)
-    residual = lhs - rhs
-    return {"passes": residual.is_zero(), "residual": str(residual)}
+    xi_f, xi_g = hamiltonian_field(f), hamiltonian_field(g)
+    residual = _dirac_residual(
+        alpha, xi_f, xi_g, g, alpha.evaluate_on(xi_f), alpha.evaluate_on(xi_g)
+    )
+    return {"passes": residual.is_zero(), "residual": str(PolyDiffOp.multiplication(residual))}
+
+
+MAX_DIRAC_PAIRS = 10_000
+
+
+def dirac_pair_count(n: int, max_degree: int) -> int:
+    """Ordered pairs `check_dirac_pairs` visits on R^{2n} up to max_degree.
+
+    There are comb(max_degree + 2n, 2n) monomials, at least
+    max_degree + 2n when both are positive, so that sum is bounded
+    before comb is evaluated.  Over MAX_DIRAC_PAIRS is an InputError.
+    """
+    if max_degree < 0:
+        return 0
+    limit = math.isqrt(MAX_DIRAC_PAIRS)
+    if max_degree + 2 * n > limit or math.comb(max_degree + 2 * n, 2 * n) > limit:
+        raise InputError(f"more than {MAX_DIRAC_PAIRS} monomial pairs")
+    return math.comb(max_degree + 2 * n, 2 * n) ** 2
+
+
+def _exponents(nvars: int, max_degree: int):
+    """Exponent tuples of total degree <= max_degree, lexicographically."""
+    if nvars == 0:
+        yield ()
+        return
+    for head in range(max_degree + 1):
+        for tail in _exponents(nvars - 1, max_degree - head):
+            yield (head,) + tail
 
 
 def monomials(model: SymplecticModel, max_degree: int) -> list:
@@ -498,30 +449,39 @@ def monomials(model: SymplecticModel, max_degree: int) -> list:
     "1" comes first; other names read like "q1^2*p1".
     """
     out = []
-    for exps in itertools.product(range(max_degree + 1), repeat=model.nvars):
-        if sum(exps) <= max_degree:
-            names = [
-                model.var_name(idx) + (f"^{k}" if k > 1 else "")
-                for idx, k in enumerate(exps)
-                if k
-            ]
-            out.append(("*".join(names) or "1", Poly(model, {exps: 1})))
+    for exps in _exponents(model.nvars, max_degree):
+        names = [
+            model.var_name(idx) + (f"^{k}" if k > 1 else "")
+            for idx, k in enumerate(exps)
+            if k
+        ]
+        out.append(("*".join(names) or "1", Poly(model, {exps: 1})))
     return out
 
 
 def check_dirac_pairs(alpha: PolyOneForm, max_degree: int) -> dict:
     """`check_dirac` on every ordered pair of `monomials` up to max_degree.
 
-    Failures are listed by monomial names in pair order, never raised.
+    xi_f and alpha(xi_f) are built once per monomial and R once per
+    unordered pair: R(g, f) = -R(f, g) and R(f, f) = 0.  Failures are
+    listed by monomial names in ordered-pair order, never raised.
     """
+    pairs = dirac_pair_count(alpha.model.n, max_degree)
     monos = monomials(alpha.model, max_degree)
-    failures = []
-    for name_f, f in monos:
-        for name_g, g in monos:
-            verdict = check_dirac(f, g, alpha)
-            if not verdict["passes"]:
-                failures.append({"f": name_f, "g": name_g, "residual": verdict["residual"]})
-    return {"pairs": len(monos) ** 2, "failures": failures, "passes": not failures}
+    fields = [hamiltonian_field(f) for _, f in monos]
+    potentials = [alpha.evaluate_on(xi) for xi in fields]
+    residuals = {}
+    for j, (_, g) in enumerate(monos):
+        for k in range(j):
+            r = _dirac_residual(alpha, fields[k], fields[j], g, potentials[k], potentials[j])
+            if not r.is_zero():
+                residuals[k, j] = r
+                residuals[j, k] = -r
+    failures = [
+        {"f": monos[j][0], "g": monos[k][0], "residual": str(PolyDiffOp.multiplication(r))}
+        for (j, k), r in sorted(residuals.items())
+    ]
+    return {"pairs": pairs, "failures": failures, "passes": not failures}
 
 
 def action_cocycle(L: LieAlgebra, moment: Sequence[Poly]) -> dict:
@@ -558,7 +518,12 @@ def action_cocycle(L: LieAlgebra, moment: Sequence[Poly]) -> dict:
 #   factor := atom ['^' integer]
 #   atom   := rational | 'i' | 'hbar' | variable | '(' expr ')'
 # One-forms additionally allow 'dq<k>' / 'dp<k>' atoms; each additive
-# term must contain exactly one of them.
+# term must contain exactly one of them.  A power's degree, the base's
+# total degree in the variables and hbar times the exponent, and the
+# exponent itself are at most MAX_EXPONENT; larger ones are rejected
+# before any multiplication, so nested powers stay bounded too.
+
+MAX_EXPONENT = 64
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>d?[qp][0-9]+|hbar|i)"
@@ -668,6 +633,9 @@ class _Parser:
             if dvar is not None:
                 raise InputError("cannot raise a differential to a power")
             e = int(v2)
+            degree = max((sum(m) + c.degree() for m, c in poly.terms.items()), default=0)
+            if max(e, e * degree) > MAX_EXPONENT:
+                raise InputError(f"a power may have degree at most {MAX_EXPONENT}")
             out = Poly.constant(self.model, 1)
             for _ in range(e):
                 out = out * poly
@@ -701,7 +669,10 @@ class _Parser:
 
 
 def parse_poly(text: str, model: SymplecticModel) -> Poly:
-    """Parse a polynomial like ``"q1^2*p1 - 3/2*q1 + i*hbar"``."""
+    """Parse a polynomial like ``"q1^2*p1 - 3/2*q1 + i*hbar"``.
+
+    Powers of degree above MAX_EXPONENT are an InputError.
+    """
     parser = _Parser(_tokenize(text), model, allow_dvar=False)
     acc = parser.parse_expr()
     if parser.k != len(parser.tokens):

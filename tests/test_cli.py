@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -157,6 +158,42 @@ def test_unexpected_faults_exit_one_with_error_object(monkeypatch, module, attri
         "kind": "internal",
         "message": f"{fault.__name__}: simulated",
         "subcommand": " ".join(argv[:2]),
+    }
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, orbitkit.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--alpha", "q1^99999999*dq1"], "a power may have degree at most 64"),
+        (["--alpha", "p1*dq1", "--vars", "1000000000"], "more than 10000 monomial pairs"),
+        (["--alpha", "p1*dq1", "--max-degree", "13"], "more than 10000 monomial pairs"),
+    ],
+)
+def test_quantize_size_guards_exit_two_before_the_work(monkeypatch, argv, message):
+    # the guarded work raises if it starts, which would exit 1, not 2
+    def forbidden(*args, **kwargs):
+        raise AssertionError("guarded work started")
+
+    monkeypatch.setattr("orbitkit.quantize.Poly.__mul__", forbidden)
+    monkeypatch.setattr("orbitkit.quantize.check_dirac_pairs", forbidden)
+    t0 = time.perf_counter()
+    result = CliRunner().invoke(cli.main, ["quantize", "verify", *argv])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["error"] == {
+        "kind": "input",
+        "message": message,
+        "subcommand": "quantize verify",
     }
 
 

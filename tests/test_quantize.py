@@ -1,17 +1,24 @@
 """Symbolic prequantization: fields, brackets, operators, cocycles."""
 
 import random
+import time
 from fractions import Fraction
+from math import comb, prod
+
+import pytest
 
 from orbitkit.exactnum import GaussRational, HbarPoly
-from orbitkit.liealg import abelian, heisenberg
+from orbitkit.liealg import InputError, abelian, heisenberg
 from orbitkit.quantize import (
+    MAX_DIRAC_PAIRS,
     Poly,
+    PolyDiffOp,
     SymplecticModel,
     action_cocycle,
     check_curvature,
     check_dirac,
     check_dirac_pairs,
+    dirac_pair_count,
     hamiltonian_field,
     monomials,
     parse_one_form,
@@ -122,6 +129,10 @@ def test_monomials_are_named_in_lexicographic_exponent_order():
         "q2^2", "q1", "q1*p2", "q1*p1", "q1*q2", "q1^2",
     ]
     assert monomials(MODEL, 2)[4] == ("q1*p1", Q * P)
+    for n, d in ((1, 4), (2, 3), (3, 2)):
+        exps = [next(iter(f.terms)) for _, f in monomials(SymplecticModel(n), d)]
+        assert exps == sorted(exps) and len(set(exps)) == len(exps)
+        assert len(exps) ** 2 == dirac_pair_count(n, d) == comb(d + 2 * n, 2 * n) ** 2
 
 
 def test_dirac_pairs_report_failures_by_name():
@@ -137,15 +148,6 @@ def test_dirac_fails_for_scaled_alpha():
     verdict = check_dirac(Q, P, bad)
     assert not verdict["passes"]
     assert verdict["residual"] != "0"
-
-
-def test_operator_composition_associative():
-    rng = random.Random(4)
-    monos = _monomials(2)
-    ops = [quantize_op(f, ALPHA) for f in monos]
-    for _ in range(20):
-        a, b, c = rng.choice(ops), rng.choice(ops), rng.choice(ops)
-        assert ((a @ b) @ c - a @ (b @ c)).is_zero()
 
 
 def test_action_cocycle_flat_moment_map():
@@ -168,3 +170,139 @@ def test_action_cocycle_abelian_commuting_moments():
     L = abelian(2)
     report = action_cocycle(L, [Q, Q * Q])
     assert report["flat"]
+
+
+# ---------------------------------------------------------------------------
+# size guards: each fires before the work it bounds, so a broken guard fails
+# the test instead of starting the allocation
+
+
+def _forbid(monkeypatch, owner, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} reached before the size guard fired")
+
+    monkeypatch.setattr(owner, name, fail)
+
+
+def test_parser_rejects_large_powers_before_multiplying(monkeypatch):
+    _forbid(monkeypatch, Poly, "__mul__")
+    for text in ("q1^99999999*dq1", "q1^65*dq1", "hbar^65*dq1", "2^1000000*dq1"):
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="degree at most 64"):
+            parse_one_form(text, MODEL)
+        assert time.perf_counter() - t0 < 1.0
+    monkeypatch.undo()
+    # the degree of a power of a power is bounded too
+    with pytest.raises(InputError, match="degree at most 64"):
+        parse_one_form("((q1 + hbar)^8)^9*dq1", MODEL)
+    assert parse_poly("(q1^8)^8", MODEL) == parse_poly("q1^64", MODEL)
+    assert parse_poly("hbar^64", MODEL) == Poly.constant(MODEL, HbarPoly.hbar(64))
+
+
+def test_pair_count_guard_decides_from_the_sizes_alone():
+    assert dirac_pair_count(2, 3) == 1225
+    assert dirac_pair_count(1, 12) == 91 ** 2 <= MAX_DIRAC_PAIRS
+    assert comb(13 + 2, 2) ** 2 > MAX_DIRAC_PAIRS
+    # comb(d + 2n, 2n) of the last two would take long to evaluate
+    for n, d in ((1, 13), (3, 4), (10**9, 1), (10**12, 10**12)):
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="monomial pairs"):
+            dirac_pair_count(n, d)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_dirac_pairs_guard_fires_before_monomials(monkeypatch):
+    import orbitkit.quantize as quantize
+
+    _forbid(monkeypatch, quantize, "monomials")
+    with pytest.raises(InputError):
+        check_dirac_pairs(ALPHA, 10**6)
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: compose the quantized operators in normal form by
+# the Leibniz rule and compare Q({f,g}) with (i/hbar)[Q(f), Q(g)] directly
+
+
+def _submulti(beta):
+    """All multi-indices mu with 0 <= mu <= beta, componentwise."""
+    if not beta:
+        yield ()
+        return
+    for tail in _submulti(beta[1:]):
+        for m in range(beta[0] + 1):
+            yield (m,) + tail
+
+
+def _compose(a, b):
+    """a after b, renormalized: D^beta (g D^gamma) = sum_mu C(beta, mu) D^mu(g) D^(beta-mu+gamma)."""
+    out = PolyDiffOp(a.model)
+    for beta, f in a.terms.items():
+        for gamma, g in b.terms.items():
+            for mu in _submulti(beta):
+                dg = g
+                for idx, m in enumerate(mu):
+                    for _ in range(m):
+                        dg = dg.diff(idx)
+                if dg.is_zero():
+                    continue
+                coeff = prod(comb(x, m) for x, m in zip(beta, mu))
+                der = tuple(x - m + c for x, m, c in zip(beta, mu, gamma))
+                out = out + PolyDiffOp(a.model, {der: (f * dg) * coeff})
+    return out
+
+
+def _oracle_residual(f, g, alpha):
+    qf, qg = quantize_op(f, alpha), quantize_op(g, alpha)
+    comm = _compose(qf, qg) - _compose(qg, qf)
+    # HbarPoly.divide_by_hbar raises unless the commutator is divisible by hbar
+    divided = PolyDiffOp(
+        f.model,
+        {
+            der: Poly(f.model, {m: c.divide_by_hbar() for m, c in coeff.terms.items()})
+            for der, coeff in comm.terms.items()
+        },
+    )
+    return quantize_op(poisson(f, g), alpha) - divided.scale(GaussRational.i())
+
+
+def test_operator_composition_associative():
+    rng = random.Random(4)
+    monos = _monomials(2)
+    ops = [quantize_op(f, ALPHA) for f in monos]
+    for _ in range(20):
+        a, b, c = rng.choice(ops), rng.choice(ops), rng.choice(ops)
+        assert (_compose(_compose(a, b), c) - _compose(a, _compose(b, c))).is_zero()
+
+
+@pytest.mark.parametrize(
+    "alpha, n, max_degree",
+    [
+        ("p1*dq1 + p2*dq2", 2, 2),
+        ("p1*dq1", 1, 3),
+        ("p1*dq1", 2, 2),
+        ("2*p1*dq1 + q1^2*dp2", 2, 2),
+        ("hbar*p1*dq1 + i*q1*dp1", 1, 3),
+        ("hbar*p1*dq1 + i*q1*dp1", 2, 2),
+        ("-q1*dp1", 1, 3),
+        ("-q1*dp1", 2, 2),
+        ("2*p1*dq1", 1, 3),
+    ],
+)
+def test_curvature_defect_matches_operator_composition(alpha, n, max_degree):
+    model = SymplecticModel(n)
+    form = parse_one_form(alpha, model)
+    monos = monomials(model, max_degree)
+    failures = []
+    for name_f, f in monos:
+        for name_g, g in monos:
+            residual = _oracle_residual(f, g, form)
+            verdict = {"passes": residual.is_zero(), "residual": str(residual)}
+            assert check_dirac(f, g, form) == verdict, (name_f, name_g)
+            if not residual.is_zero():
+                failures.append({"f": name_f, "g": name_g, "residual": str(residual)})
+    assert check_dirac_pairs(form, max_degree) == {
+        "pairs": len(monos) ** 2,
+        "failures": failures,
+        "passes": not failures,
+    }
