@@ -27,6 +27,9 @@ import numpy as np
 
 from .liealg import InputError
 
+# nodes per sign branch, 2 L/h + 1; a larger grid is an input error
+MAX_BRANCH_NODES = 10**6
+
 
 @dataclass(frozen=True)
 class AffineElement:
@@ -69,6 +72,8 @@ class LogGrid:
         if self.L <= 0 or self.h <= 0:
             raise InputError("grid needs L > 0 and h > 0")
         steps = self.L / self.h
+        if 2 * steps + 1 > MAX_BRANCH_NODES:
+            raise InputError(f"a grid branch may have at most {MAX_BRANCH_NODES} nodes")
         if abs(steps - round(steps)) > 1e-9:
             raise InputError("L must be an integer multiple of h")
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .exactnum import ExactMatrix
 from .liealg import InputError
 
-FAMILIES = ("SU", "SO_odd", "Sp")
+FAMILIES = ("SU", "SO_odd")
 
 
 def phi(n: int, k: int, q: int) -> int:
@@ -47,26 +47,6 @@ def phi(n: int, k: int, q: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RingModel:
-    """Exterior-algebra generator table for one side of the Chern character."""
-
-    family: str
-    rank: int
-    side: str  # "K" or "H"
-    generators: tuple
-    degrees: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "side": self.side,
-            "generators": list(self.generators),
-            "degrees": list(self.degrees),
-        }
-
-
 def _check_family(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise InputError(f"unsupported family {family!r}; choose from {FAMILIES}")
@@ -75,40 +55,6 @@ def _check_family(family: str, rank: int) -> None:
             raise InputError("SU needs rank m >= 2")
     elif rank < 1:
         raise InputError(f"{family} needs rank n >= 1")
-
-
-def ring_models(family: str, rank: int):
-    """K-theory and cohomology generator tables for the group family.
-
-    SU(m) pairs beta(rho_1..m-1) with x_3, x_5, ..., x_{2m-1}.  SO(2n+1)
-    has K-generators beta(rho_1..n) plus eps_{2n+1} against cohomology
-    x_3, x_7, ..., x_{4n-1}, one more on the K side.  Sp(n) pairs
-    beta(rho_1..n) with the same odd tower as SO(2n+1).
-    """
-    _check_family(family, rank)
-    if family == "SU":
-        m = rank
-        k_gens = tuple(f"beta(rho_{k})" for k in range(1, m))
-        h_gens = tuple(f"x_{2 * i + 1}" for i in range(1, m))
-    elif family == "SO_odd":
-        n = rank
-        k_gens = tuple(f"beta(rho_{k})" for k in range(1, n + 1)) + (
-            f"eps_{2 * n + 1}",
-        )
-        h_gens = tuple(f"x_{4 * i - 1}" for i in range(1, n + 1))
-    else:
-        n = rank
-        k_gens = tuple(f"beta(rho_{k})" for k in range(1, n + 1))
-        h_gens = tuple(f"x_{4 * i - 1}" for i in range(1, n + 1))
-    k_model = RingModel(family, rank, "K", k_gens, (1,) * len(k_gens))
-    h_model = RingModel(
-        family,
-        rank,
-        "H",
-        h_gens,
-        tuple(int(g.split("_")[1]) for g in h_gens),
-    )
-    return k_model, h_model
 
 
 @dataclass(frozen=True)
@@ -158,8 +104,6 @@ def chern_matrix(family: str, rank: int) -> ChernMatrix:
     Fraction(1, 1)
     """
     _check_family(family, rank)
-    if family == "Sp":
-        raise InputError("no Chern matrix is built for Sp")
     if family == "SU":
         m = rank
         rows = tuple(
@@ -169,12 +113,13 @@ def chern_matrix(family: str, rank: int) -> ChernMatrix:
             )
             for k in range(1, m)
         )
-        matrix = ExactMatrix.from_rows(rows)
-        det = matrix.determinant().re
+        # one elimination gives both the rank and the pivot product
+        _, pivots, product = ExactMatrix(rows)._echelon()
+        det = product if len(pivots) == m - 1 else Fraction(0)
         labels_k = tuple(f"beta(rho_{k})" for k in range(1, m))
         labels_h = tuple(f"x_{2 * i + 1}" for i in range(1, m))
         return ChernMatrix(
-            family, rank, rows, labels_k, labels_h, det, matrix.rank(), det != 0
+            family, rank, rows, labels_k, labels_h, det, len(pivots), det != 0
         )
     n = rank
     rows = []

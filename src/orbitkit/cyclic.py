@@ -42,11 +42,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ExactMatrix, GaussRational, rational_from_str, rational_to_str
+from .exactnum import GaussRational, gauss_rank, rational_from_str, rational_to_str
 from .liealg import InputError
 
 _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
+
+
+def _unit_vectors(d: int) -> tuple:
+    """Coordinates of the basis vectors e_0..e_{d-1}."""
+    return tuple(tuple(_ONE if a == b else _ZERO for b in range(d)) for a in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,7 @@ class FinAlgebra:
 
     def _validate(self):
         d = self.dim
-        ident = ExactMatrix.identity(d).rows
+        ident = _unit_vectors(d)
         for b in range(d):
             e_b = ident[b]
             if self.mul_coords(self.unit, e_b) != e_b:
@@ -439,7 +444,7 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
     """
     if len(tau.coords) != A.dim:
         raise InputError("trace coordinate count does not match the algebra")
-    ident = ExactMatrix.identity(A.dim).rows
+    ident = _unit_vectors(A.dim)
     normalized = tau(A.unit) == _ONE
     rng = random.Random(seed)
     positive = True
@@ -449,13 +454,11 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
         if v.im != 0 or v.re < 0:
             positive = False
             break
-    gram = ExactMatrix.from_rows(
-        [
-            [tau(A.mul_coords(A.star_coords(ident[a]), ident[b])) for b in range(A.dim)]
-            for a in range(A.dim)
-        ]
-    )
-    faithful = gram.rank() == A.dim
+    gram = [
+        [tau(A.mul_coords(A.star_coords(ident[a]), ident[b])) for b in range(A.dim)]
+        for a in range(A.dim)
+    ]
+    faithful = gauss_rank(gram) == A.dim
     tracial = True
     for a in range(A.dim):
         for b in range(A.dim):
@@ -815,6 +818,10 @@ def _boundary_rank(A: FinAlgebra, n: int, classes) -> tuple:
 
 _SQUARE_CHECK_LIMIT = 50000
 
+# Degree T of the chain complex has dim^(T+1) words, and `_classes` holds
+# one entry per word; past this many, hp_homology is an input error.
+MAX_CHAIN_WORDS = 2**24
+
 
 def _square_check(A: FinAlgebra, n: int, cells: int, classes_prev, classes_prev2) -> str:
     """Verify b o b = 0 from C^lambda_n to C^lambda_{n-2}; returns the mode.
@@ -895,10 +902,18 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     two degrees down, which is the same comparison as rerunning at T - 2.
     `boundary_check` says whether b o b = 0 was verified on every cell of
     each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells, on
-    sampled words.
+    sampled words.  More than `MAX_CHAIN_WORDS` words in degree T is an
+    InputError.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
+    # dim >= 2 exceeds the bound by exponent 25 = bit_length(MAX_CHAIN_WORDS),
+    # so capping the exponent there keeps the power small
+    if A.dim ** min(truncation + 1, MAX_CHAIN_WORDS.bit_length()) > MAX_CHAIN_WORDS:
+        raise InputError(
+            f"more than {MAX_CHAIN_WORDS} chain words: dim^(truncation + 1) "
+            f"with dim {A.dim} and truncation {truncation}"
+        )
     ranks, cells, mode = _rank_table(A, truncation)
     hc = []
     for m in range(truncation):

@@ -3,10 +3,12 @@
 Scalars are built on :class:`fractions.Fraction`: Gaussian rationals
 (``a + b*i`` with rational ``a``, ``b``) and polynomials in a formal
 scale parameter ``hbar`` with Gaussian-rational coefficients.  Matrices
-over the Gaussian rationals get their rank, pivot columns, determinant
+are over Q: :class:`ExactMatrix` gets rank, pivot columns, determinant
 and kernel from one exact Gauss-Jordan elimination,
-:meth:`ExactMatrix._echelon`, the package's only dense elimination; no
-floating point is involved anywhere in this module.
+:meth:`ExactMatrix._echelon`, the package's only dense elimination.  The
+rank of a Gaussian-rational matrix over Q(i) is :func:`gauss_rank`, the
+halved rank of its realification.  No floating point is involved
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "GaussRational",
     "HbarPoly",
     "ExactMatrix",
+    "gauss_rank",
     "rational_to_str",
     "rational_from_str",
 ]
@@ -293,8 +296,20 @@ class HbarPoly:
         )
 
 
+def _rational(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"matrix entries are rational, not {type(x).__name__}")
+
+
 class ExactMatrix:
-    """Dense matrix over the Gaussian rationals with exact elimination.
+    """Dense matrix over Q with exact elimination.
+
+    Entries are Fractions; ints are converted, and anything else,
+    Gaussian rationals included, is a TypeError.  The rank over Q(i) of
+    a Gaussian-rational matrix is :func:`gauss_rank`, by realification.
 
     >>> m = ExactMatrix.from_rows([[1, 2], [2, 4]])
     >>> m.rank()
@@ -303,8 +318,8 @@ class ExactMatrix:
     ['-2,1']
     """
 
-    def __init__(self, rows: Sequence[Sequence[GaussRational]]):
-        self.rows = tuple(tuple(_coerce(x) for x in r) for r in rows)
+    def __init__(self, rows: Sequence[Sequence[RationalLike]]):
+        self.rows = tuple(tuple(_rational(x) for x in r) for r in rows)
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
@@ -313,64 +328,30 @@ class ExactMatrix:
         self.ncols = len(self.rows[0]) if self.rows else 0
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable]) -> "ExactMatrix":
-        return ExactMatrix([[_coerce(x) for x in r] for r in rows])
+    def from_rows(rows: Iterable[Iterable[RationalLike]]) -> "ExactMatrix":
+        return ExactMatrix(rows)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "ExactMatrix":
-        z = GaussRational.zero()
-        return ExactMatrix([[z] * ncols for _ in range(nrows)])
+        return ExactMatrix([[Fraction(0)] * ncols for _ in range(nrows)])
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        z, o = GaussRational.zero(), GaussRational.one()
-        return ExactMatrix([[o if i == j else z for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij) -> GaussRational:
+    def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.rows == other.rows
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(GaussRational.from_int(-1))
-
-    def scale(self, c) -> "ExactMatrix":
-        c = _coerce(c)
-        return ExactMatrix([[c * x for x in r] for r in self.rows])
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         cols = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for r in self.rows:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(r, c)), GaussRational.zero())
-                    for c in cols
-                ]
-            )
-        return ExactMatrix(out)
+        return ExactMatrix(
+            [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols] for r in self.rows]
+        )
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)) if self.rows else [])
-
-    def conjugate_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[x.conjugate() for x in r] for r in (zip(*self.rows) if self.rows else [])]
-        )
 
     def _echelon(self):
         """Reduced row echelon form by exact Gauss-Jordan elimination.
@@ -383,12 +364,12 @@ class ExactMatrix:
         """
         rows = [list(r) for r in self.rows]
         pivots = []
-        product = GaussRational.one()
+        product = Fraction(1)
         r = 0
         for c in range(self.ncols):
             pivot = None
             for i in range(r, len(rows)):
-                if not rows[i][c].is_zero():
+                if rows[i][c] != 0:
                     pivot = i
                     break
             if pivot is None:
@@ -396,13 +377,14 @@ class ExactMatrix:
             if pivot != r:
                 rows[r], rows[pivot] = rows[pivot], rows[r]
                 product = -product
-            product = product * rows[r][c]
-            inv = rows[r][c].inverse()
+            product *= rows[r][c]
+            inv = 1 / rows[r][c]
             rows[r] = [inv * x for x in rows[r]]
             for i in range(len(rows)):
-                if i != r and not rows[i][c].is_zero():
+                if i != r and rows[i][c] != 0:
                     f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                    # Fraction products dominate; zeros of the pivot row need none
+                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
             if r == len(rows):
@@ -420,16 +402,16 @@ class ExactMatrix:
         """
         return tuple(self._echelon()[1])
 
-    def determinant(self) -> GaussRational:
+    def determinant(self) -> Fraction:
         """Exact determinant of a square matrix.
 
-        >>> ExactMatrix.from_rows([[0, 2], [3, 4]]).determinant() == GaussRational.from_int(-6)
-        True
+        >>> ExactMatrix.from_rows([[0, 2], [3, 4]]).determinant()
+        Fraction(-6, 1)
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         _, pivots, product = self._echelon()
-        return product if len(pivots) == self.nrows else GaussRational.zero()
+        return product if len(pivots) == self.nrows else Fraction(0)
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel, one vector per free column.
@@ -441,18 +423,30 @@ class ExactMatrix:
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
         for fc in free:
-            v = [GaussRational.zero()] * self.ncols
-            v[fc] = GaussRational.one()
+            v = [Fraction(0)] * self.ncols
+            v[fc] = Fraction(1)
             for r_idx, pc in enumerate(pivots):
                 # reduced echelon: pivot rows are normalized with zeros above
                 v[pc] = -rows[r_idx][fc]
             basis.append(tuple(v))
         return basis
 
-    def to_json(self) -> list:
-        return [[x.to_json() for x in r] for r in self.rows]
-
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
         return f"ExactMatrix[{body}]"
 
+
+def gauss_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q(i) of the Gaussian-rational matrix with these rows.
+
+    For M = A + iB the real matrix [[A, -B], [B, A]] represents M acting
+    on C^n = R^n + iR^n, and its rank over Q is twice the rank of M.
+
+    >>> i = GaussRational.i()
+    >>> gauss_rank([[1, i], [i, -1]])
+    1
+    """
+    gauss = [[_coerce(x) for x in r] for r in rows]
+    real = [[x.re for x in r] + [-x.im for x in r] for r in gauss]
+    real += [[x.im for x in r] + [x.re for x in r] for r in gauss]
+    return ExactMatrix(real).rank() // 2

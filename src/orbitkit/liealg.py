@@ -3,12 +3,13 @@
 A Lie algebra is stored as exact rational structure constants
 ``c[i][j][k]`` with ``[X_i, X_j] = sum_k c[i][j][k] X_k``.  Covectors
 live in the dual with rational coordinates.  The Poisson matrix of a
-covector ``F`` is ``B[i][j] = <F, [X_i, X_j]>``; its rank is the orbit
-dimension and its kernel the stabilizer subalgebra.  Polarization
-subspaces of the complexification are checked through the exact
-linear-algebra conditions that are decidable at the infinitesimal
-level; global and measure-theoretic conditions are reported as not
-evaluated.
+covector ``F`` is the rational matrix ``B[i][j] = <F, [X_i, X_j]>``; its
+rank is the orbit dimension and its kernel the stabilizer subalgebra.
+Polarization subspaces of the complexification are checked through the
+exact linear-algebra conditions that are decidable at the infinitesimal
+level: their dimensions and memberships are ranks over Q(i), taken by
+realification, and their real points solve a rational linear system.
+Global and measure-theoretic conditions are reported as not evaluated.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional, Sequence
 from .exactnum import (
     ExactMatrix,
     GaussRational,
+    gauss_rank,
     rational_from_str,
     rational_to_str,
 )
@@ -219,7 +221,11 @@ class Covector:
 
 @dataclass(frozen=True)
 class ComplexSubspace:
-    """Subspace of the complexified algebra, spanned over the Gaussian rationals."""
+    """Subspace of the complexified algebra, spanned over the Gaussian rationals.
+
+    Its dimension and membership tests are ranks over Q(i), from
+    :func:`~orbitkit.exactnum.gauss_rank`.
+    """
 
     dim_ambient: int
     vectors: tuple  # tuple of tuples of GaussRational
@@ -250,18 +256,13 @@ class ComplexSubspace:
             out.append(tuple(GaussRational.from_json(x) for x in v))
         return ComplexSubspace(dim_ambient, tuple(out))
 
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.vectors) if self.vectors else ExactMatrix.zero(0, self.dim_ambient)
-
     def dim(self) -> int:
-        return self.matrix().rank() if self.vectors else 0
+        return gauss_rank(self.vectors)
 
     def contains(self, vector: Sequence[GaussRational]) -> bool:
         if all(x.is_zero() for x in vector):
             return True
-        base = self.matrix()
-        stacked = ExactMatrix(list(self.vectors) + [tuple(vector)])
-        return stacked.rank() == base.rank()
+        return gauss_rank(self.vectors + (tuple(vector),)) == self.dim()
 
     def conjugate(self) -> "ComplexSubspace":
         return ComplexSubspace(
@@ -295,28 +296,21 @@ def check_jacobi(L: LieAlgebra):
 
 
 def poisson_matrix(L: LieAlgebra, F: Covector) -> ExactMatrix:
-    """Antisymmetric matrix ``B[i][j] = <F, [X_i, X_j]>``.
+    """Antisymmetric rational matrix ``B[i][j] = <F, [X_i, X_j]>``.
 
     >>> B = poisson_matrix(heisenberg(), Covector.of(0, 0, 1))
     >>> B.rank()
     2
     """
-    if len(F.coords) != L.dim:
+    n = L.dim
+    if len(F.coords) != n:
         raise InputError("covector length does not match algebra dimension")
-    rows = []
-    for i in range(L.dim):
-        row = []
-        for j in range(L.dim):
-            row.append(
-                GaussRational.from_rational(
-                    sum(
-                        (L.c[i][j][k] * F.coords[k] for k in range(L.dim)),
-                        Fraction(0),
-                    )
-                )
-            )
-        rows.append(row)
-    return ExactMatrix(rows)
+    return ExactMatrix(
+        [
+            [sum((c * f for c, f in zip(L.c[i][j], F.coords) if c), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def orbit_dimension(L: LieAlgebra, F: Covector) -> int:
@@ -335,19 +329,10 @@ def stabilizer(L: LieAlgebra, F: Covector) -> list:
     The span is checked to be closed under the bracket; failure would
     indicate corrupted structure constants and raises.
     """
-    B = poisson_matrix(L, F)
-    kernel = B.kernel_basis()
-    vectors = []
-    for v in kernel:
-        if any(not x.im == 0 for x in v):
-            raise RuntimeError("internal error: complex kernel of a rational matrix")
-        vectors.append(tuple(x.re for x in v))
-    span = ComplexSubspace.spanned_by(vectors, L.dim) if vectors else None
+    vectors = poisson_matrix(L, F).kernel_basis()
     for u in vectors:
         for v in vectors:
-            w = L.bracket(u, v)
-            wg = tuple(GaussRational.from_rational(x) for x in w)
-            if span is None or not span.contains(wg):
+            if ExactMatrix(vectors + [L.bracket(u, v)]).rank() != len(vectors):
                 raise RuntimeError(
                     "internal error: stabilizer not closed under bracket"
                 )
@@ -397,19 +382,13 @@ def _real_points_dimension(L: LieAlgebra, space: ComplexSubspace):
     m = len(space.vectors)
     n = space.dim_ambient
     # unknowns: x_a = Re t_a, y_a = Im t_a; equations: Im(sum t_a w_a) = 0
-    rows = []
-    for coord in range(n):
-        row = []
-        for a in range(m):
-            row.append(GaussRational.from_rational(space.vectors[a][coord].im))
-        for a in range(m):
-            row.append(GaussRational.from_rational(space.vectors[a][coord].re))
-        rows.append(row)
-    kernel = ExactMatrix(rows).kernel_basis()
+    rows = [
+        [w[coord].im for w in space.vectors] + [w[coord].re for w in space.vectors]
+        for coord in range(n)
+    ]
     reals = []
-    for sol in kernel:
-        x = [sol[a].re for a in range(m)]
-        y = [sol[m + a].re for a in range(m)]
+    for sol in ExactMatrix(rows).kernel_basis():
+        x, y = sol[:m], sol[m:]
         vec = [Fraction(0)] * n
         for a in range(m):
             for coord in range(n):

@@ -37,6 +37,10 @@ import numpy as np
 from .liealg import InputError
 
 _GROUP_SIZE_GUARD = 10**4
+# truncation N of the shift model; larger N is an input error
+MAX_TRUNCATION = 1024
+# entries of the matrix joint_kernel_rank stacks; more is an input error
+MAX_STACKED_ENTRIES = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,8 @@ def build_rep_su2(q: float, t: float, N: int, element: str = "s") -> TruncatedRe
         raise InputError(f"element must be 's' or 'e', got {element!r}")
     if N < 4:
         raise InputError("truncation N must be at least 4")
+    if N > MAX_TRUNCATION:
+        raise InputError(f"truncation N may be at most {MAX_TRUNCATION}")
     a = np.zeros((N, N), dtype=complex)
     for n in range(1, N):
         a[n - 1, n] = math.sqrt(1.0 - q ** (2 * n))
@@ -363,7 +369,8 @@ def joint_kernel_rank(
     representation image and the character value.  Full rank is the
     desk-scale faithfulness witness; dropping the infinite-dimensional
     representations (include_infinite=False) leaves the characters, which
-    kill every monomial containing c, so the rank collapses.
+    kill every monomial containing c, so the rank collapses.  A matrix of
+    more than MAX_STACKED_ENTRIES entries is an InputError.
     """
     if degree > 4:
         raise InputError("degree is capped at 4")
@@ -372,6 +379,9 @@ def joint_kernel_rank(
     if t_samples < 1:
         raise InputError("need at least 1 torus sample")
     monomials = pbw_monomials(degree)
+    width = t_samples * (N * N + 1 if include_infinite else 1)
+    if len(monomials) * width > MAX_STACKED_ENTRIES:
+        raise InputError(f"the stacked matrix would have more than {MAX_STACKED_ENTRIES} entries")
     rows = []
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
     reps = [build_rep_su2(q, t, N) for t in angles] if include_infinite else []

@@ -49,6 +49,7 @@ __all__ = [
     "parse_poly",
     "parse_one_form",
     "MAX_EXPONENT",
+    "MAX_TERMS",
 ]
 
 
@@ -521,9 +522,25 @@ def action_cocycle(L: LieAlgebra, moment: Sequence[Poly]) -> dict:
 # term must contain exactly one of them.  A power's degree, the base's
 # total degree in the variables and hbar times the exponent, and the
 # exponent itself are at most MAX_EXPONENT; larger ones are rejected
-# before any multiplication, so nested powers stay bounded too.
+# before any multiplication, so nested powers stay bounded too.  Terms
+# are counted as (monomial, hbar power) pairs.  A power of a base with T
+# terms has at most comb(T + e - 1, e) of them, and a product at most the
+# product of its operands' counts; either bound over MAX_TERMS is rejected
+# before multiplying, which bounds the work of every product.
 
 MAX_EXPONENT = 64
+MAX_TERMS = 1000
+
+
+def _term_count(poly: "Poly") -> int:
+    return sum(len(c.coeffs) for c in poly.terms.values())
+
+
+def _product(left: "Poly", right: "Poly") -> "Poly":
+    if _term_count(left) * _term_count(right) > MAX_TERMS:
+        raise InputError(f"a product may have at most {MAX_TERMS} terms")
+    return left * right
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>d?[qp][0-9]+|hbar|i)"
@@ -603,24 +620,15 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p, d = self.parse_factor()
-                if d is not None:
-                    if dvar is not None:
-                        raise InputError("two differential symbols in one term")
-                    dvar = d
-                    poly = poly * p
-                else:
-                    poly = poly * p
-            elif kind in ("num", "name") or (kind == "op" and val == "("):
-                # implicit product, e.g. "2 q1"
-                p, d = self.parse_factor()
-                if d is not None:
-                    if dvar is not None:
-                        raise InputError("two differential symbols in one term")
-                    dvar = d
-                poly = poly * p
-            else:
+            elif not (kind in ("num", "name") or (kind == "op" and val == "(")):
                 return poly, dvar
+            # an explicit or an implicit product, e.g. "2 q1"
+            p, d = self.parse_factor()
+            if d is not None:
+                if dvar is not None:
+                    raise InputError("two differential symbols in one term")
+                dvar = d
+            poly = _product(poly, p)
 
     def parse_factor(self):
         poly, dvar = self.parse_atom()
@@ -636,6 +644,9 @@ class _Parser:
             degree = max((sum(m) + c.degree() for m, c in poly.terms.items()), default=0)
             if max(e, e * degree) > MAX_EXPONENT:
                 raise InputError(f"a power may have degree at most {MAX_EXPONENT}")
+            terms = _term_count(poly)
+            if terms and math.comb(terms + e - 1, e) > MAX_TERMS:
+                raise InputError(f"a power may have at most {MAX_TERMS} terms")
             out = Poly.constant(self.model, 1)
             for _ in range(e):
                 out = out * poly
@@ -671,7 +682,8 @@ class _Parser:
 def parse_poly(text: str, model: SymplecticModel) -> Poly:
     """Parse a polynomial like ``"q1^2*p1 - 3/2*q1 + i*hbar"``.
 
-    Powers of degree above MAX_EXPONENT are an InputError.
+    Powers of degree above MAX_EXPONENT, and powers or products bounded
+    above MAX_TERMS terms, are an InputError.
     """
     parser = _Parser(_tokenize(text), model, allow_dvar=False)
     acc = parser.parse_expr()

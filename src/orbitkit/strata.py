@@ -22,6 +22,7 @@ from .exactnum import ExactMatrix, rational_to_str
 from .liealg import Covector, InputError, LieAlgebra, poisson_matrix
 
 __all__ = [
+    "MAX_SAMPLES",
     "SamplerConfig",
     "Stratum",
     "TowerReport",
@@ -31,6 +32,9 @@ __all__ = [
     "foliation_check",
     "extension_tower",
 ]
+
+# stratify draws every sample up front; more than this is an input error
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def _certify(L: LieAlgebra, F: Covector) -> tuple:
     if r % 2 != 0:
         raise RuntimeError("internal error: odd rank of an antisymmetric matrix")
     minor = ExactMatrix([[B[i, j] for j in cols] for i in rows])
-    if minor.determinant().is_zero():
+    if minor.determinant() == 0:
         raise RuntimeError("internal error: certifying minor vanished")
     return r, (rows, cols), r + 2 > L.dim or _kernel_certifies(B, r)
 
@@ -132,6 +136,8 @@ def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
     """
     if config.samples < 1:
         raise InputError("sampler needs at least one sample")
+    if config.samples > MAX_SAMPLES:
+        raise InputError(f"more than {MAX_SAMPLES} samples")
     certified: dict = {}
     by_rank: dict = {}
     for F in sample_covectors(L, config):

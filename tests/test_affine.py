@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orbitkit.affine import (
+    MAX_BRANCH_NODES,
     AffineElement,
     LogGrid,
     character_U,
@@ -61,6 +62,18 @@ def test_grid_guards():
         LogGrid(L=1.0, h=-0.5)
     with pytest.raises(InputError):
         LogGrid(L=1.0, h=0.3)
+
+
+def test_grid_node_guard_fires_before_allocating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid allocated before the size guard fired")
+
+    monkeypatch.setattr(np, "arange", forbidden)
+    monkeypatch.setattr(np, "zeros", forbidden)
+    assert LogGrid(L=249999.5, h=0.5).branch_size == MAX_BRANCH_NODES - 1
+    for L, h in ((250000.0, 0.5), (30.0, 1e-7), (1e308, 1e-308)):
+        with pytest.raises(InputError, match=f"at most {MAX_BRANCH_NODES} nodes"):
+            LogGrid(L=L, h=h)
 
 
 def test_shift_steps():

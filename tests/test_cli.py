@@ -115,6 +115,35 @@ def test_seed_enters_the_digest():
     assert base["input_digest"] != reseeded["input_digest"]
 
 
+SL2 = str(FIXTURES / "sl2.json")
+# (allocating calls that must not be entered, argv rejected by a size guard)
+SIZE_GUARDED = [
+    (("orbitkit.cyclic._classes",),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "m2.json"), "--truncation", "40"]),
+    (("orbitkit.strata.SamplerConfig.draw",),
+     ["lie", "strata", "--algebra", SL2, "--samples", "100000000"]),
+    (("numpy.arange", "numpy.zeros"),
+     ["affine", "verify", "--l", "30", "--h", "1e-7", "--trials", "1"]),
+    (("numpy.zeros",), ["qgroup", "verify", "--q", "0.5", "--truncation", "100000"]),
+    (("orbitkit.qgroup._monomial_matrix", "numpy.vstack"),
+     ["qgroup", "verify", "--q", "0.5", "--truncation", "64", "--t-samples", "1000"]),
+]
+
+
+@pytest.mark.parametrize("targets, argv", SIZE_GUARDED, ids=lambda v: "-".join(v[:2]))
+def test_size_guards_exit_two_before_allocating(monkeypatch, targets, argv):
+    # an entered allocation raises, which would exit 1, not 2
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocation entered before the size guard fired")
+
+    for target in targets:
+        monkeypatch.setattr(target, forbidden)
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "input" and error["subcommand"] == " ".join(argv[:2])
+
+
 def test_input_errors_exit_two_with_error_object():
     schema = load_schema("error")
     cases = [
@@ -127,6 +156,8 @@ def test_input_errors_exit_two_with_error_object():
         # e^L overflows, or the dilations e^(mh) leave the double range
         ["affine", "verify", "--l", "12000", "--h", "4000"],
         ["affine", "verify", "--l", "8000", "--h", "400"],
+        # size guards, each checked before its allocation
+        *(argv for _, argv in SIZE_GUARDED),
     ]
     for argv in cases:
         proc = run_cli(*argv)
@@ -140,7 +171,7 @@ def test_input_errors_exit_two_with_error_object():
     "module, attribute, fault, argv",
     [
         ("qgroup", "build_rep_su2", MemoryError,
-         ["qgroup", "verify", "--q", "0.5", "--truncation", "100000"]),
+         ["qgroup", "verify", "--q", "0.5", "--truncation", "8"]),
         ("affine", "worst_residuals", OverflowError,
          ["affine", "verify", "--l", "12000", "--h", "4000"]),
     ],
@@ -200,6 +231,14 @@ def test_quantize_size_guards_exit_two_before_the_work(monkeypatch, argv, messag
 def test_unknown_subcommand_is_a_usage_error():
     proc = run_cli("bogus")
     assert proc.returncode == 2
+
+
+def test_unsupported_chern_families_are_usage_errors():
+    for family in ("Sp", "G2"):
+        argv = ["chern", "matrix", "--family", family, "--rank", "2"]
+        result = CliRunner().invoke(cli.main, argv)
+        assert result.exit_code == 2
+        assert "Invalid value for '--family'" in result.output
 
 
 def test_table_format_renders_header_and_rows():

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import orbitkit.cyclic as cyclic_module
 from orbitkit.cyclic import (
+    MAX_CHAIN_WORDS,
     Chain,
     FinAlgebra,
     NormSequence,
@@ -29,7 +31,7 @@ from orbitkit.cyclic import (
     tensor_product,
     verify_trace,
 )
-from orbitkit.exactnum import ExactMatrix, GaussRational
+from orbitkit.exactnum import GaussRational, gauss_rank
 from orbitkit.liealg import InputError
 
 ONE = GaussRational.one()
@@ -310,7 +312,7 @@ def _rescaled(A, factors):
 
 
 def _block_rank(columns):
-    """Exact rank of sparse columns, one ExactMatrix per block of linked rows."""
+    """Rank over Q(i) of sparse columns, one dense rank per block of linked rows."""
     root = {}
 
     def find(r):
@@ -329,9 +331,7 @@ def _block_rank(columns):
     rank = 0
     for block in blocks.values():
         rows = sorted({r for col in block for r in col})
-        rank += ExactMatrix.from_rows(
-            [[col.get(r, GaussRational.zero()) for r in rows] for col in block]
-        ).rank()
+        rank += gauss_rank([[col.get(r, GaussRational.zero()) for r in rows] for col in block])
     return rank
 
 
@@ -449,7 +449,7 @@ def _induced_boundary_rank(A, n, src_basis, dst_basis):
                 col, s = dst_index[w]
                 row[col] = row[col] + (v if s > 0 else -v)
         rows.append(row)
-    return ExactMatrix.from_rows(rows).rank()
+    return gauss_rank(rows)
 
 
 def _quotient_complex_hc(A, degrees):
@@ -549,6 +549,21 @@ def test_hp_pauli_basis_matches_matrix_units():
 def test_hp_truncation_guard():
     with pytest.raises(InputError):
         hp_homology(gauss_field(), truncation=1)
+
+
+def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("word table built before the size guard fired")
+
+    monkeypatch.setattr(cyclic_module, "_classes", forbidden)
+    for A, truncation in ((matrix_algebra(2), 40), (matrix_algebra(4), 6)):
+        with pytest.raises(InputError, match=f"more than {MAX_CHAIN_WORDS} chain words"):
+            hp_homology(A, truncation)
+    # degree 5 of M4 holds 16^6 = MAX_CHAIN_WORDS words, which is admitted
+    monkeypatch.setattr(
+        cyclic_module, "_rank_table", lambda A, T: ((0,) * (T + 1), (0,) * (T + 1), "full")
+    )
+    assert hp_homology(matrix_algebra(4), 5).hc == (0,) * 5
 
 
 def test_tensor_square_of_dual_numbers_is_not_stabilized_at_four():

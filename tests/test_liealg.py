@@ -55,8 +55,8 @@ def test_loader_round_trip_and_antisymmetric_completion():
 
 def test_poisson_matrix_heisenberg_center():
     B = poisson_matrix(heisenberg(), Covector.of(0, 0, 1))
-    assert B[0, 1] == GaussRational.one()
-    assert B[1, 0] == -GaussRational.one()
+    assert B[0, 1] == 1 and B[1, 0] == -1
+    assert all(type(x) is Fraction for row in B.rows for x in row)
     assert B.rank() == 2
 
 
@@ -65,7 +65,7 @@ def test_poisson_matrix_aff1():
     expected = [[0, 1], [-1, 0]]
     for i in range(2):
         for j in range(2):
-            assert B[i, j] == GaussRational.from_int(expected[i][j])
+            assert B[i, j] == Fraction(expected[i][j])
 
 
 def test_poisson_matrix_zero_covector():
@@ -114,7 +114,7 @@ def test_poisson_matrix_is_antisymmetric_at_sampled_covectors():
         for _ in range(50):
             F = Covector(tuple(Fraction(rng.randint(-6, 6)) for _ in range(L.dim)))
             B = poisson_matrix(L, F)
-            assert B == B.transpose().scale(-1)
+            assert B.transpose().rows == tuple(tuple(-x for x in row) for row in B.rows)
 
 
 def test_polarization_real_heisenberg():

@@ -3,10 +3,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from orbitkit.liealg import InputError
+import orbitkit.qgroup as qgroup_module
 from orbitkit.qgroup import (
+    MAX_STACKED_ENTRIES,
+    MAX_TRUNCATION,
     build_rep_su2,
     character_constraints,
     evaluate_word,
@@ -212,6 +216,29 @@ def test_joint_kernel_guards():
         joint_kernel_rank(0.5, t_samples=2)
     with pytest.raises(InputError):
         joint_kernel_rank(0.5, t_samples=0, include_infinite=False)
+
+
+def _forbid(monkeypatch, owner, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} reached before the size guard fired")
+
+    monkeypatch.setattr(owner, name, fail)
+
+
+def test_truncation_guard_fires_before_allocating(monkeypatch):
+    _forbid(monkeypatch, np, "zeros")
+    with pytest.raises(InputError, match=f"at most {MAX_TRUNCATION}"):
+        build_rep_su2(0.5, 0.0, MAX_TRUNCATION + 1)
+
+
+def test_stacked_matrix_guard_fires_before_building_reps(monkeypatch):
+    # 14 monomials of degree <= 2, each 1000 * (64^2 + 1) entries wide
+    assert 14 * 1000 * (64**2 + 1) > MAX_STACKED_ENTRIES
+    _forbid(monkeypatch, qgroup_module, "build_rep_su2")
+    with pytest.raises(InputError, match=f"more than {MAX_STACKED_ENTRIES} entries"):
+        joint_kernel_rank(0.5, t_samples=1000, N=64)
+    # without the shift model each sample adds one column
+    assert joint_kernel_rank(0.5, t_samples=1000, N=64, include_infinite=False)["rank"] > 0
 
 
 def test_monomial_rows_depend_on_truncation_size():

@@ -11,6 +11,7 @@ from orbitkit.exactnum import GaussRational, HbarPoly
 from orbitkit.liealg import InputError, abelian, heisenberg
 from orbitkit.quantize import (
     MAX_DIRAC_PAIRS,
+    MAX_TERMS,
     Poly,
     PolyDiffOp,
     SymplecticModel,
@@ -197,6 +198,25 @@ def test_parser_rejects_large_powers_before_multiplying(monkeypatch):
         parse_one_form("((q1 + hbar)^8)^9*dq1", MODEL)
     assert parse_poly("(q1^8)^8", MODEL) == parse_poly("q1^64", MODEL)
     assert parse_poly("hbar^64", MODEL) == Poly.constant(MODEL, HbarPoly.hbar(64))
+
+
+def test_parser_bounds_the_terms_of_powers_and_products(monkeypatch):
+    # 1, q1, p1, hbar: 4 terms, so the e-th power has comb(e + 3, 3) of them
+    assert comb(16 + 3, 3) <= MAX_TERMS < comb(17 + 3, 3)
+    _forbid(monkeypatch, Poly, "__mul__")
+    for text in ("(1+q1+p1+hbar)^64*dq1", "(1+q1+p1+hbar)^17*dq1"):
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match=f"a power may have at most {MAX_TERMS} terms"):
+            parse_one_form(text, MODEL)
+        assert time.perf_counter() - t0 < 1.0
+    monkeypatch.undo()
+    wide = "(1+q1+p1+hbar)^8"
+    with pytest.raises(InputError, match=f"a product may have at most {MAX_TERMS} terms"):
+        parse_one_form(f"{wide}*{wide}*dq1", MODEL)
+    with pytest.raises(InputError, match="at most"):
+        parse_one_form(f"{wide} {wide}*dq1", MODEL)
+    # the bound counts terms that can arise, so a narrow base passes
+    assert len(parse_poly("(q1 + p1)^30", MODEL).terms) == 31
 
 
 def test_pair_count_guard_decides_from_the_sizes_alone():

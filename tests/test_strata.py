@@ -18,6 +18,7 @@ from orbitkit.liealg import (
     sl2,
 )
 from orbitkit.strata import (
+    MAX_SAMPLES,
     SamplerConfig,
     Stratum,
     _invertible_submatrix,
@@ -52,6 +53,20 @@ def test_abelian_single_zero_stratum():
 def test_stratify_needs_at_least_one_sample():
     with pytest.raises(InputError):
         stratify(heisenberg(), SamplerConfig(seed=0, samples=0))
+
+
+def test_sample_count_guard_fires_before_drawing(monkeypatch):
+    def forbidden(self, dim):
+        raise AssertionError("samples drawn before the size guard fired")
+
+    monkeypatch.setattr(SamplerConfig, "draw", forbidden)
+    too_many = SamplerConfig(seed=0, samples=MAX_SAMPLES + 1)
+    for run in (stratify, extension_tower):
+        with pytest.raises(InputError, match=f"more than {MAX_SAMPLES} samples"):
+            run(heisenberg(), too_many)
+    monkeypatch.setattr(SamplerConfig, "draw", lambda self, dim: [Covector.of(0, 0, 1)])
+    found = stratify(heisenberg(), SamplerConfig(seed=0, samples=MAX_SAMPLES))
+    assert [s.orbit_dimension for s in found] == [2]
 
 
 def test_every_stratum_dimension_is_even():
@@ -160,7 +175,7 @@ def test_invertible_submatrix_matches_greedy_choice():
         assert (rows, cols) == _greedy_submatrix(m, r)
         if r:
             minor = ExactMatrix([[m[i, j] for j in cols] for i in rows])
-            assert not minor.determinant().is_zero()
+            assert minor.determinant() != 0
 
 
 def test_h3_h3_q2_strata_pinned():
