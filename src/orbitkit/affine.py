@@ -69,7 +69,7 @@ class LogGrid:
     h: float
 
     def __post_init__(self):
-        if self.L <= 0 or self.h <= 0:
+        if not (self.L > 0 and self.h > 0):  # NaN fails both
             raise InputError("grid needs L > 0 and h > 0")
         steps = self.L / self.h
         if 2 * steps + 1 > MAX_BRANCH_NODES:

@@ -85,14 +85,15 @@ def _finish(ctx, name: str, build) -> None:
     """Run a subcommand body and emit its report with the exit contract.
 
     ``build`` returns (result, inputs, table_text or None).  Input
-    problems exit 2 with a machine-readable error object; internal
-    invariant violations and any other fault (MemoryError,
-    OverflowError, ...) exit 1 with one.
+    problems (InputError, and OSError from reading input files) exit 2
+    with a machine-readable error object; internal invariant violations
+    and any other fault (a plain ValueError, MemoryError, OverflowError,
+    ...) exit 1 with one.
     """
     t0 = time.perf_counter()
     try:
         result, inputs, table_text = build()
-    except (InputError, ValueError, OSError) as err:
+    except (InputError, OSError) as err:
         return _fail(ctx, name, "input", str(err), 2)
     except RuntimeError as err:
         return _fail(ctx, name, "internal", str(err), 1)
@@ -204,13 +205,17 @@ def lie_polarize(ctx, algebra, covector, subspace):
 
     def build():
         L = LieAlgebra.load(algebra)
-        F = Covector.from_json(json.loads(covector))
-        p = ComplexSubspace.from_json(json.loads(subspace), L.dim)
+        try:
+            covector_json, subspace_json = json.loads(covector), json.loads(subspace)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"--covector and --subspace must be JSON: {exc}") from None
+        F = Covector.from_json(covector_json)
+        p = ComplexSubspace.from_json(subspace_json, L.dim)
         report = check_polarization(L, F, p)
         inputs = {
             "algebra": L.to_json(),
-            "covector": json.loads(covector),
-            "subspace": json.loads(subspace),
+            "covector": covector_json,
+            "subspace": subspace_json,
         }
         return report.to_json(), inputs, None
 

@@ -13,10 +13,19 @@ as the homology of Connes' complex
     C^lambda_n = C_n(A) / (1 - lambda),   differential b,
 
 whose cells are the rotation classes of words that are not killed (a class
-is killed when a rotation returns its word with sign -1).  The report
-lists the top even/odd homology dimensions and whether they agree with the
-pair two degrees down, which is the computable surrogate for the
-stabilization of the periodic theory.
+is killed when a rotation returns its word with sign -1).  Only the
+weight-0 block of C^lambda is reduced.  When the unit is a sum of basis
+elements e_i (coefficient 1 each) that are orthogonal idempotents and every
+basis element lies in exactly one Peirce space e_i A e_j, that element has
+weight eps_i - eps_j and a word the sum over its letters.  b and lambda
+preserve weight, the inner derivation ad(sum t_i e_i) acts on weight w by
+<t, w>, and inner derivations act by zero on HC (Loday, Cyclic Homology,
+section 4.1), so HC lies in weight 0 and the block gives all of it.  Any
+other algebra gets the trivial grading, in which every word has weight 0.
+Weight-0 classes are enumerated directly by a necklace search pruned on
+the remaining weight.  The report lists the top even/odd homology
+dimensions and whether they agree with the pair two degrees down, which is
+the computable surrogate for the stabilization of the periodic theory.
 
 Ranks are computed exactly by a streaming sparse column reduction over the
 integers: b is linear in the structure constants, so it runs on one
@@ -693,45 +702,106 @@ def _flat(word, dim: int) -> int:
     return r
 
 
-def _cells(dim: int, n: int):
-    """(least rotation, period) of each cell of C^lambda_n, in word order.
+def _peirce_grading(A: FinAlgebra) -> tuple:
+    """Peirce indices (i, j) of each basis element x, with x in e_i A e_j.
+
+    The grading applies when the unit is a sum of basis elements
+    e_0..e_{k-1} (numbered in basis order) with coefficient 1 each that are
+    orthogonal idempotents, and each basis element x has exactly one
+    nonzero product e_i x and exactly one nonzero x e_j; by the unit law
+    those products are x.  Every other algebra gets the trivial grading,
+    (0, 0) on every basis element.
+    """
+    trivial = ((0, 0),) * A.dim
+    # the basis elements in the support of the unit; once they are
+    # orthogonal idempotents, e = e 1 forces each coefficient to be 1
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    for e in idem:
+        for f in idem:
+            if A.basis_product(e, f) != (((e, _ONE),) if e == f else ()):
+                return trivial
+    grading = []
+    for x in range(A.dim):
+        left = [i for i, e in enumerate(idem) if A.basis_product(e, x)]
+        right = [j for j, e in enumerate(idem) if A.basis_product(x, e)]
+        if len(left) != 1 or len(right) != 1:
+            return trivial
+        grading.append((left[0], right[0]))
+    return tuple(grading)
+
+
+def _letter_weights(A: FinAlgebra, length: int) -> tuple:
+    """The weight eps_i - eps_j of each letter, as one integer.
+
+    A sum of at most `length` letter weights has coordinates in
+    [-length, length], so it is determined by its value in the balanced
+    base 2 * length + 1; a word of at most `length` letters has weight 0
+    exactly when its letter weights sum to 0.
+    """
+    base = 2 * length + 1
+    return tuple(base**i - base**j for i, j in _peirce_grading(A))
+
+
+def _necklaces(weights: tuple, length: int):
+    """(least rotation, period) of each weight-0 rotation class, in word order.
+
+    Words have `length` letters; letter a has weight ``weights[a]``.  The
+    FKM algorithm (Fredricksen-Kessler-Maiorana) extends a prenecklace of
+    period p by its letter p places back, keeping the period, or by a
+    larger letter, which makes the whole prefix the period; a prenecklace
+    whose period divides the length is the least rotation of its class.
+    A prefix is pruned when no word of the remaining length has the
+    opposite weight, so only words of weight 0 are visited.
+    """
+    dim = len(weights)
+    letters = set(weights)
+    # reach[r] holds the weights of the words of r letters
+    reach = [{0}]
+    for _ in range(length - 1):
+        reach.append({s + w for s in reach[-1] for w in letters})
+    word = [0] * (length + 1)  # word[0] stands before the first letter
+
+    def extend(t: int, p: int, total: int):
+        if t > length:
+            if length % p == 0:
+                yield tuple(word[1:]), p
+            return
+        need = reach[length - t]
+        back = word[t - p]
+        for a in range(back, dim):
+            s = total + weights[a]
+            if -s in need:
+                word[t] = a
+                yield from extend(t + 1, p if a == back else t, s)
+
+    return extend(1, 1, 0)
+
+
+def _cells(weights: tuple, n: int):
+    """The least rotation of each weight-0 cell of C^lambda_n, in word order.
 
     C^lambda_n = C_n/(1 - lambda) identifies a word with its rotation
     (last letter to the front) times (-1)^n, so a class whose period p has
     n * p odd equals its own negative and is killed; the other classes are
-    the cells.  Least rotations come from the FKM algorithm
-    (Fredricksen-Kessler-Maiorana): after incrementing position i and
-    repeating the prefix, the word is a necklace of period i + 1 when that
-    divides the length.
+    the cells.
     """
-    length = n + 1
-    a = [0] * length
-    p = 1
-    while True:
-        if length % p == 0 and (n * p) % 2 == 0:
-            yield tuple(a), p
-        i = length - 1
-        while i >= 0 and a[i] == dim - 1:
-            i -= 1
-        if i < 0:
-            return
-        a[i] += 1
-        for j in range(i + 1, length):
-            a[j] = a[j - i - 1]
-        p = i + 1
+    return (rep for rep, p in _necklaces(weights, n + 1) if (n * p) % 2 == 0)
 
 
-def _classes(dim: int, n: int) -> list:
-    """(row, negate) of every word of C_n by flat index, None when killed.
+def _classes(weights: tuple, n: int) -> dict:
+    """Map each weight-0 word of C_n to (row, negate), or None when killed.
 
     The word rotated k times from its least rotation is (-1)^(nk) times
-    that cell in C^lambda_n; the row is the flat index of the cell.
+    that cell in C^lambda_n; the row is the flat index of the cell.  b
+    preserves weight, so these are the only words that columns of b on
+    weight-0 cells meet.
     """
-    table = [None] * dim ** (n + 1)
-    for rep, p in _cells(dim, n):
+    dim = len(weights)
+    table = {}
+    for rep, p in _necklaces(weights, n + 1):
         row, word = _flat(rep, dim), rep
         for k in range(p):
-            table[_flat(word, dim)] = (row, (n * k) % 2 == 1)
+            table[word] = None if (n * p) % 2 else (row, (n * k) % 2 == 1)
             word = (word[n],) + word[:n]
     return table
 
@@ -739,7 +809,7 @@ def _classes(dim: int, n: int) -> list:
 def _columns(A: FinAlgebra, n: int, word, classes) -> list:
     """Integer columns of L * b on `word`, from C_n to C^lambda_{n-1}.
 
-    ``classes`` is `_classes(A.dim, n - 1)`.  A real algebra gives one
+    ``classes`` is `_classes` at level n - 1.  A real algebra gives one
     column; a Gaussian one gives the two real columns of the realification
     (the images of the word and of i times it), with imaginary parts in
     rows shifted by dim^n.
@@ -750,7 +820,7 @@ def _columns(A: FinAlgebra, n: int, word, classes) -> list:
             continue
         col = {}
         for w, v in _op_terms(pairs, 1, "b", word):
-            cell = classes[_flat(w, A.dim)]
+            cell = classes[w]
             if cell is not None:
                 r, negate = cell
                 col[r] = col.get(r, 0) + (-v if negate else v)
@@ -799,11 +869,11 @@ def _reduce_column(col: dict, pivots: dict) -> None:
         col = new
 
 
-def _boundary_rank(A: FinAlgebra, n: int, classes) -> tuple:
-    """Rank of b: C^lambda_n -> C^lambda_{n-1} and the cell count of C^lambda_n."""
+def _boundary_rank(A: FinAlgebra, n: int, weights: tuple, classes) -> tuple:
+    """Rank of b: C^lambda_n -> C^lambda_{n-1} on weight 0, and its cell count."""
     pivots = {}
     cells = 0
-    for word, _ in _cells(A.dim, n):
+    for word in _cells(weights, n):
         cells += 1
         for col in _columns(A, n, word, classes):
             if col:
@@ -818,16 +888,23 @@ def _boundary_rank(A: FinAlgebra, n: int, classes) -> tuple:
 
 _SQUARE_CHECK_LIMIT = 50000
 
-# Degree T of the chain complex has dim^(T+1) words, and `_classes` holds
-# one entry per word; past this many, hp_homology is an input error.
+# Degree T of the chain complex has dim^(T+1) words; past this many,
+# hp_homology is an input error.
 MAX_CHAIN_WORDS = 2**24
 
+# A one-dimensional algebra has one word per degree, so the word bound
+# never fires; its columns have n terms of n letters, and the work grows
+# like T^3.  From dim 2 on, MAX_CHAIN_WORDS binds first (at T = 24).
+MAX_TRUNCATION = 64
 
-def _square_check(A: FinAlgebra, n: int, cells: int, classes_prev, classes_prev2) -> str:
+
+def _square_check(
+    A: FinAlgebra, n: int, weights: tuple, cells: int, classes_prev, classes_prev2
+) -> str:
     """Verify b o b = 0 from C^lambda_n to C^lambda_{n-2}; returns the mode.
 
-    The check runs on every cell when C^lambda_n has at most
-    `_SQUARE_CHECK_LIMIT` of them and on 64 random words otherwise.
+    The check runs on every weight-0 cell when C^lambda_n has at most
+    `_SQUARE_CHECK_LIMIT` of them and on 64 random ones otherwise.
     """
     shift = A.dim**n
 
@@ -840,30 +917,35 @@ def _square_check(A: FinAlgebra, n: int, cells: int, classes_prev, classes_prev2
         if any(acc.values()):
             raise RuntimeError(f"b o b is nonzero at level {n} on word {word}")
 
-    if cells <= _SQUARE_CHECK_LIMIT:
-        for word, _ in _cells(A.dim, n):
+    sampled = cells > _SQUARE_CHECK_LIMIT
+    picks = (
+        set(random.Random(2026 * n + A.dim).sample(range(cells), 64))
+        if sampled
+        else range(cells)
+    )
+    for k, word in enumerate(_cells(weights, n)):
+        if k in picks:
             check(word)
-        return "full"
-    rng = random.Random(2026 * n + A.dim)
-    for _ in range(64):
-        check(tuple(rng.randrange(A.dim) for _ in range(n + 1)))
-    return "sampled"
+    return "sampled" if sampled else "full"
 
 
 @lru_cache(maxsize=32)
 def _rank_table(A: FinAlgebra, truncation: int):
-    """Ranks of b, cell counts and the square-check mode of C^lambda up to T."""
-    # every letter is a cell of C^lambda_0, and b vanishes on it
-    ranks, cells, modes = [0], [A.dim], []
-    classes = [_classes(A.dim, 0)]
+    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T."""
+    weights = _letter_weights(A, truncation + 1)
+    # every weight-0 letter is a cell of C^lambda_0, and b vanishes on it
+    ranks, cells, modes = [0], [weights.count(0)], []
+    classes = [_classes(weights, 0)]
     for n in range(1, truncation + 1):
-        rank, count = _boundary_rank(A, n, classes[n - 1])
+        rank, count = _boundary_rank(A, n, weights, classes[n - 1])
         ranks.append(rank)
         cells.append(count)
         if n >= 2:
-            modes.append(_square_check(A, n, count, classes[n - 1], classes[n - 2]))
+            modes.append(
+                _square_check(A, n, weights, count, classes[n - 1], classes[n - 2])
+            )
         if n < truncation:
-            classes.append(_classes(A.dim, n))
+            classes.append(_classes(weights, n))
     mode = "full" if all(m == "full" for m in modes) else "sampled"
     return tuple(ranks), tuple(cells), mode
 
@@ -896,14 +978,23 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     """Cyclic homology HC_0..HC_{T-1} of A, with T = `truncation`.
 
     HC_n is the homology of Connes' complex C^lambda (Loday, Cyclic
-    Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  The
-    report's (hp0, hp1) are the homology dimensions in the top even and odd
-    degrees below T; `stabilized` records whether they agree with the pair
-    two degrees down, which is the same comparison as rerunning at T - 2.
-    `boundary_check` says whether b o b = 0 was verified on every cell of
-    each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells, on
-    sampled words.  More than `MAX_CHAIN_WORDS` words in degree T is an
-    InputError.
+    Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  Only
+    the weight-0 block of C^lambda is reduced.  When the unit is a sum of
+    basis elements with coefficient 1 that are orthogonal idempotents e_i,
+    and every basis element lies in exactly one Peirce space e_i A e_j, a
+    word's weight is the sum of eps_i - eps_j over its letters; b and lambda
+    preserve it, so C^lambda splits into weight blocks.  On the weight-w
+    block the inner derivation ad(sum t_i e_i) acts by <t, w>, and inner
+    derivations act by zero on HC (Loday, Cyclic Homology, section 4.1), so HC
+    lies in weight 0.  Every other algebra gets the trivial grading, in
+    which every word has weight 0.  The report's (hp0, hp1) are the
+    homology dimensions in the top even and odd degrees below T;
+    `stabilized` records whether they agree with the pair two degrees
+    down, which is the same comparison as rerunning at T - 2.
+    `boundary_check` says whether b o b = 0 was verified on every weight-0
+    cell of each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` such
+    cells, on 64 sampled ones.  More than `MAX_CHAIN_WORDS` words in degree
+    T, or T above `MAX_TRUNCATION`, is an InputError.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
@@ -914,6 +1005,8 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
             f"more than {MAX_CHAIN_WORDS} chain words: dim^(truncation + 1) "
             f"with dim {A.dim} and truncation {truncation}"
         )
+    if truncation > MAX_TRUNCATION:
+        raise InputError(f"truncation {truncation} is above {MAX_TRUNCATION}")
     ranks, cells, mode = _rank_table(A, truncation)
     hc = []
     for m in range(truncation):
@@ -1041,7 +1134,9 @@ def parse_norm_pattern(text: str) -> NormSequence:
                 fact += sign
             elif token == "floor-half-fact":
                 half += sign
-            elif token.isdigit():
+            elif token.isdecimal():
+                if sign < 0 and int(token) == 0:
+                    raise InputError("zero factor in the denominator")
                 scale = scale * Fraction(int(token)) ** sign
             elif _GEOM_TOKEN.match(token):
                 k = int(_GEOM_TOKEN.match(token).group(1))

@@ -51,7 +51,10 @@ def rational_from_str(s: str) -> Fraction:
     >>> rational_from_str("-2")
     Fraction(-2, 1)
     """
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 @dataclass(frozen=True)

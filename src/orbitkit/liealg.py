@@ -210,7 +210,10 @@ class Covector:
     def from_json(obj) -> "Covector":
         if not isinstance(obj, (list, tuple)):
             raise InputError("covector must be a list of rationals")
-        return Covector(tuple(rational_from_str(str(v)) for v in obj))
+        try:
+            return Covector(tuple(rational_from_str(str(v)) for v in obj))
+        except ValueError as exc:
+            raise InputError(f"bad covector entry: {exc}") from None
 
     def to_json(self) -> list:
         return [rational_to_str(v) for v in self.coords]
@@ -251,9 +254,12 @@ class ComplexSubspace:
             raise InputError("subspace must provide a list of vectors")
         out = []
         for v in vecs:
-            if len(v) != dim_ambient:
+            if not isinstance(v, list) or len(v) != dim_ambient:
                 raise InputError("subspace vector has wrong length")
-            out.append(tuple(GaussRational.from_json(x) for x in v))
+            try:
+                out.append(tuple(GaussRational.from_json(x) for x in v))
+            except ValueError as exc:
+                raise InputError(f"bad subspace entry: {exc}") from None
         return ComplexSubspace(dim_ambient, tuple(out))
 
     def dim(self) -> int:

@@ -556,7 +556,10 @@ def _tokenize(text: str):
         if not m or m.end() == pos:
             raise InputError(f"cannot parse {text!r} at position {pos}")
         if m.group("num"):
-            out.append(("num", Fraction(m.group("num"))))
+            try:
+                out.append(("num", Fraction(m.group("num"))))
+            except ZeroDivisionError:
+                raise InputError(f"zero denominator in {m.group('num')!r}") from None
         elif m.group("name"):
             out.append(("name", m.group("name")))
         else:

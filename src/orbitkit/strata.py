@@ -138,6 +138,8 @@ def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
         raise InputError("sampler needs at least one sample")
     if config.samples > MAX_SAMPLES:
         raise InputError(f"more than {MAX_SAMPLES} samples")
+    if config.coordinate_range < 0:
+        raise InputError("coordinate range must be nonnegative")
     certified: dict = {}
     by_rank: dict = {}
     for F in sample_covectors(L, config):

@@ -120,6 +120,9 @@ SL2 = str(FIXTURES / "sl2.json")
 SIZE_GUARDED = [
     (("orbitkit.cyclic._classes",),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "m2.json"), "--truncation", "40"]),
+    # dim 1: one word per degree, stopped by the truncation bound
+    (("orbitkit.cyclic._necklaces", "orbitkit.cyclic._classes"),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "100000"]),
     (("orbitkit.strata.SamplerConfig.draw",),
      ["lie", "strata", "--algebra", SL2, "--samples", "100000000"]),
     (("numpy.arange", "numpy.zeros"),
@@ -167,6 +170,39 @@ def test_input_errors_exit_two_with_error_object():
         assert payload["error"]["kind"] == "input"
 
 
+HEIS = str(FIXTURES / "heisenberg.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["lie", "polarize", "--algebra", HEIS, "--covector", "[0, 0", "--subspace", "[]"],
+            id="polarize-json",
+        ),
+        pytest.param(
+            ["lie", "polarize", "--algebra", HEIS, "--covector", '[0, 0, "1/0"]',
+             "--subspace", "[]"],
+            id="polarize-zero-denominator",
+        ),
+        pytest.param(
+            ["lie", "polarize", "--algebra", HEIS, "--covector", "[0, 0, 1]", "--subspace", "[1]"],
+            id="polarize-vector",
+        ),
+        pytest.param(["lie", "strata", "--algebra", HEIS, "--range", "-1"], id="strata-range"),
+        pytest.param(["affine", "verify", "--l", "nan", "--h", "0.25"], id="affine-nan"),
+        pytest.param(["cyclic", "entire", "--pattern", "1/0"], id="entire-zero"),
+        # superscript two passes str.isdigit but not int()
+        pytest.param(["cyclic", "entire", "--pattern", "\u00b2"], id="entire-superscript"),
+        pytest.param(["quantize", "verify", "--alpha", "1/0*dq1"], id="quantize-zero"),
+    ],
+)
+def test_malformed_inputs_are_input_errors(argv):
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["error"]["kind"] == "input"
+
+
 @pytest.mark.parametrize(
     "module, attribute, fault, argv",
     [
@@ -174,6 +210,9 @@ def test_input_errors_exit_two_with_error_object():
          ["qgroup", "verify", "--q", "0.5", "--truncation", "8"]),
         ("affine", "worst_residuals", OverflowError,
          ["affine", "verify", "--l", "12000", "--h", "4000"]),
+        # a plain ValueError is an internal fault, like exactnum's "shape mismatch"
+        ("exactnum", "ExactMatrix._echelon", ValueError,
+         ["chern", "matrix", "--family", "SU", "--rank", "3"]),
     ],
 )
 def test_unexpected_faults_exit_one_with_error_object(monkeypatch, module, attribute, fault, argv):

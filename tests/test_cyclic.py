@@ -11,6 +11,7 @@ import pytest
 import orbitkit.cyclic as cyclic_module
 from orbitkit.cyclic import (
     MAX_CHAIN_WORDS,
+    MAX_TRUNCATION,
     Chain,
     FinAlgebra,
     NormSequence,
@@ -473,6 +474,117 @@ def test_dense_quotient_complex_agrees_with_sparse_reduction():
 
 
 # ---------------------------------------------------------------------------
+# the full complex: Connes' complex reduced on every cell, with no weights
+
+
+def _full_connes_hc(A, truncation):
+    """HC from the ranks of b on every cell of C^lambda, with no weight grading.
+
+    Classes come from the rotations of every word, not from the library's
+    necklace search; the columns of b and their reduction are the library's.
+    """
+    tables, cells = [], []
+    for n in range(truncation + 1):
+        table, reps = {}, []
+        for word in itertools.product(range(A.dim), repeat=n + 1):
+            # word = lambda^k(rep): rep is word rotated k letters to the left
+            rots = [word[k:] + word[:k] for k in range(n + 1)]
+            rep = min(rots)
+            if n * ((n + 1) // rots.count(rep)) % 2:
+                table[word] = None
+                continue
+            row = sum(a * A.dim**e for e, a in enumerate(reversed(rep)))
+            table[word] = (row, n * rots.index(rep) % 2 == 1)
+            if word == rep:
+                reps.append(word)
+        tables.append(table)
+        cells.append(reps)
+    ranks = [0]
+    for n in range(1, truncation + 1):
+        pivots = {}
+        for word in cells[n]:
+            for col in cyclic_module._columns(A, n, word, tables[n - 1]):
+                if col:
+                    cyclic_module._reduce_column(col, pivots)
+        ranks.append(len(pivots) // (1 if A._int_table[1] is None else 2))
+    return tuple(len(cells[m]) - ranks[m] - ranks[m + 1] for m in range(truncation))
+
+
+@pytest.mark.parametrize(
+    "name, truncation",
+    [
+        ("M2", 6),
+        ("M3", 4),
+        ("M4", 3),
+        ("M2(dual)", 4),
+        ("M2(C^2)", 4),
+        ("M2(u^2=i)", 3),
+        ("C^3", 6),
+    ],
+)
+def test_weight_zero_block_agrees_with_the_full_complex(name, truncation):
+    # HC_m does not depend on the truncation, so T covers every T' <= T
+    A = {
+        "M2": lambda: matrix_algebra(2),
+        "M3": lambda: matrix_algebra(3),
+        "M4": lambda: matrix_algebra(4),
+        "M2(dual)": lambda: matrix_amplification(dual_numbers(), 2),
+        "M2(C^2)": lambda: matrix_amplification(gauss_field_power(2), 2),
+        "M2(u^2=i)": lambda: matrix_amplification(_u_squared_i(), 2),
+        "C^3": lambda: gauss_field_power(3),
+    }[name]()
+    assert len(set(cyclic_module._peirce_grading(A))) > 1
+    assert hp_homology(A, truncation).hc == _full_connes_hc(A, truncation)
+
+
+def _skew_m2():
+    """M2 in the basis e11, e12 + e21, e21, e22, from 2x2 matrices."""
+    mats = [((1, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))]
+
+    def coords(m):
+        (a, b), (c, d) = m
+        return tuple(GaussRational.from_rational(Fraction(v)) for v in (a, b, c - b, d))
+
+    def mul(x, y):
+        return tuple(
+            tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+
+    return FinAlgebra(
+        4,
+        tuple(tuple(coords(mul(x, y)) for y in mats) for x in mats),
+        coords(((1, 0), (0, 1))),
+        tuple(coords(tuple(zip(*x))) for x in mats),
+        ("e11", "e12+e21", "e21", "e22"),
+    )
+
+
+def test_peirce_grading_of_idempotent_bases():
+    grading = cyclic_module._peirce_grading
+    assert grading(matrix_algebra(2)) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert grading(gauss_field_power(3)) == ((0, 0), (1, 1), (2, 2))
+    # the amplified side of a Morita check: e_ij * a lies in e_ii A e_jj
+    assert grading(matrix_amplification(dual_numbers(), 2)) == (
+        (0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 0), (1, 1), (1, 1)
+    )
+
+
+@pytest.mark.parametrize("name", ["dual", "pauli", "skew", "half_unit"])
+def test_algebras_without_a_peirce_basis_get_the_trivial_grading(name):
+    A = {
+        "dual": dual_numbers,
+        "pauli": _pauli_m2,
+        # e12 + e21 lies in two Peirce spaces
+        "skew": _skew_m2,
+        # f = e11 / 2: the unit is 2 f + e22
+        "half_unit": lambda: _rescaled(matrix_algebra(2), ["1/2", 1, 1, 1]),
+    }[name]()
+    assert set(cyclic_module._peirce_grading(A)) == {(0, 0)}
+    assert hp_homology(A, 4).hc == _full_connes_hc(A, 4)
+
+
+# ---------------------------------------------------------------------------
 # homology tables
 
 
@@ -556,14 +668,34 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
         raise AssertionError("word table built before the size guard fired")
 
     monkeypatch.setattr(cyclic_module, "_classes", forbidden)
+    monkeypatch.setattr(cyclic_module, "_necklaces", forbidden)
     for A, truncation in ((matrix_algebra(2), 40), (matrix_algebra(4), 6)):
         with pytest.raises(InputError, match=f"more than {MAX_CHAIN_WORDS} chain words"):
             hp_homology(A, truncation)
+    # one word per degree never meets the word bound; the truncation bound
+    # stops a dim-1 algebra instead
+    with pytest.raises(InputError, match=f"above {MAX_TRUNCATION}"):
+        hp_homology(gauss_field(), MAX_TRUNCATION + 1)
     # degree 5 of M4 holds 16^6 = MAX_CHAIN_WORDS words, which is admitted
     monkeypatch.setattr(
         cyclic_module, "_rank_table", lambda A, T: ((0,) * (T + 1), (0,) * (T + 1), "full")
     )
     assert hp_homology(matrix_algebra(4), 5).hc == (0,) * 5
+    assert hp_homology(gauss_field(), MAX_TRUNCATION).hc == (0,) * MAX_TRUNCATION
+
+
+def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
+    # M3 has 162 and 933 weight-0 cells in degrees 3 and 4, so both are
+    # sampled; the class tables hold weight-0 words only, so a drawn word
+    # outside weight 0 would fail its lookups
+    monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", 100)
+    cyclic_module._rank_table.cache_clear()
+    try:
+        report = hp_homology(matrix_algebra(3), 4)
+    finally:
+        cyclic_module._rank_table.cache_clear()
+    assert report.boundary_check == "sampled"
+    assert report.hc == (1, 0, 1, 0)
 
 
 def test_tensor_square_of_dual_numbers_is_not_stabilized_at_four():

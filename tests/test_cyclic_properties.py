@@ -1,4 +1,5 @@
-"""Property tests of the sparse chain operators (optional: needs hypothesis)."""
+"""Property tests of the sparse chain operators and of the weight grading
+(optional: needs hypothesis)."""
 
 import itertools
 
@@ -7,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+import orbitkit.cyclic as cyclic_module  # noqa: E402
 from orbitkit.cyclic import (  # noqa: E402
     Chain,
     FinAlgebra,
@@ -14,6 +16,7 @@ from orbitkit.cyclic import (  # noqa: E402
     chain_pairing,
     dual_numbers,
     gauss_field,
+    hp_homology,
     matrix_algebra,
 )
 from orbitkit.exactnum import GaussRational  # noqa: E402
@@ -98,3 +101,36 @@ def test_dense_view_matches_word_map(x):
             flat = flat * dim + a
         assert x.coefficient(word) == coords[flat]
     assert all(not v.is_zero() for v in x.terms.values())
+
+
+def _permuted(A, perm):
+    """A in the basis order e'_k = e_{perm[k]}."""
+    d = range(A.dim)
+    return FinAlgebra(
+        A.dim,
+        tuple(
+            tuple(tuple(A.mult[perm[a]][perm[b]][perm[c]] for c in d) for b in d)
+            for a in d
+        ),
+        tuple(A.unit[perm[a]] for a in d),
+        tuple(tuple(A.star[perm[a]][perm[c]] for c in d) for a in d),
+        tuple(A.basis[perm[a]] for a in d),
+    )
+
+
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda m: st.tuples(st.just(m), st.permutations(range(m * m)))
+    )
+)
+def test_permuted_matrix_units_keep_the_grading_and_hc(case):
+    m, perm = case
+    A = _permuted(matrix_algebra(m), perm)
+    # the idempotents e_ii, numbered in the permuted basis order
+    idem = [A.basis[a] for a, v in enumerate(A.unit) if not v.is_zero()]
+    for label, (i, j) in zip(A.basis, cyclic_module._peirce_grading(A)):
+        # label is e<row><col>; it lies in e_row,row A e_col,col
+        assert (idem[i], idem[j]) == (f"e{label[1]}{label[1]}", f"e{label[2]}{label[2]}")
+    truncation = 5 if m == 2 else 4
+    assert hp_homology(A, truncation).hc == hp_homology(matrix_algebra(m), truncation).hc
