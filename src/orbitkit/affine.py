@@ -253,8 +253,10 @@ def worst_residuals(grid: LogGrid, trials: int, seed: int) -> dict:
     of S_{g1}, and one random character U_lambda^eps on the pair.  A grid
     whose edge coordinate e^L overflows extended precision, a dilation
     outside the double range, and a non-finite residual (overflowing
-    phases) are input errors.
+    phases) are input errors, as is a trial count below 1.
     """
+    if trials < 1:
+        raise InputError("trials must be at least 1")
     with np.errstate(over="ignore"):
         if not np.isfinite(np.exp(np.longdouble(grid.L))):
             raise InputError(f"non-finite grid: e^L overflows extended precision at L = {grid.L}")

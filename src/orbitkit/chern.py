@@ -24,10 +24,20 @@ from .exactnum import ExactMatrix
 from .liealg import InputError
 
 FAMILIES = ("SU", "SO_odd")
+# chern_matrix's largest rank, checked before any entry is computed
+MAX_RANK = 64
+# phi's largest result, bounded before summing: 14,000 bits stay within
+# the 4300 decimal digits Python renders by default
+MAX_PHI_BITS = 14_000
 
 
 def phi(n: int, k: int, q: int) -> int:
     """Alternating binomial sum over i = 1..k of (-1)^(i-1) C(n, k-i) i^(q-1).
+
+    C(n, k-i) vanishes for k - i > n, so only i >= k - n is summed.  Each
+    term is at most max_j C(n, j) <= min(2^n, n^j) times k^(q-1); when the
+    terms' count times that bound exceeds MAX_PHI_BITS bits, the input is
+    rejected before any term is computed.
 
     >>> phi(2, 1, 2)
     1
@@ -40,8 +50,17 @@ def phi(n: int, k: int, q: int) -> int:
     """
     if n < 0 or k < 1 or q < 1:
         raise InputError("phi needs n >= 0, k >= 1, q >= 1")
+    low = max(1, k - n)
+    j = min(k - low, n // 2)  # C(n, j) is the largest binomial summed
+    bits = (
+        (k - low + 1).bit_length()
+        + min(n, j * n.bit_length())
+        + (q - 1) * k.bit_length()
+    )
+    if bits > MAX_PHI_BITS:
+        raise InputError(f"phi may have at most {MAX_PHI_BITS} bits")
     total = 0
-    for i in range(1, k + 1):
+    for i in range(low, k + 1):
         term = math.comb(n, k - i) * i ** (q - 1)
         total += -term if (i - 1) % 2 else term
     return total
@@ -50,6 +69,8 @@ def phi(n: int, k: int, q: int) -> int:
 def _check_family(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise InputError(f"unsupported family {family!r}; choose from {FAMILIES}")
+    if rank > MAX_RANK:
+        raise InputError(f"rank may be at most {MAX_RANK}")
     if family == "SU":
         if rank < 2:
             raise InputError("SU needs rank m >= 2")

@@ -391,11 +391,10 @@ def qgroup_reps(ctx, family, rank, t_samples):
         from . import qgroup as _qgroup
 
         catalog = _qgroup.rep_catalog(family, rank, t_samples)
-        order = len(_qgroup.weyl_group(family, rank))
         result = {
             "family": family,
             "rank": rank,
-            "order": order,
+            "order": len(catalog) // t_samples,
             "t_samples": t_samples,
             "catalog": [d.to_json() for d in catalog],
         }

@@ -449,8 +449,10 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
     is sampled on random rational elements, strict positivity is the exact
     nondegeneracy of the Gram matrix G[a][b] = tau(e_a* e_b), and
     ad-invariance tau(xy) = tau(yx) is checked on all basis pairs, which
-    decides it by bilinearity.
+    decides it by bilinearity.  A sample count below 1 is an InputError.
     """
+    if samples < 1:
+        raise InputError("samples must be at least 1")
     if len(tau.coords) != A.dim:
         raise InputError("trace coordinate count does not match the algebra")
     ident = _unit_vectors(A.dim)

@@ -1,14 +1,12 @@
 """Exact scalar types and dense exact linear algebra.
 
 Scalars are built on :class:`fractions.Fraction`: Gaussian rationals
-(``a + b*i`` with rational ``a``, ``b``) and polynomials in a formal
-scale parameter ``hbar`` with Gaussian-rational coefficients.  Matrices
-are over Q: :class:`ExactMatrix` gets rank, pivot columns, determinant
-and kernel from one exact Gauss-Jordan elimination,
-:meth:`ExactMatrix._echelon`, the package's only dense elimination.  The
-rank of a Gaussian-rational matrix over Q(i) is :func:`gauss_rank`, the
-halved rank of its realification.  No floating point is involved
-anywhere in this module.
+``a + b*i`` with rational ``a``, ``b``.  Matrices are over Q:
+:class:`ExactMatrix` gets rank, pivot columns, determinant and kernel
+from one exact Gauss-Jordan elimination, :meth:`ExactMatrix._echelon`,
+the package's only dense elimination.  The rank of a Gaussian-rational
+matrix over Q(i) is :func:`gauss_rank`, the halved rank of its
+realification.  No floating point is involved anywhere in this module.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "GaussRational",
-    "HbarPoly",
     "ExactMatrix",
     "gauss_rank",
     "rational_to_str",
@@ -177,126 +174,6 @@ def _coerce(x) -> GaussRational:
     if isinstance(x, (int, Fraction)):
         return GaussRational.from_rational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRational")
-
-
-@dataclass(frozen=True)
-class HbarPoly:
-    """Polynomial in a formal parameter ``hbar`` over the Gaussian rationals.
-
-    Stored as a sorted tuple of ``(exponent, coefficient)`` pairs with all
-    zero coefficients dropped, so equality is structural.
-
-    >>> h = HbarPoly.hbar()
-    >>> (h * h + h).degree()
-    2
-    >>> (h * HbarPoly.constant(GaussRational.i())).divide_by_hbar()
-    HbarPoly.from_dict({0: 'i'})
-    """
-
-    coeffs: tuple  # tuple[tuple[int, GaussRational], ...], sorted by exponent
-
-    @staticmethod
-    def from_dict(d: dict) -> "HbarPoly":
-        items = []
-        for k in sorted(d):
-            c = d[k]
-            if not isinstance(c, GaussRational):
-                c = _coerce(c)
-            if not c.is_zero():
-                if k < 0:
-                    raise ValueError("negative hbar exponent")
-                items.append((int(k), c))
-        return HbarPoly(tuple(items))
-
-    @staticmethod
-    def zero() -> "HbarPoly":
-        return HbarPoly(())
-
-    @staticmethod
-    def constant(c) -> "HbarPoly":
-        return HbarPoly.from_dict({0: _coerce(c)})
-
-    @staticmethod
-    def hbar(power: int = 1) -> "HbarPoly":
-        return HbarPoly.from_dict({power: GaussRational.one()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree in hbar; -1 for the zero polynomial."""
-        return self.coeffs[-1][0] if self.coeffs else -1
-
-    def coefficient(self, power: int) -> GaussRational:
-        for k, c in self.coeffs:
-            if k == power:
-                return c
-        return GaussRational.zero()
-
-    def constant_part(self) -> GaussRational:
-        return self.coefficient(0)
-
-    def is_constant(self) -> bool:
-        return self.degree() <= 0
-
-    def __add__(self, other: "HbarPoly") -> "HbarPoly":
-        d = dict(self.coeffs)
-        for k, c in other.coeffs:
-            s = d.get(k, GaussRational.zero()) + c
-            if s.is_zero():
-                d.pop(k, None)
-            else:
-                d[k] = s
-        return HbarPoly(tuple(sorted(d.items())))
-
-    def __neg__(self) -> "HbarPoly":
-        return HbarPoly(tuple((k, -c) for k, c in self.coeffs))
-
-    def __sub__(self, other: "HbarPoly") -> "HbarPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "HbarPoly":
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = HbarPoly.constant(_coerce(other))
-        d: dict = {}
-        for k1, c1 in self.coeffs:
-            for k2, c2 in other.coeffs:
-                k = k1 + k2
-                s = d.get(k, GaussRational.zero()) + c1 * c2
-                if s.is_zero():
-                    d.pop(k, None)
-                else:
-                    d[k] = s
-        return HbarPoly(tuple(sorted(d.items())))
-
-    __rmul__ = __mul__
-
-    def divide_by_hbar(self) -> "HbarPoly":
-        """Exact division by hbar; raises if the constant term is nonzero."""
-        if not self.coefficient(0).is_zero():
-            raise ValueError("not divisible by hbar: nonzero constant term")
-        return HbarPoly(tuple((k - 1, c) for k, c in self.coeffs))
-
-    def to_json(self) -> dict:
-        return {str(k): c.to_json() for k, c in self.coeffs}
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in self.coeffs:
-            if k == 0:
-                parts.append(f"({c})")
-            elif k == 1:
-                parts.append(f"({c})*hbar")
-            else:
-                parts.append(f"({c})*hbar^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:  # keep doctest output compact
-        return "HbarPoly.from_dict({%s})" % ", ".join(
-            f"{k}: '{c}'" for k, c in self.coeffs
-        )
 
 
 def _rational(x) -> Fraction:

@@ -376,37 +376,18 @@ class PolarizationReport:
         }
 
 
-def _real_points_dimension(L: LieAlgebra, space: ComplexSubspace):
-    """Real dimension and a rational basis of ``space`` intersected with g.
+def _real_points_dimension(space: ComplexSubspace) -> int:
+    """Real dimension of ``space`` intersected with g.
 
-    A vector sum t_a w_a with complex t_a is real when its imaginary
-    part vanishes; solving that rational linear system and projecting
-    the solutions to their real parts gives the intersection.
+    p cap conj(p) is the complexification of p cap g, and p + conj(p) is
+    spanned by the real and imaginary parts of p's vectors, so
+    dim(p cap g) = 2 dim_C p - rank_Q [Re w; Im w].
     """
     if not space.vectors:
-        return 0, []
-    m = len(space.vectors)
-    n = space.dim_ambient
-    # unknowns: x_a = Re t_a, y_a = Im t_a; equations: Im(sum t_a w_a) = 0
-    rows = [
-        [w[coord].im for w in space.vectors] + [w[coord].re for w in space.vectors]
-        for coord in range(n)
-    ]
-    reals = []
-    for sol in ExactMatrix(rows).kernel_basis():
-        x, y = sol[:m], sol[m:]
-        vec = [Fraction(0)] * n
-        for a in range(m):
-            for coord in range(n):
-                vec[coord] += (
-                    x[a] * space.vectors[a][coord].re
-                    - y[a] * space.vectors[a][coord].im
-                )
-        reals.append(tuple(vec))
-    if not reals:
-        return 0, []
-    dim = ExactMatrix.from_rows(reals).rank()
-    return dim, reals
+        return 0
+    parts = [[x.re for x in w] for w in space.vectors]
+    parts += [[x.im for x in w] for w in space.vectors]
+    return 2 * space.dim() - ExactMatrix(parts).rank()
 
 
 def check_polarization(L: LieAlgebra, F: Covector, p: ComplexSubspace) -> PolarizationReport:
@@ -455,10 +436,10 @@ def check_polarization(L: LieAlgebra, F: Covector, p: ComplexSubspace) -> Polari
         L.dim, tuple(list(p.vectors) + list(p_bar.vectors))
     )
     dim_sum = sum_space.dim()
-    dim_m, _ = _real_points_dimension(L, sum_space)
+    dim_m = _real_points_dimension(sum_space)
     cond_c = dim_m == dim_sum
 
-    dim_h, _ = _real_points_dimension(L, p)
+    dim_h = _real_points_dimension(p)
     dim_stab = len(stab)
     mixed = None
     k = L.dim - dim_m

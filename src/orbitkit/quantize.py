@@ -2,9 +2,9 @@
 
 The model is R^{2n} with coordinates q1..qn, p1..pn, symplectic form
 ``omega = sum dq_i wedge dp_i`` and Poisson bracket fixed by
-``{q_i, p_i} = 1``.  Polynomials carry coefficients that are
-polynomials in a formal ``hbar`` over the Gaussian rationals, so every
-identity below is decided exactly.
+``{q_i, p_i} = 1``.  Polynomials are over the Gaussian rationals in the
+coordinates and a formal ``hbar``, which the calculus treats as a
+constant, so every identity below is decided exactly.
 
 The quantization rule assigns to a polynomial observable f the operator
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactnum import GaussRational, HbarPoly
+from .exactnum import GaussRational
 from .liealg import InputError, LieAlgebra
 
 __all__ = [
@@ -51,17 +51,6 @@ __all__ = [
     "MAX_EXPONENT",
     "MAX_TERMS",
 ]
-
-
-def _hp(x) -> HbarPoly:
-    if isinstance(x, HbarPoly):
-        return x
-    if isinstance(x, GaussRational):
-        return HbarPoly.constant(x)
-    return HbarPoly.constant(GaussRational.from_rational(Fraction(x)))
-
-
-MINUS_I_HBAR = HbarPoly.from_dict({1: GaussRational(Fraction(0), Fraction(-1))})
 
 
 @dataclass(frozen=True)
@@ -90,7 +79,12 @@ class SymplecticModel:
 
 
 class Poly:
-    """Polynomial in the phase-space variables over HbarPoly scalars."""
+    """Polynomial over Q(i) in q1..qn, p1..pn and hbar.
+
+    ``terms`` maps exponent tuples, the model's variables followed by
+    hbar, to nonzero GaussRational coefficients.  Variable index
+    ``model.nvars`` is hbar, which `diff` never takes.
+    """
 
     __slots__ = ("model", "terms")
 
@@ -99,7 +93,8 @@ class Poly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _hp(coeff)
+                if not isinstance(coeff, GaussRational):
+                    coeff = GaussRational.from_rational(coeff)
                 if not coeff.is_zero():
                     clean[tuple(mono)] = coeff
         self.terms = clean
@@ -112,12 +107,13 @@ class Poly:
 
     @staticmethod
     def constant(model: SymplecticModel, c) -> "Poly":
-        return Poly(model, {(0,) * model.nvars: _hp(c)})
+        return Poly(model, {(0,) * (model.nvars + 1): c})
 
     @staticmethod
     def variable(model: SymplecticModel, idx: int) -> "Poly":
-        mono = tuple(1 if t == idx else 0 for t in range(model.nvars))
-        return Poly(model, {mono: _hp(1)})
+        """The idx-th variable; idx == model.nvars gives hbar."""
+        mono = tuple(1 if t == idx else 0 for t in range(model.nvars + 1))
+        return Poly(model, {mono: 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -135,11 +131,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, HbarPoly.zero()) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[m] = out[m] + c if m in out else c
         return Poly(self.model, out)
 
     def __neg__(self) -> "Poly":
@@ -149,40 +141,41 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, GaussRational, HbarPoly)):
-            c = _hp(other)
-            return Poly(self.model, {m: cc * c for m, cc in self.terms.items()})
+        if isinstance(other, (int, Fraction, GaussRational)):
+            return Poly(self.model, {m: c * other for m, c in self.terms.items()})
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, HbarPoly.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return Poly(self.model, out)
 
     __rmul__ = __mul__
 
     def diff(self, idx: int) -> "Poly":
-        out: dict = {}
+        # m -> m - e_idx is injective on the terms it keeps
+        out = {}
         for m, c in self.terms.items():
             e = m[idx]
-            if e == 0:
-                continue
-            m2 = tuple(x - 1 if t == idx else x for t, x in enumerate(m))
-            out[m2] = out.get(m2, HbarPoly.zero()) + (c * e if e > 1 else c)
+            if e:
+                out[m[:idx] + (e - 1,) + m[idx + 1:]] = c * e if e > 1 else c
         return Poly(self.model, out)
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms grouped by monomial in the variables, each with its hbar coefficient.
+
+        A coefficient with hbar reads ``((c0) + (c1)*hbar + (c2)*hbar^2)``.
+        """
         if not self.terms:
             return "0"
+        groups: dict = {}
+        for m in sorted(self.terms):  # ascending hbar power within each group
+            groups.setdefault(m[:-1], []).append((m[-1], self.terms[m]))
         parts = []
-        for m in sorted(self.terms, key=lambda mm: (sum(mm), mm), reverse=True):
-            c = self.terms[m]
+        for m in sorted(groups, key=lambda mm: (sum(mm), mm), reverse=True):
+            coeffs = groups[m]
             factors = []
             for idx, e in enumerate(m):
                 if e == 1:
@@ -190,11 +183,14 @@ class Poly:
                 elif e > 1:
                     factors.append(f"{self.model.var_name(idx)}^{e}")
             body = "*".join(factors)
-            if c.is_constant():
-                cs = str(c.constant_part())
+            if coeffs[-1][0] == 0:
+                cs = str(coeffs[0][1])
                 simple = not ("+" in cs or "-" in cs[1:])
             else:
-                cs = str(c)
+                cs = " + ".join(
+                    f"({c})" + ("" if k == 0 else "*hbar" if k == 1 else f"*hbar^{k}")
+                    for k, c in coeffs
+                )
                 simple = False
             if not body:
                 parts.append(cs if simple else f"({cs})")
@@ -285,7 +281,6 @@ class PolyDiffOp:
         return self + (-other)
 
     def scale(self, c) -> "PolyDiffOp":
-        c = _hp(c)
         return PolyDiffOp(self.model, {d: f * c for d, f in self.terms.items()})
 
     def apply(self, g: Poly) -> Poly:
@@ -351,9 +346,10 @@ def quantize_op(f: Poly, alpha: PolyOneForm) -> PolyDiffOp:
     """Operator f + (hbar/i) L_{xi_f} + alpha(xi_f) in normal form."""
     nvars = f.model.nvars
     xi = hamiltonian_field(f)
+    minus_i_hbar = Poly.variable(f.model, nvars) * -GaussRational.i()
     terms = {(0,) * nvars: f + alpha.evaluate_on(xi)}
     for j, comp in enumerate(xi.comps):
-        terms[tuple(int(t == j) for t in range(nvars))] = comp * MINUS_I_HBAR
+        terms[tuple(int(t == j) for t in range(nvars))] = comp * minus_i_hbar
     return PolyDiffOp(f.model, terms)
 
 
@@ -456,7 +452,7 @@ def monomials(model: SymplecticModel, max_degree: int) -> list:
             for idx, k in enumerate(exps)
             if k
         ]
-        out.append(("*".join(names) or "1", Poly(model, {exps: 1})))
+        out.append(("*".join(names) or "1", Poly(model, {exps + (0,): 1})))
     return out
 
 
@@ -522,8 +518,8 @@ def action_cocycle(L: LieAlgebra, moment: Sequence[Poly]) -> dict:
 # term must contain exactly one of them.  A power's degree, the base's
 # total degree in the variables and hbar times the exponent, and the
 # exponent itself are at most MAX_EXPONENT; larger ones are rejected
-# before any multiplication, so nested powers stay bounded too.  Terms
-# are counted as (monomial, hbar power) pairs.  A power of a base with T
+# before any multiplication, so nested powers stay bounded too.  A term
+# is a monomial in the variables and hbar.  A power of a base with T
 # terms has at most comb(T + e - 1, e) of them, and a product at most the
 # product of its operands' counts; either bound over MAX_TERMS is rejected
 # before multiplying, which bounds the work of every product.
@@ -532,12 +528,8 @@ MAX_EXPONENT = 64
 MAX_TERMS = 1000
 
 
-def _term_count(poly: "Poly") -> int:
-    return sum(len(c.coeffs) for c in poly.terms.values())
-
-
 def _product(left: "Poly", right: "Poly") -> "Poly":
-    if _term_count(left) * _term_count(right) > MAX_TERMS:
+    if len(left.terms) * len(right.terms) > MAX_TERMS:
         raise InputError(f"a product may have at most {MAX_TERMS} terms")
     return left * right
 
@@ -644,10 +636,10 @@ class _Parser:
             if dvar is not None:
                 raise InputError("cannot raise a differential to a power")
             e = int(v2)
-            degree = max((sum(m) + c.degree() for m, c in poly.terms.items()), default=0)
+            degree = max(map(sum, poly.terms), default=0)
             if max(e, e * degree) > MAX_EXPONENT:
                 raise InputError(f"a power may have degree at most {MAX_EXPONENT}")
-            terms = _term_count(poly)
+            terms = len(poly.terms)
             if terms and math.comb(terms + e - 1, e) > MAX_TERMS:
                 raise InputError(f"a power may have at most {MAX_TERMS} terms")
             out = Poly.constant(self.model, 1)
@@ -664,7 +656,7 @@ class _Parser:
             if val == "i":
                 return Poly.constant(self.model, GaussRational.i()), None
             if val == "hbar":
-                return Poly.constant(self.model, HbarPoly.hbar()), None
+                return Poly.variable(self.model, self.model.nvars), None
             if val.startswith("d") and self.allow_dvar:
                 return Poly.constant(self.model, 1), self.model.var_index(val[1:])
             if val.startswith("d"):

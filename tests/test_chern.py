@@ -1,10 +1,13 @@
 """Chern-character coefficients and matrices."""
 
+import math
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from orbitkit.chern import ChernMatrix, chern_matrix, phi
+from orbitkit.chern import FAMILIES, MAX_PHI_BITS, MAX_RANK, chern_matrix, phi
 from orbitkit.liealg import InputError
 
 
@@ -23,6 +26,39 @@ def test_phi_guards():
     for bad in ((-1, 1, 1), (2, 0, 1), (2, 1, 0)):
         with pytest.raises(InputError):
             phi(*bad)
+
+
+def test_phi_sums_only_the_nonzero_binomials():
+    def full_sum(n, k, q):
+        return sum((-1) ** (i - 1) * comb(n, k - i) * i ** (q - 1) for i in range(1, k + 1))
+
+    for n in range(7):
+        for k in range(1, 12):
+            for q in range(1, 6):
+                assert phi(n, k, q) == full_sum(n, k, q), (n, k, q)
+    # an n-th difference of a polynomial of degree q - 1 < n vanishes
+    t0 = time.perf_counter()
+    assert phi(3, 10**8, 2) == 0
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_phi_size_is_bounded_before_summing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a term was computed before the size guard fired")
+
+    monkeypatch.setattr(math, "comb", forbidden)
+    for big in ((3, 2, 20000), (10**9, 10**9, 2), (2 * MAX_PHI_BITS, MAX_PHI_BITS, 1)):
+        with pytest.raises(InputError, match=f"at most {MAX_PHI_BITS} bits"):
+            phi(*big)
+    monkeypatch.undo()
+    assert phi(10**400, 2, 3) == 10**400 - 4
+
+
+def test_chern_matrix_rank_is_bounded(monkeypatch):
+    monkeypatch.setattr("orbitkit.chern.phi", lambda *args: pytest.fail("matrix built"))
+    for family in FAMILIES:
+        with pytest.raises(InputError, match=f"at most {MAX_RANK}"):
+            chern_matrix(family, MAX_RANK + 1)
 
 
 def test_su2_matrix():

@@ -130,6 +130,7 @@ SIZE_GUARDED = [
     (("numpy.zeros",), ["qgroup", "verify", "--q", "0.5", "--truncation", "100000"]),
     (("orbitkit.qgroup._monomial_matrix", "numpy.vstack"),
      ["qgroup", "verify", "--q", "0.5", "--truncation", "64", "--t-samples", "1000"]),
+    (("orbitkit.chern.phi",), ["chern", "matrix", "--family", "SU", "--rank", "100000"]),
 ]
 
 
@@ -159,6 +160,14 @@ def test_input_errors_exit_two_with_error_object():
         # e^L overflows, or the dilations e^(mh) leave the double range
         ["affine", "verify", "--l", "12000", "--h", "4000"],
         ["affine", "verify", "--l", "8000", "--h", "400"],
+        # a count below 1 would report a pass built from no samples
+        ["affine", "verify", "--l", "2.0", "--h", "0.25", "--trials", "0"],
+        ["affine", "verify", "--l", "2.0", "--h", "0.25", "--trials", "-1"],
+        *(["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+           "--trace", str(FIXTURES / "m2_trace.json"), "--samples", count]
+          for count in ("0", "-1")),
+        # the value would pass Python's 4300-digit limit for str(int)
+        ["chern", "phi", "3", "2", "20000"],
         # size guards, each checked before its allocation
         *(argv for _, argv in SIZE_GUARDED),
     ]

@@ -8,7 +8,6 @@ import pytest
 from orbitkit.exactnum import (
     ExactMatrix,
     GaussRational,
-    HbarPoly,
     gauss_rank,
     rational_from_str,
     rational_to_str,
@@ -59,21 +58,6 @@ def test_gauss_json_accepts_scalar_and_dict_forms():
     x = GaussRational.from_json({"re": "1/2", "im": "-2"})
     assert x.re == Fraction(1, 2) and x.im == Fraction(-2)
     assert GaussRational.from_json(x.to_json()) == x
-
-
-def test_hbar_poly_arithmetic_and_division():
-    h = HbarPoly.hbar()
-    p = h * h + h * 2
-    assert p.degree() == 2
-    assert p.coefficient(1) == GaussRational.from_int(2)
-    q = p.divide_by_hbar()
-    assert q == h + HbarPoly.constant(2)
-    assert (p - p).is_zero()
-
-
-def test_hbar_poly_divide_without_constant_term_only():
-    with pytest.raises(ValueError):
-        HbarPoly.constant(1).divide_by_hbar()
 
 
 def test_matrix_rank_and_kernel_exact():

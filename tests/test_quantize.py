@@ -7,7 +7,7 @@ from math import comb, prod
 
 import pytest
 
-from orbitkit.exactnum import GaussRational, HbarPoly
+from orbitkit.exactnum import GaussRational
 from orbitkit.liealg import InputError, abelian, heisenberg
 from orbitkit.quantize import (
     MAX_DIRAC_PAIRS,
@@ -31,6 +31,7 @@ from orbitkit.quantize import (
 MODEL = SymplecticModel(1)
 Q = Poly.variable(MODEL, 0)
 P = Poly.variable(MODEL, 1)
+HBAR = Poly.variable(MODEL, 2)
 ALPHA = parse_one_form("p1*dq1", MODEL)
 
 
@@ -78,7 +79,7 @@ def test_poisson_antisymmetry_and_jacobi_exhaustive():
 
 def test_quantize_known_operators():
     # Q(q) = q - i hbar d/dp and Q(p) = i hbar d/dq when alpha = p dq
-    i_hbar = HbarPoly.from_dict({1: GaussRational.i()})
+    i_hbar = HBAR * GaussRational.i()
     op_q = quantize_op(Q, ALPHA)
     op_p = quantize_op(P, ALPHA)
     for g in (Q, P, Q * P, P * P):
@@ -144,6 +145,24 @@ def test_dirac_pairs_report_failures_by_name():
     assert all(f["residual"] != "0" for f in report["failures"])
 
 
+def test_hbar_coefficients_render_by_monomial():
+    # hbar and i in alpha: each monomial shows its coefficient as a polynomial in hbar
+    model = SymplecticModel(1)
+    alpha = parse_one_form("hbar*p1*dq1 + i*q1*dp1 + hbar^2*q1*p1*dp1", model)
+    assert check_curvature(alpha) == {
+        "passes": False,
+        "deviations": {"dq1^dp1": "((1)*hbar^2)*p1 + ((1+i) + (-1)*hbar)"},
+    }
+    assert check_dirac_pairs(alpha, 1) == {
+        "pairs": 9,
+        "failures": [
+            {"f": "p1", "g": "q1", "residual": "(((1)*hbar^2)*p1 + ((1+i) + (-1)*hbar))"},
+            {"f": "q1", "g": "p1", "residual": "(((-1)*hbar^2)*p1 + ((-1-i) + (1)*hbar))"},
+        ],
+        "passes": False,
+    }
+
+
 def test_dirac_fails_for_scaled_alpha():
     bad = parse_one_form("2*p1*dq1", MODEL)
     verdict = check_dirac(Q, P, bad)
@@ -197,7 +216,7 @@ def test_parser_rejects_large_powers_before_multiplying(monkeypatch):
     with pytest.raises(InputError, match="degree at most 64"):
         parse_one_form("((q1 + hbar)^8)^9*dq1", MODEL)
     assert parse_poly("(q1^8)^8", MODEL) == parse_poly("q1^64", MODEL)
-    assert parse_poly("hbar^64", MODEL) == Poly.constant(MODEL, HbarPoly.hbar(64))
+    assert parse_poly("hbar^64", MODEL) == Poly(MODEL, {(0, 0, 64): 1})
 
 
 def test_parser_bounds_the_terms_of_powers_and_products(monkeypatch):
@@ -272,16 +291,17 @@ def _compose(a, b):
     return out
 
 
+def _divide_by_hbar(poly):
+    """Exact division by hbar, the last exponent of every term."""
+    assert all(m[-1] > 0 for m in poly.terms), "not divisible by hbar"
+    return Poly(poly.model, {m[:-1] + (m[-1] - 1,): c for m, c in poly.terms.items()})
+
+
 def _oracle_residual(f, g, alpha):
     qf, qg = quantize_op(f, alpha), quantize_op(g, alpha)
     comm = _compose(qf, qg) - _compose(qg, qf)
-    # HbarPoly.divide_by_hbar raises unless the commutator is divisible by hbar
     divided = PolyDiffOp(
-        f.model,
-        {
-            der: Poly(f.model, {m: c.divide_by_hbar() for m, c in coeff.terms.items()})
-            for der, coeff in comm.terms.items()
-        },
+        f.model, {der: _divide_by_hbar(coeff) for der, coeff in comm.terms.items()}
     )
     return quantize_op(poisson(f, g), alpha) - divided.scale(GaussRational.i())
 

@@ -5,7 +5,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from orbitkit.exactnum import GaussRational, HbarPoly  # noqa: E402
+from orbitkit.exactnum import GaussRational  # noqa: E402
 from orbitkit.quantize import (  # noqa: E402
     Poly,
     PolyOneForm,
@@ -24,17 +24,15 @@ SETTINGS = hypothesis.settings(
 POTENTIALS = ("p{k}*dq{k}", "-q{k}*dp{k}", "1/2*p{k}*dq{k} - 1/2*q{k}*dp{k}")
 
 _PARTS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-_SCALARS = st.builds(
-    lambda re, im, k: HbarPoly.from_dict({k: GaussRational(re, im)}),
-    _PARTS,
-    _PARTS,
-    st.integers(0, 1),
-)
+# a Gaussian rational and a power of hbar
+_SCALARS = st.tuples(st.builds(GaussRational, _PARTS, _PARTS), st.integers(0, 1))
 
 
 def _poly(draw, model, max_degree, max_size):
-    exps = st.sampled_from([next(iter(f.terms)) for _, f in monomials(model, max_degree)])
-    return Poly(model, draw(st.dictionaries(exps, _SCALARS, max_size=max_size)))
+    # keys of the monomials end in hbar's exponent 0; a scalar's k replaces it
+    exps = st.sampled_from([next(iter(f.terms))[:-1] for _, f in monomials(model, max_degree)])
+    terms = draw(st.dictionaries(exps, _SCALARS, max_size=max_size))
+    return Poly(model, {m + (k,): c for m, (c, k) in terms.items()})
 
 
 @st.composite
