@@ -15,6 +15,16 @@ report max residuals over random trials; a NaN residual propagates
 through the max instead of reading as 0.  The one-dimensional characters
 U_lambda^eps(g) = |a|^{i lambda} (sgn a)^eps and the recorded index pair
 (1, 1) complete the catalog.
+
+Every residual is bit for bit what drawing and evaluating one value at a
+time gives.  A random grid function is one ``getrandbits`` call: its
+32-bit Mersenne Twister words are the ones ``rng.uniform(-1, 1)`` would
+consume, in the same order, and each pair becomes a double by CPython's
+own exact formula for ``random()``.  The magnitudes e^u are computed once
+per grid, the phases on the s = +1 branch only (b(-x) = -(bx) exactly,
+cos is even and sin odd, so the s = -1 row is cos - i sin of the same
+values), and the last two phase rows are kept, so a trial's unitarity
+check reuses g1's phases from its homomorphism check.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,19 +101,29 @@ class LogGrid:
         m = round(self.L / self.h)
         return (np.arange(-m, m + 1, dtype=np.longdouble)) * np.longdouble(self.h)
 
-    def node_values(self) -> np.ndarray:
-        """Signed node coordinates, shape (2, branch_size); row 0 is s=+1."""
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """The s = +1 node coordinates e^u, read-only; s = -1 is their negative."""
         mag = np.exp(self.log_values())
-        return np.stack([mag, -mag])
+        mag.flags.writeable = False
+        return mag
 
     def random_function(self, rng: random.Random) -> np.ndarray:
+        """A grid function with real, then imaginary, parts row by row from
+        rng.uniform(-1, 1), bit for bit and leaving rng in the same state.
+
+        random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53 on two consecutive
+        32-bit words, and getrandbits(64 n) returns 2n such words, first
+        drawn least significant; every step below is exact or the IEEE
+        operation uniform itself performs.
+        """
         size = self.branch_size
-        re = np.array(
-            [[rng.uniform(-1, 1) for _ in range(size)] for _ in range(2)]
+        count = 4 * size
+        words = np.frombuffer(
+            rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
         )
-        im = np.array(
-            [[rng.uniform(-1, 1) for _ in range(size)] for _ in range(2)]
-        )
+        r = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+        re, im = (-1.0 + 2.0 * r).reshape(2, 2, size)
         return re + 1j * im
 
     def norm_squared(self, f: np.ndarray) -> float:
@@ -131,9 +152,27 @@ def _double_magnitude(a) -> float:
     return magnitude
 
 
-def _phases(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta} with the argument reduced in extended precision."""
-    return (np.cos(theta) + 1j * np.sin(theta)).astype(complex)
+@lru_cache(maxsize=2)
+def _phases(b, grid: LogGrid) -> np.ndarray:
+    """e^{ibx} on both branches, shape (2, branch_size), read-only.
+
+    The argument is reduced in extended precision on the s = +1 branch
+    only: b(-x) = -(bx) exactly, cos is even and sin odd, so the s = -1
+    row is cos - i sin of the same values.  Each part is rounded to double
+    as cos + i sin in complex extended precision would be: the imaginary
+    parts are 0 + sin and 0 - sin, which turn a zero sine into +0 on both
+    rows.  Two entries suffice for a trial of worst_residuals to evaluate
+    g1's phases once: the homomorphism check asks for g2, g1 and g1 g2,
+    then the unitarity check for g1.
+    """
+    theta = np.longdouble(b) * grid.magnitudes
+    sin = np.sin(theta)
+    phases = np.empty((2, grid.branch_size), dtype=complex)
+    phases.real = np.cos(theta)
+    phases.imag[0] = 0.0 + sin
+    phases.imag[1] = 0.0 - sin
+    phases.flags.writeable = False
+    return phases
 
 
 def rep_S(g: AffineElement, grid: LogGrid, f: np.ndarray) -> np.ndarray:
@@ -151,8 +190,7 @@ def rep_S(g: AffineElement, grid: LogGrid, f: np.ndarray) -> np.ndarray:
     shifted = np.roll(f, -m, axis=1)
     if g.a < 0:
         shifted = shifted[::-1]
-    theta = np.longdouble(g.b) * grid.node_values()
-    return _phases(theta) * shifted
+    return _phases(g.b, grid) * shifted
 
 
 def seam_free_window(grid: LogGrid, m1: int, m2: int) -> np.ndarray:

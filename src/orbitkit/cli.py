@@ -3,9 +3,10 @@
 Reports are deterministic by construction: sorted keys, two-space
 indent, no wall time unless ``--timing`` is passed.  Identical argv and
 input files therefore produce byte-identical output, which is what the
-golden-file tests pin.  The numpy models, affine and qgroup, are
-imported inside their own subcommands, so the exact ones start without
-numpy.
+golden-file tests pin.  Each subcommand imports the modules it needs
+in its body; only liealg (for InputError) and chern (whose family names
+a click choice reads) load at start, so no subcommand compiles another's
+modules and the exact ones start without numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import click
 
 from . import __version__
 from . import chern as _chern
-from . import cyclic as _cyclic
-from . import quantize as _quantize
-from . import strata as _strata
 from .liealg import (
     ComplexSubspace,
     Covector,
@@ -110,7 +108,9 @@ def _finish(ctx, name: str, build) -> None:
     click.echo(_render(report, ctx.obj["format"], table_text))
 
 
-def _sampler(ctx, samples: int, coordinate_range: int) -> "_strata.SamplerConfig":
+def _sampler(ctx, samples: int, coordinate_range: int):
+    from . import strata as _strata
+
     return _strata.SamplerConfig(
         seed=ctx.obj["seed"], samples=samples, coordinate_range=coordinate_range
     )
@@ -172,6 +172,8 @@ def lie_strata(ctx, algebra, samples, coordinate_range):
     """Orbit-dimension strata with certificates and foliation checks."""
 
     def build():
+        from . import strata as _strata
+
         L = LieAlgebra.load(algebra)
         config = _sampler(ctx, samples, coordinate_range)
         found = _strata.stratify(L, config)
@@ -240,6 +242,8 @@ def quantize_verify(ctx, alpha, max_degree, nvars):
     """Curvature condition plus the bracket identity on all monomial pairs."""
 
     def build():
+        from . import quantize as _quantize
+
         if nvars < 1:
             raise InputError("need at least one conjugate pair of variables")
         if max_degree < 1:
@@ -275,6 +279,8 @@ def cyclic_hp(ctx, algebra, truncation):
     """Truncated periodic cyclic homology pair with stabilization flag."""
 
     def build():
+        from . import cyclic as _cyclic
+
         A = _cyclic.FinAlgebra.load(algebra)
         report = _cyclic.hp_homology(A, truncation=truncation)
         return report.to_json(), {"algebra": A.to_json(), "truncation": truncation}, None
@@ -290,6 +296,8 @@ def cyclic_entire(ctx, pattern, horizon):
     """Entirety verdict for a weighted norm sequence."""
 
     def build():
+        from . import cyclic as _cyclic
+
         sequence = _cyclic.parse_norm_pattern(pattern)
         verdict = _cyclic.entirety(sequence, horizon=horizon)
         return verdict, {"pattern": pattern, "horizon": horizon}, None
@@ -306,6 +314,8 @@ def cyclic_trace(ctx, algebra, trace_path, samples):
     """Normalization, positivity, faithfulness, and traciality report."""
 
     def build():
+        from . import cyclic as _cyclic
+
         A = _cyclic.FinAlgebra.load(algebra)
         tau = _cyclic.Trace.load(trace_path)
         verdict = _cyclic.verify_trace(A, tau, samples=samples, seed=ctx.obj["seed"])
@@ -486,6 +496,8 @@ def tower_report(ctx, algebra, samples, coordinate_range):
     """Stage-by-stage tower, JSON or aligned text table."""
 
     def build():
+        from . import strata as _strata
+
         L = LieAlgebra.load(algebra)
         config = _sampler(ctx, samples, coordinate_range)
         report = _strata.extension_tower(L, config)

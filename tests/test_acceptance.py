@@ -221,28 +221,10 @@ def test_criterion_07_affine_group():
     failures = []
     t0 = time.perf_counter()
     grid = affine.LogGrid(L=8.0, h=2.0**-4)
-    rng = random.Random(0)
-    worst_hom = worst_unit = worst_char = 0.0
-    for _ in range(1000):
-        g1 = affine.random_aligned_element(grid, rng)
-        g2 = affine.random_aligned_element(grid, rng)
-        worst_hom = max(
-            worst_hom,
-            affine.verify_homomorphism(
-                g1, g2, grid, trials=1, seed=rng.randrange(1 << 30)
-            ),
-        )
-        worst_unit = max(
-            worst_unit,
-            affine.verify_unitarity(g1, grid, trials=1, seed=rng.randrange(1 << 30)),
-        )
-        lam = rng.uniform(-2.0, 2.0)
-        eps = rng.choice((0, 1))
-        gap = abs(
-            affine.character_U(lam, eps, g1.compose(g2))
-            - affine.character_U(lam, eps, g1) * affine.character_U(lam, eps, g2)
-        )
-        worst_char = max(worst_char, gap)
+    residuals = affine.worst_residuals(grid, 1000, 0)
+    worst_hom = residuals["homomorphism_residual"]
+    worst_unit = residuals["unitarity_residual"]
+    worst_char = residuals["character_residual"]
     _check(failures, worst_hom <= 1e-12, f"homomorphism residual {worst_hom:.2e}")
     _check(failures, worst_unit <= 1e-12, f"unitarity residual {worst_unit:.2e}")
     _check(failures, worst_char <= 1e-12, f"character residual {worst_char:.2e}")

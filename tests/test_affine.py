@@ -10,6 +10,7 @@ from orbitkit.affine import (
     MAX_BRANCH_NODES,
     AffineElement,
     LogGrid,
+    _phases,
     character_U,
     index_metadata,
     random_aligned_element,
@@ -50,7 +51,8 @@ def test_grid_sizes():
     assert GRID.node_count == 514
     u = GRID.log_values()
     assert float(u[0]) == -8.0 and float(u[-1]) == 8.0
-    nodes = GRID.node_values()
+    mag = np.exp(GRID.log_values())
+    nodes = np.stack([mag, -mag])
     assert nodes.shape == (2, 257)
     assert np.all(nodes[0] > 0) and np.all(nodes[1] < 0)
 
@@ -93,7 +95,8 @@ def test_rep_pure_phase():
     g = AffineElement(1.0, 0.5)
     f = np.ones((2, GRID.branch_size), dtype=complex)
     out = rep_S(g, GRID, f)
-    x = np.asarray(GRID.node_values(), dtype=float)
+    mag = np.exp(GRID.log_values())
+    x = np.asarray(np.stack([mag, -mag]), dtype=float)
     assert np.allclose(out, np.exp(1j * 0.5 * x), atol=1e-14)
 
 
@@ -221,3 +224,68 @@ def test_index_metadata_is_fixed():
     data = index_metadata()
     assert data["index"] == (1, 1)
     assert data["ext_group_value"] == "Z ⊕ Z"
+
+
+def _uniform_function(grid, rng):
+    """The call-by-call draw: real rows, then imaginary rows."""
+    size = grid.branch_size
+    re = np.array([[rng.uniform(-1, 1) for _ in range(size)] for _ in range(2)])
+    im = np.array([[rng.uniform(-1, 1) for _ in range(size)] for _ in range(2)])
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, -5])
+@pytest.mark.parametrize("pending_gauss", [False, True])
+def test_bulk_draw_matches_uniform_bit_for_bit(seed, pending_gauss):
+    for grid in (GRID, LogGrid(L=2.0, h=0.25)):
+        bulk, loop = random.Random(seed), random.Random(seed)
+        if pending_gauss:
+            bulk.gauss(0.0, 1.0)
+            loop.gauss(0.0, 1.0)
+        expected = _uniform_function(grid, loop)
+        assert grid.random_function(bulk).tobytes() == expected.tobytes()
+        assert bulk.getstate() == loop.getstate()
+
+
+def _two_row_phases(b, grid):
+    """e^{ibx} evaluated on both signed branches."""
+    mag = np.exp(grid.log_values())
+    theta = np.longdouble(b) * np.stack([mag, -mag])
+    return (np.cos(theta) + 1j * np.sin(theta)).astype(complex)
+
+
+def test_conjugate_branch_phases_match_two_row_evaluation_bit_for_bit():
+    rng = random.Random(6)
+    composed = AffineElement(-math.exp(GRID.h), 2.5).compose(AffineElement(1.0, -1.75))
+    # e^8 b reaches about 10^4 at b = 3.4
+    bs = [0.0, -0.0, -2.5, -3.0, 3.4, composed.b, 5e-324, -1e-300]
+    bs += [rng.uniform(-3.4, 3.4) for _ in range(40)]
+    for grid in (GRID, LogGrid(L=2.0, h=0.25)):
+        for b in bs:
+            phases = _phases(b, grid)
+            assert phases.tobytes() == _two_row_phases(b, grid).tobytes(), b
+            assert not phases.flags.writeable
+    assert np.max(np.abs(np.longdouble(3.4) * GRID.magnitudes)) > 1e4
+
+
+GOLDEN = {
+    (8.0, 2.0**-4, 1000, 7): (
+        "1.542371118540254e-15", "7.105427357601002e-15", "7.108895957933346e-16"
+    ),
+    (8.0, 2.0**-4, 1000, 701): (
+        "1.2947314098277873e-15", "7.105427357601002e-15", "8.886119947416683e-16"
+    ),
+    (2.0, 0.25, 20, 7): (
+        "2.2887833992611187e-16", "1.7763568394002505e-15", "9.42055475210265e-16"
+    ),
+    (2.0, 0.25, 20, 701): (
+        "2.2887833992611187e-16", "8.881784197001252e-16", "1.790180836524724e-15"
+    ),
+}
+
+
+@pytest.mark.parametrize("L, h, trials, seed", sorted(GOLDEN))
+def test_worst_residuals_golden_floats(L, h, trials, seed):
+    residuals = worst_residuals(LogGrid(L=L, h=h), trials, seed)
+    names = ("homomorphism_residual", "unitarity_residual", "character_residual")
+    assert tuple(repr(residuals[name]) for name in names) == GOLDEN[L, h, trials, seed]
