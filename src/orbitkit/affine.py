@@ -36,10 +36,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .liealg import InputError
+from . import InputError
 
 # nodes per sign branch, 2 L/h + 1; a larger grid is an input error
 MAX_BRANCH_NODES = 10**6
+# worst_residuals' largest trial count, checked before the first trial;
+# a trial takes about 0.6 ms on a 257-node branch
+MAX_TRIALS = 10**5
 
 
 @dataclass(frozen=True)
@@ -291,10 +294,13 @@ def worst_residuals(grid: LogGrid, trials: int, seed: int) -> dict:
     of S_{g1}, and one random character U_lambda^eps on the pair.  A grid
     whose edge coordinate e^L overflows extended precision, a dilation
     outside the double range, and a non-finite residual (overflowing
-    phases) are input errors, as is a trial count below 1.
+    phases) are input errors, as is a trial count below 1 or above
+    MAX_TRIALS.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise InputError(f"trials may be at most {MAX_TRIALS}")
     with np.errstate(over="ignore"):
         if not np.isfinite(np.exp(np.longdouble(grid.L))):
             raise InputError(f"non-finite grid: e^L overflows extended precision at L = {grid.L}")

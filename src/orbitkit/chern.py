@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import InputError
 from .exactnum import ExactMatrix
-from .liealg import InputError
 
 FAMILIES = ("SU", "SO_odd")
 # chern_matrix's largest rank, checked before any entry is computed

@@ -3,30 +3,26 @@
 Reports are deterministic by construction: sorted keys, two-space
 indent, no wall time unless ``--timing`` is passed.  Identical argv and
 input files therefore produce byte-identical output, which is what the
-golden-file tests pin.  Each subcommand imports the modules it needs
-in its body; only liealg (for InputError) and chern (whose family names
-a click choice reads) load at start, so no subcommand compiles another's
-modules and the exact ones start without numpy.
+golden-file tests pin.
+
+The commands are one table, group -> command -> (build function,
+options), read by the standard library's argparse.  Every exit follows
+one contract: status 0 and a report, status 2 and an error object for
+bad input (usage errors included), status 1 and an error object for an
+internal fault.  Each build function imports the modules it needs in
+its body, so importing this module loads no other orbitkit module, and
+no command compiles another's modules.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 import time
 
-import click
-
-from . import __version__
-from . import chern as _chern
-from .liealg import (
-    ComplexSubspace,
-    Covector,
-    InputError,
-    LieAlgebra,
-    check_jacobi,
-    check_polarization,
-)
+from . import InputError, __version__
 
 
 def _canonical(obj) -> str:
@@ -73,299 +69,158 @@ def _render(report: dict, fmt: str, table_text) -> str:
     return "\n".join(head) + "\n\n" + body
 
 
-def _fail(ctx, name: str, kind: str, message: str, code: int) -> None:
+def _fail(name: str, kind: str, message: str, code: int) -> int:
     error = {"kind": kind, "message": message, "subcommand": name}
-    click.echo(json.dumps({"error": error}, sort_keys=True, indent=2))
-    ctx.exit(code)
+    print(json.dumps({"error": error}, sort_keys=True, indent=2))
+    return code
 
 
-def _finish(ctx, name: str, build) -> None:
-    """Run a subcommand body and emit its report with the exit contract.
+def _finish(args) -> int:
+    """Run a command's build function and emit its report with the exit contract.
 
-    ``build`` returns (result, inputs, table_text or None).  Input
-    problems (InputError, and OSError from reading input files) exit 2
-    with a machine-readable error object; internal invariant violations
-    and any other fault (a plain ValueError, MemoryError, OverflowError,
-    ...) exit 1 with one.
+    ``args.build(args)`` returns (result, inputs, table_text or None).
+    The digest covers every option's value, with ``inputs`` overriding:
+    the parsed content of file and JSON options, and the seed of a
+    sampling command.  Input problems (InputError, and OSError from
+    reading input files) exit 2 with a machine-readable error object;
+    internal invariant violations and any other fault (a plain
+    ValueError, MemoryError, OverflowError, ...) exit 1 with one.
     """
+    name = args.command
     t0 = time.perf_counter()
     try:
-        result, inputs, table_text = build()
+        result, parsed, table_text = args.build(args)
     except (InputError, OSError) as err:
-        return _fail(ctx, name, "input", str(err), 2)
+        return _fail(name, "input", str(err), 2)
     except RuntimeError as err:
-        return _fail(ctx, name, "internal", str(err), 1)
+        return _fail(name, "internal", str(err), 1)
     except Exception as err:
-        return _fail(ctx, name, "internal", f"{type(err).__name__}: {err}", 1)
+        return _fail(name, "internal", f"{type(err).__name__}: {err}", 1)
+    inputs = {**{dest: getattr(args, dest) for dest in args.options}, **parsed}
     report = {
         "subcommand": name,
         "input_digest": _digest({"inputs": inputs, "subcommand": name}),
         "result": result,
         "version": __version__,
     }
-    if ctx.obj["timing"]:
+    if args.timing:
         report["wall_time"] = round(time.perf_counter() - t0, 6)
-    click.echo(_render(report, ctx.obj["format"], table_text))
-
-
-def _sampler(ctx, samples: int, coordinate_range: int):
-    from . import strata as _strata
-
-    return _strata.SamplerConfig(
-        seed=ctx.obj["seed"], samples=samples, coordinate_range=coordinate_range
-    )
-
-
-@click.group()
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "table"]),
-    default="json",
-    help="Report rendering; json is the golden-file form.",
-)
-@click.option("--seed", type=int, default=0, help="Seed for every sampled check.")
-@click.option(
-    "--timing",
-    is_flag=True,
-    help="Include wall time in the report (breaks byte-identity).",
-)
-@click.version_option(version=__version__, prog_name="orbitkit")
-@click.pass_context
-def main(ctx, fmt, seed, timing):
-    """Exact tools for orbit-method and cyclic-homology checks."""
-    ctx.obj = {"format": fmt, "seed": seed, "timing": timing}
+    print(_render(report, args.format, table_text))
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# lie
+# build functions: each returns (result, inputs, table_text or None) for
+# _finish, and its docstring is the command's help
 
 
-@main.group()
-def lie():
-    """Structure constants: Jacobi, stratification, polarizations."""
-
-
-@lie.command("check")
-@click.option("--algebra", required=True, type=click.Path(), help="LieAlgebra JSON file.")
-@click.pass_context
-def lie_check(ctx, algebra):
+def _lie_check(args):
     """Exact Jacobi check with first violating triple on failure."""
+    from .liealg import LieAlgebra, check_jacobi
 
-    def build():
-        L = LieAlgebra.load(algebra)
-        ok, witness = check_jacobi(L)
-        result = {"jacobi": ok}
-        if not ok:
-            result["witness"] = list(witness)
-        return result, {"algebra": L.to_json()}, None
-
-    _finish(ctx, "lie check", build)
+    L = LieAlgebra.load(args.algebra)
+    ok, witness = check_jacobi(L)
+    result = {"jacobi": ok} if ok else {"jacobi": ok, "witness": list(witness)}
+    return result, {"algebra": L.to_json()}, None
 
 
-@lie.command("strata")
-@click.option("--algebra", required=True, type=click.Path())
-@click.option("--samples", type=int, default=1000, show_default=True)
-@click.option("--range", "coordinate_range", type=int, default=3, show_default=True)
-@click.pass_context
-def lie_strata(ctx, algebra, samples, coordinate_range):
+def _sampled_algebra(args):
+    """The algebra and sampler of lie strata and tower report, and their inputs."""
+    from .liealg import LieAlgebra
+    from .strata import SamplerConfig
+
+    L = LieAlgebra.load(args.algebra)
+    config = SamplerConfig(seed=args.seed, samples=args.samples, coordinate_range=args.range)
+    return L, config, {"algebra": L.to_json(), "seed": args.seed}
+
+
+def _lie_strata(args):
     """Orbit-dimension strata with certificates and foliation checks."""
+    from . import strata
 
-    def build():
-        from . import strata as _strata
-
-        L = LieAlgebra.load(algebra)
-        config = _sampler(ctx, samples, coordinate_range)
-        found = _strata.stratify(L, config)
-        result = {
-            "strata": [s.to_json() for s in found],
-            "generic_rank": _strata.generic_rank(L, found),
-            "foliation": [_strata.foliation_check(s) for s in found],
-        }
-        inputs = {
-            "algebra": L.to_json(),
-            "samples": samples,
-            "range": coordinate_range,
-            "seed": ctx.obj["seed"],
-        }
-        return result, inputs, None
-
-    _finish(ctx, "lie strata", build)
+    L, config, inputs = _sampled_algebra(args)
+    found = strata.stratify(L, config)
+    result = {
+        "strata": [s.to_json() for s in found],
+        "generic_rank": strata.generic_rank(L, found),
+        "foliation": [strata.foliation_check(s) for s in found],
+    }
+    return result, inputs, None
 
 
-@lie.command("polarize")
-@click.option("--algebra", required=True, type=click.Path())
-@click.option("--covector", required=True, help="JSON list of rationals.")
-@click.option(
-    "--subspace",
-    required=True,
-    help='JSON list of spanning vectors; entries rationals or {"re","im"}.',
-)
-@click.pass_context
-def lie_polarize(ctx, algebra, covector, subspace):
+def _lie_polarize(args):
     """Run the polarization conditions for one candidate subalgebra."""
+    from .liealg import ComplexSubspace, Covector, LieAlgebra, check_polarization
 
-    def build():
-        L = LieAlgebra.load(algebra)
-        try:
-            covector_json, subspace_json = json.loads(covector), json.loads(subspace)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"--covector and --subspace must be JSON: {exc}") from None
-        F = Covector.from_json(covector_json)
-        p = ComplexSubspace.from_json(subspace_json, L.dim)
-        report = check_polarization(L, F, p)
-        inputs = {
-            "algebra": L.to_json(),
-            "covector": covector_json,
-            "subspace": subspace_json,
-        }
-        return report.to_json(), inputs, None
-
-    _finish(ctx, "lie polarize", build)
+    L = LieAlgebra.load(args.algebra)
+    try:
+        parsed = {"covector": json.loads(args.covector), "subspace": json.loads(args.subspace)}
+    except json.JSONDecodeError as exc:
+        raise InputError(f"--covector and --subspace must be JSON: {exc}") from None
+    F = Covector.from_json(parsed["covector"])
+    p = ComplexSubspace.from_json(parsed["subspace"], L.dim)
+    report = check_polarization(L, F, p)
+    return report.to_json(), {"algebra": L.to_json(), **parsed}, None
 
 
-# ---------------------------------------------------------------------------
-# quantize
-
-
-@main.group()
-def quantize():
-    """Prequantization operators over a polynomial phase space."""
-
-
-@quantize.command("verify")
-@click.option("--alpha", required=True, help='Potential one-form, e.g. "p1*dq1".')
-@click.option("--max-degree", type=int, default=3, show_default=True)
-@click.option("--vars", "nvars", type=int, default=1, show_default=True, help="n for R^{2n}.")
-@click.pass_context
-def quantize_verify(ctx, alpha, max_degree, nvars):
+def _quantize_verify(args):
     """Curvature condition plus the bracket identity on all monomial pairs."""
+    from . import quantize
 
-    def build():
-        from . import quantize as _quantize
-
-        if nvars < 1:
-            raise InputError("need at least one conjugate pair of variables")
-        if max_degree < 1:
-            raise InputError("max degree must be at least 1")
-        _quantize.dirac_pair_count(nvars, max_degree)  # size guard, before any model
-        model = _quantize.SymplecticModel(nvars)
-        form = _quantize.parse_one_form(alpha, model)
-        result = {
-            "curvature": _quantize.check_curvature(form),
-            "dirac": _quantize.check_dirac_pairs(form, max_degree),
-            "max_degree": max_degree,
-        }
-        inputs = {"alpha": alpha, "max_degree": max_degree, "vars": nvars}
-        return result, inputs, None
-
-    _finish(ctx, "quantize verify", build)
+    if args.vars < 1:
+        raise InputError("need at least one conjugate pair of variables")
+    if args.max_degree < 1:
+        raise InputError("max degree must be at least 1")
+    quantize.dirac_pair_count(args.vars, args.max_degree)  # size guard, before any model
+    form = quantize.parse_one_form(args.alpha, quantize.SymplecticModel(args.vars))
+    result = {
+        "curvature": quantize.check_curvature(form),
+        "dirac": quantize.check_dirac_pairs(form, args.max_degree),
+        "max_degree": args.max_degree,
+    }
+    return result, {}, None
 
 
-# ---------------------------------------------------------------------------
-# cyclic
-
-
-@main.group()
-def cyclic():
-    """Cyclic-homology truncations, traces, entirety."""
-
-
-@cyclic.command("hp")
-@click.option("--algebra", required=True, type=click.Path(), help="FinAlgebra JSON file.")
-@click.option("--truncation", type=int, default=6, show_default=True)
-@click.pass_context
-def cyclic_hp(ctx, algebra, truncation):
+def _cyclic_hp(args):
     """Truncated periodic cyclic homology pair with stabilization flag."""
+    from . import cyclic
 
-    def build():
-        from . import cyclic as _cyclic
-
-        A = _cyclic.FinAlgebra.load(algebra)
-        report = _cyclic.hp_homology(A, truncation=truncation)
-        return report.to_json(), {"algebra": A.to_json(), "truncation": truncation}, None
-
-    _finish(ctx, "cyclic hp", build)
+    A = cyclic.FinAlgebra.load(args.algebra)
+    report = cyclic.hp_homology(A, truncation=args.truncation)
+    return report.to_json(), {"algebra": A.to_json()}, None
 
 
-@cyclic.command("entire")
-@click.option("--pattern", required=True, help='Norm pattern, e.g. "floor-half-fact/fact".')
-@click.option("--horizon", type=int, default=40, show_default=True)
-@click.pass_context
-def cyclic_entire(ctx, pattern, horizon):
+def _cyclic_entire(args):
     """Entirety verdict for a weighted norm sequence."""
+    from . import cyclic
 
-    def build():
-        from . import cyclic as _cyclic
-
-        sequence = _cyclic.parse_norm_pattern(pattern)
-        verdict = _cyclic.entirety(sequence, horizon=horizon)
-        return verdict, {"pattern": pattern, "horizon": horizon}, None
-
-    _finish(ctx, "cyclic entire", build)
+    sequence = cyclic.parse_norm_pattern(args.pattern)
+    return cyclic.entirety(sequence, horizon=args.horizon), {}, None
 
 
-@cyclic.command("trace")
-@click.option("--algebra", required=True, type=click.Path())
-@click.option("--trace", "trace_path", required=True, type=click.Path())
-@click.option("--samples", type=int, default=64, show_default=True)
-@click.pass_context
-def cyclic_trace(ctx, algebra, trace_path, samples):
+def _cyclic_trace(args):
     """Normalization, positivity, faithfulness, and traciality report."""
+    from . import cyclic
 
-    def build():
-        from . import cyclic as _cyclic
-
-        A = _cyclic.FinAlgebra.load(algebra)
-        tau = _cyclic.Trace.load(trace_path)
-        verdict = _cyclic.verify_trace(A, tau, samples=samples, seed=ctx.obj["seed"])
-        inputs = {
-            "algebra": A.to_json(),
-            "trace": tau.to_json(),
-            "samples": samples,
-            "seed": ctx.obj["seed"],
-        }
-        return verdict, inputs, None
-
-    _finish(ctx, "cyclic trace", build)
+    A = cyclic.FinAlgebra.load(args.algebra)
+    tau = cyclic.Trace.load(args.trace)
+    verdict = cyclic.verify_trace(A, tau, samples=args.samples, seed=args.seed)
+    return verdict, {"algebra": A.to_json(), "trace": tau.to_json(), "seed": args.seed}, None
 
 
-# ---------------------------------------------------------------------------
-# chern
-
-
-@main.group()
-def chern():
-    """Chern-character coefficients and matrices."""
-
-
-@chern.command("phi")
-@click.argument("n", type=int)
-@click.argument("k", type=int)
-@click.argument("q", type=int)
-@click.pass_context
-def chern_phi(ctx, n, k, q):
+def _chern_phi(args):
     """One coefficient, exactly."""
+    from .chern import phi
 
-    def build():
-        value = _chern.phi(n, k, q)
-        return {"value": str(value)}, {"n": n, "k": k, "q": q}, None
-
-    _finish(ctx, "chern phi", build)
+    return {"value": str(phi(args.n, args.k, args.q))}, {}, None
 
 
-@chern.command("matrix")
-@click.option("--family", required=True, type=click.Choice(sorted(_chern.FAMILIES)))
-@click.option("--rank", required=True, type=int)
-@click.pass_context
-def chern_matrix(ctx, family, rank):
+def _chern_matrix(args):
     """Chern matrix on exterior generators, determinant as exact rational."""
+    from .chern import chern_matrix
 
-    def build():
-        matrix = _chern.chern_matrix(family, rank)
-        return matrix.to_json(), {"family": family, "rank": rank}, _matrix_table(matrix)
-
-    _finish(ctx, "chern matrix", build)
+    matrix = chern_matrix(args.family, args.rank)
+    return matrix.to_json(), {}, _matrix_table(matrix)
 
 
 def _matrix_table(matrix) -> str:
@@ -380,136 +235,221 @@ def _matrix_table(matrix) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# qgroup
-
-
-@main.group()
-def qgroup():
-    """Weyl-element representation catalog and truncated operator checks."""
-
-
-@qgroup.command("reps")
-@click.option("--family", required=True, type=click.Choice(["A", "B"]))
-@click.option("--rank", required=True, type=int)
-@click.option("--t-samples", type=int, default=4, show_default=True)
-@click.pass_context
-def qgroup_reps(ctx, family, rank, t_samples):
+def _qgroup_reps(args):
     """Representation catalog over the Weyl group and sampled torus."""
+    from .qgroup import rep_catalog
 
-    def build():
-        from . import qgroup as _qgroup
-
-        catalog = _qgroup.rep_catalog(family, rank, t_samples)
-        result = {
-            "family": family,
-            "rank": rank,
-            "order": len(catalog) // t_samples,
-            "t_samples": t_samples,
-            "catalog": [d.to_json() for d in catalog],
-        }
-        inputs = {"family": family, "rank": rank, "t_samples": t_samples}
-        return result, inputs, None
-
-    _finish(ctx, "qgroup reps", build)
+    catalog = rep_catalog(args.family, args.rank, args.t_samples)
+    result = {
+        "family": args.family,
+        "rank": args.rank,
+        "order": len(catalog) // args.t_samples,
+        "t_samples": args.t_samples,
+        "catalog": [d.to_json() for d in catalog],
+    }
+    return result, {}, None
 
 
-@qgroup.command("verify")
-@click.option("--q", required=True, type=float)
-@click.option("--truncation", type=int, default=32, show_default=True, help="Cutoff N.")
-@click.option("--degree", type=int, default=2, show_default=True)
-@click.option("--t-samples", type=int, default=5, show_default=True)
-@click.pass_context
-def qgroup_verify(ctx, q, truncation, degree, t_samples):
+def _qgroup_verify(args):
     """Relation residuals, character constraints, joint-kernel rank."""
+    from . import qgroup
 
-    def build():
-        from . import qgroup as _qgroup
-
-        rep = _qgroup.build_rep_su2(q, 0.0, truncation)
-        residuals = _qgroup.relation_residuals(rep)
-        character = _qgroup.character_constraints(q)
-        ranks = _qgroup.joint_kernel_rank(
-            q, degree=degree, t_samples=t_samples, N=truncation
-        )
-        result = {"residuals": residuals, "character": character, "ranks": ranks}
-        inputs = {
-            "q": q,
-            "truncation": truncation,
-            "degree": degree,
-            "t_samples": t_samples,
-        }
-        return result, inputs, None
-
-    _finish(ctx, "qgroup verify", build)
+    rep = qgroup.build_rep_su2(args.q, 0.0, args.truncation)
+    result = {
+        "residuals": qgroup.relation_residuals(rep),
+        "character": qgroup.character_constraints(args.q),
+        "ranks": qgroup.joint_kernel_rank(
+            args.q, degree=args.degree, t_samples=args.t_samples, N=args.truncation
+        ),
+    }
+    return result, {}, None
 
 
-# ---------------------------------------------------------------------------
-# affine
-
-
-@main.group()
-def affine():
-    """The ax+b group on the two-branch log grid."""
-
-
-@affine.command("verify")
-@click.option("--l", "--L", "length", required=True, type=float, help="Half-width L.")
-@click.option("--h", "step", required=True, type=float, help="Grid step h.")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.pass_context
-def affine_verify(ctx, length, step, trials):
+def _affine_verify(args):
     """Homomorphism, unitarity, and character residuals plus the index."""
+    from . import affine
 
-    def build():
-        from . import affine as _affine
+    result = affine.worst_residuals(affine.LogGrid(L=args.L, h=args.h), args.trials, args.seed)
+    result["index"] = list(affine.index_metadata()["index"])
+    return result, {"seed": args.seed}, None
 
-        grid = _affine.LogGrid(L=length, h=step)
-        result = _affine.worst_residuals(grid, trials, ctx.obj["seed"])
-        result["index"] = list(_affine.index_metadata()["index"])
-        inputs = {
-            "L": length,
-            "h": step,
-            "trials": trials,
-            "seed": ctx.obj["seed"],
-        }
-        return result, inputs, None
 
-    _finish(ctx, "affine verify", build)
+def _tower_report(args):
+    """Stage-by-stage tower, JSON or aligned text table."""
+    from .strata import extension_tower
+
+    L, config, inputs = _sampled_algebra(args)
+    report = extension_tower(L, config)
+    return report.to_json(), inputs, report.to_table()
 
 
 # ---------------------------------------------------------------------------
-# tower
+# the command table: group -> (help, command -> (build function, options)),
+# each option (names, add_argument keywords); an option's first name gives
+# its key in the digest inputs, as "--L" gives "L"
 
 
-@main.group()
-def tower():
-    """Extension tower over the orbit stratification."""
+def _required(*names, type=str, help=None):
+    return names, {"required": True, "type": type, "help": help}
 
 
-@tower.command("report")
-@click.option("--algebra", required=True, type=click.Path())
-@click.option("--samples", type=int, default=1000, show_default=True)
-@click.option("--range", "coordinate_range", type=int, default=3, show_default=True)
-@click.pass_context
-def tower_report(ctx, algebra, samples, coordinate_range):
-    """Stage-by-stage tower, JSON or aligned text table."""
+def _count(name, default, help=None):
+    about = f"{help} (default {default})" if help else f"default {default}"
+    return (name,), {"type": int, "default": default, "help": about}
 
-    def build():
-        from . import strata as _strata
 
-        L = LieAlgebra.load(algebra)
-        config = _sampler(ctx, samples, coordinate_range)
-        report = _strata.extension_tower(L, config)
-        inputs = {
-            "algebra": L.to_json(),
-            "samples": samples,
-            "range": coordinate_range,
-            "seed": ctx.obj["seed"],
-        }
-        return report.to_json(), inputs, report.to_table()
+_LIE_ALGEBRA = _required("--algebra", help="LieAlgebra JSON file.")
+_FIN_ALGEBRA = _required("--algebra", help="FinAlgebra JSON file.")
+_SAMPLED = [_LIE_ALGEBRA, _count("--samples", 1000), _count("--range", 3)]
 
-    _finish(ctx, "tower report", build)
+COMMANDS = {
+    "lie": ("Structure constants: Jacobi, stratification, polarizations.", {
+        "check": (_lie_check, [_LIE_ALGEBRA]),
+        "strata": (_lie_strata, _SAMPLED),
+        "polarize": (_lie_polarize, [
+            _LIE_ALGEBRA,
+            _required("--covector", help="JSON list of rationals."),
+            _required("--subspace", help='JSON list of spanning vectors; entries rationals '
+                      'or {"re","im"}.'),
+        ]),
+    }),
+    "quantize": ("Prequantization operators over a polynomial phase space.", {
+        "verify": (_quantize_verify, [
+            _required("--alpha", help='Potential one-form, e.g. "p1*dq1".'),
+            _count("--max-degree", 3),
+            _count("--vars", 1, "n for R^{2n}."),
+        ]),
+    }),
+    "cyclic": ("Cyclic-homology truncations, traces, entirety.", {
+        "hp": (_cyclic_hp, [_FIN_ALGEBRA, _count("--truncation", 6)]),
+        "entire": (_cyclic_entire, [
+            _required("--pattern", help='Norm pattern, e.g. "floor-half-fact/fact".'),
+            _count("--horizon", 40),
+        ]),
+        "trace": (_cyclic_trace, [
+            _FIN_ALGEBRA, _required("--trace", help="Trace JSON file."), _count("--samples", 64)
+        ]),
+    }),
+    "chern": ("Chern-character coefficients and matrices.", {
+        "phi": (_chern_phi, [((name,), {"type": int}) for name in ("n", "k", "q")]),
+        "matrix": (_chern_matrix, [
+            _required("--family", help="SU or SO_odd."), _required("--rank", type=int)
+        ]),
+    }),
+    "qgroup": ("Weyl-element representation catalog and truncated operator checks.", {
+        "reps": (_qgroup_reps, [
+            _required("--family", help="A or B."),
+            _required("--rank", type=int),
+            _count("--t-samples", 4),
+        ]),
+        "verify": (_qgroup_verify, [
+            _required("--q", type=float),
+            _count("--truncation", 32, "Cutoff N."),
+            _count("--degree", 2),
+            _count("--t-samples", 5),
+        ]),
+    }),
+    "affine": ("The ax+b group on the two-branch log grid.", {
+        "verify": (_affine_verify, [
+            _required("--L", "--l", type=float, help="Half-width L."),
+            _required("--h", type=float, help="Grid step h."),
+            _count("--trials", 1000),
+        ]),
+    }),
+    "tower": ("Extension tower over the orbit stratification.", {
+        "report": (_tower_report, _SAMPLED),
+    }),
+}
+
+# every option that takes a value: all but --timing, --help and --version
+_VALUED = {"--format", "--seed"} | {
+    name
+    for _, commands in COMMANDS.values()
+    for _, options in commands.values()
+    for names, _ in options
+    for name in names
+    if name.startswith("--")
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose every error is an error object and exit 2.
+
+    ``command`` is the command path the parser reads ("" at the top
+    level), reported as the error object's subcommand.  Abbreviated
+    options are not accepted.
+    """
+
+    def __init__(self, command: str = "", **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self.command = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a word no option claims is reported by the parser that met it,
+        # not by the top level
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message):
+        self.exit(_fail(self.command, "input", message, 2))
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="orbitkit", description="Exact tools for orbit-method and cyclic-homology checks."
+    )
+    parser.add_argument("--format", choices=["json", "table"], default="json",
+                        help="Report rendering; json is the golden-file form.")
+    parser.add_argument("--seed", type=int, default=0, help="Seed for every sampled check.")
+    parser.add_argument("--timing", action="store_true",
+                        help="Include wall time in the report (breaks byte-identity).")
+    parser.add_argument("--version", action="version", version=f"orbitkit, version {__version__}")
+    groups = parser.add_subparsers(required=True, metavar="COMMAND")
+    for group, (about, commands) in COMMANDS.items():
+        group_parser = groups.add_parser(group, command=group, help=about, description=about)
+        subcommands = group_parser.add_subparsers(required=True, metavar="COMMAND")
+        for name, (build, options) in commands.items():
+            path = f"{group} {name}"
+            sub = subcommands.add_parser(
+                name, command=path, help=build.__doc__, description=build.__doc__
+            )
+            dests = [sub.add_argument(*names, **spec).dest for names, spec in options]
+            sub.set_defaults(build=build, command=path, options=dests)
+    return parser
+
+
+def _joined(words) -> list:
+    """Join each value-taking option word to the next word, as "--opt=value".
+
+    An option takes the word after it as its value, whatever that word
+    looks like; argparse alone reads ``--alpha -q1*dp1`` as two options.
+    """
+    out, rest = [], iter(words)
+    for word in rest:
+        value = next(rest, None) if word in _VALUED else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
+def main(argv=None, standalone_mode: bool = True):
+    """Run one command line and return its exit status.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  With ``standalone_mode`` (the
+    default, for ``python -m`` and the console script) the process exits
+    with the status instead of returning it.
+    """
+    words = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parser().parse_args(_joined(words))
+    except SystemExit as stop:  # --help, --version, or a usage error's object
+        code = stop.code
+    else:
+        code = _finish(args)
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from . import InputError
 from .exactnum import GaussRational, gauss_rank, rational_from_str, rational_to_str
-from .liealg import InputError
 
 _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
@@ -442,6 +442,11 @@ def _random_element(A: FinAlgebra, rng: random.Random) -> tuple:
     )
 
 
+# verify_trace's largest positivity sample count, checked before the first
+# sample; a sample of M2 takes about 0.5 ms
+MAX_TRACE_SAMPLES = 10**5
+
+
 def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) -> dict:
     """Check the four trace axioms; failures are listed, never raised.
 
@@ -449,10 +454,13 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
     is sampled on random rational elements, strict positivity is the exact
     nondegeneracy of the Gram matrix G[a][b] = tau(e_a* e_b), and
     ad-invariance tau(xy) = tau(yx) is checked on all basis pairs, which
-    decides it by bilinearity.  A sample count below 1 is an InputError.
+    decides it by bilinearity.  A sample count below 1 or above
+    MAX_TRACE_SAMPLES is an InputError.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
+    if samples > MAX_TRACE_SAMPLES:
+        raise InputError(f"samples may be at most {MAX_TRACE_SAMPLES}")
     if len(tau.coords) != A.dim:
         raise InputError("trace coordinate count does not match the algebra")
     ident = _unit_vectors(A.dim)

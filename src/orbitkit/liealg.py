@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import InputError
 from .exactnum import (
     ExactMatrix,
     GaussRational,
@@ -41,11 +42,12 @@ __all__ = [
     "aff1",
     "sl2",
     "abelian",
+    "MAX_DIM",
 ]
 
-
-class InputError(ValueError):
-    """Invalid user-supplied data (bad file, inconsistent brackets, ...)."""
+# largest dimension a LieAlgebra file may declare; the shipped and benchmark
+# algebras have dim at most 8, and the table holds dim^3 rationals
+MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -117,25 +119,33 @@ class LieAlgebra:
         """Load the JSON form ``{"dim": n, "basis": [...], "brackets": [...]}``.
 
         Each bracket entry is ``{"i": i, "j": j, "coeffs": {"k": "p/q"}}``.
+        ``dim`` is a JSON integer from 1 to MAX_DIM, checked before the
+        dim^3 table is built; ``basis`` and ``brackets`` are lists.
         """
-        try:
-            dim = int(obj["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("algebra file needs an integer 'dim'") from exc
+        dim = obj.get("dim") if isinstance(obj, dict) else None
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise InputError("algebra file needs an integer 'dim'")
         if dim <= 0:
             raise InputError("'dim' must be positive")
+        if dim > MAX_DIM:
+            raise InputError(f"'dim' may be at most {MAX_DIM}")
         basis = obj.get("basis") or [f"X{i+1}" for i in range(dim)]
+        if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+            raise InputError("'basis' must be a list of names")
         if len(basis) != dim:
             raise InputError("'basis' length does not match 'dim'")
+        entries = obj.get("brackets", [])
+        if not isinstance(entries, list):
+            raise InputError("'brackets' must be a list")
         brackets = {}
-        for entry in obj.get("brackets", []):
+        for entry in entries:
             try:
                 i, j = int(entry["i"]), int(entry["j"])
                 coeffs = {
                     int(k): rational_from_str(str(v))
                     for k, v in entry["coeffs"].items()
                 }
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise InputError(f"malformed bracket entry {entry!r}") from exc
             key = (i, j)
             if key in brackets:

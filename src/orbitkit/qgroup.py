@@ -34,9 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import InputError
+from . import InputError
 
 _GROUP_SIZE_GUARD = 10**4
+# rep_catalog's largest size, group order times t_samples, checked before
+# the group is enumerated
+MAX_CATALOG = 10**5
 # truncation N of the shift model; larger N is an input error
 MAX_TRUNCATION = 1024
 # entries of the matrix joint_kernel_rank stacks; more is an input error
@@ -92,10 +95,24 @@ def _apply_reflection(family: str, datum: tuple, i: int) -> tuple:
     return tuple(out)
 
 
-def _group_order(family: str, rank: int) -> int:
-    if family == "A":
-        return math.factorial(rank + 1)
-    return 2**rank * math.factorial(rank)
+def _checked_order(family: str, rank: int) -> int:
+    """The order of the Weyl group, after checking family, rank and guard.
+
+    Both orders pass the guard from rank 7 on (8! and 2^7 7!), so the
+    factorial of a larger rank is never taken.
+    """
+    if family not in ("A", "B"):
+        raise InputError(f"unsupported family {family!r}; choose A or B")
+    if rank < 1:
+        raise InputError("rank must be at least 1")
+    r = min(rank, 7)
+    order = math.factorial(r + 1) if family == "A" else 2**r * math.factorial(r)
+    if order > _GROUP_SIZE_GUARD:
+        raise InputError(
+            f"Weyl group of {family}{rank} has at least {order} elements, "
+            f"over the {_GROUP_SIZE_GUARD} guard"
+        )
+    return order
 
 
 def evaluate_word(family: str, rank: int, word) -> tuple:
@@ -114,16 +131,7 @@ def weyl_group(family: str, rank: int):
     The search guard rejects groups larger than 10^4 elements.  Output is
     sorted by (length, datum), identity first.
     """
-    if family not in ("A", "B"):
-        raise InputError(f"unsupported family {family!r}; choose A or B")
-    if rank < 1:
-        raise InputError("rank must be at least 1")
-    order = _group_order(family, rank)
-    if order > _GROUP_SIZE_GUARD:
-        raise InputError(
-            f"Weyl group of {family}{rank} has {order} elements, "
-            f"over the {_GROUP_SIZE_GUARD} guard"
-        )
+    order = _checked_order(family, rank)
     identity = _identity_datum(family, rank)
     dist = {identity: 0}
     queue = deque([identity])
@@ -181,9 +189,12 @@ def rep_catalog(family: str, rank: int, t_samples: int):
     """All (w, t_j) descriptors with t_j = 2 pi j / t_samples.
 
     Dimension is 1 exactly when w is the identity and infinite otherwise.
+    A catalog of more than MAX_CATALOG entries is an InputError.
     """
     if t_samples < 1:
         raise InputError("t_samples must be at least 1")
+    if _checked_order(family, rank) * t_samples > MAX_CATALOG:
+        raise InputError(f"a catalog may have at most {MAX_CATALOG} entries")
     catalog = []
     for element in weyl_group(family, rank):
         for j in range(t_samples):

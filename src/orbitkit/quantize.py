@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import InputError
 from .exactnum import GaussRational
-from .liealg import InputError, LieAlgebra
+from .liealg import LieAlgebra
 
 __all__ = [
     "Poly",
@@ -50,6 +51,7 @@ __all__ = [
     "parse_one_form",
     "MAX_EXPONENT",
     "MAX_TERMS",
+    "MAX_NESTING",
 ]
 
 
@@ -522,10 +524,13 @@ def action_cocycle(L: LieAlgebra, moment: Sequence[Poly]) -> dict:
 # is a monomial in the variables and hbar.  A power of a base with T
 # terms has at most comb(T + e - 1, e) of them, and a product at most the
 # product of its operands' counts; either bound over MAX_TERMS is rejected
-# before multiplying, which bounds the work of every product.
+# before multiplying, which bounds the work of every product.  The parser
+# recurses once per parenthesis, so parentheses nested deeper than
+# MAX_NESTING are rejected before Python's recursion limit is reached.
 
 MAX_EXPONENT = 64
 MAX_TERMS = 1000
+MAX_NESTING = 64
 
 
 def _product(left: "Poly", right: "Poly") -> "Poly":
@@ -566,6 +571,7 @@ class _Parser:
         self.k = 0
         self.model = model
         self.allow_dvar = allow_dvar
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else (None, None)
@@ -663,8 +669,12 @@ class _Parser:
                 raise InputError("differential symbol not allowed in a polynomial")
             return Poly.variable(self.model, self.model.var_index(val)), None
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise InputError(f"parentheses may nest at most {MAX_NESTING} deep")
             acc = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             if self.allow_dvar and any(d is not None for _, d in acc):
                 raise InputError("differential symbols cannot be grouped")
             total = Poly.zero(self.model)
@@ -677,8 +687,9 @@ class _Parser:
 def parse_poly(text: str, model: SymplecticModel) -> Poly:
     """Parse a polynomial like ``"q1^2*p1 - 3/2*q1 + i*hbar"``.
 
-    Powers of degree above MAX_EXPONENT, and powers or products bounded
-    above MAX_TERMS terms, are an InputError.
+    Powers of degree above MAX_EXPONENT, powers or products bounded above
+    MAX_TERMS terms, and parentheses nested deeper than MAX_NESTING are an
+    InputError.
     """
     parser = _Parser(_tokenize(text), model, allow_dvar=False)
     acc = parser.parse_expr()

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import InputError
 from .exactnum import ExactMatrix, rational_to_str
-from .liealg import Covector, InputError, LieAlgebra, poisson_matrix
+from .liealg import Covector, LieAlgebra, poisson_matrix
 
 __all__ = [
     "MAX_SAMPLES",

@@ -1,5 +1,7 @@
 """End-to-end CLI checks: schemas, determinism, exit codes, rendering."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,6 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
 import orbitkit
 from orbitkit import cli
@@ -81,6 +82,14 @@ def run_cli(*args):
     return subprocess.run([*CLI, *args], capture_output=True, text=True)
 
 
+def invoke(argv):
+    """Run the CLI in-process; returns (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv, standalone_mode=False)
+    return code, out.getvalue()
+
+
 def load_schema(name):
     path = resources.files("orbitkit") / "schemas" / f"{name}.json"
     return json.loads(path.read_text())
@@ -131,6 +140,15 @@ SIZE_GUARDED = [
     (("orbitkit.qgroup._monomial_matrix", "numpy.vstack"),
      ["qgroup", "verify", "--q", "0.5", "--truncation", "64", "--t-samples", "1000"]),
     (("orbitkit.chern.phi",), ["chern", "matrix", "--family", "SU", "--rank", "100000"]),
+    (("orbitkit.liealg.LieAlgebra.from_brackets",),
+     ["lie", "check", "--algebra", str(FIXTURES / "lie_dim2000.json")]),
+    (("orbitkit.affine.random_aligned_element",),
+     ["affine", "verify", "--l", "2", "--h", "0.25", "--trials", "100000000000"]),
+    (("orbitkit.cyclic._random_element",),
+     ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+      "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "100000000000"]),
+    (("orbitkit.qgroup.weyl_group",),
+     ["qgroup", "reps", "--family", "A", "--rank", "2", "--t-samples", "100000000000"]),
 ]
 
 
@@ -142,14 +160,21 @@ def test_size_guards_exit_two_before_allocating(monkeypatch, targets, argv):
 
     for target in targets:
         monkeypatch.setattr(target, forbidden)
-    result = CliRunner().invoke(cli.main, argv)
-    assert result.exit_code == 2, result.output
-    error = json.loads(result.output)["error"]
+    code, output = invoke(argv)
+    assert code == 2, output
+    error = json.loads(output)["error"]
     assert error["kind"] == "input" and error["subcommand"] == " ".join(argv[:2])
 
 
-def test_input_errors_exit_two_with_error_object():
+def test_input_errors_exit_two_with_error_object(tmp_path):
     schema = load_schema("error")
+    malformed = {
+        "brackets": {"dim": 2, "brackets": 5},
+        "basis": {"dim": 2, "basis": 5},
+        "dim": {"dim": 2.7},
+    }
+    for name, algebra in malformed.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(algebra))
     cases = [
         ["cyclic", "hp", "--algebra", str(FIXTURES / "does_not_exist.json")],
         ["chern", "phi", "2", "0", "1"],
@@ -170,6 +195,8 @@ def test_input_errors_exit_two_with_error_object():
         ["chern", "phi", "3", "2", "20000"],
         # size guards, each checked before its allocation
         *(argv for _, argv in SIZE_GUARDED),
+        # a non-list basis or brackets, and a dim that is not an integer
+        *(["lie", "check", "--algebra", str(tmp_path / f"{name}.json")] for name in malformed),
     ]
     for argv in cases:
         proc = run_cli(*argv)
@@ -204,12 +231,15 @@ HEIS = str(FIXTURES / "heisenberg.json")
         # superscript two passes str.isdigit but not int()
         pytest.param(["cyclic", "entire", "--pattern", "\u00b2"], id="entire-superscript"),
         pytest.param(["quantize", "verify", "--alpha", "1/0*dq1"], id="quantize-zero"),
+        # the parser recurses once per parenthesis
+        pytest.param(["quantize", "verify", "--alpha", "(" * 300 + "p1" + ")" * 300 + "*dq1"],
+                     id="quantize-nesting"),
     ],
 )
 def test_malformed_inputs_are_input_errors(argv):
-    result = CliRunner().invoke(cli.main, argv)
-    assert result.exit_code == 2, result.output
-    assert json.loads(result.output)["error"]["kind"] == "input"
+    code, output = invoke(argv)
+    assert code == 2, output
+    assert json.loads(output)["error"]["kind"] == "input"
 
 
 @pytest.mark.parametrize(
@@ -229,9 +259,9 @@ def test_unexpected_faults_exit_one_with_error_object(monkeypatch, module, attri
         raise fault("simulated")
 
     monkeypatch.setattr(f"orbitkit.{module}.{attribute}", raise_fault)
-    result = CliRunner().invoke(cli.main, argv)
-    assert result.exit_code == 1, result.output
-    payload = json.loads(result.output)
+    code, output = invoke(argv)
+    assert code == 1, output
+    payload = json.loads(output)
     jsonschema.validate(payload, load_schema("error"))
     assert payload["error"] == {
         "kind": "internal",
@@ -241,11 +271,14 @@ def test_unexpected_faults_exit_one_with_error_object(monkeypatch, module, attri
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy and the modules of all but the lie and chern subcommands load
-    # only inside the subcommands that use them
+    # numpy and every other orbitkit module load only inside the
+    # subcommands that use them
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     lazy = ["numpy"] + [
-        f"orbitkit.{name}" for name in ("affine", "cyclic", "qgroup", "quantize", "strata")
+        f"orbitkit.{name}"
+        for name in (
+            "affine", "chern", "cyclic", "exactnum", "liealg", "qgroup", "quantize", "strata"
+        )
     ]
     code = f"import sys, orbitkit.cli; print([m for m in {lazy!r} if m in sys.modules])"
     proc = subprocess.run(
@@ -271,27 +304,73 @@ def test_quantize_size_guards_exit_two_before_the_work(monkeypatch, argv, messag
     monkeypatch.setattr("orbitkit.quantize.Poly.__mul__", forbidden)
     monkeypatch.setattr("orbitkit.quantize.check_dirac_pairs", forbidden)
     t0 = time.perf_counter()
-    result = CliRunner().invoke(cli.main, ["quantize", "verify", *argv])
+    code, output = invoke(["quantize", "verify", *argv])
     assert time.perf_counter() - t0 < 1.0
-    assert result.exit_code == 2, result.output
-    assert json.loads(result.output)["error"] == {
+    assert code == 2, output
+    assert json.loads(output)["error"] == {
         "kind": "input",
         "message": message,
         "subcommand": "quantize verify",
     }
 
 
-def test_unknown_subcommand_is_a_usage_error():
-    proc = run_cli("bogus")
-    assert proc.returncode == 2
+@pytest.mark.parametrize(
+    "argv, subcommand",
+    [
+        pytest.param([], "", id="bare"),
+        pytest.param(["lie"], "lie", id="group-only"),
+        pytest.param(["bogus"], "", id="bogus"),
+        pytest.param(["lie", "bogus"], "lie", id="lie-bogus"),
+        pytest.param(["lie", "check"], "lie check", id="missing-algebra"),
+        pytest.param(["lie", "strata", "--algebra", SL2, "--samples", "1e3"], "lie strata",
+                     id="samples-not-int"),
+        pytest.param(["--format", "xml", "chern", "phi", "3", "2", "2"], "", id="format-xml"),
+        # abbreviated options are rejected
+        pytest.param(["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--trunc", "4"],
+                     "cyclic hp", id="abbreviation"),
+        pytest.param(["quantize", "verify", "--alpha"], "quantize verify", id="alpha-no-value"),
+        pytest.param(["chern", "phi", "3", "2", "2", "4"], "chern phi", id="extra-argument"),
+        pytest.param(["--seed", "1", "chern", "phi", "3", "-1", "2"], "chern phi",
+                     id="chern-phi-negative"),
+        # the family lists live in chern and qgroup, which reject the rest
+        pytest.param(["chern", "matrix", "--family", "Sp", "--rank", "2"], "chern matrix",
+                     id="chern-matrix-Sp"),
+        pytest.param(["chern", "matrix", "--family", "G2", "--rank", "2"], "chern matrix",
+                     id="chern-matrix-G2"),
+        pytest.param(["qgroup", "reps", "--family", "C", "--rank", "2"], "qgroup reps",
+                     id="qgroup-reps-C"),
+    ],
+)
+def test_usage_errors_exit_two_with_error_object(argv, subcommand):
+    schema = load_schema("error")
+    proc = run_cli(*argv)
+    code, output = invoke(argv)
+    assert proc.returncode == code == 2, (proc.stdout, proc.stderr)
+    assert proc.stdout == output and proc.stderr == ""
+    payload = json.loads(output)
+    jsonschema.validate(payload, schema)
+    assert payload["error"]["kind"] == "input"
+    assert payload["error"]["subcommand"] == subcommand
 
 
-def test_unsupported_chern_families_are_usage_errors():
-    for family in ("Sp", "G2"):
-        argv = ["chern", "matrix", "--family", family, "--rank", "2"]
-        result = CliRunner().invoke(cli.main, argv)
-        assert result.exit_code == 2
-        assert "Invalid value for '--family'" in result.output
+def test_option_values_may_start_with_a_dash():
+    # an option takes the next word as its value, whatever it looks like
+    joined = run_cli("quantize", "verify", "--alpha=-q1*dp1")
+    spaced = run_cli("quantize", "verify", "--alpha", "-q1*dp1")
+    assert joined.returncode == spaced.returncode == 0, spaced.stdout
+    assert joined.stdout == spaced.stdout
+    assert json.loads(spaced.stdout)["result"]["curvature"]["passes"]
+
+
+def test_the_cli_runs_without_click():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys; sys.modules['click'] = None; from orbitkit import cli; "
+        "cli.main(['chern', 'phi', '3', '2', '2'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == {"value": "1"}
 
 
 def test_table_format_renders_header_and_rows():
@@ -314,7 +393,14 @@ def test_timing_flag_adds_wall_time():
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
-    assert orbitkit.__version__ in proc.stdout
+    assert proc.stdout == f"orbitkit, version {orbitkit.__version__}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["lie", "strata", "--help"]])
+def test_help_exits_zero(argv):
+    code, output = invoke(argv)
+    assert code == 0
+    assert output.startswith("usage: orbitkit")
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import orbitkit
 from orbitkit.exactnum import GaussRational
 from orbitkit.liealg import (
     ComplexSubspace,
     Covector,
+    MAX_DIM,
     InputError,
     LieAlgebra,
     abelian,
@@ -51,6 +53,29 @@ def test_loader_round_trip_and_antisymmetric_completion():
     again = LieAlgebra.from_json(L.to_json())
     assert again.c == L.c
     assert again.c[1][0][2] == -1  # filled from the (0,1) entry
+
+
+def test_input_error_is_the_package_class():
+    assert InputError is orbitkit.InputError
+
+
+def test_loader_checks_the_file_before_building_the_table(monkeypatch):
+    assert LieAlgebra.from_json({"dim": MAX_DIM}).dim == MAX_DIM
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table built before the file was checked")
+
+    monkeypatch.setattr(LieAlgebra, "from_brackets", forbidden)
+    for obj in (
+        {"dim": MAX_DIM + 1},
+        {"dim": 2.7},
+        {"dim": True},
+        {"dim": 2, "basis": 5},
+        {"dim": 2, "brackets": 5},
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1]}]},
+    ):
+        with pytest.raises(InputError):
+            LieAlgebra.from_json(obj)
 
 
 def test_poisson_matrix_heisenberg_center():

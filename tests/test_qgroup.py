@@ -9,6 +9,7 @@ import pytest
 from orbitkit.liealg import InputError
 import orbitkit.qgroup as qgroup_module
 from orbitkit.qgroup import (
+    MAX_CATALOG,
     MAX_STACKED_ENTRIES,
     MAX_TRUNCATION,
     build_rep_su2,
@@ -74,6 +75,9 @@ def test_weyl_group_guards():
         weyl_group("A", 0)
     with pytest.raises(InputError):
         weyl_group("A", 7)  # 8! elements, over the enumeration guard
+    # decided without taking the factorial of the rank
+    with pytest.raises(InputError, match="over the 10000 guard"):
+        weyl_group("A", 10**9)
 
 
 def test_evaluate_word_index_guard():
@@ -114,9 +118,18 @@ def test_catalog_json_marks_infinite_dimension():
     assert kinds == {1, "inf"}
 
 
-def test_catalog_guard():
+def test_catalog_guard(monkeypatch):
     with pytest.raises(InputError):
         rep_catalog("A", 2, 0)
+    assert len(rep_catalog("A", 1, MAX_CATALOG // 2)) == MAX_CATALOG
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("group enumerated before the catalog guard fired")
+
+    monkeypatch.setattr("orbitkit.qgroup.weyl_group", forbidden)
+    for t_samples in (MAX_CATALOG // 2 + 1, 10**11):
+        with pytest.raises(InputError, match=f"at most {MAX_CATALOG} entries"):
+            rep_catalog("A", 1, t_samples)
 
 
 # ---------------------------------------------------------------------------

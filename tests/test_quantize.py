@@ -11,6 +11,7 @@ from orbitkit.exactnum import GaussRational
 from orbitkit.liealg import InputError, abelian, heisenberg
 from orbitkit.quantize import (
     MAX_DIRAC_PAIRS,
+    MAX_NESTING,
     MAX_TERMS,
     Poly,
     PolyDiffOp,
@@ -236,6 +237,20 @@ def test_parser_bounds_the_terms_of_powers_and_products(monkeypatch):
         parse_one_form(f"{wide} {wide}*dq1", MODEL)
     # the bound counts terms that can arise, so a narrow base passes
     assert len(parse_poly("(q1 + p1)^30", MODEL).terms) == 31
+
+
+def test_parser_bounds_the_nesting_of_parentheses():
+    def nested(depth):
+        return "(" * depth + "p1" + ")" * depth
+
+    assert parse_one_form(f"{nested(MAX_NESTING)}*dq1", MODEL) == parse_one_form("p1*dq1", MODEL)
+    assert parse_poly(f"{nested(MAX_NESTING)}^2", MODEL) == parse_poly("p1^2", MODEL)
+    for text in (f"{nested(MAX_NESTING + 1)}*dq1", f"{nested(10**5)}*dq1"):
+        with pytest.raises(InputError, match=f"nest at most {MAX_NESTING} deep"):
+            parse_one_form(text, MODEL)
+    # depth counts open parentheses, not parenthesized groups in sequence
+    sequence = " + ".join(["(p1)"] * (MAX_NESTING + 1))
+    assert parse_poly(sequence, MODEL) == parse_poly(f"{MAX_NESTING + 1}*p1", MODEL)
 
 
 def test_pair_count_guard_decides_from_the_sizes_alone():
