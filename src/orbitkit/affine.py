@@ -43,6 +43,10 @@ MAX_BRANCH_NODES = 10**6
 # worst_residuals' largest trial count, checked before the first trial;
 # a trial takes about 0.6 ms on a 257-node branch
 MAX_TRIALS = 10**5
+# worst_residuals' largest trials x branch_size, checked with MAX_TRIALS; a
+# trial costs about 1.5 us per branch node on large grids, so the largest
+# grid (600,001 nodes) gets 33 trials, about 30 s
+MAX_TRIAL_NODES = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -295,12 +299,17 @@ def worst_residuals(grid: LogGrid, trials: int, seed: int) -> dict:
     whose edge coordinate e^L overflows extended precision, a dilation
     outside the double range, and a non-finite residual (overflowing
     phases) are input errors, as is a trial count below 1 or above
-    MAX_TRIALS.
+    MAX_TRIALS, or trials x branch_size above MAX_TRIAL_NODES.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise InputError(f"trials may be at most {MAX_TRIALS}")
+    if trials * grid.branch_size > MAX_TRIAL_NODES:
+        raise InputError(
+            f"trials x branch nodes may be at most {MAX_TRIAL_NODES}, got "
+            f"{trials} x {grid.branch_size}"
+        )
     with np.errstate(over="ignore"):
         if not np.isfinite(np.exp(np.longdouble(grid.L))):
             raise InputError(f"non-finite grid: e^L overflows extended precision at L = {grid.L}")

@@ -22,8 +22,18 @@ preserve weight, the inner derivation ad(sum t_i e_i) acts on weight w by
 <t, w>, and inner derivations act by zero on HC (Loday, Cyclic Homology,
 section 4.1), so HC lies in weight 0 and the block gives all of it.  Any
 other algebra gets the trivial grading, in which every word has weight 0.
-Weight-0 classes are enumerated directly by a necklace search pruned on
-the remaining weight.  The report lists the top even/odd homology
+
+The block is reduced on the orbits of a group G certified from the
+algebra: the swaps of Peirce idempotents whose letter map preserves the
+structure constants and is conjugation by an exact unit.  G acts by inner
+automorphisms, so trivially on HC, and over Q the homology of the
+G-coinvariants is the G-coinvariants of the homology, which is all of HC.
+A cell of the coinvariant complex is the least word of an orbit of G and
+the rotations, found by renumbering each class of idempotents in order of
+first appearance (orderly generation, as in McKay, Isomorph-free
+exhaustive generation, J. Algorithms 1998); an orbit that some element
+sends to its own negative is killed.  Other algebras get the trivial
+group through the same code.  The report lists the top even/odd homology
 dimensions and whether they agree with the pair two degrees down, which is
 the computable surrogate for the stabilization of the periodic theory.
 
@@ -58,9 +68,24 @@ _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
 
 
-def _unit_vectors(d: int) -> tuple:
-    """Coordinates of the basis vectors e_0..e_{d-1}."""
-    return tuple(tuple(_ONE if a == b else _ZERO for b in range(d)) for a in range(d))
+def _nonzero(x) -> tuple:
+    """The (index, coeff) pairs of the nonzero coordinates of x."""
+    return tuple((a, v) for a, v in enumerate(x) if not v.is_zero())
+
+
+def _combine(terms) -> dict:
+    """The sum of s * row over the (s, row) in terms, as {index: coeff}.
+
+    Each row is a sparse vector of (index, coeff) pairs; zero sums are
+    dropped.  This is the one sparse product of `FinAlgebra`: products,
+    the involution and the validation all reduce to it.
+    """
+    out = {}
+    for s, row in terms:
+        for c, v in row:
+            sv = s * v
+            out[c] = out[c] + sv if c in out else sv
+    return {c: v for c, v in out.items() if not v.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +135,7 @@ class FinAlgebra:
             for a in range(d)
         )
         object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_star_pairs", tuple(_nonzero(row) for row in self.star))
         # b is linear in the structure constants, so L * b on the integer
         # table (re, im), with L the lcm of their denominators, has the rank
         # of b; im is None for a real algebra
@@ -138,33 +164,32 @@ class FinAlgebra:
 
     def _validate(self):
         d = self.dim
-        ident = _unit_vectors(d)
+        unit = _nonzero(self.unit)
         for b in range(d):
-            e_b = ident[b]
-            if self.mul_coords(self.unit, e_b) != e_b:
+            e_b = ((b, _ONE),)
+            if self._mul(unit, e_b) != dict(e_b):
                 raise InputError(f"left unit law fails on basis vector {b}")
-            if self.mul_coords(e_b, self.unit) != e_b:
+            if self._mul(e_b, unit) != dict(e_b):
                 raise InputError(f"right unit law fails on basis vector {b}")
         for a in range(d):
             for b in range(d):
-                ab = self.mult[a][b]
+                ab = self._pairs[a][b]
                 for c in range(d):
-                    left = self.mul_coords(ab, ident[c])
-                    right = self.mul_coords(ident[a], self.mult[b][c])
+                    left = self._mul(ab, ((c, _ONE),))
+                    right = self._mul(((a, _ONE),), self._pairs[b][c])
                     if left != right:
                         raise InputError(
                             f"associativity fails on basis triple ({a}, {b}, {c})"
                         )
         for a in range(d):
-            twice = self.star_coords(self.star[a])
-            if twice != ident[a]:
+            if self._star(self._star_pairs[a]) != {a: _ONE}:
                 raise InputError(f"involution is not involutive on basis vector {a}")
-        if self.star_coords(self.unit) != tuple(self.unit):
+        if self._star(unit) != dict(unit):
             raise InputError("involution does not fix the unit")
         for a in range(d):
             for b in range(d):
-                left = self.star_coords(self.mult[a][b])
-                right = self.mul_coords(self.star[b], self.star[a])
+                left = self._star(self._pairs[a][b])
+                right = self._mul(self._star_pairs[b], self._star_pairs[a])
                 if left != right:
                     raise InputError(
                         f"involution is not an anti-automorphism on pair ({a}, {b})"
@@ -174,30 +199,24 @@ class FinAlgebra:
         """Sparse coordinates [(c, coeff)] of the product e_a e_b."""
         return self._pairs[a][b]
 
+    def _mul(self, x, y) -> dict:
+        """x y for sparse x and y, given as (index, coeff) pairs."""
+        return _combine(
+            (s * t, row) for a, s in x for b, t in y if (row := self._pairs[a][b])
+        )
+
+    def _star(self, x) -> dict:
+        """x^* for sparse x, given as (index, coeff) pairs."""
+        return _combine((s.conjugate(), self._star_pairs[a]) for a, s in x)
+
     def mul_coords(self, x, y) -> tuple:
-        out = [_ZERO] * self.dim
-        for a, xa in enumerate(x):
-            if xa.is_zero():
-                continue
-            row = self._pairs[a]
-            for b, yb in enumerate(y):
-                if yb.is_zero():
-                    continue
-                s = xa * yb
-                for c, v in row[b]:
-                    out[c] = out[c] + s * v
-        return tuple(out)
+        return self._dense(self._mul(_nonzero(x), _nonzero(y)))
 
     def star_coords(self, x) -> tuple:
-        out = [_ZERO] * self.dim
-        for a, xa in enumerate(x):
-            if xa.is_zero():
-                continue
-            xc = xa.conjugate()
-            for c, v in enumerate(self.star[a]):
-                if not v.is_zero():
-                    out[c] = out[c] + xc * v
-        return tuple(out)
+        return self._dense(self._star(_nonzero(x)))
+
+    def _dense(self, x: dict) -> tuple:
+        return tuple(x.get(c, _ZERO) for c in range(self.dim))
 
     def to_json(self) -> dict:
         return {
@@ -212,8 +231,10 @@ class FinAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "FinAlgebra":
+        dim = data.get("dim") if isinstance(data, dict) else None
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise InputError("algebra file needs an integer 'dim'")
         try:
-            dim = int(data["dim"])
             mult = tuple(
                 tuple(
                     tuple(GaussRational.from_json(v) for v in row) for row in plane
@@ -463,7 +484,6 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
         raise InputError(f"samples may be at most {MAX_TRACE_SAMPLES}")
     if len(tau.coords) != A.dim:
         raise InputError("trace coordinate count does not match the algebra")
-    ident = _unit_vectors(A.dim)
     normalized = tau(A.unit) == _ONE
     rng = random.Random(seed)
     positive = True
@@ -474,7 +494,7 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
             positive = False
             break
     gram = [
-        [tau(A.mul_coords(A.star_coords(ident[a]), ident[b])) for b in range(A.dim)]
+        [tau(A._dense(A._mul(A._star_pairs[a], ((b, _ONE),)))) for b in range(A.dim)]
         for a in range(A.dim)
     ]
     faithful = gauss_rank(gram) == A.dim
@@ -740,7 +760,7 @@ def _peirce_grading(A: FinAlgebra) -> tuple:
     return tuple(grading)
 
 
-def _letter_weights(A: FinAlgebra, length: int) -> tuple:
+def _letter_weights(grading: tuple, length: int) -> tuple:
     """The weight eps_i - eps_j of each letter, as one integer.
 
     A sum of at most `length` letter weights has coordinates in
@@ -749,21 +769,220 @@ def _letter_weights(A: FinAlgebra, length: int) -> tuple:
     exactly when its letter weights sum to 0.
     """
     base = 2 * length + 1
-    return tuple(base**i - base**j for i, j in _peirce_grading(A))
+    return tuple(base**i - base**j for i, j in grading)
 
 
-def _necklaces(weights: tuple, length: int):
-    """(least rotation, period) of each weight-0 rotation class, in word order.
+def _weight_zero_words(weights: tuple, length: int) -> int:
+    """The number of words of `length` letters whose weights sum to 0.
 
-    Words have `length` letters; letter a has weight ``weights[a]``.  The
-    FKM algorithm (Fredricksen-Kessler-Maiorana) extends a prenecklace of
-    period p by its letter p places back, keeping the period, or by a
-    larger letter, which makes the whole prefix the period; a prenecklace
-    whose period divides the length is the least rotation of its class.
-    A prefix is pruned when no word of the remaining length has the
-    opposite weight, so only words of weight 0 are visited.
+    The sums of each half of a word are counted separately and paired by
+    opposite value.
     """
-    dim = len(weights)
+    letters = {}
+    for w in weights:
+        letters[w] = letters.get(w, 0) + 1
+    sums = [{0: 1}]
+    for _ in range((length + 1) // 2):
+        step = {}
+        for s, k in sums[-1].items():
+            for w, m in letters.items():
+                step[s + w] = step.get(s + w, 0) + k * m
+        sums.append(step)
+    tail = sums[(length + 1) // 2]
+    return sum(k * tail.get(-s, 0) for s, k in sums[length // 2].items())
+
+
+def _letters(grading: tuple) -> tuple:
+    """(i, j, t) of each basis element: its Peirce indices and its rank t in e_i A e_j."""
+    return tuple((*pq, grading[:a].count(pq)) for a, pq in enumerate(grading))
+
+
+def _transposition(A: FinAlgebra, letters: tuple, i: int, j: int):
+    """The letter map of the swap of idempotents i and j, as a list, or None.
+
+    Letter (p, q, t) goes to (p', q', t), where ' swaps i and j; the map
+    must exist and preserve every structure constant.
+    """
+    where = {x: a for a, x in enumerate(letters)}
+    swap = {i: j, j: i}
+    try:
+        sigma = [where[swap.get(p, p), swap.get(q, q), t] for p, q, t in letters]
+    except KeyError:
+        return None
+    for a in range(A.dim):
+        for b in range(A.dim):
+            image = {sigma[c]: v for c, v in A.basis_product(a, b)}
+            if dict(A.basis_product(sigma[a], sigma[b])) != image:
+                return None
+    return sigma
+
+
+def _is_inner(A: FinAlgebra, letters: tuple, sigma: list, i: int, j: int) -> bool:
+    """Whether sigma, the letter map of the swap of i and j, is inner.
+
+    The witness is u = x + y + (the idempotents other than e_i, e_j), for
+    letters x of e_j A e_i and y of e_i A e_j, with u u = 1 and
+    u z u = sigma(z) on every letter z.  u u = 1 gives y x = e_i, so
+    u x u = y: only y = sigma(x) can pass, and x alone is searched.
+    """
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    one = {e: _ONE for e in idem}
+    rest = [(e, _ONE) for k, e in enumerate(idem) if k not in (i, j)]
+    for x in range(A.dim):
+        if letters[x][:2] != (j, i):
+            continue
+        u = ((x, _ONE), (sigma[x], _ONE), *rest)
+        if A._mul(u, u) == one and all(
+            A._mul(A._mul(u, ((z, _ONE),)).items(), u) == {sigma[z]: _ONE}
+            for z in range(A.dim)
+        ):
+            return True
+    return False
+
+
+def _idempotent_classes(A: FinAlgebra, letters: tuple) -> tuple:
+    """The classes of the Peirce idempotents under the certified symmetry.
+
+    A swap of two idempotents is accepted when `_transposition` finds its
+    letter map and `_is_inner` a witness.  The accepted swaps generate the
+    symmetric group on each class, whose elements are inner automorphisms
+    that permute the letters.  Classes are tuples of indices in increasing
+    order, listed by their least index.
+    """
+    root = list(range(max(x[0] for x in letters) + 1))  # least index of each class
+    for i, j in itertools.combinations(range(len(root)), 2):
+        if root[i] != root[j]:
+            sigma = _transposition(A, letters, i, j)
+            if sigma is not None and _is_inner(A, letters, sigma, i, j):
+                low, high = sorted((root[i], root[j]))
+                root = [low if r == high else r for r in root]
+    return tuple(
+        tuple(a for a in range(len(root)) if root[a] == r) for r in sorted(set(root))
+    )
+
+
+class _Orbits:
+    """Weight-0 words of C^lambda up to the certified symmetry group G.
+
+    Letters are renumbered in the order of their Peirce indices (i, j) and
+    their rank t in e_i A e_j, and G acts on a letter by (i, j, t) ->
+    (g i, g j, t).  The least word of a G-orbit, in that order, renumbers
+    the idempotents of each class in order of first appearance; the cell of
+    a word is the least word of its orbit under G and the rotations.
+    ``tables`` is ``FinAlgebra._int_table`` in the new letters.
+    """
+
+    def __init__(self, A: FinAlgebra, length: int):
+        letters = _letters(_peirce_grading(A))
+        classes = _idempotent_classes(A, letters)
+        order = sorted(range(A.dim), key=letters.__getitem__)
+        new = {a: k for k, a in enumerate(order)}
+        self.dim = A.dim
+        # new letter a is (i, j, t), and (i, j, t) orders the new letters
+        self.letter = [letters[a] for a in order]
+        self.code = {x: a for a, x in enumerate(self.letter)}
+        self.peirce = tuple(x[:2] for x in self.letter)
+        self.weights = _letter_weights(self.peirce, length)
+        self.trivial = all(len(c) == 1 for c in classes)
+        self.classes = classes
+        # the class of each idempotent index, and its place in the class
+        self.cls = {x: c for c, labels in enumerate(classes) for x in labels}
+        self.pos = {x: k for labels in classes for k, x in enumerate(labels)}
+        # the first letter of the least G-image of any word that starts with a
+        self.head = tuple(self._relabel((a,))[0] for a in range(A.dim))
+        self.tables = tuple(
+            None
+            if part is None
+            else tuple(
+                tuple(tuple((new[c], v) for c, v in part[a][b]) for b in order)
+                for a in order
+            )
+            for part in A._int_table
+        )
+
+    def _relabel(self, word, bound=None):
+        """The least word of the G-orbit of `word`, or None if it exceeds `bound`."""
+        letter, cls, classes, code = self.letter, self.cls, self.classes, self.code
+        used = [0] * len(classes)
+        new = {}
+        out = []
+        for m, a in enumerate(word):
+            i, j, t = letter[a]
+            for x in (i, j):
+                if x not in new:
+                    c = cls[x]
+                    new[x] = classes[c][used[c]]
+                    used[c] += 1
+            b = code[new[i], new[j], t]
+            if bound is not None:
+                if b > bound[m]:
+                    return None
+                if b < bound[m]:
+                    bound = None
+            out.append(b)
+        return tuple(out)
+
+    def cell(self, word):
+        """(row, negate) of the cell of `word` in C^lambda_n, or None when killed.
+
+        Rotating k letters to the left and acting by G takes `word` to the
+        cell's least word; in C^lambda_n the word is (-1)^(nk) times it.
+        Two such k of opposite parity when n is odd mean some element sends
+        the cell to its negative, and the cell is killed.  The row is the
+        flat index of the least word.
+        """
+        n = len(word) - 1
+        if self.trivial:
+            turns = [word[k:] + word[:k] for k in range(n + 1)]
+            rep = min(turns)
+            ks = [k for k, w in enumerate(turns) if w == rep]
+        else:
+            # the least word starts with the least relabelled first letter
+            h = min(map(self.head.__getitem__, word))
+            rep, ks = None, []
+            for k in range(n + 1):
+                if self.head[word[k]] == h:
+                    w = self._relabel(word[k:] + word[:k], rep)
+                    if w == rep:
+                        ks.append(k)
+                    elif w is not None:
+                        rep, ks = w, [k]
+        if n % 2 and any((k - ks[0]) % 2 for k in ks):
+            return None
+        return _flat(rep, self.dim), (n * ks[0]) % 2 == 1
+
+
+class _Lookup(dict):
+    """Cells of the words of one degree, computed on first lookup."""
+
+    def __init__(self, orbits: _Orbits):
+        super().__init__()
+        self.orbits = orbits
+
+    def __missing__(self, word):
+        cell = self[word] = self.orbits.cell(word)
+        return cell
+
+
+def _classes(orbits: _Orbits) -> dict:
+    """An empty memo, word -> `_Orbits.cell`, for the words of one degree."""
+    return _Lookup(orbits)
+
+
+def _necklaces(orbits: _Orbits, length: int):
+    """Candidate least words of the weight-0 cells of `length` letters, in word order.
+
+    The FKM algorithm (Fredricksen-Kessler-Maiorana) extends a prenecklace
+    of period p by its letter p places back, keeping the period, or by a
+    larger letter, which makes the whole prefix the period; a prenecklace
+    whose period divides the length is the least rotation of its class.  A
+    prefix is pruned when no word of the remaining length has the opposite
+    weight, when its idempotents of some class do not first appear in
+    increasing order, or when a rotation starting at its last letter would
+    relabel to a smaller first letter.  Words that are not least in their
+    orbit can remain; `_cells` drops them.
+    """
+    weights, dim = orbits.weights, orbits.dim
     letters = set(weights)
     # reach[r] holds the weights of the words of r letters
     reach = [{0}]
@@ -771,61 +990,58 @@ def _necklaces(weights: tuple, length: int):
         reach.append({s + w for s in reach[-1] for w in letters})
     word = [0] * (length + 1)  # word[0] stands before the first letter
 
-    def extend(t: int, p: int, total: int):
+    def admit(seen: tuple, x: int):
+        c, p = orbits.cls[x], orbits.pos[x]
+        if p < seen[c]:
+            return seen
+        return seen[:c] + (p + 1,) + seen[c + 1 :] if p == seen[c] else None
+
+    def extend(t: int, p: int, total: int, seen: tuple):
         if t > length:
             if length % p == 0:
-                yield tuple(word[1:]), p
+                yield tuple(word[1:])
             return
         need = reach[length - t]
         back = word[t - p]
         for a in range(back, dim):
             s = total + weights[a]
             if -s in need:
+                after = seen
+                if not orbits.trivial:
+                    if t > 1 and orbits.head[a] < word[1]:
+                        continue
+                    i, j = orbits.peirce[a]
+                    after = admit(seen, i)
+                    after = after and admit(after, j)
+                    if after is None:
+                        continue
                 word[t] = a
-                yield from extend(t + 1, p if a == back else t, s)
+                yield from extend(t + 1, p if a == back else t, s, after)
 
-    return extend(1, 1, 0)
+    return extend(1, 1, 0, (0,) * len(orbits.classes))
 
 
-def _cells(weights: tuple, n: int):
-    """The least rotation of each weight-0 cell of C^lambda_n, in word order.
+def _cells(orbits: _Orbits, n: int, classes: dict):
+    """The least word of each weight-0 cell of C^lambda_n up to G, in word order.
 
-    C^lambda_n = C_n/(1 - lambda) identifies a word with its rotation
-    (last letter to the front) times (-1)^n, so a class whose period p has
-    n * p odd equals its own negative and is killed; the other classes are
-    the cells.
+    ``classes`` is the degree-n memo, which these lookups fill.
     """
-    return (rep for rep, p in _necklaces(weights, n + 1) if (n * p) % 2 == 0)
+    for word in _necklaces(orbits, n + 1):
+        if classes[word] == (_flat(word, orbits.dim), False):
+            yield word
 
 
-def _classes(weights: tuple, n: int) -> dict:
-    """Map each weight-0 word of C_n to (row, negate), or None when killed.
-
-    The word rotated k times from its least rotation is (-1)^(nk) times
-    that cell in C^lambda_n; the row is the flat index of the cell.  b
-    preserves weight, so these are the only words that columns of b on
-    weight-0 cells meet.
-    """
-    dim = len(weights)
-    table = {}
-    for rep, p in _necklaces(weights, n + 1):
-        row, word = _flat(rep, dim), rep
-        for k in range(p):
-            table[word] = None if (n * p) % 2 else (row, (n * k) % 2 == 1)
-            word = (word[n],) + word[:n]
-    return table
-
-
-def _columns(A: FinAlgebra, n: int, word, classes) -> list:
+def _columns(tables: tuple, n: int, word, classes) -> list:
     """Integer columns of L * b on `word`, from C_n to C^lambda_{n-1}.
 
-    ``classes`` is `_classes` at level n - 1.  A real algebra gives one
-    column; a Gaussian one gives the two real columns of the realification
-    (the images of the word and of i times it), with imaginary parts in
-    rows shifted by dim^n.
+    ``tables`` is an integer table (re, im) like ``FinAlgebra._int_table``
+    and ``classes`` maps each word of C_{n-1} to (row, negate), or None when
+    killed.  A real algebra gives one column; a Gaussian one gives the two
+    real columns of the realification (the images of the word and of i
+    times it), with imaginary parts in rows shifted by dim^n.
     """
     parts = []
-    for pairs in A._int_table:
+    for pairs in tables:
         if pairs is None:
             continue
         col = {}
@@ -838,7 +1054,7 @@ def _columns(A: FinAlgebra, n: int, word, classes) -> list:
     if len(parts) == 1:
         return parts
     re_col, im_col = parts
-    shift = A.dim**n
+    shift = len(tables[0]) ** n
     return [
         {**re_col, **{r + shift: v for r, v in im_col.items()}},
         {**{r + shift: v for r, v in re_col.items()}, **{r: -v for r, v in im_col.items()}},
@@ -879,83 +1095,81 @@ def _reduce_column(col: dict, pivots: dict) -> None:
         col = new
 
 
-def _boundary_rank(A: FinAlgebra, n: int, weights: tuple, classes) -> tuple:
-    """Rank of b: C^lambda_n -> C^lambda_{n-1} on weight 0, and its cell count."""
+def _boundary_rank(tables: tuple, n: int, cells: list, classes) -> int:
+    """Rank of b: C^lambda_n -> C^lambda_{n-1} on the given cells."""
     pivots = {}
-    cells = 0
-    for word in _cells(weights, n):
-        cells += 1
-        for col in _columns(A, n, word, classes):
+    for word in cells:
+        for col in _columns(tables, n, word, classes):
             if col:
                 _reduce_column(col, pivots)
     rank = len(pivots)
-    if A._int_table[1] is not None:
+    if tables[1] is not None:
         if rank % 2:
             raise RuntimeError("realified rank is odd; exact reduction is broken")
         rank //= 2
-    return rank, cells
+    return rank
 
 
 _SQUARE_CHECK_LIMIT = 50000
 
-# Degree T of the chain complex has dim^(T+1) words; past this many,
-# hp_homology is an input error.
+# Degree T of the chain complex has this many weight-0 words at most;
+# past it, hp_homology is an input error.
 MAX_CHAIN_WORDS = 2**24
 
 # A one-dimensional algebra has one word per degree, so the word bound
 # never fires; its columns have n terms of n letters, and the work grows
-# like T^3.  From dim 2 on, MAX_CHAIN_WORDS binds first (at T = 24).
+# like T^3.  From dim 2 on, MAX_CHAIN_WORDS binds first (at T = 24): the
+# unit's idempotents alone make 2^(T+1) weight-0 words.
 MAX_TRUNCATION = 64
 
 
 def _square_check(
-    A: FinAlgebra, n: int, weights: tuple, cells: int, classes_prev, classes_prev2
+    tables: tuple, n: int, cells: list, classes_prev, classes_prev2
 ) -> str:
     """Verify b o b = 0 from C^lambda_n to C^lambda_{n-2}; returns the mode.
 
-    The check runs on every weight-0 cell when C^lambda_n has at most
-    `_SQUARE_CHECK_LIMIT` of them and on 64 random ones otherwise.
+    The check runs on every cell when C^lambda_n has at most
+    `_SQUARE_CHECK_LIMIT` of them and on 64 random ones otherwise.  A row
+    of a column is the flat index of a cell's least word, so the second b
+    is applied to that word.
     """
-    shift = A.dim**n
+    dim = len(tables[0])
+    shift = dim**n
+    below = {}  # row -> the columns of b on that cell of C^lambda_{n-1}
 
     def check(word) -> None:
         acc = {}
-        for r, v in _columns(A, n, word, classes_prev)[0].items():
-            prev = _unflatten(r % shift, A.dim, n)
-            for r2, v2 in _columns(A, n - 1, prev, classes_prev2)[r // shift].items():
+        for r, v in _columns(tables, n, word, classes_prev)[0].items():
+            row = r % shift
+            if row not in below:
+                prev = _unflatten(row, dim, n)
+                below[row] = _columns(tables, n - 1, prev, classes_prev2)
+            for r2, v2 in below[row][r // shift].items():
                 acc[r2] = acc.get(r2, 0) + v * v2
         if any(acc.values()):
             raise RuntimeError(f"b o b is nonzero at level {n} on word {word}")
 
-    sampled = cells > _SQUARE_CHECK_LIMIT
-    picks = (
-        set(random.Random(2026 * n + A.dim).sample(range(cells), 64))
-        if sampled
-        else range(cells)
-    )
-    for k, word in enumerate(_cells(weights, n)):
-        if k in picks:
-            check(word)
+    sampled = len(cells) > _SQUARE_CHECK_LIMIT
+    for word in random.Random(2026 * n + dim).sample(cells, 64) if sampled else cells:
+        check(word)
     return "sampled" if sampled else "full"
 
 
 @lru_cache(maxsize=32)
 def _rank_table(A: FinAlgebra, truncation: int):
-    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T."""
-    weights = _letter_weights(A, truncation + 1)
-    # every weight-0 letter is a cell of C^lambda_0, and b vanishes on it
-    ranks, cells, modes = [0], [weights.count(0)], []
-    classes = [_classes(weights, 0)]
-    for n in range(1, truncation + 1):
-        rank, count = _boundary_rank(A, n, weights, classes[n - 1])
-        ranks.append(rank)
-        cells.append(count)
+    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda/G up to T."""
+    orbits = _Orbits(A, truncation + 1)
+    classes, ranks, cells, modes = [], [], [], []
+    for n in range(truncation + 1):
+        classes.append(_classes(orbits))
+        words = list(_cells(orbits, n, classes[n]))
+        cells.append(len(words))
+        # b vanishes on C_0
+        ranks.append(_boundary_rank(orbits.tables, n, words, classes[n - 1]) if n else 0)
         if n >= 2:
             modes.append(
-                _square_check(A, n, weights, count, classes[n - 1], classes[n - 2])
+                _square_check(orbits.tables, n, words, classes[n - 1], classes[n - 2])
             )
-        if n < truncation:
-            classes.append(_classes(weights, n))
     mode = "full" if all(m == "full" for m in modes) else "sampled"
     return tuple(ranks), tuple(cells), mode
 
@@ -989,34 +1203,33 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
 
     HC_n is the homology of Connes' complex C^lambda (Loday, Cyclic
     Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  Only
-    the weight-0 block of C^lambda is reduced.  When the unit is a sum of
-    basis elements with coefficient 1 that are orthogonal idempotents e_i,
-    and every basis element lies in exactly one Peirce space e_i A e_j, a
-    word's weight is the sum of eps_i - eps_j over its letters; b and lambda
-    preserve it, so C^lambda splits into weight blocks.  On the weight-w
-    block the inner derivation ad(sum t_i e_i) acts by <t, w>, and inner
-    derivations act by zero on HC (Loday, Cyclic Homology, section 4.1), so HC
-    lies in weight 0.  Every other algebra gets the trivial grading, in
-    which every word has weight 0.  The report's (hp0, hp1) are the
-    homology dimensions in the top even and odd degrees below T;
-    `stabilized` records whether they agree with the pair two degrees
-    down, which is the same comparison as rerunning at T - 2.
-    `boundary_check` says whether b o b = 0 was verified on every weight-0
-    cell of each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` such
-    cells, on 64 sampled ones.  More than `MAX_CHAIN_WORDS` words in degree
-    T, or T above `MAX_TRUNCATION`, is an InputError.
+    the weight-0 block of the Peirce grading is reduced, on the orbits of
+    the certified inner symmetry group G (see the module docstring); every
+    algebra without such a grading or symmetry gets the trivial one through
+    the same code.  The report's (hp0, hp1) are the homology dimensions in
+    the top even and odd degrees below T; `stabilized` records whether they
+    agree with the pair two degrees down, which is the same comparison as
+    rerunning at T - 2.  `boundary_check` says whether b o b = 0 was
+    verified on every cell of each C^lambda_n / G (n >= 2) or, past
+    `_SQUARE_CHECK_LIMIT` such cells, on 64 sampled ones.  T above
+    `MAX_TRUNCATION`, or more than `MAX_CHAIN_WORDS` words of weight 0 in
+    degree T (counted before any table is built), is an InputError.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
-    # dim >= 2 exceeds the bound by exponent 25 = bit_length(MAX_CHAIN_WORDS),
-    # so capping the exponent there keeps the power small
-    if A.dim ** min(truncation + 1, MAX_CHAIN_WORDS.bit_length()) > MAX_CHAIN_WORDS:
-        raise InputError(
-            f"more than {MAX_CHAIN_WORDS} chain words: dim^(truncation + 1) "
-            f"with dim {A.dim} and truncation {truncation}"
-        )
     if truncation > MAX_TRUNCATION:
         raise InputError(f"truncation {truncation} is above {MAX_TRUNCATION}")
+    length = truncation + 1
+    weights = _letter_weights(_peirce_grading(A), length)
+    # weights.count(0)^length <= count <= dim^length bound the exact count
+    if weights.count(0) ** length > MAX_CHAIN_WORDS or (
+        A.dim**length > MAX_CHAIN_WORDS
+        and _weight_zero_words(weights, length) > MAX_CHAIN_WORDS
+    ):
+        raise InputError(
+            f"more than {MAX_CHAIN_WORDS} chain words of weight 0 in degree "
+            f"{truncation}, with dim {A.dim}"
+        )
     ranks, cells, mode = _rank_table(A, truncation)
     hc = []
     for m in range(truncation):

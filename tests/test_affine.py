@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+import orbitkit.affine as affine_module
 from orbitkit.affine import (
     MAX_BRANCH_NODES,
+    MAX_TRIAL_NODES,
     AffineElement,
     LogGrid,
     _phases,
@@ -163,6 +165,26 @@ def test_worst_residuals_within_tolerance():
         "unitarity_residual",
     ]
     assert all(0.0 <= v <= 1e-12 for v in residuals.values())
+
+
+def test_trial_node_bound_fires_before_the_first_trial(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def forbidden(*args):
+        raise AssertionError("grid function drawn before the trial bound fired")
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(LogGrid, "random_function", forbidden)
+    grid = LogGrid(L=30.0, h=1e-4)
+    assert grid.branch_size == 600001
+    with pytest.raises(InputError, match=f"at most {MAX_TRIAL_NODES}, got 34 x 600001"):
+        worst_residuals(grid, 34, 0)
+    monkeypatch.setattr(affine_module, "random_aligned_element", admitted)
+    with pytest.raises(Admitted):
+        worst_residuals(grid, 33, 0)
 
 
 def test_overflowing_grid_residuals_are_nan_not_zero():

@@ -144,6 +144,9 @@ SIZE_GUARDED = [
      ["lie", "check", "--algebra", str(FIXTURES / "lie_dim2000.json")]),
     (("orbitkit.affine.random_aligned_element",),
      ["affine", "verify", "--l", "2", "--h", "0.25", "--trials", "100000000000"]),
+    # 1000 trials of 600,001 nodes each would run for about 15 minutes
+    (("orbitkit.affine.LogGrid.random_function",),
+     ["affine", "verify", "--l", "30", "--h", "1e-4", "--trials", "1000"]),
     (("orbitkit.cyclic._random_element",),
      ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
       "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "100000000000"]),
@@ -175,6 +178,10 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
     }
     for name, algebra in malformed.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(algebra))
+    # a cyclic algebra whose dim is not a JSON integer once ran as dim 2
+    fractional = json.loads((FIXTURES / "qi2.json").read_text())
+    fractional["dim"] = 2.7
+    (tmp_path / "fractional.json").write_text(json.dumps(fractional))
     cases = [
         ["cyclic", "hp", "--algebra", str(FIXTURES / "does_not_exist.json")],
         ["chern", "phi", "2", "0", "1"],
@@ -197,6 +204,7 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         *(argv for _, argv in SIZE_GUARDED),
         # a non-list basis or brackets, and a dim that is not an integer
         *(["lie", "check", "--algebra", str(tmp_path / f"{name}.json")] for name in malformed),
+        ["cyclic", "hp", "--algebra", str(tmp_path / "fractional.json")],
     ]
     for argv in cases:
         proc = run_cli(*argv)

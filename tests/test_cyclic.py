@@ -104,32 +104,62 @@ def test_star_is_conjugate_linear():
     assert all(starred[k].is_zero() for k in (0, 1, 3))
 
 
+def _algebra(dim, products, unit, star):
+    """FinAlgebra from integer {(a, b): {c: coeff}}, {a: coeff} and {a: {c: coeff}}.
+
+    A basis element missing from `star` is self-adjoint.
+    """
+    d = range(dim)
+
+    def coords(sparse):
+        return tuple(GaussRational.from_rational(sparse.get(c, 0)) for c in d)
+
+    return FinAlgebra(
+        dim,
+        tuple(tuple(coords(products.get((a, b), {})) for b in d) for a in d),
+        coords(unit),
+        tuple(coords(star.get(a, {a: 1})) for a in d),
+    )
+
+
 def test_validation_rejects_broken_unit():
-    data = gauss_field().to_json()
-    data["unit"] = [{"re": "0", "im": "0"}, {"re": "1", "im": "0"}]
-    with pytest.raises(InputError):
-        FinAlgebra.from_json(data)._validate()
+    # e_a e_b = e_a: e_0 is a right unit only; e_a e_b = e_b: a left unit only
+    left_zero = {(a, b): {a: 1} for a in range(2) for b in range(2)}
+    with pytest.raises(InputError, match="left unit law fails on basis vector 1"):
+        _algebra(2, left_zero, {0: 1}, {})
+    right_zero = {(a, b): {b: 1} for a in range(2) for b in range(2)}
+    with pytest.raises(InputError, match="right unit law fails on basis vector 1"):
+        _algebra(2, right_zero, {0: 1}, {})
 
 
 def test_validation_rejects_broken_associativity():
-    data = matrix_algebra(2).to_json()
-    # e12 e21 = e22 breaks (e11 e12) e21 = e11 (e12 e21)
-    zero = {"re": "0", "im": "0"}
-    one = {"re": "1", "im": "0"}
-    data["mult"][1][2] = [zero, zero, zero, one]
-    with pytest.raises(InputError):
-        FinAlgebra.from_json(data)._validate()
+    # basis 1, x, y with x x = y, x y = y x = x, y y = 0: commutative, so
+    # the identity is an involution, but (x x) y = 0 and x (x y) = y
+    products = {(0, a): {a: 1} for a in range(3)}
+    products.update({(a, 0): {a: 1} for a in range(3)})
+    products.update({(1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {1: 1}})
+    with pytest.raises(InputError, match=r"associativity fails on basis triple \(1, 1, 2\)"):
+        _algebra(3, products, {0: 1}, {})
 
 
 def test_validation_rejects_broken_star():
-    data = gauss_field().to_json()
-    # star(u) = iu is conjugate-linear but not an antihomomorphism here
-    data["star"] = [
-        [{"re": "1", "im": "0"}, {"re": "0", "im": "0"}],
-        [{"re": "0", "im": "0"}, {"re": "0", "im": "1"}],
-    ]
-    with pytest.raises(InputError):
-        FinAlgebra.from_json(data)._validate()
+    field_power = {(a, a): {a: 1} for a in range(3)}
+    # a cyclic permutation of the idempotents of C^3 is an automorphism of
+    # order 3
+    with pytest.raises(InputError, match="involution is not involutive on basis vector 0"):
+        _algebra(3, field_power, {0: 1, 1: 1, 2: 1}, {0: {1: 1}, 1: {2: 1}, 2: {0: 1}})
+    # 1^* = -1 is an involution of Q(i) that moves the unit
+    with pytest.raises(InputError, match="involution does not fix the unit"):
+        _algebra(1, {(0, 0): {0: 1}}, {0: 1}, {0: {0: -1}})
+    # the identity on the matrix units e11, e12, e21, e22 of M2 is
+    # involutive and fixes the unit, but e11 e12 = e12 while e12 e11 = 0
+    products = {
+        (2 * i + j, 2 * j + l): {2 * i + l: 1} for i in (0, 1) for j in (0, 1) for l in (0, 1)
+    }
+    with pytest.raises(
+        InputError, match=r"involution is not an anti-automorphism on pair \(0, 1\)"
+    ):
+        _algebra(4, products, {0: 1, 3: 1}, {})
 
 
 def test_algebra_json_round_trip():
@@ -477,16 +507,39 @@ def test_dense_quotient_complex_agrees_with_sparse_reduction():
 # the full complex: Connes' complex reduced on every cell, with no weights
 
 
-def _full_connes_hc(A, truncation):
-    """HC from the ranks of b on every cell of C^lambda, with no weight grading.
+def _words(weights, length):
+    """Every word of `length` letters whose letter weights sum to 0, in word order."""
+    # reach[r] holds the sums of r letter weights
+    reach = [{0}]
+    for _ in range(length):
+        reach.append({s + w for s in reach[-1] for w in weights})
 
-    Classes come from the rotations of every word, not from the library's
-    necklace search; the columns of b and their reduction are the library's.
+    def extend(prefix, total):
+        if len(prefix) == length:
+            yield prefix
+            return
+        for a, w in enumerate(weights):
+            if -(total + w) in reach[length - len(prefix) - 1]:
+                yield from extend(prefix + (a,), total + w)
+
+    return extend((), 0)
+
+
+def _full_connes_hc(A, truncation, weight_zero=False):
+    """HC from the ranks of b on every cell of C^lambda, with no symmetry group.
+
+    Classes come from the rotations of every word (every weight-0 word, with
+    `weight_zero`), not from the library's orbit search; the columns of b
+    and their reduction are the library's.
     """
+    weights = (0,) * A.dim
+    if weight_zero:
+        grading = cyclic_module._peirce_grading(A)
+        weights = cyclic_module._letter_weights(grading, truncation + 1)
     tables, cells = [], []
     for n in range(truncation + 1):
         table, reps = {}, []
-        for word in itertools.product(range(A.dim), repeat=n + 1):
+        for word in _words(weights, n + 1):
             # word = lambda^k(rep): rep is word rotated k letters to the left
             rots = [word[k:] + word[:k] for k in range(n + 1)]
             rep = min(rots)
@@ -503,7 +556,7 @@ def _full_connes_hc(A, truncation):
     for n in range(1, truncation + 1):
         pivots = {}
         for word in cells[n]:
-            for col in cyclic_module._columns(A, n, word, tables[n - 1]):
+            for col in cyclic_module._columns(A._int_table, n, word, tables[n - 1]):
                 if col:
                     cyclic_module._reduce_column(col, pivots)
         ranks.append(len(pivots) // (1 if A._int_table[1] is None else 2))
@@ -582,6 +635,89 @@ def test_algebras_without_a_peirce_basis_get_the_trivial_grading(name):
     }[name]()
     assert set(cyclic_module._peirce_grading(A)) == {(0, 0)}
     assert hp_homology(A, 4).hc == _full_connes_hc(A, 4)
+
+
+def _permuted(A, perm):
+    """A in the basis order e'_k = e_{perm[k]}."""
+    d = range(A.dim)
+    return FinAlgebra(
+        A.dim,
+        tuple(
+            tuple(tuple(A.mult[perm[a]][perm[b]][perm[c]] for c in d) for b in d)
+            for a in d
+        ),
+        tuple(A.unit[perm[a]] for a in d),
+        tuple(tuple(A.star[perm[a]][perm[c]] for c in d) for a in d),
+        tuple(A.basis[perm[a]] for a in d),
+    )
+
+
+def _letters(A):
+    return cyclic_module._letters(cyclic_module._peirce_grading(A))
+
+
+def _idempotent_classes(A):
+    return cyclic_module._idempotent_classes(A, _letters(A))
+
+
+def test_certified_symmetry_of_the_idempotents():
+    assert _idempotent_classes(matrix_algebra(4)) == ((0, 1, 2, 3),)
+    assert _idempotent_classes(_permuted(matrix_algebra(3), [4, 0, 7, 2, 8, 1, 3, 6, 5])) == (
+        (0, 1, 2),
+    )
+    assert _idempotent_classes(matrix_amplification(dual_numbers(), 2)) == ((0, 1),)
+    # idempotents e11*p1, e11*p2, e22*p1, e22*p2: only equal p are equivalent
+    assert _idempotent_classes(matrix_amplification(gauss_field_power(2), 2)) == (
+        (0, 2),
+        (1, 3),
+    )
+    # the trivial grading has one idempotent index
+    assert _idempotent_classes(_pauli_m2()) == ((0,),)
+
+
+def test_the_swap_of_two_points_of_c3_is_not_inner():
+    # it preserves every structure constant, and would identify the three
+    # classes of HC_0 = Q^3
+    A = gauss_field_power(3)
+    sigma = cyclic_module._transposition(A, _letters(A), 0, 1)
+    assert sigma == [1, 0, 2]
+    assert not cyclic_module._is_inner(A, _letters(A), sigma, 0, 1)
+    assert _idempotent_classes(A) == ((0,), (1,), (2,))
+    assert hp_homology(A, 4).hc == (3, 0, 3, 0)
+
+
+def test_letter_maps_that_break_a_structure_constant_are_rejected():
+    # M2(dual) with e21*1 and e21*eps swapped: the letter of rank 0 in
+    # e_0 A e_1 is e12*1, but in e_1 A e_0 it is e21*eps
+    A = _permuted(matrix_amplification(dual_numbers(), 2), [0, 1, 2, 3, 5, 4, 6, 7])
+    assert cyclic_module._transposition(A, _letters(A), 0, 1) is None
+    assert _idempotent_classes(A) == ((0,), (1,))
+    assert hp_homology(A, 4).hc == hp_homology(matrix_amplification(dual_numbers(), 2), 4).hc
+
+
+@pytest.mark.parametrize(
+    "name, truncation",
+    [
+        ("M2", 6),
+        ("M3", 5),
+        ("M4", 4),
+        ("M2(dual)", 4),
+        ("M2(u^2=i)", 4),
+        ("C^3", 6),
+        ("M3 permuted", 5),
+    ],
+)
+def test_orbit_complex_agrees_with_the_weight_zero_block(name, truncation):
+    A = {
+        "M2": lambda: matrix_algebra(2),
+        "M3": lambda: matrix_algebra(3),
+        "M4": lambda: matrix_algebra(4),
+        "M2(dual)": lambda: matrix_amplification(dual_numbers(), 2),
+        "M2(u^2=i)": lambda: matrix_amplification(_u_squared_i(), 2),
+        "C^3": lambda: gauss_field_power(3),
+        "M3 permuted": lambda: _permuted(matrix_algebra(3), [4, 0, 7, 2, 8, 1, 3, 6, 5]),
+    }[name]()
+    assert hp_homology(A, truncation).hc == _full_connes_hc(A, truncation, weight_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -669,25 +805,37 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
 
     monkeypatch.setattr(cyclic_module, "_classes", forbidden)
     monkeypatch.setattr(cyclic_module, "_necklaces", forbidden)
-    for A, truncation in ((matrix_algebra(2), 40), (matrix_algebra(4), 6)):
+    # degree 7 of M4 holds 65,218,204 weight-0 words
+    for A, truncation in ((matrix_algebra(2), 40), (matrix_algebra(4), 7)):
         with pytest.raises(InputError, match=f"more than {MAX_CHAIN_WORDS} chain words"):
             hp_homology(A, truncation)
     # one word per degree never meets the word bound; the truncation bound
     # stops a dim-1 algebra instead
     with pytest.raises(InputError, match=f"above {MAX_TRUNCATION}"):
         hp_homology(gauss_field(), MAX_TRUNCATION + 1)
-    # degree 5 of M4 holds 16^6 = MAX_CHAIN_WORDS words, which is admitted
+    # the bound counts weight-0 words only: degree 6 of M4 holds 4,951,552
+    # of its 16^7 words and degree 5 of M5 2,241,225 of its 25^6
     monkeypatch.setattr(
         cyclic_module, "_rank_table", lambda A, T: ((0,) * (T + 1), (0,) * (T + 1), "full")
     )
-    assert hp_homology(matrix_algebra(4), 5).hc == (0,) * 5
+    assert hp_homology(matrix_algebra(4), 6).hc == (0,) * 6
+    assert hp_homology(matrix_algebra(5), 5).hc == (0,) * 5
     assert hp_homology(gauss_field(), MAX_TRUNCATION).hc == (0,) * MAX_TRUNCATION
 
 
+def test_weight_zero_word_count_is_exact():
+    for A, length in ((matrix_algebra(2), 5), (matrix_algebra(3), 4), (dual_numbers(), 6)):
+        weights = cyclic_module._letter_weights(cyclic_module._peirce_grading(A), length)
+        count = sum(1 for _ in _words(weights, length))
+        assert cyclic_module._weight_zero_words(weights, length) == count
+    weights = cyclic_module._letter_weights(cyclic_module._peirce_grading(matrix_algebra(4)), 8)
+    assert cyclic_module._weight_zero_words(weights, 7) == 4951552
+    assert cyclic_module._weight_zero_words(weights, 8) == 65218204
+
+
 def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
-    # M3 has 162 and 933 weight-0 cells in degrees 3 and 4, so both are
-    # sampled; the class tables hold weight-0 words only, so a drawn word
-    # outside weight 0 would fail its lookups
+    # M3 has 156 cells in degree 4 up to its S_3 symmetry, so degree 4 is
+    # sampled
     monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", 100)
     cyclic_module._rank_table.cache_clear()
     try:
