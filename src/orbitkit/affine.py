@@ -40,13 +40,13 @@ from . import InputError
 
 # nodes per sign branch, 2 L/h + 1; a larger grid is an input error
 MAX_BRANCH_NODES = 10**6
-# worst_residuals' largest trial count, checked before the first trial;
-# a trial takes about 0.6 ms on a 257-node branch
-MAX_TRIALS = 10**5
-# worst_residuals' largest trials x branch_size, checked with MAX_TRIALS; a
-# trial costs about 1.5 us per branch node on large grids, so the largest
-# grid (600,001 nodes) gets 33 trials, about 30 s
+# worst_residuals' largest trials x (branch_size + TRIAL_OVERHEAD_NODES),
+# checked before the first trial.  A trial costs about 0.27 ms plus 1.35 us
+# per branch node, and 0.27 ms is the price of 200 nodes, so every admitted
+# run is capped near 27 s: 33 trials on the largest grid (600,001 nodes),
+# 43,763 on a 257-node branch
 MAX_TRIAL_NODES = 2 * 10**7
+TRIAL_OVERHEAD_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -298,17 +298,16 @@ def worst_residuals(grid: LogGrid, trials: int, seed: int) -> dict:
     of S_{g1}, and one random character U_lambda^eps on the pair.  A grid
     whose edge coordinate e^L overflows extended precision, a dilation
     outside the double range, and a non-finite residual (overflowing
-    phases) are input errors, as is a trial count below 1 or above
-    MAX_TRIALS, or trials x branch_size above MAX_TRIAL_NODES.
+    phases) are input errors, as is a trial count below 1, or
+    trials x (branch_size + TRIAL_OVERHEAD_NODES) above MAX_TRIAL_NODES.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
-    if trials > MAX_TRIALS:
-        raise InputError(f"trials may be at most {MAX_TRIALS}")
-    if trials * grid.branch_size > MAX_TRIAL_NODES:
+    if trials * (grid.branch_size + TRIAL_OVERHEAD_NODES) > MAX_TRIAL_NODES:
         raise InputError(
-            f"trials x branch nodes may be at most {MAX_TRIAL_NODES}, got "
-            f"{trials} x {grid.branch_size}"
+            f"trials x (branch nodes + {TRIAL_OVERHEAD_NODES}) may be at most "
+            f"{MAX_TRIAL_NODES}, got {trials} x ({grid.branch_size} + "
+            f"{TRIAL_OVERHEAD_NODES})"
         )
     with np.errstate(over="ignore"):
         if not np.isfinite(np.exp(np.longdouble(grid.L))):

@@ -7,8 +7,12 @@ nonzero coefficients, with the dense coordinate vector as the `coords` view.
 The standard operators b, b', lambda, N, S act on them through
 `apply_operator`.  `_op_terms` is the one word-level expansion of these
 operators: `apply_operator` and the boundary of Connes' complex are both
-built from it.  `hp_homology` computes cyclic homology in characteristic 0
-as the homology of Connes' complex
+built from it.  The adjoint (conjugate transpose under the pairing) is
+pulled only over the words that can reach the chain's support, read off
+an inverse product table (`_op_sources`), so it costs the support times
+the level times the preimages per letter, not dim^(n+1).  `hp_homology`
+computes cyclic homology in characteristic 0 as the homology of Connes'
+complex
 
     C^lambda_n = C_n(A) / (1 - lambda),   differential b,
 
@@ -135,6 +139,14 @@ class FinAlgebra:
             for a in range(d)
         )
         object.__setattr__(self, "_pairs", pairs)
+        # inverse[c] lists the (a, b) whose product e_a e_b has a nonzero e_c
+        # coefficient: the letter pairs that b, b' and S can merge into c
+        inverse = [[] for _ in range(d)]
+        for a in range(d):
+            for b in range(d):
+                for c, _ in pairs[a][b]:
+                    inverse[c].append((a, b))
+        object.__setattr__(self, "_inverse_pairs", tuple(map(tuple, inverse)))
         object.__setattr__(self, "_star_pairs", tuple(_nonzero(row) for row in self.star))
         # b is linear in the structure constants, so L * b on the integer
         # table (re, im), with L the lcm of their denominators, has the rank
@@ -670,6 +682,29 @@ def _op_terms(pairs, one, kind: str, word) -> list:
     return out
 
 
+def _op_sources(inverse, kind: str, word) -> list:
+    """Candidate words whose `_op_terms` expansion can contain ``word``.
+
+    A superset of the true sources, read off how each operator changes a
+    word: b and b' merge two neighbouring letters into one, so a source
+    splits one letter c into a pair (a, b) from ``inverse[c]`` (for b also
+    the wrap split (b, w_1, ..., w_{n-1}, a) of the first letter); lambda
+    is undone by the inverse rotation, N by any rotation, and S merges the
+    first three letters, so its sources split the first letter twice.
+    """
+    m = len(word)
+    if kind == "b" or kind == "bprime":
+        out = [word[:j] + ab + word[j + 1 :] for j in range(m) for ab in inverse[word[j]]]
+        if kind == "b":
+            out += [(b,) + word[1:] + (a,) for a, b in inverse[word[0]]]
+        return out
+    if kind == "lambda":
+        return [word[1:] + word[:1]]
+    if kind == "N":
+        return [word[j:] + word[:j] for j in range(m)]
+    return [ab + (c,) + word[1:] for x, c in inverse[word[0]] for ab in inverse[x]]
+
+
 def apply_operator(kind: str, x: Chain, adjoint: bool = False) -> Chain:
     """Apply b, b', lambda, N, or S (or its adjoint) to a chain.
 
@@ -677,6 +712,20 @@ def apply_operator(kind: str, x: Chain, adjoint: bool = False) -> Chain:
     word basis, matching the pairing <e_u, e_v> = delta.  Levels: b and b'
     need level >= 1, lambda and N level >= 1, S level >= 2; the adjoint of
     a level-lowering operator raises the level accordingly.
+
+    The adjoint is pulled only over the source words that can reach a word
+    of ``x.terms`` (`_op_sources`, from the inverse product table); each
+    candidate's coefficient still comes from the `_op_terms` expansion.  It
+    costs the support of x times the level times the preimages per letter,
+    not dim^(n+1).  In M4 at level 7 the zero chain pulls over no word and
+    e11 tensored 8 times over 28 candidates, where the dense pull took 16^9:
+
+    >>> A = matrix_algebra(4)
+    >>> apply_operator("b", Chain.zero(A, 7), adjoint=True).is_zero()
+    True
+    >>> e11 = Chain.from_words(A, 7, {(0,) * 8: 1})
+    >>> len(apply_operator("b", e11, adjoint=True).terms)
+    28
     """
     kind = _ALIASES.get(kind, kind)
     if kind not in _MIN_LEVEL:
@@ -698,7 +747,10 @@ def apply_operator(kind: str, x: Chain, adjoint: bool = False) -> Chain:
             f"adjoint of {kind} from level {x.level} would transpose an "
             f"operator below its level range"
         )
-    for word in itertools.product(range(A.dim), repeat=src_level + 1):
+    sources = dict.fromkeys(
+        s for w in x.terms for s in _op_sources(A._inverse_pairs, kind, w)
+    )
+    for word in sources:
         acc = _ZERO
         for w, v in _op_terms(A._pairs, _ONE, kind, word):
             t = x.terms.get(w)

@@ -112,6 +112,11 @@ class GaussRational:
 
     def __mul__(self, other) -> "GaussRational":
         other = _coerce(other)
+        # a real factor costs two products instead of four and two sums
+        if not other.im:
+            return GaussRational(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return GaussRational(self.re * other.re, self.re * other.im)
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -180,11 +181,19 @@ def test_trial_node_bound_fires_before_the_first_trial(monkeypatch):
     monkeypatch.setattr(LogGrid, "random_function", forbidden)
     grid = LogGrid(L=30.0, h=1e-4)
     assert grid.branch_size == 600001
-    with pytest.raises(InputError, match=f"at most {MAX_TRIAL_NODES}, got 34 x 600001"):
+    with pytest.raises(
+        InputError, match=re.escape(f"at most {MAX_TRIAL_NODES}, got 34 x (600001 + 200)")
+    ):
         worst_residuals(grid, 34, 0)
+    # on a small grid the fixed cost of a trial binds: 257 + 200 nodes each
+    assert GRID.branch_size == 257
+    with pytest.raises(InputError, match=re.escape("got 43764 x (257 + 200)")):
+        worst_residuals(GRID, 43764, 0)
     monkeypatch.setattr(affine_module, "random_aligned_element", admitted)
     with pytest.raises(Admitted):
         worst_residuals(grid, 33, 0)
+    with pytest.raises(Admitted):
+        worst_residuals(GRID, 43763, 0)
 
 
 def test_overflowing_grid_residuals_are_nan_not_zero():

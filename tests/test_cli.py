@@ -144,6 +144,9 @@ SIZE_GUARDED = [
      ["lie", "check", "--algebra", str(FIXTURES / "lie_dim2000.json")]),
     (("orbitkit.affine.random_aligned_element",),
      ["affine", "verify", "--l", "2", "--h", "0.25", "--trials", "100000000000"]),
+    # 100,000 trials of 257 nodes each would run for about 67 s
+    (("orbitkit.affine.LogGrid.random_function", "orbitkit.affine.random_aligned_element"),
+     ["affine", "verify", "--l", "8", "--h", "0.0625", "--trials", "100000"]),
     # 1000 trials of 600,001 nodes each would run for about 15 minutes
     (("orbitkit.affine.LogGrid.random_function",),
      ["affine", "verify", "--l", "30", "--h", "1e-4", "--trials", "1000"]),

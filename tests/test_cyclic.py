@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,78 @@ def test_adjoints_match_pairing():
             lhs = chain_pairing(apply_operator(kind, x), y)
             rhs = chain_pairing(x, apply_operator(kind, y, adjoint=True))
             assert lhs == rhs
+
+
+def _dense_adjoint(kind, y):
+    """The adjoint pulled over every source word: the oracle of the sparse pull."""
+    A = y.algebra
+    src_level = y.level - cyclic_module._LEVEL_SHIFT[kind]
+    terms = {}
+    for word in itertools.product(range(A.dim), repeat=src_level + 1):
+        acc = GaussRational.zero()
+        for w, v in cyclic_module._op_terms(A._pairs, ONE, kind, word):
+            t = y.terms.get(w)
+            if t is not None:
+                acc = acc + v.conjugate() * t
+        if not acc.is_zero():
+            terms[word] = acc
+    return Chain(A, src_level, terms)
+
+
+_ADJOINT_ALGEBRAS = {
+    "C": gauss_field,
+    "dual": dual_numbers,
+    "M2": lambda: matrix_algebra(2),
+    "C3": lambda: gauss_field_power(3),
+    "u2=i": _u_squared_i,
+    "dual(x)dual": lambda: tensor_product(dual_numbers(), dual_numbers()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADJOINT_ALGEBRAS))
+def test_sparse_adjoint_equals_the_dense_pull(name):
+    A = _ADJOINT_ALGEBRAS[name]()
+    rng = random.Random(13)
+    for kind in ("b", "bprime", "lambda", "N", "S"):
+        for src_level in (2, 3):
+            level = src_level + cyclic_module._LEVEL_SHIFT[kind]
+            chains = [Chain.zero(A, level)] + [
+                Chain.random(A, level, rng, entries) for entries in (1, 4, 30)
+            ]
+            for y in chains:
+                sparse = apply_operator(kind, y, adjoint=True)
+                assert sparse.level == src_level
+                assert sparse.terms == _dense_adjoint(kind, y).terms, (kind, y.terms)
+
+
+def test_adjoint_costs_the_support_not_the_word_count(monkeypatch):
+    # the dense pull walked all 16^9 source words of M4 at level 8, even for
+    # the zero chain; a budget on word expansions fails fast instead of hanging
+    expansions = 0
+    op_terms = cyclic_module._op_terms
+
+    def counted(*args):
+        nonlocal expansions
+        expansions += 1
+        assert expansions <= 10**4, "the adjoint expanded words outside its support"
+        return op_terms(*args)
+
+    M4, M3 = matrix_algebra(4), matrix_algebra(3)
+    rng = random.Random(7)
+    monkeypatch.setattr(cyclic_module, "_op_terms", counted)
+    t0 = time.perf_counter()
+    assert apply_operator("b", Chain.zero(M4, 7), adjoint=True).is_zero()
+    for _ in range(4):
+        x = Chain.random(M3, 8, rng)
+        bx = apply_operator("b", x)
+        # y meets the support of b x, so both sides of the identity are nonzero
+        y = Chain.from_words(
+            M3, 7, {w: rng.choice((1, -2, 3)) for w in rng.sample(sorted(bx.terms), 4)}
+        )
+        lhs = chain_pairing(bx, y)
+        assert not lhs.is_zero()
+        assert lhs == chain_pairing(x, apply_operator("b", y, adjoint=True))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _rescaled(A, factors):

@@ -1,4 +1,7 @@
-"""Property tests of the rank over Q(i) (optional: needs hypothesis)."""
+"""Property tests of Gaussian-rational products and of the rank over Q(i)
+(optional: needs hypothesis)."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -45,3 +48,27 @@ def test_gauss_rank_equals_rational_rank_on_real_rows(rows):
 @hypothesis.given(matrices(_gaussian()))
 def test_gauss_rank_is_the_same_for_the_conjugate(rows):
     assert gauss_rank([[x.conjugate() for x in r] for r in rows]) == gauss_rank(rows)
+
+
+@st.composite
+def _gaussian_with_a_zero_part(draw):
+    re, im = draw(_PARTS), draw(_PARTS)
+    if draw(st.booleans()):  # half the draws get a zero real or imaginary part
+        if draw(st.booleans()):
+            re = Fraction(0)
+        else:
+            im = Fraction(0)
+    return GaussRational(re, im)
+
+
+@SETTINGS
+@hypothesis.given(_gaussian_with_a_zero_part(), _gaussian_with_a_zero_part())
+@hypothesis.example(GaussRational(Fraction(2), Fraction(-1, 2)), GaussRational(Fraction(3), Fraction(0)))
+@hypothesis.example(GaussRational(Fraction(-1, 2), Fraction(0)), GaussRational(Fraction(1), Fraction(2)))
+@hypothesis.example(GaussRational(Fraction(1), Fraction(1)), GaussRational(Fraction(1, 2), Fraction(-2)))
+def test_products_equal_the_four_product_formula(z, w):
+    # the shortcuts for a real factor must agree with the general formula
+    expected = (z.re * w.re - z.im * w.im, z.re * w.im + z.im * w.re)
+    for product in (z * w, w * z):
+        assert (product.re, product.im) == expected
+        assert isinstance(product.re, Fraction) and isinstance(product.im, Fraction)
