@@ -66,7 +66,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import InputError
-from .exactnum import GaussRational, gauss_rank, rational_from_str, rational_to_str
+from .exactnum import GaussRational, gauss_rank, gauss_reader, rational_to_str
 
 _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
@@ -75,6 +75,11 @@ _ONE = GaussRational.one()
 def _nonzero(x) -> tuple:
     """The (index, coeff) pairs of the nonzero coordinates of x."""
     return tuple((a, v) for a, v in enumerate(x) if not v.is_zero())
+
+
+def _default_basis(dim: int) -> tuple:
+    """Labels e0, e1, ... for an algebra given without basis names."""
+    return tuple(f"e{a}" for a in range(dim))
 
 
 def _combine(terms) -> dict:
@@ -103,9 +108,17 @@ class FinAlgebra:
     ``mult[a][b]`` holds the coordinates of e_a e_b, ``unit`` the
     coordinates of 1, and ``star`` the matrix of the involution: the
     involution sends sum t_a e_a to sum conj(t_a) star[a][c] e_c, so it is
-    conjugate-linear by construction.  The constructor checks
-    associativity, the unit laws, and the involution axioms on the basis
-    and raises InputError on any failure.
+    conjugate-linear by construction.  The constructor checks the table
+    shapes before it allocates anything of size dim, then associativity,
+    the unit laws, and the involution axioms on the basis, and raises
+    InputError on any failure.
+
+    Loading costs what the file's distinct coefficients and nonzero
+    products cost: `from_json` parses each distinct spelling once and
+    gives equal values one shared instance, validation compares only the
+    basis triples (a, b, c) where e_a e_b or e_b e_c is nonzero, and a
+    product by the shared one() is free.  `to_json` serializes each
+    shared instance once.
     """
 
     dim: int
@@ -117,10 +130,8 @@ class FinAlgebra:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("algebra dimension must be positive")
-        if not self.basis:
-            object.__setattr__(self, "basis", tuple(f"e{a}" for a in range(self.dim)))
         d = self.dim
-        if len(self.basis) != d:
+        if self.basis and len(self.basis) != d:
             raise InputError("basis label count does not match dim")
         if len(self.mult) != d or any(
             len(plane) != d or any(len(row) != d for row in plane)
@@ -131,13 +142,9 @@ class FinAlgebra:
             raise InputError("unit vector must have length dim")
         if len(self.star) != d or any(len(row) != d for row in self.star):
             raise InputError("involution matrix must be dim x dim")
-        pairs = tuple(
-            tuple(
-                tuple((c, v) for c, v in enumerate(self.mult[a][b]) if not v.is_zero())
-                for b in range(d)
-            )
-            for a in range(d)
-        )
+        if not self.basis:
+            object.__setattr__(self, "basis", _default_basis(d))
+        pairs = tuple(tuple(_nonzero(row) for row in plane) for plane in self.mult)
         object.__setattr__(self, "_pairs", pairs)
         # inverse[c] lists the (a, b) whose product e_a e_b has a nonzero e_c
         # coefficient: the letter pairs that b, b' and S can merge into c
@@ -152,9 +159,9 @@ class FinAlgebra:
         # table (re, im), with L the lcm of their denominators, has the rank
         # of b; im is None for a real algebra
         scale = 1
-        for plane in self.mult:
+        for plane in pairs:
             for row in plane:
-                for v in row:
+                for _, v in row:
                     scale = math.lcm(scale, v.re.denominator, v.im.denominator)
 
         def table(part):
@@ -166,7 +173,7 @@ class FinAlgebra:
                 for a in range(d)
             )
 
-        imag = any(v.im for plane in self.mult for row in plane for v in row)
+        imag = any(v.im for plane in pairs for row in plane for _, v in row)
         object.__setattr__(
             self,
             "_int_table",
@@ -183,13 +190,16 @@ class FinAlgebra:
                 raise InputError(f"left unit law fails on basis vector {b}")
             if self._mul(e_b, unit) != dict(e_b):
                 raise InputError(f"right unit law fails on basis vector {b}")
+        # reach[k] holds the c with e_k e_c nonzero.  (e_a e_b) e_c and
+        # e_a (e_b e_c) are both 0 unless c is in reach[b] or in reach[k] for
+        # some e_k in the support of e_a e_b
+        reach = [{c for c, row in enumerate(plane) if row} for plane in self._pairs]
         for a in range(d):
             for b in range(d):
                 ab = self._pairs[a][b]
-                for c in range(d):
+                for c in sorted(reach[b].union(*(reach[k] for k, _ in ab))):
                     left = self._mul(ab, ((c, _ONE),))
-                    right = self._mul(((a, _ONE),), self._pairs[b][c])
-                    if left != right:
+                    if left != self._mul(((a, _ONE),), self._pairs[b][c]):
                         raise InputError(
                             f"associativity fails on basis triple ({a}, {b}, {c})"
                         )
@@ -231,14 +241,21 @@ class FinAlgebra:
         return tuple(x.get(c, _ZERO) for c in range(self.dim))
 
     def to_json(self) -> dict:
+        """The JSON form; entries holding one shared instance share one dict."""
+        text = {}
+
+        def entry(v):
+            out = text.get(id(v))
+            if out is None:
+                out = text[id(v)] = v.to_json()
+            return out
+
         return {
             "dim": self.dim,
             "basis": list(self.basis),
-            "mult": [
-                [[v.to_json() for v in row] for row in plane] for plane in self.mult
-            ],
-            "unit": [v.to_json() for v in self.unit],
-            "star": [[v.to_json() for v in row] for row in self.star],
+            "mult": [[list(map(entry, row)) for row in plane] for plane in self.mult],
+            "unit": list(map(entry, self.unit)),
+            "star": [list(map(entry, row)) for row in self.star],
         }
 
     @staticmethod
@@ -246,17 +263,13 @@ class FinAlgebra:
         dim = data.get("dim") if isinstance(data, dict) else None
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise InputError("algebra file needs an integer 'dim'")
+        read = gauss_reader()
         try:
             mult = tuple(
-                tuple(
-                    tuple(GaussRational.from_json(v) for v in row) for row in plane
-                )
-                for plane in data["mult"]
+                tuple(tuple(map(read, row)) for row in plane) for plane in data["mult"]
             )
-            unit = tuple(GaussRational.from_json(v) for v in data["unit"])
-            star = tuple(
-                tuple(GaussRational.from_json(v) for v in row) for row in data["star"]
-            )
+            unit = tuple(map(read, data["unit"]))
+            star = tuple(tuple(map(read, row)) for row in data["star"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad algebra description: {exc}") from None
         basis = tuple(str(b) for b in data.get("basis", ()))
@@ -441,8 +454,8 @@ class Trace:
     @staticmethod
     def from_json(data: dict) -> "Trace":
         try:
-            coords = tuple(GaussRational.from_json(v) for v in data["coords"])
-        except (KeyError, TypeError, ValueError) as exc:
+            coords = tuple(map(gauss_reader(), data["coords"]))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad trace description: {exc}") from None
         return Trace(coords)
 

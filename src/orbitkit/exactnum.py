@@ -11,14 +11,17 @@ realification.  No floating point is involved anywhere in this module.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "GaussRational",
     "ExactMatrix",
     "gauss_rank",
+    "gauss_reader",
     "rational_to_str",
     "rational_from_str",
 ]
@@ -40,14 +43,28 @@ def rational_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# the decimal exponent of a Fraction literal such as "1.5e-3"
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def rational_from_str(s: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` back to a Fraction.
+
+    Any literal :class:`~fractions.Fraction` accepts is read, but a
+    decimal exponent above Python's int-string digit limit (4300 by
+    default) is a ValueError: ``10**e`` would take minutes to build.
 
     >>> rational_from_str("3/4")
     Fraction(3, 4)
     >>> rational_from_str("-2")
     Fraction(-2, 1)
     """
+    exponent = _EXPONENT.search(s)
+    if exponent:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"decimal exponent above {limit} in {s!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:
@@ -82,17 +99,17 @@ class GaussRational:
 
     @staticmethod
     def zero() -> "GaussRational":
-        return GaussRational(Fraction(0), Fraction(0))
+        return _ZERO
 
     @staticmethod
     def one() -> "GaussRational":
-        return GaussRational(Fraction(1), Fraction(0))
+        return _ONE
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self is _ZERO or (self.re == 0 and self.im == 0)
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return GaussRational(self.re, -self.im) if self.im else self
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
         other = _coerce(other)
@@ -111,8 +128,13 @@ class GaussRational:
         return _coerce(other) - self
 
     def __mul__(self, other) -> "GaussRational":
+        # the shared one() is free; a real factor costs two products
+        # instead of four and two sums
+        if other is _ONE:
+            return self
         other = _coerce(other)
-        # a real factor costs two products instead of four and two sums
+        if self is _ONE:
+            return other
         if not other.im:
             return GaussRational(self.re * other.re, self.im * other.re)
         if not self.im:
@@ -156,12 +178,7 @@ class GaussRational:
 
     @staticmethod
     def from_json(obj) -> "GaussRational":
-        if isinstance(obj, (int, str)):
-            return GaussRational(rational_from_str(str(obj)), Fraction(0))
-        return GaussRational(
-            rational_from_str(str(obj.get("re", "0"))),
-            rational_from_str(str(obj.get("im", "0"))),
-        )
+        return GaussRational(*map(rational_from_str, _json_parts(obj)))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -171,6 +188,56 @@ class GaussRational:
             return im if self.im > 0 else f"-{im}"
         sign = "+" if self.im > 0 else "-"
         return f"{rational_to_str(self.re)}{sign}{im}"
+
+
+# immutable, so every zero() and one() is the same instance
+_ZERO = GaussRational(Fraction(0), Fraction(0))
+_ONE = GaussRational(Fraction(1), Fraction(0))
+
+
+def _json_parts(obj) -> tuple:
+    """The strings `GaussRational.from_json` parses: str() of re and im."""
+    if isinstance(obj, (int, str)):
+        return str(obj), "0"
+    return str(obj.get("re", "0")), str(obj.get("im", "0"))
+
+
+def gauss_reader() -> Callable[[object], GaussRational]:
+    """A `GaussRational.from_json` that parses each distinct string once.
+
+    One reader serves one file: it remembers every (re, im) spelling it
+    has read and every string it has parsed, and equal values share one
+    instance, zero() and one() included.  A file of n coefficients with
+    k distinct spellings costs n dict lookups and at most 2k parses.
+
+    >>> read = gauss_reader()
+    >>> read({"re": "2/4"}) is read("1/2") is read({"re": "0.5", "im": "-0"})
+    True
+    >>> read(1) is GaussRational.one()
+    True
+    """
+    by_spelling = {}
+    by_string = {}
+    by_value = {(z.re, z.im): z for z in (_ZERO, _ONE)}
+
+    def part(s: str) -> Fraction:
+        x = by_string.get(s)
+        if x is None:
+            x = by_string[s] = rational_from_str(s)
+        return x
+
+    def read(obj) -> GaussRational:
+        key = _json_parts(obj)
+        z = by_spelling.get(key)
+        if z is None:
+            value = part(key[0]), part(key[1])
+            z = by_value.get(value)
+            if z is None:
+                z = by_value[value] = GaussRational(*value)
+            by_spelling[key] = z
+        return z
+
+    return read
 
 
 def _coerce(x) -> GaussRational:

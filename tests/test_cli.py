@@ -253,6 +253,51 @@ def test_malformed_inputs_are_input_errors(argv):
     assert json.loads(output)["error"]["kind"] == "input"
 
 
+# Fraction("1e100000000") builds 10**100000000, which takes minutes; an
+# exponent above Python's 4300-digit int-string limit is refused first
+HUGE = "1e100000000"
+
+
+def test_huge_decimal_exponents_are_input_errors(tmp_path):
+    algebra = json.loads((FIXTURES / "qi.json").read_text())
+    algebra["unit"][0]["re"] = HUGE
+    trace = json.loads((FIXTURES / "m2_trace.json").read_text())
+    trace["coords"][0] = {"re": "1/2", "im": "-" + HUGE}
+    lie = json.loads((FIXTURES / "heisenberg.json").read_text())
+    lie["brackets"][0]["coeffs"]["2"] = HUGE
+    for name, data in (("algebra", algebra), ("trace", trace), ("lie", lie)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    cases = [
+        ["cyclic", "hp", "--algebra", str(tmp_path / "algebra.json")],
+        ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+         "--trace", str(tmp_path / "trace.json")],
+        ["lie", "check", "--algebra", str(tmp_path / "lie.json")],
+        ["lie", "polarize", "--algebra", HEIS, "--covector", f'[0, 0, "{HUGE}"]',
+         "--subspace", "[[1, 0, 0], [0, 0, 1]]"],
+    ]
+    for argv in cases:
+        proc = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stdout)
+        assert json.loads(proc.stdout)["error"]["kind"] == "input"
+
+
+def test_algebra_shapes_are_checked_before_the_default_labels(monkeypatch, tmp_path):
+    # 3,000,000 default labels took 1.2 s and 227 MB before the shape check
+    def forbidden(*args):
+        raise AssertionError("default labels built before the shape check")
+
+    monkeypatch.setattr("orbitkit.cyclic._default_basis", forbidden)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 10**12, "mult": [], "unit": [], "star": []}))
+    code, output = invoke(["cyclic", "hp", "--algebra", str(path)])
+    assert code == 2, output
+    assert json.loads(output)["error"] == {
+        "kind": "input",
+        "message": "multiplication table must be dim x dim x dim",
+        "subcommand": "cyclic hp",
+    }
+
+
 @pytest.mark.parametrize(
     "module, attribute, fault, argv",
     [

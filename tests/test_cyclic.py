@@ -1,5 +1,7 @@
 """Algebra fixtures, traces, cyclic operators, homology tables, entirety."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -10,6 +12,8 @@ from fractions import Fraction
 import pytest
 
 import orbitkit.cyclic as cyclic_module
+import orbitkit.exactnum as exactnum
+from orbitkit import cli
 from orbitkit.cyclic import (
     MAX_CHAIN_WORDS,
     MAX_TRUNCATION,
@@ -33,7 +37,7 @@ from orbitkit.cyclic import (
     tensor_product,
     verify_trace,
 )
-from orbitkit.exactnum import GaussRational, gauss_rank
+from orbitkit.exactnum import GaussRational, gauss_rank, rational_to_str
 from orbitkit.liealg import InputError
 
 ONE = GaussRational.one()
@@ -105,53 +109,77 @@ def test_star_is_conjugate_linear():
     assert all(starred[k].is_zero() for k in (0, 1, 3))
 
 
-def _algebra(dim, products, unit, star):
-    """FinAlgebra from integer {(a, b): {c: coeff}}, {a: coeff} and {a: {c: coeff}}.
+# the basis e'_a = s_a e_a of `_algebra`: the unit path, where every
+# structure constant above is 1, and a basis that moves them off it
+UNIT_BASIS = ("1", "1", "1", "1")
+SCALED_BASIS = ("2", "1/2", {"im": "1"}, "-3")
 
-    A basis element missing from `star` is self-adjoint.
+
+def _algebra(dim, products, unit, star, factors=UNIT_BASIS):
+    """FinAlgebra loaded from JSON, given integer {(a, b): {c: coeff}},
+    {a: coeff} and {a: {c: coeff}} in the basis e_a, in the basis
+    e'_a = s_a e_a with s_a read from `factors`.
+
+    A basis element missing from `star` is self-adjoint.  In the basis e'
+    e'_a e'_b has e'_c coefficient s_a s_b m_abc / s_c, the unit u_c / s_c
+    and e'_a^* has conj(s_a) star_ac / s_c; no axiom check depends on the
+    basis, so a broken table fails the same check on the same indices.
     """
     d = range(dim)
+    s = [GaussRational.from_json(f) for f in factors[:dim]]
 
-    def coords(sparse):
-        return tuple(GaussRational.from_rational(sparse.get(c, 0)) for c in d)
+    def coords(sparse, scale):
+        return [(scale * sparse.get(c, 0) / s[c]).to_json() for c in d]
 
-    return FinAlgebra(
-        dim,
-        tuple(tuple(coords(products.get((a, b), {})) for b in d) for a in d),
-        coords(unit),
-        tuple(coords(star.get(a, {a: 1})) for a in d),
+    return FinAlgebra.from_json(
+        {
+            "dim": dim,
+            "mult": [[coords(products.get((a, b), {}), s[a] * s[b]) for b in d] for a in d],
+            "unit": coords(unit, ONE),
+            "star": [coords(star.get(a, {a: 1}), s[a].conjugate()) for a in d],
+        }
     )
 
 
-def test_validation_rejects_broken_unit():
+def test_validation_rejects_broken_unit(factors=UNIT_BASIS):
     # e_a e_b = e_a: e_0 is a right unit only; e_a e_b = e_b: a left unit only
     left_zero = {(a, b): {a: 1} for a in range(2) for b in range(2)}
     with pytest.raises(InputError, match="left unit law fails on basis vector 1"):
-        _algebra(2, left_zero, {0: 1}, {})
+        _algebra(2, left_zero, {0: 1}, {}, factors)
     right_zero = {(a, b): {b: 1} for a in range(2) for b in range(2)}
     with pytest.raises(InputError, match="right unit law fails on basis vector 1"):
-        _algebra(2, right_zero, {0: 1}, {})
+        _algebra(2, right_zero, {0: 1}, {}, factors)
 
 
-def test_validation_rejects_broken_associativity():
+def test_validation_rejects_broken_associativity(factors=UNIT_BASIS):
     # basis 1, x, y with x x = y, x y = y x = x, y y = 0: commutative, so
     # the identity is an involution, but (x x) y = 0 and x (x y) = y
     products = {(0, a): {a: 1} for a in range(3)}
     products.update({(a, 0): {a: 1} for a in range(3)})
     products.update({(1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {1: 1}})
     with pytest.raises(InputError, match=r"associativity fails on basis triple \(1, 1, 2\)"):
-        _algebra(3, products, {0: 1}, {})
+        _algebra(3, products, {0: 1}, {}, factors)
+    # a failing triple where one side's first product is 0: with x x = 0,
+    # x y = y fails on (1, 1, 2), where e_a e_b = 0, and y x = y fails on
+    # (2, 1, 1), where e_b e_c = 0
+    unital = {(0, a): {a: 1} for a in range(3)}
+    unital.update({(a, 0): {a: 1} for a in range(3)})
+    for product, triple in (((1, 2), r"\(1, 1, 2\)"), ((2, 1), r"\(2, 1, 1\)")):
+        with pytest.raises(InputError, match=f"associativity fails on basis triple {triple}"):
+            _algebra(3, {**unital, product: {2: 1}}, {0: 1}, {}, factors)
 
 
-def test_validation_rejects_broken_star():
+def test_validation_rejects_broken_star(factors=UNIT_BASIS):
     field_power = {(a, a): {a: 1} for a in range(3)}
     # a cyclic permutation of the idempotents of C^3 is an automorphism of
     # order 3
     with pytest.raises(InputError, match="involution is not involutive on basis vector 0"):
-        _algebra(3, field_power, {0: 1, 1: 1, 2: 1}, {0: {1: 1}, 1: {2: 1}, 2: {0: 1}})
+        _algebra(
+            3, field_power, {0: 1, 1: 1, 2: 1}, {0: {1: 1}, 1: {2: 1}, 2: {0: 1}}, factors
+        )
     # 1^* = -1 is an involution of Q(i) that moves the unit
     with pytest.raises(InputError, match="involution does not fix the unit"):
-        _algebra(1, {(0, 0): {0: 1}}, {0: 1}, {0: {0: -1}})
+        _algebra(1, {(0, 0): {0: 1}}, {0: 1}, {0: {0: -1}}, factors)
     # the identity on the matrix units e11, e12, e21, e22 of M2 is
     # involutive and fixes the unit, but e11 e12 = e12 while e12 e11 = 0
     products = {
@@ -160,13 +188,168 @@ def test_validation_rejects_broken_star():
     with pytest.raises(
         InputError, match=r"involution is not an anti-automorphism on pair \(0, 1\)"
     ):
-        _algebra(4, products, {0: 1, 3: 1}, {})
+        _algebra(4, products, {0: 1, 3: 1}, {}, factors)
+
+
+def test_validation_rejects_breaks_through_coefficients_off_one():
+    # the same breaks in the basis 2 e_0, e_1 / 2, i e_2, -3 e_3: the
+    # constants 1 become s_a s_b / s_c (x x = y reads x x = -i/4 y), and
+    # the checks meet fewer products by the shared one()
+    test_validation_rejects_broken_unit(SCALED_BASIS)
+    test_validation_rejects_broken_associativity(SCALED_BASIS)
+    test_validation_rejects_broken_star(SCALED_BASIS)
 
 
 def test_algebra_json_round_trip():
     for A in (gauss_field(), matrix_algebra(2)):
         again = FinAlgebra.from_json(json.loads(json.dumps(A.to_json())))
         assert again == A
+
+
+def _per_entry(data):
+    """FinAlgebra.from_json with one GaussRational.from_json per entry: the
+    oracle of the shared parse."""
+    read = GaussRational.from_json
+    return FinAlgebra(
+        data["dim"],
+        tuple(tuple(tuple(map(read, row)) for row in plane) for plane in data["mult"]),
+        tuple(map(read, data["unit"])),
+        tuple(tuple(map(read, row)) for row in data["star"]),
+        tuple(data.get("basis", ())),
+    )
+
+
+def _per_entry_json(A):
+    """FinAlgebra.to_json with one GaussRational.to_json per entry."""
+    return {
+        "dim": A.dim,
+        "basis": list(A.basis),
+        "mult": [[[v.to_json() for v in row] for row in plane] for plane in A.mult],
+        "unit": [v.to_json() for v in A.unit],
+        "star": [[v.to_json() for v in row] for row in A.star],
+    }
+
+
+def _spellings(x):
+    """Spellings of the rational x that parse to x, most of them not
+    canonical: padded, signed, unreduced, decimal, exponent, JSON int."""
+    text = rational_to_str(x)
+    out = [text, f" {text}", f"{text} ", f"{3 * x.numerator}/{3 * x.denominator}"]
+    if x >= 0:
+        out.append(f"+{text}")
+    if x == 0:
+        out.append("-0")
+    if x.denominator == 1:
+        out += [x.numerator, f"{x.numerator}.0", f"{x.numerator}0e-1"]
+    if x.denominator in (2, 4, 8):
+        out.append(repr(float(x)))  # exact in binary
+    return out
+
+
+def _respelled(A, rng):
+    """A.to_json() with every coefficient spelled at random by _spellings,
+    as a dict, a dict without 'im' or a bare string or int when it is real."""
+
+    def spell(v):
+        re, im = rng.choice(_spellings(v.re)), rng.choice(_spellings(v.im))
+        if v.im:
+            return {"re": re, "im": im}
+        return rng.choice([{"re": re, "im": im}, {"re": re}, re])
+
+    data = A.to_json()
+    data["mult"] = [[list(map(spell, row)) for row in plane] for plane in A.mult]
+    data["unit"] = list(map(spell, A.unit))
+    data["star"] = [list(map(spell, row)) for row in A.star]
+    return data
+
+
+_SPELLED = {
+    "M2": lambda: matrix_algebra(2),
+    "M2(1/2)": lambda: _rescaled(matrix_algebra(2), [1, "1/2", 2, 1]),
+    "u2=i": _u_squared_i,
+    "M2 in i e12": lambda: _rescaled(matrix_algebra(2), [1, I, -I, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPELLED))
+def test_shared_parse_and_serialize_match_per_entry(name, tmp_path):
+    A = _SPELLED[name]()
+    canonical = A.to_json()
+    assert canonical == _per_entry_json(A)
+    rng = random.Random(5)
+    digests = set()
+    for k, data in enumerate([canonical] + [_respelled(A, rng) for _ in range(3)]):
+        loaded = FinAlgebra.from_json(json.loads(json.dumps(data)))
+        assert loaded == _per_entry(data) == A
+        assert loaded.to_json() == _per_entry_json(loaded) == canonical
+        # equal coefficients are one instance
+        entries = [v for p in loaded.mult for r in p for v in r] + list(loaded.unit)
+        entries += [v for r in loaded.star for v in r]
+        assert len(set(map(id, entries))) == len(set(entries))
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(data))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(
+                ["cyclic", "hp", "--algebra", str(path), "--truncation", "2"],
+                standalone_mode=False,
+            )
+        assert code == 0
+        digests.add(json.loads(out.getvalue())["input_digest"])
+    assert len(digests) == 1
+
+
+def test_a_list_coefficient_is_an_input_error(tmp_path):
+    data = matrix_algebra(2).to_json()
+    data["mult"][1][2][0] = [1, 0]
+    with pytest.raises(InputError, match="bad algebra description"):
+        FinAlgebra.from_json(data)
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["cyclic", "hp", "--algebra", str(path)], standalone_mode=False)
+    assert code == 2
+    assert json.loads(out.getvalue())["error"]["kind"] == "input"
+
+
+def test_loading_parses_each_distinct_string_once(monkeypatch, tmp_path):
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps(matrix_algebra(4).to_json()))
+    data = json.loads(path.read_text())
+    entries = [v for p in data["mult"] for r in p for v in r] + data["unit"]
+    entries += [v for r in data["star"] for v in r]
+    distinct = {part for v in entries for part in (v["re"], v["im"])}
+    assert (len(entries), distinct) == (4368, {"0", "1"})
+    calls = []
+    parse = exactnum.rational_from_str
+
+    def counted(s):
+        calls.append(s)
+        return parse(s)
+
+    monkeypatch.setattr(exactnum, "rational_from_str", counted)
+    assert FinAlgebra.load(path) == matrix_algebra(4)
+    assert len(calls) == len(set(calls)) <= len(distinct)
+
+
+@pytest.mark.parametrize(
+    "factors", [[2] * 9, ["1/2"] * 9, [I] * 9, [2, "1/2", I, 1, -3, "2/3", -I, 1, 5]]
+)
+def test_rescaled_matrix_algebras_load_and_keep_their_homology(factors):
+    # every structure constant, unit and star coefficient is off 1 or
+    # imaginary, and the JSON load shares them
+    M3 = matrix_algebra(3)
+    A = _rescaled(M3, factors)
+    assert FinAlgebra.from_json(json.loads(json.dumps(A.to_json()))) == A
+    assert hp_homology(A, 3).hc == hp_homology(M3, 3).hc
+
+
+def test_the_u_squared_i_algebra_survives_a_json_load():
+    A = _u_squared_i()
+    again = FinAlgebra.from_json(json.loads(json.dumps(A.to_json())))
+    assert again == A
+    assert hp_homology(again, 4).hc == hp_homology(A, 4).hc
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +579,11 @@ def test_adjoint_costs_the_support_not_the_word_count(monkeypatch):
 
 
 def _rescaled(A, factors):
-    """A in the basis e'_a = s_a e_a for nonzero rationals s_a."""
-    s = [GaussRational.from_rational(Fraction(f)) for f in factors]
+    """A in the basis e'_a = s_a e_a for nonzero rationals or Gaussian rationals s_a."""
+    s = [
+        f if isinstance(f, GaussRational) else GaussRational.from_rational(Fraction(f))
+        for f in factors
+    ]
     d = range(A.dim)
     return FinAlgebra(
         A.dim,
@@ -406,7 +592,7 @@ def _rescaled(A, factors):
             for a in d
         ),
         tuple(A.unit[c] / s[c] for c in d),
-        tuple(tuple(s[a] * A.star[a][c] / s[c] for c in d) for a in d),
+        tuple(tuple(s[a].conjugate() * A.star[a][c] / s[c] for c in d) for a in d),
         A.basis,
     )
 

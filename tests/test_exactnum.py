@@ -1,6 +1,7 @@
 """Exact scalar and matrix layer: arithmetic laws, rank, kernels."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,17 @@ def test_rational_string_round_trip():
     for text in ["0", "7", "-3", "2/3", "-11/4"]:
         assert rational_to_str(rational_from_str(text)) == text
     assert rational_from_str("4/8") == Fraction(1, 2)
+
+
+def test_decimal_exponents_stop_at_the_int_string_limit():
+    # 10**e has e + 1 digits; the limit is Python's, 4300 by default
+    limit = sys.get_int_max_str_digits()
+    assert rational_from_str(f"1e{limit}") == 10**limit
+    assert rational_from_str(f"2.5E-{limit} ") == Fraction(5, 2 * 10**limit)
+    assert rational_from_str("1e+0_0") == 1
+    for text in (f"1e{limit + 1}", f"1e-{limit + 1}", f"1E+00{limit + 1}", "1e100000000"):
+        with pytest.raises(ValueError, match=f"decimal exponent above {limit}"):
+            rational_from_str(text)
 
 
 def test_gauss_field_axioms_on_random_samples():
