@@ -157,27 +157,26 @@ class FinAlgebra:
         object.__setattr__(self, "_star_pairs", tuple(_nonzero(row) for row in self.star))
         # b is linear in the structure constants, so L * b on the integer
         # table (re, im), with L the lcm of their denominators, has the rank
-        # of b; im is None for a real algebra
-        scale = 1
-        for plane in pairs:
-            for row in plane:
-                for _, v in row:
-                    scale = math.lcm(scale, v.re.denominator, v.im.denominator)
+        # of b; im is None for a real algebra.  A constant is (a + b i)/d.
+        triples = [v.triple for plane in pairs for row in plane for _, v in row]
+        scale = math.lcm(*(t[2] for t in triples))
 
         def table(part):
             return tuple(
                 tuple(
-                    tuple((c, int(part(v) * scale)) for c, v in pairs[a][b] if part(v))
+                    tuple(
+                        (c, t[part] * (scale // t[2]))
+                        for c, v in pairs[a][b]
+                        if (t := v.triple)[part]
+                    )
                     for b in range(d)
                 )
                 for a in range(d)
             )
 
-        imag = any(v.im for plane in pairs for row in plane for _, v in row)
+        imag = any(t[1] for t in triples)
         object.__setattr__(
-            self,
-            "_int_table",
-            (table(lambda v: v.re), table(lambda v: v.im) if imag else None),
+            self, "_int_table", (table(0), table(1) if imag else None)
         )
         self._validate()
 
@@ -270,7 +269,7 @@ class FinAlgebra:
             )
             unit = tuple(map(read, data["unit"]))
             star = tuple(tuple(map(read, row)) for row in data["star"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad algebra description: {exc}") from None
         basis = tuple(str(b) for b in data.get("basis", ()))
         return FinAlgebra(dim, mult, unit, star, basis)
@@ -455,7 +454,7 @@ class Trace:
     def from_json(data: dict) -> "Trace":
         try:
             coords = tuple(map(gauss_reader(), data["coords"]))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad trace description: {exc}") from None
         return Trace(coords)
 
@@ -558,8 +557,10 @@ class Chain:
     ``terms`` maps each word (a_0, ..., a_n) of basis indices to its
     nonzero coefficient; the constructor drops zero coefficients and
     rejects words of the wrong length or with an index outside
-    0..dim-1.  ``coords`` is the dense view: the flat coordinate vector of
-    length dim^(n+1), indexed row-major by words and built on demand.
+    0..dim-1.  Operator results and chain arithmetic are built by
+    `_derived`, which skips the word checks.  ``coords`` is the dense
+    view: the flat coordinate vector of length dim^(n+1), indexed
+    row-major by words and built on demand.
     """
 
     algebra: FinAlgebra
@@ -583,6 +584,22 @@ class Chain:
         object.__setattr__(
             self, "terms", {w: v for w, v in self.terms.items() if not v.is_zero()}
         )
+
+    @staticmethod
+    def _derived(algebra: FinAlgebra, level: int, terms: dict) -> "Chain":
+        """The chain of these terms, without the word checks.
+
+        For words derived from the words of validated chains and from
+        product-table indices in range(dim), where those checks cannot
+        fail; zero coefficients are still dropped.
+        """
+        chain = object.__new__(Chain)
+        object.__setattr__(chain, "algebra", algebra)
+        object.__setattr__(chain, "level", level)
+        object.__setattr__(
+            chain, "terms", {w: v for w, v in terms.items() if not v.is_zero()}
+        )
+        return chain
 
     @property
     def coords(self) -> tuple:
@@ -612,9 +629,7 @@ class Chain:
         terms = {}
         for _ in range(min(entries, size)):
             word = _unflatten(rng.randrange(size), algebra.dim, level + 1)
-            terms[word] = GaussRational(
-                Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-            )
+            terms[word] = GaussRational(rng.randint(-3, 3), rng.randint(-3, 3))
         return Chain(algebra, level, terms)
 
     def coefficient(self, word) -> GaussRational:
@@ -633,17 +648,19 @@ class Chain:
         terms = dict(self.terms)
         for w, v in other.terms.items():
             terms[w] = terms[w] + v if w in terms else v
-        return Chain(self.algebra, self.level, terms)
+        return Chain._derived(self.algebra, self.level, terms)
 
     def __neg__(self) -> "Chain":
-        return Chain(self.algebra, self.level, {w: -v for w, v in self.terms.items()})
+        return Chain._derived(self.algebra, self.level, {w: -v for w, v in self.terms.items()})
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
     def scale(self, c) -> "Chain":
         cc = c if isinstance(c, GaussRational) else GaussRational.from_rational(c)
-        return Chain(self.algebra, self.level, {w: cc * v for w, v in self.terms.items()})
+        return Chain._derived(
+            self.algebra, self.level, {w: cc * v for w, v in self.terms.items()}
+        )
 
 
 def _unflatten(index: int, dim: int, length: int) -> tuple:
@@ -753,7 +770,7 @@ def apply_operator(kind: str, x: Chain, adjoint: bool = False) -> Chain:
         for word, coeff in x.terms.items():
             for w, v in _op_terms(A._pairs, _ONE, kind, word):
                 terms[w] = terms[w] + coeff * v if w in terms else coeff * v
-        return Chain(A, x.level + _LEVEL_SHIFT[kind], terms)
+        return Chain._derived(A, x.level + _LEVEL_SHIFT[kind], terms)
     src_level = x.level - _LEVEL_SHIFT[kind]
     if src_level < _MIN_LEVEL[kind]:
         raise InputError(
@@ -769,9 +786,8 @@ def apply_operator(kind: str, x: Chain, adjoint: bool = False) -> Chain:
             t = x.terms.get(w)
             if t is not None:
                 acc = acc + v.conjugate() * t
-        if not acc.is_zero():
-            terms[word] = acc
-    return Chain(A, src_level, terms)
+        terms[word] = acc
+    return Chain._derived(A, src_level, terms)
 
 
 def chain_pairing(x: Chain, y: Chain) -> GaussRational:

@@ -1,7 +1,10 @@
 """Exact scalar types and dense exact linear algebra.
 
-Scalars are built on :class:`fractions.Fraction`: Gaussian rationals
-``a + b*i`` with rational ``a``, ``b``.  Matrices are over Q:
+Scalars are Gaussian rationals ``(a + b*i)/d``, each held as one
+canonical triple of Python ints (d > 0, gcd(a, b, d) = 1), so arithmetic
+costs integer operations and at most one gcd per result (Knuth, TAOCP
+Vol. 2, section 4.5.1); their parts read back as
+:class:`fractions.Fraction`.  Matrices are over Q:
 :class:`ExactMatrix` gets rank, pivot columns, determinant and kernel
 from one exact Gauss-Jordan elimination, :meth:`ExactMatrix._echelon`,
 the package's only dense elimination.  The rank of a Gaussian-rational
@@ -11,9 +14,9 @@ realification.  No floating point is involved anywhere in this module.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -52,50 +55,86 @@ def rational_from_str(s: str) -> Fraction:
 
     Any literal :class:`~fractions.Fraction` accepts is read, but a
     decimal exponent above Python's int-string digit limit (4300 by
-    default) is a ValueError: ``10**e`` would take minutes to build.
+    default) is a ValueError, because ``10**e`` would take minutes to
+    build, and so is a numerator or denominator with more digits than
+    the limit, because `rational_to_str` could not write it back.
 
     >>> rational_from_str("3/4")
     Fraction(3, 4)
     >>> rational_from_str("-2")
     Fraction(-2, 1)
     """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     exponent = _EXPONENT.search(s)
     if exponent:
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
             raise ValueError(f"decimal exponent above {limit} in {s!r}")
     try:
-        return Fraction(s.strip())
+        x = Fraction(s.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
+    # 8**limit < 10**limit, so only a part longer than 3 * limit bits can
+    # reach 10**limit, the least number with limit + 1 digits
+    big = max(abs(x.numerator), x.denominator)
+    if big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"numerator or denominator above {limit} digits in {s!r}")
+    return x
 
 
-@dataclass(frozen=True)
 class GaussRational:
-    """A Gaussian rational ``re + im*i`` with exact rational parts.
+    """A Gaussian rational ``(a + b*i)/d``, held as one triple of ints.
 
-    >>> z = GaussRational(Fraction(1, 2), Fraction(-1))
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal triples, and ``==`` and ``hash`` compare triples.  Sums and
+    products take integer operations and at most one `math.gcd` per
+    result, and none when both denominators are 1 (Gaussian integers).
+    ``re`` and ``im`` are the parts as Fractions.  As with Fraction, no
+    method changes a value once it is built.
+
+    >>> z = GaussRational(Fraction(1, 2), Fraction(-1, 3))
+    >>> z.triple
+    (3, -2, 6)
     >>> z * z.conjugate()
-    GaussRational(re=Fraction(5, 4), im=Fraction(0, 1))
-    >>> GaussRational.i() ** 2 == GaussRational.from_int(-1)
+    GaussRational(re=Fraction(13, 36), im=Fraction(0, 1))
+    >>> GaussRational.i() * GaussRational.i() == -GaussRational.one()
     True
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_d")
 
-    @staticmethod
-    def from_int(n: int) -> "GaussRational":
-        return GaussRational(Fraction(n), Fraction(0))
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(
+                f"Gaussian rational parts are rational, not "
+                f"{type(re).__name__} and {type(im).__name__}"
+            )
+        # both parts are in lowest terms, so the triple over their lcm is too
+        d = math.lcm(re.denominator, im.denominator)
+        a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        return _gauss(a, b, d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def triple(self) -> tuple:
+        """The canonical (a, b, d) of ``(a + b*i)/d``."""
+        return self._a, self._b, self._d
 
     @staticmethod
     def from_rational(x: RationalLike) -> "GaussRational":
-        return GaussRational(Fraction(x), Fraction(0))
+        x = Fraction(x)
+        return _gauss(x.numerator, 0, x.denominator)
 
     @staticmethod
     def i() -> "GaussRational":
-        return GaussRational(Fraction(0), Fraction(1))
+        return _gauss(0, 1, 1)
 
     @staticmethod
     def zero() -> "GaussRational":
@@ -106,72 +145,53 @@ class GaussRational:
         return _ONE
 
     def is_zero(self) -> bool:
-        return self is _ZERO or (self.re == 0 and self.im == 0)
+        return not (self._a or self._b)
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im) if self.im else self
+        return _gauss(self._a, -self._b, self._d) if self._b else self
 
-    def __add__(self, other: "GaussRational") -> "GaussRational":
-        other = _coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __add__(self, other) -> "GaussRational":
+        if other.__class__ is not GaussRational:
+            other = _coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._d)
 
-    def __sub__(self, other: "GaussRational") -> "GaussRational":
-        other = _coerce(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+    def __sub__(self, other) -> "GaussRational":
+        return self + -_coerce(other)
 
     def __rsub__(self, other) -> "GaussRational":
         return _coerce(other) - self
 
     def __mul__(self, other) -> "GaussRational":
-        # the shared one() is free; a real factor costs two products
-        # instead of four and two sums
+        # the shared one() is free
         if other is _ONE:
             return self
-        other = _coerce(other)
+        if other.__class__ is not GaussRational:
+            other = _coerce(other)
         if self is _ONE:
             return other
-        if not other.im:
-            return GaussRational(self.re * other.re, self.im * other.re)
-        if not self.im:
-            return GaussRational(self.re * other.re, self.re * other.im)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other) -> "GaussRational":
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "GaussRational":
-        return _coerce(other) * self.inverse()
-
-    def __pow__(self, n: int) -> "GaussRational":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussRational.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+    def __repr__(self) -> str:
+        return f"GaussRational(re={self.re!r}, im={self.im!r})"
 
     def to_json(self) -> dict:
         return {"re": rational_to_str(self.re), "im": rational_to_str(self.im)}
@@ -181,25 +201,56 @@ class GaussRational:
         return GaussRational(*map(rational_from_str, _json_parts(obj)))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return rational_to_str(self.re)
-        im = "i" if abs(self.im) == 1 else f"{rational_to_str(abs(self.im))}*i"
-        if self.re == 0:
-            return im if self.im > 0 else f"-{im}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{rational_to_str(self.re)}{sign}{im}"
+        re, im = self.re, self.im
+        if im == 0:
+            return rational_to_str(re)
+        text = "i" if abs(im) == 1 else f"{rational_to_str(abs(im))}*i"
+        if re == 0:
+            return text if im > 0 else f"-{text}"
+        sign = "+" if im > 0 else "-"
+        return f"{rational_to_str(re)}{sign}{text}"
 
 
-# immutable, so every zero() and one() is the same instance
-_ZERO = GaussRational(Fraction(0), Fraction(0))
-_ONE = GaussRational(Fraction(1), Fraction(0))
+_new = object.__new__
+
+
+def _gauss(a: int, b: int, d: int) -> GaussRational:
+    """The GaussRational of a triple that is already canonical."""
+    z = _new(GaussRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRational:
+    """The GaussRational (a + b*i)/d for d > 0, with one gcd when d > 1."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            return _gauss(a // g, b // g, d // g)
+    return _gauss(a, b, d)
+
+
+# every zero() and one() is the same instance
+_ZERO = _gauss(0, 0, 1)
+_ONE = _gauss(1, 0, 1)
 
 
 def _json_parts(obj) -> tuple:
-    """The strings `GaussRational.from_json` parses: str() of re and im."""
+    """The strings `GaussRational.from_json` parses: str() of re and im.
+
+    A JSON Gaussian rational is an int, a string or a dict with optional
+    "re" and "im"; anything else is a ValueError.
+    """
     if isinstance(obj, (int, str)):
         return str(obj), "0"
-    return str(obj.get("re", "0")), str(obj.get("im", "0"))
+    if isinstance(obj, dict):
+        return str(obj.get("re", "0")), str(obj.get("im", "0"))
+    raise ValueError(
+        f"a Gaussian rational is an int, a string or an object with 're' and 'im', "
+        f"not {type(obj).__name__}"
+    )
 
 
 def gauss_reader() -> Callable[[object], GaussRational]:
@@ -218,7 +269,7 @@ def gauss_reader() -> Callable[[object], GaussRational]:
     """
     by_spelling = {}
     by_string = {}
-    by_value = {(z.re, z.im): z for z in (_ZERO, _ONE)}
+    by_value = {_ZERO: _ZERO, _ONE: _ONE}
 
     def part(s: str) -> Fraction:
         x = by_string.get(s)
@@ -230,11 +281,8 @@ def gauss_reader() -> Callable[[object], GaussRational]:
         key = _json_parts(obj)
         z = by_spelling.get(key)
         if z is None:
-            value = part(key[0]), part(key[1])
-            z = by_value.get(value)
-            if z is None:
-                z = by_value[value] = GaussRational(*value)
-            by_spelling[key] = z
+            z = GaussRational(part(key[0]), part(key[1]))
+            z = by_spelling[key] = by_value.setdefault(z, z)
         return z
 
     return read
@@ -244,7 +292,7 @@ def _coerce(x) -> GaussRational:
     if isinstance(x, GaussRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussRational.from_rational(x)
+        return _gauss(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRational")
 
 

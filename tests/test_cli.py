@@ -236,6 +236,15 @@ HEIS = str(FIXTURES / "heisenberg.json")
             ["lie", "polarize", "--algebra", HEIS, "--covector", "[0, 0, 1]", "--subspace", "[1]"],
             id="polarize-vector",
         ),
+        # a subspace entry is an int, a string or an object with re and im
+        *(
+            pytest.param(
+                ["lie", "polarize", "--algebra", HEIS, "--covector", "[0, 0, 1]",
+                 "--subspace", f"[[{entry}, 0, 0], [0, 0, 1]]"],
+                id=f"polarize-entry-{kind}",
+            )
+            for kind, entry in (("float", "1.5"), ("list", "[1]"), ("null", "null"))
+        ),
         pytest.param(["lie", "strata", "--algebra", HEIS, "--range", "-1"], id="strata-range"),
         pytest.param(["affine", "verify", "--l", "nan", "--h", "0.25"], id="affine-nan"),
         pytest.param(["cyclic", "entire", "--pattern", "1/0"], id="entire-zero"),
@@ -279,6 +288,22 @@ def test_huge_decimal_exponents_are_input_errors(tmp_path):
         proc = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, (argv, proc.stdout)
         assert json.loads(proc.stdout)["error"]["kind"] == "input"
+
+
+def test_entries_that_could_not_be_written_back_are_input_errors(tmp_path):
+    # 10**limit passes the exponent check, but str() of it would exceed
+    # Python's int-string digit limit when the report is written
+    big = f"1e{sys.get_int_max_str_digits()}"
+    for name, entry in (("big", big), ("float", 0.5), ("list", ["1/2"]), ("null", None)):
+        trace = json.loads((FIXTURES / "m2_trace.json").read_text())
+        trace["coords"][0] = entry
+        (tmp_path / f"{name}.json").write_text(json.dumps(trace))
+        code, output = invoke(
+            ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+             "--trace", str(tmp_path / f"{name}.json")]
+        )
+        assert code == 2, (name, output)
+        assert json.loads(output)["error"]["kind"] == "input"
 
 
 def test_algebra_shapes_are_checked_before_the_default_labels(monkeypatch, tmp_path):

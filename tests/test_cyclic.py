@@ -44,6 +44,12 @@ ONE = GaussRational.one()
 I = GaussRational.i()
 
 
+def _inverse(z):
+    """1/z for a nonzero Gaussian rational, computed on its Fraction parts."""
+    norm = z.re * z.re + z.im * z.im
+    return GaussRational(z.re / norm, -z.im / norm)
+
+
 def _unit_chain(A, level, word):
     return Chain.from_words(A, level, {word: ONE})
 
@@ -129,7 +135,7 @@ def _algebra(dim, products, unit, star, factors=UNIT_BASIS):
     s = [GaussRational.from_json(f) for f in factors[:dim]]
 
     def coords(sparse, scale):
-        return [(scale * sparse.get(c, 0) / s[c]).to_json() for c in d]
+        return [(scale * sparse.get(c, 0) * _inverse(s[c])).to_json() for c in d]
 
     return FinAlgebra.from_json(
         {
@@ -414,6 +420,35 @@ def test_chain_rejects_malformed_words():
     assert x.coords[3] == ONE and sum(not v.is_zero() for v in x.coords) == 1
 
 
+def _revalidated(chain):
+    """The chain built again by the checking constructor from its terms."""
+    return Chain(chain.algebra, chain.level, dict(chain.terms))
+
+
+@pytest.mark.parametrize("name", ["dual", "M2", "u2=i"])
+def test_derived_chains_equal_the_validated_chains_of_their_terms(name):
+    # operator results and chain arithmetic skip the word checks; their
+    # words must pass them anyway, and no zero coefficient may survive
+    A = _ADJOINT_ALGEBRAS[name]()
+    rng = random.Random(17)
+    derived = []
+    for level in (2, 3):
+        x, y = Chain.random(A, level, rng, 6), Chain.random(A, level, rng, 6)
+        assert (x - x).terms == {} and x.scale(0).terms == {}
+        derived += [x + y, -x, x.scale(I), x - y.scale(2)]
+        for kind in ("b", "bprime", "lambda", "N", "S"):
+            derived.append(apply_operator(kind, x))
+            derived.append(apply_operator(kind, x, adjoint=True))
+    for chain in derived:
+        assert _revalidated(chain) == chain
+        assert all(not v.is_zero() for v in chain.terms.values())
+    # the checking constructor still refuses a word no operator derives
+    word = next(iter(x.terms))
+    for bad in (word + (0,), word[:-1] + (A.dim,), word[:-1] + (-1,)):
+        with pytest.raises(InputError):
+            Chain(A, 3, {bad: ONE})
+
+
 def test_bprime_multiplies_down():
     A = matrix_algebra(2)
     x = _unit_chain(A, 1, (1, 2))  # e12 tensor e21
@@ -585,14 +620,15 @@ def _rescaled(A, factors):
         for f in factors
     ]
     d = range(A.dim)
+    inv = [_inverse(x) for x in s]
     return FinAlgebra(
         A.dim,
         tuple(
-            tuple(tuple(s[a] * s[b] * A.mult[a][b][c] / s[c] for c in d) for b in d)
+            tuple(tuple(s[a] * s[b] * A.mult[a][b][c] * inv[c] for c in d) for b in d)
             for a in d
         ),
-        tuple(A.unit[c] / s[c] for c in d),
-        tuple(tuple(s[a].conjugate() * A.star[a][c] / s[c] for c in d) for a in d),
+        tuple(A.unit[c] * inv[c] for c in d),
+        tuple(tuple(s[a].conjugate() * A.star[a][c] * inv[c] for c in d) for a in d),
         A.basis,
     )
 
