@@ -27,17 +27,18 @@ preserve weight, the inner derivation ad(sum t_i e_i) acts on weight w by
 section 4.1), so HC lies in weight 0 and the block gives all of it.  Any
 other algebra gets the trivial grading, in which every word has weight 0.
 
-The block is reduced on the orbits of a group G certified from the
-algebra: the swaps of Peirce idempotents whose letter map preserves the
-structure constants and is conjugation by an exact unit.  G acts by inner
-automorphisms, so trivially on HC, and over Q the homology of the
-G-coinvariants is the G-coinvariants of the homology, which is all of HC.
-A cell of the coinvariant complex is the least word of an orbit of G and
-the rotations, found by renumbering each class of idempotents in order of
-first appearance (orderly generation, as in McKay, Isomorph-free
-exhaustive generation, J. Algorithms 1998); an orbit that some element
-sends to its own negative is killed.  Other algebras get the trivial
-group through the same code.  The report lists the top even/odd homology
+The grading is that of a full corner eAe, with e a sum of Peirce
+idempotents and AeA = A.  Cyclic homology is Morita invariant, so
+HC(eAe) = HC(A) (Loday, Cyclic Homology, sections 1.2 and 2.2).  The
+certificate is exact and read off the product table: e_j is dropped when
+letters x of e_j A e_i and y of e_i A e_j, with e_i kept, multiply to
+c e_j with c != 0, for then e_j = c^-1 x e_i y lies in A e_i A.  M_r
+falls to one letter e_ii.  C^3 keeps its three idempotents, which
+are not conjugate: a corner that dropped one would report HC_0 = 1
+instead of 3.  An algebra with the trivial grading keeps every letter.
+`morita_check` reduces the amplified side M_m(A) on every letter, so it
+stays an independent check of this invariance rather than a comparison
+of A's corner with itself.  The report lists the top even/odd homology
 dimensions and whether they agree with the pair two degrees down, which is
 the computable surrogate for the stabilization of the periodic theory.
 
@@ -269,10 +270,12 @@ class FinAlgebra:
             )
             unit = tuple(map(read, data["unit"]))
             star = tuple(tuple(map(read, row)) for row in data["star"])
+            basis = data.get("basis", [])
+            if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+                raise TypeError("'basis' must be a list of names")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad algebra description: {exc}") from None
-        basis = tuple(str(b) for b in data.get("basis", ()))
-        return FinAlgebra(dim, mult, unit, star, basis)
+        return FinAlgebra(dim, mult, unit, star, tuple(basis))
 
     @staticmethod
     def load(path) -> "FinAlgebra":
@@ -873,211 +876,87 @@ def _weight_zero_words(weights: tuple, length: int) -> int:
     return sum(k * tail.get(-s, 0) for s, k in sums[length // 2].items())
 
 
-def _letters(grading: tuple) -> tuple:
-    """(i, j, t) of each basis element: its Peirce indices and its rank t in e_i A e_j."""
-    return tuple((*pq, grading[:a].count(pq)) for a, pq in enumerate(grading))
+def _corner(A: FinAlgebra, grading: tuple) -> tuple:
+    """The basis letters of a full corner eAe of A, in basis order.
 
-
-def _transposition(A: FinAlgebra, letters: tuple, i: int, j: int):
-    """The letter map of the swap of idempotents i and j, as a list, or None.
-
-    Letter (p, q, t) goes to (p', q', t), where ' swaps i and j; the map
-    must exist and preserve every structure constant.
-    """
-    where = {x: a for a, x in enumerate(letters)}
-    swap = {i: j, j: i}
-    try:
-        sigma = [where[swap.get(p, p), swap.get(q, q), t] for p, q, t in letters]
-    except KeyError:
-        return None
-    for a in range(A.dim):
-        for b in range(A.dim):
-            image = {sigma[c]: v for c, v in A.basis_product(a, b)}
-            if dict(A.basis_product(sigma[a], sigma[b])) != image:
-                return None
-    return sigma
-
-
-def _is_inner(A: FinAlgebra, letters: tuple, sigma: list, i: int, j: int) -> bool:
-    """Whether sigma, the letter map of the swap of i and j, is inner.
-
-    The witness is u = x + y + (the idempotents other than e_i, e_j), for
-    letters x of e_j A e_i and y of e_i A e_j, with u u = 1 and
-    u z u = sigma(z) on every letter z.  u u = 1 gives y x = e_i, so
-    u x u = y: only y = sigma(x) can pass, and x alone is searched.
+    e is the sum of the Peirce idempotents that are kept.  Idempotent e_j
+    is dropped, last index first, when letters x of e_j A e_i and y of
+    e_i A e_j, with e_i kept, multiply to exactly c e_j with c != 0: then
+    e_j = c^-1 x e_i y lies in A e_i A, and each dropped idempotent lies in
+    AeA by induction over the drops, so AeA = A.  The letters of eAe are
+    those whose two Peirce indices are both kept; products of such letters
+    stay among them.  The trivial grading has one index, so every letter
+    is kept.
     """
     idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
-    one = {e: _ONE for e in idem}
-    rest = [(e, _ONE) for k, e in enumerate(idem) if k not in (i, j)]
-    for x in range(A.dim):
-        if letters[x][:2] != (j, i):
-            continue
-        u = ((x, _ONE), (sigma[x], _ONE), *rest)
-        if A._mul(u, u) == one and all(
-            A._mul(A._mul(u, ((z, _ONE),)).items(), u) == {sigma[z]: _ONE}
-            for z in range(A.dim)
+    space = {}
+    for a, pq in enumerate(grading):
+        space.setdefault(pq, []).append(a)
+    kept = {i for i, _ in grading}
+    for j in sorted(kept, reverse=True):
+        if any(
+            [c for c, _ in A.basis_product(x, y)] == [idem[j]]
+            for i in kept - {j}
+            for x in space.get((j, i), ())
+            for y in space.get((i, j), ())
         ):
-            return True
-    return False
+            kept.discard(j)
+    return tuple(a for a, (i, j) in enumerate(grading) if i in kept and j in kept)
 
 
-def _idempotent_classes(A: FinAlgebra, letters: tuple) -> tuple:
-    """The classes of the Peirce idempotents under the certified symmetry.
+def _cell(word, dim: int):
+    """(row, negate) of the cell of `word` in C^lambda_n, or None when killed.
 
-    A swap of two idempotents is accepted when `_transposition` finds its
-    letter map and `_is_inner` a witness.  The accepted swaps generate the
-    symmetric group on each class, whose elements are inner automorphisms
-    that permute the letters.  Classes are tuples of indices in increasing
-    order, listed by their least index.
+    The cell's word is the least rotation of `word`; rotating k letters to
+    the left reaches it, and in C^lambda_n the word is (-1)^(nk) times it.
+    Two such k of opposite parity when n is odd mean a rotation sends the
+    cell to its negative, and the cell is killed.  The row is the flat
+    index of the least rotation.
     """
-    root = list(range(max(x[0] for x in letters) + 1))  # least index of each class
-    for i, j in itertools.combinations(range(len(root)), 2):
-        if root[i] != root[j]:
-            sigma = _transposition(A, letters, i, j)
-            if sigma is not None and _is_inner(A, letters, sigma, i, j):
-                low, high = sorted((root[i], root[j]))
-                root = [low if r == high else r for r in root]
-    return tuple(
-        tuple(a for a in range(len(root)) if root[a] == r) for r in sorted(set(root))
-    )
-
-
-class _Orbits:
-    """Weight-0 words of C^lambda up to the certified symmetry group G.
-
-    Letters are renumbered in the order of their Peirce indices (i, j) and
-    their rank t in e_i A e_j, and G acts on a letter by (i, j, t) ->
-    (g i, g j, t).  The least word of a G-orbit, in that order, renumbers
-    the idempotents of each class in order of first appearance; the cell of
-    a word is the least word of its orbit under G and the rotations.
-    ``tables`` is ``FinAlgebra._int_table`` in the new letters.
-    """
-
-    def __init__(self, A: FinAlgebra, length: int):
-        letters = _letters(_peirce_grading(A))
-        classes = _idempotent_classes(A, letters)
-        order = sorted(range(A.dim), key=letters.__getitem__)
-        new = {a: k for k, a in enumerate(order)}
-        self.dim = A.dim
-        # new letter a is (i, j, t), and (i, j, t) orders the new letters
-        self.letter = [letters[a] for a in order]
-        self.code = {x: a for a, x in enumerate(self.letter)}
-        self.peirce = tuple(x[:2] for x in self.letter)
-        self.weights = _letter_weights(self.peirce, length)
-        self.trivial = all(len(c) == 1 for c in classes)
-        self.classes = classes
-        # the class of each idempotent index, and its place in the class
-        self.cls = {x: c for c, labels in enumerate(classes) for x in labels}
-        self.pos = {x: k for labels in classes for k, x in enumerate(labels)}
-        # the first letter of the least G-image of any word that starts with a
-        self.head = tuple(self._relabel((a,))[0] for a in range(A.dim))
-        self.tables = tuple(
-            None
-            if part is None
-            else tuple(
-                tuple(tuple((new[c], v) for c, v in part[a][b]) for b in order)
-                for a in order
-            )
-            for part in A._int_table
-        )
-
-    def _relabel(self, word, bound=None):
-        """The least word of the G-orbit of `word`, or None if it exceeds `bound`."""
-        letter, cls, classes, code = self.letter, self.cls, self.classes, self.code
-        used = [0] * len(classes)
-        new = {}
-        out = []
-        for m, a in enumerate(word):
-            i, j, t = letter[a]
-            for x in (i, j):
-                if x not in new:
-                    c = cls[x]
-                    new[x] = classes[c][used[c]]
-                    used[c] += 1
-            b = code[new[i], new[j], t]
-            if bound is not None:
-                if b > bound[m]:
-                    return None
-                if b < bound[m]:
-                    bound = None
-            out.append(b)
-        return tuple(out)
-
-    def cell(self, word):
-        """(row, negate) of the cell of `word` in C^lambda_n, or None when killed.
-
-        Rotating k letters to the left and acting by G takes `word` to the
-        cell's least word; in C^lambda_n the word is (-1)^(nk) times it.
-        Two such k of opposite parity when n is odd mean some element sends
-        the cell to its negative, and the cell is killed.  The row is the
-        flat index of the least word.
-        """
-        n = len(word) - 1
-        if self.trivial:
-            turns = [word[k:] + word[:k] for k in range(n + 1)]
-            rep = min(turns)
-            ks = [k for k, w in enumerate(turns) if w == rep]
-        else:
-            # the least word starts with the least relabelled first letter
-            h = min(map(self.head.__getitem__, word))
-            rep, ks = None, []
-            for k in range(n + 1):
-                if self.head[word[k]] == h:
-                    w = self._relabel(word[k:] + word[:k], rep)
-                    if w == rep:
-                        ks.append(k)
-                    elif w is not None:
-                        rep, ks = w, [k]
-        if n % 2 and any((k - ks[0]) % 2 for k in ks):
-            return None
-        return _flat(rep, self.dim), (n * ks[0]) % 2 == 1
+    n = len(word) - 1
+    turns = [word[k:] + word[:k] for k in range(n + 1)]
+    rep = min(turns)
+    ks = [k for k, w in enumerate(turns) if w == rep]
+    if n % 2 and any((k - ks[0]) % 2 for k in ks):
+        return None
+    return _flat(rep, dim), (n * ks[0]) % 2 == 1
 
 
 class _Lookup(dict):
     """Cells of the words of one degree, computed on first lookup."""
 
-    def __init__(self, orbits: _Orbits):
+    def __init__(self, dim: int):
         super().__init__()
-        self.orbits = orbits
+        self.dim = dim
 
     def __missing__(self, word):
-        cell = self[word] = self.orbits.cell(word)
+        cell = self[word] = _cell(word, self.dim)
         return cell
 
 
-def _classes(orbits: _Orbits) -> dict:
-    """An empty memo, word -> `_Orbits.cell`, for the words of one degree."""
-    return _Lookup(orbits)
+def _classes(dim: int) -> dict:
+    """An empty memo, word -> `_cell`, for the words of one degree."""
+    return _Lookup(dim)
 
 
-def _necklaces(orbits: _Orbits, length: int):
-    """Candidate least words of the weight-0 cells of `length` letters, in word order.
+def _necklaces(weights: tuple, length: int):
+    """The least rotations of the weight-0 words of `length` letters, in word order.
 
-    The FKM algorithm (Fredricksen-Kessler-Maiorana) extends a prenecklace
-    of period p by its letter p places back, keeping the period, or by a
-    larger letter, which makes the whole prefix the period; a prenecklace
-    whose period divides the length is the least rotation of its class.  A
-    prefix is pruned when no word of the remaining length has the opposite
-    weight, when its idempotents of some class do not first appear in
-    increasing order, or when a rotation starting at its last letter would
-    relabel to a smaller first letter.  Words that are not least in their
-    orbit can remain; `_cells` drops them.
+    ``weights[a]`` is the weight of letter a.  The FKM algorithm
+    (Fredricksen-Kessler-Maiorana) extends a prenecklace of period p by
+    its letter p places back, keeping the period, or by a larger letter,
+    which makes the whole prefix the period; a prenecklace whose period
+    divides the length is the least rotation of its class.  A prefix is
+    pruned when no word of the remaining length has the opposite weight.
     """
-    weights, dim = orbits.weights, orbits.dim
-    letters = set(weights)
+    dim, letters = len(weights), set(weights)
     # reach[r] holds the weights of the words of r letters
     reach = [{0}]
     for _ in range(length - 1):
         reach.append({s + w for s in reach[-1] for w in letters})
     word = [0] * (length + 1)  # word[0] stands before the first letter
 
-    def admit(seen: tuple, x: int):
-        c, p = orbits.cls[x], orbits.pos[x]
-        if p < seen[c]:
-            return seen
-        return seen[:c] + (p + 1,) + seen[c + 1 :] if p == seen[c] else None
-
-    def extend(t: int, p: int, total: int, seen: tuple):
+    def extend(t: int, p: int, total: int):
         if t > length:
             if length % p == 0:
                 yield tuple(word[1:])
@@ -1087,28 +966,19 @@ def _necklaces(orbits: _Orbits, length: int):
         for a in range(back, dim):
             s = total + weights[a]
             if -s in need:
-                after = seen
-                if not orbits.trivial:
-                    if t > 1 and orbits.head[a] < word[1]:
-                        continue
-                    i, j = orbits.peirce[a]
-                    after = admit(seen, i)
-                    after = after and admit(after, j)
-                    if after is None:
-                        continue
                 word[t] = a
-                yield from extend(t + 1, p if a == back else t, s, after)
+                yield from extend(t + 1, p if a == back else t, s)
 
-    return extend(1, 1, 0, (0,) * len(orbits.classes))
+    return extend(1, 1, 0)
 
 
-def _cells(orbits: _Orbits, n: int, classes: dict):
-    """The least word of each weight-0 cell of C^lambda_n up to G, in word order.
+def _cells(weights: tuple, n: int, classes: dict):
+    """The least word of each weight-0 cell of C^lambda_n that is not killed, in word order.
 
     ``classes`` is the degree-n memo, which these lookups fill.
     """
-    for word in _necklaces(orbits, n + 1):
-        if classes[word] == (_flat(word, orbits.dim), False):
+    for word in _necklaces(weights, n + 1):
+        if classes[word] is not None:
             yield word
 
 
@@ -1193,14 +1063,18 @@ def _boundary_rank(tables: tuple, n: int, cells: list, classes) -> int:
 
 _SQUARE_CHECK_LIMIT = 50000
 
-# Degree T of the chain complex has this many weight-0 words at most;
-# past it, hp_homology is an input error.
-MAX_CHAIN_WORDS = 2**24
+# Degree T of the chain complex has this many weight-0 words at most, in
+# the letters it is reduced on; past it, hp_homology is an input error.
+# The largest admitted complexes run for seconds: on one pinned CPU
+# (2 vCPUs, Python 3.11.7), Pauli M2 at T = 8 (4^9 words) takes about
+# 11 s, dual numbers at T = 18 (2^19 words) about 6 s.
+MAX_CHAIN_WORDS = 2**19
 
-# A one-dimensional algebra has one word per degree, so the word bound
-# never fires; its columns have n terms of n letters, and the work grows
-# like T^3.  From dim 2 on, MAX_CHAIN_WORDS binds first (at T = 24): the
-# unit's idempotents alone make 2^(T+1) weight-0 words.
+# A corner of one letter (M_r, the ground field) has one word per degree,
+# so the word bound never fires; its columns have n terms of n letters,
+# and the work grows like T^3.  From two letters on, MAX_CHAIN_WORDS binds
+# first (at T = 19 at the latest): two weight-0 letters alone make 2^(T+1)
+# weight-0 words.
 MAX_TRUNCATION = 64
 
 
@@ -1237,20 +1111,32 @@ def _square_check(
 
 
 @lru_cache(maxsize=32)
-def _rank_table(A: FinAlgebra, truncation: int):
-    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda/G up to T."""
-    orbits = _Orbits(A, truncation + 1)
+def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
+    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
+
+    The complex is built on the basis letters ``letters`` of A alone,
+    renumbered in their order, with ``weights`` their letter weights; their
+    products must stay among them.
+    """
+    new = {a: k for k, a in enumerate(letters)}
+    tables = tuple(
+        None
+        if part is None
+        else tuple(
+            tuple(tuple((new[c], v) for c, v in part[a][b]) for b in letters)
+            for a in letters
+        )
+        for part in A._int_table
+    )
     classes, ranks, cells, modes = [], [], [], []
     for n in range(truncation + 1):
-        classes.append(_classes(orbits))
-        words = list(_cells(orbits, n, classes[n]))
+        classes.append(_classes(len(letters)))
+        words = list(_cells(weights, n, classes[n]))
         cells.append(len(words))
         # b vanishes on C_0
-        ranks.append(_boundary_rank(orbits.tables, n, words, classes[n - 1]) if n else 0)
+        ranks.append(_boundary_rank(tables, n, words, classes[n - 1]) if n else 0)
         if n >= 2:
-            modes.append(
-                _square_check(orbits.tables, n, words, classes[n - 1], classes[n - 2])
-            )
+            modes.append(_square_check(tables, n, words, classes[n - 1], classes[n - 2]))
     mode = "full" if all(m == "full" for m in modes) else "sampled"
     return tuple(ranks), tuple(cells), mode
 
@@ -1283,35 +1169,46 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     """Cyclic homology HC_0..HC_{T-1} of A, with T = `truncation`.
 
     HC_n is the homology of Connes' complex C^lambda (Loday, Cyclic
-    Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  Only
-    the weight-0 block of the Peirce grading is reduced, on the orbits of
-    the certified inner symmetry group G (see the module docstring); every
-    algebra without such a grading or symmetry gets the trivial one through
-    the same code.  The report's (hp0, hp1) are the homology dimensions in
-    the top even and odd degrees below T; `stabilized` records whether they
-    agree with the pair two degrees down, which is the same comparison as
-    rerunning at T - 2.  `boundary_check` says whether b o b = 0 was
-    verified on every cell of each C^lambda_n / G (n >= 2) or, past
-    `_SQUARE_CHECK_LIMIT` such cells, on 64 sampled ones.  T above
-    `MAX_TRUNCATION`, or more than `MAX_CHAIN_WORDS` words of weight 0 in
-    degree T (counted before any table is built), is an InputError.
+    Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  A is
+    first cut to a full corner eAe (`_corner`), which has the same cyclic
+    homology by Morita invariance (Loday, sections 1.2 and 2.2), and only
+    the weight-0 block of the corner's Peirce grading is reduced (see the
+    module docstring); an algebra without such a grading keeps every
+    letter and gets the trivial grading through the same code.  The
+    report's (hp0, hp1) are the homology dimensions in the top even and
+    odd degrees below T; `stabilized` records whether they agree with the
+    pair two degrees down, which is the same comparison as rerunning at
+    T - 2.  `boundary_check` says whether b o b = 0 was verified on every
+    cell of each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells,
+    on 64 sampled ones.  T above `MAX_TRUNCATION`, or more than
+    `MAX_CHAIN_WORDS` words of weight 0 in degree T of the corner (counted
+    before any table is built), is an InputError.
+    """
+    return _hp(A, _corner(A, _peirce_grading(A)), truncation)
+
+
+def _hp(A: FinAlgebra, letters: tuple, truncation: int) -> HPReport:
+    """The `hp_homology` report of A, computed on the basis letters ``letters``.
+
+    ``letters`` spans a full corner of A, or is every letter of A.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
     if truncation > MAX_TRUNCATION:
         raise InputError(f"truncation {truncation} is above {MAX_TRUNCATION}")
     length = truncation + 1
-    weights = _letter_weights(_peirce_grading(A), length)
-    # weights.count(0)^length <= count <= dim^length bound the exact count
+    grading = _peirce_grading(A)
+    weights = _letter_weights(tuple(grading[a] for a in letters), length)
+    # weights.count(0)^length <= count <= len(letters)^length bound the exact count
     if weights.count(0) ** length > MAX_CHAIN_WORDS or (
-        A.dim**length > MAX_CHAIN_WORDS
+        len(letters) ** length > MAX_CHAIN_WORDS
         and _weight_zero_words(weights, length) > MAX_CHAIN_WORDS
     ):
         raise InputError(
             f"more than {MAX_CHAIN_WORDS} chain words of weight 0 in degree "
-            f"{truncation}, with dim {A.dim}"
+            f"{truncation}, on {len(letters)} of the {A.dim} basis letters"
         )
-    ranks, cells, mode = _rank_table(A, truncation)
+    ranks, cells, mode = _rank_table(A, letters, weights, truncation)
     hc = []
     for m in range(truncation):
         h = cells[m] - ranks[m] - ranks[m + 1]
@@ -1335,12 +1232,15 @@ def morita_check(A: FinAlgebra, m: int = 2, truncation: int = 6) -> dict:
     """Compare hp_homology of A and of M_m(A) at the same truncation.
 
     Verdict is "pass"/"fail" on the component-wise comparison when both
-    sides stabilized, and "not stabilized" otherwise.
+    sides stabilized, and "not stabilized" otherwise.  The amplified side
+    is reduced on every letter of M_m(A), not on its corner: that corner is
+    A's own, so the check would compare A's corner with itself.
     """
     if m < 2:
         raise InputError("morita check needs amplification size m >= 2")
     base = hp_homology(A, truncation)
-    amplified = hp_homology(matrix_amplification(A, m), truncation)
+    M = matrix_amplification(A, m)
+    amplified = _hp(M, tuple(range(M.dim)), truncation)
     if not (base.stabilized and amplified.stabilized):
         verdict = "not stabilized"
     elif (base.hp0, base.hp1) == (amplified.hp0, amplified.hp1):

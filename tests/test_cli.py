@@ -127,8 +127,9 @@ def test_seed_enters_the_digest():
 SL2 = str(FIXTURES / "sl2.json")
 # (allocating calls that must not be entered, argv rejected by a size guard)
 SIZE_GUARDED = [
+    # C^2 has no smaller corner, and 2^20 words in degree 19
     (("orbitkit.cyclic._classes",),
-     ["cyclic", "hp", "--algebra", str(FIXTURES / "m2.json"), "--truncation", "40"]),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "qi2.json"), "--truncation", "19"]),
     # dim 1: one word per degree, stopped by the truncation bound
     (("orbitkit.cyclic._necklaces", "orbitkit.cyclic._classes"),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "100000"]),
@@ -185,6 +186,13 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
     fractional = json.loads((FIXTURES / "qi2.json").read_text())
     fractional["dim"] = 2.7
     (tmp_path / "fractional.json").write_text(json.dumps(fractional))
+    # a cyclic basis must be a list of names; 5 and null once exited 1,
+    # and "ab" and [1, 2] were taken as labels
+    bases = (5, None, True, 2.5, "ab", [1, 2])
+    for k, basis in enumerate(bases):
+        labelled = json.loads((FIXTURES / "qi2.json").read_text())
+        labelled["basis"] = basis
+        (tmp_path / f"basis{k}.json").write_text(json.dumps(labelled))
     cases = [
         ["cyclic", "hp", "--algebra", str(FIXTURES / "does_not_exist.json")],
         ["chern", "phi", "2", "0", "1"],
@@ -208,6 +216,8 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         # a non-list basis or brackets, and a dim that is not an integer
         *(["lie", "check", "--algebra", str(tmp_path / f"{name}.json")] for name in malformed),
         ["cyclic", "hp", "--algebra", str(tmp_path / "fractional.json")],
+        *(["cyclic", "hp", "--algebra", str(tmp_path / f"basis{k}.json")]
+          for k in range(len(bases))),
     ]
     for argv in cases:
         proc = run_cli(*argv)

@@ -947,47 +947,88 @@ def _permuted(A, perm):
     )
 
 
-def _letters(A):
-    return cyclic_module._letters(cyclic_module._peirce_grading(A))
+def _two_cycle():
+    """e1, e2, x in e1 A e2 and y = x* in e2 A e1, with x y = y x = 0.
 
-
-def _idempotent_classes(A):
-    return cyclic_module._idempotent_classes(A, _letters(A))
-
-
-def test_certified_symmetry_of_the_idempotents():
-    assert _idempotent_classes(matrix_algebra(4)) == ((0, 1, 2, 3),)
-    assert _idempotent_classes(_permuted(matrix_algebra(3), [4, 0, 7, 2, 8, 1, 3, 6, 5])) == (
-        (0, 1, 2),
+    No product of letters is a multiple of e1 or e2 except e1 e1 and
+    e2 e2, so the corner keeps every letter; a word of L letters has
+    weight 0 when it holds as many x as y, which C(2L, L) words do.
+    """
+    zero = GaussRational.zero()
+    mult = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    for a, b, c in ((0, 0, 0), (1, 1, 1), (0, 2, 2), (2, 1, 2), (1, 3, 3), (3, 0, 3)):
+        mult[a][b][c] = ONE
+    return FinAlgebra(
+        4,
+        tuple(tuple(tuple(row) for row in plane) for plane in mult),
+        (ONE, ONE, zero, zero),
+        tuple(tuple(ONE if c == (0, 1, 3, 2)[a] else zero for c in range(4)) for a in range(4)),
+        ("e1", "e2", "x", "y"),
     )
-    assert _idempotent_classes(matrix_amplification(dual_numbers(), 2)) == ((0, 1),)
-    # idempotents e11*p1, e11*p2, e22*p1, e22*p2: only equal p are equivalent
-    assert _idempotent_classes(matrix_amplification(gauss_field_power(2), 2)) == (
-        (0, 2),
-        (1, 3),
-    )
-    # the trivial grading has one idempotent index
-    assert _idempotent_classes(_pauli_m2()) == ((0,),)
 
 
-def test_the_swap_of_two_points_of_c3_is_not_inner():
-    # it preserves every structure constant, and would identify the three
-    # classes of HC_0 = Q^3
+_CORNER_CASES = {
+    "M2": lambda: matrix_algebra(2),
+    "M3": lambda: matrix_algebra(3),
+    "M4": lambda: matrix_algebra(4),
+    "M2(M2)": lambda: matrix_amplification(matrix_algebra(2), 2),
+    "M3 permuted": lambda: _permuted(matrix_algebra(3), [4, 0, 7, 2, 8, 1, 3, 6, 5]),
+    # a rescaled letter gives x y = 2 e_j
+    "M2 2e12": lambda: _rescaled(matrix_algebra(2), [1, 2, 1, 1]),
+    "M3 2e12": lambda: _rescaled(matrix_algebra(3), [1, 2, 1, 1, 1, 1, 1, 1, 1]),
+    "M2(dual)": lambda: matrix_amplification(dual_numbers(), 2),
+    # e21*1 and e21*eps swapped in basis order
+    "M2(dual) reordered": lambda: _permuted(
+        matrix_amplification(dual_numbers(), 2), [0, 1, 2, 3, 5, 4, 6, 7]
+    ),
+    "M2(C^2)": lambda: matrix_amplification(gauss_field_power(2), 2),
+    "M2(u^2=i)": lambda: matrix_amplification(_u_squared_i(), 2),
+    "M2+C": lambda: direct_sum(matrix_algebra(2), gauss_field()),
+    "C^3": lambda: gauss_field_power(3),
+    "two cycle": _two_cycle,
+    "pauli": lambda: _pauli_m2(),
+}
+
+
+def _corner(A):
+    return cyclic_module._corner(A, cyclic_module._peirce_grading(A))
+
+
+def test_corner_letter_counts():
+    counts = {name: len(_corner(make())) for name, make in _CORNER_CASES.items()}
+    # every Peirce idempotent of a matrix algebra is conjugate to the first
+    for name in ("M2", "M3", "M4", "M2(M2)", "M3 permuted", "M2 2e12", "M3 2e12"):
+        assert counts[name] == 1, name
+    # the corner of M_2(B) is B, and M2+C keeps e11 and the unit of C
+    for name in ("M2(dual)", "M2(dual) reordered", "M2(C^2)", "M2(u^2=i)", "M2+C"):
+        assert counts[name] == 2, name
+    # no product of letters certifies a drop, or the grading is trivial
+    assert counts["C^3"] == 3
+    assert counts["two cycle"] == counts["pauli"] == 4
+    # the first idempotent in basis order is kept
+    permuted = _CORNER_CASES["M3 permuted"]()
+    assert [permuted.basis[a] for a in _corner(permuted)] == ["e22"]
+    assert _corner(matrix_algebra(3)) == (0,)
+
+
+def test_c3_keeps_its_three_idempotents():
+    # the three points are not conjugate: a corner that dropped one would
+    # report HC_0 = 1 instead of 3
     A = gauss_field_power(3)
-    sigma = cyclic_module._transposition(A, _letters(A), 0, 1)
-    assert sigma == [1, 0, 2]
-    assert not cyclic_module._is_inner(A, _letters(A), sigma, 0, 1)
-    assert _idempotent_classes(A) == ((0,), (1,), (2,))
+    assert _corner(A) == (0, 1, 2)
     assert hp_homology(A, 4).hc == (3, 0, 3, 0)
 
 
-def test_letter_maps_that_break_a_structure_constant_are_rejected():
-    # M2(dual) with e21*1 and e21*eps swapped: the letter of rank 0 in
-    # e_0 A e_1 is e12*1, but in e_1 A e_0 it is e21*eps
-    A = _permuted(matrix_amplification(dual_numbers(), 2), [0, 1, 2, 3, 5, 4, 6, 7])
-    assert cyclic_module._transposition(A, _letters(A), 0, 1) is None
-    assert _idempotent_classes(A) == ((0,), (1,))
-    assert hp_homology(A, 4).hc == hp_homology(matrix_amplification(dual_numbers(), 2), 4).hc
+def test_rescaled_and_reordered_bases_shrink_to_their_corner():
+    # x y = c e_j with c != 1, and letters whose rank in their Peirce
+    # space differs across the pair, still certify the drop
+    for name in ("M2 2e12", "M3 2e12", "M2(dual) reordered"):
+        A = _CORNER_CASES[name]()
+        grading = cyclic_module._peirce_grading(A)
+        kept = {i for a in _corner(A) for i in grading[a]}
+        assert kept == {0}, name
+    reordered = _CORNER_CASES["M2(dual) reordered"]()
+    assert hp_homology(reordered, 4).hc == hp_homology(dual_numbers(), 4).hc
 
 
 @pytest.mark.parametrize(
@@ -1000,18 +1041,19 @@ def test_letter_maps_that_break_a_structure_constant_are_rejected():
         ("M2(u^2=i)", 4),
         ("C^3", 6),
         ("M3 permuted", 5),
+        ("M2(M2)", 3),
+        ("M2 2e12", 6),
+        ("M3 2e12", 4),
+        ("M2(dual) reordered", 4),
+        ("M2(C^2)", 4),
+        ("M2+C", 4),
+        ("two cycle", 5),
     ],
 )
 def test_orbit_complex_agrees_with_the_weight_zero_block(name, truncation):
-    A = {
-        "M2": lambda: matrix_algebra(2),
-        "M3": lambda: matrix_algebra(3),
-        "M4": lambda: matrix_algebra(4),
-        "M2(dual)": lambda: matrix_amplification(dual_numbers(), 2),
-        "M2(u^2=i)": lambda: matrix_amplification(_u_squared_i(), 2),
-        "C^3": lambda: gauss_field_power(3),
-        "M3 permuted": lambda: _permuted(matrix_algebra(3), [4, 0, 7, 2, 8, 1, 3, 6, 5]),
-    }[name]()
+    # the library reduces the rotation orbits of the corner's weight-0
+    # words; the oracle those of every weight-0 word of A
+    A = _CORNER_CASES[name]()
     assert hp_homology(A, truncation).hc == _full_connes_hc(A, truncation, weight_zero=True)
 
 
@@ -1100,21 +1142,32 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
 
     monkeypatch.setattr(cyclic_module, "_classes", forbidden)
     monkeypatch.setattr(cyclic_module, "_necklaces", forbidden)
-    # degree 7 of M4 holds 65,218,204 weight-0 words
-    for A, truncation in ((matrix_algebra(2), 40), (matrix_algebra(4), 7)):
+    # the corner cannot shrink these: C^2 has 2^20 words in degree 19,
+    # dual numbers as many, and Pauli M2 4^10 in degree 9
+    for A, truncation in (
+        (gauss_field_power(2), 19),
+        (dual_numbers(), 19),
+        (_pauli_m2(), 9),
+        (tensor_product(dual_numbers(), dual_numbers()), 9),
+        (_two_cycle(), 10),
+    ):
         with pytest.raises(InputError, match=f"more than {MAX_CHAIN_WORDS} chain words"):
             hp_homology(A, truncation)
     # one word per degree never meets the word bound; the truncation bound
-    # stops a dim-1 algebra instead
-    with pytest.raises(InputError, match=f"above {MAX_TRUNCATION}"):
-        hp_homology(gauss_field(), MAX_TRUNCATION + 1)
-    # the bound counts weight-0 words only: degree 6 of M4 holds 4,951,552
-    # of its 16^7 words and degree 5 of M5 2,241,225 of its 25^6
+    # stops a dim-1 algebra, and a matrix algebra's one-letter corner, instead
+    for A in (gauss_field(), matrix_algebra(4)):
+        with pytest.raises(InputError, match=f"above {MAX_TRUNCATION}"):
+            hp_homology(A, MAX_TRUNCATION + 1)
+    # the bound counts weight-0 words only: degree 9 of the two-cycle
+    # algebra holds C(20, 10) = 184,756 of its 4^10 words
     monkeypatch.setattr(
-        cyclic_module, "_rank_table", lambda A, T: ((0,) * (T + 1), (0,) * (T + 1), "full")
+        cyclic_module,
+        "_rank_table",
+        lambda A, letters, weights, T: ((0,) * (T + 1), (0,) * (T + 1), "full"),
     )
-    assert hp_homology(matrix_algebra(4), 6).hc == (0,) * 6
-    assert hp_homology(matrix_algebra(5), 5).hc == (0,) * 5
+    assert hp_homology(_two_cycle(), 9).hc == (0,) * 9
+    assert hp_homology(gauss_field_power(2), 18).hc == (0,) * 18
+    assert hp_homology(_pauli_m2(), 8).hc == (0,) * 8
     assert hp_homology(gauss_field(), MAX_TRUNCATION).hc == (0,) * MAX_TRUNCATION
 
 
@@ -1129,16 +1182,19 @@ def test_weight_zero_word_count_is_exact():
 
 
 def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
-    # M3 has 156 cells in degree 4 up to its S_3 symmetry, so degree 4 is
-    # sampled
+    # the two-cycle algebra keeps all 4 letters and has 152 weight-0 cells
+    # in degree 5, so degree 5 is sampled; the corner of M2(C^2) is C^2,
+    # with 10 cells in degree 5
     monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", 100)
     cyclic_module._rank_table.cache_clear()
     try:
-        report = hp_homology(matrix_algebra(3), 4)
+        report = hp_homology(_two_cycle(), 5)
+        small = hp_homology(matrix_amplification(gauss_field_power(2), 2), 5)
     finally:
         cyclic_module._rank_table.cache_clear()
     assert report.boundary_check == "sampled"
-    assert report.hc == (1, 0, 1, 0)
+    assert report.hc == (2, 1, 2, 1, 2)
+    assert small.boundary_check == "full"
 
 
 def test_tensor_square_of_dual_numbers_is_not_stabilized_at_four():
@@ -1152,6 +1208,28 @@ def test_morita_scalars_to_two_by_two():
     verdict = morita_check(gauss_field(), 2, truncation=4)
     assert verdict["verdict"] == "pass"
     assert verdict["base"] == verdict["amplified"] == [1, 0]
+
+
+def test_morita_amplified_side_is_reduced_on_every_letter(monkeypatch):
+    # the corner of M_2(A) is A's, so a corner on both sides would
+    # compare A's corner with itself
+    corners, letters = [], {}
+    corner, rank_table = cyclic_module._corner, cyclic_module._rank_table
+
+    def recorded_corner(A, grading):
+        corners.append(A.dim)
+        return corner(A, grading)
+
+    def recorded_table(A, used, *args):
+        letters[A.dim] = used
+        return rank_table(A, used, *args)
+
+    monkeypatch.setattr(cyclic_module, "_corner", recorded_corner)
+    monkeypatch.setattr(cyclic_module, "_rank_table", recorded_table)
+    verdict = morita_check(matrix_algebra(2), 2, truncation=4)
+    assert verdict["verdict"] == "pass"
+    assert corners == [4]
+    assert letters == {4: (0,), 16: tuple(range(16))}
 
 
 def test_morita_matrix_base_at_reduced_truncation():
