@@ -6,7 +6,7 @@ K-theory exterior generators beta(rho_k) to the odd cohomology generators
 x_{2i+1}, and for SO(2n+1) the rows for beta(lambda_1..lambda_{n-1})
 together with the spin row for eps_{2n+1} against x_3, x_7, ..., x_{4n-1}.
 Everything is exact: big-integer binomials and Fraction matrix entries,
-with determinant and rank from the exact elimination of
+with determinant and rank from the one integer column reduction of
 :class:`~orbitkit.exactnum.ExactMatrix`.
 
 For SU the determinant is computed and invertibility over Q reported.  For
@@ -134,13 +134,13 @@ def chern_matrix(family: str, rank: int) -> ChernMatrix:
             )
             for k in range(1, m)
         )
-        # one elimination gives both the rank and the pivot product
-        _, pivots, product = ExactMatrix(rows)._echelon()
-        det = product if len(pivots) == m - 1 else Fraction(0)
+        # the determinant and the rank share the matrix's one reduction
+        matrix = ExactMatrix(rows)
+        det = matrix.determinant()
         labels_k = tuple(f"beta(rho_{k})" for k in range(1, m))
         labels_h = tuple(f"x_{2 * i + 1}" for i in range(1, m))
         return ChernMatrix(
-            family, rank, rows, labels_k, labels_h, det, len(pivots), det != 0
+            family, rank, rows, labels_k, labels_h, det, matrix.rank(), det != 0
         )
     n = rank
     rows = []
@@ -164,7 +164,7 @@ def chern_matrix(family: str, rank: int) -> ChernMatrix:
     labels.append(f"eps_{2 * n + 1}")
     rows = tuple(rows)
     labels_h = tuple(f"x_{4 * i - 1}" for i in range(1, n + 1))
-    matrix_rank = ExactMatrix.from_rows(rows).rank()
+    matrix_rank = ExactMatrix(rows).rank()
     return ChernMatrix(
         family, rank, rows, tuple(labels), labels_h, None, matrix_rank, None
     )

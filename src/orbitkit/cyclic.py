@@ -42,11 +42,12 @@ of A's corner with itself.  The report lists the top even/odd homology
 dimensions and whether they agree with the pair two degrees down, which is
 the computable surrogate for the stabilization of the periodic theory.
 
-Ranks are computed exactly by a streaming sparse column reduction over the
-integers: b is linear in the structure constants, so it runs on one
-integer table scaled by the lcm of their denominators, and an algebra with
-imaginary structure constants is realified (rank over Q(i) is half the
-real rank of the doubled matrix).
+Ranks are computed exactly by streaming each column of b through
+`exactnum.reduce_column`, the package's one integer column reduction: b is
+linear in the structure constants, so it runs on one integer table scaled
+by the lcm of their denominators, and an algebra with imaginary structure
+constants is realified (rank over Q(i) is half the real rank of the
+doubled matrix).
 
 `verify_trace` checks the four trace axioms (normalization, positivity on
 samples, strict positivity via the Gram matrix, ad-invariance), with
@@ -67,7 +68,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import InputError
-from .exactnum import GaussRational, gauss_rank, gauss_reader, rational_to_str
+from .exactnum import GaussRational, gauss_rank, gauss_reader, rational_to_str, reduce_column
 
 _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
@@ -638,10 +639,6 @@ class Chain:
     def coefficient(self, word) -> GaussRational:
         return self.terms.get(tuple(word), _ZERO)
 
-    def nonzero_terms(self):
-        """(word, coeff) pairs in row-major word order."""
-        return iter(sorted(self.terms.items()))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -1012,47 +1009,13 @@ def _columns(tables: tuple, n: int, word, classes) -> list:
     ]
 
 
-def _gcd_normalize(col: dict) -> dict:
-    g = 0
-    for v in col.values():
-        g = math.gcd(g, abs(v))
-        if g == 1:
-            return col
-    if g > 1:
-        return {r: v // g for r, v in col.items()}
-    return col
-
-
-def _reduce_column(col: dict, pivots: dict) -> None:
-    """Persistence-style reduction; mutates pivots when a new pivot lands."""
-    while col:
-        p = max(col)
-        if p not in pivots:
-            pivots[p] = _gcd_normalize(col)
-            return
-        piv = pivots[p]
-        a, b = col[p], piv[p]
-        g = math.gcd(a, b)
-        ca, cb = b // g, a // g
-        new = {}
-        for r, v in col.items():
-            new[r] = ca * v
-        for r, v in piv.items():
-            acc = new.get(r, 0) - cb * v
-            if acc:
-                new[r] = acc
-            else:
-                new.pop(r, None)
-        col = new
-
-
 def _boundary_rank(tables: tuple, n: int, cells: list, classes) -> int:
     """Rank of b: C^lambda_n -> C^lambda_{n-1} on the given cells."""
     pivots = {}
     for word in cells:
         for col in _columns(tables, n, word, classes):
             if col:
-                _reduce_column(col, pivots)
+                reduce_column(col, pivots)
     rank = len(pivots)
     if tables[1] is not None:
         if rank % 2:

@@ -4,27 +4,30 @@ Scalars are Gaussian rationals ``(a + b*i)/d``, each held as one
 canonical triple of Python ints (d > 0, gcd(a, b, d) = 1), so arithmetic
 costs integer operations and at most one gcd per result (Knuth, TAOCP
 Vol. 2, section 4.5.1); their parts read back as
-:class:`fractions.Fraction`.  Matrices are over Q:
-:class:`ExactMatrix` gets rank, pivot columns, determinant and kernel
-from one exact Gauss-Jordan elimination, :meth:`ExactMatrix._echelon`,
-the package's only dense elimination.  The rank of a Gaussian-rational
-matrix over Q(i) is :func:`gauss_rank`, the halved rank of its
-realification.  No floating point is involved anywhere in this module.
+:class:`fractions.Fraction`.  The package's one elimination is
+:func:`reduce_column`, a sparse column reduction over the integers, run
+by Connes' complex and by :class:`ExactMatrix` over Q, whose rank, pivot
+columns, determinant and kernel come from one reduction of its tagged
+columns.  The rank of a Gaussian-rational matrix over Q(i) is
+:func:`gauss_rank`, the halved rank of its realification.  No floating
+point is involved anywhere in this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 __all__ = [
     "GaussRational",
     "ExactMatrix",
     "gauss_rank",
     "gauss_reader",
+    "reduce_column",
     "rational_to_str",
     "rational_from_str",
 ]
@@ -304,6 +307,40 @@ def _rational(x) -> Fraction:
     raise TypeError(f"matrix entries are rational, not {type(x).__name__}")
 
 
+def reduce_column(col: dict, pivots: dict) -> dict | None:
+    """Reduce a sparse integer column against stored pivot columns.
+
+    ``col`` maps rows to nonzero ints; ``pivots`` maps each pivot row to
+    the stored column whose greatest row it is.  While the column's
+    greatest row p is a pivot row, the least integer combination with
+    pivots[p] clears it (the persistence reduction; Edelsbrunner and
+    Harer, Computational Topology, VII.1).  Rows below 0 are tags, which
+    are carried along but never become pivots.  A new pivot is stored
+    divided by the gcd of its entries, and None is returned; otherwise
+    the column left, tags only, is returned.
+    """
+    while col:
+        p = max(col)
+        if p < 0:
+            break
+        if p not in pivots:
+            g = math.gcd(*col.values())
+            pivots[p] = {r: v // g for r, v in col.items()} if g > 1 else col
+            return None
+        piv = pivots[p]
+        g = math.gcd(col[p], piv[p])
+        ca, cb = piv[p] // g, col[p] // g
+        new = {r: ca * v for r, v in col.items()}
+        for r, v in piv.items():
+            acc = new.get(r, 0) - cb * v
+            if acc:
+                new[r] = acc
+            else:
+                del new[r]
+        col = new
+    return col
+
+
 class ExactMatrix:
     """Dense matrix over Q with exact elimination.
 
@@ -311,7 +348,7 @@ class ExactMatrix:
     Gaussian rationals included, is a TypeError.  The rank over Q(i) of
     a Gaussian-rational matrix is :func:`gauss_rank`, by realification.
 
-    >>> m = ExactMatrix.from_rows([[1, 2], [2, 4]])
+    >>> m = ExactMatrix([[1, 2], [2, 4]])
     >>> m.rank()
     1
     >>> [str(v[0]) + "," + str(v[1]) for v in m.kernel_basis()]
@@ -326,14 +363,7 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[RationalLike]]) -> "ExactMatrix":
-        return ExactMatrix(rows)
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "ExactMatrix":
-        return ExactMatrix([[Fraction(0)] * ncols for _ in range(nrows)])
+        self._reduced = None
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
@@ -353,46 +383,28 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)) if self.rows else [])
 
-    def _echelon(self):
-        """Reduced row echelon form by exact Gauss-Jordan elimination.
+    def _reduce(self) -> tuple:
+        """(pivots, free) of one cached `reduce_column` pass over the columns.
 
-        Returns (rows, pivot_columns, pivot_product): pivot_product is
-        the product of the pivots, negated once per row swap, which is
-        the determinant when the matrix is square of full rank.  Entries
-        stay reduced because Fraction arithmetic normalizes after every
-        operation.
+        Column j enters scaled to integers by the lcm s of its denominators,
+        with tag row -1-j holding s, so every column kept or left has data
+        rows sum_k t_k * column k, where t_k is its entry in row -1-k.
+        ``free`` maps each column that reduces to zero to its leftover tags.
         """
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        product = Fraction(1)
-        r = 0
-        for c in range(self.ncols):
-            pivot = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != r:
-                rows[r], rows[pivot] = rows[pivot], rows[r]
-                product = -product
-            product *= rows[r][c]
-            inv = 1 / rows[r][c]
-            rows[r] = [inv * x for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    # Fraction products dominate; zeros of the pivot row need none
-                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots, product
+        if self._reduced is None:
+            pivots, free = {}, {}
+            for j, entries in enumerate(zip(*self.rows)):
+                s = math.lcm(*(x.denominator for x in entries))
+                col = {i: x.numerator * (s // x.denominator) for i, x in enumerate(entries) if x}
+                col[-1 - j] = s
+                left = reduce_column(col, pivots)
+                if left is not None:
+                    free[j] = left
+            self._reduced = pivots, free
+        return self._reduced
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self._reduce()[0])
 
     def pivot_columns(self) -> tuple:
         """Indices of the first maximal linearly independent set of columns.
@@ -400,34 +412,43 @@ class ExactMatrix:
         Column j is a pivot exactly when it is not in the span of the
         columns before it, so there are rank() of them.
         """
-        return tuple(self._echelon()[1])
+        free = self._reduce()[1]
+        return tuple(j for j in range(self.ncols) if j not in free)
 
     def determinant(self) -> Fraction:
         """Exact determinant of a square matrix.
 
-        >>> ExactMatrix.from_rows([[0, 2], [3, 4]]).determinant()
+        Ordered by pivot row, the stored columns are upper triangular, and
+        each is its own column times its own (least) tag plus earlier ones.
+
+        >>> ExactMatrix([[0, 2], [3, 4]]).determinant()
         Fraction(-6, 1)
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, product = self._echelon()
-        return product if len(pivots) == self.nrows else Fraction(0)
+        pivots, free = self._reduce()
+        if free:
+            return Fraction(0)
+        # the pivot rows in column order; column j's own tag is -1-j
+        order = [p for _, p in sorted((-min(c), p) for p, c in pivots.items())]
+        swaps = sum(a > b for a, b in itertools.combinations(order, 2))
+        num = math.prod(c[p] for p, c in pivots.items())
+        den = math.prod(c[min(c)] for c in pivots.values())
+        return Fraction(-num if swaps % 2 else num, den)
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel, one vector per free column.
 
-        Satisfies rank + len(kernel_basis()) == ncols.
+        Free column j's vector, its tags over its own, is 1 at j and zero
+        past it: the reduced-echelon kernel vector.  Satisfies
+        rank + len(kernel_basis()) == ncols.
         """
-        rows, pivots, _ = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
-        for fc in free:
+        for j, tags in self._reduce()[1].items():
+            own = tags[-1 - j]
             v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for r_idx, pc in enumerate(pivots):
-                # reduced echelon: pivot rows are normalized with zeros above
-                v[pc] = -rows[r_idx][fc]
+            for t, x in tags.items():
+                v[-1 - t] = Fraction(x, own)
             basis.append(tuple(v))
         return basis
 

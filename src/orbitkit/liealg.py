@@ -342,15 +342,18 @@ def orbit_dimension(L: LieAlgebra, F: Covector) -> int:
 def stabilizer(L: LieAlgebra, F: Covector) -> list:
     """Rational basis of the stabilizer subalgebra ``ker B``.
 
-    The span is checked to be closed under the bracket; failure would
-    indicate corrupted structure constants and raises.
+    The span is checked to be closed under the bracket.  By the Jacobi
+    identity g_F is always a subalgebra, so a failure proves that the
+    structure constants break Jacobi, and is an InputError; this costs
+    far less than `check_jacobi` on every triple.
     """
     vectors = poisson_matrix(L, F).kernel_basis()
     for u in vectors:
         for v in vectors:
             if ExactMatrix(vectors + [L.bracket(u, v)]).rank() != len(vectors):
-                raise RuntimeError(
-                    "internal error: stabilizer not closed under bracket"
+                raise InputError(
+                    "the stabilizer of the covector is not closed under the bracket, "
+                    "so the structure constants break the Jacobi identity"
                 )
     return vectors
 

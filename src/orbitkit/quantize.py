@@ -26,27 +26,23 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import InputError
 from .exactnum import GaussRational
-from .liealg import LieAlgebra
 
 __all__ = [
     "Poly",
     "PolyOneForm",
-    "PolyDiffOp",
     "SymplecticModel",
     "hamiltonian_field",
     "poisson",
-    "quantize_op",
     "check_curvature",
     "check_dirac",
     "monomials",
     "dirac_pair_count",
     "MAX_DIRAC_PAIRS",
     "check_dirac_pairs",
-    "action_cocycle",
     "parse_poly",
     "parse_one_form",
     "MAX_EXPONENT",
@@ -236,91 +232,6 @@ class VectorField:
         return out
 
 
-class PolyDiffOp:
-    """Differential operator in normal form: coefficients left, derivatives right.
-
-    Stored as a map from derivative multi-indices to polynomial
-    coefficients; like terms merge and zero coefficients are dropped,
-    so equality of normal forms is structural equality.
-    """
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model: SymplecticModel, terms: Optional[dict] = None):
-        self.model = model
-        clean = {}
-        if terms:
-            for der, coeff in terms.items():
-                if not coeff.is_zero():
-                    clean[tuple(der)] = coeff
-        self.terms = clean
-
-    @staticmethod
-    def multiplication(f: Poly) -> "PolyDiffOp":
-        return PolyDiffOp(f.model, {(0,) * f.model.nvars: f})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyDiffOp) and self.terms == other.terms
-
-    def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
-        return PolyDiffOp(self.model, out)
-
-    def __neg__(self) -> "PolyDiffOp":
-        return PolyDiffOp(self.model, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self + (-other)
-
-    def scale(self, c) -> "PolyDiffOp":
-        return PolyDiffOp(self.model, {d: f * c for d, f in self.terms.items()})
-
-    def apply(self, g: Poly) -> Poly:
-        out = Poly.zero(self.model)
-        for der, f in self.terms.items():
-            dg = g
-            for idx, e in enumerate(der):
-                for _ in range(e):
-                    dg = dg.diff(idx)
-                if dg.is_zero():
-                    break
-            if not dg.is_zero():
-                out = out + f * dg
-        return out
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for der in sorted(self.terms, key=lambda dd: (sum(dd), dd)):
-            f = self.terms[der]
-            ds = []
-            for idx, e in enumerate(der):
-                name = self.model.var_name(idx)
-                if e == 1:
-                    ds.append(f"d/d{name}")
-                elif e > 1:
-                    ds.append(f"d^{e}/d{name}^{e}")
-            body = " ".join(ds)
-            if body:
-                parts.append(f"({f}) {body}")
-            else:
-                parts.append(f"({f})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -342,17 +253,6 @@ def hamiltonian_field(f: Poly) -> VectorField:
 def poisson(f: Poly, g: Poly) -> Poly:
     """Poisson bracket {f, g} := xi_f(g)."""
     return hamiltonian_field(f).apply(g)
-
-
-def quantize_op(f: Poly, alpha: PolyOneForm) -> PolyDiffOp:
-    """Operator f + (hbar/i) L_{xi_f} + alpha(xi_f) in normal form."""
-    nvars = f.model.nvars
-    xi = hamiltonian_field(f)
-    minus_i_hbar = Poly.variable(f.model, nvars) * -GaussRational.i()
-    terms = {(0,) * nvars: f + alpha.evaluate_on(xi)}
-    for j, comp in enumerate(xi.comps):
-        terms[tuple(int(t == j) for t in range(nvars))] = comp * minus_i_hbar
-    return PolyDiffOp(f.model, terms)
 
 
 def check_curvature(alpha: PolyOneForm) -> dict:
@@ -410,7 +310,8 @@ def check_dirac(f: Poly, g: Poly, alpha: PolyOneForm) -> dict:
     residual = _dirac_residual(
         alpha, xi_f, xi_g, g, alpha.evaluate_on(xi_f), alpha.evaluate_on(xi_g)
     )
-    return {"passes": residual.is_zero(), "residual": str(PolyDiffOp.multiplication(residual))}
+    text = "0" if residual.is_zero() else f"({residual})"
+    return {"passes": residual.is_zero(), "residual": text}
 
 
 MAX_DIRAC_PAIRS = 10_000
@@ -477,37 +378,10 @@ def check_dirac_pairs(alpha: PolyOneForm, max_degree: int) -> dict:
                 residuals[k, j] = r
                 residuals[j, k] = -r
     failures = [
-        {"f": monos[j][0], "g": monos[k][0], "residual": str(PolyDiffOp.multiplication(r))}
+        {"f": monos[j][0], "g": monos[k][0], "residual": f"({r})"}
         for (j, k), r in sorted(residuals.items())
     ]
     return {"pairs": pairs, "failures": failures, "passes": not failures}
-
-
-def action_cocycle(L: LieAlgebra, moment: Sequence[Poly]) -> dict:
-    """Cocycle table c(X_a, X_b) = {f_a, f_b} - f_{[X_a, X_b]}.
-
-    ``moment`` assigns a polynomial f_a to each basis element.  The
-    action is flat when the whole table vanishes identically.
-    """
-    if len(moment) != L.dim:
-        raise InputError("moment map must assign one polynomial per basis element")
-    model = moment[0].model
-    table = {}
-    flat = True
-    for a in range(L.dim):
-        for b in range(L.dim):
-            if a == b:
-                continue
-            f_bracket = Poly.zero(model)
-            for k in range(L.dim):
-                if L.c[a][b][k] != 0:
-                    f_bracket = f_bracket + moment[k] * Fraction(L.c[a][b][k])
-            c_ab = poisson(moment[a], moment[b]) - f_bracket
-            if not c_ab.is_zero():
-                flat = False
-            if a < b:
-                table[f"({L.basis[a]},{L.basis[b]})"] = str(c_ab)
-    return {"flat": flat, "table": table}
 
 
 # ---------------------------------------------------------------------------

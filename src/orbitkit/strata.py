@@ -111,7 +111,7 @@ def _kernel_certifies(B: ExactMatrix, r: int) -> bool:
     every (r+2)-minor of B vanishes.
     """
     K = ExactMatrix(B.kernel_basis()).transpose()
-    return K.ncols == B.ncols - r and B @ K == ExactMatrix.zero(B.nrows, K.ncols)
+    return K.ncols == B.ncols - r and B @ K == ExactMatrix([[0] * K.ncols] * B.nrows)
 
 
 def _certify(L: LieAlgebra, F: Covector) -> tuple:

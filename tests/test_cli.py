@@ -193,8 +193,21 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         labelled = json.loads((FIXTURES / "qi2.json").read_text())
         labelled["basis"] = basis
         (tmp_path / f"basis{k}.json").write_text(json.dumps(labelled))
+    # [X1, X3] = X3, [X1, X4] = X3, [X2, X4] = X1, [X3, X4] = X4 breaks
+    # Jacobi; the stabilizer of X3* is then no subalgebra, which once exited 1
+    non_jacobi = {
+        "dim": 4,
+        "basis": ["X1", "X2", "X3", "X4"],
+        "brackets": [
+            {"i": i, "j": j, "coeffs": {str(k): "1"}}
+            for i, j, k in ((0, 2, 2), (0, 3, 2), (1, 3, 0), (2, 3, 3))
+        ],
+    }
+    (tmp_path / "non_jacobi.json").write_text(json.dumps(non_jacobi))
     cases = [
         ["cyclic", "hp", "--algebra", str(FIXTURES / "does_not_exist.json")],
+        ["lie", "polarize", "--algebra", str(tmp_path / "non_jacobi.json"),
+         "--covector", "[0, 0, 1, 0]", "--subspace", "[[1, 0, 0, 0]]"],
         ["chern", "phi", "2", "0", "1"],
         ["affine", "verify", "--l", "1.0", "--h", "0.3", "--trials", "1"],
         ["cyclic", "entire", "--pattern", "a/b/c"],
@@ -341,7 +354,7 @@ def test_algebra_shapes_are_checked_before_the_default_labels(monkeypatch, tmp_p
         ("affine", "worst_residuals", OverflowError,
          ["affine", "verify", "--l", "12000", "--h", "4000"]),
         # a plain ValueError is an internal fault, like exactnum's "shape mismatch"
-        ("exactnum", "ExactMatrix._echelon", ValueError,
+        ("exactnum", "reduce_column", ValueError,
          ["chern", "matrix", "--family", "SU", "--rank", "3"]),
     ],
 )

@@ -84,7 +84,7 @@ def test_gauss_json_accepts_scalar_and_dict_forms():
 
 
 def test_matrix_rank_and_kernel_exact():
-    m = ExactMatrix.from_rows(
+    m = ExactMatrix(
         [
             [1, 2, 3],
             [2, 4, 6],
@@ -127,17 +127,17 @@ def test_identity_rank_and_fraction_pivot_scaling():
         [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
         for _ in range(4)
     ]
-    m = ExactMatrix.from_rows(rows)
+    m = ExactMatrix(rows)
     assert m.rank() + len(m.kernel_basis()) == 4
 
 
 def test_determinant_tracks_swaps_and_pivots():
-    assert ExactMatrix.from_rows([[0, 1], [1, 0]]).determinant() == -1
-    assert ExactMatrix.from_rows([[2, 4], [1, 2]]).determinant() == 0
+    assert ExactMatrix([[0, 1], [1, 0]]).determinant() == -1
+    assert ExactMatrix([[2, 4], [1, 2]]).determinant() == 0
     assert ExactMatrix([]).determinant() == 1
     assert type(ExactMatrix([[3]]).determinant()) is Fraction
     with pytest.raises(ValueError):
-        ExactMatrix.zero(2, 3).determinant()
+        ExactMatrix([[0, 0, 0], [0, 0, 0]]).determinant()
 
 
 def _random_entry(rng):
@@ -163,22 +163,44 @@ def _to_sympy(sympy, rows, ncols):
     return sympy.Matrix(len(rows), ncols, [scalar(x) for r in rows for x in r])
 
 
+def _rref_kernel(sympy, ref, ncols):
+    """One kernel vector per free column, read off sympy's RREF: 1 at the
+    free column and minus the RREF entries at the pivot columns."""
+    rref, pivots = ref.rref()
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for r, p in enumerate(pivots):
+            v[p] = -rref[r, free]
+        basis.append(tuple(Fraction(int(x.p), int(x.q)) for x in map(sympy.Rational, v)))
+    return pivots, basis
+
+
 def test_elimination_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20)
-    for _ in range(40):
-        n, k = rng.randint(1, 5), rng.randint(1, 5)
-        m = ExactMatrix(_random_rows(rng, n, k, lambda: _random_entry(rng)))
+    for _ in range(80):
+        # square, wide and tall shapes, some with zero columns
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_rows(rng, n, k, lambda: _random_entry(rng))
+        for c in rng.sample(range(k), rng.randint(0, k // 2)):
+            for r in rows:
+                r[c] = 0
+        m = ExactMatrix(rows)
         ref = _to_sympy(sympy, m.rows, k)
         assert m.rank() == ref.rank()
-        kernel = m.kernel_basis()
-        assert len(kernel) == len(ref.nullspace())
-        if kernel:
-            K = _to_sympy(sympy, ExactMatrix(kernel).transpose().rows, len(kernel))
-            assert ref * K == sympy.zeros(n, len(kernel))
-            assert K.rank() == len(kernel)
+        pivots, kernel = _rref_kernel(sympy, ref, k)
+        assert m.pivot_columns() == pivots
+        assert m.kernel_basis() == kernel
         square = ExactMatrix(_random_rows(rng, n, n, lambda: _random_entry(rng)))
         assert square.determinant() == _to_sympy(sympy, square.rows, n).det()
+        # a scaled permutation matrix: the pivot rows come in permuted order
+        perm = rng.sample(range(n), n)
+        scaled = ExactMatrix(
+            [[(_random_entry(rng) or 1) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        )
+        assert scaled.determinant() == _to_sympy(sympy, scaled.rows, n).det()
 
 
 def test_gauss_rank_matches_sympy():

@@ -1,4 +1,4 @@
-"""Symbolic prequantization: fields, brackets, operators, cocycles."""
+"""Symbolic prequantization: fields, brackets, the curvature defect and its operator oracle."""
 
 import random
 import time
@@ -8,15 +8,13 @@ from math import comb, prod
 import pytest
 
 from orbitkit.exactnum import GaussRational
-from orbitkit.liealg import InputError, abelian, heisenberg
+from orbitkit import InputError
 from orbitkit.quantize import (
     MAX_DIRAC_PAIRS,
     MAX_NESTING,
     MAX_TERMS,
     Poly,
-    PolyDiffOp,
     SymplecticModel,
-    action_cocycle,
     check_curvature,
     check_dirac,
     check_dirac_pairs,
@@ -26,7 +24,6 @@ from orbitkit.quantize import (
     parse_one_form,
     parse_poly,
     poisson,
-    quantize_op,
 )
 
 MODEL = SymplecticModel(1)
@@ -171,28 +168,6 @@ def test_dirac_fails_for_scaled_alpha():
     assert verdict["residual"] != "0"
 
 
-def test_action_cocycle_flat_moment_map():
-    L = heisenberg()
-    moment = [Q, P, Poly.constant(MODEL, 1)]
-    report = action_cocycle(L, moment)
-    assert report["flat"]
-    assert all(v == "0" for v in report["table"].values())
-
-
-def test_action_cocycle_detects_missing_center():
-    L = heisenberg()
-    moment = [Q, P, Poly.constant(MODEL, 0)]
-    report = action_cocycle(L, moment)
-    assert not report["flat"]
-    assert report["table"]["(X,Y)"] in ("1", "-1")
-
-
-def test_action_cocycle_abelian_commuting_moments():
-    L = abelian(2)
-    report = action_cocycle(L, [Q, Q * Q])
-    assert report["flat"]
-
-
 # ---------------------------------------------------------------------------
 # size guards: each fires before the work it bounds, so a broken guard fails
 # the test instead of starting the allocation
@@ -276,6 +251,69 @@ def test_dirac_pairs_guard_fires_before_monomials(monkeypatch):
 # ---------------------------------------------------------------------------
 # an independent oracle: compose the quantized operators in normal form by
 # the Leibniz rule and compare Q({f,g}) with (i/hbar)[Q(f), Q(g)] directly
+
+
+class PolyDiffOp:
+    """Differential operator in normal form: coefficients left, derivatives right.
+
+    A map from derivative multi-indices to nonzero polynomial coefficients,
+    so equal operators have equal maps.
+    """
+
+    def __init__(self, model, terms=None):
+        self.model = model
+        self.terms = {tuple(d): c for d, c in (terms or {}).items() if not c.is_zero()}
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for d, c in other.terms.items():
+            out[d] = out[d] + c if d in out else c
+        return PolyDiffOp(self.model, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return PolyDiffOp(self.model, {d: f * c for d, f in self.terms.items()})
+
+    def apply(self, g):
+        out = Poly.zero(self.model)
+        for der, f in self.terms.items():
+            dg = g
+            for idx, e in enumerate(der):
+                for _ in range(e):
+                    dg = dg.diff(idx)
+            out = out + f * dg
+        return out
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for der in sorted(self.terms, key=lambda dd: (sum(dd), dd)):
+            ds = []
+            for idx, e in enumerate(der):
+                name = self.model.var_name(idx)
+                if e == 1:
+                    ds.append(f"d/d{name}")
+                elif e > 1:
+                    ds.append(f"d^{e}/d{name}^{e}")
+            parts.append(" ".join([f"({self.terms[der]})", *ds]))
+        return " + ".join(parts)
+
+
+def quantize_op(f, alpha):
+    """Q(f) = f + (hbar/i) L_{xi_f} + alpha(xi_f) in normal form."""
+    nvars = f.model.nvars
+    xi = hamiltonian_field(f)
+    minus_i_hbar = Poly.variable(f.model, nvars) * -GaussRational.i()
+    terms = {(0,) * nvars: f + alpha.evaluate_on(xi)}
+    for j, comp in enumerate(xi.comps):
+        terms[tuple(int(t == j) for t in range(nvars))] = comp * minus_i_hbar
+    return PolyDiffOp(f.model, terms)
 
 
 def _submulti(beta):

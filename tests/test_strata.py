@@ -169,7 +169,7 @@ def test_invertible_submatrix_matches_greedy_choice():
             for i in range(d):
                 for j in range(d):
                     B[i][j] += u[i] * v[j] - v[i] * u[j]
-        m = ExactMatrix.from_rows(B)
+        m = ExactMatrix(B)
         r = m.rank()
         rows, cols = _invertible_submatrix(m)
         assert (rows, cols) == _greedy_submatrix(m, r)
