@@ -270,8 +270,6 @@ def character_U(lam: float, eps: int, g: AffineElement) -> complex:
     """U_lambda^eps(g) = |a|^{i lambda} (sgn a)^eps, a unit complex number."""
     if eps not in (0, 1):
         raise InputError("eps must be 0 or 1")
-    if g.a == 0:
-        raise InputError("dilation part must be nonzero")
     value = complex(np.exp(1j * lam * math.log(abs(g.a))))
     if eps == 1 and g.a < 0:
         value = -value

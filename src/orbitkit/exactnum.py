@@ -150,6 +150,10 @@ class GaussRational:
     def is_zero(self) -> bool:
         return not (self._a or self._b)
 
+    def __bool__(self) -> bool:
+        # true when nonzero, as for Fraction, so sparse loops serve both
+        return bool(self._a or self._b)
+
     def conjugate(self) -> "GaussRational":
         return _gauss(self._a, -self._b, self._d) if self._b else self
 

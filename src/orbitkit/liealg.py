@@ -1,15 +1,22 @@
 """Lie algebras by structure constants and coadjoint-orbit linear algebra.
 
 A Lie algebra is stored as exact rational structure constants
-``c[i][j][k]`` with ``[X_i, X_j] = sum_k c[i][j][k] X_k``.  Covectors
-live in the dual with rational coordinates.  The Poisson matrix of a
-covector ``F`` is the rational matrix ``B[i][j] = <F, [X_i, X_j]>``; its
-rank is the orbit dimension and its kernel the stabilizer subalgebra.
-Polarization subspaces of the complexification are checked through the
-exact linear-algebra conditions that are decidable at the infinitesimal
-level: their dimensions and memberships are ranks over Q(i), taken by
-realification, and their real points solve a rational linear system.
-Global and measure-theoretic conditions are reported as not evaluated.
+``c[i][j][k]`` with ``[X_i, X_j] = sum_k c[i][j][k] X_k``, and built once
+into a sparse table (i, j) -> ((k, c[i][j][k]), ...) of the nonzero
+constants, which the bracket (over Q and over Q(i)), the Poisson matrix
+and the Jacobi check read.  The Jacobiator J(i, j, k) comes straight from
+the constants, over i < j < k only: antisymmetry makes J alternating and
+zero on a repeated index, so the first violating ordered triple in
+lexicographic order is sorted.  Covectors live in the dual with rational
+coordinates.  The Poisson matrix of a covector ``F`` is the rational
+matrix ``B[i][j] = <F, [X_i, X_j]>``; its rank is the orbit dimension and
+its kernel the stabilizer subalgebra, closed under the bracket exactly
+when B [u, v] = 0 for its basis vectors u, v.  Polarization subspaces of
+the complexification are checked through the exact linear-algebra
+conditions that are decidable at the infinitesimal level: their
+dimensions and memberships are ranks over Q(i), taken by realification,
+and their real points solve a rational linear system.  Global and
+measure-theoretic conditions are reported as not evaluated.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import InputError
@@ -66,18 +74,23 @@ class LieAlgebra:
     c: tuple  # c[i][j] = tuple of Fraction, length dim
 
     def __post_init__(self):
-        if len(self.basis) != self.dim or len(self.c) != self.dim:
+        n = self.dim
+        if len(self.basis) != n or len(self.c) != n or any(
+            len(plane) != n or any(len(row) != n for row in plane) for plane in self.c
+        ):
             raise InputError("structure constant table does not match dim")
-        for i in range(self.dim):
-            if len(self.c[i]) != self.dim:
-                raise InputError("structure constant table does not match dim")
-            for j in range(self.dim):
-                if len(self.c[i][j]) != self.dim:
-                    raise InputError("structure constant table does not match dim")
-                if self.c[i][j] != tuple(-x for x in self.c[j][i]):
+        # _pairs[i][j] holds the (k, c[i][j][k]) with a nonzero constant
+        pairs = tuple(
+            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+            for plane in self.c
+        )
+        for i in range(n):
+            for j in range(n):
+                if pairs[i][j] != tuple((k, -x) for k, x in pairs[j][i]):
                     raise InputError(
                         f"structure constants not antisymmetric at ({i},{j})"
                     )
+        object.__setattr__(self, "_pairs", pairs)
 
     @staticmethod
     def from_brackets(dim: int, brackets: dict, basis: Optional[Sequence[str]] = None) -> "LieAlgebra":
@@ -163,46 +176,30 @@ class LieAlgebra:
         return LieAlgebra.from_json(obj)
 
     def to_json(self) -> dict:
-        entries = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                coeffs = {
-                    str(k): rational_to_str(v)
-                    for k, v in enumerate(self.c[i][j])
-                    if v != 0
-                }
-                if coeffs:
-                    entries.append({"i": i, "j": j, "coeffs": coeffs})
+        entries = [
+            {"i": i, "j": j, "coeffs": {str(k): rational_to_str(v) for k, v in row}}
+            for i, plane in enumerate(self._pairs)
+            for j, row in enumerate(plane)
+            if i < j and row
+        ]
         return {"dim": self.dim, "basis": list(self.basis), "brackets": entries}
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-        """Bracket of two coordinate vectors, rational coordinates."""
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                for k in range(self.dim):
-                    if self.c[i][j][k] != 0:
-                        out[k] += f * self.c[i][j][k]
-        return tuple(out)
+    def bracket(self, u: Sequence, v: Sequence) -> tuple:
+        """Bracket of two coordinate vectors, bilinear over Q or over Q(i).
 
-    def bracket_complex(self, u: Sequence[GaussRational], v: Sequence[GaussRational]) -> tuple:
-        """Bilinear extension of the bracket to the complexification."""
-        out = [GaussRational.zero()] * self.dim
-        for i in range(self.dim):
-            if u[i].is_zero():
-                continue
-            for j in range(self.dim):
-                if v[j].is_zero():
-                    continue
-                f = u[i] * v[j]
-                for k in range(self.dim):
-                    if self.c[i][j][k] != 0:
-                        out[k] = out[k] + f * GaussRational.from_rational(self.c[i][j][k])
+        Coordinates are Fractions, or GaussRationals for the
+        complexification, and the result has the coordinates' type.
+        """
+        out = [x * 0 for x in u]
+        vs = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                row = self._pairs[i]
+                for j, y in vs:
+                    if row[j]:
+                        f = x * y
+                        for k, c in row[j]:
+                            out[k] = out[k] + f * c
         return tuple(out)
 
 
@@ -237,7 +234,7 @@ class ComplexSubspace:
     """Subspace of the complexified algebra, spanned over the Gaussian rationals.
 
     Its dimension and membership tests are ranks over Q(i), from
-    :func:`~orbitkit.exactnum.gauss_rank`.
+    :func:`~orbitkit.exactnum.gauss_rank`; its own rank is taken once.
     """
 
     dim_ambient: int
@@ -272,13 +269,17 @@ class ComplexSubspace:
                 raise InputError(f"bad subspace entry: {exc}") from None
         return ComplexSubspace(dim_ambient, tuple(out))
 
-    def dim(self) -> int:
+    @cached_property
+    def _rank(self) -> int:
         return gauss_rank(self.vectors)
+
+    def dim(self) -> int:
+        return self._rank
 
     def contains(self, vector: Sequence[GaussRational]) -> bool:
         if all(x.is_zero() for x in vector):
             return True
-        return gauss_rank(self.vectors + (tuple(vector),)) == self.dim()
+        return gauss_rank(self.vectors + (tuple(vector),)) == self._rank
 
     def conjugate(self) -> "ComplexSubspace":
         return ComplexSubspace(
@@ -288,25 +289,24 @@ class ComplexSubspace:
 
 
 def check_jacobi(L: LieAlgebra):
-    """Verify the Jacobi identity exactly over all ordered basis triples.
+    """Verify the Jacobi identity exactly on the basis.
 
     Returns ``(True, None)`` or ``(False, (i, j, k))`` with the first
-    violating triple in lexicographic order.
+    violating ordered triple in lexicographic order.  The Jacobiator
+    J(i, j, k) = [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j]
+    is alternating and zero on a repeated index, so that triple is
+    sorted, and only i < j < k are computed, from the constants.
     """
-    n = L.dim
-    basis_vecs = [
-        tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-        for i in range(n)
-    ]
+    n, pairs = L.dim, L._pairs
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = [Fraction(0)] * n
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                J: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = L.bracket(basis_vecs[a], basis_vecs[b])
-                    outer = L.bracket(inner, basis_vecs[c])
-                    lhs = [x + y for x, y in zip(lhs, outer)]
-                if any(x != 0 for x in lhs):
+                    for l, x in pairs[a][b]:
+                        for m, y in pairs[l][c]:
+                            J[m] = J.get(m, 0) + x * y
+                if any(J.values()):
                     return False, (i, j, k)
     return True, None
 
@@ -323,8 +323,8 @@ def poisson_matrix(L: LieAlgebra, F: Covector) -> ExactMatrix:
         raise InputError("covector length does not match algebra dimension")
     return ExactMatrix(
         [
-            [sum((c * f for c, f in zip(L.c[i][j], F.coords) if c), Fraction(0)) for j in range(n)]
-            for i in range(n)
+            [sum((c * F.coords[k] for k, c in row), Fraction(0)) for row in plane]
+            for plane in L._pairs
         ]
     )
 
@@ -342,15 +342,19 @@ def orbit_dimension(L: LieAlgebra, F: Covector) -> int:
 def stabilizer(L: LieAlgebra, F: Covector) -> list:
     """Rational basis of the stabilizer subalgebra ``ker B``.
 
-    The span is checked to be closed under the bracket.  By the Jacobi
+    The span is checked to be closed under the bracket: it is ker B
+    itself, so [u, v] lies in it exactly when B [u, v] = 0, and by
+    antisymmetry unordered pairs of basis vectors suffice.  By the Jacobi
     identity g_F is always a subalgebra, so a failure proves that the
     structure constants break Jacobi, and is an InputError; this costs
     far less than `check_jacobi` on every triple.
     """
-    vectors = poisson_matrix(L, F).kernel_basis()
-    for u in vectors:
-        for v in vectors:
-            if ExactMatrix(vectors + [L.bracket(u, v)]).rank() != len(vectors):
+    B = poisson_matrix(L, F)
+    vectors = B.kernel_basis()
+    for a, u in enumerate(vectors):
+        for v in vectors[a + 1:]:
+            w = [(k, x) for k, x in enumerate(L.bracket(u, v)) if x]
+            if w and any(sum(row[k] * x for k, x in w) for row in B.rows):
                 raise InputError(
                     "the stabilizer of the covector is not closed under the bracket, "
                     "so the structure constants break the Jacobi identity"
@@ -422,14 +426,7 @@ def check_polarization(L: LieAlgebra, F: Covector, p: ComplexSubspace) -> Polari
     ]
 
     # (a): bracket closure plus stabilizer containment
-    closed = True
-    for u in p.vectors:
-        for v in p.vectors:
-            if not p.contains(L.bracket_complex(u, v)):
-                closed = False
-                break
-        if not closed:
-            break
+    closed = all(p.contains(L.bracket(u, v)) for u in p.vectors for v in p.vectors)
     contains_stab = all(p.contains(v) for v in stab_c)
     cond_a = closed and contains_stab
 
@@ -437,7 +434,7 @@ def check_polarization(L: LieAlgebra, F: Covector, p: ComplexSubspace) -> Polari
     cond_b = True
     for z in stab_c:
         for u in p.vectors:
-            if not p.contains(L.bracket_complex(z, u)):
+            if not p.contains(L.bracket(z, u)):
                 cond_b = False
                 break
         if not cond_b:

@@ -5,14 +5,19 @@ Poisson matrix B is ranked exactly once, samples are grouped into strata
 of constant (even) rank r, and each stratum carries certificates: an
 r x r minor that is nonzero at the sample (rank >= r) and, where
 (r+2)-minors exist, a kernel basis K of d - r columns with B K = 0
-(rank <= r, so every (r+2)-minor vanishes).  The top stratum's minor
-feeds a symbolic generic-rank certificate, and the strata feed a
-constant-rank foliation report and a structural report of the
-resulting tower of extensions.
+(rank <= r, so every (r+2)-minor vanishes).  The minor is principal: B
+is antisymmetric, so its r pivot columns C index rows that span its row
+space, and B[C, C] is nonsingular.  The top stratum's minor feeds a
+symbolic generic-rank certificate over the algebra's sparse table of
+structure constants; its determinant is expanded only when the product
+of its rows' term counts, which bounds that work, is at most
+MAX_MINOR_TERMS.  The strata feed a constant-rank foliation report and a
+structural report of the resulting tower of extensions.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,10 +29,10 @@ from .liealg import Covector, LieAlgebra, poisson_matrix
 
 __all__ = [
     "MAX_SAMPLES",
+    "MAX_MINOR_TERMS",
     "SamplerConfig",
     "Stratum",
     "TowerReport",
-    "sample_covectors",
     "stratify",
     "generic_rank",
     "foliation_check",
@@ -36,6 +41,8 @@ __all__ = [
 
 # stratify draws every sample up front; more than this is an input error
 MAX_SAMPLES = 10**6
+# generic_rank expands a minor only when it can have at most this many terms
+MAX_MINOR_TERMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -86,21 +93,16 @@ class Stratum:
         }
 
 
-def sample_covectors(L: LieAlgebra, config: SamplerConfig) -> list:
-    return config.draw(L.dim)
-
-
 def _invertible_submatrix(B: ExactMatrix):
     """(rows, cols) of an r x r submatrix of full rank r = rank B.
 
-    cols are the pivot columns of B, its first r independent columns;
-    rows are the first r independent rows of those columns, i.e. the
-    pivot columns of their transpose.  Both are the greedy left-to-right
-    choices.
+    cols are the pivot columns C of B, its first r independent columns.
+    For antisymmetric B the rows C are the columns C negated, so they
+    span the row space, B[C, :] has the kernel of B, and B[C, C] is
+    nonsingular: rows = cols, the greedy left-to-right choice of rows.
     """
     cols = B.pivot_columns()
-    rows = ExactMatrix([[B[i, j] for i in range(B.nrows)] for j in cols]).pivot_columns()
-    return rows, cols
+    return cols, cols
 
 
 def _kernel_certifies(B: ExactMatrix, r: int) -> bool:
@@ -143,7 +145,7 @@ def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
         raise InputError("coordinate range must be nonnegative")
     certified: dict = {}
     by_rank: dict = {}
-    for F in sample_covectors(L, config):
+    for F in config.draw(L.dim):
         if F.coords not in certified:
             certified[F.coords] = _certify(L, F)
         r, minor, kernel_ok = certified[F.coords]
@@ -195,6 +197,7 @@ def _poly_neg(a: dict) -> dict:
 
 
 def _poly_det(rows: list) -> dict:
+    """Laplace expansion along the first row, over its nonzero entries."""
     n = len(rows)
     if n == 0:
         return {(): Fraction(1)}
@@ -249,18 +252,8 @@ def _poly_str(p: dict, names: Sequence[str]) -> str:
 def _symbolic_poisson(L: LieAlgebra) -> list:
     """Poisson matrix entries as linear polynomials in the dual coordinates."""
     n = L.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p: dict = {}
-            for k in range(n):
-                if L.c[i][j][k] != 0:
-                    mono = tuple(1 if t == k else 0 for t in range(n))
-                    p[mono] = L.c[i][j][k]
-            row.append(p)
-        rows.append(row)
-    return rows
+    var = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    return [[{var[k]: c for k, c in row} for row in plane] for plane in L._pairs]
 
 
 def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
@@ -271,6 +264,8 @@ def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
     witness's, and the report includes it as a 2n-minor of the symbolic
     Poisson matrix that is nonzero as a polynomial in the dual
     coordinates and evaluates to a nonzero rational at the witness.
+    A minor whose rows' term counts multiply to more than
+    MAX_MINOR_TERMS is an InputError, raised before the expansion.
     """
     top = strata[0]
     r = top.orbit_dimension
@@ -284,6 +279,10 @@ def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
     rows, cols = top.minors_used[0]
     sym = _symbolic_poisson(L)
     sub = [[sym[i][j] for j in cols] for i in rows]
+    if math.prod(sum(map(len, row)) for row in sub) > MAX_MINOR_TERMS:
+        raise InputError(
+            f"the generic-rank {r}-minor could expand to more than {MAX_MINOR_TERMS} terms"
+        )
     det_poly = _poly_det(sub)
     if not det_poly:
         raise RuntimeError("internal error: symbolic certifying minor is zero")

@@ -204,10 +204,22 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         ],
     }
     (tmp_path / "non_jacobi.json").write_text(json.dumps(non_jacobi))
+    # the free 2-step nilpotent algebra on 10 generators (dim 55): the rows
+    # of its generic 10-minor bound the expansion by 9^10 terms, and
+    # expanding it once took over three minutes
+    pairs = [(a, b) for a in range(10) for b in range(a + 1, 10)]
+    free = {
+        "dim": 55,
+        "brackets": [
+            {"i": a, "j": b, "coeffs": {str(10 + z): "1"}} for z, (a, b) in enumerate(pairs)
+        ],
+    }
+    (tmp_path / "free_two_step.json").write_text(json.dumps(free))
     cases = [
         ["cyclic", "hp", "--algebra", str(FIXTURES / "does_not_exist.json")],
         ["lie", "polarize", "--algebra", str(tmp_path / "non_jacobi.json"),
          "--covector", "[0, 0, 1, 0]", "--subspace", "[[1, 0, 0, 0]]"],
+        ["lie", "strata", "--algebra", str(tmp_path / "free_two_step.json"), "--samples", "1"],
         ["chern", "phi", "2", "0", "1"],
         ["affine", "verify", "--l", "1.0", "--h", "0.3", "--trials", "1"],
         ["cyclic", "entire", "--pattern", "a/b/c"],

@@ -1,12 +1,14 @@
 """Lie algebras, Poisson matrices, stabilizers, polarizations."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import orbitkit
-from orbitkit.exactnum import GaussRational
+from orbitkit.exactnum import ExactMatrix, GaussRational
 from orbitkit.liealg import (
     ComplexSubspace,
     Covector,
@@ -41,6 +43,106 @@ def test_jacobi_fails_with_first_violating_triple():
     ok, witness = check_jacobi(L)
     assert not ok
     assert witness == (0, 1, 2)
+
+
+def _dense_bracket(L, u, v):
+    """[u, v] read from the dense constants c[i][j][k], every k scanned."""
+    out = [Fraction(0)] * L.dim
+    for i, j in itertools.product(range(L.dim), repeat=2):
+        if u[i] and v[j]:
+            for k in range(L.dim):
+                out[k] += u[i] * v[j] * L.c[i][j][k]
+    return out
+
+
+def _jacobi_oracle(L):
+    """Jacobi over every ordered basis triple, by nested brackets."""
+    e = [[Fraction(int(t == i)) for t in range(L.dim)] for i in range(L.dim)]
+    for i, j, k in itertools.product(range(L.dim), repeat=3):
+        lhs = [Fraction(0)] * L.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            outer = _dense_bracket(L, _dense_bracket(L, e[a], e[b]), e[c])
+            lhs = [x + y for x, y in zip(lhs, outer)]
+        if any(lhs):
+            return False, (i, j, k)
+    return True, None
+
+
+def _dense_poisson(L, F):
+    return ExactMatrix(
+        [[sum(c * f for c, f in zip(L.c[i][j], F.coords)) for j in range(L.dim)]
+         for i in range(L.dim)]
+    )
+
+
+def _stabilizer_oracle(L, F):
+    """ker B, or None when some [u, v] raises the rank of the kernel basis."""
+    vectors = _dense_poisson(L, F).kernel_basis()
+    for u in vectors:
+        for v in vectors:
+            if ExactMatrix(vectors + [_dense_bracket(L, u, v)]).rank() != len(vectors):
+                return None
+    return vectors
+
+
+def test_sparse_table_agrees_with_the_dense_oracles():
+    # random antisymmetric tables, most of which break Jacobi
+    rng = random.Random(18)
+    outcomes = Counter()
+    for _ in range(450):
+        n = rng.randint(1, 6)
+        density = rng.choice((0.2, 0.4, 0.7))
+        brackets = {
+            (i, j): {
+                rng.randrange(n): Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+                for _ in range(rng.randint(1, 2))
+            }
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        }
+        L = LieAlgebra.from_brackets(n, brackets)
+        verdict = check_jacobi(L)
+        assert verdict == _jacobi_oracle(L), brackets
+        u, v = ([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in "uv")
+        assert list(L.bracket(u, v)) == _dense_bracket(L, u, v)
+        F = Covector(tuple(Fraction(rng.choice((0, 0, 0, 1, -2))) for _ in range(n)))
+        assert poisson_matrix(L, F) == _dense_poisson(L, F)
+        expected = _stabilizer_oracle(L, F)
+        if expected is None:
+            with pytest.raises(InputError, match="not closed under the bracket"):
+                stabilizer(L, F)
+        else:
+            assert stabilizer(L, F) == expected
+        outcomes[verdict[0], expected is None] += 1
+    assert outcomes[True, True] == 0
+    assert min(outcomes[True, False], outcomes[False, False], outcomes[False, True]) >= 25, outcomes
+
+
+def test_bracket_extends_bilinearly_to_the_complexification():
+    rng = random.Random(3)
+    for L in (heisenberg(), aff1(), sl2()):
+        for _ in range(20):
+            a, b, c, d = (
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(L.dim)]
+                for _ in range(4)
+            )
+            assert all(type(x) is Fraction for x in L.bracket(a, c))
+            re = [x - y for x, y in zip(L.bracket(a, c), L.bracket(b, d))]
+            im = [x + y for x, y in zip(L.bracket(a, d), L.bracket(b, c))]
+            u = [GaussRational(x, y) for x, y in zip(a, b)]
+            v = [GaussRational(x, y) for x, y in zip(c, d)]
+            assert L.bracket(u, v) == tuple(GaussRational(x, y) for x, y in zip(re, im))
+
+
+def test_constructor_rejects_constants_that_are_not_antisymmetric():
+    z, one = Fraction(0), Fraction(1)
+    symmetric = (((z, z), (z, one)), ((z, one), (z, z)))  # [X0, X1] = [X1, X0] = X1
+    with pytest.raises(InputError, match=r"not antisymmetric at \(0,1\)"):
+        LieAlgebra(2, ("a", "b"), symmetric)
+    diagonal = (((z, one), (z, z)), ((z, z), (z, z)))  # [X0, X0] = X1
+    with pytest.raises(InputError, match=r"not antisymmetric at \(0,0\)"):
+        LieAlgebra(2, ("a", "b"), diagonal)
 
 
 def test_loader_rejects_inconsistent_orientations():

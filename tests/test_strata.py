@@ -1,5 +1,6 @@
 """Stratification, certificates, foliation reports, extension tower."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from orbitkit.liealg import (
     sl2,
 )
 from orbitkit.strata import (
+    MAX_MINOR_TERMS,
     MAX_SAMPLES,
     SamplerConfig,
     Stratum,
@@ -172,7 +174,10 @@ def test_invertible_submatrix_matches_greedy_choice():
         m = ExactMatrix(B)
         r = m.rank()
         rows, cols = _invertible_submatrix(m)
-        assert (rows, cols) == _greedy_submatrix(m, r)
+        greedy_rows, greedy_cols = _greedy_submatrix(m, r)
+        # antisymmetric B: the greedy rows are the pivot columns
+        assert greedy_rows == greedy_cols == cols == m.pivot_columns()
+        assert rows == cols
         if r:
             minor = ExactMatrix([[m[i, j] for j in cols] for i in rows])
             assert minor.determinant() != 0
@@ -195,3 +200,46 @@ def test_h3_h3_q2_strata_pinned():
         "minor_polynomial": "F3^2*F6^2",
         "minor_value_at_witness": "1/16",
     }
+
+
+def _free_two_step(k):
+    """Free 2-step nilpotent algebra on k generators: [X_a, X_b] = Z_ab."""
+    pairs = itertools.combinations(range(k), 2)
+    return LieAlgebra.from_brackets(
+        k + k * (k - 1) // 2, {(a, b): {k + z: 1} for z, (a, b) in enumerate(pairs)}
+    )
+
+
+def test_generic_rank_bounds_the_minor_before_expanding_it(monkeypatch):
+    # k = 10: ten rows of nine terms bound the 10-minor by 9^10 terms
+    L = _free_two_step(10)
+    top = Stratum(
+        orbit_dimension=10,
+        sample_count=1,
+        witness=Covector(tuple(Fraction(1) for _ in range(L.dim))),
+        minors_used=((tuple(range(10)), tuple(range(10))),),
+        higher_minors_vanish=True,
+    )
+
+    def forbidden(*args):
+        raise AssertionError("the minor was expanded before the bound was checked")
+
+    monkeypatch.setattr("orbitkit.strata._poly_det", forbidden)
+    with pytest.raises(InputError, match=f"more than {MAX_MINOR_TERMS} terms"):
+        generic_rank(L, [top])
+
+
+def test_generic_rank_admits_a_minor_at_the_bound(monkeypatch):
+    # k = 4: the 4-minor has four rows of three terms, 81 in all
+    L = _free_two_step(4)
+    found = stratify(L, SamplerConfig(seed=0, samples=5))
+    monkeypatch.setattr("orbitkit.strata.MAX_MINOR_TERMS", 81)
+    report = generic_rank(L, found)
+    assert report["rank"] == 4
+    # the square of the Pfaffian F5*F10 - F6*F9 + F7*F8
+    assert report["minor_polynomial"] == (
+        "F5^2*F10^2 - 2*F5*F6*F9*F10 + 2*F5*F7*F8*F10 + F6^2*F9^2 - 2*F6*F7*F8*F9 + F7^2*F8^2"
+    )
+    monkeypatch.setattr("orbitkit.strata.MAX_MINOR_TERMS", 80)
+    with pytest.raises(InputError, match="more than 80 terms"):
+        generic_rank(L, found)
