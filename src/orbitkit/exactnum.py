@@ -348,9 +348,11 @@ def reduce_column(col: dict, pivots: dict) -> dict | None:
 class ExactMatrix:
     """Dense matrix over Q with exact elimination.
 
-    Entries are Fractions; ints are converted, and anything else,
-    Gaussian rationals included, is a TypeError.  The rank over Q(i) of
-    a Gaussian-rational matrix is :func:`gauss_rank`, by realification.
+    Entries are Fractions, read through ``rows``; ints are converted, and
+    anything else, Gaussian rationals included, is a TypeError.  The
+    matrix answers four reduction queries (rank, pivot columns,
+    determinant, kernel basis) and has no arithmetic.  The rank over Q(i)
+    of a Gaussian-rational matrix is :func:`gauss_rank`, by realification.
 
     >>> m = ExactMatrix([[1, 2], [2, 4]])
     >>> m.rank()
@@ -368,24 +370,6 @@ class ExactMatrix:
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         self._reduced = None
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return ExactMatrix(
-            [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols] for r in self.rows]
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)) if self.rows else [])
 
     def _reduce(self) -> tuple:
         """(pivots, free) of one cached `reduce_column` pass over the columns.

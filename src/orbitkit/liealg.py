@@ -11,12 +11,14 @@ lexicographic order is sorted.  Covectors live in the dual with rational
 coordinates.  The Poisson matrix of a covector ``F`` is the rational
 matrix ``B[i][j] = <F, [X_i, X_j]>``; its rank is the orbit dimension and
 its kernel the stabilizer subalgebra, closed under the bracket exactly
-when B [u, v] = 0 for its basis vectors u, v.  Polarization subspaces of
-the complexification are checked through the exact linear-algebra
-conditions that are decidable at the infinitesimal level: their
-dimensions and memberships are ranks over Q(i), taken by realification,
-and their real points solve a rational linear system.  Global and
-measure-theoretic conditions are reported as not evaluated.
+when B [u, v] = 0 for its basis vectors u, v.  That B v = 0 is decided
+in one place, :func:`annihilates`, which sums each row of B over the
+nonzero entries of v; the strata certificates use it too.  Polarization
+subspaces of the complexification are checked through the exact
+linear-algebra conditions that are decidable at the infinitesimal level:
+their dimensions and memberships are ranks over Q(i), taken by
+realification, and their real points solve a rational linear system.
+Global and measure-theoretic conditions are reported as not evaluated.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "PolarizationReport",
     "check_jacobi",
     "poisson_matrix",
+    "annihilates",
     "orbit_dimension",
     "stabilizer",
     "check_polarization",
@@ -133,7 +136,8 @@ class LieAlgebra:
 
         Each bracket entry is ``{"i": i, "j": j, "coeffs": {"k": "p/q"}}``.
         ``dim`` is a JSON integer from 1 to MAX_DIM, checked before the
-        dim^3 table is built; ``basis`` and ``brackets`` are lists.
+        dim^3 table is built; ``i`` and ``j`` are JSON integers too, and
+        ``basis`` and ``brackets`` are lists.
         """
         dim = obj.get("dim") if isinstance(obj, dict) else None
         if not isinstance(dim, int) or isinstance(dim, bool):
@@ -153,13 +157,15 @@ class LieAlgebra:
         brackets = {}
         for entry in entries:
             try:
-                i, j = int(entry["i"]), int(entry["j"])
+                i, j = entry["i"], entry["j"]
                 coeffs = {
                     int(k): rational_from_str(str(v))
                     for k, v in entry["coeffs"].items()
                 }
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise InputError(f"malformed bracket entry {entry!r}") from exc
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in (i, j)):
+                raise InputError(f"malformed bracket entry {entry!r}")
             key = (i, j)
             if key in brackets:
                 raise InputError(f"duplicate bracket entry for ({i},{j})")
@@ -224,9 +230,6 @@ class Covector:
 
     def to_json(self) -> list:
         return [rational_to_str(v) for v in self.coords]
-
-    def pair(self, vector: Sequence[Fraction]) -> Fraction:
-        return sum((a * b for a, b in zip(self.coords, vector)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -329,6 +332,17 @@ def poisson_matrix(L: LieAlgebra, F: Covector) -> ExactMatrix:
     )
 
 
+def annihilates(B: ExactMatrix, v: Sequence[Fraction]) -> bool:
+    """True when B v = 0, each row summed where it and v are both nonzero.
+
+    The one kernel test of the package: `stabilizer` applies it to
+    brackets of kernel vectors, and `strata` to the kernel basis that
+    certifies a stratum's rank bound.
+    """
+    w = [(k, x) for k, x in enumerate(v) if x]
+    return not any(sum(row[k] * x for k, x in w if row[k]) for row in B.rows)
+
+
 def orbit_dimension(L: LieAlgebra, F: Covector) -> int:
     """Rank of the Poisson matrix; always even for antisymmetric input."""
     r = poisson_matrix(L, F).rank()
@@ -353,8 +367,7 @@ def stabilizer(L: LieAlgebra, F: Covector) -> list:
     vectors = B.kernel_basis()
     for a, u in enumerate(vectors):
         for v in vectors[a + 1:]:
-            w = [(k, x) for k, x in enumerate(L.bracket(u, v)) if x]
-            if w and any(sum(row[k] * x for k, x in w) for row in B.rows):
+            if not annihilates(B, L.bracket(u, v)):
                 raise InputError(
                     "the stabilizer of the covector is not closed under the bracket, "
                     "so the structure constants break the Jacobi identity"

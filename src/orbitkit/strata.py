@@ -4,15 +4,17 @@ Covectors are drawn from a seeded rational grid; each distinct sample's
 Poisson matrix B is ranked exactly once, samples are grouped into strata
 of constant (even) rank r, and each stratum carries certificates: an
 r x r minor that is nonzero at the sample (rank >= r) and, where
-(r+2)-minors exist, a kernel basis K of d - r columns with B K = 0
-(rank <= r, so every (r+2)-minor vanishes).  The minor is principal: B
-is antisymmetric, so its r pivot columns C index rows that span its row
+(r+2)-minors exist, a kernel basis of d - r vectors v, each with B v = 0
+by `liealg.annihilates` over the nonzero entries of v (rank <= r, so
+every (r+2)-minor vanishes).  The minor is principal: B is
+antisymmetric, so its r pivot columns C index rows that span its row
 space, and B[C, C] is nonsingular.  The top stratum's minor feeds a
-symbolic generic-rank certificate over the algebra's sparse table of
-structure constants; its determinant is expanded only when the product
-of its rows' term counts, which bounds that work, is at most
-MAX_MINOR_TERMS.  The strata feed a constant-rank foliation report and a
-structural report of the resulting tower of extensions.
+symbolic generic-rank certificate, built from the algebra's sparse table
+of structure constants on the minor's rows and columns only; its
+determinant is expanded only when the product of its rows' term counts,
+which bounds that work, is at most MAX_MINOR_TERMS.  The strata feed a
+constant-rank foliation report and a structural report of the resulting
+tower of extensions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from . import InputError
 from .exactnum import ExactMatrix, rational_to_str
-from .liealg import Covector, LieAlgebra, poisson_matrix
+from .liealg import Covector, LieAlgebra, annihilates, poisson_matrix
 
 __all__ = [
     "MAX_SAMPLES",
@@ -79,7 +81,7 @@ class Stratum:
     sample_count: int
     witness: Covector
     minors_used: tuple          # distinct (rows, cols) index pairs certifying rank
-    higher_minors_vanish: bool  # B K = 0, K of d - r columns, at every sample
+    higher_minors_vanish: bool  # B v = 0 on d - r kernel vectors, at every sample
 
     def to_json(self) -> dict:
         return {
@@ -93,40 +95,29 @@ class Stratum:
         }
 
 
-def _invertible_submatrix(B: ExactMatrix):
-    """(rows, cols) of an r x r submatrix of full rank r = rank B.
-
-    cols are the pivot columns C of B, its first r independent columns.
-    For antisymmetric B the rows C are the columns C negated, so they
-    span the row space, B[C, :] has the kernel of B, and B[C, C] is
-    nonsingular: rows = cols, the greedy left-to-right choice of rows.
-    """
-    cols = B.pivot_columns()
-    return cols, cols
-
-
-def _kernel_certifies(B: ExactMatrix, r: int) -> bool:
-    """True when a kernel basis K of B has d - r columns and B K = 0.
-
-    The basis vectors are independent by construction (each is 1 at its
-    own free column and 0 at the others), so this bounds rank B by r and
-    every (r+2)-minor of B vanishes.
-    """
-    K = ExactMatrix(B.kernel_basis()).transpose()
-    return K.ncols == B.ncols - r and B @ K == ExactMatrix([[0] * K.ncols] * B.nrows)
-
-
 def _certify(L: LieAlgebra, F: Covector) -> tuple:
-    """(rank, certifying minor, kernel certificate) of B at one covector."""
+    """(rank, certifying minor, kernel certificate) of B at one covector.
+
+    The minor sits on the pivot columns C of B, its first r = rank B
+    independent columns.  B is antisymmetric, so the rows C are the
+    columns C negated: they span the row space, and B[C, C] is
+    nonsingular.  Where (r+2)-minors exist, the certificate holds when
+    the kernel basis has d - r vectors and `annihilates` each; they are
+    independent by construction (each is 1 at its own free column and 0
+    at the others), so rank B <= r and every (r+2)-minor vanishes.
+    """
     B = poisson_matrix(L, F)
-    rows, cols = _invertible_submatrix(B)
+    cols = B.pivot_columns()
     r = len(cols)
     if r % 2 != 0:
         raise RuntimeError("internal error: odd rank of an antisymmetric matrix")
-    minor = ExactMatrix([[B[i, j] for j in cols] for i in rows])
-    if minor.determinant() == 0:
+    if ExactMatrix([[B.rows[i][j] for j in cols] for i in cols]).determinant() == 0:
         raise RuntimeError("internal error: certifying minor vanished")
-    return r, (rows, cols), r + 2 > L.dim or _kernel_certifies(B, r)
+    kernel_ok = r + 2 > L.dim
+    if not kernel_ok:
+        K = B.kernel_basis()
+        kernel_ok = len(K) == B.ncols - r and all(annihilates(B, v) for v in K)
+    return r, (cols, cols), kernel_ok
 
 
 def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
@@ -249,13 +240,6 @@ def _poly_str(p: dict, names: Sequence[str]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _symbolic_poisson(L: LieAlgebra) -> list:
-    """Poisson matrix entries as linear polynomials in the dual coordinates."""
-    n = L.dim
-    var = [tuple(int(t == k) for t in range(n)) for k in range(n)]
-    return [[{var[k]: c for k, c in row} for row in plane] for plane in L._pairs]
-
-
 def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
     """Maximal sampled orbit dimension with a symbolic certificate.
 
@@ -277,8 +261,9 @@ def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
             "minor_polynomial": "1",
         }
     rows, cols = top.minors_used[0]
-    sym = _symbolic_poisson(L)
-    sub = [[sym[i][j] for j in cols] for i in rows]
+    # entry (i, j) is the linear polynomial sum_k c[i][j][k] F_k
+    var = [tuple(int(t == k) for t in range(L.dim)) for k in range(L.dim)]
+    sub = [[{var[k]: c for k, c in L._pairs[i][j]} for j in cols] for i in rows]
     if math.prod(sum(map(len, row)) for row in sub) > MAX_MINOR_TERMS:
         raise InputError(
             f"the generic-rank {r}-minor could expand to more than {MAX_MINOR_TERMS} terms"

@@ -179,6 +179,9 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         "brackets": {"dim": 2, "brackets": 5},
         "basis": {"dim": 2, "basis": 5},
         "dim": {"dim": 2.7},
+        # bracket indices were read through int(), so 0.9 ran as 0 and true as 1
+        "index_fraction": {"dim": 3, "brackets": [{"i": 0.9, "j": 1, "coeffs": {"2": "1"}}]},
+        "index_bool": {"dim": 3, "brackets": [{"i": True, "j": 2, "coeffs": {"0": "1"}}]},
     }
     for name, algebra in malformed.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(algebra))
@@ -238,7 +241,7 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         ["chern", "phi", "3", "2", "20000"],
         # size guards, each checked before its allocation
         *(argv for _, argv in SIZE_GUARDED),
-        # a non-list basis or brackets, and a dim that is not an integer
+        # a non-list basis or brackets, and a dim or bracket index that is not an integer
         *(["lie", "check", "--algebra", str(tmp_path / f"{name}.json")] for name in malformed),
         ["cyclic", "hp", "--algebra", str(tmp_path / "fractional.json")],
         *(["cyclic", "hp", "--algebra", str(tmp_path / f"basis{k}.json")]

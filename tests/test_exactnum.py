@@ -95,7 +95,7 @@ def test_matrix_rank_and_kernel_exact():
     kernel = m.kernel_basis()
     assert len(kernel) == 1
     for row in range(3):
-        assert sum(m[row, col] * kernel[0][col] for col in range(3)) == 0
+        assert sum(m.rows[row][col] * kernel[0][col] for col in range(3)) == 0
 
 
 def test_matrix_entries_are_rational_only():

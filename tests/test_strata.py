@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from orbitkit.strata import (
     MAX_SAMPLES,
     SamplerConfig,
     Stratum,
-    _invertible_submatrix,
+    _certify,
     extension_tower,
     foliation_check,
     generic_rank,
@@ -145,14 +146,14 @@ def _greedy_submatrix(B, r):
     cols = []
     for j in range(B.ncols):
         trial = cols + [j]
-        if ExactMatrix([[B[i, jj] for jj in trial] for i in range(B.nrows)]).rank() == len(trial):
+        if ExactMatrix([[row[jj] for jj in trial] for row in B.rows]).rank() == len(trial):
             cols = trial
             if len(cols) == r:
                 break
     rows = []
     for i in range(B.nrows):
         trial = rows + [i]
-        if ExactMatrix([[B[ii, jj] for jj in cols] for ii in trial]).rank() == len(trial):
+        if ExactMatrix([[B.rows[ii][jj] for jj in cols] for ii in trial]).rank() == len(trial):
             rows = trial
             if len(rows) == r:
                 break
@@ -173,13 +174,13 @@ def test_invertible_submatrix_matches_greedy_choice():
                     B[i][j] += u[i] * v[j] - v[i] * u[j]
         m = ExactMatrix(B)
         r = m.rank()
-        rows, cols = _invertible_submatrix(m)
+        cols = m.pivot_columns()
         greedy_rows, greedy_cols = _greedy_submatrix(m, r)
-        # antisymmetric B: the greedy rows are the pivot columns
-        assert greedy_rows == greedy_cols == cols == m.pivot_columns()
-        assert rows == cols
+        # antisymmetric B: the greedy rows are the pivot columns, which
+        # `_certify` takes for both the rows and the columns of its minor
+        assert greedy_rows == greedy_cols == cols
         if r:
-            minor = ExactMatrix([[m[i, j] for j in cols] for i in rows])
+            minor = ExactMatrix([[m.rows[i][j] for j in cols] for i in cols])
             assert minor.determinant() != 0
 
 
@@ -243,3 +244,94 @@ def test_generic_rank_admits_a_minor_at_the_bound(monkeypatch):
     monkeypatch.setattr("orbitkit.strata.MAX_MINOR_TERMS", 80)
     with pytest.raises(InputError, match="more than 80 terms"):
         generic_rank(L, found)
+
+
+def _dense_kernel_certificate(B, r):
+    """Reference kernel certificate: the dense product B K against zero.
+
+    K holds the kernel basis as columns; the certificate needs d - r of
+    them and every entry of B K, d * d * (d - r) products, to vanish.
+    """
+    K = B.kernel_basis()
+    BK = [[sum((a * b for a, b in zip(row, v)), Fraction(0)) for v in K] for row in B.rows]
+    return len(K) == B.ncols - r and all(x == 0 for row in BK for x in row)
+
+
+_HONEST_KERNEL = ExactMatrix.kernel_basis
+
+
+def _tampered_kernel(mode, column=0):
+    """A kernel_basis that leaves one vector out, or moves one off the kernel."""
+
+    def kernel_basis(self):
+        vectors = _HONEST_KERNEL(self)
+        if mode == "short":
+            return vectors[1:]
+        if mode == "shifted" and vectors and self.pivot_columns():
+            # B (v + e_p) = B e_p, a nonzero pivot column
+            p = self.pivot_columns()[0]
+            vectors[0] = tuple(x + (k == p) for k, x in enumerate(vectors[0]))
+        if mode == "bump" and vectors:
+            # v + e_j stays in ker B exactly when column j of B is zero
+            j = column % self.ncols
+            vectors[-1] = tuple(x + (k == j) for k, x in enumerate(vectors[-1]))
+        return vectors
+
+    return kernel_basis
+
+
+def test_sparse_kernel_certificate_agrees_with_the_dense_product(monkeypatch):
+    # random antisymmetric tables, many of them rank-deficient or breaking
+    # Jacobi, against honest and tampered kernel bases
+    rng = random.Random(19)
+    outcomes = Counter()
+    for trial in range(480):
+        n = rng.randint(3, 7)
+        density = rng.choice((0.15, 0.4, 0.7))
+        brackets = {
+            (i, j): {
+                rng.randrange(n): Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+                for _ in range(rng.randint(1, 2))
+            }
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        }
+        L = LieAlgebra.from_brackets(n, brackets)
+        F = Covector(tuple(Fraction(rng.choice((0, 0, 1, -2, 3)), rng.choice((1, 4))) for _ in range(n)))
+        mode = rng.choice(("honest", "short", "shifted", "bump"))
+        monkeypatch.setattr(ExactMatrix, "kernel_basis", _tampered_kernel(mode, trial))
+        r, _, sparse = _certify(L, F)
+        B = poisson_matrix(L, F)
+        dense = r + 2 > n or _dense_kernel_certificate(B, r)
+        assert sparse == dense, (brackets, F, mode)
+        if r + 2 <= n:
+            outcomes[mode, r > 0, sparse] += 1
+    monkeypatch.undo()
+    # only B = 0 keeps a shifted vector in the kernel, and bumped vectors
+    # both stayed in the kernel and left it
+    assert not any(ok for (mode, _, ok) in outcomes if mode == "short")
+    assert not any(not ok for (mode, _, ok) in outcomes if mode == "honest")
+    assert outcomes["shifted", True, True] == 0
+    for key in (("honest", True, True), ("short", True, False), ("shifted", True, False),
+                ("bump", True, True), ("bump", True, False)):
+        assert outcomes[key] >= 10, outcomes
+
+
+@pytest.mark.parametrize("mode", ["short", "shifted"])
+def test_tampered_kernel_basis_fails_the_certificate(monkeypatch, mode):
+    L = _free_two_step(3)
+    config = SamplerConfig(seed=0, samples=20)
+    assert all(s.higher_minors_vanish for s in stratify(L, config))
+    monkeypatch.setattr(ExactMatrix, "kernel_basis", _tampered_kernel(mode))
+    found = stratify(L, config)
+    assert found[0].orbit_dimension == 2
+    assert not any(s.higher_minors_vanish for s in found if s.orbit_dimension or mode == "short")
+
+
+def test_free_two_step_on_eight_generators_is_certified():
+    # dim 36, rank 8: the dense B K took 36 * 36 * 28 products a sample
+    found = stratify(_free_two_step(8), SamplerConfig(seed=0, samples=5))
+    assert [(s.orbit_dimension, s.sample_count, s.higher_minors_vanish) for s in found] == [
+        (8, 5, True)
+    ]
