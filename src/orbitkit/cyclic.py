@@ -42,6 +42,20 @@ of A's corner with itself.  The report lists the top even/odd homology
 dimensions and whether they agree with the pair two degrees down, which is
 the computable surrogate for the stabilization of the periodic theory.
 
+Within the corner, the basis letters that are units cut the cells once
+more (`_conjugations`).  When letters u and v multiply to c e with
+c != 0, and conjugation by u scales every letter x by a factor r_x / c,
+it scales a word by the product of the factors of its letters.  b and
+lambda commute with this automorphism, so they preserve each of its
+eigenspaces, and inner automorphisms act as the identity on HC (Loday,
+Cyclic Homology, section 4.1), so an eigenspace on which some such u acts
+by a scalar other than 1 is acyclic over Q(i).  Only the cells on which
+every certified conjugation acts by 1 are reduced: for the Pauli basis of
+M2, the words holding as many sx, sy and sz modulo 2.  A group algebra
+gets no certified conjugation, since conjugation permutes its letters
+instead of scaling them, and neither does a commutative algebra, where
+every factor is 1.
+
 Ranks are computed exactly by streaming each column of b through
 `exactnum.reduce_column`, the package's one integer column reduction: b is
 linear in the structure constants, so it runs on one integer table scaled
@@ -969,13 +983,64 @@ def _necklaces(weights: tuple, length: int):
     return extend(1, 1, 0)
 
 
-def _cells(weights: tuple, n: int, classes: dict):
-    """The least word of each weight-0 cell of C^lambda_n that is not killed, in word order.
+def _conjugations(A: FinAlgebra, letters: tuple) -> tuple:
+    """(c, s) for each certified conjugation by a basis unit, on ``letters``.
 
-    ``classes`` is the degree-n memo, which these lookups fill.
+    ``letters`` span a full corner eAe of A, or all of A; e is the unit's
+    coordinates on them, and e_0 its first nonzero one.  Letter u is
+    certified when some letter v gives e_u e_v = c' e with c' != 0 (then
+    e_v e_u = c' e too, as eAe is finite-dimensional), and e_u x e_v = r_x x
+    is a single term for every letter x.  Conjugation by u is then the
+    inner automorphism x -> u x v / c' of eAe, and it scales letter x by
+    r_x / c'.  With c = c' e_0 and s_x = r_x e_0, it scales a word
+    x_0 ... x_n by 1 exactly when the product of the s_{x_k} is c^(n+1);
+    this takes products only.  A unit that scales every letter by 1 is
+    left out, so an algebra without such a unit gets ().
     """
+    kept = set(letters)
+    e = {a: A.unit[a] for a in letters if A.unit[a]}
+    first = min(e)
+    out, seen = [], set()
+    for u, v in A._inverse_pairs[first]:
+        if u in seen or u not in kept or v not in kept:
+            continue
+        uv = dict(A._pairs[u][v])
+        c = uv[first]
+        if uv.keys() != e.keys() or any(uv[a] * e[first] != c * e[a] for a in e):
+            continue
+        seen.add(u)
+        s = []
+        for x in letters:
+            uxv = A._mul(A._pairs[u][x], ((v, _ONE),))
+            if uxv.keys() != {x}:
+                break
+            s.append(uxv[x] * e[first])
+        else:
+            if any(r != c for r in s):
+                out.append((c, tuple(s)))
+    return tuple(out)
+
+
+def _cells(weights: tuple, n: int, classes: dict, conjugations: tuple):
+    """The least word of each weight-0 cell of C^lambda_n that is kept, in word order.
+
+    A cell is kept when it is not killed and every conjugation of
+    ``conjugations`` (see `_conjugations`) scales it by 1; the scale is a
+    product over the letters, so it is computed once per multiset of
+    letters.  ``classes`` is the degree-n memo, which these lookups fill.
+    """
+    powers = [(s, math.prod((c,) * (n + 1), start=_ONE)) for c, s in conjugations]
+    trivial = {}
     for word in _necklaces(weights, n + 1):
-        if classes[word] is not None:
+        if classes[word] is None:
+            continue
+        key = tuple(sorted(word))
+        kept = trivial.get(key)
+        if kept is None:
+            kept = trivial[key] = all(
+                math.prod((s[a] for a in key), start=_ONE) == power for s, power in powers
+            )
+        if kept:
             yield word
 
 
@@ -1029,8 +1094,9 @@ _SQUARE_CHECK_LIMIT = 50000
 # Degree T of the chain complex has this many weight-0 words at most, in
 # the letters it is reduced on; past it, hp_homology is an input error.
 # The largest admitted complexes run for seconds: on one pinned CPU
-# (2 vCPUs, Python 3.11.7), Pauli M2 at T = 8 (4^9 words) takes about
-# 11 s, dual numbers at T = 18 (2^19 words) about 6 s.
+# (2 vCPUs, Python 3.11.7), dual numbers at T = 18 (2^19 words) take about
+# 3.7 s, and Pauli M2 at T = 8 (4^9 words) about 2.5 s, where reducing
+# every cell took 8.4 s on the same CPU.
 MAX_CHAIN_WORDS = 2**19
 
 # A corner of one letter (M_r, the ground field) has one word per degree,
@@ -1079,8 +1145,10 @@ def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
 
     The complex is built on the basis letters ``letters`` of A alone,
     renumbered in their order, with ``weights`` their letter weights; their
-    products must stay among them.
+    products must stay among them.  Only the cells that every certified
+    conjugation by a basis unit fixes are reduced (`_conjugations`).
     """
+    conjugations = _conjugations(A, letters)
     new = {a: k for k, a in enumerate(letters)}
     tables = tuple(
         None
@@ -1094,7 +1162,7 @@ def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
     classes, ranks, cells, modes = [], [], [], []
     for n in range(truncation + 1):
         classes.append(_classes(len(letters)))
-        words = list(_cells(weights, n, classes[n]))
+        words = list(_cells(weights, n, classes[n], conjugations))
         cells.append(len(words))
         # b vanishes on C_0
         ranks.append(_boundary_rank(tables, n, words, classes[n - 1]) if n else 0)
@@ -1137,7 +1205,11 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     homology by Morita invariance (Loday, sections 1.2 and 2.2), and only
     the weight-0 block of the corner's Peirce grading is reduced (see the
     module docstring); an algebra without such a grading keeps every
-    letter and gets the trivial grading through the same code.  The
+    letter and gets the trivial grading through the same code.  Within
+    that block, only the cells that every certified conjugation by a
+    basis unit of the corner fixes are reduced (`_conjugations`, and the
+    module docstring); the other eigenspaces of those inner automorphisms
+    are acyclic.  An algebra with no such unit reduces every cell.  The
     report's (hp0, hp1) are the homology dimensions in the top even and
     odd degrees below T; `stabilized` records whether they agree with the
     pair two degrees down, which is the same comparison as rerunning at
@@ -1197,7 +1269,9 @@ def morita_check(A: FinAlgebra, m: int = 2, truncation: int = 6) -> dict:
     Verdict is "pass"/"fail" on the component-wise comparison when both
     sides stabilized, and "not stabilized" otherwise.  The amplified side
     is reduced on every letter of M_m(A), not on its corner: that corner is
-    A's own, so the check would compare A's corner with itself.
+    A's own, so the check would compare A's corner with itself.  No letter
+    of M_m(A) is a unit, since each lies in one Peirce space e_ii M e_jj,
+    so no conjugation cuts the amplified side's cells either.
     """
     if m < 2:
         raise InputError("morita check needs amplification size m >= 2")

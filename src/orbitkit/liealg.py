@@ -324,12 +324,15 @@ def poisson_matrix(L: LieAlgebra, F: Covector) -> ExactMatrix:
     n = L.dim
     if len(F.coords) != n:
         raise InputError("covector length does not match algebra dimension")
-    return ExactMatrix(
-        [
-            [sum((c * F.coords[k] for k, c in row), Fraction(0)) for row in plane]
-            for plane in L._pairs
-        ]
-    )
+    zero = Fraction(0)
+    rows = []
+    for plane in L._pairs:
+        row = [zero] * n
+        for j, pairs in enumerate(plane):
+            if pairs:
+                row[j] = sum((c * F.coords[k] for k, c in pairs), zero)
+        rows.append(row)
+    return ExactMatrix(rows)
 
 
 def annihilates(B: ExactMatrix, v: Sequence[Fraction]) -> bool:

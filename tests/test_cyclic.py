@@ -1126,9 +1126,119 @@ def _pauli_m2():
 def test_hp_pauli_basis_matches_matrix_units():
     # imaginary structure constants: the realified columns and their
     # composite in the square check both see the i
-    report = hp_homology(_pauli_m2(), truncation=4)
-    assert report.hc == hp_homology(matrix_algebra(2), truncation=4).hc == (1, 0, 1, 0)
+    report = hp_homology(_pauli_m2(), truncation=6)
+    assert report.hc == hp_homology(matrix_algebra(2), truncation=6).hc == (1, 0, 1, 0, 1, 0)
     assert report.boundary_check == "full"
+
+
+def _pauli_cell_count(n):
+    """Rotation classes of C^lambda_n on 1, sx, sy, sz that are not killed
+    and hold as many sx, sy and sz modulo 2, counted over every word."""
+    reps = set()
+    for word in itertools.product(range(4), repeat=n + 1):
+        turns = [word[k:] + word[:k] for k in range(n + 1)]
+        killed = any(turns[k] == word and n * k % 2 for k in range(n + 1))
+        if not killed and word.count(1) % 2 == word.count(2) % 2 == word.count(3) % 2:
+            reps.add(min(turns))
+    return len(reps)
+
+
+def test_pauli_conjugations_keep_the_even_parity_cells():
+    # sx, sy and sz square to 1 and conjugate the other letters by signs
+    A = _pauli_m2()
+    minus = -ONE
+    assert cyclic_module._conjugations(A, (0, 1, 2, 3)) == (
+        (ONE, (ONE, ONE, minus, minus)),
+        (ONE, (ONE, minus, ONE, minus)),
+        (ONE, (ONE, minus, minus, ONE)),
+    )
+    _, cells, _ = cyclic_module._rank_table(A, (0, 1, 2, 3), (0,) * 4, 6)
+    assert cells == tuple(_pauli_cell_count(n) for n in range(7))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        # c = 4 for 2 sx and c = 2i for (1 + i) sz
+        [1, 2, 1, GaussRational(1, 1)],
+        # the unit is (1/2) times a letter, so e_0 = 1/2
+        [2, 2, 1, GaussRational(1, 1)],
+    ],
+)
+def test_rescaled_pauli_units_keep_their_cells_and_homology(factors):
+    P = _pauli_m2()
+    A = _rescaled(P, factors)
+    letters, e0 = (0, 1, 2, 3), A.unit[0]
+    assert [c for c, _ in cyclic_module._conjugations(A, letters)] == [
+        GaussRational(4) * e0,
+        e0,
+        GaussRational(0, 2) * e0,
+    ]
+    assert cyclic_module._rank_table(A, letters, (0,) * 4, 5)[1] == (
+        cyclic_module._rank_table(P, letters, (0,) * 4, 5)[1]
+    )
+    assert hp_homology(A, 5).hc == hp_homology(P, 5).hc == (1, 0, 1, 0, 1)
+
+
+def test_tensor_square_of_pauli_keeps_one_block_in_sixteen():
+    P = _pauli_m2()
+    A = tensor_product(P, P)
+    # every letter but 1*1 is a unit whose conjugation flips some signs
+    assert len(cyclic_module._conjugations(A, tuple(range(16)))) == 15
+    assert hp_homology(A, 3).hc == (1, 0, 1)
+
+
+def test_morita_check_on_pauli_keeps_its_amplified_side_independent():
+    # no letter of M_2(A) is a unit: each lies in one Peirce space, and the
+    # unit has two Peirce components
+    M = matrix_amplification(_pauli_m2(), 2)
+    assert cyclic_module._conjugations(M, tuple(range(M.dim))) == ()
+    verdict = morita_check(_pauli_m2(), 2, truncation=4)
+    assert verdict["verdict"] == "pass"
+    assert verdict["base"] == verdict["amplified"] == [1, 0]
+
+
+def _group_algebra(elements):
+    """Q(i)[G] on a group of permutation tuples, with star g -> g^-1."""
+    index = {g: a for a, g in enumerate(elements)}
+    d = len(elements)
+
+    def letter(g):
+        return tuple(ONE if c == index[g] else GaussRational.zero() for c in range(d))
+
+    def inverse(g):
+        return tuple(sorted(range(len(g)), key=g.__getitem__))
+
+    return FinAlgebra(
+        d,
+        tuple(tuple(letter(tuple(g[k] for k in h)) for h in elements) for g in elements),
+        letter(tuple(range(len(elements[0])))),
+        tuple(letter(inverse(g)) for g in elements),
+        tuple("".join(map(str, g)) for g in elements),
+    )
+
+
+@pytest.mark.parametrize(
+    "elements, truncation, hc",
+    [
+        # S3: three conjugacy classes, and conjugation permutes the letters
+        (list(itertools.permutations(range(3))), 4, (3, 0, 3, 0)),
+        # Z/3: commutative, so every conjugation scales each letter by 1
+        ([(0, 1, 2), (1, 2, 0), (2, 0, 1)], 6, (3, 0, 3, 0, 3, 0)),
+    ],
+)
+def test_group_algebras_match_the_conjugacy_class_count(elements, truncation, hc):
+    # HC_2m(Q[G]) has the dimension of the conjugacy classes, and HC_odd = 0
+    # (Burghelea, Comment. Math. Helv. 60, 1985)
+    A = _group_algebra(elements)
+    letters = tuple(range(A.dim))
+    # every letter is a unit: its product with its inverse is the identity, letter 0
+    assert all(
+        any(A.basis_product(u, v) == ((0, ONE),) for v in letters) for u in letters
+    )
+    assert _corner(A) == letters
+    assert cyclic_module._conjugations(A, letters) == ()
+    assert hp_homology(A, truncation).hc == hc
 
 
 def test_hp_truncation_guard():
