@@ -23,8 +23,16 @@ consume, in the same order, and each pair becomes a double by CPython's
 own exact formula for ``random()``.  The magnitudes e^u are computed once
 per grid, the phases on the s = +1 branch only (b(-x) = -(bx) exactly,
 cos is even and sin odd, so the s = -1 row is cos - i sin of the same
-values), and the last two phase rows are kept, so a trial's unitarity
-check reuses g1's phases from its homomorphism check.
+values).
+
+Trials are evaluated in blocks of as many as fit BLOCK_NODES branch
+nodes.  A block's draws are made trial by trial in the order one trial at
+a time would make them; then each step is one numpy call over the whole
+block: one ``frombuffer`` over the concatenated ``getrandbits`` bytes, one
+extended-precision sin/cos over the g2, g1 and g1 g2 phase rows (g1's
+rows serve both the homomorphism and the unitarity check), index-array
+shifts, and masked seam-free maxima.  Every operation on an entry is the
+one a single trial performs, so the maxima are the same floats.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +49,17 @@ from . import InputError
 # nodes per sign branch, 2 L/h + 1; a larger grid is an input error
 MAX_BRANCH_NODES = 10**6
 # worst_residuals' largest trials x (branch_size + TRIAL_OVERHEAD_NODES),
-# checked before the first trial.  A trial costs about 0.27 ms plus 1.35 us
-# per branch node, and 0.27 ms is the price of 200 nodes, so every admitted
-# run is capped near 27 s: 33 trials on the largest grid (600,001 nodes),
-# 43,763 on a 257-node branch
+# checked before the first trial.  On one pinned CPU a trial costs about
+# 0.06 ms plus 1 us per branch node (0.25 ms on 257 nodes, 0.58 s on
+# 600,001), so 200 nodes more than cover the fixed part and every admitted
+# run is capped near 20 s: 33 trials on the largest grid (600,001 nodes),
+# 43,763 on a 257-node branch (about 11 s)
 MAX_TRIAL_NODES = 2 * 10**7
 TRIAL_OVERHEAD_NODES = 200
+# trials per block: as many as fit this many branch nodes, and at least
+# one; phase rows are reduced three per trial of such a block at a time,
+# so a larger grid takes them one or two rows at a time
+BLOCK_NODES = 2**12
 
 
 @dataclass(frozen=True)
@@ -117,24 +130,12 @@ class LogGrid:
 
     def random_function(self, rng: random.Random) -> np.ndarray:
         """A grid function with real, then imaginary, parts row by row from
-        rng.uniform(-1, 1), bit for bit and leaving rng in the same state.
+        rng.uniform(-1, 1), bit for bit and leaving rng in the same state."""
+        return _random_functions(self, [rng])[0]
 
-        random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53 on two consecutive
-        32-bit words, and getrandbits(64 n) returns 2n such words, first
-        drawn least significant; every step below is exact or the IEEE
-        operation uniform itself performs.
-        """
-        size = self.branch_size
-        count = 4 * size
-        words = np.frombuffer(
-            rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
-        )
-        r = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
-        re, im = (-1.0 + 2.0 * r).reshape(2, 2, size)
-        return re + 1j * im
-
-    def norm_squared(self, f: np.ndarray) -> float:
-        return float(self.h * np.sum(np.abs(f) ** 2))
+    def norm_squared(self, f: np.ndarray):
+        """h sum |f|^2 over the last two axes: one value per grid function."""
+        return self.h * np.sum(np.abs(f) ** 2, axis=(-2, -1))
 
     def shift_steps(self, a: float) -> int:
         """The integer m with |a| = e^{mh}, or an input error naming the
@@ -159,27 +160,77 @@ def _double_magnitude(a) -> float:
     return magnitude
 
 
-@lru_cache(maxsize=2)
-def _phases(b, grid: LogGrid) -> np.ndarray:
-    """e^{ibx} on both branches, shape (2, branch_size), read-only.
+def _random_functions(grid: LogGrid, rngs) -> np.ndarray:
+    """One grid function per generator, shape (len(rngs), 2, branch_size),
+    from one frombuffer over their concatenated getrandbits bytes.
+
+    random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53 on two consecutive
+    32-bit words, and getrandbits(64 n) returns 2n such words, first drawn
+    least significant; a generator listed twice draws twice, in turn.
+    Every step below is exact or the IEEE operation uniform itself
+    performs, and the parts are stored as drawn: re + 1j im would only add
+    signed zeros to them.
+    """
+    size = grid.branch_size
+    count = 4 * size
+    words = np.frombuffer(
+        b"".join(rng.getrandbits(64 * count).to_bytes(8 * count, "little") for rng in rngs),
+        dtype="<u4",
+    )
+    r = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+    parts = (-1.0 + 2.0 * r).reshape(-1, 2, 2, size)
+    f = np.empty((len(parts), 2, size), dtype=complex)
+    f.real = parts[:, 0]
+    f.imag = parts[:, 1]
+    return f
+
+
+def _phase_rows(grid: LogGrid, bs) -> np.ndarray:
+    """e^{ibx} on both branches for each b, shape (len(bs), 2, branch_size).
 
     The argument is reduced in extended precision on the s = +1 branch
     only: b(-x) = -(bx) exactly, cos is even and sin odd, so the s = -1
     row is cos - i sin of the same values.  Each part is rounded to double
     as cos + i sin in complex extended precision would be: the imaginary
     parts are 0 + sin and 0 - sin, which turn a zero sine into +0 on both
-    rows.  Two entries suffice for a trial of worst_residuals to evaluate
-    g1's phases once: the homomorphism check asks for g2, g1 and g1 g2,
-    then the unitarity check for g1.
+    rows.  One sin/cos reduces a block's three rows per trial at a time.
     """
-    theta = np.longdouble(b) * grid.magnitudes
-    sin = np.sin(theta)
-    phases = np.empty((2, grid.branch_size), dtype=complex)
-    phases.real = np.cos(theta)
-    phases.imag[0] = 0.0 + sin
-    phases.imag[1] = 0.0 - sin
-    phases.flags.writeable = False
+    size = grid.branch_size
+    bs = np.array(bs, dtype=np.longdouble)
+    phases = np.empty((len(bs), 2, size), dtype=complex)
+    step = max(1, 3 * BLOCK_NODES // size)
+    for start in range(0, len(bs), step):
+        theta = bs[start : start + step, None] * grid.magnitudes
+        sin = np.sin(theta)
+        rows = phases[start : start + step]
+        rows.real = np.cos(theta)[:, None]
+        rows.imag[:, 0] = 0.0 + sin
+        rows.imag[:, 1] = 0.0 - sin
     return phases
+
+
+def _apply(role, f: np.ndarray) -> np.ndarray:
+    """S_g f on a block of functions f, shape (count, 2, branch_size).
+
+    A role holds the phase rows, shift steps and signs of its elements,
+    one per function or one for all.  f(ax) is f at flat indices: |a| =
+    e^{mh} shifts indices by m with periodic wrap, and a < 0 swaps the
+    sign branches.  The phases stay the left factor: numpy's complex
+    product is not commutative bit for bit, and ``phases * np.take(...)``
+    on a large block would let numpy swap the factors to reuse the
+    temporary.
+    """
+    phases, steps, negative = role
+    count, _, size = f.shape
+    rows = 2 * np.arange(count)[:, None] + (np.array(negative, dtype=np.intp)[:, None] ^ [0, 1])
+    cols = (np.arange(size) + np.array([m % size for m in steps])[:, None]) % size
+    out = np.take(f, rows[:, :, None] * size + cols[:, None, :])
+    return np.multiply(phases, out, out=out)
+
+
+def _role(grid: LogGrid, g: AffineElement) -> tuple:
+    """The role of one element for every function of a block."""
+    return _phase_rows(grid, [g.b]), [grid.shift_steps(g.a)], [g.a < 0]
 
 
 def rep_S(g: AffineElement, grid: LogGrid, f: np.ndarray) -> np.ndarray:
@@ -188,37 +239,70 @@ def rep_S(g: AffineElement, grid: LogGrid, f: np.ndarray) -> np.ndarray:
     The dilation must be grid-aligned: |a| = e^{mh} shifts indices by m
     with periodic wrap, and a < 0 additionally swaps the sign branches.
     """
-    f = np.asarray(f)
+    f = np.asarray(f, dtype=complex)
     if f.shape != (2, grid.branch_size):
         raise InputError(
             f"grid function must have shape (2, {grid.branch_size})"
         )
-    m = grid.shift_steps(g.a)
-    shifted = np.roll(f, -m, axis=1)
-    if g.a < 0:
-        shifted = shifted[::-1]
-    return _phases(g.b, grid) * shifted
+    return _apply(_role(grid, g), f[None])[0]
 
 
-def seam_free_window(grid: LogGrid, m1: int, m2: int) -> np.ndarray:
-    """Indices whose composite shift never crosses the periodic seam.
+def seam_free_window(grid: LogGrid, m1, m2) -> np.ndarray:
+    """Whether each index's composite shift never crosses the periodic seam.
 
     The wrap keeps each single S_g unitary, but a wrapped node sits at the
     coordinate on the far end of the grid, so the phase the inner factor
     contributed there is not the phase of the point a1 x; the composition
     identity holds only where neither the inner shift m1 nor the total
-    shift m1 + m2 wraps.
+    shift m1 + m2 wraps.  The mask has one entry per branch index; m1 and
+    m2 broadcast against the indices, so columns of shifts give one row
+    per pair.
     """
     size = grid.branch_size
     k = np.arange(size)
     inner = k + m1
-    total = k + m1 + m2
-    return k[(inner >= 0) & (inner < size) & (total >= 0) & (total < size)]
+    total = inner + m2
+    return (inner >= 0) & (inner < size) & (total >= 0) & (total < size)
 
 
 def _nanmax(worst: float, value: float) -> float:
     """max(worst, value), except that a NaN on either side is kept."""
     return value if math.isnan(value) or value > worst else worst
+
+
+def _block_sizes(trials: int, size: int) -> list:
+    """Trials per block: as many as fit BLOCK_NODES branch nodes, at least one."""
+    per_block = max(1, BLOCK_NODES // size)
+    return [min(per_block, trials - start) for start in range(0, trials, per_block)]
+
+
+def _pair_roles(grid: LogGrid, pairs) -> tuple:
+    """The g2, g1 and g1 g2 roles of a block, and its seam-free mask.
+
+    pairs holds (g1, g2, g1 g2, m1, m2, m12) with the shift steps, one per
+    function or one for all.
+    """
+    g1, g2, g12, m1, m2, m12 = zip(*pairs)
+    elements = g2 + g1 + g12
+    phases = _phase_rows(grid, [g.b for g in elements])
+    phases = phases.reshape(3, len(pairs), 2, grid.branch_size)
+    negative = np.array([g.a < 0 for g in elements]).reshape(3, len(pairs))
+    roles = list(zip(phases, (m2, m1, m12), negative))
+    return roles, seam_free_window(grid, np.array(m1)[:, None], np.array(m2)[:, None])
+
+
+def _homomorphism_gap(f: np.ndarray, roles, inside) -> float:
+    """Max over a block of |S_{g1} S_{g2} f - S_{g1 g2} f| where the mask
+    inside holds; a NaN there is kept."""
+    g2, g1, g12 = roles
+    gap = np.abs(_apply(g1, _apply(g2, f)) - _apply(g12, f))
+    np.copyto(gap, 0.0, where=~inside[:, None])
+    return float(np.max(gap))
+
+
+def _unitarity_gap(grid: LogGrid, f: np.ndarray, role) -> float:
+    """Max over a block of the norm-squared deviation under S_g; a NaN is kept."""
+    return float(np.max(np.abs(grid.norm_squared(_apply(role, f)) - grid.norm_squared(f))))
 
 
 def verify_homomorphism(
@@ -237,17 +321,12 @@ def verify_homomorphism(
     """
     rng = random.Random(seed)
     composed = g1.compose(g2)
-    window = seam_free_window(grid, grid.shift_steps(g1.a), grid.shift_steps(g2.a))
+    steps = [grid.shift_steps(g.a) for g in (g1, g2, composed)]
+    roles, inside = _pair_roles(grid, [(g1, g2, composed, *steps)])
     worst = 0.0
-    for _ in range(trials):
-        f = grid.random_function(rng)
-        lhs = rep_S(g1, grid, rep_S(g2, grid, f))
-        rhs = rep_S(composed, grid, f)
-        gap = np.abs(lhs - rhs)
-        if not include_seam:
-            gap = gap[:, window]
-        if gap.size:
-            worst = _nanmax(worst, float(np.max(gap)))
+    for count in _block_sizes(trials, grid.branch_size):
+        f = _random_functions(grid, [rng] * count)
+        worst = _nanmax(worst, _homomorphism_gap(f, roles, inside | include_seam))
     return worst
 
 
@@ -256,13 +335,11 @@ def verify_unitarity(
 ) -> float:
     """Max over trials of the quadrature-norm-squared deviation under S_g."""
     rng = random.Random(seed)
+    role = _role(grid, g)
     worst = 0.0
-    for _ in range(trials):
-        f = grid.random_function(rng)
-        worst = _nanmax(
-            worst,
-            abs(grid.norm_squared(rep_S(g, grid, f)) - grid.norm_squared(f)),
-        )
+    for count in _block_sizes(trials, grid.branch_size):
+        f = _random_functions(grid, [rng] * count)
+        worst = _nanmax(worst, _unitarity_gap(grid, f, role))
     return worst
 
 
@@ -312,24 +389,31 @@ def worst_residuals(grid: LogGrid, trials: int, seed: int) -> dict:
             raise InputError(f"non-finite grid: e^L overflows extended precision at L = {grid.L}")
     rng = random.Random(seed)
     worst_hom = worst_unit = worst_char = 0.0
-    for _ in range(trials):
-        g1 = random_aligned_element(grid, rng)
-        g2 = random_aligned_element(grid, rng)
+    for count in _block_sizes(trials, grid.branch_size):
+        pairs, hom_rngs, unit_rngs = [], [], []
+        for _ in range(count):
+            g1 = random_aligned_element(grid, rng)
+            g2 = random_aligned_element(grid, rng)
+            hom_rngs.append(random.Random(rng.randrange(1 << 30)))
+            composed = g1.compose(g2)
+            # a composite outside the double range fails before the next draw
+            steps = [grid.shift_steps(g.a) for g in (g1, g2, composed)]
+            pairs.append((g1, g2, composed, *steps))
+            unit_rngs.append(random.Random(rng.randrange(1 << 30)))
+            lam = rng.uniform(-2.0, 2.0)
+            eps = rng.choice((0, 1))
+            gap = abs(
+                character_U(lam, eps, composed)
+                - character_U(lam, eps, g1) * character_U(lam, eps, g2)
+            )
+            worst_char = _nanmax(worst_char, gap)
+        roles, inside = _pair_roles(grid, pairs)
         worst_hom = _nanmax(
-            worst_hom,
-            verify_homomorphism(g1, g2, grid, trials=1, seed=rng.randrange(1 << 30)),
+            worst_hom, _homomorphism_gap(_random_functions(grid, hom_rngs), roles, inside)
         )
         worst_unit = _nanmax(
-            worst_unit,
-            verify_unitarity(g1, grid, trials=1, seed=rng.randrange(1 << 30)),
+            worst_unit, _unitarity_gap(grid, _random_functions(grid, unit_rngs), roles[1])
         )
-        lam = rng.uniform(-2.0, 2.0)
-        eps = rng.choice((0, 1))
-        gap = abs(
-            character_U(lam, eps, g1.compose(g2))
-            - character_U(lam, eps, g1) * character_U(lam, eps, g2)
-        )
-        worst_char = _nanmax(worst_char, gap)
     residuals = {
         "homomorphism_residual": worst_hom,
         "unitarity_residual": worst_unit,

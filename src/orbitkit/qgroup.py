@@ -32,8 +32,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import InputError
 
 _GROUP_SIZE_GUARD = 10**4
@@ -229,6 +227,8 @@ def build_rep_su2(q: float, t: float, N: int, element: str = "s") -> TruncatedRe
     element "e" the 1x1 character model a = e^{it}, c = 0 is returned and
     N is ignored.
     """
+    import numpy as np
+
     if not 0.0 < q < 1.0:
         raise InputError("q must lie strictly between 0 and 1")
     if element == "e":
@@ -259,6 +259,8 @@ _RELATION_NAMES = (
 
 
 def _relation_matrices(rep: TruncatedRep):
+    import numpy as np
+
     a, c, q = rep.a, rep.c, rep.q
     a_s = a.conj().T
     c_s = c.conj().T
@@ -279,6 +281,8 @@ def relation_residuals(rep: TruncatedRep) -> dict:
     truncation makes a a* + q^2 c c* fall short of the identity by an
     order-one amount; that boundary defect is reported separately.
     """
+    import numpy as np
+
     residuals = _relation_matrices(rep)
     per_relation = {}
     interior_max = 0.0
@@ -353,6 +357,8 @@ def pbw_monomials(degree: int):
 
 
 def _monomial_matrix(rep: TruncatedRep, sign: str, j: int, k: int, l: int):
+    import numpy as np
+
     a = rep.a if sign == "+" else rep.a.conj().T
     c = rep.c
     c_s = rep.c.conj().T
@@ -383,6 +389,8 @@ def joint_kernel_rank(
     kill every monomial containing c, so the rank collapses.  A matrix of
     more than MAX_STACKED_ENTRIES entries is an InputError.
     """
+    import numpy as np
+
     if degree > 4:
         raise InputError("degree is capped at 4")
     if t_samples < 3 and include_infinite:
@@ -393,19 +401,16 @@ def joint_kernel_rank(
     width = t_samples * (N * N + 1 if include_infinite else 1)
     if len(monomials) * width > MAX_STACKED_ENTRIES:
         raise InputError(f"the stacked matrix would have more than {MAX_STACKED_ENTRIES} entries")
-    rows = []
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
     reps = [build_rep_su2(q, t, N) for t in angles] if include_infinite else []
-    for sign, j, k, l in monomials:
-        blocks = []
-        for rep in reps:
-            blocks.append(_monomial_matrix(rep, sign, j, k, l).ravel())
-        for t in angles:
+    # every entry is written below
+    matrix = np.empty((len(monomials), width), dtype=complex)
+    for row, (sign, j, k, l) in zip(matrix, monomials):
+        for n, rep in enumerate(reps):
+            row[n * N * N : (n + 1) * N * N] = _monomial_matrix(rep, sign, j, k, l).ravel()
+        for n, t in enumerate(angles):
             alpha = np.exp(1j * t) if sign == "+" else np.exp(-1j * t)
-            value = alpha**j if k == 0 and l == 0 else 0.0
-            blocks.append(np.array([value], dtype=complex))
-        rows.append(np.concatenate(blocks))
-    matrix = np.vstack(rows)
+            row[len(reps) * N * N + n] = alpha**j if k == 0 and l == 0 else 0.0
     rank = int(np.linalg.matrix_rank(matrix))
     return {
         "rank": rank,

@@ -13,7 +13,7 @@ from orbitkit.affine import (
     MAX_TRIAL_NODES,
     AffineElement,
     LogGrid,
-    _phases,
+    _phase_rows,
     character_U,
     index_metadata,
     random_aligned_element,
@@ -122,9 +122,13 @@ def test_rep_shape_guard():
 
 
 def test_seam_free_window_shapes():
-    assert len(seam_free_window(GRID, 1, 2)) == GRID.branch_size - 3
-    assert len(seam_free_window(GRID, -2, 5)) == GRID.branch_size - 5
-    assert len(seam_free_window(GRID, 0, 0)) == GRID.branch_size
+    inside = seam_free_window(GRID, 1, 2)
+    assert np.flatnonzero(inside).tolist() == list(range(GRID.branch_size - 3))
+    assert seam_free_window(GRID, -2, 5).sum() == GRID.branch_size - 5
+    assert seam_free_window(GRID, 0, 0).all()
+    pairs = seam_free_window(GRID, np.array([[1], [-2]]), np.array([[2], [5]]))
+    assert pairs.shape == (2, GRID.branch_size)
+    assert pairs.sum(axis=1).tolist() == [GRID.branch_size - 3, GRID.branch_size - 5]
 
 
 def test_homomorphism_on_window():
@@ -291,11 +295,11 @@ def test_conjugate_branch_phases_match_two_row_evaluation_bit_for_bit():
     # e^8 b reaches about 10^4 at b = 3.4
     bs = [0.0, -0.0, -2.5, -3.0, 3.4, composed.b, 5e-324, -1e-300]
     bs += [rng.uniform(-3.4, 3.4) for _ in range(40)]
-    for grid in (GRID, LogGrid(L=2.0, h=0.25)):
-        for b in bs:
-            phases = _phases(b, grid)
-            assert phases.tobytes() == _two_row_phases(b, grid).tobytes(), b
-            assert not phases.flags.writeable
+    # 5121 nodes a row: the rows are reduced two at a time
+    for grid in (GRID, LogGrid(L=2.0, h=0.25), LogGrid(L=2.5, h=2.0**-10)):
+        phases = _phase_rows(grid, bs)
+        for b, row in zip(bs, phases):
+            assert row.tobytes() == _two_row_phases(b, grid).tobytes(), b
     assert np.max(np.abs(np.longdouble(3.4) * GRID.magnitudes)) > 1e4
 
 
@@ -312,6 +316,14 @@ GOLDEN = {
     (2.0, 0.25, 20, 701): (
         "2.2887833992611187e-16", "8.881784197001252e-16", "1.790180836524724e-15"
     ),
+    # 9 nodes a branch, so most shifts wrap past the whole grid; 455 trials a block
+    (1.0, 0.25, 500, 3): (
+        "4.440892098500626e-16", "1.3322676295501878e-15", "2.612122624796757e-15"
+    ),
+    # 5121 nodes a branch: one trial a block, its phase rows two at a time
+    (2.5, 2.0**-10, 4, 9): (
+        "4.577566798522237e-16", "8.881784197001252e-16", "1.944128986425528e-16"
+    ),
 }
 
 
@@ -320,3 +332,112 @@ def test_worst_residuals_golden_floats(L, h, trials, seed):
     residuals = worst_residuals(LogGrid(L=L, h=h), trials, seed)
     names = ("homomorphism_residual", "unitarity_residual", "character_residual")
     assert tuple(repr(residuals[name]) for name in names) == GOLDEN[L, h, trials, seed]
+
+
+# -- the per-trial path, the oracle of the block kernel -----------------------
+
+
+def _nanmax(worst, value):
+    return value if math.isnan(value) or value > worst else worst
+
+
+def _oracle_rep(g, grid, f):
+    """S_g f for one function: np.roll, a branch swap, then the phases."""
+    shifted = np.roll(f, -grid.shift_steps(g.a), axis=1)
+    if g.a < 0:
+        shifted = shifted[::-1]
+    return _two_row_phases(g.b, grid) * shifted
+
+
+def _oracle_homomorphism(g1, g2, grid, f, include_seam=False):
+    lhs = _oracle_rep(g1, grid, _oracle_rep(g2, grid, f))
+    gap = np.abs(lhs - _oracle_rep(g1.compose(g2), grid, f))
+    if not include_seam:
+        m1, m2, size = grid.shift_steps(g1.a), grid.shift_steps(g2.a), grid.branch_size
+        gap = gap[:, max(0, -m1, -m1 - m2) : max(0, min(size, size - m1, size - m1 - m2))]
+    return float(np.max(gap)) if gap.size else 0.0
+
+
+def _oracle_unitarity(g, grid, f):
+    def norm_squared(v):
+        return float(grid.h * np.sum(np.abs(v) ** 2))
+
+    return abs(norm_squared(_oracle_rep(g, grid, f)) - norm_squared(f))
+
+
+def _oracle_residuals(grid, trials, seed):
+    """worst_residuals one trial at a time, and how many trials drew a
+    negative dilation and a shift pair that wraps some node."""
+    rng = random.Random(seed)
+    hom = unit = char = 0.0
+    negative = wrapped = 0
+    for _ in range(trials):
+        g1 = random_aligned_element(grid, rng)
+        g2 = random_aligned_element(grid, rng)
+        f = grid.random_function(random.Random(rng.randrange(1 << 30)))
+        hom = _nanmax(hom, _oracle_homomorphism(g1, g2, grid, f))
+        f = grid.random_function(random.Random(rng.randrange(1 << 30)))
+        unit = _nanmax(unit, _oracle_unitarity(g1, grid, f))
+        lam = rng.uniform(-2.0, 2.0)
+        eps = rng.choice((0, 1))
+        gap = abs(
+            character_U(lam, eps, g1.compose(g2))
+            - character_U(lam, eps, g1) * character_U(lam, eps, g2)
+        )
+        char = _nanmax(char, gap)
+        negative += g1.a < 0 or g2.a < 0
+        wrapped += not seam_free_window(grid, grid.shift_steps(g1.a), grid.shift_steps(g2.a)).all()
+    return (hom, unit, char), negative, wrapped
+
+
+@pytest.mark.parametrize(
+    "L, h, trials, seed",
+    [
+        (8.0, 2.0**-4, 40, 3),  # 15 trials a block: two full blocks, then 10
+        (1.0, 0.25, 500, 3),  # 455 trials a block; shifts reach past all 9 nodes
+        (2.5, 2.0**-10, 3, 9),  # 5121 nodes: one trial a block, over the budget
+    ],
+)
+def test_block_kernel_matches_the_per_trial_oracle(L, h, trials, seed):
+    grid = LogGrid(L=L, h=h)
+    expected, negative, wrapped = _oracle_residuals(grid, trials, seed)
+    assert negative and wrapped
+    residuals = worst_residuals(grid, trials, seed)
+    names = ("homomorphism_residual", "unitarity_residual", "character_residual")
+    assert [repr(residuals[name]) for name in names] == [repr(value) for value in expected]
+
+
+def test_verify_functions_match_the_per_trial_oracle():
+    rng = random.Random(8)
+    # 23 trials on 257 nodes end in a partial block; 5121 nodes exceed one
+    for grid, trials in ((GRID, 23), (LogGrid(L=2.5, h=2.0**-10), 2)):
+        def element(sign, steps, b):
+            return AffineElement(sign * math.exp(steps * grid.h), b)
+
+        # a negative dilation, and a composite shift of -4 with wrapped nodes
+        pairs = [(element(-1, 5, 1.25), element(1, -9, -2.5))]
+        for _ in range(3):
+            pairs.append(tuple(
+                element(rng.choice((1, -1)), rng.randint(-40, 40), rng.uniform(-3.0, 3.0))
+                for _ in range(2)
+            ))
+        for k, (g1, g2) in enumerate(pairs):
+            f = grid.random_function(random.Random(k))
+            assert rep_S(g1, grid, f).tobytes() == _oracle_rep(g1, grid, f).tobytes()
+            for include_seam in (False, True):
+                draws = random.Random(k)
+                expected = 0.0
+                for _ in range(trials):
+                    gap = _oracle_homomorphism(
+                        g1, g2, grid, grid.random_function(draws), include_seam
+                    )
+                    expected = _nanmax(expected, gap)
+                got = verify_homomorphism(g1, g2, grid, trials, k, include_seam)
+                assert repr(got) == repr(expected)
+            draws = random.Random(k)
+            expected = 0.0
+            for _ in range(trials):
+                expected = _nanmax(
+                    expected, _oracle_unitarity(g1, grid, grid.random_function(draws))
+                )
+            assert repr(verify_unitarity(g1, grid, trials, k)) == repr(expected)

@@ -138,17 +138,18 @@ SIZE_GUARDED = [
     (("numpy.arange", "numpy.zeros"),
      ["affine", "verify", "--l", "30", "--h", "1e-7", "--trials", "1"]),
     (("numpy.zeros",), ["qgroup", "verify", "--q", "0.5", "--truncation", "100000"]),
-    (("orbitkit.qgroup._monomial_matrix", "numpy.vstack"),
+    # build_rep_su2 allocates with numpy.zeros before the stacked-matrix guard
+    (("orbitkit.qgroup._monomial_matrix", "numpy.empty"),
      ["qgroup", "verify", "--q", "0.5", "--truncation", "64", "--t-samples", "1000"]),
     (("orbitkit.chern.phi",), ["chern", "matrix", "--family", "SU", "--rank", "100000"]),
     (("orbitkit.liealg.LieAlgebra.from_brackets",),
      ["lie", "check", "--algebra", str(FIXTURES / "lie_dim2000.json")]),
     (("orbitkit.affine.random_aligned_element",),
      ["affine", "verify", "--l", "2", "--h", "0.25", "--trials", "100000000000"]),
-    # 100,000 trials of 257 nodes each would run for about 67 s
+    # 100,000 trials of 257 nodes each would run for about 25 s
     (("orbitkit.affine.LogGrid.random_function", "orbitkit.affine.random_aligned_element"),
      ["affine", "verify", "--l", "8", "--h", "0.0625", "--trials", "100000"]),
-    # 1000 trials of 600,001 nodes each would run for about 15 minutes
+    # 1000 trials of 600,001 nodes each would run for about 10 minutes
     (("orbitkit.affine.LogGrid.random_function",),
      ["affine", "verify", "--l", "30", "--h", "1e-4", "--trials", "1000"]),
     (("orbitkit.cyclic._random_element",),
@@ -407,6 +408,22 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_qgroup_reps_leaves_numpy_unloaded():
+    # the Weyl catalog is pure Python; only the truncated model loads numpy
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["qgroup", "reps", "--family", "B", "--rank", "2", "--t-samples", "2"]
+    code = (
+        "import sys; from orbitkit import cli; "
+        f"code = cli.main({argv!r}, standalone_mode=False); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -529,8 +546,10 @@ def test_help_exits_zero(argv):
          "strata.foliation_check", None),
         (["cyclic", "hp", "--algebra", str(FIXTURES / "m2.json"), "--truncation", "4"],
          "cyclic.hp_homology", "cyclic.boundary_columns"),
+        (["affine", "verify", "--l", "2.0", "--h", "0.25", "--trials", "3"],
+         "affine.random_aligned_element", None),
     ],
-    ids=["lie-strata", "cyclic-hp"],
+    ids=["lie-strata", "cyclic-hp", "affine-verify"],
 )
 def test_traced_benchmark_child_runs(argv, span, counter):
     # the benchmark's tracer wraps orbitkit functions by name, and fails
