@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,16 +61,13 @@ TRIAL_OVERHEAD_NODES = 200
 BLOCK_NODES = 2**12
 
 
-@dataclass(frozen=True)
 class AffineElement:
     """One affine map x -> ax + b with a nonzero."""
 
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a: float, b: float):
+        if a == 0:
             raise InputError("dilation part must be nonzero")
+        self.a, self.b = a, b
 
     @staticmethod
     def identity() -> "AffineElement":
@@ -92,21 +88,18 @@ class AffineElement:
         return {"a": float(self.a), "b": float(self.b)}
 
 
-@dataclass(frozen=True)
 class LogGrid:
     """Two-branch log grid: nodes s e^u, u = -L..L step h, weight h each."""
 
-    L: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.L > 0 and self.h > 0):  # NaN fails both
+    def __init__(self, L: float, h: float):
+        if not (L > 0 and h > 0):  # NaN fails both
             raise InputError("grid needs L > 0 and h > 0")
-        steps = self.L / self.h
+        steps = L / h
         if 2 * steps + 1 > MAX_BRANCH_NODES:
             raise InputError(f"a grid branch may have at most {MAX_BRANCH_NODES} nodes")
         if abs(steps - round(steps)) > 1e-9:
             raise InputError("L must be an integer multiple of h")
+        self.L, self.h = L, h
 
     @property
     def branch_size(self) -> int:

@@ -17,8 +17,8 @@ reported instead of an invertibility verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import InputError
 from .exactnum import ExactMatrix
@@ -78,8 +78,7 @@ def _check_family(family: str, rank: int) -> None:
         raise InputError(f"{family} needs rank n >= 1")
 
 
-@dataclass(frozen=True)
-class ChernMatrix:
+class ChernMatrix(NamedTuple):
     """Exact rational Chern-character coefficient matrix."""
 
     family: str

@@ -6,7 +6,11 @@ input files therefore produce byte-identical output, which is what the
 golden-file tests pin.
 
 The commands are one table, group -> command -> (build function,
-options), read by the standard library's argparse.  Every exit follows
+options), read by the standard library's argparse.  Every group gets a
+parser, so the top-level help and the invalid-group error list them
+all, but command parsers are built only for the group named by the
+first word of the joined command line (see `_joined`) that does not
+start with "-": no other group's can be reached.  Every exit follows
 one contract: status 0 and a report, status 2 and an error object for
 bad input (usage errors included), status 1 and an error object for an
 internal fault.  Each build function imports the modules it needs in
@@ -396,7 +400,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_fail(self.command, "input", message, 2))
 
 
-def _parser() -> _Parser:
+def _parser(words) -> _Parser:
+    """The parser for the joined command line ``words``."""
+    named = next((word for word in words if not word.startswith("-")), None)
     parser = _Parser(
         prog="orbitkit", description="Exact tools for orbit-method and cyclic-homology checks."
     )
@@ -409,6 +415,8 @@ def _parser() -> _Parser:
     groups = parser.add_subparsers(required=True, metavar="COMMAND")
     for group, (about, commands) in COMMANDS.items():
         group_parser = groups.add_parser(group, command=group, help=about, description=about)
+        if group != named:
+            continue
         subcommands = group_parser.add_subparsers(required=True, metavar="COMMAND")
         for name, (build, options) in commands.items():
             path = f"{group} {name}"
@@ -440,9 +448,9 @@ def main(argv=None, standalone_mode: bool = True):
     default, for ``python -m`` and the console script) the process exits
     with the status instead of returning it.
     """
-    words = sys.argv[1:] if argv is None else argv
+    words = _joined(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(_joined(words))
+        args = _parser(words).parse_args(words)
     except SystemExit as stop:  # --help, --version, or a usage error's object
         code = stop.code
     else:

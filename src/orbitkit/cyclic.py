@@ -77,9 +77,9 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import InputError
 from .exactnum import GaussRational, gauss_rank, gauss_reader, rational_to_str, reduce_column
@@ -117,7 +117,6 @@ def _combine(terms) -> dict:
 # algebras
 
 
-@dataclass(frozen=True)
 class FinAlgebra:
     """Finite-dimensional unital *-algebra over the Gaussian rationals.
 
@@ -137,31 +136,24 @@ class FinAlgebra:
     shared instance once.
     """
 
-    dim: int
-    mult: tuple
-    unit: tuple
-    star: tuple
-    basis: tuple = ()
-
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, mult: tuple, unit: tuple, star: tuple, basis: tuple = ()):
+        if dim < 1:
             raise InputError("algebra dimension must be positive")
-        d = self.dim
-        if self.basis and len(self.basis) != d:
+        d = dim
+        if basis and len(basis) != d:
             raise InputError("basis label count does not match dim")
-        if len(self.mult) != d or any(
+        if len(mult) != d or any(
             len(plane) != d or any(len(row) != d for row in plane)
-            for plane in self.mult
+            for plane in mult
         ):
             raise InputError("multiplication table must be dim x dim x dim")
-        if len(self.unit) != d:
+        if len(unit) != d:
             raise InputError("unit vector must have length dim")
-        if len(self.star) != d or any(len(row) != d for row in self.star):
+        if len(star) != d or any(len(row) != d for row in star):
             raise InputError("involution matrix must be dim x dim")
-        if not self.basis:
-            object.__setattr__(self, "basis", _default_basis(d))
-        pairs = tuple(tuple(_nonzero(row) for row in plane) for plane in self.mult)
-        object.__setattr__(self, "_pairs", pairs)
+        self.dim, self.mult, self.unit, self.star = dim, mult, unit, star
+        self.basis = basis or _default_basis(d)
+        self._pairs = pairs = tuple(tuple(_nonzero(row) for row in plane) for plane in mult)
         # inverse[c] lists the (a, b) whose product e_a e_b has a nonzero e_c
         # coefficient: the letter pairs that b, b' and S can merge into c
         inverse = [[] for _ in range(d)]
@@ -169,8 +161,8 @@ class FinAlgebra:
             for b in range(d):
                 for c, _ in pairs[a][b]:
                     inverse[c].append((a, b))
-        object.__setattr__(self, "_inverse_pairs", tuple(map(tuple, inverse)))
-        object.__setattr__(self, "_star_pairs", tuple(_nonzero(row) for row in self.star))
+        self._inverse_pairs = tuple(map(tuple, inverse))
+        self._star_pairs = tuple(_nonzero(row) for row in star)
         # b is linear in the structure constants, so L * b on the integer
         # table (re, im), with L the lcm of their denominators, has the rank
         # of b; im is None for a real algebra.  A constant is (a + b i)/d.
@@ -191,10 +183,17 @@ class FinAlgebra:
             )
 
         imag = any(t[1] for t in triples)
-        object.__setattr__(
-            self, "_int_table", (table(0), table(1) if imag else None)
-        )
+        self._int_table = (table(0), table(1) if imag else None)
         self._validate()
+
+    def _key(self) -> tuple:
+        return self.dim, self.mult, self.unit, self.star, self.basis
+
+    def __eq__(self, other):
+        return isinstance(other, FinAlgebra) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def _validate(self):
         d = self.dim
@@ -453,8 +452,7 @@ def matrix_algebra(r: int) -> FinAlgebra:
 # traces
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Linear functional given by its values on the basis."""
 
     coords: tuple
@@ -568,7 +566,6 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
 # chains and operators
 
 
-@dataclass(frozen=True)
 class Chain:
     """Element of C_n(A) = A^{tensor (n+1)} as a sparse word map.
 
@@ -581,15 +578,11 @@ class Chain:
     row-major by words and built on demand.
     """
 
-    algebra: FinAlgebra
-    level: int
-    terms: dict = field(hash=False)
-
-    def __post_init__(self):
-        if self.level < 0:
+    def __init__(self, algebra: FinAlgebra, level: int, terms: dict):
+        if level < 0:
             raise InputError("chain level must be nonnegative")
-        n, dim = self.level + 1, self.algebra.dim
-        for word in self.terms:
+        n, dim = level + 1, algebra.dim
+        for word in terms:
             if not (
                 isinstance(word, tuple)
                 and len(word) == n
@@ -599,9 +592,8 @@ class Chain:
                     f"word {word} is not a word of length {n} in basis indices "
                     f"0..{dim - 1}"
                 )
-        object.__setattr__(
-            self, "terms", {w: v for w, v in self.terms.items() if not v.is_zero()}
-        )
+        self.algebra, self.level = algebra, level
+        self.terms = {w: v for w, v in terms.items() if not v.is_zero()}
 
     @staticmethod
     def _derived(algebra: FinAlgebra, level: int, terms: dict) -> "Chain":
@@ -611,13 +603,18 @@ class Chain:
         product-table indices in range(dim), where those checks cannot
         fail; zero coefficients are still dropped.
         """
-        chain = object.__new__(Chain)
-        object.__setattr__(chain, "algebra", algebra)
-        object.__setattr__(chain, "level", level)
-        object.__setattr__(
-            chain, "terms", {w: v for w, v in terms.items() if not v.is_zero()}
-        )
+        chain = Chain(algebra, level, {})
+        chain.terms = {w: v for w, v in terms.items() if not v.is_zero()}
         return chain
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Chain)
+            and (self.algebra, self.level, self.terms) == (other.algebra, other.level, other.terms)
+        )
+
+    def __hash__(self):
+        return hash((self.algebra, self.level))
 
     @property
     def coords(self) -> tuple:
@@ -1093,10 +1090,12 @@ _SQUARE_CHECK_LIMIT = 50000
 
 # Degree T of the chain complex has this many weight-0 words at most, in
 # the letters it is reduced on; past it, hp_homology is an input error.
-# The largest admitted complexes run for seconds: on one pinned CPU
-# (2 vCPUs, Python 3.11.7), dual numbers at T = 18 (2^19 words) take about
-# 3.7 s, and Pauli M2 at T = 8 (4^9 words) about 2.5 s, where reducing
-# every cell took 8.4 s on the same CPU.
+# Words are a loose proxy for the cost, which is elimination fill-in on
+# the cells that survive the reductions: the bound admits group algebras
+# that run for many seconds.  On one pinned CPU (2 vCPUs, Python 3.11.7)
+# `cyclic hp` takes about 13.5 s on Q(i)[Z/5] at T = 7 (5^8 words) and
+# 7.5 s on Q(i)[S3] at T = 6 (6^7 words), against 2.6 s on dual numbers
+# at T = 18 (2^19 words).
 MAX_CHAIN_WORDS = 2**19
 
 # A corner of one letter (M_r, the ground field) has one word per degree,
@@ -1172,8 +1171,7 @@ def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
     return tuple(ranks), tuple(cells), mode
 
 
-@dataclass(frozen=True)
-class HPReport:
+class HPReport(NamedTuple):
     """Truncated periodic homology report: top even/odd dimensions."""
 
     truncation: int
@@ -1299,7 +1297,6 @@ def morita_check(A: FinAlgebra, m: int = 2, truncation: int = 6) -> dict:
 # entire growth
 
 
-@dataclass(frozen=True)
 class NormSequence:
     """Descriptor of a chain-norm sequence n -> ||f_n||.
 
@@ -1310,22 +1307,25 @@ class NormSequence:
     trend heuristic applies.
     """
 
-    kind: str
-    values: tuple = ()
-    fact_exponent: int = 0
-    half_fact_exponent: int = 0
-    scale: Fraction = Fraction(1)
-    geometric_base: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.kind not in ("finite", "closed-form", "samples"):
-            raise InputError(f"unknown norm sequence kind {self.kind!r}")
-        if any(v < 0 for v in self.values):
+    def __init__(
+        self,
+        kind: str,
+        values: tuple = (),
+        fact_exponent: int = 0,
+        half_fact_exponent: int = 0,
+        scale: Fraction = Fraction(1),
+        geometric_base: Fraction = Fraction(1),
+    ):
+        if kind not in ("finite", "closed-form", "samples"):
+            raise InputError(f"unknown norm sequence kind {kind!r}")
+        if any(v < 0 for v in values):
             raise InputError("norm values must be nonnegative")
-        if self.scale < 0:
+        if scale < 0:
             raise InputError("scale must be nonnegative")
-        if self.geometric_base <= 0:
+        if geometric_base <= 0:
             raise InputError("geometric base must be positive")
+        self.kind, self.values, self.scale, self.geometric_base = kind, values, scale, geometric_base
+        self.fact_exponent, self.half_fact_exponent = fact_exponent, half_fact_exponent
 
     def norm_at(self, n: int) -> Fraction:
         if self.kind in ("finite", "samples"):

@@ -24,10 +24,9 @@ Global and measure-theoretic conditions are reported as not evaluated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import InputError
 from .exactnum import (
@@ -61,7 +60,6 @@ __all__ = [
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
     """Finite-dimensional Lie algebra over the rationals.
 
@@ -72,28 +70,24 @@ class LieAlgebra:
     be built for testing.
     """
 
-    dim: int
-    basis: tuple
-    c: tuple  # c[i][j] = tuple of Fraction, length dim
-
-    def __post_init__(self):
-        n = self.dim
-        if len(self.basis) != n or len(self.c) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in self.c
+    def __init__(self, dim: int, basis: tuple, c: tuple):
+        # c[i][j] = tuple of Fraction, length dim
+        if len(basis) != dim or len(c) != dim or any(
+            len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise InputError("structure constant table does not match dim")
         # _pairs[i][j] holds the (k, c[i][j][k]) with a nonzero constant
         pairs = tuple(
             tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
-            for plane in self.c
+            for plane in c
         )
-        for i in range(n):
-            for j in range(n):
+        for i in range(dim):
+            for j in range(dim):
                 if pairs[i][j] != tuple((k, -x) for k, x in pairs[j][i]):
                     raise InputError(
                         f"structure constants not antisymmetric at ({i},{j})"
                     )
-        object.__setattr__(self, "_pairs", pairs)
+        self.dim, self.basis, self.c, self._pairs = dim, basis, c, pairs
 
     @staticmethod
     def from_brackets(dim: int, brackets: dict, basis: Optional[Sequence[str]] = None) -> "LieAlgebra":
@@ -209,8 +203,7 @@ class LieAlgebra:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(NamedTuple):
     """Element of the dual space with exact rational coordinates."""
 
     coords: tuple
@@ -232,7 +225,6 @@ class Covector:
         return [rational_to_str(v) for v in self.coords]
 
 
-@dataclass(frozen=True)
 class ComplexSubspace:
     """Subspace of the complexified algebra, spanned over the Gaussian rationals.
 
@@ -240,8 +232,9 @@ class ComplexSubspace:
     :func:`~orbitkit.exactnum.gauss_rank`; its own rank is taken once.
     """
 
-    dim_ambient: int
-    vectors: tuple  # tuple of tuples of GaussRational
+    def __init__(self, dim_ambient: int, vectors: tuple):
+        self.dim_ambient = dim_ambient
+        self.vectors = vectors  # tuple of tuples of GaussRational
 
     @staticmethod
     def spanned_by(vectors: Sequence[Sequence], dim_ambient: int) -> "ComplexSubspace":
@@ -378,20 +371,29 @@ def stabilizer(L: LieAlgebra, F: Covector) -> list:
     return vectors
 
 
-@dataclass(frozen=True)
 class PolarizationReport:
     """Outcome of the infinitesimal polarization conditions."""
 
-    subalgebra: bool                 # closed under bracket and contains the stabilizer
-    b_infinitesimal: bool            # [stabilizer, p] inside p
-    c_real_form: bool                # p + conj(p) is the complexification of its real points
-    mixed_type: Optional[tuple]      # (k, l, m) when computable
-    dims: dict = field(default_factory=dict)
-    not_evaluated: tuple = (
-        "global_group_invariance",
-        "closure_codimension_count",
-        "measurable_foliation_smoothness",
-    )
+    def __init__(
+        self,
+        subalgebra: bool,
+        b_infinitesimal: bool,
+        c_real_form: bool,
+        mixed_type: Optional[tuple],
+        dims: Optional[dict] = None,
+        not_evaluated: tuple = (
+            "global_group_invariance",
+            "closure_codimension_count",
+            "measurable_foliation_smoothness",
+        ),
+    ):
+        self.subalgebra = subalgebra  # closed under bracket and contains the stabilizer
+        self.b_infinitesimal = b_infinitesimal  # [stabilizer, p] inside p
+        # p + conj(p) is the complexification of its real points
+        self.c_real_form = c_real_form
+        self.mixed_type = mixed_type  # (k, l, m) when computable
+        self.dims = {} if dims is None else dims
+        self.not_evaluated = not_evaluated
 
     @property
     def passed(self) -> bool:

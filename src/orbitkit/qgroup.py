@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import InputError
 
@@ -48,8 +48,7 @@ MAX_STACKED_ENTRIES = 2**24
 # Weyl groups
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Group element with one reduced word and its Coxeter length.
 
     Type A datum is a permutation of 0..rank in one-line notation; type B
@@ -167,8 +166,7 @@ def weyl_group(family: str, rank: int):
 # representation catalog
 
 
-@dataclass(frozen=True)
-class RepDescriptor:
+class RepDescriptor(NamedTuple):
     """One rho_{w,t}: its Weyl element, torus angle, and dimension."""
 
     element: WeylElement
@@ -206,8 +204,7 @@ def rep_catalog(family: str, rank: int, t_samples: int):
 # truncated operator model
 
 
-@dataclass(frozen=True)
-class TruncatedRep:
+class TruncatedRep(NamedTuple):
     """Matrices for the generators a and c at truncation N."""
 
     q: float

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import InputError
 from .exactnum import GaussRational
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymplecticModel:
+class SymplecticModel(NamedTuple):
     """Flat phase space R^{2n}; variable order is q1..qn, p1..pn."""
 
     n: int
@@ -203,8 +201,7 @@ class Poly:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class PolyOneForm:
+class PolyOneForm(NamedTuple):
     """One-form sum_j comps[j] d(x_j) in the model's variable order."""
 
     model: SymplecticModel
@@ -217,8 +214,7 @@ class PolyOneForm:
         return out
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """Vector field sum_j comps[j] d/d(x_j)."""
 
     model: SymplecticModel

@@ -19,11 +19,11 @@ tower of extensions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import InputError
 from .exactnum import ExactMatrix, rational_to_str
@@ -47,8 +47,7 @@ MAX_SAMPLES = 10**6
 MAX_MINOR_TERMS = 10**7
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(NamedTuple):
     """Deterministic rational sampling plan for the dual space."""
 
     seed: int = 0
@@ -73,8 +72,7 @@ class SamplerConfig:
         return out
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """Samples sharing one exact orbit dimension, with certificates."""
 
     orbit_dimension: int
@@ -120,14 +118,8 @@ def _certify(L: LieAlgebra, F: Covector) -> tuple:
     return r, (cols, cols), kernel_ok
 
 
-def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
-    """Group sampled covectors by exact orbit dimension.
-
-    Returns strata sorted by decreasing orbit dimension.  Each distinct
-    covector is certified once, however often it is drawn: one
-    nonvanishing 2n-minor (recorded), and where (2n+2)-minors exist, the
-    kernel certificate that makes them all vanish.
-    """
+def _certified(L: LieAlgebra, config: SamplerConfig):
+    """Each drawn covector with its `_certify` result, certifying each distinct one once."""
     if config.samples < 1:
         raise InputError("sampler needs at least one sample")
     if config.samples > MAX_SAMPLES:
@@ -135,11 +127,42 @@ def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
     if config.coordinate_range < 0:
         raise InputError("coordinate range must be nonnegative")
     certified: dict = {}
-    by_rank: dict = {}
     for F in config.draw(L.dim):
         if F.coords not in certified:
             certified[F.coords] = _certify(L, F)
-        r, minor, kernel_ok = certified[F.coords]
+        yield F, certified[F.coords]
+
+
+def stratify(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> list:
+    """Group sampled covectors by exact orbit dimension.
+
+    Returns strata sorted by decreasing orbit dimension.  Each distinct
+    covector is certified once, however often it is drawn: one
+    nonvanishing 2n-minor (recorded), and where (2n+2)-minors exist, the
+    kernel certificate that makes them all vanish.
+
+    No orbit dimension exceeds the number of basis elements X with ad X
+    nonzero, rounded down to even.  The first sample of that rank is the
+    top stratum's witness, whose minor `generic_rank` expands; a minor
+    over MAX_MINOR_TERMS is the same InputError here, raised before the
+    remaining samples are certified.
+    """
+    samples = _certified(L, config)
+    largest = sum(1 for plane in L._pairs if any(plane)) // 2 * 2
+    head = []
+    for sample in samples:
+        head.append(sample)
+        r, minor, _ = sample[1]
+        if r == largest:
+            _minor_entries(L, r, minor)
+            break
+    return _grouped(itertools.chain(head, samples))
+
+
+def _grouped(samples) -> list:
+    """Strata, by decreasing orbit dimension, of (covector, certificate) pairs."""
+    by_rank: dict = {}
+    for F, (r, minor, kernel_ok) in samples:
         by_rank.setdefault(r, []).append((F, minor, kernel_ok))
     strata = []
     for r in sorted(by_rank, reverse=True):
@@ -240,6 +263,23 @@ def _poly_str(p: dict, names: Sequence[str]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def _minor_entries(L: LieAlgebra, r: int, minor: tuple) -> list:
+    """The entries of the symbolic r-minor on ``minor``'s (rows, cols).
+
+    Entry (i, j) is the linear polynomial sum_k c[i][j][k] F_k.  A minor
+    whose rows' term counts multiply to more than MAX_MINOR_TERMS is an
+    InputError.
+    """
+    rows, cols = minor
+    var = [tuple(int(t == k) for t in range(L.dim)) for k in range(L.dim)]
+    sub = [[{var[k]: c for k, c in L._pairs[i][j]} for j in cols] for i in rows]
+    if math.prod(sum(map(len, row)) for row in sub) > MAX_MINOR_TERMS:
+        raise InputError(
+            f"the generic-rank {r}-minor could expand to more than {MAX_MINOR_TERMS} terms"
+        )
+    return sub
+
+
 def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
     """Maximal sampled orbit dimension with a symbolic certificate.
 
@@ -261,14 +301,7 @@ def generic_rank(L: LieAlgebra, strata: Sequence[Stratum]) -> dict:
             "minor_polynomial": "1",
         }
     rows, cols = top.minors_used[0]
-    # entry (i, j) is the linear polynomial sum_k c[i][j][k] F_k
-    var = [tuple(int(t == k) for t in range(L.dim)) for k in range(L.dim)]
-    sub = [[{var[k]: c for k, c in L._pairs[i][j]} for j in cols] for i in rows]
-    if math.prod(sum(map(len, row)) for row in sub) > MAX_MINOR_TERMS:
-        raise InputError(
-            f"the generic-rank {r}-minor could expand to more than {MAX_MINOR_TERMS} terms"
-        )
-    det_poly = _poly_det(sub)
+    det_poly = _poly_det(_minor_entries(L, r, (rows, cols)))
     if not det_poly:
         raise RuntimeError("internal error: symbolic certifying minor is zero")
     value = _poly_eval(det_poly, top.witness.coords)
@@ -303,14 +336,13 @@ def foliation_check(stratum: Stratum) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     """Structural description of the stratification's tower of extensions."""
 
     stages: tuple
     terminal: str
     strictly_decreasing: bool
-    strata: tuple = field(default=())
+    strata: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -336,9 +368,11 @@ def extension_tower(L: LieAlgebra, config: SamplerConfig = SamplerConfig()) -> T
 
     Stage i is the short exact sequence with ideal the algebra over the
     open stratum V_{2n_i} and quotient the next-stage algebra; the
-    terminal quotient has the character space as its spectrum.
+    terminal quotient has the character space as its spectrum.  The
+    strata are `stratify`'s, but no minor is expanded, so its
+    MAX_MINOR_TERMS check does not apply.
     """
-    strata = stratify(L, config)
+    strata = _grouped(_certified(L, config))
     positive = [s for s in strata if s.orbit_dimension > 0]
     dims = [s.orbit_dimension for s in positive]
     decreasing = all(a > b for a, b in zip(dims, dims[1:])) and all(d > 0 for d in dims)

@@ -390,10 +390,17 @@ def test_unexpected_faults_exit_one_with_error_object(monkeypatch, module, attri
     }
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports orbitkit from src; returns stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy and every other orbitkit module load only inside the
     # subcommands that use them
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     lazy = ["numpy"] + [
         f"orbitkit.{name}"
         for name in (
@@ -401,27 +408,59 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         )
     ]
     code = f"import sys, orbitkit.cli; print([m for m in {lazy!r} if m in sys.modules])"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
 def test_qgroup_reps_leaves_numpy_unloaded():
     # the Weyl catalog is pure Python; only the truncated model loads numpy
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = ["qgroup", "reps", "--family", "B", "--rank", "2", "--t-samples", "2"]
     code = (
         "import sys; from orbitkit import cli; "
         f"code = cli.main({argv!r}, standalone_mode=False); "
         "print(code, 'numpy' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert run_python(code).splitlines()[-1] == "0 False"
+
+
+def test_commands_load_neither_dataclasses_nor_inspect():
+    # the top-level help and one command per group, in one interpreter:
+    # the modules they add to sys.modules, measured from a snapshot so
+    # that what the interpreter's site already loaded does not count.
+    # numpy loads inspect itself, so affine verify runs after numpy is in
+    # a second snapshot.
+    heis = str(FIXTURES / "heisenberg.json")
+    argvs = [
+        ["--help"],
+        ["lie", "strata", "--algebra", heis, "--samples", "5"],
+        ["quantize", "verify", "--alpha", "p1*dq1", "--max-degree", "1"],
+        ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "2"],
+        ["chern", "matrix", "--family", "SU", "--rank", "2"],
+        ["qgroup", "reps", "--family", "A", "--rank", "1", "--t-samples", "1"],
+        ["tower", "report", "--algebra", heis, "--samples", "5"],
+    ]
+    affine = ["affine", "verify", "--l", "1.0", "--h", "0.5", "--trials", "1"]
+    code = f"""
+import contextlib, io, json, sys
+before = set(sys.modules)
+from orbitkit import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv, standalone_mode=False) == 0, argv
+
+for argv in {argvs!r}:
+    run(argv)
+added = set(sys.modules) - before
+import numpy
+before = set(sys.modules)
+run({affine!r})
+added |= set(sys.modules) - before
+print(json.dumps(sorted(added)))
+"""
+    added = json.loads(run_python(code))
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
+    modules = ("affine", "chern", "cyclic", "exactnum", "liealg", "qgroup", "quantize", "strata")
+    assert {f"orbitkit.{name}" for name in modules} <= set(added)
 
 
 @pytest.mark.parametrize(
@@ -499,14 +538,11 @@ def test_option_values_may_start_with_a_dash():
 
 
 def test_the_cli_runs_without_click():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
         "import sys; sys.modules['click'] = None; from orbitkit import cli; "
         "cli.main(['chern', 'phi', '3', '2', '2'])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result"] == {"value": "1"}
+    assert json.loads(run_python(code))["result"] == {"value": "1"}
 
 
 def test_table_format_renders_header_and_rows():
@@ -532,11 +568,28 @@ def test_version_flag():
     assert proc.stdout == f"orbitkit, version {orbitkit.__version__}\n"
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["lie", "strata", "--help"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["lie", "strata", "--help"]]
+    + [[group, "--help"] for group in cli.COMMANDS]
+    + [[group, name, "--help"] for group, (_, names) in cli.COMMANDS.items() for name in names],
+)
 def test_help_exits_zero(argv):
+    # only the named group's command parsers are built: the top level must
+    # still list every group, and each group every one of its commands
     code, output = invoke(argv)
     assert code == 0
     assert output.startswith("usage: orbitkit")
+    # argparse lists each choice at the start of a line indented by four spaces
+    listed = {
+        line.split()[0]
+        for line in output.splitlines()
+        if line.startswith("    ") and not line.startswith("     ")
+    }
+    if len(argv) == 1:
+        assert set(cli.COMMANDS) <= listed
+    elif argv[1] == "--help":
+        assert set(cli.COMMANDS[argv[0]][1]) <= listed
 
 
 @pytest.mark.parametrize(

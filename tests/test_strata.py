@@ -246,6 +246,26 @@ def test_generic_rank_admits_a_minor_at_the_bound(monkeypatch):
         generic_rank(L, found)
 
 
+def test_stratify_rejects_the_minor_at_the_first_sample_of_the_largest_rank(monkeypatch):
+    # k = 10: no covector has rank above 10, the number of generators, so
+    # the first sample of rank 10 fixes the 10-minor of 9^10 terms; the
+    # default 1000 samples took seconds to certify before the error
+    L = _free_two_step(10)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _certify(*args)
+
+    monkeypatch.setattr("orbitkit.strata._certify", counted)
+    with pytest.raises(InputError, match=f"more than {MAX_MINOR_TERMS} terms"):
+        stratify(L, SamplerConfig())
+    assert 1 <= len(calls) <= 3
+    # the tower expands no minor, so the bound does not apply to it
+    tower = extension_tower(L, SamplerConfig(samples=3))
+    assert [s["orbit_dimension"] for s in tower.stages] == [10]
+
+
 def _dense_kernel_certificate(B, r):
     """Reference kernel certificate: the dense product B K against zero.
 
