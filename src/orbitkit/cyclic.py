@@ -17,7 +17,9 @@ complex
     C^lambda_n = C_n(A) / (1 - lambda),   differential b,
 
 whose cells are the rotation classes of words that are not killed (a class
-is killed when a rotation returns its word with sign -1).  Only the
+is killed when a rotation returns its word with sign -1).  A cell is
+listed once, as a necklace (the least rotation of its words) with its
+least period p, and it is killed exactly when n p is odd.  Only the
 weight-0 block of C^lambda is reduced.  When the unit is a sum of basis
 elements e_i (coefficient 1 each) that are orthogonal idempotents and every
 basis element lies in exactly one Peirce space e_i A e_j, that element has
@@ -61,7 +63,9 @@ Ranks are computed exactly by streaming each column of b through
 linear in the structure constants, so it runs on one integer table scaled
 by the lcm of their denominators, and an algebra with imaginary structure
 constants is realified (rank over Q(i) is half the real rank of the
-doubled matrix).
+doubled matrix).  Each degree is reduced in one pass: a cell's columns
+are built once, checked for b o b = 0 against the kept columns of the
+degree below, and then reduced.
 
 `verify_trace` checks the four trace axioms (normalization, positivity on
 samples, strict positivity via the Gram matrix, ad-invariance), with
@@ -948,14 +952,16 @@ def _classes(dim: int) -> dict:
 
 
 def _necklaces(weights: tuple, length: int):
-    """The least rotations of the weight-0 words of `length` letters, in word order.
+    """(word, p) for each least rotation of a weight-0 word of `length` letters, in word order.
 
     ``weights[a]`` is the weight of letter a.  The FKM algorithm
     (Fredricksen-Kessler-Maiorana) extends a prenecklace of period p by
     its letter p places back, keeping the period, or by a larger letter,
     which makes the whole prefix the period; a prenecklace whose period
-    divides the length is the least rotation of its class.  A prefix is
-    pruned when no word of the remaining length has the opposite weight.
+    divides the length is the least rotation of its class, and p is then
+    its least period (Cattell, Ruskey, Sawada, Serra and Miers,
+    J. Algorithms 37, 2000).  A prefix is pruned when no word of the
+    remaining length has the opposite weight.
     """
     dim, letters = len(weights), set(weights)
     # reach[r] holds the weights of the words of r letters
@@ -967,7 +973,7 @@ def _necklaces(weights: tuple, length: int):
     def extend(t: int, p: int, total: int):
         if t > length:
             if length % p == 0:
-                yield tuple(word[1:])
+                yield tuple(word[1:]), p
             return
         need = reach[length - t]
         back = word[t - p]
@@ -1018,18 +1024,21 @@ def _conjugations(A: FinAlgebra, letters: tuple) -> tuple:
     return tuple(out)
 
 
-def _cells(weights: tuple, n: int, classes: dict, conjugations: tuple):
+def _cells(weights: tuple, n: int, conjugations: tuple):
     """The least word of each weight-0 cell of C^lambda_n that is kept, in word order.
 
     A cell is kept when it is not killed and every conjugation of
     ``conjugations`` (see `_conjugations`) scales it by 1; the scale is a
     product over the letters, so it is computed once per multiset of
-    letters.  ``classes`` is the degree-n memo, which these lookups fill.
+    letters.  A necklace of least period p is fixed by the rotations by
+    multiples of p, and rotating by p letters multiplies it by (-1)^(np)
+    in C^lambda_n, so it is killed exactly when n p is odd (as `_cell`
+    finds from all of its rotations).
     """
     powers = [(s, math.prod((c,) * (n + 1), start=_ONE)) for c, s in conjugations]
     trivial = {}
-    for word in _necklaces(weights, n + 1):
-        if classes[word] is None:
+    for word, p in _necklaces(weights, n + 1):
+        if n * p % 2:
             continue
         key = tuple(sorted(word))
         kept = trivial.get(key)
@@ -1071,11 +1080,37 @@ def _columns(tables: tuple, n: int, word, classes) -> list:
     ]
 
 
-def _boundary_rank(tables: tuple, n: int, cells: list, classes) -> int:
-    """Rank of b: C^lambda_n -> C^lambda_{n-1} on the given cells."""
-    pivots = {}
+def _reduce_degree(tables: tuple, n: int, cells: list, classes, below: dict, keep: bool):
+    """(rank, mode, columns) of b: C^lambda_n -> C^lambda_{n-1} on the given cells.
+
+    Each cell's columns (`_columns`, with ``classes`` the degree-(n-1)
+    memo) are built once.  For n >= 2 they are first checked for
+    b o b = 0 against ``below``, the columns of degree n-1 keyed by the
+    flat index of each cell's least word, which is the row that cell has
+    here; a realified column's row past dim^n is the image of i times
+    that cell, the cell's second column.  The check runs on every cell
+    when there are at most `_SQUARE_CHECK_LIMIT` of them, and otherwise on
+    64 random ones; mode says which.  The columns are then reduced by
+    `reduce_column`, which leaves them unchanged, so with ``keep`` they
+    are returned, keyed the same way, for the check of degree n+1.
+    """
+    dim = len(tables[0])
+    shift = dim**n
+    sampled = len(cells) > _SQUARE_CHECK_LIMIT
+    checked = set(random.Random(2026 * n + dim).sample(cells, 64)) if sampled else None
+    pivots, kept = {}, {}
     for word in cells:
-        for col in _columns(tables, n, word, classes):
+        cols = _columns(tables, n, word, classes)
+        if n >= 2 and (checked is None or word in checked):
+            acc = {}
+            for r, v in cols[0].items():
+                for r2, v2 in below[r % shift][r // shift].items():
+                    acc[r2] = acc.get(r2, 0) + v * v2
+            if any(acc.values()):
+                raise RuntimeError(f"b o b is nonzero at level {n} on word {word}")
+        if keep:
+            kept[_flat(word, dim)] = cols
+        for col in cols:
             if col:
                 reduce_column(col, pivots)
     rank = len(pivots)
@@ -1083,7 +1118,7 @@ def _boundary_rank(tables: tuple, n: int, cells: list, classes) -> int:
         if rank % 2:
             raise RuntimeError("realified rank is odd; exact reduction is broken")
         rank //= 2
-    return rank
+    return rank, "sampled" if sampled else "full", kept
 
 
 _SQUARE_CHECK_LIMIT = 50000
@@ -1093,8 +1128,8 @@ _SQUARE_CHECK_LIMIT = 50000
 # Words are a loose proxy for the cost, which is elimination fill-in on
 # the cells that survive the reductions: the bound admits group algebras
 # that run for many seconds.  On one pinned CPU (2 vCPUs, Python 3.11.7)
-# `cyclic hp` takes about 13.5 s on Q(i)[Z/5] at T = 7 (5^8 words) and
-# 7.5 s on Q(i)[S3] at T = 6 (6^7 words), against 2.6 s on dual numbers
+# `cyclic hp` takes about 12.7 s on Q(i)[Z/5] at T = 7 (5^8 words) and
+# 6.9 s on Q(i)[S3] at T = 6 (6^7 words), against 1.5 s on dual numbers
 # at T = 18 (2^19 words).
 MAX_CHAIN_WORDS = 2**19
 
@@ -1106,38 +1141,6 @@ MAX_CHAIN_WORDS = 2**19
 MAX_TRUNCATION = 64
 
 
-def _square_check(
-    tables: tuple, n: int, cells: list, classes_prev, classes_prev2
-) -> str:
-    """Verify b o b = 0 from C^lambda_n to C^lambda_{n-2}; returns the mode.
-
-    The check runs on every cell when C^lambda_n has at most
-    `_SQUARE_CHECK_LIMIT` of them and on 64 random ones otherwise.  A row
-    of a column is the flat index of a cell's least word, so the second b
-    is applied to that word.
-    """
-    dim = len(tables[0])
-    shift = dim**n
-    below = {}  # row -> the columns of b on that cell of C^lambda_{n-1}
-
-    def check(word) -> None:
-        acc = {}
-        for r, v in _columns(tables, n, word, classes_prev)[0].items():
-            row = r % shift
-            if row not in below:
-                prev = _unflatten(row, dim, n)
-                below[row] = _columns(tables, n - 1, prev, classes_prev2)
-            for r2, v2 in below[row][r // shift].items():
-                acc[r2] = acc.get(r2, 0) + v * v2
-        if any(acc.values()):
-            raise RuntimeError(f"b o b is nonzero at level {n} on word {word}")
-
-    sampled = len(cells) > _SQUARE_CHECK_LIMIT
-    for word in random.Random(2026 * n + dim).sample(cells, 64) if sampled else cells:
-        check(word)
-    return "sampled" if sampled else "full"
-
-
 @lru_cache(maxsize=32)
 def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
     """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
@@ -1145,7 +1148,11 @@ def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
     The complex is built on the basis letters ``letters`` of A alone,
     renumbered in their order, with ``weights`` their letter weights; their
     products must stay among them.  Only the cells that every certified
-    conjugation by a basis unit fixes are reduced (`_conjugations`).
+    conjugation by a basis unit fixes are reduced (`_conjugations`).  Each
+    degree is one pass (`_reduce_degree`): its cells come from the
+    necklaces and their periods, and each cell's columns of b serve both
+    the b o b check and the rank.  The memo of degree n-1 (`_classes`) and
+    the columns of degree n-1 live only while degree n is reduced.
     """
     conjugations = _conjugations(A, letters)
     new = {a: k for k, a in enumerate(letters)}
@@ -1158,15 +1165,18 @@ def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
         )
         for part in A._int_table
     )
-    classes, ranks, cells, modes = [], [], [], []
+    ranks, cells, modes, below = [0], [], [], {}
     for n in range(truncation + 1):
-        classes.append(_classes(len(letters)))
-        words = list(_cells(weights, n, classes[n], conjugations))
+        words = list(_cells(weights, n, conjugations))
         cells.append(len(words))
         # b vanishes on C_0
-        ranks.append(_boundary_rank(tables, n, words, classes[n - 1]) if n else 0)
-        if n >= 2:
-            modes.append(_square_check(tables, n, words, classes[n - 1], classes[n - 2]))
+        if n:
+            rank, mode, below = _reduce_degree(
+                tables, n, words, _classes(len(letters)), below, n < truncation
+            )
+            ranks.append(rank)
+            if n >= 2:
+                modes.append(mode)
     mode = "full" if all(m == "full" for m in modes) else "sampled"
     return tuple(ranks), tuple(cells), mode
 

@@ -321,7 +321,9 @@ def reduce_column(col: dict, pivots: dict) -> dict | None:
     Harer, Computational Topology, VII.1).  Rows below 0 are tags, which
     are carried along but never become pivots.  A new pivot is stored
     divided by the gcd of its entries, and None is returned; otherwise
-    the column left, tags only, is returned.
+    the column left, tags only, is returned.  Neither ``col`` nor a stored
+    pivot is changed, so a caller may keep ``col`` after the call; a new
+    pivot may be ``col`` itself, which the caller must then not change.
     """
     while col:
         p = max(col)

@@ -489,6 +489,17 @@ def test_quantize_size_guards_exit_two_before_the_work(monkeypatch, argv, messag
     }
 
 
+# the messages of the usage errors that list or name the commands: every
+# group, and every command of the named group, is listed
+USAGE_MESSAGES = {
+    ("lie",): "the following arguments are required: COMMAND",
+    ("bogus",): "argument COMMAND: invalid choice: 'bogus' (choose from 'lie', 'quantize', "
+    "'cyclic', 'chern', 'qgroup', 'affine', 'tower')",
+    ("lie", "bogus"): "argument COMMAND: invalid choice: 'bogus' (choose from 'check', "
+    "'strata', 'polarize')",
+}
+
+
 @pytest.mark.parametrize(
     "argv, subcommand",
     [
@@ -526,6 +537,8 @@ def test_usage_errors_exit_two_with_error_object(argv, subcommand):
     jsonschema.validate(payload, schema)
     assert payload["error"]["kind"] == "input"
     assert payload["error"]["subcommand"] == subcommand
+    if tuple(argv) in USAGE_MESSAGES:
+        assert payload["error"]["message"] == USAGE_MESSAGES[tuple(argv)]
 
 
 def test_option_values_may_start_with_a_dash():

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -1305,6 +1306,161 @@ def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
     assert report.boundary_check == "sampled"
     assert report.hc == (2, 1, 2, 1, 2)
     assert small.boundary_check == "full"
+
+
+@pytest.mark.parametrize(
+    "dims, lengths, peirce",
+    [((1, 2, 3, 4), range(1, 9), False), ((4,), range(1, 9), True)],
+    ids=["trivial", "M2-Peirce"],
+)
+def test_necklace_periods_kill_the_cells_that_rotations_kill(dims, lengths, peirce):
+    # a necklace of least period p is killed in degree n exactly when n p is odd
+    for dim in dims:
+        for length in lengths:
+            if peirce:
+                grading = cyclic_module._peirce_grading(matrix_algebra(2))
+                weights = cyclic_module._letter_weights(grading, length)
+            else:
+                weights = (0,) * dim
+            n, kept = length - 1, []
+            for word, p in cyclic_module._necklaces(weights, length):
+                cell = cyclic_module._cell(word, dim)
+                assert (n * p % 2 == 1) == (cell is None), (word, p)
+                if cell is not None:
+                    assert cell == (cyclic_module._flat(word, dim), False)
+                    kept.append(word)
+            assert list(cyclic_module._cells(weights, n, ())) == kept
+
+
+# ---------------------------------------------------------------------------
+# the two-pass reduction: a reference for `_rank_table`
+
+
+def _two_pass_rank_table(A, weights, truncation):
+    """(ranks, cells, mode) of `_rank_table` on every letter of A, in two passes.
+
+    Cells are the necklaces that `_cell` does not kill, and the square
+    check rebuilds the columns of b that the rank has used, and those of
+    the degree below.
+    """
+    dim, tables = A.dim, A._int_table
+    powers = [(s, c) for c, s in cyclic_module._conjugations(A, tuple(range(dim)))]
+    classes, ranks, cells, modes = [], [], [], []
+    for n in range(truncation + 1):
+        classes.append(cyclic_module._classes(dim))
+        words = [
+            word
+            for word, _ in cyclic_module._necklaces(weights, n + 1)
+            if classes[n][word] is not None
+            and all(
+                math.prod((s[a] for a in word), start=ONE) == math.prod((c,) * (n + 1), start=ONE)
+                for s, c in powers
+            )
+        ]
+        cells.append(len(words))
+        if n == 0:
+            ranks.append(0)
+            continue
+        pivots = {}
+        for word in words:
+            for col in cyclic_module._columns(tables, n, word, classes[n - 1]):
+                if col:
+                    reduce_column(col, pivots)
+        ranks.append(len(pivots) // (1 if tables[1] is None else 2))
+        if n >= 2:
+            modes.append(_two_pass_square_check(tables, n, words, classes[n - 1], classes[n - 2]))
+    return tuple(ranks), tuple(cells), "full" if all(m == "full" for m in modes) else "sampled"
+
+
+def _two_pass_square_check(tables, n, cells, classes_prev, classes_prev2):
+    dim = len(tables[0])
+    shift = dim**n
+    below = {}
+    sampled = len(cells) > cyclic_module._SQUARE_CHECK_LIMIT
+    for word in random.Random(2026 * n + dim).sample(cells, 64) if sampled else cells:
+        acc = {}
+        for r, v in cyclic_module._columns(tables, n, word, classes_prev)[0].items():
+            row = r % shift
+            if row not in below:
+                prev = cyclic_module._unflatten(row, dim, n)
+                below[row] = cyclic_module._columns(tables, n - 1, prev, classes_prev2)
+            for r2, v2 in below[row][r // shift].items():
+                acc[r2] = acc.get(r2, 0) + v * v2
+        assert not any(acc.values()), (n, word)
+    return "sampled" if sampled else "full"
+
+
+@pytest.mark.parametrize(
+    "name, truncation, limit",
+    [
+        *(("Pauli", t, None) for t in range(2, 7)),
+        ("Pauli(x)Pauli", 3, None),
+        ("dual", 10, None),
+        ("S3", 4, None),
+        ("Z/3", 6, None),
+        ("M2(C^2)", 4, None),
+        # 152 cells in degree 5, so degree 5 is sampled
+        ("two-cycle", 5, 100),
+    ],
+)
+def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, truncation, limit):
+    A = {
+        "Pauli": _pauli_m2,
+        "Pauli(x)Pauli": lambda: tensor_product(_pauli_m2(), _pauli_m2()),
+        "dual": dual_numbers,
+        "S3": lambda: _group_algebra(list(itertools.permutations(range(3)))),
+        "Z/3": lambda: _group_algebra([(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+        "M2(C^2)": lambda: matrix_amplification(gauss_field_power(2), 2),
+        "two-cycle": _two_cycle,
+    }[name]()
+    if limit is not None:
+        monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", limit)
+    grading = cyclic_module._peirce_grading(A)
+    weights = cyclic_module._letter_weights(grading, truncation + 1)
+    got = cyclic_module._rank_table.__wrapped__(A, tuple(range(A.dim)), weights, truncation)
+    assert got == _two_pass_rank_table(A, weights, truncation)
+    assert got[2] == ("full" if limit is None else "sampled")
+
+
+@pytest.mark.parametrize("limit", [None, 100])
+def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
+    A = _two_cycle()
+    weights = cyclic_module._letter_weights(cyclic_module._peirce_grading(A), 6)
+    # no letter is a unit, so no conjugation is certified; the target is the
+    # first of the 64 cells that sampled mode checks
+    cells = list(cyclic_module._cells(weights, 5, ()))
+    target = random.Random(2026 * 5 + 4).sample(cells, 64)[0]
+    if limit is not None:
+        monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", limit)
+    # the target's column gets a stray e1 e1 e1 e1 e2, whose b is the
+    # degree-3 cell e1 e1 e1 e2, so b o b is nonzero on the target
+    columns = cyclic_module._columns
+    row = cyclic_module._flat((0, 0, 0, 0, 1), 4)
+
+    def stray(tables, n, word, classes):
+        cols = columns(tables, n, word, classes)
+        if n == 5 and word == target:
+            cols[0][row] = cols[0].get(row, 0) + 1
+        return cols
+
+    monkeypatch.setattr(cyclic_module, "_columns", stray)
+    message = f"b o b is nonzero at level 5 on word {target}"
+    cyclic_module._rank_table.cache_clear()
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        hp_homology(A, 5)
+    path = tmp_path / "two_cycle.json"
+    path.write_text(json.dumps(A.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(
+            ["cyclic", "hp", "--algebra", str(path), "--truncation", "5"], standalone_mode=False
+        )
+    assert code == 1
+    assert json.loads(out.getvalue())["error"] == {
+        "kind": "internal",
+        "message": message,
+        "subcommand": "cyclic hp",
+    }
 
 
 def test_tensor_square_of_dual_numbers_is_not_stabilized_at_four():

@@ -1,5 +1,6 @@
 """Exact scalar and matrix layer: arithmetic laws, rank, kernels."""
 
+import copy
 import random
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from orbitkit.exactnum import (
     gauss_rank,
     rational_from_str,
     rational_to_str,
+    reduce_column,
 )
 
 
@@ -214,3 +216,17 @@ def test_gauss_rank_matches_sympy():
         n, k = rng.randint(1, 5), rng.randint(1, 5)
         rows = _random_rows(rng, n, k, entry)
         assert gauss_rank(rows) == _to_sympy(sympy, rows, k).rank()
+
+
+def test_reduce_column_leaves_its_column_and_the_stored_pivots_unchanged():
+    # callers keep a column after reducing it, and a pivot may be that column
+    rng = random.Random(22)
+    for _ in range(200):
+        pivots = {}
+        for _ in range(rng.randint(1, 12)):
+            rows = rng.sample(range(-2, 10), rng.randint(1, 6))
+            col = {r: rng.choice((-1, 1)) * rng.randint(1, 6) for r in rows}
+            col_before, pivots_before = copy.deepcopy(col), copy.deepcopy(pivots)
+            reduce_column(col, pivots)
+            assert col == col_before
+            assert {p: pivots[p] for p in pivots_before} == pivots_before
