@@ -22,7 +22,14 @@ rounding while the boundary defect is order one and reported separately.
 `joint_kernel_rank` stacks the evaluations of all PBW monomials of bounded
 degree under sampled representations and characters and reports the
 numerical rank; full rank is the desk-scale witness that only zero lies in
-every kernel.
+every kernel.  In the shift model a^j c^k c*^l lies on superdiagonal j
+and a*^j c^k c*^l on subdiagonal j, so only those N - j entries per
+monomial and angle are stacked, never an N x N image.  Dropping columns
+that are zero in every row leaves the singular values unchanged, so the
+rank is that of the dense stacked matrix: the singular values above
+S.max() * max(rows, dense width) * eps, numpy's `matrix_rank` tolerance
+taken at the dense width t_samples * (N^2 + 1) (t_samples without the
+shift model).
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ _GROUP_SIZE_GUARD = 10**4
 MAX_CATALOG = 10**5
 # truncation N of the shift model; larger N is an input error
 MAX_TRUNCATION = 1024
-# entries of the matrix joint_kernel_rank stacks; more is an input error
+# entries of the dense stacked matrix (monomials x t_samples * (N^2 + 1))
+# whose rank joint_kernel_rank computes; more is an input error.  Only its
+# diagonals are allocated, so this bounds the problem, not an allocation.
 MAX_STACKED_ENTRIES = 2**24
 
 
@@ -234,41 +243,48 @@ def build_rep_su2(q: float, t: float, N: int, element: str = "s") -> TruncatedRe
         return TruncatedRep(q, t, 1, a, c, "character")
     if element != "s":
         raise InputError(f"element must be 's' or 'e', got {element!r}")
+    weights = _shift_weights(q, N)
+    a = np.zeros((N, N), dtype=complex)
+    a[range(N - 1), range(1, N)] = weights[1:]
+    c = np.diag(_diagonal(q, t, N)).astype(complex)
+    return TruncatedRep(q, t, N, a, c, "shift")
+
+
+def _shift_weights(q: float, N: int) -> list:
+    """w_n = sqrt(1 - q^(2n)) for n < N, the shift model's a e_n = w_n e_{n-1}.
+
+    q and the truncation N are checked first.
+    """
+    if not 0.0 < q < 1.0:
+        raise InputError("q must lie strictly between 0 and 1")
     if N < 4:
         raise InputError("truncation N must be at least 4")
     if N > MAX_TRUNCATION:
         raise InputError(f"truncation N may be at most {MAX_TRUNCATION}")
-    a = np.zeros((N, N), dtype=complex)
-    for n in range(1, N):
-        a[n - 1, n] = math.sqrt(1.0 - q ** (2 * n))
+    return [math.sqrt(1.0 - q ** (2 * n)) for n in range(N)]
+
+
+def _diagonal(q: float, t: float, N: int) -> list:
+    """d_n = e^{it} q^n for n < N, the shift model's c e_n = d_n e_n."""
+    import numpy as np
+
     phase = np.exp(1j * t)
-    c = np.diag([phase * q**n for n in range(N)]).astype(complex)
-    return TruncatedRep(q, t, N, a, c, "shift")
-
-
-_RELATION_NAMES = (
-    "ac=qca",
-    "ac*=qc*a",
-    "cc*=c*c",
-    "a*a+c*c=1",
-    "aa*+q^2cc*=1",
-)
+    return [phase * q**n for n in range(N)]
 
 
 def _relation_matrices(rep: TruncatedRep):
+    """Yield (name, residual matrix) per relation, one matrix alive at a time."""
     import numpy as np
 
     a, c, q = rep.a, rep.c, rep.q
     a_s = a.conj().T
     c_s = c.conj().T
     eye = np.eye(rep.N, dtype=complex)
-    return {
-        "ac=qca": a @ c - q * (c @ a),
-        "ac*=qc*a": a @ c_s - q * (c_s @ a),
-        "cc*=c*c": c @ c_s - c_s @ c,
-        "a*a+c*c=1": a_s @ a + c_s @ c - eye,
-        "aa*+q^2cc*=1": a @ a_s + q * q * (c @ c_s) - eye,
-    }
+    yield "ac=qca", a @ c - q * (c @ a)
+    yield "ac*=qc*a", a @ c_s - q * (c_s @ a)
+    yield "cc*=c*c", c @ c_s - c_s @ c
+    yield "a*a+c*c=1", a_s @ a + c_s @ c - eye
+    yield "aa*+q^2cc*=1", a @ a_s + q * q * (c @ c_s) - eye
 
 
 def relation_residuals(rep: TruncatedRep) -> dict:
@@ -280,17 +296,18 @@ def relation_residuals(rep: TruncatedRep) -> dict:
     """
     import numpy as np
 
-    residuals = _relation_matrices(rep)
     per_relation = {}
     interior_max = 0.0
     full_max = 0.0
-    for name, mat in residuals.items():
+    for name, mat in _relation_matrices(rep):
         full = float(np.max(np.abs(mat))) if mat.size else 0.0
         window = mat[:-1, :-1]
         interior = float(np.max(np.abs(window))) if window.size else 0.0
         per_relation[name] = {"interior": interior, "full": full}
         interior_max = max(interior_max, interior)
         full_max = max(full_max, full)
+        # let this relation's matrix go before the next one is built
+        del mat, window
     return {
         "interior": interior_max,
         "boundary": full_max,
@@ -353,20 +370,65 @@ def pbw_monomials(degree: int):
     return out
 
 
-def _monomial_matrix(rep: TruncatedRep, sign: str, j: int, k: int, l: int):
+def _diagonal_images(q: float, angles, N: int, monomials):
+    """Each monomial's image under the shift model, as its one diagonal.
+
+    a^j c^k c*^l maps e_n to a multiple of e_{n-j}, so its image lies on
+    superdiagonal j, and a*^j c^k c*^l lies on subdiagonal j.  Returns one
+    array per monomial whose row i holds the N - j diagonal entries at
+    angles[i], in column order; the factors are multiplied in the
+    monomial's order.
+    """
     import numpy as np
 
-    a = rep.a if sign == "+" else rep.a.conj().T
-    c = rep.c
-    c_s = rep.c.conj().T
-    out = np.eye(rep.N, dtype=complex)
-    for _ in range(j):
-        out = out @ a
-    for _ in range(k):
-        out = out @ c
-    for _ in range(l):
-        out = out @ c_s
-    return out
+    weights = np.array(_shift_weights(q, N))
+    diagonals = np.empty((len(angles), N), dtype=complex)
+    for row, t in zip(diagonals, angles):
+        row[:] = _diagonal(q, t, N)
+    # shifts[j][i] = w_{i+1} ... w_{i+j} is entry (i, i + j) of a^j and
+    # entry (i + j, i) of a*^j, its transpose
+    shifts = [np.ones(N)]
+    for j in range(1, max(m[1] for m in monomials) + 1):
+        shifts.append(shifts[-1][:-1] * weights[j:])
+    images = []
+    for sign, j, k, l in monomials:
+        cols = slice(j, N) if sign == "+" else slice(0, N - j)
+        image = np.broadcast_to(shifts[j], (len(angles), N - j))
+        for _ in range(k):
+            image = image * diagonals[:, cols]
+        for _ in range(l):
+            image = image * diagonals[:, cols].conj()
+        images.append(image)
+    return images
+
+
+def _stacked_matrix(q: float, monomials, angles, N: int, include_infinite: bool):
+    """The stacked evaluations, restricted to the columns that can be nonzero.
+
+    Each angle contributes one block of columns: the diagonals the
+    monomials reach under the shift model (when include_infinite), the
+    block of diagonal (sign, j) N - j columns wide, then the character
+    value.  Every other column of the dense stacked matrix is zero in
+    every row.
+    """
+    import numpy as np
+
+    images = _diagonal_images(q, angles, N, monomials) if include_infinite else []
+    blocks = {}
+    width = 0
+    for (sign, j, _, _), image in zip(monomials, images):
+        if (sign, j) not in blocks:
+            blocks[sign, j] = width
+            width += image.shape[1]
+    matrix = np.zeros((len(monomials), len(angles), width + 1), dtype=complex)
+    for row, (sign, j, _, _), image in zip(matrix, monomials, images):
+        row[:, blocks[sign, j] : blocks[sign, j] + image.shape[1]] = image
+    for row, (sign, j, k, l) in zip(matrix, monomials):
+        if k == 0 and l == 0:
+            for n, t in enumerate(angles):
+                alpha = np.exp(1j * t) if sign == "+" else np.exp(-1j * t)
+                row[n, width] = alpha**j
+    return matrix.reshape(len(monomials), -1)
 
 
 def joint_kernel_rank(
@@ -378,13 +440,18 @@ def joint_kernel_rank(
 ) -> dict:
     """Numerical rank of the stacked monomial evaluations.
 
-    Rows are the PBW monomials of degree <= `degree`; the columns
+    Rows are the PBW monomials of degree <= `degree`; the dense columns
     concatenate, for each sampled angle, the flattened truncated
-    representation image and the character value.  Full rank is the
-    desk-scale faithfulness witness; dropping the infinite-dimensional
-    representations (include_infinite=False) leaves the characters, which
-    kill every monomial containing c, so the rank collapses.  A matrix of
-    more than MAX_STACKED_ENTRIES entries is an InputError.
+    representation image and the character value.  Only the entries on
+    the diagonals the monomials reach are stacked (`_stacked_matrix`);
+    the rank counts the singular values above numpy's `matrix_rank`
+    tolerance S.max() * max(rows, dense width) * eps, the dense width
+    being t_samples * (N^2 + 1), or t_samples without the shift model.
+    Full rank is the desk-scale faithfulness witness; dropping the
+    infinite-dimensional representations (include_infinite=False) leaves
+    the characters, which kill every monomial containing c, so the rank
+    collapses.  A dense matrix of more than MAX_STACKED_ENTRIES entries
+    is an InputError.
     """
     import numpy as np
 
@@ -399,16 +466,10 @@ def joint_kernel_rank(
     if len(monomials) * width > MAX_STACKED_ENTRIES:
         raise InputError(f"the stacked matrix would have more than {MAX_STACKED_ENTRIES} entries")
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
-    reps = [build_rep_su2(q, t, N) for t in angles] if include_infinite else []
-    # every entry is written below
-    matrix = np.empty((len(monomials), width), dtype=complex)
-    for row, (sign, j, k, l) in zip(matrix, monomials):
-        for n, rep in enumerate(reps):
-            row[n * N * N : (n + 1) * N * N] = _monomial_matrix(rep, sign, j, k, l).ravel()
-        for n, t in enumerate(angles):
-            alpha = np.exp(1j * t) if sign == "+" else np.exp(-1j * t)
-            row[len(reps) * N * N + n] = alpha**j if k == 0 and l == 0 else 0.0
-    rank = int(np.linalg.matrix_rank(matrix))
+    matrix = _stacked_matrix(q, monomials, angles, N, include_infinite)
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    tol = singular.max() * (max(len(monomials), width) * np.finfo(singular.dtype).eps)
+    rank = int(np.count_nonzero(singular > tol))
     return {
         "rank": rank,
         "monomials": len(monomials),

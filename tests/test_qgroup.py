@@ -162,6 +162,91 @@ def test_build_rep_guards():
         build_rep_su2(0.5, 0.0, 16, element="w")
 
 
+def test_shift_matrices_hold_the_shared_weights_and_diagonal():
+    # build_rep_su2 and the rank path read one definition of the model
+    rep = build_rep_su2(0.7, 2.5, 16)
+    weights = qgroup_module._shift_weights(0.7, 16)
+    assert weights[0] == 0.0
+    assert rep.a[range(15), range(1, 16)].tolist() == [complex(w) for w in weights[1:]]
+    assert np.count_nonzero(rep.a) == 15
+    assert np.diagonal(rep.c).tolist() == qgroup_module._diagonal(0.7, 2.5, 16)
+    assert np.count_nonzero(rep.c - np.diag(np.diagonal(rep.c))) == 0
+
+
+# relation_residuals per relation, (interior, full), as computed when every
+# relation matrix was built before the first was read
+GOLDEN_RESIDUALS = {
+    (0.5, 0.0, 8): {
+        "ac=qca": (0.0, 0.0),
+        "ac*=qc*a": (0.0, 0.0),
+        "cc*=c*c": (0.0, 0.0),
+        "a*a+c*c=1": (1.1102230246251565e-16, 1.1102230246251565e-16),
+        "aa*+q^2cc*=1": (1.1102230246251565e-16, 0.9999847412109375),
+    },
+    (0.5, 0.0, 64): {
+        "ac=qca": (0.0, 0.0),
+        "ac*=qc*a": (0.0, 0.0),
+        "cc*=c*c": (0.0, 0.0),
+        "a*a+c*c=1": (1.1102230246251565e-16, 1.1102230246251565e-16),
+        "aa*+q^2cc*=1": (1.1102230246251565e-16, 1.0),
+    },
+    (0.5, 0.0, 256): {
+        "ac=qca": (0.0, 0.0),
+        "ac*=qc*a": (0.0, 0.0),
+        "cc*=c*c": (0.0, 0.0),
+        "a*a+c*c=1": (1.1102230246251565e-16, 1.1102230246251565e-16),
+        "aa*+q^2cc*=1": (1.1102230246251565e-16, 1.0),
+    },
+    (0.9, 1.0, 8): {
+        "ac=qca": (7.850462293418876e-17, 7.850462293418876e-17),
+        "ac*=qc*a": (7.850462293418876e-17, 7.850462293418876e-17),
+        "cc*=c*c": (0.0, 0.0),
+        "a*a+c*c=1": (2.220446049250313e-16, 2.220446049250313e-16),
+        "aa*+q^2cc*=1": (2.220446049250313e-16, 0.8146979811148158),
+    },
+    (0.9, 1.0, 64): {
+        "ac=qca": (7.850462293418876e-17, 7.850462293418876e-17),
+        "ac*=qc*a": (7.850462293418876e-17, 7.850462293418876e-17),
+        "cc*=c*c": (0.0, 0.0),
+        "a*a+c*c=1": (2.220446049250313e-16, 2.220446049250313e-16),
+        "aa*+q^2cc*=1": (2.220446049250313e-16, 0.9999986099154762),
+    },
+    (0.9, 1.0, 256): {
+        "ac=qca": (7.850462293418876e-17, 7.850462293418876e-17),
+        "ac*=qc*a": (7.850462293418876e-17, 7.850462293418876e-17),
+        "cc*=c*c": (0.0, 0.0),
+        "a*a+c*c=1": (2.220446049250313e-16, 2.220446049250313e-16),
+        "aa*+q^2cc*=1": (2.220446049250313e-16, 1.0),
+    },
+}
+
+
+@pytest.mark.parametrize("q, t, N", sorted(GOLDEN_RESIDUALS))
+def test_relation_residuals_match_golden_floats(q, t, N):
+    report = relation_residuals(build_rep_su2(q, t, N))
+    golden = GOLDEN_RESIDUALS[q, t, N]
+    assert list(report["relations"]) == list(golden)
+    for name, (interior, full) in golden.items():
+        assert report["relations"][name] == {"interior": interior, "full": full}
+    assert report["interior"] == max(i for i, _ in golden.values())
+    assert report["boundary"] == max(f for _, f in golden.values())
+
+
+def test_relation_residuals_hold_one_relation_at_a_time():
+    import tracemalloc
+
+    rep = build_rep_su2(0.5, 0.0, 256)
+    tracemalloc.start()
+    try:
+        relation_residuals(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a*, c*, the identity and one relation's operands; building all five
+    # relations before reading any peaked at 9 matrices
+    assert peak < 7 * 256 * 256 * 16, peak
+
+
 def test_relations_hold_on_the_interior_window():
     for q in (0.3, 0.5, 0.8):
         report = relation_residuals(build_rep_su2(q, 0.0, 32))
@@ -248,6 +333,7 @@ def test_stacked_matrix_guard_fires_before_building_reps(monkeypatch):
     # 14 monomials of degree <= 2, each 1000 * (64^2 + 1) entries wide
     assert 14 * 1000 * (64**2 + 1) > MAX_STACKED_ENTRIES
     _forbid(monkeypatch, qgroup_module, "build_rep_su2")
+    _forbid(monkeypatch, qgroup_module, "_diagonal_images")
     with pytest.raises(InputError, match=f"more than {MAX_STACKED_ENTRIES} entries"):
         joint_kernel_rank(0.5, t_samples=1000, N=64)
     # without the shift model each sample adds one column
@@ -259,3 +345,110 @@ def test_monomial_rows_depend_on_truncation_size():
     large = joint_kernel_rank(0.5, degree=1, t_samples=3, N=12)
     assert small["full"] and large["full"]
     assert small["N"] == 8 and large["N"] == 12
+
+
+def test_joint_kernel_checks_q_and_truncation_of_the_shift_model():
+    with pytest.raises(InputError, match="strictly between 0 and 1"):
+        joint_kernel_rank(1.5, N=16)
+    with pytest.raises(InputError, match="at least 4"):
+        joint_kernel_rank(0.5, degree=4, N=1)
+    with pytest.raises(InputError, match=f"at most {MAX_TRUNCATION}"):
+        joint_kernel_rank(0.5, degree=0, t_samples=3, N=MAX_TRUNCATION + 1)
+    # the characters alone read neither
+    assert joint_kernel_rank(1.5, N=1, include_infinite=False)["rank"] == 5
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the diagonal stacking
+
+
+def _monomial_matrix(rep, sign, j, k, l):
+    """The dense image of a^j c^k c*^l (sign "+") or a*^j c^k c*^l (sign "-")."""
+    a = rep.a if sign == "+" else rep.a.conj().T
+    c = rep.c
+    c_s = rep.c.conj().T
+    out = np.eye(rep.N, dtype=complex)
+    for _ in range(j):
+        out = out @ a
+    for _ in range(k):
+        out = out @ c
+    for _ in range(l):
+        out = out @ c_s
+    return out
+
+
+def _dense_stacked(q, degree, t_samples, N, include_infinite):
+    """Every flattened N x N image per angle, then the character values."""
+    angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
+    reps = [build_rep_su2(q, t, N) for t in angles] if include_infinite else []
+    rows = []
+    for sign, j, k, l in pbw_monomials(degree):
+        images = [_monomial_matrix(rep, sign, j, k, l).ravel() for rep in reps]
+        alphas = [np.exp(1j * t) if sign == "+" else np.exp(-1j * t) for t in angles]
+        characters = [alpha**j if k == 0 and l == 0 else 0.0 for alpha in alphas]
+        rows.append(np.concatenate(images + [np.array(characters, dtype=complex)]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("N", [4, 5, 8, 16])
+def test_diagonal_images_match_the_dense_products(N):
+    monomials = pbw_monomials(4)
+    for q, angles in ((0.5, [0.0, 2.0]), (0.93, [1.0, 4.5]), (1e-3, [3.0]), (1e-320, [0.7])):
+        images = qgroup_module._diagonal_images(q, angles, N, monomials)
+        for i, t in enumerate(angles):
+            rep = build_rep_su2(q, t, N)
+            for (sign, j, k, l), image in zip(monomials, images):
+                dense = _monomial_matrix(rep, sign, j, k, l)
+                offset = j if sign == "+" else -j
+                np.testing.assert_allclose(
+                    image[i], np.diagonal(dense, offset), rtol=1e-14, atol=1e-300
+                )
+                # nothing of the dense image lies off that diagonal
+                off = dense - np.diag(np.diagonal(dense, offset), offset)
+                assert np.count_nonzero(off) == 0, (q, t, N, sign, j, k, l)
+
+
+RANK_SWEEP = [
+    (q, degree, t_samples, N, include_infinite)
+    # near q = 1 - 3e-14 the a-powers' singular values fall between the
+    # tolerances at the compact and at the dense width
+    for q in (1e-320, 1e-8, 0.5, 0.9, 1 - 3e-14, 1 - 1e-12)
+    for degree, t_samples in ((0, 3), (1, 4), (2, 3), (2, 5), (3, 7), (4, 3))
+    for N in (4, 7, 16, 40)
+    for include_infinite in (True, False)
+]
+
+
+def test_joint_kernel_rank_matches_the_dense_matrix_rank():
+    for q, degree, t_samples, N, include_infinite in RANK_SWEEP:
+        dense = _dense_stacked(q, degree, t_samples, N, include_infinite)
+        report = joint_kernel_rank(q, degree, t_samples, N, include_infinite)
+        case = (q, degree, t_samples, N, include_infinite)
+        assert report["rank"] == np.linalg.matrix_rank(dense), case
+        # dropping the all-zero columns keeps every singular value
+        angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
+        compact = qgroup_module._stacked_matrix(
+            q, pbw_monomials(degree), angles, N, include_infinite
+        )
+        assert compact.shape[1] <= t_samples * ((2 * degree + 1) * N + 1)
+        top = np.linalg.svd(dense, compute_uv=False)
+        np.testing.assert_allclose(
+            np.linalg.svd(compact, compute_uv=False), top, rtol=0, atol=1e-12 * top.max()
+        )
+    # at q = 1e-320, c is e^{it} on e_0 and zero to rounding past it, and a
+    # kills e_0, so a c and a c* vanish: rank 12 of 14
+    assert joint_kernel_rank(1e-320, degree=2, t_samples=5, N=64)["rank"] == 12
+
+
+def test_joint_kernel_rank_holds_no_dense_image():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = joint_kernel_rank(0.5, degree=1, t_samples=3, N=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["full"]
+    # one dense 1024 x 1024 complex matrix is 16 MiB
+    assert peak < 16 * 2**20 / 4, peak
