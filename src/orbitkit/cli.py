@@ -258,13 +258,15 @@ def _qgroup_verify(args):
     """Relation residuals, character constraints, joint-kernel rank."""
     from . import qgroup
 
+    # the rank runs first, so its size guard fires before any N x N matrix
+    ranks = qgroup.joint_kernel_rank(
+        args.q, degree=args.degree, t_samples=args.t_samples, N=args.truncation
+    )
     rep = qgroup.build_rep_su2(args.q, 0.0, args.truncation)
     result = {
         "residuals": qgroup.relation_residuals(rep),
         "character": qgroup.character_constraints(args.q),
-        "ranks": qgroup.joint_kernel_rank(
-            args.q, degree=args.degree, t_samples=args.t_samples, N=args.truncation
-        ),
+        "ranks": ranks,
     }
     return result, {}, None
 

@@ -1,9 +1,11 @@
 """Cyclic chain operators and truncated periodic homology over exact scalars.
 
 A `FinAlgebra` is a finite-dimensional unital *-algebra over the Gaussian
-rationals, given by structure constants.  Chains of level n are elements of
-the (n+1)-fold tensor power, stored as maps from words of basis indices to
-nonzero coefficients, with the dense coordinate vector as the `coords` view.
+rationals, given by structure constants.  Direct sums, tensor products and
+M_r are each built from one sparse product rule (`_from_rule`), and
+M_r(A) = M_r (x) A.  Chains of level n are elements of the (n+1)-fold
+tensor power, stored as maps from words of basis indices to nonzero
+coefficients, with the dense coordinate vector as the `coords` view.
 The standard operators b, b', lambda, N, S act on them through
 `apply_operator`.  `_op_terms` is the one word-level expansion of these
 operators: `apply_operator` and the boundary of Connes' complex are both
@@ -60,12 +62,13 @@ every factor is 1.
 
 Ranks are computed exactly by streaming each column of b through
 `exactnum.reduce_column`, the package's one integer column reduction: b is
-linear in the structure constants, so it runs on one integer table scaled
-by the lcm of their denominators, and an algebra with imaginary structure
-constants is realified (rank over Q(i) is half the real rank of the
-doubled matrix).  Each degree is reduced in one pass: a cell's columns
-are built once, checked for b o b = 0 against the kept columns of the
-degree below, and then reduced.
+linear in the structure constants, so it runs on one integer table built
+on the corner's letters and scaled by the lcm of their products'
+denominators (`_int_table`), and a corner with imaginary products is
+realified (rank over Q(i) is half the real rank of the doubled matrix).
+Each degree is reduced in one pass: a cell's columns are built once,
+checked for b o b = 0 against the kept columns of the degree below, and
+then reduced.
 
 `verify_trace` checks the four trace axioms (normalization, positivity on
 samples, strict positivity via the Gram matrix, ad-invariance), with
@@ -82,7 +85,6 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import InputError
@@ -167,27 +169,6 @@ class FinAlgebra:
                     inverse[c].append((a, b))
         self._inverse_pairs = tuple(map(tuple, inverse))
         self._star_pairs = tuple(_nonzero(row) for row in star)
-        # b is linear in the structure constants, so L * b on the integer
-        # table (re, im), with L the lcm of their denominators, has the rank
-        # of b; im is None for a real algebra.  A constant is (a + b i)/d.
-        triples = [v.triple for plane in pairs for row in plane for _, v in row]
-        scale = math.lcm(*(t[2] for t in triples))
-
-        def table(part):
-            return tuple(
-                tuple(
-                    tuple(
-                        (c, t[part] * (scale // t[2]))
-                        for c, v in pairs[a][b]
-                        if (t := v.triple)[part]
-                    )
-                    for b in range(d)
-                )
-                for a in range(d)
-            )
-
-        imag = any(t[1] for t in triples)
-        self._int_table = (table(0), table(1) if imag else None)
         self._validate()
 
     def _key(self) -> tuple:
@@ -305,6 +286,26 @@ class FinAlgebra:
         return FinAlgebra.from_json(data)
 
 
+def _from_rule(basis: tuple, product, star, unit) -> FinAlgebra:
+    """The algebra on ``basis`` given by a sparse product rule.
+
+    ``product(a, b)`` lists the (c, v) with e_a e_b = sum v e_c,
+    ``star(a)`` the (c, v) with e_a^* = sum v e_c, and ``unit`` the (a, v)
+    with 1 = sum v e_a.  The `FinAlgebra` constructor validates the result
+    as it validates a loaded algebra.
+    """
+    d = len(basis)
+
+    def dense(pairs) -> tuple:
+        row = [_ZERO] * d
+        for c, v in pairs:
+            row[c] = v
+        return tuple(row)
+
+    mult = tuple(tuple(dense(product(a, b)) for b in range(d)) for a in range(d))
+    return FinAlgebra(d, mult, dense(unit), tuple(dense(star(a)) for a in range(d)), basis)
+
+
 def gauss_field() -> FinAlgebra:
     """The ground field as a one-dimensional algebra."""
     return FinAlgebra(1, (((_ONE,),),), (_ONE,), ((_ONE,),), ("1",))
@@ -321,36 +322,24 @@ def dual_numbers() -> FinAlgebra:
 
 
 def direct_sum(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
-    dl, dr = left.dim, right.dim
-    dim = dl + dr
-    mult = []
-    for a in range(dim):
-        plane = []
-        for b in range(dim):
-            row = [_ZERO] * dim
-            if a < dl and b < dl:
-                for c, v in enumerate(left.mult[a][b]):
-                    row[c] = v
-            elif a >= dl and b >= dl:
-                for c, v in enumerate(right.mult[a - dl][b - dl]):
-                    row[dl + c] = v
-            plane.append(tuple(row))
-        mult.append(tuple(plane))
-    unit = tuple(left.unit) + tuple(right.unit)
-    star = []
-    for a in range(dim):
-        row = [_ZERO] * dim
-        if a < dl:
-            for c, v in enumerate(left.star[a]):
-                row[c] = v
-        else:
-            for c, v in enumerate(right.star[a - dl]):
-                row[dl + c] = v
-        star.append(tuple(row))
-    basis = tuple(f"({n},0)" for n in left.basis) + tuple(
-        f"(0,{n})" for n in right.basis
+    """A + B: the two bases side by side, and e_a e_b = 0 across them."""
+    dl = left.dim
+    # (summand, offset) of each basis element
+    part = [(left, 0)] * dl + [(right, dl)] * right.dim
+
+    def shifted(pairs, s):
+        return tuple((c + s, v) for c, v in pairs)
+
+    def product(a, b):
+        (A, s), t = part[a], part[b][1]
+        return shifted(A.basis_product(a - s, b - s), s) if s == t else ()
+
+    return _from_rule(
+        tuple(f"({n},0)" for n in left.basis) + tuple(f"(0,{n})" for n in right.basis),
+        product,
+        lambda a: shifted(part[a][0]._star_pairs[a - part[a][1]], part[a][1]),
+        _nonzero(left.unit) + shifted(_nonzero(right.unit), dl),
     )
-    return FinAlgebra(dim, tuple(mult), unit, tuple(star), basis)
 
 
 def gauss_field_power(k: int) -> FinAlgebra:
@@ -364,92 +353,47 @@ def gauss_field_power(k: int) -> FinAlgebra:
 
 
 def tensor_product(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
-    dl, dr = left.dim, right.dim
-    dim = dl * dr
+    """A (x) B with e_a (x) e_u at index a * dim B + u, labelled "a*u"."""
+    return _tensor(left, right, tuple(f"{n}*{m}" for n in left.basis for m in right.basis))
 
-    def idx(a, u):
-        return a * dr + u
 
-    mult = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(dl):
-        for u in range(dr):
-            for b in range(dl):
-                for v in range(dr):
-                    for c, s in left.basis_product(a, b):
-                        for w, t in right.basis_product(u, v):
-                            mult[idx(a, u)][idx(b, v)][idx(c, w)] = s * t
-    unit = [_ZERO] * dim
-    for a in range(dl):
-        for u in range(dr):
-            unit[idx(a, u)] = left.unit[a] * right.unit[u]
-    star = [[_ZERO] * dim for _ in range(dim)]
-    for a in range(dl):
-        for u in range(dr):
-            for c in range(dl):
-                for w in range(dr):
-                    star[idx(a, u)][idx(c, w)] = left.star[a][c] * right.star[u][w]
-    basis = tuple(
-        f"{n}*{m}" for n in left.basis for m in right.basis
-    )
-    return FinAlgebra(
-        dim,
-        tuple(tuple(tuple(r) for r in p) for p in mult),
-        tuple(unit),
-        tuple(tuple(r) for r in star),
+def _tensor(left: FinAlgebra, right: FinAlgebra, basis: tuple) -> FinAlgebra:
+    """(x (x) u)(y (x) v) = xy (x) uv and (x (x) u)^* = x^* (x) u^*, on ``basis``."""
+    dr = right.dim
+
+    def pairs(x, u):
+        """x (x) u for sparse x and u."""
+        return tuple((c * dr + w, s * t) for c, s in x for w, t in u)
+
+    def product(p, q):
+        (a, u), (b, v) = divmod(p, dr), divmod(q, dr)
+        return pairs(left.basis_product(a, b), right.basis_product(u, v))
+
+    return _from_rule(
         basis,
-    )
-
-
-def matrix_amplification(base: FinAlgebra, r: int) -> FinAlgebra:
-    """M_r(A): matrix units tensored with the base algebra."""
-    if r < 1:
-        raise InputError("matrix amplification needs r >= 1")
-    n = base.dim
-    dim = r * r * n
-
-    def idx(i, j, a):
-        return (i * r + j) * n + a
-
-    mult = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, l in itertools.product(range(r), repeat=4):
-        if j != k:
-            continue
-        for a in range(n):
-            for b in range(n):
-                row = mult[idx(i, j, a)][idx(k, l, b)]
-                for c, v in base.basis_product(a, b):
-                    row[idx(i, l, c)] = v
-    unit = [_ZERO] * dim
-    for i in range(r):
-        for a in range(n):
-            unit[idx(i, i, a)] = base.unit[a]
-    star = [[_ZERO] * dim for _ in range(dim)]
-    for i in range(r):
-        for j in range(r):
-            for a in range(n):
-                for c in range(n):
-                    star[idx(i, j, a)][idx(j, i, c)] = base.star[a][c]
-    if n == 1:
-        basis = tuple(f"e{i + 1}{j + 1}" for i in range(r) for j in range(r))
-    else:
-        basis = tuple(
-            f"e{i + 1}{j + 1}*{base.basis[a]}"
-            for i in range(r)
-            for j in range(r)
-            for a in range(n)
-        )
-    return FinAlgebra(
-        dim,
-        tuple(tuple(tuple(r_) for r_ in p) for p in mult),
-        tuple(unit),
-        tuple(tuple(r_) for r_ in star),
-        basis,
+        product,
+        lambda p: pairs(left._star_pairs[p // dr], right._star_pairs[p % dr]),
+        pairs(_nonzero(left.unit), _nonzero(right.unit)),
     )
 
 
 def matrix_algebra(r: int) -> FinAlgebra:
-    """Full r-by-r matrix algebra with matrix-unit basis."""
-    return matrix_amplification(gauss_field(), r)
+    """Full r-by-r matrix algebra: e_ij e_kl = delta_jk e_il and e_ij^* = e_ji."""
+    if r < 1:
+        raise InputError("matrix amplification needs r >= 1")
+    # e_ij is basis element i r + j
+    return _from_rule(
+        tuple(f"e{i + 1}{j + 1}" for i in range(r) for j in range(r)),
+        lambda p, q: ((p // r * r + q % r, _ONE),) if p % r == q // r else (),
+        lambda p: ((p % r * r + p // r, _ONE),),
+        tuple((i * r + i, _ONE) for i in range(r)),
+    )
+
+
+def matrix_amplification(base: FinAlgebra, r: int) -> FinAlgebra:
+    """M_r(A) = M_r (x) A, labelled e_ij when A has dimension 1 and e_ij*x otherwise."""
+    units = matrix_algebra(r)
+    return _tensor(units, base, units.basis) if base.dim == 1 else tensor_product(units, base)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +406,7 @@ class Trace(NamedTuple):
     coords: tuple
 
     def __call__(self, x) -> GaussRational:
-        out = _ZERO
-        for t, v in zip(self.coords, x):
-            out = out + t * v
-        return out
+        return sum((t * v for t, v in zip(self.coords, x)), _ZERO)
 
     def to_json(self) -> dict:
         return {"coords": [v.to_json() for v in self.coords]}
@@ -542,14 +483,9 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
         for a in range(A.dim)
     ]
     faithful = gauss_rank(gram) == A.dim
-    tracial = True
-    for a in range(A.dim):
-        for b in range(A.dim):
-            if tau(A.mult[a][b]) != tau(A.mult[b][a]):
-                tracial = False
-                break
-        if not tracial:
-            break
+    tracial = all(
+        tau(A.mult[a][b]) == tau(A.mult[b][a]) for a in range(A.dim) for b in range(A.dim)
+    )
     checks = {
         "normalized": normalized,
         "positive": positive,
@@ -696,7 +632,7 @@ def _op_terms(pairs, one, kind: str, word) -> list:
 
     This is the one word-level expansion of the operators: `apply_operator`
     calls it with the Gaussian-rational table, and Connes' complex with
-    the integer table ``FinAlgebra._int_table``.  ``pairs[a][b]`` lists the
+    the integer table `_int_table`.  ``pairs[a][b]`` lists the
     (c, v) with e_a e_b = sum v e_c and ``one`` is the unit of the
     coefficient ring.  Terms are not collected, so one word may appear more
     than once.
@@ -1053,8 +989,8 @@ def _cells(weights: tuple, n: int, conjugations: tuple):
 def _columns(tables: tuple, n: int, word, classes) -> list:
     """Integer columns of L * b on `word`, from C_n to C^lambda_{n-1}.
 
-    ``tables`` is an integer table (re, im) like ``FinAlgebra._int_table``
-    and ``classes`` maps each word of C_{n-1} to (row, negate), or None when
+    ``tables`` is an integer table (re, im) from `_int_table` and
+    ``classes`` maps each word of C_{n-1} to (row, negate), or None when
     killed.  A real algebra gives one column; a Gaussian one gives the two
     real columns of the realification (the images of the word and of i
     times it), with imaginary parts in rows shifted by dim^n.
@@ -1141,30 +1077,46 @@ MAX_CHAIN_WORDS = 2**19
 MAX_TRUNCATION = 64
 
 
-@lru_cache(maxsize=32)
+def _int_table(A: FinAlgebra, letters: tuple) -> tuple:
+    """b's integer table (re, im) on the basis letters ``letters``, renumbered in their order.
+
+    b is linear in the structure constants, so L * b has the rank of b,
+    with L the lcm of the denominators of the letters' products; their
+    products must stay among them.  A constant (a + b i)/d becomes
+    a L/d in re and b L/d in im.  im is None when those products are all
+    real, and the complex is then not realified.
+    """
+    new = {a: k for k, a in enumerate(letters)}
+    products = [[A._pairs[a][b] for b in letters] for a in letters]
+    triples = [v.triple for row in products for pairs in row for _, v in pairs]
+    scale = math.lcm(*(t[2] for t in triples))
+
+    def table(part):
+        return tuple(
+            tuple(
+                tuple((new[c], t[part] * (scale // t[2])) for c, v in p if (t := v.triple)[part])
+                for p in row
+            )
+            for row in products
+        )
+
+    return table(0), table(1) if any(t[1] for t in triples) else None
+
+
 def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
     """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
 
-    The complex is built on the basis letters ``letters`` of A alone,
-    renumbered in their order, with ``weights`` their letter weights; their
-    products must stay among them.  Only the cells that every certified
-    conjugation by a basis unit fixes are reduced (`_conjugations`).  Each
-    degree is one pass (`_reduce_degree`): its cells come from the
-    necklaces and their periods, and each cell's columns of b serve both
-    the b o b check and the rank.  The memo of degree n-1 (`_classes`) and
-    the columns of degree n-1 live only while degree n is reduced.
+    The complex is built on the basis letters ``letters`` of A alone
+    (`_int_table`), with ``weights`` their letter weights.  Only the cells
+    that every certified conjugation by a basis unit fixes are reduced
+    (`_conjugations`).  Each degree is one pass (`_reduce_degree`): its
+    cells come from the necklaces and their periods, and each cell's
+    columns of b serve both the b o b check and the rank.  The memo of
+    degree n-1 (`_classes`) and the columns of degree n-1 live only while
+    degree n is reduced.
     """
     conjugations = _conjugations(A, letters)
-    new = {a: k for k, a in enumerate(letters)}
-    tables = tuple(
-        None
-        if part is None
-        else tuple(
-            tuple(tuple((new[c], v) for c, v in part[a][b]) for b in letters)
-            for a in letters
-        )
-        for part in A._int_table
-    )
+    tables = _int_table(A, letters)
     ranks, cells, modes, below = [0], [], [], {}
     for n in range(truncation + 1):
         words = list(_cells(weights, n, conjugations))
@@ -1227,20 +1179,21 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     `MAX_CHAIN_WORDS` words of weight 0 in degree T of the corner (counted
     before any table is built), is an InputError.
     """
-    return _hp(A, _corner(A, _peirce_grading(A)), truncation)
+    grading = _peirce_grading(A)
+    return _hp(A, grading, _corner(A, grading), truncation)
 
 
-def _hp(A: FinAlgebra, letters: tuple, truncation: int) -> HPReport:
+def _hp(A: FinAlgebra, grading: tuple, letters: tuple, truncation: int) -> HPReport:
     """The `hp_homology` report of A, computed on the basis letters ``letters``.
 
-    ``letters`` spans a full corner of A, or is every letter of A.
+    ``grading`` is A's `_peirce_grading`, and ``letters`` spans a full
+    corner of A, or is every letter of A.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
     if truncation > MAX_TRUNCATION:
         raise InputError(f"truncation {truncation} is above {MAX_TRUNCATION}")
     length = truncation + 1
-    grading = _peirce_grading(A)
     weights = _letter_weights(tuple(grading[a] for a in letters), length)
     # weights.count(0)^length <= count <= len(letters)^length bound the exact count
     if weights.count(0) ** length > MAX_CHAIN_WORDS or (
@@ -1285,7 +1238,7 @@ def morita_check(A: FinAlgebra, m: int = 2, truncation: int = 6) -> dict:
         raise InputError("morita check needs amplification size m >= 2")
     base = hp_homology(A, truncation)
     M = matrix_amplification(A, m)
-    amplified = _hp(M, tuple(range(M.dim)), truncation)
+    amplified = _hp(M, _peirce_grading(M), tuple(range(M.dim)), truncation)
     if not (base.stabilized and amplified.stabilized):
         verdict = "not stabilized"
     elif (base.hp0, base.hp1) == (amplified.hp0, amplified.hp1):

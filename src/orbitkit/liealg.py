@@ -45,7 +45,6 @@ __all__ = [
     "check_jacobi",
     "poisson_matrix",
     "annihilates",
-    "orbit_dimension",
     "stabilizer",
     "check_polarization",
     "heisenberg",
@@ -337,16 +336,6 @@ def annihilates(B: ExactMatrix, v: Sequence[Fraction]) -> bool:
     """
     w = [(k, x) for k, x in enumerate(v) if x]
     return not any(sum(row[k] * x for k, x in w if row[k]) for row in B.rows)
-
-
-def orbit_dimension(L: LieAlgebra, F: Covector) -> int:
-    """Rank of the Poisson matrix; always even for antisymmetric input."""
-    r = poisson_matrix(L, F).rank()
-    if r % 2 != 0:
-        raise RuntimeError(
-            "internal error: antisymmetric rank came out odd"
-        )
-    return r
 
 
 def stabilizer(L: LieAlgebra, F: Covector) -> list:

@@ -47,10 +47,14 @@ _GROUP_SIZE_GUARD = 10**4
 MAX_CATALOG = 10**5
 # truncation N of the shift model; larger N is an input error
 MAX_TRUNCATION = 1024
-# entries of the dense stacked matrix (monomials x t_samples * (N^2 + 1))
-# whose rank joint_kernel_rank computes; more is an input error.  Only its
-# diagonals are allocated, so this bounds the problem, not an allocation.
-MAX_STACKED_ENTRIES = 2**24
+# entries of the stacked matrix that joint_kernel_rank allocates (monomials
+# x t_samples x (the `_blocks` width + 1)), counted before anything is built;
+# more is an input error.  Its SVD copies it, so a run takes about 32 bytes
+# per entry above start-up: on one pinned CPU (2 vCPUs) `qgroup verify
+# --truncation 4 --degree 4` peaks at 98 MB at --t-samples 2242, the most
+# this admits.  Every admitted --truncation 1024 run peaks at about 148 MB,
+# nearly all of it the N x N relation residuals, not this stack.
+MAX_STACKED_ENTRIES = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +406,37 @@ def _diagonal_images(q: float, angles, N: int, monomials):
     return images
 
 
+def _blocks(monomials, N: int, include_infinite: bool) -> tuple:
+    """({(sign, j): first column}, width) of the diagonals in one angle's columns.
+
+    Diagonal (sign, j) is N - j columns wide, and the diagonals are laid
+    out in the order the monomials first reach them; without the shift
+    model there are none.  `_stacked_matrix` allocates this layout, and
+    `joint_kernel_rank` counts it before anything is built.
+    """
+    blocks, width = {}, 0
+    for sign, j, _, _ in monomials if include_infinite else ():
+        if (sign, j) not in blocks:
+            blocks[sign, j] = width
+            width += N - j
+    return blocks, width
+
+
 def _stacked_matrix(q: float, monomials, angles, N: int, include_infinite: bool):
     """The stacked evaluations, restricted to the columns that can be nonzero.
 
     Each angle contributes one block of columns: the diagonals the
-    monomials reach under the shift model (when include_infinite), the
-    block of diagonal (sign, j) N - j columns wide, then the character
+    monomials reach under the shift model (`_blocks`), then the character
     value.  Every other column of the dense stacked matrix is zero in
     every row.
     """
     import numpy as np
 
     images = _diagonal_images(q, angles, N, monomials) if include_infinite else []
-    blocks = {}
-    width = 0
-    for (sign, j, _, _), image in zip(monomials, images):
-        if (sign, j) not in blocks:
-            blocks[sign, j] = width
-            width += image.shape[1]
+    blocks, width = _blocks(monomials, N, include_infinite)
     matrix = np.zeros((len(monomials), len(angles), width + 1), dtype=complex)
     for row, (sign, j, _, _), image in zip(matrix, monomials, images):
-        row[:, blocks[sign, j] : blocks[sign, j] + image.shape[1]] = image
+        row[:, blocks[sign, j] : blocks[sign, j] + N - j] = image
     for row, (sign, j, k, l) in zip(matrix, monomials):
         if k == 0 and l == 0:
             for n, t in enumerate(angles):
@@ -450,11 +464,14 @@ def joint_kernel_rank(
     Full rank is the desk-scale faithfulness witness; dropping the
     infinite-dimensional representations (include_infinite=False) leaves
     the characters, which kill every monomial containing c, so the rank
-    collapses.  A dense matrix of more than MAX_STACKED_ENTRIES entries
-    is an InputError.
+    collapses.  q and N are checked first; then a stacked matrix of more
+    than MAX_STACKED_ENTRIES entries, counted on the `_blocks` layout
+    before anything is built, is an InputError.
     """
     import numpy as np
 
+    if include_infinite:
+        _shift_weights(q, N)  # checks q and N first, as build_rep_su2 does
     if degree > 4:
         raise InputError("degree is capped at 4")
     if t_samples < 3 and include_infinite:
@@ -462,12 +479,13 @@ def joint_kernel_rank(
     if t_samples < 1:
         raise InputError("need at least 1 torus sample")
     monomials = pbw_monomials(degree)
-    width = t_samples * (N * N + 1 if include_infinite else 1)
-    if len(monomials) * width > MAX_STACKED_ENTRIES:
+    entries = len(monomials) * t_samples * (_blocks(monomials, N, include_infinite)[1] + 1)
+    if entries > MAX_STACKED_ENTRIES:
         raise InputError(f"the stacked matrix would have more than {MAX_STACKED_ENTRIES} entries")
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
     matrix = _stacked_matrix(q, monomials, angles, N, include_infinite)
     singular = np.linalg.svd(matrix, compute_uv=False)
+    width = t_samples * (N * N + 1 if include_infinite else 1)
     tol = singular.max() * (max(len(monomials), width) * np.finfo(singular.dtype).eps)
     rank = int(np.count_nonzero(singular > tol))
     return {

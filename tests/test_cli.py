@@ -138,9 +138,10 @@ SIZE_GUARDED = [
     (("numpy.arange", "numpy.zeros"),
      ["affine", "verify", "--l", "30", "--h", "1e-7", "--trials", "1"]),
     (("numpy.zeros",), ["qgroup", "verify", "--q", "0.5", "--truncation", "100000"]),
-    # build_rep_su2 allocates with numpy.zeros before the stacked-matrix guard;
-    # _stacked_matrix builds the diagonal images and allocates their stack
-    (("orbitkit.qgroup._stacked_matrix", "orbitkit.qgroup._diagonal_images"),
+    # the stacked-matrix guard fires before _stacked_matrix builds the diagonal
+    # images and their stack, and before build_rep_su2 allocates N x N matrices
+    (("orbitkit.qgroup._stacked_matrix", "orbitkit.qgroup._diagonal_images",
+      "orbitkit.qgroup.build_rep_su2"),
      ["qgroup", "verify", "--q", "0.5", "--truncation", "64", "--t-samples", "1000"]),
     (("orbitkit.chern.phi",), ["chern", "matrix", "--family", "SU", "--rank", "100000"]),
     (("orbitkit.liealg.LieAlgebra.from_brackets",),

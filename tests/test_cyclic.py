@@ -1,6 +1,7 @@
 """Algebra fixtures, traces, cyclic operators, homology tables, entirety."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -114,6 +115,125 @@ def test_star_is_conjugate_linear():
     starred = A.star_coords(tuple(x))
     assert starred[2] == -I  # -i e21
     assert all(starred[k].is_zero() for k in (0, 1, 3))
+
+
+# ---------------------------------------------------------------------------
+# constructors against their defining identities
+
+_FACTORS = {
+    "C": gauss_field,
+    "dual": dual_numbers,
+    "u2=i": _u_squared_i,
+    "C^2": lambda: gauss_field_power(2),
+    "M2": lambda: matrix_algebra(2),
+}
+
+
+def _basis_vectors(dim):
+    zero = GaussRational.zero()
+    return [tuple(ONE if c == a else zero for c in range(dim)) for a in range(dim)]
+
+
+def _kron(x, u):
+    """Coordinates of x (x) u, with e_a (x) e_b at index a * len(u) + b."""
+    return tuple(s * t for s in x for t in u)
+
+
+# each identity is checked on every pair of basis elements, which decides
+# it by (sesqui)linearity
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name", _FACTORS)
+def test_amplification_obeys_the_matrix_unit_identities(name, r):
+    # (e_ij (x) x)(e_kl (x) y) = delta_jk e_il (x) xy, (e_ij (x) x)^* = e_ji (x) x^*
+    A = _FACTORS[name]()
+    M = matrix_amplification(A, r)
+    e = _basis_vectors(r * r)
+    basis = [(i, j, x) for i in range(r) for j in range(r) for x in _basis_vectors(A.dim)]
+    zero = (GaussRational.zero(),) * M.dim
+    for i, j, x in basis:
+        left = _kron(e[i * r + j], x)
+        assert M.star_coords(left) == _kron(e[j * r + i], A.star_coords(x))
+        for k, l, y in basis:
+            expected = _kron(e[i * r + l], A.mul_coords(x, y)) if j == k else zero
+            assert M.mul_coords(left, _kron(e[k * r + l], y)) == expected
+    diagonal = tuple(ONE if p // r == p % r else GaussRational.zero() for p in range(r * r))
+    assert M.unit == _kron(diagonal, A.unit)
+    suffix = [""] if A.dim == 1 else [f"*{n}" for n in A.basis]
+    assert M.basis == tuple(f"e{i + 1}{j + 1}{s}" for i in range(r) for j in range(r) for s in suffix)
+
+
+def test_tensor_product_multiplies_factorwise():
+    # (x (x) u)(y (x) v) = xy (x) uv and (x (x) u)^* = x^* (x) u^*
+    for (m, left), (n, right) in itertools.product(_FACTORS.items(), repeat=2):
+        L, R = left(), right()
+        T = tensor_product(L, R)
+        basis = [(x, u) for x in _basis_vectors(L.dim) for u in _basis_vectors(R.dim)]
+        for x, u in basis:
+            assert T.star_coords(_kron(x, u)) == _kron(L.star_coords(x), R.star_coords(u))
+            for y, v in basis:
+                expected = _kron(L.mul_coords(x, y), R.mul_coords(u, v))
+                assert T.mul_coords(_kron(x, u), _kron(y, v)) == expected, (m, n)
+        assert T.unit == _kron(L.unit, R.unit)
+        assert T.basis == tuple(f"{a}*{b}" for a in L.basis for b in R.basis)
+
+
+def test_direct_sum_multiplies_blockwise():
+    # (x, u)(y, v) = (xy, uv) and (x, u)^* = (x^*, u^*)
+    for (m, left), (n, right) in itertools.product(_FACTORS.items(), repeat=2):
+        L, R = left(), right()
+        S = direct_sum(L, R)
+        for z in _basis_vectors(S.dim):
+            x, u = z[: L.dim], z[L.dim :]
+            assert S.star_coords(z) == L.star_coords(x) + R.star_coords(u)
+            for w in _basis_vectors(S.dim):
+                y, v = w[: L.dim], w[L.dim :]
+                expected = L.mul_coords(x, y) + R.mul_coords(u, v)
+                assert S.mul_coords(z, w) == expected, (m, n)
+        assert S.unit == L.unit + R.unit
+        assert S.basis == tuple(f"({a},0)" for a in L.basis) + tuple(f"(0,{b})" for b in R.basis)
+
+
+# SHA-256 of json.dumps(A.to_json()), as written before the constructors
+# were rebuilt on one sparse product rule
+_PINNED_JSON = {
+    "M3": (
+        lambda: matrix_algebra(3),
+        "381a43a45ddf2892b505f4cdc4b91a5a2816a7101c1e1bad6680bdde09f7788d",
+    ),
+    "M2(dual)": (
+        lambda: matrix_amplification(dual_numbers(), 2),
+        "341d01bcd432ad47c71ee8d645678a8157736745be262b801f4ce06b27acd74f",
+    ),
+    "M3(C^2)": (
+        lambda: matrix_amplification(gauss_field_power(2), 3),
+        "0c57f83f01fa25651ddfa478963f41fe7b349ef801eb9ac5358e27eaec4105f0",
+    ),
+    "M2(u2=i)": (
+        lambda: matrix_amplification(_u_squared_i(), 2),
+        "7a4ef0cb3b6e8e330f519fceb48af794650b957ce96f600bf6e2cc310a7709f2",
+    ),
+    "dual(x)M2": (
+        lambda: tensor_product(dual_numbers(), matrix_algebra(2)),
+        "72f134a8261020fbdf7ec26c2f31e73b4999dc75322da27d4c2fea68677aa214",
+    ),
+    "dual(x)dual": (
+        lambda: tensor_product(dual_numbers(), dual_numbers()),
+        "5e9b07bec1f53a1d43b3e91533295280a5eb02417d0a2a3a80ba7e367f45d058",
+    ),
+    "M2+dual": (
+        lambda: direct_sum(matrix_algebra(2), dual_numbers()),
+        "3f73607b2a471987496e44c933ad4a2ce1642a110d060bafb289dab6951dc2ef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_JSON)
+def test_constructed_algebras_keep_their_json(name):
+    build, digest = _PINNED_JSON[name]
+    text = json.dumps(build().to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # the basis e'_a = s_a e_a of `_algebra`: the unit path, where every
@@ -848,14 +968,14 @@ def _full_connes_hc(A, truncation, weight_zero=False):
                 reps.append(word)
         tables.append(table)
         cells.append(reps)
-    ranks = [0]
+    ranks, int_table = [0], cyclic_module._int_table(A, tuple(range(A.dim)))
     for n in range(1, truncation + 1):
         pivots = {}
         for word in cells[n]:
-            for col in cyclic_module._columns(A._int_table, n, word, tables[n - 1]):
+            for col in cyclic_module._columns(int_table, n, word, tables[n - 1]):
                 if col:
                     reduce_column(col, pivots)
-        ranks.append(len(pivots) // (1 if A._int_table[1] is None else 2))
+        ranks.append(len(pivots) // (1 if int_table[1] is None else 2))
     return tuple(len(cells[m]) - ranks[m] - ranks[m + 1] for m in range(truncation))
 
 
@@ -1297,12 +1417,8 @@ def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
     # in degree 5, so degree 5 is sampled; the corner of M2(C^2) is C^2,
     # with 10 cells in degree 5
     monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", 100)
-    cyclic_module._rank_table.cache_clear()
-    try:
-        report = hp_homology(_two_cycle(), 5)
-        small = hp_homology(matrix_amplification(gauss_field_power(2), 2), 5)
-    finally:
-        cyclic_module._rank_table.cache_clear()
+    report = hp_homology(_two_cycle(), 5)
+    small = hp_homology(matrix_amplification(gauss_field_power(2), 2), 5)
     assert report.boundary_check == "sampled"
     assert report.hc == (2, 1, 2, 1, 2)
     assert small.boundary_check == "full"
@@ -1343,7 +1459,7 @@ def _two_pass_rank_table(A, weights, truncation):
     check rebuilds the columns of b that the rank has used, and those of
     the degree below.
     """
-    dim, tables = A.dim, A._int_table
+    dim, tables = A.dim, cyclic_module._int_table(A, tuple(range(A.dim)))
     powers = [(s, c) for c, s in cyclic_module._conjugations(A, tuple(range(dim)))]
     classes, ranks, cells, modes = [], [], [], []
     for n in range(truncation + 1):
@@ -1417,7 +1533,7 @@ def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, tr
         monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", limit)
     grading = cyclic_module._peirce_grading(A)
     weights = cyclic_module._letter_weights(grading, truncation + 1)
-    got = cyclic_module._rank_table.__wrapped__(A, tuple(range(A.dim)), weights, truncation)
+    got = cyclic_module._rank_table(A, tuple(range(A.dim)), weights, truncation)
     assert got == _two_pass_rank_table(A, weights, truncation)
     assert got[2] == ("full" if limit is None else "sampled")
 
@@ -1445,7 +1561,6 @@ def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
 
     monkeypatch.setattr(cyclic_module, "_columns", stray)
     message = f"b o b is nonzero at level 5 on word {target}"
-    cyclic_module._rank_table.cache_clear()
     with pytest.raises(RuntimeError, match=re.escape(message)):
         hp_homology(A, 5)
     path = tmp_path / "two_cycle.json"
@@ -1468,6 +1583,34 @@ def test_tensor_square_of_dual_numbers_is_not_stabilized_at_four():
     report = hp_homology(A, truncation=4)
     assert not report.stabilized
     assert report.hc == (4, 1, 5, 2)
+
+
+class _Unhashable(FinAlgebra):
+    """An algebra that cannot be a dict or cache key."""
+
+    def __hash__(self):
+        raise TypeError("unhashable algebra")
+
+
+def test_hp_homology_keys_nothing_by_the_algebra():
+    for A in (_pauli_m2(), matrix_algebra(2), _two_cycle()):
+        B = _Unhashable(A.dim, A.mult, A.unit, A.star, A.basis)
+        with pytest.raises(TypeError):
+            hash(B)
+        assert hp_homology(B, 4) == hp_homology(A, 4)
+
+
+def test_a_corner_with_real_products_is_not_realified():
+    # e12 replaced by i e12: (i e12) e21 = i e11, but the corner e11 is real
+    A = _rescaled(matrix_algebra(2), [1, I, 1, 1])
+    grading = cyclic_module._peirce_grading(A)
+    corner, everything = cyclic_module._corner(A, grading), tuple(range(A.dim))
+    assert corner == (0,)
+    assert cyclic_module._int_table(A, corner)[1] is None
+    assert cyclic_module._int_table(A, everything)[1] is not None
+    for truncation in range(2, 6):
+        realified = cyclic_module._hp(A, grading, everything, truncation)
+        assert hp_homology(A, truncation).hc == realified.hc
 
 
 def test_morita_scalars_to_two_by_two():

@@ -330,14 +330,36 @@ def test_truncation_guard_fires_before_allocating(monkeypatch):
 
 
 def test_stacked_matrix_guard_fires_before_building_reps(monkeypatch):
-    # 14 monomials of degree <= 2, each 1000 * (64^2 + 1) entries wide
-    assert 14 * 1000 * (64**2 + 1) > MAX_STACKED_ENTRIES
+    # 14 monomials of degree <= 2 on diagonals 0, +-1 and +-2: each row is
+    # 1000 * (64 + 2 * 63 + 2 * 62 + 1) entries wide
+    assert 14 * 1000 * 315 > MAX_STACKED_ENTRIES
     _forbid(monkeypatch, qgroup_module, "build_rep_su2")
     _forbid(monkeypatch, qgroup_module, "_diagonal_images")
     with pytest.raises(InputError, match=f"more than {MAX_STACKED_ENTRIES} entries"):
         joint_kernel_rank(0.5, t_samples=1000, N=64)
     # without the shift model each sample adds one column
     assert joint_kernel_rank(0.5, t_samples=1000, N=64, include_infinite=False)["rank"] > 0
+
+
+def test_admission_counts_the_entries_the_stacked_matrix_allocates(monkeypatch):
+    # the count is the shape _stacked_matrix allocates, on both sides of the bound
+    shapes = []
+    stacked = qgroup_module._stacked_matrix
+
+    def recorded(*args):
+        matrix = stacked(*args)
+        shapes.append(matrix.shape)
+        return matrix
+
+    monkeypatch.setattr(qgroup_module, "_stacked_matrix", recorded)
+    # degree 4: 55 monomials on 9 diagonals, 9 N - 20 columns per angle
+    for N, t_samples in ((4, 2242), (1024, 4)):
+        assert 55 * t_samples * (9 * N - 20 + 1) <= MAX_STACKED_ENTRIES
+        joint_kernel_rank(0.5, degree=4, t_samples=t_samples, N=N)
+        assert shapes.pop() == (55, t_samples * (9 * N - 20 + 1))
+        with pytest.raises(InputError, match=f"more than {MAX_STACKED_ENTRIES} entries"):
+            joint_kernel_rank(0.5, degree=4, t_samples=t_samples + 1, N=N)
+    assert not shapes
 
 
 def test_monomial_rows_depend_on_truncation_size():
