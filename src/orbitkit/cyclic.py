@@ -46,19 +46,10 @@ of A's corner with itself.  The report lists the top even/odd homology
 dimensions and whether they agree with the pair two degrees down, which is
 the computable surrogate for the stabilization of the periodic theory.
 
-Within the corner, the basis letters that are units cut the cells once
-more (`_conjugations`).  When letters u and v multiply to c e with
-c != 0, and conjugation by u scales every letter x by a factor r_x / c,
-it scales a word by the product of the factors of its letters.  b and
-lambda commute with this automorphism, so they preserve each of its
-eigenspaces, and inner automorphisms act as the identity on HC (Loday,
-Cyclic Homology, section 4.1), so an eigenspace on which some such u acts
-by a scalar other than 1 is acyclic over Q(i).  Only the cells on which
-every certified conjugation acts by 1 are reduced: for the Pauli basis of
-M2, the words holding as many sx, sy and sz modulo 2.  A group algebra
-gets no certified conjugation, since conjugation permutes its letters
-instead of scaling them, and neither does a commutative algebra, where
-every factor is 1.
+A corner of two or more letters is then rewritten in a basis adapted to
+orthogonal idempotents (`blocks.split_corner`), and graded and cut
+again: the Pauli basis of M2 falls to one letter, and Q(i)[S3] from 6
+letters to 3, one per block of Q(i)^2 + M2.
 
 Ranks are computed exactly by streaming each column of b through
 `exactnum.reduce_column`, the package's one integer column reduction: b is
@@ -922,68 +913,15 @@ def _necklaces(weights: tuple, length: int):
     return extend(1, 1, 0)
 
 
-def _conjugations(A: FinAlgebra, letters: tuple) -> tuple:
-    """(c, s) for each certified conjugation by a basis unit, on ``letters``.
+def _cells(weights: tuple, n: int):
+    """The least word of each weight-0 cell of C^lambda_n that is not killed, in word order.
 
-    ``letters`` span a full corner eAe of A, or all of A; e is the unit's
-    coordinates on them, and e_0 its first nonzero one.  Letter u is
-    certified when some letter v gives e_u e_v = c' e with c' != 0 (then
-    e_v e_u = c' e too, as eAe is finite-dimensional), and e_u x e_v = r_x x
-    is a single term for every letter x.  Conjugation by u is then the
-    inner automorphism x -> u x v / c' of eAe, and it scales letter x by
-    r_x / c'.  With c = c' e_0 and s_x = r_x e_0, it scales a word
-    x_0 ... x_n by 1 exactly when the product of the s_{x_k} is c^(n+1);
-    this takes products only.  A unit that scales every letter by 1 is
-    left out, so an algebra without such a unit gets ().
+    A necklace of least period p is fixed by the rotations by multiples of
+    p, and rotating by p letters multiplies it by (-1)^(np) in
+    C^lambda_n, so it is killed exactly when n p is odd (as `_cell` finds
+    from all of its rotations).
     """
-    kept = set(letters)
-    e = {a: A.unit[a] for a in letters if A.unit[a]}
-    first = min(e)
-    out, seen = [], set()
-    for u, v in A._inverse_pairs[first]:
-        if u in seen or u not in kept or v not in kept:
-            continue
-        uv = dict(A._pairs[u][v])
-        c = uv[first]
-        if uv.keys() != e.keys() or any(uv[a] * e[first] != c * e[a] for a in e):
-            continue
-        seen.add(u)
-        s = []
-        for x in letters:
-            uxv = A._mul(A._pairs[u][x], ((v, _ONE),))
-            if uxv.keys() != {x}:
-                break
-            s.append(uxv[x] * e[first])
-        else:
-            if any(r != c for r in s):
-                out.append((c, tuple(s)))
-    return tuple(out)
-
-
-def _cells(weights: tuple, n: int, conjugations: tuple):
-    """The least word of each weight-0 cell of C^lambda_n that is kept, in word order.
-
-    A cell is kept when it is not killed and every conjugation of
-    ``conjugations`` (see `_conjugations`) scales it by 1; the scale is a
-    product over the letters, so it is computed once per multiset of
-    letters.  A necklace of least period p is fixed by the rotations by
-    multiples of p, and rotating by p letters multiplies it by (-1)^(np)
-    in C^lambda_n, so it is killed exactly when n p is odd (as `_cell`
-    finds from all of its rotations).
-    """
-    powers = [(s, math.prod((c,) * (n + 1), start=_ONE)) for c, s in conjugations]
-    trivial = {}
-    for word, p in _necklaces(weights, n + 1):
-        if n * p % 2:
-            continue
-        key = tuple(sorted(word))
-        kept = trivial.get(key)
-        if kept is None:
-            kept = trivial[key] = all(
-                math.prod((s[a] for a in key), start=_ONE) == power for s, power in powers
-            )
-        if kept:
-            yield word
+    return (word for word, p in _necklaces(weights, n + 1) if n * p % 2 == 0)
 
 
 def _columns(tables: tuple, n: int, word, classes) -> list:
@@ -1060,13 +998,13 @@ def _reduce_degree(tables: tuple, n: int, cells: list, classes, below: dict, kee
 _SQUARE_CHECK_LIMIT = 50000
 
 # Degree T of the chain complex has this many weight-0 words at most, in
-# the letters it is reduced on; past it, hp_homology is an input error.
-# Words are a loose proxy for the cost, which is elimination fill-in on
-# the cells that survive the reductions: the bound admits group algebras
-# that run for many seconds.  On one pinned CPU (2 vCPUs, Python 3.11.7)
-# `cyclic hp` takes about 12.7 s on Q(i)[Z/5] at T = 7 (5^8 words) and
-# 6.9 s on Q(i)[S3] at T = 6 (6^7 words), against 1.5 s on dual numbers
-# at T = 18 (2^19 words).
+# the corner's letters before it is split; past it, hp_homology is an
+# input error.  Words are a loose proxy for the cost, which is elimination
+# fill-in on the cells that survive the reductions.  On one pinned CPU
+# (2 vCPUs, Python 3.11.7) the slowest admitted run known is the u^2 = i
+# algebra at T = 18 (2^19 words, realified), about 52 s, against 1.5 s
+# for dual numbers at T = 18; once split, Q(i)[Z/5] at T = 7 (5^8 words)
+# takes about 3.5 s and Q(i)[S3] at T = 6 (6^7 words) under 10 ms.
 MAX_CHAIN_WORDS = 2**19
 
 # A corner of one letter (M_r, the ground field) has one word per degree,
@@ -1107,19 +1045,16 @@ def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
     """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
 
     The complex is built on the basis letters ``letters`` of A alone
-    (`_int_table`), with ``weights`` their letter weights.  Only the cells
-    that every certified conjugation by a basis unit fixes are reduced
-    (`_conjugations`).  Each degree is one pass (`_reduce_degree`): its
-    cells come from the necklaces and their periods, and each cell's
-    columns of b serve both the b o b check and the rank.  The memo of
-    degree n-1 (`_classes`) and the columns of degree n-1 live only while
-    degree n is reduced.
+    (`_int_table`), with ``weights`` their letter weights.  Each degree is
+    one pass (`_reduce_degree`): its cells come from the necklaces and
+    their periods, and each cell's columns of b serve both the b o b check
+    and the rank.  The memo of degree n-1 (`_classes`) and the columns of
+    degree n-1 live only while degree n is reduced.
     """
-    conjugations = _conjugations(A, letters)
     tables = _int_table(A, letters)
     ranks, cells, modes, below = [0], [], [], {}
     for n in range(truncation + 1):
-        words = list(_cells(weights, n, conjugations))
+        words = list(_cells(weights, n))
         cells.append(len(words))
         # b vanishes on C_0
         if n:
@@ -1165,29 +1100,32 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     homology by Morita invariance (Loday, sections 1.2 and 2.2), and only
     the weight-0 block of the corner's Peirce grading is reduced (see the
     module docstring); an algebra without such a grading keeps every
-    letter and gets the trivial grading through the same code.  Within
-    that block, only the cells that every certified conjugation by a
-    basis unit of the corner fixes are reduced (`_conjugations`, and the
-    module docstring); the other eigenspaces of those inner automorphisms
-    are acyclic.  An algebra with no such unit reduces every cell.  The
-    report's (hp0, hp1) are the homology dimensions in the top even and
-    odd degrees below T; `stabilized` records whether they agree with the
-    pair two degrees down, which is the same comparison as rerunning at
-    T - 2.  `boundary_check` says whether b o b = 0 was verified on every
-    cell of each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells,
-    on 64 sampled ones.  T above `MAX_TRUNCATION`, or more than
-    `MAX_CHAIN_WORDS` words of weight 0 in degree T of the corner (counted
-    before any table is built), is an InputError.
+    letter and gets the trivial grading through the same code.  A corner of
+    two or more letters is then rewritten in a basis adapted to orthogonal
+    idempotents (`blocks.split_corner`), which is graded and cut again:
+    Q(i)[S3] falls from 6 letters to 3.  The report's (hp0, hp1) are the
+    homology dimensions in the top even and odd degrees below T;
+    `stabilized` records whether they agree with the pair two degrees
+    down, which is the same comparison as rerunning at T - 2.
+    `boundary_check` says whether b o b = 0 was verified on every cell of
+    each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells, on 64
+    sampled ones.  T above `MAX_TRUNCATION`, or more than `MAX_CHAIN_WORDS`
+    words of weight 0 in degree T of the corner (counted before the split
+    and before any table is built), is an InputError.
     """
     grading = _peirce_grading(A)
-    return _hp(A, grading, _corner(A, grading), truncation)
+    return _hp(A, grading, _corner(A, grading), truncation, split=True)
 
 
-def _hp(A: FinAlgebra, grading: tuple, letters: tuple, truncation: int) -> HPReport:
+def _hp(
+    A: FinAlgebra, grading: tuple, letters: tuple, truncation: int, split: bool = False
+) -> HPReport:
     """The `hp_homology` report of A, computed on the basis letters ``letters``.
 
     ``grading`` is A's `_peirce_grading`, and ``letters`` spans a full
-    corner of A, or is every letter of A.
+    corner of A, or is every letter of A.  With ``split``, a corner of two
+    or more letters that passes the size guards is replaced by
+    `blocks.split_corner`'s algebra and that algebra's own corner.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
@@ -1204,6 +1142,14 @@ def _hp(A: FinAlgebra, grading: tuple, letters: tuple, truncation: int) -> HPRep
             f"more than {MAX_CHAIN_WORDS} chain words of weight 0 in degree "
             f"{truncation}, on {len(letters)} of the {A.dim} basis letters"
         )
+    if split and len(letters) > 1:
+        from .blocks import split_corner
+
+        B = split_corner(A, letters, grading)
+        if B is not None:
+            A, grading = B, _peirce_grading(B)
+            letters = _corner(A, grading)
+            weights = _letter_weights(tuple(grading[a] for a in letters), length)
     ranks, cells, mode = _rank_table(A, letters, weights, truncation)
     hc = []
     for m in range(truncation):
@@ -1230,9 +1176,8 @@ def morita_check(A: FinAlgebra, m: int = 2, truncation: int = 6) -> dict:
     Verdict is "pass"/"fail" on the component-wise comparison when both
     sides stabilized, and "not stabilized" otherwise.  The amplified side
     is reduced on every letter of M_m(A), not on its corner: that corner is
-    A's own, so the check would compare A's corner with itself.  No letter
-    of M_m(A) is a unit, since each lies in one Peirce space e_ii M e_jj,
-    so no conjugation cuts the amplified side's cells either.
+    A's own, so the check would compare A's corner with itself; nor is it
+    split into idempotent blocks.
     """
     if m < 2:
         raise InputError("morita check needs amplification size m >= 2")

@@ -378,10 +378,11 @@ def _diagonal_images(q: float, angles, N: int, monomials):
     """Each monomial's image under the shift model, as its one diagonal.
 
     a^j c^k c*^l maps e_n to a multiple of e_{n-j}, so its image lies on
-    superdiagonal j, and a*^j c^k c*^l lies on subdiagonal j.  Returns one
+    superdiagonal j, and a*^j c^k c*^l lies on subdiagonal j.  Yields one
     array per monomial whose row i holds the N - j diagonal entries at
     angles[i], in column order; the factors are multiplied in the
-    monomial's order.
+    monomial's order.  Each array is made only when it is asked for, so a
+    caller that copies it and lets it go holds one at a time.
     """
     import numpy as np
 
@@ -394,7 +395,6 @@ def _diagonal_images(q: float, angles, N: int, monomials):
     shifts = [np.ones(N)]
     for j in range(1, max(m[1] for m in monomials) + 1):
         shifts.append(shifts[-1][:-1] * weights[j:])
-    images = []
     for sign, j, k, l in monomials:
         cols = slice(j, N) if sign == "+" else slice(0, N - j)
         image = np.broadcast_to(shifts[j], (len(angles), N - j))
@@ -402,8 +402,7 @@ def _diagonal_images(q: float, angles, N: int, monomials):
             image = image * diagonals[:, cols]
         for _ in range(l):
             image = image * diagonals[:, cols].conj()
-        images.append(image)
-    return images
+        yield image
 
 
 def _blocks(monomials, N: int, include_infinite: bool) -> tuple:
@@ -428,11 +427,12 @@ def _stacked_matrix(q: float, monomials, angles, N: int, include_infinite: bool)
     Each angle contributes one block of columns: the diagonals the
     monomials reach under the shift model (`_blocks`), then the character
     value.  Every other column of the dense stacked matrix is zero in
-    every row.
+    every row.  Each monomial's image is made as it is written into the
+    stack, so the images are never all held beside it.
     """
     import numpy as np
 
-    images = _diagonal_images(q, angles, N, monomials) if include_infinite else []
+    images = _diagonal_images(q, angles, N, monomials) if include_infinite else ()
     blocks, width = _blocks(monomials, N, include_infinite)
     matrix = np.zeros((len(monomials), len(angles), width + 1), dtype=complex)
     for row, (sign, j, _, _), image in zip(matrix, monomials, images):

@@ -117,6 +117,15 @@ def test_reports_are_byte_identical_across_runs():
         assert first.stdout == second.stdout
 
 
+def test_cyclic_hp_on_the_s3_group_algebra():
+    # Burghelea: HC_2m of Q(i)[S3] counts its three conjugacy classes
+    proc = run_cli("cyclic", "hp", "--algebra", str(FIXTURES / "qi_s3.json"), "--truncation", "6")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["result"]
+    assert report["hc"] == [3, 0, 3, 0, 3, 0]
+    assert report["boundary_check"] == "full"
+
+
 def test_seed_enters_the_digest():
     argv = ["lie", "strata", "--algebra", str(FIXTURES / "aff1.json"), "--samples", "100"]
     base = json.loads(run_cli(*argv).stdout)
@@ -406,7 +415,8 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     lazy = ["numpy"] + [
         f"orbitkit.{name}"
         for name in (
-            "affine", "chern", "cyclic", "exactnum", "liealg", "qgroup", "quantize", "strata"
+            "affine", "blocks", "chern", "cyclic", "exactnum", "liealg", "qgroup", "quantize",
+            "strata",
         )
     ]
     code = f"import sys, orbitkit.cli; print([m for m in {lazy!r} if m in sys.modules])"
@@ -422,6 +432,20 @@ def test_qgroup_reps_leaves_numpy_unloaded():
         "print(code, 'numpy' in sys.modules)"
     )
     assert run_python(code).splitlines()[-1] == "0 False"
+
+
+def test_only_corners_of_two_letters_load_the_block_split():
+    # M2's corner is one letter, so cyclic hp compiles no orbitkit.blocks;
+    # Q(i)[S3]'s corner is all six letters
+    code = "import contextlib, io, sys; from orbitkit import cli\n"
+    for name in ("m2", "qi2", "qi_s3"):
+        argv = ["cyclic", "hp", "--algebra", str(FIXTURES / f"{name}.json"), "--truncation", "3"]
+        code += (
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main({argv!r}, standalone_mode=False)\n"
+            "print('orbitkit.blocks' in sys.modules)\n"
+        )
+    assert run_python(code).split() == ["False", "True", "True"]
 
 
 def test_commands_load_neither_dataclasses_nor_inspect():

@@ -10,9 +10,11 @@ import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbitkit.blocks as blocks_module
 import orbitkit.cyclic as cyclic_module
 import orbitkit.exactnum as exactnum
 from orbitkit import cli
@@ -42,6 +44,7 @@ from orbitkit.cyclic import (
 from orbitkit.exactnum import GaussRational, gauss_rank, rational_to_str, reduce_column
 from orbitkit.liealg import InputError
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ONE = GaussRational.one()
 I = GaussRational.i()
 
@@ -1252,51 +1255,40 @@ def test_hp_pauli_basis_matches_matrix_units():
     assert report.boundary_check == "full"
 
 
-def _pauli_cell_count(n):
-    """Rotation classes of C^lambda_n on 1, sx, sy, sz that are not killed
-    and hold as many sx, sy and sz modulo 2, counted over every word."""
-    reps = set()
-    for word in itertools.product(range(4), repeat=n + 1):
-        turns = [word[k:] + word[:k] for k in range(n + 1)]
-        killed = any(turns[k] == word and n * k % 2 for k in range(n + 1))
-        if not killed and word.count(1) % 2 == word.count(2) % 2 == word.count(3) % 2:
-            reps.add(min(turns))
-    return len(reps)
+def _split_corner(A):
+    """`split_corner`'s algebra for the corner of A, and that algebra's own corner."""
+    grading = cyclic_module._peirce_grading(A)
+    B = blocks_module.split_corner(A, cyclic_module._corner(A, grading), grading)
+    return B, cyclic_module._corner(B, cyclic_module._peirce_grading(B))
 
 
-def test_pauli_conjugations_keep_the_even_parity_cells():
-    # sx, sy and sz square to 1 and conjugate the other letters by signs
-    A = _pauli_m2()
-    minus = -ONE
-    assert cyclic_module._conjugations(A, (0, 1, 2, 3)) == (
-        (ONE, (ONE, ONE, minus, minus)),
-        (ONE, (ONE, minus, ONE, minus)),
-        (ONE, (ONE, minus, minus, ONE)),
-    )
-    _, cells, _ = cyclic_module._rank_table(A, (0, 1, 2, 3), (0,) * 4, 6)
-    assert cells == tuple(_pauli_cell_count(n) for n in range(7))
+def test_pauli_splits_to_a_one_letter_corner():
+    # sx squares to 1, so (1 +- sx)/2 are orthogonal idempotents, and the
+    # Peirce basis they give is M2's matrix units up to scale
+    B, corner = _split_corner(_pauli_m2())
+    assert B.dim == 4 and len(corner) == 1
+    assert set(cyclic_module._peirce_grading(B)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # one word per degree, killed in odd degrees
+    _, cells, _ = cyclic_module._rank_table(B, corner, (0,), 6)
+    assert cells == (1, 0, 1, 0, 1, 0, 1)
 
 
 @pytest.mark.parametrize(
     "factors",
     [
-        # c = 4 for 2 sx and c = 2i for (1 + i) sz
+        # 2 sx squares to 4 and (1 + i) sz to 2i
         [1, 2, 1, GaussRational(1, 1)],
-        # the unit is (1/2) times a letter, so e_0 = 1/2
+        # the unit is (1/2) times a letter, so the eigenvalues of 2 sx are +-2
         [2, 2, 1, GaussRational(1, 1)],
     ],
 )
 def test_rescaled_pauli_units_keep_their_cells_and_homology(factors):
     P = _pauli_m2()
     A = _rescaled(P, factors)
-    letters, e0 = (0, 1, 2, 3), A.unit[0]
-    assert [c for c, _ in cyclic_module._conjugations(A, letters)] == [
-        GaussRational(4) * e0,
-        e0,
-        GaussRational(0, 2) * e0,
-    ]
-    assert cyclic_module._rank_table(A, letters, (0,) * 4, 5)[1] == (
-        cyclic_module._rank_table(P, letters, (0,) * 4, 5)[1]
+    (B, corner), (C, pauli_corner) = _split_corner(A), _split_corner(P)
+    assert len(corner) == len(pauli_corner) == 1
+    assert cyclic_module._rank_table(B, corner, (0,), 5) == (
+        cyclic_module._rank_table(C, pauli_corner, (0,), 5)
     )
     assert hp_homology(A, 5).hc == hp_homology(P, 5).hc == (1, 0, 1, 0, 1)
 
@@ -1304,19 +1296,25 @@ def test_rescaled_pauli_units_keep_their_cells_and_homology(factors):
 def test_tensor_square_of_pauli_keeps_one_block_in_sixteen():
     P = _pauli_m2()
     A = tensor_product(P, P)
-    # every letter but 1*1 is a unit whose conjugation flips some signs
-    assert len(cyclic_module._conjugations(A, tuple(range(16)))) == 15
+    # M4 in a basis of Pauli products: one letter of sixteen is left
+    B, corner = _split_corner(A)
+    assert (B.dim, len(corner)) == (16, 1)
     assert hp_homology(A, 3).hc == (1, 0, 1)
 
 
-def test_morita_check_on_pauli_keeps_its_amplified_side_independent():
-    # no letter of M_2(A) is a unit: each lies in one Peirce space, and the
-    # unit has two Peirce components
-    M = matrix_amplification(_pauli_m2(), 2)
-    assert cyclic_module._conjugations(M, tuple(range(M.dim))) == ()
+def test_morita_check_on_pauli_keeps_its_amplified_side_independent(monkeypatch):
+    # only the base is split: the amplified side keeps all 16 letters
+    split, seen = blocks_module.split_corner, []
+
+    def recorded(A, letters, grading):
+        seen.append(A.dim)
+        return split(A, letters, grading)
+
+    monkeypatch.setattr(blocks_module, "split_corner", recorded)
     verdict = morita_check(_pauli_m2(), 2, truncation=4)
     assert verdict["verdict"] == "pass"
     assert verdict["base"] == verdict["amplified"] == [1, 0]
+    assert seen == [4]
 
 
 def _group_algebra(elements):
@@ -1339,13 +1337,46 @@ def _group_algebra(elements):
     )
 
 
+def _signed_permutations(n):
+    """The hyperoctahedral group B_n as permutations of the 2n points +-1..+-n.
+
+    Point k stands for +(k % n + 1) when k < n and for -(k % n + 1) after;
+    a signed permutation moves point k to its image, sign included.  The
+    identity comes first.
+    """
+    return [
+        tuple(p[k % n] + n * (k // n ^ s[k % n]) for k in range(2 * n))
+        for p in itertools.permutations(range(n))
+        for s in itertools.product((0, 1), repeat=n)
+    ]
+
+
+def _cyclic_group(n):
+    return [tuple((i + k) % n for i in range(n)) for k in range(n)]
+
+
+_GROUPS = {
+    "S2": lambda: list(itertools.permutations(range(2))),
+    "S3": lambda: list(itertools.permutations(range(3))),
+    "B2": lambda: _signed_permutations(2),
+    **{f"Z/{n}": (lambda n=n: _cyclic_group(n)) for n in range(3, 7)},
+}
+
+
 @pytest.mark.parametrize(
     "elements, truncation, hc",
     [
-        # S3: three conjugacy classes, and conjugation permutes the letters
+        # S3: three conjugacy classes
         (list(itertools.permutations(range(3))), 4, (3, 0, 3, 0)),
-        # Z/3: commutative, so every conjugation scales each letter by 1
+        # Z/3: commutative, so every element is its own class
         ([(0, 1, 2), (1, 2, 0), (2, 0, 1)], 6, (3, 0, 3, 0, 3, 0)),
+        (_GROUPS["S2"](), 6, (2, 0, 2, 0, 2, 0)),
+        (_GROUPS["S3"](), 6, (3, 0, 3, 0, 3, 0)),
+        # B2, the dihedral group of order 8: five classes
+        (_GROUPS["B2"](), 5, (5, 0, 5, 0, 5)),
+        (_GROUPS["Z/4"](), 6, (4, 0, 4, 0, 4, 0)),
+        (_GROUPS["Z/5"](), 5, (5, 0, 5, 0, 5)),
+        (_GROUPS["Z/6"](), 5, (6, 0, 6, 0, 6)),
     ],
 )
 def test_group_algebras_match_the_conjugacy_class_count(elements, truncation, hc):
@@ -1358,8 +1389,124 @@ def test_group_algebras_match_the_conjugacy_class_count(elements, truncation, hc
         any(A.basis_product(u, v) == ((0, ONE),) for v in letters) for u in letters
     )
     assert _corner(A) == letters
-    assert cyclic_module._conjugations(A, letters) == ()
     assert hp_homology(A, truncation).hc == hc
+
+
+@pytest.mark.parametrize(
+    "name, letters, idempotents",
+    [
+        # Q(i)^2
+        ("S2", 2, 2),
+        # Q(i)^2 + M2: the transpositions split M2's unit into two conjugate
+        # idempotents, and the corner keeps one
+        ("S3", 3, 4),
+        # Q(i)^4 + M2: the rotation's eigenvalues +-1, +-i, then a reflection
+        ("B2", 5, 6),
+        # x^n - 1 has the roots 1 (and -1 for even n) in Q(i), and +-i for
+        # n = 4; the remainder is Q(i)(zeta_3) for n = 3 and Q(i)(zeta_5)
+        # for n = 5, and for n = 6 Q(i)(zeta_3) + Q(i)(zeta_6), which g^3
+        # splits by its eigenvalues +1 and -1
+        ("Z/3", 3, 2),
+        ("Z/4", 4, 4),
+        ("Z/5", 5, 2),
+        ("Z/6", 6, 4),
+    ],
+)
+def test_group_algebras_split_into_their_blocks(name, letters, idempotents):
+    A = _group_algebra(_GROUPS[name]())
+    B, corner = _split_corner(A)
+    grading = cyclic_module._peirce_grading(B)
+    assert B.dim == A.dim
+    assert len({i for i, _ in grading}) == idempotents
+    assert len(corner) == letters
+    # every kept block is a field or a matrix corner: letters of distinct
+    # idempotents never multiply
+    assert all(
+        not B.basis_product(a, b)
+        for a in corner
+        for b in corner
+        if grading[a][1] != grading[b][0]
+    )
+
+
+def test_eigen_idempotents_of_single_letters():
+    eigen = blocks_module._eigen_idempotents
+    half = GaussRational.from_rational(Fraction(1, 2))
+    third = GaussRational.from_rational(Fraction(1, 3))
+    # e11 in M2 has the simple roots 0 and 1: e22 and e11, with no remainder
+    M = matrix_algebra(2)
+    assert eigen(M, {0: ONE, 3: ONE}, {0: ONE}) == [{3: ONE}, {0: ONE}]
+    # a generator of Z/3: root 1 gives the class sum / 3, and the remainder
+    # is the field block Q(i)(zeta_3), where x^2 + x + 1 has no root
+    Z3 = _group_algebra(_cyclic_group(3))
+    average = {0: third, 1: third, 2: third}
+    assert eigen(Z3, {0: ONE}, {1: ONE}) == [average, {0: 2 * third, 1: -third, 2: -third}]
+    # sx/2 has p = t^2 - 1/4, so s = 4, and the roots +-2 of 16 p(y/4) = y^2 - 4
+    # give the eigenvalues +-1/2
+    P = _pauli_m2()
+    assert eigen(P, {0: ONE}, {1: half}) == [{0: half, 1: -half}, {0: half, 1: half}]
+    # eps is nilpotent: 0 is a double root; 64 sx has a constant term of norm
+    # 2^24, above the search bound; u^2 = i has no root in Q(i)
+    assert eigen(dual_numbers(), {0: ONE}, {1: ONE}) == [{0: ONE}]
+    assert eigen(P, {0: ONE}, {1: GaussRational(64)}) == [{0: ONE}]
+    assert eigen(_u_squared_i(), {0: ONE}, {1: ONE}) == [{0: ONE}]
+
+
+def test_the_s3_fixture_is_the_group_algebra_of_s3():
+    # written as json.dumps(_group_algebra(S3).to_json(), indent=2, sort_keys=True)
+    assert FinAlgebra.load(FIXTURES / "qi_s3.json") == _group_algebra(_GROUPS["S3"]())
+
+
+def _symplectic_m2():
+    """M2 with the involution e11 <-> e22, e12 -> -e12, e21 -> -e21 (the adjugate)."""
+    M, zero = matrix_algebra(2), GaussRational.zero()
+    images = {0: (3, ONE), 1: (1, -ONE), 2: (2, -ONE), 3: (0, ONE)}
+    star = tuple(
+        tuple(images[a][1] if c == images[a][0] else zero for c in range(4)) for a in range(4)
+    )
+    return FinAlgebra(4, M.mult, M.unit, star, M.basis)
+
+
+def test_a_corner_that_the_involution_leaves_is_not_split():
+    # the corner is e11 (x) Pauli, and its involution lands in e22 (x) Pauli,
+    # so no involution can be carried over to a new basis of the corner
+    A = tensor_product(_symplectic_m2(), _pauli_m2())
+    grading = cyclic_module._peirce_grading(A)
+    corner = cyclic_module._corner(A, grading)
+    assert len(corner) == 4
+    assert blocks_module.split_corner(A, corner, grading) is None
+    assert hp_homology(A, 4).hc == (1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("fault", ["halves", "twice"])
+def test_refinements_that_fail_the_exact_check_are_dropped(monkeypatch, fault):
+    half = GaussRational.from_rational(Fraction(1, 2))
+
+    def wrong(A, f, w):
+        # f/2 twice sums to f but is not idempotent; f twice is idempotent
+        # but sums to 2 f
+        scaled = {a: half * v for a, v in f.items()}
+        return {"halves": [scaled, scaled], "twice": [f, f]}[fault]
+
+    monkeypatch.setattr(blocks_module, "_eigen_idempotents", wrong)
+    for A in (_pauli_m2(), _group_algebra(_GROUPS["S3"]())):
+        grading = cyclic_module._peirce_grading(A)
+        assert blocks_module.split_corner(A, cyclic_module._corner(A, grading), grading) is None
+    assert hp_homology(_pauli_m2(), 4).hc == (1, 0, 1, 0)
+
+
+def test_the_split_runs_after_the_size_guards_on_corners_of_two_letters(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the corner was split")
+
+    monkeypatch.setattr(blocks_module, "split_corner", forbidden)
+    # one-letter corners skip the split
+    for A in (matrix_algebra(4), gauss_field(), FinAlgebra.load(FIXTURES / "qi.json")):
+        assert hp_homology(A, 4).hc == (1, 0, 1, 0)
+    # admission is decided on the corner before the split, with the same message
+    message = f"more than {MAX_CHAIN_WORDS} chain words of weight 0 in degree 9, on 4 of the 4"
+    with pytest.raises(InputError, match=re.escape(message)):
+        hp_homology(_pauli_m2(), 9)
 
 
 def test_hp_truncation_guard():
@@ -1445,7 +1592,7 @@ def test_necklace_periods_kill_the_cells_that_rotations_kill(dims, lengths, peir
                 if cell is not None:
                     assert cell == (cyclic_module._flat(word, dim), False)
                     kept.append(word)
-            assert list(cyclic_module._cells(weights, n, ())) == kept
+            assert list(cyclic_module._cells(weights, n)) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -1460,7 +1607,6 @@ def _two_pass_rank_table(A, weights, truncation):
     the degree below.
     """
     dim, tables = A.dim, cyclic_module._int_table(A, tuple(range(A.dim)))
-    powers = [(s, c) for c, s in cyclic_module._conjugations(A, tuple(range(dim)))]
     classes, ranks, cells, modes = [], [], [], []
     for n in range(truncation + 1):
         classes.append(cyclic_module._classes(dim))
@@ -1468,10 +1614,6 @@ def _two_pass_rank_table(A, weights, truncation):
             word
             for word, _ in cyclic_module._necklaces(weights, n + 1)
             if classes[n][word] is not None
-            and all(
-                math.prod((s[a] for a in word), start=ONE) == math.prod((c,) * (n + 1), start=ONE)
-                for s, c in powers
-            )
         ]
         cells.append(len(words))
         if n == 0:
@@ -1542,9 +1684,8 @@ def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, tr
 def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
     A = _two_cycle()
     weights = cyclic_module._letter_weights(cyclic_module._peirce_grading(A), 6)
-    # no letter is a unit, so no conjugation is certified; the target is the
-    # first of the 64 cells that sampled mode checks
-    cells = list(cyclic_module._cells(weights, 5, ()))
+    # the target is the first of the 64 cells that sampled mode checks
+    cells = list(cyclic_module._cells(weights, 5))
     target = random.Random(2026 * 5 + 4).sample(cells, 64)[0]
     if limit is not None:
         monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", limit)

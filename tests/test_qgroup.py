@@ -416,7 +416,7 @@ def _dense_stacked(q, degree, t_samples, N, include_infinite):
 def test_diagonal_images_match_the_dense_products(N):
     monomials = pbw_monomials(4)
     for q, angles in ((0.5, [0.0, 2.0]), (0.93, [1.0, 4.5]), (1e-3, [3.0]), (1e-320, [0.7])):
-        images = qgroup_module._diagonal_images(q, angles, N, monomials)
+        images = list(qgroup_module._diagonal_images(q, angles, N, monomials))
         for i, t in enumerate(angles):
             rep = build_rep_su2(q, t, N)
             for (sign, j, k, l), image in zip(monomials, images):
@@ -428,6 +428,28 @@ def test_diagonal_images_match_the_dense_products(N):
                 # nothing of the dense image lies off that diagonal
                 off = dense - np.diag(np.diagonal(dense, offset), offset)
                 assert np.count_nonzero(off) == 0, (q, t, N, sign, j, k, l)
+
+
+@pytest.mark.parametrize("N, degree, t_samples", [(4, 4, 7), (5, 3, 4), (16, 2, 3)])
+def test_stack_filled_image_by_image_matches_the_stacked_image_list(N, degree, t_samples):
+    # the stack laid out from every image at once, as it was built before
+    # each image was written as it was made: the same array, bit for bit
+    monomials = pbw_monomials(degree)
+    angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
+    images = list(qgroup_module._diagonal_images(0.5, angles, N, monomials))
+    blocks, width = qgroup_module._blocks(monomials, N, True)
+    reference = np.zeros((len(monomials), t_samples, width + 1), dtype=complex)
+    for row, (sign, j, k, l), image in zip(reference, monomials, images):
+        row[:, blocks[sign, j] : blocks[sign, j] + N - j] = image
+        for n, t in enumerate(angles if k == 0 and l == 0 else ()):
+            row[n, width] = (np.exp(1j * t) if sign == "+" else np.exp(-1j * t)) ** j
+    reference = reference.reshape(len(monomials), -1)
+    stacked = qgroup_module._stacked_matrix(0.5, monomials, angles, N, True)
+    assert stacked.tobytes() == reference.tobytes()
+    assert (
+        np.linalg.svd(stacked, compute_uv=False).tobytes()
+        == np.linalg.svd(reference, compute_uv=False).tobytes()
+    )
 
 
 RANK_SWEEP = [
