@@ -10,10 +10,11 @@ basis expansion, then into the eigen-idempotents of f z f for each kept
 idempotent f and each letter z: polynomials in f z f, one for each simple
 root of its minimal polynomial in Q(i), and one remainder for the factors
 with no root, with no polynomial factoring.  Each refinement is kept only
-once its pieces are checked exactly to be orthogonal idempotents summing
-to f.  The corner is then rewritten in a basis of the Peirce spaces
-e_i A e_j, through the exact inverse of the change of basis.  Each step
-is exact, so a homology computed on the result is still a theorem.
+once its pieces are checked exactly to be idempotents summing to f,
+which makes them orthogonal.  The corner is then rewritten in a basis of
+the Peirce spaces e_i A e_j, through the exact inverse of the change of
+basis.  Each step is exact, so a homology computed on the result is
+still a theorem.
 """
 
 from __future__ import annotations
@@ -130,14 +131,14 @@ def split_corner(A: FinAlgebra, letters: tuple, grading: tuple):
     into the terms of its basis expansion, then, letter z by letter z,
     each idempotent f into the eigen-idempotents of f z f in fAf
     (`_eigen_idempotents`).  A refinement is kept only when its pieces
-    are checked exactly to be idempotent, pairwise orthogonal and to sum
-    to f.  The new basis is each e_i, then a basis of each e_i A e_j
-    picked from the products e_i x e_j; P, the matrix of its vectors, is
-    inverted once (`_Span`), and the new algebra is P^-1 applied to the
-    products of P's columns, with involution P^-1 S conj(P).  Its unit is
-    the sum of the e_i, so `_peirce_grading` grades it.  None when the
-    refinement finds no idempotent beyond the grading's, or when the
-    involution leaves the corner.
+    are checked exactly to be idempotent and to sum to f; that makes them
+    pairwise orthogonal.  The new basis is each e_i, then a basis of each
+    e_i A e_j picked from the products e_i x e_j; P, the matrix of its
+    vectors, is inverted once (`_Span`), and the new algebra is P^-1
+    applied to the products of P's columns, with involution P^-1 S
+    conj(P).  Its unit is the sum of the e_i, so `_peirce_grading` grades
+    it.  None when the refinement finds no idempotent beyond the
+    grading's, or when the involution leaves the corner.
     """
     e = {a: A.unit[a] for a in letters if A.unit[a]}
 
@@ -145,8 +146,12 @@ def split_corner(A: FinAlgebra, letters: tuple, grading: tuple):
         return A._mul(x.items(), y.items())
 
     def refine(f, pieces):
+        # idempotents q_i summing to the idempotent f are orthogonal: with L_x
+        # the left multiplication on A, rank L_f = tr L_f = sum tr L_q = sum
+        # rank L_q in characteristic 0, so the images q_i A form a direct
+        # sum, and q_i q_j = L_q_i L_q_j 1 = 0 for i != j
         exact = len(pieces) > 1 and _combine((_ONE, q.items()) for q in pieces) == f and all(
-            mul(q, r) == (q if q is r else {}) for q in pieces for r in pieces
+            mul(q, q) == q for q in pieces
         )
         return pieces if exact else [f]
 

@@ -258,7 +258,7 @@ def _qgroup_verify(args):
     """Relation residuals, character constraints, joint-kernel rank."""
     from . import qgroup
 
-    # the rank runs first, so its size guard fires before any N x N matrix
+    # the rank runs first, so its size guard fires before the model is built
     ranks = qgroup.joint_kernel_rank(
         args.q, degree=args.degree, t_samples=args.t_samples, N=args.truncation
     )

@@ -420,15 +420,6 @@ class Trace(NamedTuple):
         return Trace.from_json(data)
 
 
-def normalized_matrix_trace(r: int) -> Trace:
-    """(1/r) * matrix trace on the matrix-unit basis of M_r."""
-    dim = r * r
-    coords = [_ZERO] * dim
-    for i in range(r):
-        coords[i * r + i] = GaussRational.from_rational(Fraction(1, r))
-    return Trace(tuple(coords))
-
-
 def _random_element(A: FinAlgebra, rng: random.Random) -> tuple:
     return tuple(
         GaussRational(

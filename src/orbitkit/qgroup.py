@@ -8,16 +8,19 @@ greedy descent.  `rep_catalog` lists the irreducible representations
 rho_{w,t} over a sampled torus with the dimension dichotomy: dimension 1
 exactly for w = e, infinite otherwise.
 
-`build_rep_su2` materializes the truncated infinite-dimensional model on
-basis e_0..e_{N-1}:
+`build_rep_su2` gives the truncated infinite-dimensional model on basis
+e_0..e_{N-1},
 
     a e_n = sqrt(1 - q^(2n)) e_{n-1},    c e_n = e^{it} q^n e_n,
 
-and the 1x1 character model a -> e^{it}, c -> 0.  The five defining
-relations are checked numerically by `relation_residuals`; the truncation
-only disturbs the relation a a* + q^2 c c* = 1 in its last diagonal entry,
-so the interior window (all but the last row and column) is clean to
-rounding while the boundary defect is order one and reported separately.
+as its two diagonals: a's superdiagonal weights and c's diagonal.  No
+N x N matrix is built.  `relation_residuals` checks the five defining
+relations numerically, each on the one diagonal where it lives, in O(N);
+the truncation only disturbs the relation a a* + q^2 c c* = 1 in its last
+diagonal entry, so the interior window (all but the last entry of each
+diagonal) is clean to rounding while the boundary defect is order one and
+reported separately.  The characters (w = e) are treated analytically by
+`character_constraints` and evaluated directly in the joint-kernel stack.
 
 `joint_kernel_rank` stacks the evaluations of all PBW monomials of bounded
 degree under sampled representations and characters and reports the
@@ -50,10 +53,11 @@ MAX_TRUNCATION = 1024
 # entries of the stacked matrix that joint_kernel_rank allocates (monomials
 # x t_samples x (the `_blocks` width + 1)), counted before anything is built;
 # more is an input error.  Its SVD copies it, so a run takes about 32 bytes
-# per entry above start-up: on one pinned CPU (2 vCPUs) `qgroup verify
-# --truncation 4 --degree 4` peaks at 98 MB at --t-samples 2242, the most
-# this admits.  Every admitted --truncation 1024 run peaks at about 148 MB,
-# nearly all of it the N x N relation residuals, not this stack.
+# per entry above start-up; the relation residuals hold O(N).  On one
+# pinned CPU (2 vCPUs, max RSS from wait4) `qgroup verify --truncation 4
+# --degree 4` peaks at 97 MB at --t-samples 2242, the most this admits,
+# and --truncation 1024 at 34 MB with --degree 1 --t-samples 3 and 92 MB
+# with --degree 4 --t-samples 4.
 MAX_STACKED_ENTRIES = 2**21
 
 
@@ -218,40 +222,28 @@ def rep_catalog(family: str, rank: int, t_samples: int):
 
 
 class TruncatedRep(NamedTuple):
-    """Matrices for the generators a and c at truncation N."""
+    """The shift model at truncation N as the two diagonals of its generators.
+
+    w[n] = sqrt(1 - q^(2n)) is entry (n - 1, n) of a, so w[0] = 0 and a
+    is the superdiagonal w[1:]; d[n] = e^{it} q^n is entry (n, n) of c.
+    """
 
     q: float
     t: float
     N: int
-    a: np.ndarray
-    c: np.ndarray
-    kind: str  # "shift" for the truncated infinite model, "character" for w=e
+    w: np.ndarray
+    d: np.ndarray
 
 
-def build_rep_su2(q: float, t: float, N: int, element: str = "s") -> TruncatedRep:
-    """Truncated generator matrices of quantized SU(2).
+def build_rep_su2(q: float, t: float, N: int) -> TruncatedRep:
+    """The infinite-dimensional model of quantized SU(2) cut to e_0..e_{N-1}.
 
-    With element "s" (the nonidentity reflection) the infinite-dimensional
-    model is cut to basis e_0..e_{N-1}: a is the weighted down-shift
-    a[n-1, n] = sqrt(1 - q^(2n)) and c the diagonal e^{it} q^n.  With
-    element "e" the 1x1 character model a = e^{it}, c = 0 is returned and
-    N is ignored.
+    a e_n = w_n e_{n-1} and c e_n = d_n e_n; q and N are checked first.
     """
     import numpy as np
 
-    if not 0.0 < q < 1.0:
-        raise InputError("q must lie strictly between 0 and 1")
-    if element == "e":
-        a = np.array([[np.exp(1j * t)]], dtype=complex)
-        c = np.zeros((1, 1), dtype=complex)
-        return TruncatedRep(q, t, 1, a, c, "character")
-    if element != "s":
-        raise InputError(f"element must be 's' or 'e', got {element!r}")
-    weights = _shift_weights(q, N)
-    a = np.zeros((N, N), dtype=complex)
-    a[range(N - 1), range(1, N)] = weights[1:]
-    c = np.diag(_diagonal(q, t, N)).astype(complex)
-    return TruncatedRep(q, t, N, a, c, "shift")
+    weights = np.array(_shift_weights(q, N))
+    return TruncatedRep(q, t, N, weights, np.array(_diagonal(q, t, N)))
 
 
 def _shift_weights(q: float, N: int) -> list:
@@ -276,49 +268,40 @@ def _diagonal(q: float, t: float, N: int) -> list:
     return [phase * q**n for n in range(N)]
 
 
-def _relation_matrices(rep: TruncatedRep):
-    """Yield (name, residual matrix) per relation, one matrix alive at a time."""
-    import numpy as np
-
-    a, c, q = rep.a, rep.c, rep.q
-    a_s = a.conj().T
-    c_s = c.conj().T
-    eye = np.eye(rep.N, dtype=complex)
-    yield "ac=qca", a @ c - q * (c @ a)
-    yield "ac*=qc*a", a @ c_s - q * (c_s @ a)
-    yield "cc*=c*c", c @ c_s - c_s @ c
-    yield "a*a+c*c=1", a_s @ a + c_s @ c - eye
-    yield "aa*+q^2cc*=1", a @ a_s + q * q * (c @ c_s) - eye
-
-
 def relation_residuals(rep: TruncatedRep) -> dict:
     """Max-entry residuals of the five relations, interior and full.
 
-    The interior window drops the last row and column, where the
-    truncation makes a a* + q^2 c c* fall short of the identity by an
-    order-one amount; that boundary defect is reported separately.
+    Each relation's residual lies on one diagonal: a c - q c a and
+    a c* - q c* a on the superdiagonal, the rest on the diagonal, where
+    c c* - c* c vanishes exactly.  Each is formed as the dense matrix
+    product rounds it, so the residuals are those of the N x N matrices.
+    The interior window drops the last row and column, that is, the last
+    entry of each diagonal, where the truncation makes a a* + q^2 c c*
+    fall short of the identity by an order-one amount; that boundary
+    defect is reported separately.
     """
     import numpy as np
 
+    w, d, q = rep.w, rep.d, rep.q
+    modulus = d.real**2 + d.imag**2
+    diagonals = {
+        "ac=qca": w[1:] * d[1:] - q * (d[:-1] * w[1:]),
+        "ac*=qc*a": w[1:] * d[1:].conj() - q * (d[:-1].conj() * w[1:]),
+        "cc*=c*c": np.zeros(rep.N),
+        "a*a+c*c=1": w * w + modulus - 1,
+        "aa*+q^2cc*=1": np.append(w[1:] * w[1:], 0) + q * q * modulus - 1,
+    }
     per_relation = {}
-    interior_max = 0.0
-    full_max = 0.0
-    for name, mat in _relation_matrices(rep):
-        full = float(np.max(np.abs(mat))) if mat.size else 0.0
-        window = mat[:-1, :-1]
-        interior = float(np.max(np.abs(window))) if window.size else 0.0
-        per_relation[name] = {"interior": interior, "full": full}
-        interior_max = max(interior_max, interior)
-        full_max = max(full_max, full)
-        # let this relation's matrix go before the next one is built
-        del mat, window
+    for name, diagonal in diagonals.items():
+        residual = np.abs(diagonal)
+        per_relation[name] = {"interior": float(residual[:-1].max()), "full": float(residual.max())}
     return {
-        "interior": interior_max,
-        "boundary": full_max,
+        "interior": max(r["interior"] for r in per_relation.values()),
+        "boundary": max(r["full"] for r in per_relation.values()),
         "relations": per_relation,
         "N": rep.N,
         "q": rep.q,
-        "kind": rep.kind,
+        "kind": "shift",
     }
 
 

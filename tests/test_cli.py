@@ -148,7 +148,7 @@ SIZE_GUARDED = [
      ["affine", "verify", "--l", "30", "--h", "1e-7", "--trials", "1"]),
     (("numpy.zeros",), ["qgroup", "verify", "--q", "0.5", "--truncation", "100000"]),
     # the stacked-matrix guard fires before _stacked_matrix builds the diagonal
-    # images and their stack, and before build_rep_su2 allocates N x N matrices
+    # images and their stack, and before build_rep_su2 builds the model
     (("orbitkit.qgroup._stacked_matrix", "orbitkit.qgroup._diagonal_images",
       "orbitkit.qgroup.build_rep_su2"),
      ["qgroup", "verify", "--q", "0.5", "--truncation", "64", "--t-samples", "1000"]),

@@ -36,7 +36,6 @@ from orbitkit.cyclic import (
     matrix_algebra,
     matrix_amplification,
     morita_check,
-    normalized_matrix_trace,
     parse_norm_pattern,
     tensor_product,
     verify_trace,
@@ -53,6 +52,14 @@ def _inverse(z):
     """1/z for a nonzero Gaussian rational, computed on its Fraction parts."""
     norm = z.re * z.re + z.im * z.im
     return GaussRational(z.re / norm, -z.im / norm)
+
+
+def _normalized_matrix_trace(r):
+    """(1/r) * matrix trace on the matrix-unit basis of M_r."""
+    coords = [GaussRational.zero()] * (r * r)
+    for i in range(r):
+        coords[i * r + i] = GaussRational.from_rational(Fraction(1, r))
+    return Trace(tuple(coords))
 
 
 def _unit_chain(A, level, word):
@@ -487,7 +494,7 @@ def test_the_u_squared_i_algebra_survives_a_json_load():
 
 
 def test_normalized_matrix_trace_passes_all_axioms():
-    report = verify_trace(matrix_algebra(2), normalized_matrix_trace(2))
+    report = verify_trace(matrix_algebra(2), _normalized_matrix_trace(2))
     assert report["passed"]
     assert report["failures"] == []
 
@@ -510,11 +517,11 @@ def test_zero_trace_fails_normalization_and_faithfulness():
 
 def test_trace_dimension_mismatch():
     with pytest.raises(InputError):
-        verify_trace(gauss_field(), normalized_matrix_trace(2))
+        verify_trace(gauss_field(), _normalized_matrix_trace(2))
 
 
 def test_trace_json_round_trip():
-    tau = normalized_matrix_trace(3)
+    tau = _normalized_matrix_trace(3)
     assert Trace.from_json(tau.to_json()).coords == tau.coords
 
 
@@ -1493,6 +1500,30 @@ def test_refinements_that_fail_the_exact_check_are_dropped(monkeypatch, fault):
         grading = cyclic_module._peirce_grading(A)
         assert blocks_module.split_corner(A, cyclic_module._corner(A, grading), grading) is None
     assert hp_homology(_pauli_m2(), 4).hc == (1, 0, 1, 0)
+
+
+def test_idempotents_summing_to_an_idempotent_are_orthogonal(monkeypatch):
+    # split_corner checks only q q = q and the sum; every refinement it
+    # keeps must then be pairwise orthogonal
+    kept = []
+    eigen = blocks_module._eigen_idempotents
+
+    def recorded(A, f, w):
+        pieces = eigen(A, f, w)
+        idempotent = all(A._mul(q.items(), q.items()) == q for q in pieces)
+        total = cyclic_module._combine((ONE, q.items()) for q in pieces)
+        if len(pieces) > 1 and idempotent and total == f:
+            kept.append((A, pieces))
+        return pieces
+
+    monkeypatch.setattr(blocks_module, "_eigen_idempotents", recorded)
+    for A in (_pauli_m2(), *(_group_algebra(_GROUPS[name]()) for name in ("S3", "B2", "Z/6"))):
+        grading = cyclic_module._peirce_grading(A)
+        assert blocks_module.split_corner(A, cyclic_module._corner(A, grading), grading)
+    assert len(kept) >= 4
+    for A, pieces in kept:
+        for q, r in itertools.permutations(pieces, 2):
+            assert A._mul(q.items(), r.items()) == {}
 
 
 def test_the_split_runs_after_the_size_guards_on_corners_of_two_letters(monkeypatch):

@@ -136,20 +136,50 @@ def test_catalog_guard(monkeypatch):
 # truncated model
 
 
+def _dense_rep(q, t, N):
+    """The oracle: a and c as dense N x N matrices, from the model's definition."""
+    a = np.zeros((N, N), dtype=complex)
+    a[range(N - 1), range(1, N)] = [math.sqrt(1.0 - q ** (2 * n)) for n in range(1, N)]
+    c = np.diag([np.exp(1j * t) * q**n for n in range(N)]).astype(complex)
+    return a, c
+
+
+def _dense_residuals(q, t, N):
+    """relation_residuals' report, computed on the dense matrices, one relation at a time."""
+    a, c = _dense_rep(q, t, N)
+    a_s, c_s, eye = a.conj().T, c.conj().T, np.eye(N, dtype=complex)
+    relations = {
+        "ac=qca": lambda: a @ c - q * (c @ a),
+        "ac*=qc*a": lambda: a @ c_s - q * (c_s @ a),
+        "cc*=c*c": lambda: c @ c_s - c_s @ c,
+        "a*a+c*c=1": lambda: a_s @ a + c_s @ c - eye,
+        "aa*+q^2cc*=1": lambda: a @ a_s + q * q * (c @ c_s) - eye,
+    }
+    per_relation = {}
+    for name, residual in relations.items():
+        mat = np.abs(residual())
+        per_relation[name] = {"interior": float(mat[:-1, :-1].max()), "full": float(mat.max())}
+    return {
+        "interior": max(r["interior"] for r in per_relation.values()),
+        "boundary": max(r["full"] for r in per_relation.values()),
+        "relations": per_relation,
+        "N": N,
+        "q": q,
+        "kind": "shift",
+    }
+
+
 def test_build_rep_shift_matrices():
-    rep = build_rep_su2(0.5, 0.0, 8)
-    assert rep.kind == "shift"
-    assert rep.a[0, 1] == pytest.approx(math.sqrt(1.0 - 0.25))
-    assert rep.a[7, 7] == 0.0
-    assert rep.c[3, 3] == pytest.approx(0.5**3)
-
-
-def test_build_rep_character_model():
-    rep = build_rep_su2(0.5, 1.0, 99, element="e")
-    assert rep.kind == "character"
-    assert rep.N == 1
-    assert rep.a[0, 0] == pytest.approx(complex(math.cos(1.0), math.sin(1.0)))
-    assert rep.c[0, 0] == 0.0
+    # the two diagonals are those of the oracle's matrices, and nothing else is
+    rep = build_rep_su2(0.7, 2.5, 16)
+    a, c = _dense_rep(0.7, 2.5, 16)
+    assert rep.w[0] == 0.0
+    assert rep.w[1] == pytest.approx(math.sqrt(1.0 - 0.49))
+    assert rep.w[1:].astype(complex).tolist() == np.diagonal(a, 1).tolist()
+    assert np.count_nonzero(a) == 15
+    assert rep.d.tolist() == np.diagonal(c).tolist()
+    assert rep.d[3] == pytest.approx(0.7**3 * complex(math.cos(2.5), math.sin(2.5)))
+    assert np.count_nonzero(c - np.diag(rep.d)) == 0
 
 
 def test_build_rep_guards():
@@ -158,19 +188,6 @@ def test_build_rep_guards():
             build_rep_su2(q, 0.0, 16)
     with pytest.raises(InputError):
         build_rep_su2(0.5, 0.0, 3)
-    with pytest.raises(InputError):
-        build_rep_su2(0.5, 0.0, 16, element="w")
-
-
-def test_shift_matrices_hold_the_shared_weights_and_diagonal():
-    # build_rep_su2 and the rank path read one definition of the model
-    rep = build_rep_su2(0.7, 2.5, 16)
-    weights = qgroup_module._shift_weights(0.7, 16)
-    assert weights[0] == 0.0
-    assert rep.a[range(15), range(1, 16)].tolist() == [complex(w) for w in weights[1:]]
-    assert np.count_nonzero(rep.a) == 15
-    assert np.diagonal(rep.c).tolist() == qgroup_module._diagonal(0.7, 2.5, 16)
-    assert np.count_nonzero(rep.c - np.diag(np.diagonal(rep.c))) == 0
 
 
 # relation_residuals per relation, (interior, full), as computed when every
@@ -232,19 +249,29 @@ def test_relation_residuals_match_golden_floats(q, t, N):
     assert report["boundary"] == max(f for _, f in golden.values())
 
 
-def test_relation_residuals_hold_one_relation_at_a_time():
+def test_relation_residuals_allocate_under_a_megabyte():
     import tracemalloc
 
-    rep = build_rep_su2(0.5, 0.0, 256)
     tracemalloc.start()
     try:
-        relation_residuals(rep)
+        relation_residuals(build_rep_su2(0.5, 0.0, MAX_TRUNCATION))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a*, c*, the identity and one relation's operands; building all five
-    # relations before reading any peaked at 9 matrices
-    assert peak < 7 * 256 * 256 * 16, peak
+    # a few diagonals of N entries; one dense N x N complex matrix is 16 MiB
+    assert peak < 2**20, peak
+
+
+def test_interior_window_drops_the_last_entry_of_each_diagonal():
+    clean = relation_residuals(build_rep_su2(0.5, 0.0, 16))
+    rep = build_rep_su2(0.5, 0.0, 16)
+    # c's last entry reaches the last entry of the diagonal and of the superdiagonal
+    rep.d[-1] += 0.5
+    report = relation_residuals(rep)
+    for name in ("ac=qca", "ac*=qc*a", "a*a+c*c=1", "aa*+q^2cc*=1"):
+        assert report["relations"][name]["interior"] == clean["relations"][name]["interior"]
+        assert report["relations"][name]["full"] > 0.1, name
+    assert report["interior"] == clean["interior"]
 
 
 def test_relations_hold_on_the_interior_window():
@@ -254,12 +281,6 @@ def test_relations_hold_on_the_interior_window():
         # truncation cuts the last sphere relation by 1 - q^(2N)
         assert 0.9 < report["boundary"] < 1.0 + 1e-12
         assert report["relations"]["ac=qca"]["full"] <= 1e-10
-
-
-def test_character_rep_satisfies_relations_exactly():
-    report = relation_residuals(build_rep_su2(0.5, 2.0, 16, element="e"))
-    assert report["interior"] == 0.0
-    assert report["boundary"] <= 1e-12
 
 
 def test_character_constraints_away_from_one():
@@ -324,7 +345,7 @@ def _forbid(monkeypatch, owner, name):
 
 
 def test_truncation_guard_fires_before_allocating(monkeypatch):
-    _forbid(monkeypatch, np, "zeros")
+    _forbid(monkeypatch, np, "array")
     with pytest.raises(InputError, match=f"at most {MAX_TRUNCATION}"):
         build_rep_su2(0.5, 0.0, MAX_TRUNCATION + 1)
 
@@ -384,14 +405,13 @@ def test_joint_kernel_checks_q_and_truncation_of_the_shift_model():
 # dense oracles for the diagonal stacking
 
 
-def _monomial_matrix(rep, sign, j, k, l):
+def _monomial_matrix(a, c, sign, j, k, l):
     """The dense image of a^j c^k c*^l (sign "+") or a*^j c^k c*^l (sign "-")."""
-    a = rep.a if sign == "+" else rep.a.conj().T
-    c = rep.c
-    c_s = rep.c.conj().T
-    out = np.eye(rep.N, dtype=complex)
+    shift = a if sign == "+" else a.conj().T
+    c_s = c.conj().T
+    out = np.eye(len(a), dtype=complex)
     for _ in range(j):
-        out = out @ a
+        out = out @ shift
     for _ in range(k):
         out = out @ c
     for _ in range(l):
@@ -402,10 +422,10 @@ def _monomial_matrix(rep, sign, j, k, l):
 def _dense_stacked(q, degree, t_samples, N, include_infinite):
     """Every flattened N x N image per angle, then the character values."""
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
-    reps = [build_rep_su2(q, t, N) for t in angles] if include_infinite else []
+    reps = [_dense_rep(q, t, N) for t in angles] if include_infinite else []
     rows = []
     for sign, j, k, l in pbw_monomials(degree):
-        images = [_monomial_matrix(rep, sign, j, k, l).ravel() for rep in reps]
+        images = [_monomial_matrix(a, c, sign, j, k, l).ravel() for a, c in reps]
         alphas = [np.exp(1j * t) if sign == "+" else np.exp(-1j * t) for t in angles]
         characters = [alpha**j if k == 0 and l == 0 else 0.0 for alpha in alphas]
         rows.append(np.concatenate(images + [np.array(characters, dtype=complex)]))
@@ -418,9 +438,9 @@ def test_diagonal_images_match_the_dense_products(N):
     for q, angles in ((0.5, [0.0, 2.0]), (0.93, [1.0, 4.5]), (1e-3, [3.0]), (1e-320, [0.7])):
         images = list(qgroup_module._diagonal_images(q, angles, N, monomials))
         for i, t in enumerate(angles):
-            rep = build_rep_su2(q, t, N)
+            a, c = _dense_rep(q, t, N)
             for (sign, j, k, l), image in zip(monomials, images):
-                dense = _monomial_matrix(rep, sign, j, k, l)
+                dense = _monomial_matrix(a, c, sign, j, k, l)
                 offset = j if sign == "+" else -j
                 np.testing.assert_allclose(
                     image[i], np.diagonal(dense, offset), rtol=1e-14, atol=1e-300
