@@ -121,11 +121,6 @@ class LogGrid:
         mag.flags.writeable = False
         return mag
 
-    def random_function(self, rng: random.Random) -> np.ndarray:
-        """A grid function with real, then imaginary, parts row by row from
-        rng.uniform(-1, 1), bit for bit and leaving rng in the same state."""
-        return _random_functions(self, [rng])[0]
-
     def norm_squared(self, f: np.ndarray):
         """h sum |f|^2 over the last two axes: one value per grid function."""
         return self.h * np.sum(np.abs(f) ** 2, axis=(-2, -1))
@@ -224,20 +219,6 @@ def _apply(role, f: np.ndarray) -> np.ndarray:
 def _role(grid: LogGrid, g: AffineElement) -> tuple:
     """The role of one element for every function of a block."""
     return _phase_rows(grid, [g.b]), [grid.shift_steps(g.a)], [g.a < 0]
-
-
-def rep_S(g: AffineElement, grid: LogGrid, f: np.ndarray) -> np.ndarray:
-    """(S_g f)(x) = e^{ibx} f(ax) on the grid.
-
-    The dilation must be grid-aligned: |a| = e^{mh} shifts indices by m
-    with periodic wrap, and a < 0 additionally swaps the sign branches.
-    """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (2, grid.branch_size):
-        raise InputError(
-            f"grid function must have shape (2, {grid.branch_size})"
-        )
-    return _apply(_role(grid, g), f[None])[0]
 
 
 def seam_free_window(grid: LogGrid, m1, m2) -> np.ndarray:

@@ -2,17 +2,18 @@
 
 `cyclic.hp_homology` imports this module only for a corner of two or more
 letters, so the commands that never split compile none of it.  A finite
-semisimple algebra, such as the group algebra Q(i)[G] with g* = g^-1
-(Maschke), is a sum of blocks, and cyclic homology adds over them
-(Loday, Cyclic Homology, section 2.2).  `split_corner` refines the
-corner's unit into orthogonal idempotents, first into the terms of its
-basis expansion, then into the eigen-idempotents of f z f for each kept
-idempotent f and each letter z: polynomials in f z f, one for each simple
-root of its minimal polynomial in Q(i), and one remainder for the factors
-with no root, with no polynomial factoring.  Each refinement is kept only
-once its pieces are checked exactly to be idempotents summing to f,
-which makes them orthogonal.  The corner is then rewritten in a basis of
-the Peirce spaces e_i A e_j, through the exact inverse of the change of
+semisimple algebra, such as the group algebra Q(i)[G] (Maschke), is a sum
+of blocks, and cyclic homology adds over them (Loday, Cyclic Homology,
+section 2.2); it depends only on the product, so the split reads no
+involution.  `split_corner` refines the corner's unit into orthogonal
+idempotents, first into the terms of its basis expansion, then into the
+eigen-idempotents of f z f for each kept idempotent f and each letter z:
+polynomials in f z f, one for each simple root of its minimal polynomial
+in Q(i), and one remainder for the factors with no root, with no
+polynomial factoring.  Each refinement is kept only once its pieces are
+checked exactly to be idempotents summing to f, which makes them
+orthogonal.  The corner's product is then rewritten in a basis of the
+Peirce spaces e_i A e_j, through the exact inverse of the change of
 basis.  Each step is exact, so a homology computed on the result is
 still a theorem.
 """
@@ -23,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cyclic import FinAlgebra, _combine, _from_rule
+from .cyclic import FinAlgebra, _combine
 from .exactnum import GaussRational, reduce_column
 
 _ZERO = GaussRational.zero()
@@ -125,20 +126,21 @@ _MAX_ROOT_NORM = 1024
 
 
 def split_corner(A: FinAlgebra, letters: tuple, grading: tuple):
-    """The corner spanned by ``letters`` in a basis of Peirce spaces, or None.
+    """The product of the corner spanned by ``letters`` in a basis of Peirce spaces, or None.
 
     The corner's unit e is refined into orthogonal idempotents: first
     into the terms of its basis expansion, then, letter z by letter z,
     each idempotent f into the eigen-idempotents of f z f in fAf
     (`_eigen_idempotents`).  A refinement is kept only when its pieces
     are checked exactly to be idempotent and to sum to f; that makes them
-    pairwise orthogonal.  The new basis is each e_i, then a basis of each
-    e_i A e_j picked from the products e_i x e_j; P, the matrix of its
-    vectors, is inverted once (`_Span`), and the new algebra is P^-1
-    applied to the products of P's columns, with involution P^-1 S
-    conj(P).  Its unit is the sum of the e_i, so `_peirce_grading` grades
-    it.  None when the refinement finds no idempotent beyond the
-    grading's, or when the involution leaves the corner.
+    pairwise orthogonal.  The new basis is, for each e_i, a basis of each
+    e_i A e_j picked from the products e_i x e_j, with e_i the first
+    letter of (i, i).  P, the matrix of its vectors, has independent
+    columns that span the corner, and is inverted once (`_Span`).
+    Returns (table, side): ``table[a][b]`` lists the (c, v) with
+    P^-1 (P_a P_b) = sum v e_c, an exact copy of the corner's product,
+    and ``side[a]`` is the (i, j) of letter a.  None when the refinement
+    finds no idempotent beyond the grading's.
     """
     e = {a: A.unit[a] for a in letters if A.unit[a]}
 
@@ -175,17 +177,13 @@ def split_corner(A: FinAlgebra, letters: tuple, grading: tuple):
             space = [y for y in (mul(x, g) for x in rows) if span.add(y) is None]
             basis += space
             side += [(i, j)] * len(space)
+    # each corner letter z = sum e_i z e_j lies in the span, so it has coordinates
     inverse = {c: span.add({c: _ONE}) for c in letters}
-    stars = [A._star(x.items()) for x in basis]
-    if not all(c in inverse for x in stars for c in x):
-        return None
 
-    def coords(x):
-        return _combine((v, inverse[c].items()) for c, v in x.items()).items()
+    def product(a, b):
+        if side[a][1] != side[b][0]:
+            return ()
+        x = mul(basis[a], basis[b])
+        return tuple(sorted(_combine((v, inverse[c].items()) for c, v in x.items()).items()))
 
-    return _from_rule(
-        tuple(f"p{a}" for a in range(len(basis))),
-        lambda a, b: coords(mul(basis[a], basis[b])) if side[a][1] == side[b][0] else (),
-        lambda a: coords(stars[a]),
-        [(side.index((i, i)), _ONE) for i in range(len(idempotents))],
-    )
+    return [[product(a, b) for b in range(len(basis))] for a in range(len(basis))], side

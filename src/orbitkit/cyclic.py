@@ -46,10 +46,12 @@ of A's corner with itself.  The report lists the top even/odd homology
 dimensions and whether they agree with the pair two degrees down, which is
 the computable surrogate for the stabilization of the periodic theory.
 
-A corner of two or more letters is then rewritten in a basis adapted to
-orthogonal idempotents (`blocks.split_corner`), and graded and cut
-again: the Pauli basis of M2 falls to one letter, and Q(i)[S3] from 6
-letters to 3, one per block of Q(i)^2 + M2.
+The product of a corner of two or more letters is then rewritten in a
+basis of Peirce spaces of orthogonal idempotents (`blocks.split_corner`),
+and cut again: the Pauli basis of M2 falls to one letter, and Q(i)[S3]
+from 6 letters to 3, one per block of Q(i)^2 + M2.  Connes' complex
+reads only products, never the involution, so it is built from a product
+table and its Peirce grading, whether loaded or split.
 
 Ranks are computed exactly by streaming each column of b through
 `exactnum.reduce_column`, the package's one integer column reduction: b is
@@ -806,11 +808,13 @@ def _weight_zero_words(weights: tuple, length: int) -> int:
     return sum(k * tail.get(-s, 0) for s, k in sums[length // 2].items())
 
 
-def _corner(A: FinAlgebra, grading: tuple) -> tuple:
-    """The basis letters of a full corner eAe of A, in basis order.
+def _corner(pairs, idem: list, grading: tuple) -> tuple:
+    """The letters of a full corner eAe, in basis order.
 
-    e is the sum of the Peirce idempotents that are kept.  Idempotent e_j
-    is dropped, last index first, when letters x of e_j A e_i and y of
+    ``pairs[a][b]`` lists the (c, v) with e_a e_b = sum v e_c, ``grading``
+    gives each letter's Peirce indices, and ``idem[i]`` is the letter of
+    e_i.  e is the sum of the Peirce idempotents that are kept.
+    Idempotent e_j is dropped, last index first, when letters x of e_j A e_i and y of
     e_i A e_j, with e_i kept, multiply to exactly c e_j with c != 0: then
     e_j = c^-1 x e_i y lies in A e_i A, and each dropped idempotent lies in
     AeA by induction over the drops, so AeA = A.  The letters of eAe are
@@ -818,14 +822,13 @@ def _corner(A: FinAlgebra, grading: tuple) -> tuple:
     stay among them.  The trivial grading has one index, so every letter
     is kept.
     """
-    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
     space = {}
     for a, pq in enumerate(grading):
         space.setdefault(pq, []).append(a)
     kept = {i for i, _ in grading}
     for j in sorted(kept, reverse=True):
         if any(
-            [c for c, _ in A.basis_product(x, y)] == [idem[j]]
+            [c for c, _ in pairs[x][y]] == [idem[j]]
             for i in kept - {j}
             for x in space.get((j, i), ())
             for y in space.get((i, j), ())
@@ -1006,18 +1009,19 @@ MAX_CHAIN_WORDS = 2**19
 MAX_TRUNCATION = 64
 
 
-def _int_table(A: FinAlgebra, letters: tuple) -> tuple:
-    """b's integer table (re, im) on the basis letters ``letters``, renumbered in their order.
+def _int_table(pairs, letters: tuple) -> tuple:
+    """b's integer table (re, im) on the letters ``letters``, renumbered in their order.
 
-    b is linear in the structure constants, so L * b has the rank of b,
+    ``pairs[a][b]`` lists the (c, v) with e_a e_b = sum v e_c.  b is
+    linear in the structure constants, so L * b has the rank of b,
     with L the lcm of the denominators of the letters' products; their
     products must stay among them.  A constant (a + b i)/d becomes
     a L/d in re and b L/d in im.  im is None when those products are all
     real, and the complex is then not realified.
     """
     new = {a: k for k, a in enumerate(letters)}
-    products = [[A._pairs[a][b] for b in letters] for a in letters]
-    triples = [v.triple for row in products for pairs in row for _, v in pairs]
+    products = [[pairs[a][b] for b in letters] for a in letters]
+    triples = [v.triple for row in products for p in row for _, v in p]
     scale = math.lcm(*(t[2] for t in triples))
 
     def table(part):
@@ -1032,17 +1036,17 @@ def _int_table(A: FinAlgebra, letters: tuple) -> tuple:
     return table(0), table(1) if any(t[1] for t in triples) else None
 
 
-def _rank_table(A: FinAlgebra, letters: tuple, weights: tuple, truncation: int):
+def _rank_table(pairs, letters: tuple, weights: tuple, truncation: int):
     """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
 
-    The complex is built on the basis letters ``letters`` of A alone
-    (`_int_table`), with ``weights`` their letter weights.  Each degree is
-    one pass (`_reduce_degree`): its cells come from the necklaces and
+    The complex is built on the letters ``letters`` of the product table
+    ``pairs`` alone (`_int_table`), with ``weights`` their letter weights.
+    Each degree is one pass (`_reduce_degree`): its cells come from the necklaces and
     their periods, and each cell's columns of b serve both the b o b check
     and the rank.  The memo of degree n-1 (`_classes`) and the columns of
     degree n-1 live only while degree n is reduced.
     """
-    tables = _int_table(A, letters)
+    tables = _int_table(pairs, letters)
     ranks, cells, modes, below = [0], [], [], {}
     for n in range(truncation + 1):
         words = list(_cells(weights, n))
@@ -1091,11 +1095,12 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     homology by Morita invariance (Loday, sections 1.2 and 2.2), and only
     the weight-0 block of the corner's Peirce grading is reduced (see the
     module docstring); an algebra without such a grading keeps every
-    letter and gets the trivial grading through the same code.  A corner of
-    two or more letters is then rewritten in a basis adapted to orthogonal
-    idempotents (`blocks.split_corner`), which is graded and cut again:
-    Q(i)[S3] falls from 6 letters to 3.  The report's (hp0, hp1) are the
-    homology dimensions in the top even and odd degrees below T;
+    letter and gets the trivial grading through the same code.  The product
+    of a corner of two or more letters is then rewritten in a basis of
+    Peirce spaces of orthogonal idempotents (`blocks.split_corner`), and
+    cut again: Q(i)[S3] falls from 6 letters to 3.  The report's
+    (hp0, hp1) are the homology dimensions in the top even and odd degrees
+    below T;
     `stabilized` records whether they agree with the pair two degrees
     down, which is the same comparison as rerunning at T - 2.
     `boundary_check` says whether b o b = 0 was verified on every cell of
@@ -1105,7 +1110,8 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     and before any table is built), is an InputError.
     """
     grading = _peirce_grading(A)
-    return _hp(A, grading, _corner(A, grading), truncation, split=True)
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    return _hp(A, grading, _corner(A._pairs, idem, grading), truncation, split=True)
 
 
 def _hp(
@@ -1115,8 +1121,9 @@ def _hp(
 
     ``grading`` is A's `_peirce_grading`, and ``letters`` spans a full
     corner of A, or is every letter of A.  With ``split``, a corner of two
-    or more letters that passes the size guards is replaced by
-    `blocks.split_corner`'s algebra and that algebra's own corner.
+    or more letters that passes the size guards is replaced by the full
+    corner of `blocks.split_corner`'s product table, whose idempotents are
+    the first letters of their (i, i) spaces.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
@@ -1133,15 +1140,17 @@ def _hp(
             f"more than {MAX_CHAIN_WORDS} chain words of weight 0 in degree "
             f"{truncation}, on {len(letters)} of the {A.dim} basis letters"
         )
+    pairs = A._pairs
     if split and len(letters) > 1:
         from .blocks import split_corner
 
-        B = split_corner(A, letters, grading)
-        if B is not None:
-            A, grading = B, _peirce_grading(B)
-            letters = _corner(A, grading)
+        blocks = split_corner(A, letters, grading)
+        if blocks is not None:
+            pairs, grading = blocks
+            idem = [grading.index((i, i)) for i in sorted({i for i, _ in grading})]
+            letters = _corner(pairs, idem, grading)
             weights = _letter_weights(tuple(grading[a] for a in letters), length)
-    ranks, cells, mode = _rank_table(A, letters, weights, truncation)
+    ranks, cells, mode = _rank_table(pairs, letters, weights, truncation)
     hc = []
     for m in range(truncation):
         h = cells[m] - ranks[m] - ranks[m + 1]

@@ -13,11 +13,13 @@ from orbitkit.affine import (
     MAX_TRIAL_NODES,
     AffineElement,
     LogGrid,
+    _apply,
     _phase_rows,
+    _random_functions,
+    _role,
     character_U,
     index_metadata,
     random_aligned_element,
-    rep_S,
     seam_free_window,
     verify_homomorphism,
     verify_unitarity,
@@ -26,6 +28,16 @@ from orbitkit.affine import (
 from orbitkit.liealg import InputError
 
 GRID = LogGrid(L=8.0, h=2.0**-4)
+
+
+def _rep(g, grid, f):
+    """(S_g f)(x) = e^{ibx} f(ax) on one grid function, by the block kernel."""
+    return _apply(_role(grid, g), f[None])[0]
+
+
+def _draw(grid, rng):
+    """One grid function drawn by the block draw."""
+    return _random_functions(grid, [rng])[0]
 
 
 def test_identity_and_composition():
@@ -97,7 +109,7 @@ def test_quadrature_norm():
 def test_rep_pure_phase():
     g = AffineElement(1.0, 0.5)
     f = np.ones((2, GRID.branch_size), dtype=complex)
-    out = rep_S(g, GRID, f)
+    out = _rep(g, GRID, f)
     mag = np.exp(GRID.log_values())
     x = np.asarray(np.stack([mag, -mag]), dtype=float)
     assert np.allclose(out, np.exp(1j * 0.5 * x), atol=1e-14)
@@ -105,20 +117,15 @@ def test_rep_pure_phase():
 
 def test_rep_pure_shift_is_exact():
     g = AffineElement(math.exp(GRID.h), 0.0)
-    f = GRID.random_function(random.Random(1))
-    assert np.array_equal(rep_S(g, GRID, f), np.roll(f, -1, axis=1))
+    f = _draw(GRID, random.Random(1))
+    assert np.array_equal(_rep(g, GRID, f), np.roll(f, -1, axis=1))
     assert verify_homomorphism(g, g, GRID, trials=5) == 0.0
 
 
 def test_negative_dilation_swaps_branches():
     g = AffineElement(-1.0, 0.0)
-    f = GRID.random_function(random.Random(2))
-    assert np.array_equal(rep_S(g, GRID, f), f[::-1])
-
-
-def test_rep_shape_guard():
-    with pytest.raises(InputError):
-        rep_S(AffineElement.identity(), GRID, np.ones((2, 5)))
+    f = _draw(GRID, random.Random(2))
+    assert np.array_equal(_rep(g, GRID, f), f[::-1])
 
 
 def test_seam_free_window_shapes():
@@ -182,7 +189,7 @@ def test_trial_node_bound_fires_before_the_first_trial(monkeypatch):
     def admitted(*args):
         raise Admitted
 
-    monkeypatch.setattr(LogGrid, "random_function", forbidden)
+    monkeypatch.setattr(affine_module, "_random_functions", forbidden)
     grid = LogGrid(L=30.0, h=1e-4)
     assert grid.branch_size == 600001
     with pytest.raises(
@@ -278,7 +285,7 @@ def test_bulk_draw_matches_uniform_bit_for_bit(seed, pending_gauss):
             bulk.gauss(0.0, 1.0)
             loop.gauss(0.0, 1.0)
         expected = _uniform_function(grid, loop)
-        assert grid.random_function(bulk).tobytes() == expected.tobytes()
+        assert _draw(grid, bulk).tobytes() == expected.tobytes()
         assert bulk.getstate() == loop.getstate()
 
 
@@ -374,9 +381,9 @@ def _oracle_residuals(grid, trials, seed):
     for _ in range(trials):
         g1 = random_aligned_element(grid, rng)
         g2 = random_aligned_element(grid, rng)
-        f = grid.random_function(random.Random(rng.randrange(1 << 30)))
+        f = _draw(grid, random.Random(rng.randrange(1 << 30)))
         hom = _nanmax(hom, _oracle_homomorphism(g1, g2, grid, f))
-        f = grid.random_function(random.Random(rng.randrange(1 << 30)))
+        f = _draw(grid, random.Random(rng.randrange(1 << 30)))
         unit = _nanmax(unit, _oracle_unitarity(g1, grid, f))
         lam = rng.uniform(-2.0, 2.0)
         eps = rng.choice((0, 1))
@@ -422,14 +429,14 @@ def test_verify_functions_match_the_per_trial_oracle():
                 for _ in range(2)
             ))
         for k, (g1, g2) in enumerate(pairs):
-            f = grid.random_function(random.Random(k))
-            assert rep_S(g1, grid, f).tobytes() == _oracle_rep(g1, grid, f).tobytes()
+            f = _draw(grid, random.Random(k))
+            assert _rep(g1, grid, f).tobytes() == _oracle_rep(g1, grid, f).tobytes()
             for include_seam in (False, True):
                 draws = random.Random(k)
                 expected = 0.0
                 for _ in range(trials):
                     gap = _oracle_homomorphism(
-                        g1, g2, grid, grid.random_function(draws), include_seam
+                        g1, g2, grid, _draw(grid, draws), include_seam
                     )
                     expected = _nanmax(expected, gap)
                 got = verify_homomorphism(g1, g2, grid, trials, k, include_seam)
@@ -438,6 +445,6 @@ def test_verify_functions_match_the_per_trial_oracle():
             expected = 0.0
             for _ in range(trials):
                 expected = _nanmax(
-                    expected, _oracle_unitarity(g1, grid, grid.random_function(draws))
+                    expected, _oracle_unitarity(g1, grid, _draw(grid, draws))
                 )
             assert repr(verify_unitarity(g1, grid, trials, k)) == repr(expected)

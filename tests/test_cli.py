@@ -158,10 +158,10 @@ SIZE_GUARDED = [
     (("orbitkit.affine.random_aligned_element",),
      ["affine", "verify", "--l", "2", "--h", "0.25", "--trials", "100000000000"]),
     # 100,000 trials of 257 nodes each would run for about 25 s
-    (("orbitkit.affine.LogGrid.random_function", "orbitkit.affine.random_aligned_element"),
+    (("orbitkit.affine._random_functions", "orbitkit.affine.random_aligned_element"),
      ["affine", "verify", "--l", "8", "--h", "0.0625", "--trials", "100000"]),
     # 1000 trials of 600,001 nodes each would run for about 10 minutes
-    (("orbitkit.affine.LogGrid.random_function",),
+    (("orbitkit.affine._random_functions",),
      ["affine", "verify", "--l", "30", "--h", "1e-4", "--trials", "1000"]),
     (("orbitkit.cyclic._random_element",),
      ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),

@@ -978,7 +978,7 @@ def _full_connes_hc(A, truncation, weight_zero=False):
                 reps.append(word)
         tables.append(table)
         cells.append(reps)
-    ranks, int_table = [0], cyclic_module._int_table(A, tuple(range(A.dim)))
+    ranks, int_table = [0], cyclic_module._int_table(A._pairs, tuple(range(A.dim)))
     for n in range(1, truncation + 1):
         pivots = {}
         for word in cells[n]:
@@ -1122,7 +1122,9 @@ _CORNER_CASES = {
 
 
 def _corner(A):
-    return cyclic_module._corner(A, cyclic_module._peirce_grading(A))
+    """The corner letters of a loaded algebra, whose idempotents are the unit's support."""
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    return cyclic_module._corner(A._pairs, idem, cyclic_module._peirce_grading(A))
 
 
 def test_corner_letter_counts():
@@ -1262,21 +1264,25 @@ def test_hp_pauli_basis_matches_matrix_units():
     assert report.boundary_check == "full"
 
 
+def _split_idempotents(side):
+    """The letter of each e_i in a split table: the first of its (i, i) space."""
+    return [side.index((i, i)) for i in sorted({i for i, _ in side})]
+
+
 def _split_corner(A):
-    """`split_corner`'s algebra for the corner of A, and that algebra's own corner."""
-    grading = cyclic_module._peirce_grading(A)
-    B = blocks_module.split_corner(A, cyclic_module._corner(A, grading), grading)
-    return B, cyclic_module._corner(B, cyclic_module._peirce_grading(B))
+    """`split_corner`'s (table, side) for the corner of A, and the split table's own corner."""
+    table, side = blocks_module.split_corner(A, _corner(A), cyclic_module._peirce_grading(A))
+    return table, side, cyclic_module._corner(table, _split_idempotents(side), side)
 
 
 def test_pauli_splits_to_a_one_letter_corner():
     # sx squares to 1, so (1 +- sx)/2 are orthogonal idempotents, and the
     # Peirce basis they give is M2's matrix units up to scale
-    B, corner = _split_corner(_pauli_m2())
-    assert B.dim == 4 and len(corner) == 1
-    assert set(cyclic_module._peirce_grading(B)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    table, side, corner = _split_corner(_pauli_m2())
+    assert len(table) == 4 and len(corner) == 1
+    assert side == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # one word per degree, killed in odd degrees
-    _, cells, _ = cyclic_module._rank_table(B, corner, (0,), 6)
+    _, cells, _ = cyclic_module._rank_table(table, corner, (0,), 6)
     assert cells == (1, 0, 1, 0, 1, 0, 1)
 
 
@@ -1292,10 +1298,10 @@ def test_pauli_splits_to_a_one_letter_corner():
 def test_rescaled_pauli_units_keep_their_cells_and_homology(factors):
     P = _pauli_m2()
     A = _rescaled(P, factors)
-    (B, corner), (C, pauli_corner) = _split_corner(A), _split_corner(P)
+    (table, _, corner), (pauli, _, pauli_corner) = _split_corner(A), _split_corner(P)
     assert len(corner) == len(pauli_corner) == 1
-    assert cyclic_module._rank_table(B, corner, (0,), 5) == (
-        cyclic_module._rank_table(C, pauli_corner, (0,), 5)
+    assert cyclic_module._rank_table(table, corner, (0,), 5) == (
+        cyclic_module._rank_table(pauli, pauli_corner, (0,), 5)
     )
     assert hp_homology(A, 5).hc == hp_homology(P, 5).hc == (1, 0, 1, 0, 1)
 
@@ -1304,8 +1310,8 @@ def test_tensor_square_of_pauli_keeps_one_block_in_sixteen():
     P = _pauli_m2()
     A = tensor_product(P, P)
     # M4 in a basis of Pauli products: one letter of sixteen is left
-    B, corner = _split_corner(A)
-    assert (B.dim, len(corner)) == (16, 1)
+    table, _, corner = _split_corner(A)
+    assert (len(table), len(corner)) == (16, 1)
     assert hp_homology(A, 3).hc == (1, 0, 1)
 
 
@@ -1421,18 +1427,14 @@ def test_group_algebras_match_the_conjugacy_class_count(elements, truncation, hc
 )
 def test_group_algebras_split_into_their_blocks(name, letters, idempotents):
     A = _group_algebra(_GROUPS[name]())
-    B, corner = _split_corner(A)
-    grading = cyclic_module._peirce_grading(B)
-    assert B.dim == A.dim
-    assert len({i for i, _ in grading}) == idempotents
+    table, side, corner = _split_corner(A)
+    assert len(table) == A.dim
+    assert len({i for i, _ in side}) == idempotents
     assert len(corner) == letters
     # every kept block is a field or a matrix corner: letters of distinct
     # idempotents never multiply
     assert all(
-        not B.basis_product(a, b)
-        for a in corner
-        for b in corner
-        if grading[a][1] != grading[b][0]
+        not table[a][b] for a in corner for b in corner if side[a][1] != side[b][0]
     )
 
 
@@ -1474,15 +1476,51 @@ def _symplectic_m2():
     return FinAlgebra(4, M.mult, M.unit, star, M.basis)
 
 
-def test_a_corner_that_the_involution_leaves_is_not_split():
-    # the corner is e11 (x) Pauli, and its involution lands in e22 (x) Pauli,
-    # so no involution can be carried over to a new basis of the corner
+def test_a_corner_that_the_involution_leaves_is_split():
+    # the corner is e11 (x) Pauli, and its involution lands in e22 (x) Pauli;
+    # the split reads only products, so it still falls to one letter
     A = tensor_product(_symplectic_m2(), _pauli_m2())
-    grading = cyclic_module._peirce_grading(A)
-    corner = cyclic_module._corner(A, grading)
-    assert len(corner) == 4
-    assert blocks_module.split_corner(A, corner, grading) is None
-    assert hp_homology(A, 4).hc == (1, 0, 1, 0)
+    assert len(_corner(A)) == 4
+    table, _, corner = _split_corner(A)
+    assert (len(table), len(corner)) == (4, 1)
+    for truncation, hc in ((4, (1, 0, 1, 0)), (7, (1, 0, 1, 0, 1, 0, 1))):
+        report = hp_homology(A, truncation)
+        assert (report.hc, report.boundary_check) == (hc, "full")
+
+
+def _table_product(table, x, y):
+    """x y for sparse {letter: coeff} x and y, on a product table."""
+    return cyclic_module._combine(
+        (s * t, table[a][b]) for a, s in x.items() for b, t in y.items()
+    )
+
+
+_SPLIT_INPUTS = {
+    "Pauli": _pauli_m2,
+    "Pauli 2sx": lambda: _rescaled(_pauli_m2(), [1, 2, 1, GaussRational(1, 1)]),
+    "Pauli unit/2": lambda: _rescaled(_pauli_m2(), [2, 2, 1, GaussRational(1, 1)]),
+    "Pauli(x)Pauli": lambda: tensor_product(_pauli_m2(), _pauli_m2()),
+    **{name: (lambda name=name: _group_algebra(_GROUPS[name]())) for name in _GROUPS},
+    "symplectic(x)Pauli": lambda: tensor_product(_symplectic_m2(), _pauli_m2()),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_INPUTS))
+def test_split_tables_are_associative_unital_and_peirce_graded(name):
+    # the package does not validate a split table as it validates a loaded
+    # algebra; this checks exactly that it is one, graded by its sides
+    table, side, _ = _split_corner(_SPLIT_INPUTS[name]())
+    letters = [{a: ONE} for a in range(len(table))]
+    for a, b, c in itertools.product(range(len(table)), repeat=3):
+        left = _table_product(table, dict(table[a][b]), letters[c])
+        assert left == _table_product(table, letters[a], dict(table[b][c])), (a, b, c)
+    idem = _split_idempotents(side)
+    unit = {e: ONE for e in idem}
+    for x, (i, j) in zip(letters, side):
+        assert _table_product(table, unit, x) == x == _table_product(table, x, unit)
+        for k, e in enumerate(idem):
+            assert _table_product(table, letters[e], x) == (x if k == i else {})
+            assert _table_product(table, x, letters[e]) == (x if k == j else {})
 
 
 @pytest.mark.parametrize("fault", ["halves", "twice"])
@@ -1498,7 +1536,7 @@ def test_refinements_that_fail_the_exact_check_are_dropped(monkeypatch, fault):
     monkeypatch.setattr(blocks_module, "_eigen_idempotents", wrong)
     for A in (_pauli_m2(), _group_algebra(_GROUPS["S3"]())):
         grading = cyclic_module._peirce_grading(A)
-        assert blocks_module.split_corner(A, cyclic_module._corner(A, grading), grading) is None
+        assert blocks_module.split_corner(A, _corner(A), grading) is None
     assert hp_homology(_pauli_m2(), 4).hc == (1, 0, 1, 0)
 
 
@@ -1519,7 +1557,7 @@ def test_idempotents_summing_to_an_idempotent_are_orthogonal(monkeypatch):
     monkeypatch.setattr(blocks_module, "_eigen_idempotents", recorded)
     for A in (_pauli_m2(), *(_group_algebra(_GROUPS[name]()) for name in ("S3", "B2", "Z/6"))):
         grading = cyclic_module._peirce_grading(A)
-        assert blocks_module.split_corner(A, cyclic_module._corner(A, grading), grading)
+        assert blocks_module.split_corner(A, _corner(A), grading)
     assert len(kept) >= 4
     for A, pieces in kept:
         for q, r in itertools.permutations(pieces, 2):
@@ -1572,7 +1610,7 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
     monkeypatch.setattr(
         cyclic_module,
         "_rank_table",
-        lambda A, letters, weights, T: ((0,) * (T + 1), (0,) * (T + 1), "full"),
+        lambda table, letters, weights, T: ((0,) * (T + 1), (0,) * (T + 1), "full"),
     )
     assert hp_homology(_two_cycle(), 9).hc == (0,) * 9
     assert hp_homology(gauss_field_power(2), 18).hc == (0,) * 18
@@ -1637,7 +1675,7 @@ def _two_pass_rank_table(A, weights, truncation):
     check rebuilds the columns of b that the rank has used, and those of
     the degree below.
     """
-    dim, tables = A.dim, cyclic_module._int_table(A, tuple(range(A.dim)))
+    dim, tables = A.dim, cyclic_module._int_table(A._pairs, tuple(range(A.dim)))
     classes, ranks, cells, modes = [], [], [], []
     for n in range(truncation + 1):
         classes.append(cyclic_module._classes(dim))
@@ -1706,7 +1744,7 @@ def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, tr
         monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", limit)
     grading = cyclic_module._peirce_grading(A)
     weights = cyclic_module._letter_weights(grading, truncation + 1)
-    got = cyclic_module._rank_table(A, tuple(range(A.dim)), weights, truncation)
+    got = cyclic_module._rank_table(A._pairs, tuple(range(A.dim)), weights, truncation)
     assert got == _two_pass_rank_table(A, weights, truncation)
     assert got[2] == ("full" if limit is None else "sampled")
 
@@ -1776,10 +1814,10 @@ def test_a_corner_with_real_products_is_not_realified():
     # e12 replaced by i e12: (i e12) e21 = i e11, but the corner e11 is real
     A = _rescaled(matrix_algebra(2), [1, I, 1, 1])
     grading = cyclic_module._peirce_grading(A)
-    corner, everything = cyclic_module._corner(A, grading), tuple(range(A.dim))
+    corner, everything = _corner(A), tuple(range(A.dim))
     assert corner == (0,)
-    assert cyclic_module._int_table(A, corner)[1] is None
-    assert cyclic_module._int_table(A, everything)[1] is not None
+    assert cyclic_module._int_table(A._pairs, corner)[1] is None
+    assert cyclic_module._int_table(A._pairs, everything)[1] is not None
     for truncation in range(2, 6):
         realified = cyclic_module._hp(A, grading, everything, truncation)
         assert hp_homology(A, truncation).hc == realified.hc
@@ -1797,13 +1835,13 @@ def test_morita_amplified_side_is_reduced_on_every_letter(monkeypatch):
     corners, letters = [], {}
     corner, rank_table = cyclic_module._corner, cyclic_module._rank_table
 
-    def recorded_corner(A, grading):
-        corners.append(A.dim)
-        return corner(A, grading)
+    def recorded_corner(table, idem, grading):
+        corners.append(len(table))
+        return corner(table, idem, grading)
 
-    def recorded_table(A, used, *args):
-        letters[A.dim] = used
-        return rank_table(A, used, *args)
+    def recorded_table(table, used, *args):
+        letters[len(table)] = used
+        return rank_table(table, used, *args)
 
     monkeypatch.setattr(cyclic_module, "_corner", recorded_corner)
     monkeypatch.setattr(cyclic_module, "_rank_table", recorded_table)
