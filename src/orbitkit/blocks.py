@@ -1,6 +1,6 @@
 """Splitting a corner of a finite algebra into idempotent blocks.
 
-`cyclic.hp_homology` imports this module only for a corner of two or more
+`homology.hp_homology` imports this module only for a corner of two or more
 letters, so the commands that never split compile none of it.  A finite
 semisimple algebra, such as the group algebra Q(i)[G] (Maschke), is a sum
 of blocks, and cyclic homology adds over them (Loday, Cyclic Homology,
@@ -24,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cyclic import FinAlgebra, _combine
+from .homology import FinAlgebra, _combine
 from .exactnum import GaussRational, reduce_column
 
 _ZERO = GaussRational.zero()

@@ -15,7 +15,9 @@ one contract: status 0 and a report, status 2 and an error object for
 bad input (usage errors included), status 1 and an error object for an
 internal fault.  Each build function imports the modules it needs in
 its body, so importing this module loads no other orbitkit module, and
-no command compiles another's modules.
+no command compiles another's modules: `cyclic hp` loads
+`orbitkit.homology` and `cyclic entire` loads `orbitkit.entire`, and
+neither loads `orbitkit.cyclic`.
 """
 
 from __future__ import annotations
@@ -187,19 +189,19 @@ def _quantize_verify(args):
 
 def _cyclic_hp(args):
     """Truncated periodic cyclic homology pair with stabilization flag."""
-    from . import cyclic
+    from . import homology
 
-    A = cyclic.FinAlgebra.load(args.algebra)
-    report = cyclic.hp_homology(A, truncation=args.truncation)
+    A = homology.FinAlgebra.load(args.algebra)
+    report = homology.hp_homology(A, truncation=args.truncation)
     return report.to_json(), {"algebra": A.to_json()}, None
 
 
 def _cyclic_entire(args):
     """Entirety verdict for a weighted norm sequence."""
-    from . import cyclic
+    from . import entire
 
-    sequence = cyclic.parse_norm_pattern(args.pattern)
-    return cyclic.entirety(sequence, horizon=args.horizon), {}, None
+    sequence = entire.parse_norm_pattern(args.pattern)
+    return entire.entirety(sequence, horizon=args.horizon), {}, None
 
 
 def _cyclic_trace(args):

@@ -1,0 +1,735 @@
+"""Finite *-algebras and truncated periodic cyclic homology on Connes' complex.
+
+A `FinAlgebra` is a finite-dimensional unital *-algebra over the Gaussian
+rationals, given by structure constants.  `_op_terms` is the one
+word-level expansion of the operators b, b', lambda, N and S: the
+boundary of Connes' complex here and `cyclic.apply_operator` are both
+built from it.  `hp_homology` computes cyclic homology in characteristic
+0 as the homology of Connes' complex
+
+    C^lambda_n = C_n(A) / (1 - lambda),   differential b,
+
+whose cells are the rotation classes of words that are not killed (a class
+is killed when a rotation returns its word with sign -1).  A cell is
+listed once, as a necklace (the least rotation of its words) with its
+least period p, and it is killed exactly when n p is odd.  Only the
+weight-0 block of C^lambda is reduced.  When the unit is a sum of basis
+elements e_i (coefficient 1 each) that are orthogonal idempotents and every
+basis element lies in exactly one Peirce space e_i A e_j, that element has
+weight eps_i - eps_j and a word the sum over its letters.  b and lambda
+preserve weight, the inner derivation ad(sum t_i e_i) acts on weight w by
+<t, w>, and inner derivations act by zero on HC (Loday, Cyclic Homology,
+section 4.1), so HC lies in weight 0 and the block gives all of it.  Any
+other algebra gets the trivial grading, in which every word has weight 0.
+
+The grading is that of a full corner eAe, with e a sum of Peirce
+idempotents and AeA = A.  Cyclic homology is Morita invariant, so
+HC(eAe) = HC(A) (Loday, Cyclic Homology, sections 1.2 and 2.2).  The
+certificate is exact and read off the product table: e_j is dropped when
+letters x of e_j A e_i and y of e_i A e_j, with e_i kept, multiply to
+c e_j with c != 0, for then e_j = c^-1 x e_i y lies in A e_i A.  M_r
+falls to one letter e_ii.  C^3 keeps its three idempotents, which
+are not conjugate: a corner that dropped one would report HC_0 = 1
+instead of 3.  An algebra with the trivial grading keeps every letter.
+The report lists the top even/odd homology dimensions and whether they
+agree with the pair two degrees down, which is the computable surrogate
+for the stabilization of the periodic theory.
+
+The product of a corner of two or more letters is then rewritten in a
+basis of Peirce spaces of orthogonal idempotents (`blocks.split_corner`),
+and cut again: the Pauli basis of M2 falls to one letter, and Q(i)[S3]
+from 6 letters to 3, one per block of Q(i)^2 + M2.  Connes' complex
+reads only products, never the involution, so it is built from a product
+table and its Peirce grading, whether loaded or split.
+
+Ranks are computed exactly by streaming each column of b through
+`exactnum.reduce_column`, the package's one integer column reduction: b is
+linear in the structure constants, so it runs on one integer table built
+on the corner's letters and scaled by the lcm of their products'
+denominators (`_int_table`), and a corner with imaginary products is
+realified (rank over Q(i) is half the real rank of the doubled matrix).
+Each degree is reduced in one pass: a cell's columns are built once,
+checked for b o b = 0 against the kept columns of the degree below, and
+then reduced.
+
+`cyclic hp` imports this module and not `cyclic`, so it compiles neither
+the chains nor the constructors nor `entire`.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from typing import NamedTuple
+
+from . import InputError
+from .exactnum import GaussRational, gauss_reader, reduce_column
+
+_ZERO = GaussRational.zero()
+_ONE = GaussRational.one()
+
+
+def _nonzero(x) -> tuple:
+    """The (index, coeff) pairs of the nonzero coordinates of x."""
+    return tuple((a, v) for a, v in enumerate(x) if not v.is_zero())
+
+
+def _default_basis(dim: int) -> tuple:
+    """Labels e0, e1, ... for an algebra given without basis names."""
+    return tuple(f"e{a}" for a in range(dim))
+
+
+def _combine(terms) -> dict:
+    """The sum of s * row over the (s, row) in terms, as {index: coeff}.
+
+    Each row is a sparse vector of (index, coeff) pairs; zero sums are
+    dropped.  This is the one sparse product of `FinAlgebra`: products,
+    the involution and the validation all reduce to it.
+    """
+    out = {}
+    for s, row in terms:
+        for c, v in row:
+            sv = s * v
+            out[c] = out[c] + sv if c in out else sv
+    return {c: v for c, v in out.items() if not v.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# algebras
+
+
+class FinAlgebra:
+    """Finite-dimensional unital *-algebra over the Gaussian rationals.
+
+    ``mult[a][b]`` holds the coordinates of e_a e_b, ``unit`` the
+    coordinates of 1, and ``star`` the matrix of the involution: the
+    involution sends sum t_a e_a to sum conj(t_a) star[a][c] e_c, so it is
+    conjugate-linear by construction.  The constructor checks the table
+    shapes before it allocates anything of size dim, then associativity,
+    the unit laws, and the involution axioms on the basis, and raises
+    InputError on any failure.
+
+    Loading costs what the file's distinct coefficients and nonzero
+    products cost: `from_json` parses each distinct spelling once and
+    gives equal values one shared instance, validation compares only the
+    basis triples (a, b, c) where e_a e_b or e_b e_c is nonzero, and a
+    product by the shared one() is free.  `to_json` serializes each
+    shared instance once.
+    """
+
+    def __init__(self, dim: int, mult: tuple, unit: tuple, star: tuple, basis: tuple = ()):
+        if dim < 1:
+            raise InputError("algebra dimension must be positive")
+        d = dim
+        if basis and len(basis) != d:
+            raise InputError("basis label count does not match dim")
+        if len(mult) != d or any(
+            len(plane) != d or any(len(row) != d for row in plane)
+            for plane in mult
+        ):
+            raise InputError("multiplication table must be dim x dim x dim")
+        if len(unit) != d:
+            raise InputError("unit vector must have length dim")
+        if len(star) != d or any(len(row) != d for row in star):
+            raise InputError("involution matrix must be dim x dim")
+        self.dim, self.mult, self.unit, self.star = dim, mult, unit, star
+        self.basis = basis or _default_basis(d)
+        self._pairs = pairs = tuple(tuple(_nonzero(row) for row in plane) for plane in mult)
+        # inverse[c] lists the (a, b) whose product e_a e_b has a nonzero e_c
+        # coefficient: the letter pairs that b, b' and S can merge into c
+        inverse = [[] for _ in range(d)]
+        for a in range(d):
+            for b in range(d):
+                for c, _ in pairs[a][b]:
+                    inverse[c].append((a, b))
+        self._inverse_pairs = tuple(map(tuple, inverse))
+        self._star_pairs = tuple(_nonzero(row) for row in star)
+        self._validate()
+
+    def _key(self) -> tuple:
+        return self.dim, self.mult, self.unit, self.star, self.basis
+
+    def __eq__(self, other):
+        return isinstance(other, FinAlgebra) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _validate(self):
+        d = self.dim
+        unit = _nonzero(self.unit)
+        for b in range(d):
+            e_b = ((b, _ONE),)
+            if self._mul(unit, e_b) != dict(e_b):
+                raise InputError(f"left unit law fails on basis vector {b}")
+            if self._mul(e_b, unit) != dict(e_b):
+                raise InputError(f"right unit law fails on basis vector {b}")
+        # reach[k] holds the c with e_k e_c nonzero.  (e_a e_b) e_c and
+        # e_a (e_b e_c) are both 0 unless c is in reach[b] or in reach[k] for
+        # some e_k in the support of e_a e_b
+        reach = [{c for c, row in enumerate(plane) if row} for plane in self._pairs]
+        for a in range(d):
+            for b in range(d):
+                ab = self._pairs[a][b]
+                for c in sorted(reach[b].union(*(reach[k] for k, _ in ab))):
+                    left = self._mul(ab, ((c, _ONE),))
+                    if left != self._mul(((a, _ONE),), self._pairs[b][c]):
+                        raise InputError(
+                            f"associativity fails on basis triple ({a}, {b}, {c})"
+                        )
+        for a in range(d):
+            if self._star(self._star_pairs[a]) != {a: _ONE}:
+                raise InputError(f"involution is not involutive on basis vector {a}")
+        if self._star(unit) != dict(unit):
+            raise InputError("involution does not fix the unit")
+        for a in range(d):
+            for b in range(d):
+                left = self._star(self._pairs[a][b])
+                right = self._mul(self._star_pairs[b], self._star_pairs[a])
+                if left != right:
+                    raise InputError(
+                        f"involution is not an anti-automorphism on pair ({a}, {b})"
+                    )
+
+    def basis_product(self, a: int, b: int):
+        """Sparse coordinates [(c, coeff)] of the product e_a e_b."""
+        return self._pairs[a][b]
+
+    def _mul(self, x, y) -> dict:
+        """x y for sparse x and y, given as (index, coeff) pairs."""
+        return _combine(
+            (s * t, row) for a, s in x for b, t in y if (row := self._pairs[a][b])
+        )
+
+    def _star(self, x) -> dict:
+        """x^* for sparse x, given as (index, coeff) pairs."""
+        return _combine((s.conjugate(), self._star_pairs[a]) for a, s in x)
+
+    def mul_coords(self, x, y) -> tuple:
+        return self._dense(self._mul(_nonzero(x), _nonzero(y)))
+
+    def star_coords(self, x) -> tuple:
+        return self._dense(self._star(_nonzero(x)))
+
+    def _dense(self, x: dict) -> tuple:
+        return tuple(x.get(c, _ZERO) for c in range(self.dim))
+
+    def to_json(self) -> dict:
+        """The JSON form; entries holding one shared instance share one dict."""
+        text = {}
+
+        def entry(v):
+            out = text.get(id(v))
+            if out is None:
+                out = text[id(v)] = v.to_json()
+            return out
+
+        return {
+            "dim": self.dim,
+            "basis": list(self.basis),
+            "mult": [[list(map(entry, row)) for row in plane] for plane in self.mult],
+            "unit": list(map(entry, self.unit)),
+            "star": [list(map(entry, row)) for row in self.star],
+        }
+
+    @staticmethod
+    def from_json(data: dict) -> "FinAlgebra":
+        dim = data.get("dim") if isinstance(data, dict) else None
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise InputError("algebra file needs an integer 'dim'")
+        read = gauss_reader()
+        try:
+            mult = tuple(
+                tuple(tuple(map(read, row)) for row in plane) for plane in data["mult"]
+            )
+            unit = tuple(map(read, data["unit"]))
+            star = tuple(tuple(map(read, row)) for row in data["star"])
+            basis = data.get("basis", [])
+            if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+                raise TypeError("'basis' must be a list of names")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad algebra description: {exc}") from None
+        return FinAlgebra(dim, mult, unit, star, tuple(basis))
+
+    @staticmethod
+    def load(path) -> "FinAlgebra":
+        with open(path) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"bad algebra file: {exc}") from None
+        return FinAlgebra.from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# the word-level expansion of the operators
+
+
+def _op_terms(pairs, one, kind: str, word) -> list:
+    """Expand b, b', lambda, N or S on a basis word into [(word, coeff)].
+
+    This is the one word-level expansion of the operators:
+    `cyclic.apply_operator` calls it with the Gaussian-rational table, and
+    Connes' complex with the integer table `_int_table`.  ``pairs[a][b]``
+    lists the (c, v) with e_a e_b = sum v e_c and ``one`` is the unit of
+    the coefficient ring.  Terms are not collected, so one word may appear
+    more than once.
+    """
+    n = len(word) - 1
+    out = []
+    if kind == "b" or kind == "bprime":
+        for j in range(n):
+            for c, v in pairs[word[j]][word[j + 1]]:
+                out.append((word[:j] + (c,) + word[j + 2 :], -v if j % 2 else v))
+        if kind == "b":
+            for c, v in pairs[word[n]][word[0]]:
+                out.append(((c,) + word[1:n], -v if n % 2 else v))
+    elif kind == "lambda":
+        out.append(((word[n],) + word[:n], -one if n % 2 else one))
+    elif kind == "N":
+        cur, neg = word, False
+        for _ in range(n + 1):
+            out.append((cur, -one if neg else one))
+            cur = (cur[n],) + cur[:n]
+            neg = neg != (n % 2 == 1)
+    elif kind == "S":
+        for x, c1 in pairs[word[0]][word[1]]:
+            for y, c2 in pairs[x][word[2]]:
+                out.append(((y,) + word[3:], c1 * c2))
+    else:
+        raise InputError(f"unknown operator {kind!r}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Connes' complex
+
+
+def _flat(word, dim: int) -> int:
+    r = 0
+    for a in word:
+        r = r * dim + a
+    return r
+
+
+def _peirce_grading(A: FinAlgebra) -> tuple:
+    """Peirce indices (i, j) of each basis element x, with x in e_i A e_j.
+
+    The grading applies when the unit is a sum of basis elements
+    e_0..e_{k-1} (numbered in basis order) with coefficient 1 each that are
+    orthogonal idempotents, and each basis element x has exactly one
+    nonzero product e_i x and exactly one nonzero x e_j; by the unit law
+    those products are x.  Every other algebra gets the trivial grading,
+    (0, 0) on every basis element.
+    """
+    trivial = ((0, 0),) * A.dim
+    # the basis elements in the support of the unit; once they are
+    # orthogonal idempotents, e = e 1 forces each coefficient to be 1
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    for e in idem:
+        for f in idem:
+            if A.basis_product(e, f) != (((e, _ONE),) if e == f else ()):
+                return trivial
+    grading = []
+    for x in range(A.dim):
+        left = [i for i, e in enumerate(idem) if A.basis_product(e, x)]
+        right = [j for j, e in enumerate(idem) if A.basis_product(x, e)]
+        if len(left) != 1 or len(right) != 1:
+            return trivial
+        grading.append((left[0], right[0]))
+    return tuple(grading)
+
+
+def _letter_weights(grading: tuple, length: int) -> tuple:
+    """The weight eps_i - eps_j of each letter, as one integer.
+
+    A sum of at most `length` letter weights has coordinates in
+    [-length, length], so it is determined by its value in the balanced
+    base 2 * length + 1; a word of at most `length` letters has weight 0
+    exactly when its letter weights sum to 0.
+    """
+    base = 2 * length + 1
+    return tuple(base**i - base**j for i, j in grading)
+
+
+def _weight_zero_words(weights: tuple, length: int) -> int:
+    """The number of words of `length` letters whose weights sum to 0.
+
+    The sums of each half of a word are counted separately and paired by
+    opposite value.
+    """
+    letters = {}
+    for w in weights:
+        letters[w] = letters.get(w, 0) + 1
+    sums = [{0: 1}]
+    for _ in range((length + 1) // 2):
+        step = {}
+        for s, k in sums[-1].items():
+            for w, m in letters.items():
+                step[s + w] = step.get(s + w, 0) + k * m
+        sums.append(step)
+    tail = sums[(length + 1) // 2]
+    return sum(k * tail.get(-s, 0) for s, k in sums[length // 2].items())
+
+
+def _corner(pairs, idem: list, grading: tuple) -> tuple:
+    """The letters of a full corner eAe, in basis order.
+
+    ``pairs[a][b]`` lists the (c, v) with e_a e_b = sum v e_c, ``grading``
+    gives each letter's Peirce indices, and ``idem[i]`` is the letter of
+    e_i.  e is the sum of the Peirce idempotents that are kept.
+    Idempotent e_j is dropped, last index first, when letters x of e_j A e_i and y of
+    e_i A e_j, with e_i kept, multiply to exactly c e_j with c != 0: then
+    e_j = c^-1 x e_i y lies in A e_i A, and each dropped idempotent lies in
+    AeA by induction over the drops, so AeA = A.  The letters of eAe are
+    those whose two Peirce indices are both kept; products of such letters
+    stay among them.  The trivial grading has one index, so every letter
+    is kept.
+    """
+    space = {}
+    for a, pq in enumerate(grading):
+        space.setdefault(pq, []).append(a)
+    kept = {i for i, _ in grading}
+    for j in sorted(kept, reverse=True):
+        if any(
+            [c for c, _ in pairs[x][y]] == [idem[j]]
+            for i in kept - {j}
+            for x in space.get((j, i), ())
+            for y in space.get((i, j), ())
+        ):
+            kept.discard(j)
+    return tuple(a for a, (i, j) in enumerate(grading) if i in kept and j in kept)
+
+
+def _cell(word, dim: int):
+    """(row, negate) of the cell of `word` in C^lambda_n, or None when killed.
+
+    The cell's word is the least rotation of `word`; rotating k letters to
+    the left reaches it, and in C^lambda_n the word is (-1)^(nk) times it.
+    Two such k of opposite parity when n is odd mean a rotation sends the
+    cell to its negative, and the cell is killed.  The row is the flat
+    index of the least rotation.
+    """
+    n = len(word) - 1
+    turns = [word[k:] + word[:k] for k in range(n + 1)]
+    rep = min(turns)
+    ks = [k for k, w in enumerate(turns) if w == rep]
+    if n % 2 and any((k - ks[0]) % 2 for k in ks):
+        return None
+    return _flat(rep, dim), (n * ks[0]) % 2 == 1
+
+
+class _Lookup(dict):
+    """Cells of the words of one degree, computed on first lookup."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, word):
+        cell = self[word] = _cell(word, self.dim)
+        return cell
+
+
+def _classes(dim: int) -> dict:
+    """An empty memo, word -> `_cell`, for the words of one degree."""
+    return _Lookup(dim)
+
+
+def _necklaces(weights: tuple, length: int):
+    """(word, p) for each least rotation of a weight-0 word of `length` letters, in word order.
+
+    ``weights[a]`` is the weight of letter a.  The FKM algorithm
+    (Fredricksen-Kessler-Maiorana) extends a prenecklace of period p by
+    its letter p places back, keeping the period, or by a larger letter,
+    which makes the whole prefix the period; a prenecklace whose period
+    divides the length is the least rotation of its class, and p is then
+    its least period (Cattell, Ruskey, Sawada, Serra and Miers,
+    J. Algorithms 37, 2000).  A prefix is pruned when no word of the
+    remaining length has the opposite weight.
+    """
+    dim, letters = len(weights), set(weights)
+    # reach[r] holds the weights of the words of r letters
+    reach = [{0}]
+    for _ in range(length - 1):
+        reach.append({s + w for s in reach[-1] for w in letters})
+    word = [0] * (length + 1)  # word[0] stands before the first letter
+
+    def extend(t: int, p: int, total: int):
+        if t > length:
+            if length % p == 0:
+                yield tuple(word[1:]), p
+            return
+        need = reach[length - t]
+        back = word[t - p]
+        for a in range(back, dim):
+            s = total + weights[a]
+            if -s in need:
+                word[t] = a
+                yield from extend(t + 1, p if a == back else t, s)
+
+    return extend(1, 1, 0)
+
+
+def _cells(weights: tuple, n: int):
+    """The least word of each weight-0 cell of C^lambda_n that is not killed, in word order.
+
+    A necklace of least period p is fixed by the rotations by multiples of
+    p, and rotating by p letters multiplies it by (-1)^(np) in
+    C^lambda_n, so it is killed exactly when n p is odd (as `_cell` finds
+    from all of its rotations).
+    """
+    return (word for word, p in _necklaces(weights, n + 1) if n * p % 2 == 0)
+
+
+def _columns(tables: tuple, n: int, word, classes) -> list:
+    """Integer columns of L * b on `word`, from C_n to C^lambda_{n-1}.
+
+    ``tables`` is an integer table (re, im) from `_int_table` and
+    ``classes`` maps each word of C_{n-1} to (row, negate), or None when
+    killed.  A real algebra gives one column; a Gaussian one gives the two
+    real columns of the realification (the images of the word and of i
+    times it), with imaginary parts in rows shifted by dim^n.
+    """
+    parts = []
+    for pairs in tables:
+        if pairs is None:
+            continue
+        col = {}
+        for w, v in _op_terms(pairs, 1, "b", word):
+            cell = classes[w]
+            if cell is not None:
+                r, negate = cell
+                col[r] = col.get(r, 0) + (-v if negate else v)
+        parts.append({r: v for r, v in col.items() if v})
+    if len(parts) == 1:
+        return parts
+    re_col, im_col = parts
+    shift = len(tables[0]) ** n
+    return [
+        {**re_col, **{r + shift: v for r, v in im_col.items()}},
+        {**{r + shift: v for r, v in re_col.items()}, **{r: -v for r, v in im_col.items()}},
+    ]
+
+
+def _reduce_degree(tables: tuple, n: int, cells: list, classes, below: dict, keep: bool):
+    """(rank, mode, columns) of b: C^lambda_n -> C^lambda_{n-1} on the given cells.
+
+    Each cell's columns (`_columns`, with ``classes`` the degree-(n-1)
+    memo) are built once.  For n >= 2 they are first checked for
+    b o b = 0 against ``below``, the columns of degree n-1 keyed by the
+    flat index of each cell's least word, which is the row that cell has
+    here; a realified column's row past dim^n is the image of i times
+    that cell, the cell's second column.  The check runs on every cell
+    when there are at most `_SQUARE_CHECK_LIMIT` of them, and otherwise on
+    64 random ones; mode says which.  The columns are then reduced by
+    `reduce_column`, which leaves them unchanged, so with ``keep`` they
+    are returned, keyed the same way, for the check of degree n+1.
+    """
+    dim = len(tables[0])
+    shift = dim**n
+    sampled = len(cells) > _SQUARE_CHECK_LIMIT
+    checked = set(random.Random(2026 * n + dim).sample(cells, 64)) if sampled else None
+    pivots, kept = {}, {}
+    for word in cells:
+        cols = _columns(tables, n, word, classes)
+        if n >= 2 and (checked is None or word in checked):
+            acc = {}
+            for r, v in cols[0].items():
+                for r2, v2 in below[r % shift][r // shift].items():
+                    acc[r2] = acc.get(r2, 0) + v * v2
+            if any(acc.values()):
+                raise RuntimeError(f"b o b is nonzero at level {n} on word {word}")
+        if keep:
+            kept[_flat(word, dim)] = cols
+        for col in cols:
+            if col:
+                reduce_column(col, pivots)
+    rank = len(pivots)
+    if tables[1] is not None:
+        if rank % 2:
+            raise RuntimeError("realified rank is odd; exact reduction is broken")
+        rank //= 2
+    return rank, "sampled" if sampled else "full", kept
+
+
+_SQUARE_CHECK_LIMIT = 50000
+
+# Degree T of the chain complex has this many weight-0 words at most, in
+# the corner's letters before it is split; past it, hp_homology is an
+# input error.  Words are a loose proxy for the cost, which is elimination
+# fill-in on the cells that survive the reductions.  On one pinned CPU
+# (2 vCPUs, Python 3.11.7) the slowest admitted run known is the u^2 = i
+# algebra at T = 18 (2^19 words, realified), about 52 s, against 1.5 s
+# for dual numbers at T = 18; once split, Q(i)[Z/5] at T = 7 (5^8 words)
+# takes about 3.5 s and Q(i)[S3] at T = 6 (6^7 words) under 10 ms.
+MAX_CHAIN_WORDS = 2**19
+
+# A corner of one letter (M_r, the ground field) has one word per degree,
+# so the word bound never fires; its columns have n terms of n letters,
+# and the work grows like T^3.  From two letters on, MAX_CHAIN_WORDS binds
+# first (at T = 19 at the latest): two weight-0 letters alone make 2^(T+1)
+# weight-0 words.
+MAX_TRUNCATION = 64
+
+
+def _int_table(pairs, letters: tuple) -> tuple:
+    """b's integer table (re, im) on the letters ``letters``, renumbered in their order.
+
+    ``pairs[a][b]`` lists the (c, v) with e_a e_b = sum v e_c.  b is
+    linear in the structure constants, so L * b has the rank of b,
+    with L the lcm of the denominators of the letters' products; their
+    products must stay among them.  A constant (a + b i)/d becomes
+    a L/d in re and b L/d in im.  im is None when those products are all
+    real, and the complex is then not realified.
+    """
+    new = {a: k for k, a in enumerate(letters)}
+    products = [[pairs[a][b] for b in letters] for a in letters]
+    triples = [v.triple for row in products for p in row for _, v in p]
+    scale = math.lcm(*(t[2] for t in triples))
+
+    def table(part):
+        return tuple(
+            tuple(
+                tuple((new[c], t[part] * (scale // t[2])) for c, v in p if (t := v.triple)[part])
+                for p in row
+            )
+            for row in products
+        )
+
+    return table(0), table(1) if any(t[1] for t in triples) else None
+
+
+def _rank_table(pairs, letters: tuple, weights: tuple, truncation: int):
+    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
+
+    The complex is built on the letters ``letters`` of the product table
+    ``pairs`` alone (`_int_table`), with ``weights`` their letter weights.
+    Each degree is one pass (`_reduce_degree`): its cells come from the necklaces and
+    their periods, and each cell's columns of b serve both the b o b check
+    and the rank.  The memo of degree n-1 (`_classes`) and the columns of
+    degree n-1 live only while degree n is reduced.
+    """
+    tables = _int_table(pairs, letters)
+    ranks, cells, modes, below = [0], [], [], {}
+    for n in range(truncation + 1):
+        words = list(_cells(weights, n))
+        cells.append(len(words))
+        # b vanishes on C_0
+        if n:
+            rank, mode, below = _reduce_degree(
+                tables, n, words, _classes(len(letters)), below, n < truncation
+            )
+            ranks.append(rank)
+            if n >= 2:
+                modes.append(mode)
+    mode = "full" if all(m == "full" for m in modes) else "sampled"
+    return tuple(ranks), tuple(cells), mode
+
+
+class HPReport(NamedTuple):
+    """Truncated periodic homology report: top even/odd dimensions."""
+
+    truncation: int
+    hp0: int
+    hp1: int
+    hc: tuple
+    stabilized: bool
+    previous: tuple
+    boundary_check: str
+
+    def to_json(self) -> dict:
+        return {
+            "truncation": self.truncation,
+            "hp0": self.hp0,
+            "hp1": self.hp1,
+            "hc": list(self.hc),
+            "stabilized": self.stabilized,
+            "previous": list(self.previous) if self.previous else None,
+            "boundary_check": self.boundary_check,
+        }
+
+
+def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
+    """Cyclic homology HC_0..HC_{T-1} of A, with T = `truncation`.
+
+    HC_n is the homology of Connes' complex C^lambda (Loday, Cyclic
+    Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  A is
+    first cut to a full corner eAe (`_corner`), which has the same cyclic
+    homology by Morita invariance (Loday, sections 1.2 and 2.2), and only
+    the weight-0 block of the corner's Peirce grading is reduced (see the
+    module docstring); an algebra without such a grading keeps every
+    letter and gets the trivial grading through the same code.  The product
+    of a corner of two or more letters is then rewritten in a basis of
+    Peirce spaces of orthogonal idempotents (`blocks.split_corner`), and
+    cut again: Q(i)[S3] falls from 6 letters to 3.  The report's
+    (hp0, hp1) are the homology dimensions in the top even and odd degrees
+    below T;
+    `stabilized` records whether they agree with the pair two degrees
+    down, which is the same comparison as rerunning at T - 2.
+    `boundary_check` says whether b o b = 0 was verified on every cell of
+    each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells, on 64
+    sampled ones.  T above `MAX_TRUNCATION`, or more than `MAX_CHAIN_WORDS`
+    words of weight 0 in degree T of the corner (counted before the split
+    and before any table is built), is an InputError.
+    """
+    grading = _peirce_grading(A)
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    return _hp(A, grading, _corner(A._pairs, idem, grading), truncation, split=True)
+
+
+def _hp(
+    A: FinAlgebra, grading: tuple, letters: tuple, truncation: int, split: bool = False
+) -> HPReport:
+    """The `hp_homology` report of A, computed on the basis letters ``letters``.
+
+    ``grading`` is A's `_peirce_grading`, and ``letters`` spans a full
+    corner of A, or is every letter of A.  With ``split``, a corner of two
+    or more letters that passes the size guards is replaced by the full
+    corner of `blocks.split_corner`'s product table, whose idempotents are
+    the first letters of their (i, i) spaces.
+    """
+    if truncation < 2:
+        raise InputError("truncation must be at least 2")
+    if truncation > MAX_TRUNCATION:
+        raise InputError(f"truncation {truncation} is above {MAX_TRUNCATION}")
+    length = truncation + 1
+    weights = _letter_weights(tuple(grading[a] for a in letters), length)
+    # weights.count(0)^length <= count <= len(letters)^length bound the exact count
+    if weights.count(0) ** length > MAX_CHAIN_WORDS or (
+        len(letters) ** length > MAX_CHAIN_WORDS
+        and _weight_zero_words(weights, length) > MAX_CHAIN_WORDS
+    ):
+        raise InputError(
+            f"more than {MAX_CHAIN_WORDS} chain words of weight 0 in degree "
+            f"{truncation}, on {len(letters)} of the {A.dim} basis letters"
+        )
+    pairs = A._pairs
+    if split and len(letters) > 1:
+        from .blocks import split_corner
+
+        blocks = split_corner(A, letters, grading)
+        if blocks is not None:
+            pairs, grading = blocks
+            idem = [grading.index((i, i)) for i in sorted({i for i, _ in grading})]
+            letters = _corner(pairs, idem, grading)
+            weights = _letter_weights(tuple(grading[a] for a in letters), length)
+    ranks, cells, mode = _rank_table(pairs, letters, weights, truncation)
+    hc = []
+    for m in range(truncation):
+        h = cells[m] - ranks[m] - ranks[m + 1]
+        if h < 0:
+            raise RuntimeError(f"negative homology dimension at degree {m}")
+        hc.append(h)
+    top = truncation - 1
+    e = top if top % 2 == 0 else top - 1
+    o = top if top % 2 == 1 else top - 1
+    hp0, hp1 = hc[e], hc[o]
+    if e - 2 >= 0 and o - 2 >= 0:
+        previous = (hc[e - 2], hc[o - 2])
+        stabilized = (hp0, hp1) == previous
+    else:
+        previous = ()
+        stabilized = False
+    return HPReport(truncation, hp0, hp1, tuple(hc), stabilized, previous, mode)

@@ -137,10 +137,10 @@ SL2 = str(FIXTURES / "sl2.json")
 # (allocating calls that must not be entered, argv rejected by a size guard)
 SIZE_GUARDED = [
     # C^2 has no smaller corner, and 2^20 words in degree 19
-    (("orbitkit.cyclic._classes",),
+    (("orbitkit.homology._classes",),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi2.json"), "--truncation", "19"]),
     # dim 1: one word per degree, stopped by the truncation bound
-    (("orbitkit.cyclic._necklaces", "orbitkit.cyclic._classes"),
+    (("orbitkit.homology._necklaces", "orbitkit.homology._classes"),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "100000"]),
     (("orbitkit.strata.SamplerConfig.draw",),
      ["lie", "strata", "--algebra", SL2, "--samples", "100000000"]),
@@ -171,18 +171,47 @@ SIZE_GUARDED = [
 ]
 
 
-@pytest.mark.parametrize("targets, argv", SIZE_GUARDED, ids=lambda v: "-".join(v[:2]))
-def test_size_guards_exit_two_before_allocating(monkeypatch, targets, argv):
-    # an entered allocation raises, which would exit 1, not 2
+# the cyclic cases' patches again, on the largest argv each guard admits:
+# a patch of a binding that nothing calls would pass above without proving
+# anything, so here each patched call must be entered
+ADMITTED = [
+    # C^2 has 2^19 words in degree 18, exactly MAX_CHAIN_WORDS
+    (("orbitkit.homology._classes",),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "qi2.json"), "--truncation", "18"]),
+    (("orbitkit.homology._necklaces", "orbitkit.homology._classes"),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "64"]),
+    (("orbitkit.cyclic._random_element",),
+     ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+      "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "100000"]),
+]
+
+
+def _forbid(monkeypatch, targets):
+    # an entered allocation raises, which exits 1 with this message
     def forbidden(*args, **kwargs):
         raise AssertionError("allocation entered before the size guard fired")
 
     for target in targets:
         monkeypatch.setattr(target, forbidden)
+
+
+@pytest.mark.parametrize("targets, argv", SIZE_GUARDED, ids=lambda v: "-".join(v[:2]))
+def test_size_guards_exit_two_before_allocating(monkeypatch, targets, argv):
+    _forbid(monkeypatch, targets)
     code, output = invoke(argv)
     assert code == 2, output
     error = json.loads(output)["error"]
     assert error["kind"] == "input" and error["subcommand"] == " ".join(argv[:2])
+
+
+@pytest.mark.parametrize("targets, argv", ADMITTED, ids=lambda v: "-".join(v[:2]))
+def test_size_guard_patches_are_entered_under_the_bound(monkeypatch, targets, argv):
+    _forbid(monkeypatch, targets)
+    code, output = invoke(argv)
+    assert code == 1, output
+    assert json.loads(output)["error"]["message"] == (
+        "AssertionError: allocation entered before the size guard fired"
+    )
 
 
 def test_input_errors_exit_two_with_error_object(tmp_path):
@@ -361,7 +390,7 @@ def test_algebra_shapes_are_checked_before_the_default_labels(monkeypatch, tmp_p
     def forbidden(*args):
         raise AssertionError("default labels built before the shape check")
 
-    monkeypatch.setattr("orbitkit.cyclic._default_basis", forbidden)
+    monkeypatch.setattr("orbitkit.homology._default_basis", forbidden)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dim": 10**12, "mult": [], "unit": [], "star": []}))
     code, output = invoke(["cyclic", "hp", "--algebra", str(path)])
@@ -371,6 +400,13 @@ def test_algebra_shapes_are_checked_before_the_default_labels(monkeypatch, tmp_p
         "message": "multiplication table must be dim x dim x dim",
         "subcommand": "cyclic hp",
     }
+    # the same patch is entered once the shapes pass and no labels are given
+    qi = json.loads((FIXTURES / "qi.json").read_text())
+    del qi["basis"]
+    path.write_text(json.dumps(qi))
+    code, output = invoke(["cyclic", "hp", "--algebra", str(path)])
+    assert code == 1, output
+    assert "default labels built" in json.loads(output)["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -448,8 +484,34 @@ def test_only_corners_of_two_letters_load_the_block_split():
     assert run_python(code).split() == ["False", "True", "True"]
 
 
+@pytest.mark.parametrize(
+    "argvs, loaded, absent",
+    [
+        # a one-letter corner (M2) and a split one (Q(i)[S3])
+        ([["cyclic", "hp", "--algebra", str(FIXTURES / f"{name}.json"), "--truncation", "3"]
+          for name in ("m2", "qi_s3")],
+         "orbitkit.homology", ("orbitkit.cyclic", "orbitkit.entire")),
+        ([["cyclic", "entire", "--pattern", "floor-half-fact/fact"]],
+         "orbitkit.entire", ("orbitkit.cyclic", "orbitkit.homology")),
+    ],
+    ids=["hp", "entire"],
+)
+def test_cyclic_hp_and_entire_load_only_their_own_module(argvs, loaded, absent):
+    # chains, traces and the constructors stay in orbitkit.cyclic, which
+    # neither command compiles
+    code = "import contextlib, io, sys; from orbitkit import cli\n"
+    for argv in argvs:
+        code += (
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}, standalone_mode=False) == 0\n"
+        )
+    code += f"print([m for m in {[loaded, *absent]!r} if m in sys.modules])\n"
+    assert run_python(code).split() == [repr([loaded])]
+
+
 def test_commands_load_neither_dataclasses_nor_inspect():
-    # the top-level help and one command per group, in one interpreter:
+    # the top-level help and one command per group (each cyclic one, as
+    # they load different modules), in one interpreter:
     # the modules they add to sys.modules, measured from a snapshot so
     # that what the interpreter's site already loaded does not count.
     # numpy loads inspect itself, so affine verify runs after numpy is in
@@ -460,6 +522,9 @@ def test_commands_load_neither_dataclasses_nor_inspect():
         ["lie", "strata", "--algebra", heis, "--samples", "5"],
         ["quantize", "verify", "--alpha", "p1*dq1", "--max-degree", "1"],
         ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "2"],
+        ["cyclic", "entire", "--pattern", "floor-half-fact/fact"],
+        ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+         "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "2"],
         ["chern", "matrix", "--family", "SU", "--rank", "2"],
         ["qgroup", "reps", "--family", "A", "--rank", "1", "--t-samples", "1"],
         ["tower", "report", "--algebra", heis, "--samples", "5"],
@@ -485,7 +550,10 @@ print(json.dumps(sorted(added)))
 """
     added = json.loads(run_python(code))
     assert {"dataclasses", "inspect"}.isdisjoint(added)
-    modules = ("affine", "chern", "cyclic", "exactnum", "liealg", "qgroup", "quantize", "strata")
+    modules = (
+        "affine", "chern", "cyclic", "entire", "exactnum", "homology", "liealg", "qgroup",
+        "quantize", "strata",
+    )
     assert {f"orbitkit.{name}" for name in modules} <= set(added)
 
 
@@ -638,10 +706,13 @@ def test_help_exits_zero(argv):
          "strata.foliation_check", None),
         (["cyclic", "hp", "--algebra", str(FIXTURES / "m2.json"), "--truncation", "4"],
          "cyclic.hp_homology", "cyclic.boundary_columns"),
+        (["cyclic", "entire", "--pattern", "floor-half-fact/fact"], "cyclic.entirety", None),
+        (["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+          "--trace", str(FIXTURES / "m2_trace.json")], "cyclic.verify_trace", None),
         (["affine", "verify", "--l", "2.0", "--h", "0.25", "--trials", "3"],
          "affine.random_aligned_element", None),
     ],
-    ids=["lie-strata", "cyclic-hp", "affine-verify"],
+    ids=["lie-strata", "cyclic-hp", "cyclic-entire", "cyclic-trace", "affine-verify"],
 )
 def test_traced_benchmark_child_runs(argv, span, counter):
     # the benchmark's tracer wraps orbitkit functions by name, and fails

@@ -17,6 +17,7 @@ import pytest
 import orbitkit.blocks as blocks_module
 import orbitkit.cyclic as cyclic_module
 import orbitkit.exactnum as exactnum
+import orbitkit.homology as homology_module
 from orbitkit import cli
 from orbitkit.cyclic import (
     MAX_CHAIN_WORDS,
@@ -679,7 +680,7 @@ def _dense_adjoint(kind, y):
     terms = {}
     for word in itertools.product(range(A.dim), repeat=src_level + 1):
         acc = GaussRational.zero()
-        for w, v in cyclic_module._op_terms(A._pairs, ONE, kind, word):
+        for w, v in homology_module._op_terms(A._pairs, ONE, kind, word):
             t = y.terms.get(w)
             if t is not None:
                 acc = acc + v.conjugate() * t
@@ -718,7 +719,7 @@ def test_adjoint_costs_the_support_not_the_word_count(monkeypatch):
     # the dense pull walked all 16^9 source words of M4 at level 8, even for
     # the zero chain; a budget on word expansions fails fast instead of hanging
     expansions = 0
-    op_terms = cyclic_module._op_terms
+    op_terms = homology_module._op_terms
 
     def counted(*args):
         nonlocal expansions
@@ -728,6 +729,7 @@ def test_adjoint_costs_the_support_not_the_word_count(monkeypatch):
 
     M4, M3 = matrix_algebra(4), matrix_algebra(3)
     rng = random.Random(7)
+    # apply_operator calls the binding its own module imported
     monkeypatch.setattr(cyclic_module, "_op_terms", counted)
     t0 = time.perf_counter()
     assert apply_operator("b", Chain.zero(M4, 7), adjoint=True).is_zero()
@@ -742,6 +744,7 @@ def test_adjoint_costs_the_support_not_the_word_count(monkeypatch):
         assert not lhs.is_zero()
         assert lhs == chain_pairing(x, apply_operator("b", y, adjoint=True))
     assert time.perf_counter() - t0 < 1.0
+    assert expansions, "the patched expansion was never called"
 
 
 def _rescaled(A, factors):
@@ -960,8 +963,8 @@ def _full_connes_hc(A, truncation, weight_zero=False):
     """
     weights = (0,) * A.dim
     if weight_zero:
-        grading = cyclic_module._peirce_grading(A)
-        weights = cyclic_module._letter_weights(grading, truncation + 1)
+        grading = homology_module._peirce_grading(A)
+        weights = homology_module._letter_weights(grading, truncation + 1)
     tables, cells = [], []
     for n in range(truncation + 1):
         table, reps = {}, []
@@ -978,11 +981,11 @@ def _full_connes_hc(A, truncation, weight_zero=False):
                 reps.append(word)
         tables.append(table)
         cells.append(reps)
-    ranks, int_table = [0], cyclic_module._int_table(A._pairs, tuple(range(A.dim)))
+    ranks, int_table = [0], homology_module._int_table(A._pairs, tuple(range(A.dim)))
     for n in range(1, truncation + 1):
         pivots = {}
         for word in cells[n]:
-            for col in cyclic_module._columns(int_table, n, word, tables[n - 1]):
+            for col in homology_module._columns(int_table, n, word, tables[n - 1]):
                 if col:
                     reduce_column(col, pivots)
         ranks.append(len(pivots) // (1 if int_table[1] is None else 2))
@@ -1012,7 +1015,7 @@ def test_weight_zero_block_agrees_with_the_full_complex(name, truncation):
         "M2(u^2=i)": lambda: matrix_amplification(_u_squared_i(), 2),
         "C^3": lambda: gauss_field_power(3),
     }[name]()
-    assert len(set(cyclic_module._peirce_grading(A))) > 1
+    assert len(set(homology_module._peirce_grading(A))) > 1
     assert hp_homology(A, truncation).hc == _full_connes_hc(A, truncation)
 
 
@@ -1040,7 +1043,7 @@ def _skew_m2():
 
 
 def test_peirce_grading_of_idempotent_bases():
-    grading = cyclic_module._peirce_grading
+    grading = homology_module._peirce_grading
     assert grading(matrix_algebra(2)) == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert grading(gauss_field_power(3)) == ((0, 0), (1, 1), (2, 2))
     # the amplified side of a Morita check: e_ij * a lies in e_ii A e_jj
@@ -1059,7 +1062,7 @@ def test_algebras_without_a_peirce_basis_get_the_trivial_grading(name):
         # f = e11 / 2: the unit is 2 f + e22
         "half_unit": lambda: _rescaled(matrix_algebra(2), ["1/2", 1, 1, 1]),
     }[name]()
-    assert set(cyclic_module._peirce_grading(A)) == {(0, 0)}
+    assert set(homology_module._peirce_grading(A)) == {(0, 0)}
     assert hp_homology(A, 4).hc == _full_connes_hc(A, 4)
 
 
@@ -1124,7 +1127,7 @@ _CORNER_CASES = {
 def _corner(A):
     """The corner letters of a loaded algebra, whose idempotents are the unit's support."""
     idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
-    return cyclic_module._corner(A._pairs, idem, cyclic_module._peirce_grading(A))
+    return homology_module._corner(A._pairs, idem, homology_module._peirce_grading(A))
 
 
 def test_corner_letter_counts():
@@ -1157,7 +1160,7 @@ def test_rescaled_and_reordered_bases_shrink_to_their_corner():
     # space differs across the pair, still certify the drop
     for name in ("M2 2e12", "M3 2e12", "M2(dual) reordered"):
         A = _CORNER_CASES[name]()
-        grading = cyclic_module._peirce_grading(A)
+        grading = homology_module._peirce_grading(A)
         kept = {i for a in _corner(A) for i in grading[a]}
         assert kept == {0}, name
     reordered = _CORNER_CASES["M2(dual) reordered"]()
@@ -1271,8 +1274,8 @@ def _split_idempotents(side):
 
 def _split_corner(A):
     """`split_corner`'s (table, side) for the corner of A, and the split table's own corner."""
-    table, side = blocks_module.split_corner(A, _corner(A), cyclic_module._peirce_grading(A))
-    return table, side, cyclic_module._corner(table, _split_idempotents(side), side)
+    table, side = blocks_module.split_corner(A, _corner(A), homology_module._peirce_grading(A))
+    return table, side, homology_module._corner(table, _split_idempotents(side), side)
 
 
 def test_pauli_splits_to_a_one_letter_corner():
@@ -1282,7 +1285,7 @@ def test_pauli_splits_to_a_one_letter_corner():
     assert len(table) == 4 and len(corner) == 1
     assert side == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # one word per degree, killed in odd degrees
-    _, cells, _ = cyclic_module._rank_table(table, corner, (0,), 6)
+    _, cells, _ = homology_module._rank_table(table, corner, (0,), 6)
     assert cells == (1, 0, 1, 0, 1, 0, 1)
 
 
@@ -1300,8 +1303,8 @@ def test_rescaled_pauli_units_keep_their_cells_and_homology(factors):
     A = _rescaled(P, factors)
     (table, _, corner), (pauli, _, pauli_corner) = _split_corner(A), _split_corner(P)
     assert len(corner) == len(pauli_corner) == 1
-    assert cyclic_module._rank_table(table, corner, (0,), 5) == (
-        cyclic_module._rank_table(pauli, pauli_corner, (0,), 5)
+    assert homology_module._rank_table(table, corner, (0,), 5) == (
+        homology_module._rank_table(pauli, pauli_corner, (0,), 5)
     )
     assert hp_homology(A, 5).hc == hp_homology(P, 5).hc == (1, 0, 1, 0, 1)
 
@@ -1490,7 +1493,7 @@ def test_a_corner_that_the_involution_leaves_is_split():
 
 def _table_product(table, x, y):
     """x y for sparse {letter: coeff} x and y, on a product table."""
-    return cyclic_module._combine(
+    return homology_module._combine(
         (s * t, table[a][b]) for a, s in x.items() for b, t in y.items()
     )
 
@@ -1535,7 +1538,7 @@ def test_refinements_that_fail_the_exact_check_are_dropped(monkeypatch, fault):
 
     monkeypatch.setattr(blocks_module, "_eigen_idempotents", wrong)
     for A in (_pauli_m2(), _group_algebra(_GROUPS["S3"]())):
-        grading = cyclic_module._peirce_grading(A)
+        grading = homology_module._peirce_grading(A)
         assert blocks_module.split_corner(A, _corner(A), grading) is None
     assert hp_homology(_pauli_m2(), 4).hc == (1, 0, 1, 0)
 
@@ -1549,14 +1552,14 @@ def test_idempotents_summing_to_an_idempotent_are_orthogonal(monkeypatch):
     def recorded(A, f, w):
         pieces = eigen(A, f, w)
         idempotent = all(A._mul(q.items(), q.items()) == q for q in pieces)
-        total = cyclic_module._combine((ONE, q.items()) for q in pieces)
+        total = homology_module._combine((ONE, q.items()) for q in pieces)
         if len(pieces) > 1 and idempotent and total == f:
             kept.append((A, pieces))
         return pieces
 
     monkeypatch.setattr(blocks_module, "_eigen_idempotents", recorded)
     for A in (_pauli_m2(), *(_group_algebra(_GROUPS[name]()) for name in ("S3", "B2", "Z/6"))):
-        grading = cyclic_module._peirce_grading(A)
+        grading = homology_module._peirce_grading(A)
         assert blocks_module.split_corner(A, _corner(A), grading)
     assert len(kept) >= 4
     for A, pieces in kept:
@@ -1587,8 +1590,8 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
     def forbidden(*args):
         raise AssertionError("word table built before the size guard fired")
 
-    monkeypatch.setattr(cyclic_module, "_classes", forbidden)
-    monkeypatch.setattr(cyclic_module, "_necklaces", forbidden)
+    monkeypatch.setattr(homology_module, "_classes", forbidden)
+    monkeypatch.setattr(homology_module, "_necklaces", forbidden)
     # the corner cannot shrink these: C^2 has 2^20 words in degree 19,
     # dual numbers as many, and Pauli M2 4^10 in degree 9
     for A, truncation in (
@@ -1608,7 +1611,7 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
     # the bound counts weight-0 words only: degree 9 of the two-cycle
     # algebra holds C(20, 10) = 184,756 of its 4^10 words
     monkeypatch.setattr(
-        cyclic_module,
+        homology_module,
         "_rank_table",
         lambda table, letters, weights, T: ((0,) * (T + 1), (0,) * (T + 1), "full"),
     )
@@ -1620,19 +1623,20 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
 
 def test_weight_zero_word_count_is_exact():
     for A, length in ((matrix_algebra(2), 5), (matrix_algebra(3), 4), (dual_numbers(), 6)):
-        weights = cyclic_module._letter_weights(cyclic_module._peirce_grading(A), length)
+        weights = homology_module._letter_weights(homology_module._peirce_grading(A), length)
         count = sum(1 for _ in _words(weights, length))
-        assert cyclic_module._weight_zero_words(weights, length) == count
-    weights = cyclic_module._letter_weights(cyclic_module._peirce_grading(matrix_algebra(4)), 8)
-    assert cyclic_module._weight_zero_words(weights, 7) == 4951552
-    assert cyclic_module._weight_zero_words(weights, 8) == 65218204
+        assert homology_module._weight_zero_words(weights, length) == count
+    grading = homology_module._peirce_grading(matrix_algebra(4))
+    weights = homology_module._letter_weights(grading, 8)
+    assert homology_module._weight_zero_words(weights, 7) == 4951552
+    assert homology_module._weight_zero_words(weights, 8) == 65218204
 
 
 def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
     # the two-cycle algebra keeps all 4 letters and has 152 weight-0 cells
     # in degree 5, so degree 5 is sampled; the corner of M2(C^2) is C^2,
     # with 10 cells in degree 5
-    monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", 100)
+    monkeypatch.setattr(homology_module, "_SQUARE_CHECK_LIMIT", 100)
     report = hp_homology(_two_cycle(), 5)
     small = hp_homology(matrix_amplification(gauss_field_power(2), 2), 5)
     assert report.boundary_check == "sampled"
@@ -1650,18 +1654,18 @@ def test_necklace_periods_kill_the_cells_that_rotations_kill(dims, lengths, peir
     for dim in dims:
         for length in lengths:
             if peirce:
-                grading = cyclic_module._peirce_grading(matrix_algebra(2))
-                weights = cyclic_module._letter_weights(grading, length)
+                grading = homology_module._peirce_grading(matrix_algebra(2))
+                weights = homology_module._letter_weights(grading, length)
             else:
                 weights = (0,) * dim
             n, kept = length - 1, []
-            for word, p in cyclic_module._necklaces(weights, length):
-                cell = cyclic_module._cell(word, dim)
+            for word, p in homology_module._necklaces(weights, length):
+                cell = homology_module._cell(word, dim)
                 assert (n * p % 2 == 1) == (cell is None), (word, p)
                 if cell is not None:
-                    assert cell == (cyclic_module._flat(word, dim), False)
+                    assert cell == (homology_module._flat(word, dim), False)
                     kept.append(word)
-            assert list(cyclic_module._cells(weights, n)) == kept
+            assert list(homology_module._cells(weights, n)) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -1675,13 +1679,13 @@ def _two_pass_rank_table(A, weights, truncation):
     check rebuilds the columns of b that the rank has used, and those of
     the degree below.
     """
-    dim, tables = A.dim, cyclic_module._int_table(A._pairs, tuple(range(A.dim)))
+    dim, tables = A.dim, homology_module._int_table(A._pairs, tuple(range(A.dim)))
     classes, ranks, cells, modes = [], [], [], []
     for n in range(truncation + 1):
-        classes.append(cyclic_module._classes(dim))
+        classes.append(homology_module._classes(dim))
         words = [
             word
-            for word, _ in cyclic_module._necklaces(weights, n + 1)
+            for word, _ in homology_module._necklaces(weights, n + 1)
             if classes[n][word] is not None
         ]
         cells.append(len(words))
@@ -1690,7 +1694,7 @@ def _two_pass_rank_table(A, weights, truncation):
             continue
         pivots = {}
         for word in words:
-            for col in cyclic_module._columns(tables, n, word, classes[n - 1]):
+            for col in homology_module._columns(tables, n, word, classes[n - 1]):
                 if col:
                     reduce_column(col, pivots)
         ranks.append(len(pivots) // (1 if tables[1] is None else 2))
@@ -1703,14 +1707,14 @@ def _two_pass_square_check(tables, n, cells, classes_prev, classes_prev2):
     dim = len(tables[0])
     shift = dim**n
     below = {}
-    sampled = len(cells) > cyclic_module._SQUARE_CHECK_LIMIT
+    sampled = len(cells) > homology_module._SQUARE_CHECK_LIMIT
     for word in random.Random(2026 * n + dim).sample(cells, 64) if sampled else cells:
         acc = {}
-        for r, v in cyclic_module._columns(tables, n, word, classes_prev)[0].items():
+        for r, v in homology_module._columns(tables, n, word, classes_prev)[0].items():
             row = r % shift
             if row not in below:
                 prev = cyclic_module._unflatten(row, dim, n)
-                below[row] = cyclic_module._columns(tables, n - 1, prev, classes_prev2)
+                below[row] = homology_module._columns(tables, n - 1, prev, classes_prev2)
             for r2, v2 in below[row][r // shift].items():
                 acc[r2] = acc.get(r2, 0) + v * v2
         assert not any(acc.values()), (n, word)
@@ -1741,10 +1745,10 @@ def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, tr
         "two-cycle": _two_cycle,
     }[name]()
     if limit is not None:
-        monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", limit)
-    grading = cyclic_module._peirce_grading(A)
-    weights = cyclic_module._letter_weights(grading, truncation + 1)
-    got = cyclic_module._rank_table(A._pairs, tuple(range(A.dim)), weights, truncation)
+        monkeypatch.setattr(homology_module, "_SQUARE_CHECK_LIMIT", limit)
+    grading = homology_module._peirce_grading(A)
+    weights = homology_module._letter_weights(grading, truncation + 1)
+    got = homology_module._rank_table(A._pairs, tuple(range(A.dim)), weights, truncation)
     assert got == _two_pass_rank_table(A, weights, truncation)
     assert got[2] == ("full" if limit is None else "sampled")
 
@@ -1752,16 +1756,16 @@ def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, tr
 @pytest.mark.parametrize("limit", [None, 100])
 def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
     A = _two_cycle()
-    weights = cyclic_module._letter_weights(cyclic_module._peirce_grading(A), 6)
+    weights = homology_module._letter_weights(homology_module._peirce_grading(A), 6)
     # the target is the first of the 64 cells that sampled mode checks
-    cells = list(cyclic_module._cells(weights, 5))
+    cells = list(homology_module._cells(weights, 5))
     target = random.Random(2026 * 5 + 4).sample(cells, 64)[0]
     if limit is not None:
-        monkeypatch.setattr(cyclic_module, "_SQUARE_CHECK_LIMIT", limit)
+        monkeypatch.setattr(homology_module, "_SQUARE_CHECK_LIMIT", limit)
     # the target's column gets a stray e1 e1 e1 e1 e2, whose b is the
     # degree-3 cell e1 e1 e1 e2, so b o b is nonzero on the target
-    columns = cyclic_module._columns
-    row = cyclic_module._flat((0, 0, 0, 0, 1), 4)
+    columns = homology_module._columns
+    row = homology_module._flat((0, 0, 0, 0, 1), 4)
 
     def stray(tables, n, word, classes):
         cols = columns(tables, n, word, classes)
@@ -1769,7 +1773,7 @@ def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
             cols[0][row] = cols[0].get(row, 0) + 1
         return cols
 
-    monkeypatch.setattr(cyclic_module, "_columns", stray)
+    monkeypatch.setattr(homology_module, "_columns", stray)
     message = f"b o b is nonzero at level 5 on word {target}"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         hp_homology(A, 5)
@@ -1813,13 +1817,13 @@ def test_hp_homology_keys_nothing_by_the_algebra():
 def test_a_corner_with_real_products_is_not_realified():
     # e12 replaced by i e12: (i e12) e21 = i e11, but the corner e11 is real
     A = _rescaled(matrix_algebra(2), [1, I, 1, 1])
-    grading = cyclic_module._peirce_grading(A)
+    grading = homology_module._peirce_grading(A)
     corner, everything = _corner(A), tuple(range(A.dim))
     assert corner == (0,)
-    assert cyclic_module._int_table(A._pairs, corner)[1] is None
-    assert cyclic_module._int_table(A._pairs, everything)[1] is not None
+    assert homology_module._int_table(A._pairs, corner)[1] is None
+    assert homology_module._int_table(A._pairs, everything)[1] is not None
     for truncation in range(2, 6):
-        realified = cyclic_module._hp(A, grading, everything, truncation)
+        realified = homology_module._hp(A, grading, everything, truncation)
         assert hp_homology(A, truncation).hc == realified.hc
 
 
@@ -1833,7 +1837,7 @@ def test_morita_amplified_side_is_reduced_on_every_letter(monkeypatch):
     # the corner of M_2(A) is A's, so a corner on both sides would
     # compare A's corner with itself
     corners, letters = [], {}
-    corner, rank_table = cyclic_module._corner, cyclic_module._rank_table
+    corner, rank_table = homology_module._corner, homology_module._rank_table
 
     def recorded_corner(table, idem, grading):
         corners.append(len(table))
@@ -1843,8 +1847,8 @@ def test_morita_amplified_side_is_reduced_on_every_letter(monkeypatch):
         letters[len(table)] = used
         return rank_table(table, used, *args)
 
-    monkeypatch.setattr(cyclic_module, "_corner", recorded_corner)
-    monkeypatch.setattr(cyclic_module, "_rank_table", recorded_table)
+    monkeypatch.setattr(homology_module, "_corner", recorded_corner)
+    monkeypatch.setattr(homology_module, "_rank_table", recorded_table)
     verdict = morita_check(matrix_algebra(2), 2, truncation=4)
     assert verdict["verdict"] == "pass"
     assert corners == [4]

@@ -8,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-import orbitkit.cyclic as cyclic_module  # noqa: E402
+import orbitkit.homology as homology_module  # noqa: E402
 from orbitkit.cyclic import (  # noqa: E402
     Chain,
     FinAlgebra,
@@ -129,7 +129,7 @@ def test_permuted_matrix_units_keep_the_grading_and_hc(case):
     A = _permuted(matrix_algebra(m), perm)
     # the idempotents e_ii, numbered in the permuted basis order
     idem = [A.basis[a] for a, v in enumerate(A.unit) if not v.is_zero()]
-    for label, (i, j) in zip(A.basis, cyclic_module._peirce_grading(A)):
+    for label, (i, j) in zip(A.basis, homology_module._peirce_grading(A)):
         # label is e<row><col>; it lies in e_row,row A e_col,col
         assert (idem[i], idem[j]) == (f"e{label[1]}{label[1]}", f"e{label[2]}{label[2]}")
     truncation = 5 if m == 2 else 4
