@@ -27,15 +27,52 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import InputError, __version__
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, encoding each object once.
+
+    The text of each object met is kept by its id for the length of the
+    call, so a list or dict that the input holds many times, such as a
+    loaded algebra's shared zero row, is encoded once.  Strings go through
+    json's own string encoder, and any other scalar, and any dict key that
+    is not a string, through `json.JSONEncoder` itself, errors included.
+    """
+    dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    done = {}
+
+    def key(k) -> str:
+        # json's own text for a key of any type: '"k"' out of '{"k":0}'
+        return encode(k) if isinstance(k, str) else dumps({k: 0})[1:-3]
+
+    def encode(x) -> str:
+        text = done.get(id(x))
+        if text is None:
+            if isinstance(x, str):
+                text = encode_basestring_ascii(x)
+            elif isinstance(x, dict):
+                pairs = (key(k) + ":" + encode(v) for k, v in sorted(x.items()))
+                text = "{" + ",".join(pairs) + "}"
+            elif isinstance(x, (list, tuple)):
+                text = "[" + ",".join(map(encode, x)) + "]"
+            else:
+                text = dumps(x)
+            done[id(x)] = text
+        return text
+
+    return encode(obj)
 
 
 def _digest(inputs: dict) -> str:
+    """SHA-256 of the canonical JSON of ``inputs`` (`_canonical`).
+
+    Its cost follows the distinct objects in ``inputs``: a loaded algebra
+    shares one dict per distinct coefficient and one list per distinct row,
+    and each is encoded once.
+    """
     return hashlib.sha256(_canonical(inputs).encode("utf-8")).hexdigest()
 
 

@@ -307,7 +307,8 @@ class Chain:
         product-table indices in range(dim), where those checks cannot
         fail; zero coefficients are still dropped.
         """
-        chain = Chain(algebra, level, {})
+        chain = Chain.__new__(Chain)
+        chain.algebra, chain.level = algebra, level
         chain.terms = {w: v for w, v in terms.items() if not v.is_zero()}
         return chain
 
@@ -449,7 +450,8 @@ def apply_operator(kind: str, x: Chain, adjoint: bool = False) -> Chain:
             )
         for word, coeff in x.terms.items():
             for w, v in _op_terms(A._pairs, _ONE, kind, word):
-                terms[w] = terms[w] + coeff * v if w in terms else coeff * v
+                cv = coeff * v
+                terms[w] = terms[w] + cv if w in terms else cv
         return Chain._derived(A, x.level + _LEVEL_SHIFT[kind], terms)
     src_level = x.level - _LEVEL_SHIFT[kind]
     if src_level < _MIN_LEVEL[kind]:

@@ -61,6 +61,8 @@ from __future__ import annotations
 import json
 import math
 import random
+from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
 from . import InputError
@@ -110,12 +112,17 @@ class FinAlgebra:
     the unit laws, and the involution axioms on the basis, and raises
     InputError on any failure.
 
-    Loading costs what the file's distinct coefficients and nonzero
-    products cost: `from_json` parses each distinct spelling once and
-    gives equal values one shared instance, validation compares only the
-    basis triples (a, b, c) where e_a e_b or e_b e_c is nonzero, and a
-    product by the shared one() is free.  `to_json` serializes each
-    shared instance once.
+    Loading costs what the file's distinct rows, distinct coefficients and
+    nonzero products cost.  `from_json` reads only the entries that differ
+    from the JSON zero, parses each distinct spelling once and gives equal
+    values one shared instance, and every zero row is one shared tuple; the
+    constructor builds each distinct row's sparse form once.  Validation
+    compares only the basis triples (a, b, c) where e_a e_b or e_b e_c is
+    nonzero, passes a pair (a, b) with e_a e_b = 0 at once when e_a kills
+    every e_m that a product e_b e_c reaches, compares two one-term sides
+    with equal coefficients by their rows, and a product by the shared
+    one() is free.  `to_json` writes each shared instance and each shared
+    row once, and `cli._digest` encodes each of them once.
     """
 
     def __init__(self, dim: int, mult: tuple, unit: tuple, star: tuple, basis: tuple = ()):
@@ -135,7 +142,10 @@ class FinAlgebra:
             raise InputError("involution matrix must be dim x dim")
         self.dim, self.mult, self.unit, self.star = dim, mult, unit, star
         self.basis = basis or _default_basis(d)
-        self._pairs = pairs = tuple(tuple(_nonzero(row) for row in plane) for plane in mult)
+        # one _nonzero per distinct row object: a loaded algebra's zero rows are one
+        rows = {id(row): row for plane in mult for row in plane}
+        sparse = {key: _nonzero(row) for key, row in rows.items()}
+        self._pairs = pairs = tuple(tuple(sparse[id(row)] for row in plane) for plane in mult)
         # inverse[c] lists the (a, b) whose product e_a e_b has a nonzero e_c
         # coefficient: the letter pairs that b, b' and S can merge into c
         inverse = [[] for _ in range(d)]
@@ -157,36 +167,58 @@ class FinAlgebra:
         return hash(self._key())
 
     def _validate(self):
-        d = self.dim
+        d, pairs, star = self.dim, self._pairs, self._star_pairs
         unit = _nonzero(self.unit)
         for b in range(d):
-            e_b = ((b, _ONE),)
-            if self._mul(unit, e_b) != dict(e_b):
+            e_b = {b: _ONE}
+            if _combine((s, pairs[k][b]) for k, s in unit) != e_b:
                 raise InputError(f"left unit law fails on basis vector {b}")
-            if self._mul(e_b, unit) != dict(e_b):
+            if _combine((s, pairs[b][k]) for k, s in unit) != e_b:
                 raise InputError(f"right unit law fails on basis vector {b}")
         # reach[k] holds the c with e_k e_c nonzero.  (e_a e_b) e_c and
         # e_a (e_b e_c) are both 0 unless c is in reach[b] or in reach[k] for
         # some e_k in the support of e_a e_b
-        reach = [{c for c, row in enumerate(plane) if row} for plane in self._pairs]
+        reach = [{c for c, row in enumerate(plane) if row} for plane in pairs]
+        # image[b] holds the m with an e_m term in some e_b e_c: when e_a e_b
+        # is 0 and e_a e_m is 0 for all of them, every triple (a, b, c) holds
+        image = [{m for row in plane for m, _ in row} for plane in pairs]
         for a in range(d):
+            pa = pairs[a]
             for b in range(d):
-                ab = self._pairs[a][b]
-                for c in sorted(reach[b].union(*(reach[k] for k, _ in ab))):
-                    left = self._mul(ab, ((c, _ONE),))
-                    if left != self._mul(((a, _ONE),), self._pairs[b][c]):
+                ab, pb = pa[b], pairs[b]
+                if not ab and reach[a].isdisjoint(image[b]):
+                    continue
+                # e_a e_b = s e_k, when it has one term
+                k, s = ab[0] if len(ab) == 1 else (None, None)
+                for c in sorted(reach[b].union(*(reach[x] for x, _ in ab))):
+                    bc = pb[c]
+                    # with e_b e_c = t e_m (or 0), s e_k e_c and t e_a e_m are
+                    # equal when their rows are, and both are 0 or s = t
+                    if len(ab) <= 1 and len(bc) <= 1:
+                        left = pairs[k][c] if ab else ()
+                        right = pa[bc[0][0]] if bc else ()
+                        if left == right and (not left or s == bc[0][1]):
+                            continue
+                    left = _combine((v, pairs[x][c]) for x, v in ab)
+                    if left != _combine((v, pa[x]) for x, v in bc):
                         raise InputError(
                             f"associativity fails on basis triple ({a}, {b}, {c})"
                         )
         for a in range(d):
-            if self._star(self._star_pairs[a]) != {a: _ONE}:
+            if self._star(star[a]) != {a: _ONE}:
                 raise InputError(f"involution is not involutive on basis vector {a}")
         if self._star(unit) != dict(unit):
             raise InputError("involution does not fix the unit")
         for a in range(d):
+            pa, sa = pairs[a], star[a]
             for b in range(d):
-                left = self._star(self._pairs[a][b])
-                right = self._mul(self._star_pairs[b], self._star_pairs[a])
+                sb = star[b]
+                # for one-term e_b^* = s e_q and e_a^* = t e_p (s t != 0), a
+                # zero e_a e_b holds when e_q e_p is 0
+                if not pa[b] and len(sa) == len(sb) == 1 and not pairs[sb[0][0]][sa[0][0]]:
+                    continue
+                left = self._star(pa[b])
+                right = self._mul(sb, sa)
                 if left != right:
                     raise InputError(
                         f"involution is not an anti-automorphism on pair ({a}, {b})"
@@ -216,7 +248,8 @@ class FinAlgebra:
         return tuple(x.get(c, _ZERO) for c in range(self.dim))
 
     def to_json(self) -> dict:
-        """The JSON form; entries holding one shared instance share one dict."""
+        """The JSON form; entries holding one shared instance share one dict, and
+        rows that are one tuple share one list."""
         text = {}
 
         def entry(v):
@@ -225,12 +258,18 @@ class FinAlgebra:
                 out = text[id(v)] = v.to_json()
             return out
 
+        def row(r):
+            out = text.get(id(r))
+            if out is None:
+                out = text[id(r)] = list(map(entry, r))
+            return out
+
         return {
             "dim": self.dim,
             "basis": list(self.basis),
-            "mult": [[list(map(entry, row)) for row in plane] for plane in self.mult],
+            "mult": [list(map(row, plane)) for plane in self.mult],
             "unit": list(map(entry, self.unit)),
-            "star": [list(map(entry, row)) for row in self.star],
+            "star": list(map(row, self.star)),
         }
 
     @staticmethod
@@ -239,12 +278,31 @@ class FinAlgebra:
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise InputError("algebra file needs an integer 'dim'")
         read = gauss_reader()
+        zero_json = zero = None
+        # the zero rows, JSON and read, are built only for a file that holds
+        # dim planes, so they are no larger than the file
+        if isinstance(data.get("mult"), list) and len(data["mult"]) == dim:
+            zero_json, zero = [{"im": "0", "re": "0"}] * dim, (_ZERO,) * dim
+
+        def row(entries) -> tuple:
+            # an entry equal to the JSON zero reads as the shared zero, so only
+            # the others are read, in order: the first bad entry raises as in a
+            # read of every entry.  A row that reads to 0 is the shared zero row
+            if zero is None or not isinstance(entries, list) or len(entries) != dim:
+                return tuple(map(read, entries))
+            out = None
+            for c in compress(range(dim), map(ne, entries, zero_json)):
+                v = read(entries[c])
+                if v is not _ZERO:
+                    if out is None:
+                        out = list(zero)
+                    out[c] = v
+            return zero if out is None else tuple(out)
+
         try:
-            mult = tuple(
-                tuple(tuple(map(read, row)) for row in plane) for plane in data["mult"]
-            )
+            mult = tuple(tuple(map(row, plane)) for plane in data["mult"])
             unit = tuple(map(read, data["unit"]))
-            star = tuple(tuple(map(read, row)) for row in data["star"])
+            star = tuple(map(row, data["star"]))
             basis = data.get("basis", [])
             if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
                 raise TypeError("'basis' must be a list of names")

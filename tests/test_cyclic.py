@@ -305,6 +305,11 @@ def test_validation_rejects_broken_associativity(factors=UNIT_BASIS):
     for product, triple in (((1, 2), r"\(1, 1, 2\)"), ((2, 1), r"\(2, 1, 1\)")):
         with pytest.raises(InputError, match=f"associativity fails on basis triple {triple}"):
             _algebra(3, {**unital, product: {2: 1}}, {0: 1}, {}, factors)
+    # M2 with e12 e21 = 2 e11: on (e12, e21, e12) both sides are multiples
+    # of e12, by 2 and by 1
+    m2 = {(2 * i + j, 2 * j + l): {2 * i + l: 1} for i in (0, 1) for j in (0, 1) for l in (0, 1)}
+    with pytest.raises(InputError, match=r"associativity fails on basis triple \(1, 2, 1\)"):
+        _algebra(4, {**m2, (1, 2): {0: 2}}, {0: 1, 3: 1}, {1: {2: 1}, 2: {1: 1}}, factors)
 
 
 def test_validation_rejects_broken_star(factors=UNIT_BASIS):
@@ -327,6 +332,14 @@ def test_validation_rejects_broken_star(factors=UNIT_BASIS):
         InputError, match=r"involution is not an anti-automorphism on pair \(0, 1\)"
     ):
         _algebra(4, products, {0: 1, 3: 1}, {}, factors)
+    # the same with e12 and e11 swapped in the basis: the first pair that
+    # fails is now (e12, e11), whose product is 0 while e11 e12 is not
+    swap = [1, 0, 2, 3]
+    swapped = {(swap[a], swap[b]): {swap[c]: 1} for (a, b), cs in products.items() for c in cs}
+    with pytest.raises(
+        InputError, match=r"involution is not an anti-automorphism on pair \(0, 1\)"
+    ):
+        _algebra(4, swapped, {1: 1, 3: 1}, {}, factors)
 
 
 def test_validation_rejects_breaks_through_coefficients_off_one():
@@ -409,32 +422,140 @@ _SPELLED = {
 }
 
 
+# spellings of a whole zero row: each entry is the same JSON value
+_ZERO_ROW_SPELLINGS = [0, "0", "-0", "0/7", {}, {"re": "0"}]
+
+
+def _zero_rows_spelled(data, spelling):
+    """data with each zero row of its product table written as [spelling] * dim,
+    all of them one list."""
+    zero, row = [{"im": "0", "re": "0"}] * data["dim"], [spelling] * data["dim"]
+    return {**data, "mult": [[row if r == zero else r for r in p] for p in data["mult"]]}
+
+
+def _hp_stdout(path) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(
+            ["cyclic", "hp", "--algebra", str(path), "--truncation", "2"],
+            standalone_mode=False,
+        )
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(_SPELLED))
 def test_shared_parse_and_serialize_match_per_entry(name, tmp_path):
     A = _SPELLED[name]()
     canonical = A.to_json()
     assert canonical == _per_entry_json(A)
+    # some row is zero but for its last entry
+    zero = [{"im": "0", "re": "0"}] * A.dim
+    rows = [r for p in canonical["mult"] for r in p]
+    assert any(r[:-1] == zero[1:] and r[-1] != zero[0] for r in rows)
     rng = random.Random(5)
+    cases = [canonical] + [_respelled(A, rng) for _ in range(3)]
+    cases += [_zero_rows_spelled(canonical, s) for s in _ZERO_ROW_SPELLINGS]
     digests = set()
-    for k, data in enumerate([canonical] + [_respelled(A, rng) for _ in range(3)]):
+    for k, data in enumerate(cases):
         loaded = FinAlgebra.from_json(json.loads(json.dumps(data)))
         assert loaded == _per_entry(data) == A
-        assert loaded.to_json() == _per_entry_json(loaded) == canonical
-        # equal coefficients are one instance
+        written = loaded.to_json()
+        assert written == _per_entry_json(loaded) == canonical
+        # equal coefficients are one instance, and the zero rows are one
+        # tuple, written as one list
         entries = [v for p in loaded.mult for r in p for v in r] + list(loaded.unit)
         entries += [v for r in loaded.star for v in r]
         assert len(set(map(id, entries))) == len(set(entries))
+        assert len({id(r) for p in loaded.mult for r in p if not any(r)}) <= 1
+        assert len({id(r) for p in written["mult"] for r in p if r == zero}) <= 1
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(data))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(
-                ["cyclic", "hp", "--algebra", str(path), "--truncation", "2"],
-                standalone_mode=False,
-            )
+        code, stdout = _hp_stdout(path)
         assert code == 0
-        digests.add(json.loads(out.getvalue())["input_digest"])
+        digests.add(json.loads(stdout)["input_digest"])
     assert len(digests) == 1
+    # a row one entry short or long, zero or not, fails as the per-entry
+    # read does, with the same error object
+    for table, message in (
+        ("mult", "multiplication table must be dim x dim x dim"),
+        ("star", "involution matrix must be dim x dim"),
+    ):
+        for row in (zero[1:], zero + zero[:1], rows[-1][1:], rows[-1] + ["0"]):
+            data = json.loads(json.dumps(canonical))
+            if table == "mult":
+                data["mult"][-1][-1] = row
+            else:
+                data["star"][-1] = row
+            for read in (FinAlgebra.from_json, _per_entry):
+                with pytest.raises(InputError) as caught:
+                    read(data)
+                assert str(caught.value) == message
+            path = tmp_path / "short.json"
+            path.write_text(json.dumps(data))
+            error = {"error": {"kind": "input", "message": message, "subcommand": "cyclic hp"}}
+            assert _hp_stdout(path) == (2, json.dumps(error, sort_keys=True, indent=2) + "\n")
+
+
+def _matrix_units_json(m: int) -> dict:
+    """M_m in the matrix-unit basis, written from e_ij e_kl = delta_jk e_il."""
+    zero, one = {"re": "0", "im": "0"}, {"re": "1", "im": "0"}
+    d = m * m
+
+    def coords(*ones):
+        return [one if c in ones else zero for c in range(d)]
+
+    return {
+        "dim": d,
+        "basis": [f"e{i + 1}{j + 1}" for i in range(m) for j in range(m)],
+        "mult": [
+            [coords(*([i * m + l] if j == k else [])) for k in range(m) for l in range(m)]
+            for i in range(m)
+            for j in range(m)
+        ],
+        "unit": coords(*(i * m + i for i in range(m))),
+        "star": [coords(j * m + i) for i in range(m) for j in range(m)],
+    }
+
+
+def test_loading_m8_costs_its_distinct_rows(monkeypatch, tmp_path):
+    data = _matrix_units_json(8)
+    path = tmp_path / "m8.json"
+    path.write_text(json.dumps(data))
+    seen = []
+    nonzero = homology_module._nonzero
+
+    def counted(x):
+        seen.append(x)
+        return nonzero(x)
+
+    monkeypatch.setattr(homology_module, "_nonzero", counted)
+    A = FinAlgebra.load(path)
+    rows = [r for p in A.mult for r in p]
+    # 512 products are nonzero; the other 3584 rows are one tuple
+    zero_rows = [r for r in rows if not any(r)]
+    assert (len(zero_rows), len({id(r) for r in zero_rows})) == (4096 - 512, 1)
+    distinct = {id(r) for r in rows}
+    assert len(distinct) == 513
+    # _nonzero is entered once per distinct row of the table (and once for
+    # each star row and the unit)
+    met = [id(x) for x in seen]
+    assert len(met) == len(set(met)) == 513 + 64 + 1
+    assert distinct <= set(met)
+    written = A.to_json()
+    zero = [{"im": "0", "re": "0"}] * 64
+    assert len({id(r) for p in written["mult"] for r in p if r == zero}) == 1
+    monkeypatch.undo()
+    # the algebra read is the constructed one, and its shared JSON and its
+    # digest are those of its JSON written entry by entry
+    assert A == matrix_algebra(8)
+    per_entry = {"algebra": _per_entry_json(A), "truncation": 2}
+    assert written == per_entry["algebra"]
+    text = json.dumps(
+        {"inputs": per_entry, "subcommand": "cyclic hp"}, sort_keys=True, separators=(",", ":")
+    )
+    code, stdout = _hp_stdout(path)
+    assert code == 0
+    assert json.loads(stdout)["input_digest"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_a_list_coefficient_is_an_input_error(tmp_path):
