@@ -238,7 +238,7 @@ def _cyclic_entire(args):
     from . import entire
 
     sequence = entire.parse_norm_pattern(args.pattern)
-    return entire.entirety(sequence, horizon=args.horizon), {}, None
+    return entire.entirety(sequence), {}, None
 
 
 def _cyclic_trace(args):
@@ -369,7 +369,6 @@ COMMANDS = {
         "hp": (_cyclic_hp, [_FIN_ALGEBRA, _count("--truncation", 6)]),
         "entire": (_cyclic_entire, [
             _required("--pattern", help='Norm pattern, e.g. "floor-half-fact/fact".'),
-            _count("--horizon", 40),
         ]),
         "trace": (_cyclic_trace, [
             _FIN_ALGEBRA, _required("--trace", help="Trace JSON file."), _count("--samples", 64)

@@ -22,8 +22,8 @@ itself.
 
 Cyclic homology lives in `orbitkit.homology` and entirety in
 `orbitkit.entire`, so that `cyclic hp` and `cyclic entire` compile
-neither this module nor each other; this module re-exports their public
-names.
+neither this module nor each other; this module re-exports `FinAlgebra`,
+`hp_homology`, `entirety` and `parse_norm_pattern`.
 """
 
 from __future__ import annotations
@@ -36,18 +36,14 @@ from typing import NamedTuple
 
 from . import InputError
 
-# besides what this module uses, the public names of `entire` and
-# `homology` (HPReport, MAX_CHAIN_WORDS, MAX_TRUNCATION, NormSequence,
-# entirety, parse_norm_pattern) are imported to be re-exported
-from .entire import NormSequence, entirety, parse_norm_pattern
+# entirety and parse_norm_pattern are imported only to be re-exported;
+# FinAlgebra and hp_homology are used here and re-exported too
+from .entire import entirety, parse_norm_pattern
 from .exactnum import GaussRational, gauss_rank, gauss_reader
 from .homology import (
     _ONE,
     _ZERO,
-    MAX_CHAIN_WORDS,
-    MAX_TRUNCATION,
     FinAlgebra,
-    HPReport,
     _hp,
     _nonzero,
     _op_terms,
@@ -68,12 +64,14 @@ def _from_rule(basis: tuple, product, star, unit) -> FinAlgebra:
     as it validates a loaded algebra.
     """
     d = len(basis)
+    zero = (_ZERO,) * d  # every zero row is this one tuple, as in a loaded algebra
 
     def dense(pairs) -> tuple:
-        row = [_ZERO] * d
+        row = list(zero)
         for c, v in pairs:
             row[c] = v
-        return tuple(row)
+        row = tuple(row)
+        return zero if row == zero else row
 
     mult = tuple(tuple(dense(product(a, b)) for b in range(d)) for a in range(d))
     return FinAlgebra(d, mult, dense(unit), tuple(dense(star(a)) for a in range(d)), basis)

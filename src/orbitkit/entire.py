@@ -7,12 +7,11 @@ root test applied to the weights c_n = (n!/floor(n/2)!) * ||f_n||, and
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from . import InputError
-from .exactnum import rational_to_str
+from .exactnum import rational_from_str, rational_to_str
 
 
 class NormSequence:
@@ -21,8 +20,6 @@ class NormSequence:
     kind "finite": the values tuple lists the norms, zero beyond it.
     kind "closed-form": ||f_n|| = scale * base^n * (n!)^fact_exponent
     * (floor(n/2)!)^half_fact_exponent.
-    kind "samples": a measured prefix with unknown tail; only the numeric
-    trend heuristic applies.
     """
 
     def __init__(
@@ -34,7 +31,7 @@ class NormSequence:
         scale: Fraction = Fraction(1),
         geometric_base: Fraction = Fraction(1),
     ):
-        if kind not in ("finite", "closed-form", "samples"):
+        if kind not in ("finite", "closed-form"):
             raise InputError(f"unknown norm sequence kind {kind!r}")
         if any(v < 0 for v in values):
             raise InputError("norm values must be nonnegative")
@@ -45,18 +42,16 @@ class NormSequence:
         self.kind, self.values, self.scale, self.geometric_base = kind, values, scale, geometric_base
         self.fact_exponent, self.half_fact_exponent = fact_exponent, half_fact_exponent
 
-    def norm_at(self, n: int) -> Fraction:
-        if self.kind in ("finite", "samples"):
-            return Fraction(self.values[n]) if n < len(self.values) else Fraction(0)
-        value = self.scale * self.geometric_base**n
-        if self.fact_exponent:
-            value *= Fraction(math.factorial(n)) ** self.fact_exponent
-        if self.half_fact_exponent:
-            value *= Fraction(math.factorial(n // 2)) ** self.half_fact_exponent
-        return value
-
 
 _GEOM_TOKEN = re.compile(r"^(\d+)\^n$")
+
+
+def _integer(digits: str) -> Fraction:
+    """The factor ``digits`` by `rational_from_str`, its digit limit an InputError."""
+    try:
+        return rational_from_str(digits)
+    except ValueError as exc:
+        raise InputError(f"bad pattern factor: {exc}") from None
 
 
 def parse_norm_pattern(text: str) -> NormSequence:
@@ -73,8 +68,8 @@ def parse_norm_pattern(text: str) -> NormSequence:
     if text.startswith("finite:"):
         body = text[len("finite:") :]
         try:
-            values = tuple(Fraction(part.strip()) for part in body.split(",") if part.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            values = tuple(rational_from_str(part) for part in body.split(",") if part.strip())
+        except ValueError as exc:
             raise InputError(f"bad finite pattern: {exc}") from None
         return NormSequence("finite", values=values)
     parts = text.split("/")
@@ -94,14 +89,15 @@ def parse_norm_pattern(text: str) -> NormSequence:
             elif token == "floor-half-fact":
                 half += sign
             elif token.isdecimal():
-                if sign < 0 and int(token) == 0:
+                k = _integer(token)
+                if sign < 0 and k == 0:
                     raise InputError("zero factor in the denominator")
-                scale = scale * Fraction(int(token)) ** sign
+                scale = scale * k**sign
             elif _GEOM_TOKEN.match(token):
-                k = int(_GEOM_TOKEN.match(token).group(1))
+                k = _integer(_GEOM_TOKEN.match(token).group(1))
                 if k == 0:
                     raise InputError("geometric base must be positive")
-                base = base * Fraction(k) ** sign
+                base = base * k**sign
             else:
                 raise InputError(f"unknown pattern factor {token!r}")
     if scale == 0:
@@ -115,75 +111,42 @@ def parse_norm_pattern(text: str) -> NormSequence:
     )
 
 
-def entirety(s: NormSequence, horizon: int = 40) -> dict:
+def entirety(s: NormSequence) -> dict:
     """Root-test classification of the weighted series sum c_n z^n.
 
-    The weights are c_n = (n!/floor(n/2)!) * ||f_n||.  Closed-form
-    descriptors are decided symbolically: with combined exponents
-    E_f = fact_exponent + 1 and E_h = half_fact_exponent - 1 the n-th root
-    of c_n grows like n^(E_f + E_h/2), so the sign of that degree decides,
-    and at degree zero the limit is base * 2^(-E_h/2).  Sampled sequences
-    fall back to the numeric trend of c_n^(1/n) over the horizon and are
-    inconclusive unless the tail trend is monotone.
+    The weights are c_n = (n!/floor(n/2)!) * ||f_n||.  A finite sequence
+    is entire.  A closed-form one is decided symbolically: with combined
+    exponents E_f = fact_exponent + 1 and E_h = half_fact_exponent - 1 the
+    n-th root of c_n grows like n^(E_f + E_h/2), so the sign of that
+    degree decides, and at degree zero the limit is base * 2^(-E_h/2).
     """
-    if horizon < 8:
-        raise InputError("horizon must be at least 8")
     if s.kind == "finite":
         return {
             "verdict": "entire",
             "method": "finite-support",
             "radius": "inf",
         }
-    if s.kind == "closed-form":
-        if s.scale == 0:
-            return {"verdict": "entire", "method": "root-test", "radius": "inf"}
-        e_f = s.fact_exponent + 1
-        e_h = s.half_fact_exponent - 1
-        degree = Fraction(e_f) + Fraction(e_h, 2)
-        report = {
-            "method": "root-test",
-            "growth_degree": rational_to_str(degree),
-        }
-        if degree < 0:
-            report.update({"verdict": "entire", "radius": "inf"})
-        elif degree > 0:
-            report.update({"verdict": "not-entire", "radius": "0"})
-        else:
-            # limit of c_n^(1/n): the scale washes out, 2^(-E_h/2) survives
-            if e_h % 2 == 0:
-                limit = s.geometric_base * Fraction(2) ** (-e_h // 2)
-                radius = rational_to_str(1 / limit)
-                radius_value = float(1 / limit)
-            else:
-                limit_value = float(s.geometric_base) * 2.0 ** (-e_h / 2)
-                radius = f"2^({e_h}/2)/{rational_to_str(s.geometric_base)}"
-                radius_value = 1.0 / limit_value
-            report.update(
-                {
-                    "verdict": "not-entire",
-                    "radius": radius,
-                    "radius_value": radius_value,
-                }
-            )
-        return report
-    roots = []
-    for n in range(1, min(horizon + 1, len(s.values))):
-        c = Fraction(math.factorial(n), math.factorial(n // 2)) * s.norm_at(n)
-        roots.append(float(c) ** (1.0 / n) if c > 0 else 0.0)
-    if len(roots) < 4:
-        return {"verdict": "inconclusive", "method": "numeric-horizon", "reason": "too few samples"}
-    tail = roots[len(roots) // 2 :]
-    increasing = all(a < b for a, b in zip(tail, tail[1:]))
-    decreasing = all(a > b for a, b in zip(tail, tail[1:]))
-    if increasing:
-        verdict = "not-entire"
-    elif decreasing:
-        verdict = "entire"
-    else:
-        verdict = "inconclusive"
-    return {
-        "verdict": verdict,
-        "method": "numeric-horizon",
-        "heuristic": True,
-        "tail": tail[-4:],
+    if s.scale == 0:
+        return {"verdict": "entire", "method": "root-test", "radius": "inf"}
+    e_f = s.fact_exponent + 1
+    e_h = s.half_fact_exponent - 1
+    degree = Fraction(e_f) + Fraction(e_h, 2)
+    report = {
+        "method": "root-test",
+        "growth_degree": rational_to_str(degree),
     }
+    if degree < 0:
+        report.update({"verdict": "entire", "radius": "inf"})
+    elif degree > 0:
+        report.update({"verdict": "not-entire", "radius": "0"})
+    else:
+        # limit of c_n^(1/n): the scale washes out, 2^(-E_h/2) survives, and
+        # degree 0 makes E_h = -2 E_f even
+        radius = 1 / (s.geometric_base * Fraction(2) ** (-e_h // 2))
+        try:
+            text, value = rational_to_str(radius), float(radius)
+        except (ValueError, OverflowError):
+            # more digits than rational_to_str writes, or above the float range
+            raise InputError("the radius of convergence cannot be written") from None
+        report.update({"verdict": "not-entire", "radius": text, "radius_value": value})
+    return report

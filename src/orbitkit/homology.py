@@ -31,9 +31,11 @@ c e_j with c != 0, for then e_j = c^-1 x e_i y lies in A e_i A.  M_r
 falls to one letter e_ii.  C^3 keeps its three idempotents, which
 are not conjugate: a corner that dropped one would report HC_0 = 1
 instead of 3.  An algebra with the trivial grading keeps every letter.
-The report lists the top even/odd homology dimensions and whether they
-agree with the pair two degrees down, which is the computable surrogate
-for the stabilization of the periodic theory.
+The report's (hp0, hp1) are the top even and odd HC dimensions, with
+whether they agree with the pair two degrees down.  They are not HP for
+an algebra that is not semisimple: the dual numbers report hp0 = 2, but
+HP is invariant under nilpotent extensions and HP_0 of the dual numbers
+is 1.
 
 The product of a corner of two or more letters is then rewritten in a
 basis of Peirce spaces of orthogonal idempotents (`blocks.split_corner`),

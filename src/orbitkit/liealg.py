@@ -13,12 +13,13 @@ matrix ``B[i][j] = <F, [X_i, X_j]>``; its rank is the orbit dimension and
 its kernel the stabilizer subalgebra, closed under the bracket exactly
 when B [u, v] = 0 for its basis vectors u, v.  That B v = 0 is decided
 in one place, :func:`annihilates`, which sums each row of B over the
-nonzero entries of v; the strata certificates use it too.  Polarization
-subspaces of the complexification are checked through the exact
-linear-algebra conditions that are decidable at the infinitesimal level:
-their dimensions and memberships are ranks over Q(i), taken by
-realification, and their real points solve a rational linear system.
-Global and measure-theoretic conditions are reported as not evaluated.
+nonzero entries of v; the strata certificates use it too.  A polarization
+subspace p of the complexification is checked through the condition
+that is decidable at the infinitesimal level, that p is a subalgebra
+containing the stabilizer: its dimensions and memberships are ranks over
+Q(i), taken by realification, and its real points solve a rational
+linear system.  Global and measure-theoretic conditions are reported as
+not evaluated.
 """
 
 from __future__ import annotations
@@ -361,13 +362,11 @@ def stabilizer(L: LieAlgebra, F: Covector) -> list:
 
 
 class PolarizationReport:
-    """Outcome of the infinitesimal polarization conditions."""
+    """Outcome of the infinitesimal polarization condition."""
 
     def __init__(
         self,
         subalgebra: bool,
-        b_infinitesimal: bool,
-        c_real_form: bool,
         mixed_type: Optional[tuple],
         dims: Optional[dict] = None,
         not_evaluated: tuple = (
@@ -377,22 +376,17 @@ class PolarizationReport:
         ),
     ):
         self.subalgebra = subalgebra  # closed under bracket and contains the stabilizer
-        self.b_infinitesimal = b_infinitesimal  # [stabilizer, p] inside p
-        # p + conj(p) is the complexification of its real points
-        self.c_real_form = c_real_form
         self.mixed_type = mixed_type  # (k, l, m) when computable
         self.dims = {} if dims is None else dims
         self.not_evaluated = not_evaluated
 
     @property
     def passed(self) -> bool:
-        return self.subalgebra and self.b_infinitesimal and self.c_real_form
+        return self.subalgebra
 
     def to_json(self) -> dict:
         return {
             "subalgebra": self.subalgebra,
-            "b_infinitesimal": self.b_infinitesimal,
-            "c_real_form": self.c_real_form,
             "mixed_type": list(self.mixed_type) if self.mixed_type else None,
             "dims": dict(self.dims),
             "not_evaluated": list(self.not_evaluated),
@@ -415,65 +409,41 @@ def _real_points_dimension(space: ComplexSubspace) -> int:
 
 
 def check_polarization(L: LieAlgebra, F: Covector, p: ComplexSubspace) -> PolarizationReport:
-    """Run the exactly decidable polarization conditions at ``F``.
+    """Run the exactly decidable polarization condition at ``F``.
 
-    Checks, over exact arithmetic: (a) ``p`` is a subalgebra of the
-    complexification containing the complexified stabilizer, (b) the
-    infinitesimal invariance ``[stabilizer, p] inside p``, and (c) that
-    ``p + conj(p)`` is the complexification of its real points.  The
-    mixed-type invariants are ``k = dim g - dim m``,
+    Checks, over exact arithmetic, that ``p`` is a subalgebra of the
+    complexification containing the complexified stabilizer g_F; that is
+    ``passed``.  It implies the infinitesimal invariance [g_F, p] inside p.
+    ``p + conj(p)`` is stable under conjugation, so it is always the
+    complexification of its real points m, and dim_R m = dim_C (p + conj(p)).
+    The mixed-type invariants are ``k = dim g - dim m``,
     ``l = (dim m - dim h)/2`` and ``m = dim h - dim stabilizer`` where
-    ``m`` and ``h`` are the real points of ``p + conj(p)`` and ``p``.
+    ``h`` is the real points of ``p``.
     """
     if p.dim_ambient != L.dim:
         raise InputError("subspace ambient dimension does not match algebra")
     stab = stabilizer(L, F)
-    stab_c = [
-        tuple(GaussRational.from_rational(x) for x in v) for v in stab
-    ]
-
-    # (a): bracket closure plus stabilizer containment
     closed = all(p.contains(L.bracket(u, v)) for u in p.vectors for v in p.vectors)
-    contains_stab = all(p.contains(v) for v in stab_c)
-    cond_a = closed and contains_stab
-
-    # (b) infinitesimal invariance under the stabilizer
-    cond_b = True
-    for z in stab_c:
-        for u in p.vectors:
-            if not p.contains(L.bracket(z, u)):
-                cond_b = False
-                break
-        if not cond_b:
-            break
-
-    # (c) p + conj(p) spans the complexification of its real points
-    p_bar = p.conjugate()
-    sum_space = ComplexSubspace(
-        L.dim, tuple(list(p.vectors) + list(p_bar.vectors))
+    subalgebra = closed and all(
+        p.contains(tuple(GaussRational.from_rational(x) for x in v)) for v in stab
     )
-    dim_sum = sum_space.dim()
-    dim_m = _real_points_dimension(sum_space)
-    cond_c = dim_m == dim_sum
 
+    dim_m = ComplexSubspace(L.dim, p.vectors + p.conjugate().vectors).dim()
     dim_h = _real_points_dimension(p)
     dim_stab = len(stab)
     mixed = None
-    k = L.dim - dim_m
     two_l = dim_m - dim_h
     m_part = dim_h - dim_stab
     if two_l % 2 == 0 and m_part >= 0:
-        mixed = (k, two_l // 2, m_part)
+        mixed = (L.dim - dim_m, two_l // 2, m_part)
 
     return PolarizationReport(
-        subalgebra=cond_a,
-        b_infinitesimal=cond_b,
-        c_real_form=cond_c,
+        subalgebra=subalgebra,
         mixed_type=mixed,
         dims={
             "ambient": L.dim,
             "p": p.dim(),
-            "p_plus_conj": dim_sum,
+            "p_plus_conj": dim_m,
             "real_points_sum": dim_m,
             "real_points_p": dim_h,
             "stabilizer": dim_stab,

@@ -31,13 +31,11 @@ monomial and angle are stacked, never an N x N image.  Dropping columns
 that are zero in every row leaves the singular values unchanged, so the
 rank is that of the dense stacked matrix: the singular values above
 S.max() * max(rows, dense width) * eps, numpy's `matrix_rank` tolerance
-taken at the dense width t_samples * (N^2 + 1) (t_samples without the
-shift model).
+taken at the dense width t_samples * (N^2 + 1).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from typing import NamedTuple
@@ -388,23 +386,23 @@ def _diagonal_images(q: float, angles, N: int, monomials):
         yield image
 
 
-def _blocks(monomials, N: int, include_infinite: bool) -> tuple:
+def _blocks(monomials, N: int) -> tuple:
     """({(sign, j): first column}, width) of the diagonals in one angle's columns.
 
     Diagonal (sign, j) is N - j columns wide, and the diagonals are laid
-    out in the order the monomials first reach them; without the shift
-    model there are none.  `_stacked_matrix` allocates this layout, and
-    `joint_kernel_rank` counts it before anything is built.
+    out in the order the monomials first reach them.  `_stacked_matrix`
+    allocates this layout, and `joint_kernel_rank` counts it before
+    anything is built.
     """
     blocks, width = {}, 0
-    for sign, j, _, _ in monomials if include_infinite else ():
+    for sign, j, _, _ in monomials:
         if (sign, j) not in blocks:
             blocks[sign, j] = width
             width += N - j
     return blocks, width
 
 
-def _stacked_matrix(q: float, monomials, angles, N: int, include_infinite: bool):
+def _stacked_matrix(q: float, monomials, angles, N: int):
     """The stacked evaluations, restricted to the columns that can be nonzero.
 
     Each angle contributes one block of columns: the diagonals the
@@ -415,8 +413,8 @@ def _stacked_matrix(q: float, monomials, angles, N: int, include_infinite: bool)
     """
     import numpy as np
 
-    images = _diagonal_images(q, angles, N, monomials) if include_infinite else ()
-    blocks, width = _blocks(monomials, N, include_infinite)
+    images = _diagonal_images(q, angles, N, monomials)
+    blocks, width = _blocks(monomials, N)
     matrix = np.zeros((len(monomials), len(angles), width + 1), dtype=complex)
     for row, (sign, j, _, _), image in zip(matrix, monomials, images):
         row[:, blocks[sign, j] : blocks[sign, j] + N - j] = image
@@ -433,7 +431,6 @@ def joint_kernel_rank(
     degree: int = 2,
     t_samples: int = 5,
     N: int = 16,
-    include_infinite: bool = True,
 ) -> dict:
     """Numerical rank of the stacked monomial evaluations.
 
@@ -443,32 +440,28 @@ def joint_kernel_rank(
     the diagonals the monomials reach are stacked (`_stacked_matrix`);
     the rank counts the singular values above numpy's `matrix_rank`
     tolerance S.max() * max(rows, dense width) * eps, the dense width
-    being t_samples * (N^2 + 1), or t_samples without the shift model.
-    Full rank is the desk-scale faithfulness witness; dropping the
-    infinite-dimensional representations (include_infinite=False) leaves
-    the characters, which kill every monomial containing c, so the rank
-    collapses.  q and N are checked first; then a stacked matrix of more
-    than MAX_STACKED_ENTRIES entries, counted on the `_blocks` layout
-    before anything is built, is an InputError.
+    being t_samples * (N^2 + 1).  Full rank is the desk-scale faithfulness
+    witness: the characters alone kill every monomial containing c, so
+    the infinite-dimensional representations carry the rank.  q and N are
+    checked first; then a stacked matrix of more than MAX_STACKED_ENTRIES
+    entries, counted on the `_blocks` layout before anything is built, is
+    an InputError.
     """
     import numpy as np
 
-    if include_infinite:
-        _shift_weights(q, N)  # checks q and N first, as build_rep_su2 does
+    _shift_weights(q, N)  # checks q and N first, as build_rep_su2 does
     if degree > 4:
         raise InputError("degree is capped at 4")
-    if t_samples < 3 and include_infinite:
+    if t_samples < 3:
         raise InputError("need at least 3 torus samples")
-    if t_samples < 1:
-        raise InputError("need at least 1 torus sample")
     monomials = pbw_monomials(degree)
-    entries = len(monomials) * t_samples * (_blocks(monomials, N, include_infinite)[1] + 1)
+    entries = len(monomials) * t_samples * (_blocks(monomials, N)[1] + 1)
     if entries > MAX_STACKED_ENTRIES:
         raise InputError(f"the stacked matrix would have more than {MAX_STACKED_ENTRIES} entries")
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
-    matrix = _stacked_matrix(q, monomials, angles, N, include_infinite)
+    matrix = _stacked_matrix(q, monomials, angles, N)
     singular = np.linalg.svd(matrix, compute_uv=False)
-    width = t_samples * (N * N + 1 if include_infinite else 1)
+    width = t_samples * (N * N + 1)
     tol = singular.max() * (max(len(monomials), width) * np.finfo(singular.dtype).eps)
     rank = int(np.count_nonzero(singular > tol))
     return {
@@ -479,5 +472,5 @@ def joint_kernel_rank(
         "t_samples": t_samples,
         "N": N,
         "q": q,
-        "include_infinite": include_infinite,
+        "include_infinite": True,
     }

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import InputError
-from .exactnum import GaussRational
+from .exactnum import GaussRational, rational_from_str
 
 __all__ = [
     "Poly",
@@ -424,9 +424,9 @@ def _tokenize(text: str):
             raise InputError(f"cannot parse {text!r} at position {pos}")
         if m.group("num"):
             try:
-                out.append(("num", Fraction(m.group("num"))))
-            except ZeroDivisionError:
-                raise InputError(f"zero denominator in {m.group('num')!r}") from None
+                out.append(("num", rational_from_str(m.group("num"))))
+            except ValueError as exc:  # a zero denominator, or past the digit limit
+                raise InputError(str(exc)) from None
         elif m.group("name"):
             out.append(("name", m.group("name")))
         else:

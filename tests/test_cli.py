@@ -369,6 +369,50 @@ def test_huge_decimal_exponents_are_input_errors(tmp_path):
         assert json.loads(proc.stdout)["error"]["kind"] == "input"
 
 
+# 5000 digits pass Python's 4300-digit int-string limit
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            pytest.param(["cyclic", "entire", "--pattern", pattern], id=f"entire-{name}")
+            for name, pattern in (
+                ("factor", LONG),
+                ("base", LONG + "^n"),
+                ("denominator", "fact/" + LONG),
+                ("finite", "finite:1," + LONG),
+                # Fraction("1e9999999") built 10**9999999 for 9.8 s
+                ("exponent", "finite:1e9999999"),
+                # a radius of convergence above the float range, and one
+                # past the digit limit
+                ("radius", "floor-half-fact/fact*" + "9" * 400 + "^n"),
+                ("radius-digits", "floor-half-fact/fact*" + "9" * 3000 + "^n*" + "9" * 3000 + "^n"),
+            )
+        ),
+        pytest.param(["quantize", "verify", "--alpha", LONG + "*p1*dq1"], id="quantize-literal"),
+    ],
+)
+def test_oversized_literals_are_prompt_input_errors(argv):
+    start = time.perf_counter()
+    code, output = invoke(argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2, output
+    jsonschema.validate(json.loads(output), load_schema("error"))
+    assert json.loads(output)["error"]["kind"] == "input"
+
+
+def test_cyclic_entire_has_no_horizon_option():
+    code, output = invoke(["cyclic", "entire", "--pattern", "1/fact", "--horizon", "40"])
+    assert code == 2
+    assert json.loads(output)["error"] == {
+        "kind": "input",
+        "message": "unrecognized arguments: --horizon 40",
+        "subcommand": "cyclic entire",
+    }
+
+
 def test_entries_that_could_not_be_written_back_are_input_errors(tmp_path):
     # 10**limit passes the exponent check, but str() of it would exceed
     # Python's int-string digit limit when the report is written

@@ -5,7 +5,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import random
 import re
 import time
@@ -20,11 +19,8 @@ import orbitkit.exactnum as exactnum
 import orbitkit.homology as homology_module
 from orbitkit import cli
 from orbitkit.cyclic import (
-    MAX_CHAIN_WORDS,
-    MAX_TRUNCATION,
     Chain,
     FinAlgebra,
-    NormSequence,
     Trace,
     apply_operator,
     chain_pairing,
@@ -41,7 +37,9 @@ from orbitkit.cyclic import (
     tensor_product,
     verify_trace,
 )
+from orbitkit.entire import NormSequence
 from orbitkit.exactnum import GaussRational, gauss_rank, rational_to_str, reduce_column
+from orbitkit.homology import MAX_CHAIN_WORDS, MAX_TRUNCATION
 from orbitkit.liealg import InputError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -556,6 +554,30 @@ def test_loading_m8_costs_its_distinct_rows(monkeypatch, tmp_path):
     code, stdout = _hp_stdout(path)
     assert code == 0
     assert json.loads(stdout)["input_digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, nonzero",
+    [
+        (lambda: matrix_algebra(8), 512),
+        (lambda: tensor_product(dual_numbers(), dual_numbers()), 9),
+        (lambda: direct_sum(matrix_algebra(2), gauss_field()), 9),
+    ],
+    ids=["M8", "dual(x)dual", "M2+C"],
+)
+def test_constructed_algebras_share_one_zero_row(build, nonzero):
+    A = build()
+    rows = [r for p in A.mult for r in p]
+    zero_rows = [r for r in rows if not any(r)]
+    assert len(zero_rows) == A.dim**2 - nonzero
+    assert len({id(r) for r in zero_rows}) == 1
+    # the JSON and the digest are those written entry by entry, from fresh objects
+    per_entry = _per_entry_json(A)
+    assert A.to_json() == per_entry
+    text = json.dumps({"inputs": {"algebra": per_entry}}, sort_keys=True, separators=(",", ":"))
+    assert cli._digest({"inputs": {"algebra": A.to_json()}}) == (
+        hashlib.sha256(text.encode()).hexdigest()
+    )
 
 
 def test_a_list_coefficient_is_an_input_error(tmp_path):
@@ -2013,19 +2035,11 @@ def test_entire_growth_extremes():
     assert fast["radius"] == "0"
     tame = entirety(parse_norm_pattern("2^n/fact"))
     assert tame["verdict"] == "entire"
-
-
-def test_entire_sampled_sequences_are_heuristic():
-    decaying = NormSequence(
-        "samples",
-        values=tuple(Fraction(1, math.factorial(n) ** 2) for n in range(24)),
-    )
-    report = entirety(decaying)
-    assert report["verdict"] == "entire"
-    assert report["method"] == "numeric-horizon"
-    assert report["heuristic"] is True
-    short = NormSequence("samples", values=(Fraction(1), Fraction(2)))
-    assert entirety(short)["verdict"] == "inconclusive"
+    # at growth degree 0 the radius is 1/base, exact up to the digit limit
+    report = entirety(parse_norm_pattern("floor-half-fact/fact*" + "9" * 300 + "^n"))
+    assert (report["radius"], report["radius_value"]) == ("9" * 300, float(10**300 - 1))
+    report = entirety(parse_norm_pattern("floor-half-fact*" + "9" * 400 + "^n/fact"))
+    assert (report["radius"], report["radius_value"]) == ("1/" + "9" * 400, 0.0)
 
 
 def test_norm_pattern_errors():
@@ -2034,4 +2048,4 @@ def test_norm_pattern_errors():
     with pytest.raises(InputError):
         parse_norm_pattern("gamma")
     with pytest.raises(InputError):
-        entirety(parse_norm_pattern("1/fact"), horizon=4)
+        NormSequence("samples", values=(Fraction(1),))

@@ -274,9 +274,10 @@ def test_full_complexification_is_always_a_polarization():
         p = ComplexSubspace.spanned_by(span, L.dim)
         for coords in ([0] * L.dim, [1] + [0] * (L.dim - 1)):
             report = check_polarization(L, Covector.of(*coords), p)
-            assert report.subalgebra
-            assert report.b_infinitesimal
-            assert report.c_real_form
+            assert report.subalgebra and report.passed
+            assert set(report.to_json()) == {
+                "subalgebra", "mixed_type", "dims", "not_evaluated", "passed"
+            }
 
 
 def test_polarization_dimension_mismatch_rejected():

@@ -320,21 +320,11 @@ def test_joint_kernel_full_rank_with_infinite_reps():
     assert report["rank"] == report["monomials"] == 14
 
 
-def test_joint_kernel_collapses_on_characters_alone():
-    report = joint_kernel_rank(0.5, degree=2, t_samples=1, include_infinite=False)
-    assert report["rank"] == 1
-    assert not report["full"]
-    spread = joint_kernel_rank(0.5, degree=2, t_samples=5, include_infinite=False)
-    assert spread["rank"] == 5  # powers of the circle character only
-
-
 def test_joint_kernel_guards():
     with pytest.raises(InputError):
         joint_kernel_rank(0.5, degree=5)
     with pytest.raises(InputError):
         joint_kernel_rank(0.5, t_samples=2)
-    with pytest.raises(InputError):
-        joint_kernel_rank(0.5, t_samples=0, include_infinite=False)
 
 
 def _forbid(monkeypatch, owner, name):
@@ -358,8 +348,6 @@ def test_stacked_matrix_guard_fires_before_building_reps(monkeypatch):
     _forbid(monkeypatch, qgroup_module, "_diagonal_images")
     with pytest.raises(InputError, match=f"more than {MAX_STACKED_ENTRIES} entries"):
         joint_kernel_rank(0.5, t_samples=1000, N=64)
-    # without the shift model each sample adds one column
-    assert joint_kernel_rank(0.5, t_samples=1000, N=64, include_infinite=False)["rank"] > 0
 
 
 def test_admission_counts_the_entries_the_stacked_matrix_allocates(monkeypatch):
@@ -397,8 +385,6 @@ def test_joint_kernel_checks_q_and_truncation_of_the_shift_model():
         joint_kernel_rank(0.5, degree=4, N=1)
     with pytest.raises(InputError, match=f"at most {MAX_TRUNCATION}"):
         joint_kernel_rank(0.5, degree=0, t_samples=3, N=MAX_TRUNCATION + 1)
-    # the characters alone read neither
-    assert joint_kernel_rank(1.5, N=1, include_infinite=False)["rank"] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +405,10 @@ def _monomial_matrix(a, c, sign, j, k, l):
     return out
 
 
-def _dense_stacked(q, degree, t_samples, N, include_infinite):
+def _dense_stacked(q, degree, t_samples, N):
     """Every flattened N x N image per angle, then the character values."""
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
-    reps = [_dense_rep(q, t, N) for t in angles] if include_infinite else []
+    reps = [_dense_rep(q, t, N) for t in angles]
     rows = []
     for sign, j, k, l in pbw_monomials(degree):
         images = [_monomial_matrix(a, c, sign, j, k, l).ravel() for a, c in reps]
@@ -457,14 +443,14 @@ def test_stack_filled_image_by_image_matches_the_stacked_image_list(N, degree, t
     monomials = pbw_monomials(degree)
     angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
     images = list(qgroup_module._diagonal_images(0.5, angles, N, monomials))
-    blocks, width = qgroup_module._blocks(monomials, N, True)
+    blocks, width = qgroup_module._blocks(monomials, N)
     reference = np.zeros((len(monomials), t_samples, width + 1), dtype=complex)
     for row, (sign, j, k, l), image in zip(reference, monomials, images):
         row[:, blocks[sign, j] : blocks[sign, j] + N - j] = image
         for n, t in enumerate(angles if k == 0 and l == 0 else ()):
             row[n, width] = (np.exp(1j * t) if sign == "+" else np.exp(-1j * t)) ** j
     reference = reference.reshape(len(monomials), -1)
-    stacked = qgroup_module._stacked_matrix(0.5, monomials, angles, N, True)
+    stacked = qgroup_module._stacked_matrix(0.5, monomials, angles, N)
     assert stacked.tobytes() == reference.tobytes()
     assert (
         np.linalg.svd(stacked, compute_uv=False).tobytes()
@@ -473,27 +459,24 @@ def test_stack_filled_image_by_image_matches_the_stacked_image_list(N, degree, t
 
 
 RANK_SWEEP = [
-    (q, degree, t_samples, N, include_infinite)
+    (q, degree, t_samples, N)
     # near q = 1 - 3e-14 the a-powers' singular values fall between the
     # tolerances at the compact and at the dense width
     for q in (1e-320, 1e-8, 0.5, 0.9, 1 - 3e-14, 1 - 1e-12)
     for degree, t_samples in ((0, 3), (1, 4), (2, 3), (2, 5), (3, 7), (4, 3))
     for N in (4, 7, 16, 40)
-    for include_infinite in (True, False)
 ]
 
 
 def test_joint_kernel_rank_matches_the_dense_matrix_rank():
-    for q, degree, t_samples, N, include_infinite in RANK_SWEEP:
-        dense = _dense_stacked(q, degree, t_samples, N, include_infinite)
-        report = joint_kernel_rank(q, degree, t_samples, N, include_infinite)
-        case = (q, degree, t_samples, N, include_infinite)
+    for case in RANK_SWEEP:
+        q, degree, t_samples, N = case
+        dense = _dense_stacked(*case)
+        report = joint_kernel_rank(*case)
         assert report["rank"] == np.linalg.matrix_rank(dense), case
         # dropping the all-zero columns keeps every singular value
         angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
-        compact = qgroup_module._stacked_matrix(
-            q, pbw_monomials(degree), angles, N, include_infinite
-        )
+        compact = qgroup_module._stacked_matrix(q, pbw_monomials(degree), angles, N)
         assert compact.shape[1] <= t_samples * ((2 * degree + 1) * N + 1)
         top = np.linalg.svd(dense, compute_uv=False)
         np.testing.assert_allclose(
