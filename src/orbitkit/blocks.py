@@ -1,11 +1,13 @@
 """Splitting a corner of a finite algebra into idempotent blocks.
 
 `homology.hp_homology` imports this module only for a corner of two or more
-letters, so the commands that never split compile none of it.  A finite
-semisimple algebra, such as the group algebra Q(i)[G] (Maschke), is a sum
-of blocks, and cyclic homology adds over them (Loday, Cyclic Homology,
-section 2.2); it depends only on the product, so the split reads no
-involution.  `split_corner` refines the corner's unit into orthogonal
+letters that is not separable, so the commands that never split compile
+none of it.  Such a corner can still hold orthogonal idempotents that its
+basis does not show, as Pauli M2 (x) dual numbers = M2(dual numbers)
+does; in their Peirce basis the corner is cut again, and cyclic homology,
+Morita invariant and additive over blocks (Loday, Cyclic Homology,
+sections 1.2 and 2.2), depends only on the product, so the split reads
+no involution.  `split_corner` refines the corner's unit into orthogonal
 idempotents, first into the terms of its basis expansion, then into the
 eigen-idempotents of f z f for each kept idempotent f and each letter z:
 polynomials in f z f, one for each simple root of its minimal polynomial
@@ -24,7 +26,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .homology import FinAlgebra, _combine
+from .homology import FinAlgebra, _combine, _realified
 from .exactnum import GaussRational, reduce_column
 
 _ZERO = GaussRational.zero()
@@ -35,10 +37,10 @@ class _Span:
     """A basis over Q(i) of sparse vectors, grown by `reduce_column` on realified columns.
 
     Basis vector t enters as two integer columns, v and i v, scaled by the
-    lcm L of v's denominators, with rows r and r + ``shift`` holding the
-    real and imaginary parts of coordinate r and L in tag rows -1-2t and
-    -2-2t; every column's data rows are then the sum of tag_t times the
-    unscaled column t.
+    lcm L of v's denominators (`homology._realified`), with rows r and
+    r + ``shift`` holding the real and imaginary parts of coordinate r and
+    L in tag rows -1-2t and -2-2t; every column's data rows are then the
+    sum of tag_t times the unscaled column t.
     """
 
     def __init__(self, shift: int):
@@ -46,12 +48,9 @@ class _Span:
 
     def add(self, v: dict):
         """Add v and return None when it is independent, else its coordinates {t: c}."""
-        t, shift = self.size, self.shift
-        parts = [(r, *x.triple) for r, x in v.items()]
-        scale = math.lcm(*(d for *_, d in parts))
-        re = [(r, a * (scale // d)) for r, a, _, d in parts if a]
-        im = [(r, b * (scale // d)) for r, _, b, d in parts if b]
-        col = {**dict(re), **{r + shift: b for r, b in im}, -1 - 2 * t: scale}
+        t = self.size
+        scale, col, icol = _realified(v, self.shift)
+        col[-1 - 2 * t] = scale
         left = reduce_column(col, self.pivots)
         if left is not None:
             own = -left.pop(-1 - 2 * t)
@@ -59,8 +58,8 @@ class _Span:
             return {
                 s: GaussRational(Fraction(x, own), Fraction(y, own)) for s, x, y in tags if x or y
             }
-        col = {**{r: -b for r, b in im}, **{r + shift: a for r, a in re}, -2 - 2 * t: scale}
-        reduce_column(col, self.pivots)
+        icol[-2 - 2 * t] = scale
+        reduce_column(icol, self.pivots)
         self.size += 1
         return None
 

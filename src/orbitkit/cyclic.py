@@ -16,9 +16,10 @@ preimages per letter, not dim^(n+1).
 `verify_trace` checks the four trace axioms (normalization, positivity on
 samples, strict positivity via the Gram matrix, ad-invariance), with
 tau(1) = 1 standing in for the norm condition.  `morita_check` reduces
-the amplified side M_m(A) on every letter, so it stays an independent
-check of Morita invariance rather than a comparison of A's corner with
-itself.
+Connes' complex of the amplified side M_m(A) on every letter, so it stays
+an independent check of Morita invariance rather than a comparison of
+A's corner with itself; on a separable A it compares the closed form
+(the base) with the complex (the amplified side).
 
 Cyclic homology lives in `orbitkit.homology` and entirety in
 `orbitkit.entire`, so that `cyclic hp` and `cyclic entire` compile
@@ -486,10 +487,12 @@ def morita_check(A: FinAlgebra, m: int = 2, truncation: int = 6) -> dict:
     """Compare hp_homology of A and of M_m(A) at the same truncation.
 
     Verdict is "pass"/"fail" on the component-wise comparison when both
-    sides stabilized, and "not stabilized" otherwise.  The amplified side
-    is reduced on every letter of M_m(A), not on its corner: that corner is
-    A's own, so the check would compare A's corner with itself; nor is it
-    split into idempotent blocks.
+    sides stabilized, and "not stabilized" otherwise.  The base is
+    `hp_homology`, which takes the closed form on a separable corner.  The
+    amplified side always reduces Connes' complex (`homology._hp`), on
+    every letter of M_m(A), not on its corner: that corner is A's own, so
+    the check would compare A's corner with itself; nor is it split into
+    idempotent blocks.
     """
     if m < 2:
         raise InputError("morita check needs amplification size m >= 2")

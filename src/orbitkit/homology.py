@@ -1,68 +1,53 @@
-"""Finite *-algebras and truncated periodic cyclic homology on Connes' complex.
+"""Finite *-algebras and their truncated cyclic homology.
 
 A `FinAlgebra` is a finite-dimensional unital *-algebra over the Gaussian
 rationals, given by structure constants.  `_op_terms` is the one
 word-level expansion of the operators b, b', lambda, N and S: the
-boundary of Connes' complex here and `cyclic.apply_operator` are both
-built from it.  `hp_homology` computes cyclic homology in characteristic
-0 as the homology of Connes' complex
+boundary of Connes' complex (`orbitkit.connes`) and
+`cyclic.apply_operator` are both built from it.
 
-    C^lambda_n = C_n(A) / (1 - lambda),   differential b,
-
-whose cells are the rotation classes of words that are not killed (a class
-is killed when a rotation returns its word with sign -1).  A cell is
-listed once, as a necklace (the least rotation of its words) with its
-least period p, and it is killed exactly when n p is odd.  Only the
-weight-0 block of C^lambda is reduced.  When the unit is a sum of basis
-elements e_i (coefficient 1 each) that are orthogonal idempotents and every
-basis element lies in exactly one Peirce space e_i A e_j, that element has
-weight eps_i - eps_j and a word the sum over its letters.  b and lambda
-preserve weight, the inner derivation ad(sum t_i e_i) acts on weight w by
-<t, w>, and inner derivations act by zero on HC (Loday, Cyclic Homology,
-section 4.1), so HC lies in weight 0 and the block gives all of it.  Any
-other algebra gets the trivial grading, in which every word has weight 0.
-
-The grading is that of a full corner eAe, with e a sum of Peirce
+`hp_homology` first cuts A to a full corner eAe, with e a sum of Peirce
 idempotents and AeA = A.  Cyclic homology is Morita invariant, so
-HC(eAe) = HC(A) (Loday, Cyclic Homology, sections 1.2 and 2.2).  The
-certificate is exact and read off the product table: e_j is dropped when
-letters x of e_j A e_i and y of e_i A e_j, with e_i kept, multiply to
-c e_j with c != 0, for then e_j = c^-1 x e_i y lies in A e_i A.  M_r
-falls to one letter e_ii.  C^3 keeps its three idempotents, which
-are not conjugate: a corner that dropped one would report HC_0 = 1
-instead of 3.  An algebra with the trivial grading keeps every letter.
-The report's (hp0, hp1) are the top even and odd HC dimensions, with
-whether they agree with the pair two degrees down.  They are not HP for
-an algebra that is not semisimple: the dual numbers report hp0 = 2, but
-HP is invariant under nilpotent extensions and HP_0 of the dual numbers
-is 1.
+HC(eAe) = HC(A) (Loday, Cyclic Homology, sections 1.2 and 2.2).  When
+the unit is a sum of basis elements e_i (coefficient 1 each) that are
+orthogonal idempotents and every basis element lies in exactly one
+Peirce space e_i A e_j, the certificate is exact and read off the product
+table: e_j is dropped when letters x of e_j A e_i and y of e_i A e_j,
+with e_i kept, multiply to c e_j with c != 0, for then e_j = c^-1 x e_i y
+lies in A e_i A.  M_r falls to one letter e_ii.  C^3 keeps its three
+idempotents, which are not conjugate: a corner that dropped one would
+report HC_0 = 1 instead of 3.  An algebra with no such basis gets the
+trivial grading and keeps every letter.
 
-The product of a corner of two or more letters is then rewritten in a
-basis of Peirce spaces of orthogonal idempotents (`blocks.split_corner`),
-and cut again: the Pauli basis of M2 falls to one letter, and Q(i)[S3]
-from 6 letters to 3, one per block of Q(i)^2 + M2.  Connes' complex
-reads only products, never the involution, so it is built from a product
-table and its Peirce grading, whether loaded or split.
-
-Ranks are computed exactly by streaming each column of b through
-`exactnum.reduce_column`, the package's one integer column reduction: b is
-linear in the structure constants, so it runs on one integer table built
-on the corner's letters and scaled by the lcm of their products'
-denominators (`_int_table`), and a corner with imaginary products is
-realified (rank over Q(i) is half the real rank of the doubled matrix).
-Each degree is reduced in one pass: a cell's columns are built once,
-checked for b o b = 0 against the kept columns of the degree below, and
-then reduced.
+A separable corner, one whose trace form is nondegenerate, has cyclic
+homology in closed form, (h, 0, h, 0, ...) with h = HC_0, from two exact
+ranks on its letters (`_separable_hc0`).  Every group algebra Q(i)[G] is
+one, as are M_r, Q(i)^k and their sums.  Any other corner goes to
+Connes' complex (`_hp`), which `orbitkit.connes` builds and reduces on
+the weight-0 block of the Peirce grading: an element of e_i A e_j has
+weight eps_i - eps_j, and a word the sum over its letters.  b and lambda
+preserve weight, the inner derivation ad(sum t_i e_i) acts on weight w by
+<t, w>, and inner derivations act by zero on HC (Loday, section 4.1), so
+HC lies in weight 0 and the block gives all of it.  Before it is reduced,
+a corner of two or more letters is rewritten in a basis of Peirce spaces
+of orthogonal idempotents (`blocks.split_corner`), and cut again; the
+complex reads only products, never the involution, so it is built from a
+product table and its Peirce grading, whether loaded or split.  The
+report's (hp0, hp1) are the top even and odd HC dimensions, with whether
+they agree with the pair two degrees down.  They are not HP for an
+algebra that is not semisimple: the dual numbers report hp0 = 2, but HP
+is invariant under nilpotent extensions and HP_0 of the dual numbers is
+1.
 
 `cyclic hp` imports this module and not `cyclic`, so it compiles neither
-the chains nor the constructors nor `entire`.
+the chains nor the constructors nor `entire`; a separable corner compiles
+neither `connes` nor `blocks` either.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from itertools import compress
 from operator import ne
 from typing import NamedTuple
@@ -331,7 +316,7 @@ def _op_terms(pairs, one, kind: str, word) -> list:
 
     This is the one word-level expansion of the operators:
     `cyclic.apply_operator` calls it with the Gaussian-rational table, and
-    Connes' complex with the integer table `_int_table`.  ``pairs[a][b]``
+    Connes' complex with the integer table `connes._int_table`.  ``pairs[a][b]``
     lists the (c, v) with e_a e_b = sum v e_c and ``one`` is the unit of
     the coefficient ring.  Terms are not collected, so one word may appear
     more than once.
@@ -363,14 +348,7 @@ def _op_terms(pairs, one, kind: str, word) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Connes' complex
-
-
-def _flat(word, dim: int) -> int:
-    r = 0
-    for a in word:
-        r = r * dim + a
-    return r
+# corners, and the closed form of a separable one
 
 
 def _peirce_grading(A: FinAlgebra) -> tuple:
@@ -462,230 +440,85 @@ def _corner(pairs, idem: list, grading: tuple) -> tuple:
     return tuple(a for a, (i, j) in enumerate(grading) if i in kept and j in kept)
 
 
-def _cell(word, dim: int):
-    """(row, negate) of the cell of `word` in C^lambda_n, or None when killed.
+def _realified(v: dict, shift: int) -> tuple:
+    """(L, col, icol) for a sparse Gaussian-rational vector v = {row: coeff}, rows below ``shift``.
 
-    The cell's word is the least rotation of `word`; rotating k letters to
-    the left reaches it, and in C^lambda_n the word is (-1)^(nk) times it.
-    Two such k of opposite parity when n is odd mean a rotation sends the
-    cell to its negative, and the cell is killed.  The row is the flat
-    index of the least rotation.
+    L is the lcm of v's denominators, and col and icol are the integer
+    columns of L v and L i v over Q: real parts in rows r and imaginary
+    parts in rows r + ``shift``.
     """
-    n = len(word) - 1
-    turns = [word[k:] + word[:k] for k in range(n + 1)]
-    rep = min(turns)
-    ks = [k for k, w in enumerate(turns) if w == rep]
-    if n % 2 and any((k - ks[0]) % 2 for k in ks):
-        return None
-    return _flat(rep, dim), (n * ks[0]) % 2 == 1
+    parts = [(r, *x.triple) for r, x in v.items()]
+    scale = math.lcm(*(d for *_, d in parts))
+    re = {r: a * (scale // d) for r, a, _, d in parts if a}
+    im = {r: b * (scale // d) for r, _, b, d in parts if b}
+    return (
+        scale,
+        {**re, **{r + shift: b for r, b in im.items()}},
+        {**{r + shift: a for r, a in re.items()}, **{r: -b for r, b in im.items()}},
+    )
 
 
-class _Lookup(dict):
-    """Cells of the words of one degree, computed on first lookup."""
+def _rank(vectors, shift: int) -> int:
+    """Rank over Q(i) of sparse Gaussian-rational vectors, with rows below ``shift``.
 
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-
-    def __missing__(self, word):
-        cell = self[word] = _cell(word, self.dim)
-        return cell
-
-
-def _classes(dim: int) -> dict:
-    """An empty memo, word -> `_cell`, for the words of one degree."""
-    return _Lookup(dim)
-
-
-def _necklaces(weights: tuple, length: int):
-    """(word, p) for each least rotation of a weight-0 word of `length` letters, in word order.
-
-    ``weights[a]`` is the weight of letter a.  The FKM algorithm
-    (Fredricksen-Kessler-Maiorana) extends a prenecklace of period p by
-    its letter p places back, keeping the period, or by a larger letter,
-    which makes the whole prefix the period; a prenecklace whose period
-    divides the length is the least rotation of its class, and p is then
-    its least period (Cattell, Ruskey, Sawada, Serra and Miers,
-    J. Algorithms 37, 2000).  A prefix is pruned when no word of the
-    remaining length has the opposite weight.
+    Each vector enters `exactnum.reduce_column` as the two integer columns
+    of its realification (`_realified`); the real rank is twice the rank
+    over Q(i).
     """
-    dim, letters = len(weights), set(weights)
-    # reach[r] holds the weights of the words of r letters
-    reach = [{0}]
-    for _ in range(length - 1):
-        reach.append({s + w for s in reach[-1] for w in letters})
-    word = [0] * (length + 1)  # word[0] stands before the first letter
-
-    def extend(t: int, p: int, total: int):
-        if t > length:
-            if length % p == 0:
-                yield tuple(word[1:]), p
-            return
-        need = reach[length - t]
-        back = word[t - p]
-        for a in range(back, dim):
-            s = total + weights[a]
-            if -s in need:
-                word[t] = a
-                yield from extend(t + 1, p if a == back else t, s)
-
-    return extend(1, 1, 0)
-
-
-def _cells(weights: tuple, n: int):
-    """The least word of each weight-0 cell of C^lambda_n that is not killed, in word order.
-
-    A necklace of least period p is fixed by the rotations by multiples of
-    p, and rotating by p letters multiplies it by (-1)^(np) in
-    C^lambda_n, so it is killed exactly when n p is odd (as `_cell` finds
-    from all of its rotations).
-    """
-    return (word for word, p in _necklaces(weights, n + 1) if n * p % 2 == 0)
-
-
-def _columns(tables: tuple, n: int, word, classes) -> list:
-    """Integer columns of L * b on `word`, from C_n to C^lambda_{n-1}.
-
-    ``tables`` is an integer table (re, im) from `_int_table` and
-    ``classes`` maps each word of C_{n-1} to (row, negate), or None when
-    killed.  A real algebra gives one column; a Gaussian one gives the two
-    real columns of the realification (the images of the word and of i
-    times it), with imaginary parts in rows shifted by dim^n.
-    """
-    parts = []
-    for pairs in tables:
-        if pairs is None:
-            continue
-        col = {}
-        for w, v in _op_terms(pairs, 1, "b", word):
-            cell = classes[w]
-            if cell is not None:
-                r, negate = cell
-                col[r] = col.get(r, 0) + (-v if negate else v)
-        parts.append({r: v for r, v in col.items() if v})
-    if len(parts) == 1:
-        return parts
-    re_col, im_col = parts
-    shift = len(tables[0]) ** n
-    return [
-        {**re_col, **{r + shift: v for r, v in im_col.items()}},
-        {**{r + shift: v for r, v in re_col.items()}, **{r: -v for r, v in im_col.items()}},
-    ]
-
-
-def _reduce_degree(tables: tuple, n: int, cells: list, classes, below: dict, keep: bool):
-    """(rank, mode, columns) of b: C^lambda_n -> C^lambda_{n-1} on the given cells.
-
-    Each cell's columns (`_columns`, with ``classes`` the degree-(n-1)
-    memo) are built once.  For n >= 2 they are first checked for
-    b o b = 0 against ``below``, the columns of degree n-1 keyed by the
-    flat index of each cell's least word, which is the row that cell has
-    here; a realified column's row past dim^n is the image of i times
-    that cell, the cell's second column.  The check runs on every cell
-    when there are at most `_SQUARE_CHECK_LIMIT` of them, and otherwise on
-    64 random ones; mode says which.  The columns are then reduced by
-    `reduce_column`, which leaves them unchanged, so with ``keep`` they
-    are returned, keyed the same way, for the check of degree n+1.
-    """
-    dim = len(tables[0])
-    shift = dim**n
-    sampled = len(cells) > _SQUARE_CHECK_LIMIT
-    checked = set(random.Random(2026 * n + dim).sample(cells, 64)) if sampled else None
-    pivots, kept = {}, {}
-    for word in cells:
-        cols = _columns(tables, n, word, classes)
-        if n >= 2 and (checked is None or word in checked):
-            acc = {}
-            for r, v in cols[0].items():
-                for r2, v2 in below[r % shift][r // shift].items():
-                    acc[r2] = acc.get(r2, 0) + v * v2
-            if any(acc.values()):
-                raise RuntimeError(f"b o b is nonzero at level {n} on word {word}")
-        if keep:
-            kept[_flat(word, dim)] = cols
-        for col in cols:
+    pivots = {}
+    for v in vectors:
+        for col in _realified(v, shift)[1:]:
             if col:
                 reduce_column(col, pivots)
-    rank = len(pivots)
-    if tables[1] is not None:
-        if rank % 2:
-            raise RuntimeError("realified rank is odd; exact reduction is broken")
-        rank //= 2
-    return rank, "sampled" if sampled else "full", kept
+    return len(pivots) // 2
 
 
-_SQUARE_CHECK_LIMIT = 50000
+def _separable_hc0(pairs, letters: tuple):
+    """HC_0 of the corner spanned by ``letters`` when the corner is separable, else None.
 
-# Degree T of the chain complex has this many weight-0 words at most, in
-# the corner's letters before it is split; past it, hp_homology is an
-# input error.  Words are a loose proxy for the cost, which is elimination
-# fill-in on the cells that survive the reductions.  On one pinned CPU
-# (2 vCPUs, Python 3.11.7) the slowest admitted run known is the u^2 = i
-# algebra at T = 18 (2^19 words, realified), about 52 s, against 1.5 s
-# for dual numbers at T = 18; once split, Q(i)[Z/5] at T = 7 (5^8 words)
-# takes about 3.5 s and Q(i)[S3] at T = 6 (6^7 words) under 10 ms.
+    ``pairs[a][b]`` lists the (c, v) with e_a e_b = sum v e_c, and the
+    letters' products stay among them.  By Dickson's criterion the radical
+    of a finite-dimensional algebra in characteristic 0 is the kernel of
+    its trace form t(x, y) = tr L_{xy}, with L the left multiplication
+    (Curtis and Reiner, 1962), so the corner is semisimple exactly when t
+    has full rank on its letters; Q(i) is perfect, so it is then
+    separable.  HC_0 = HH_0 is the corner modulo its commutators, of
+    dimension the letters minus the rank of the e_a e_b - e_b e_a.
+    """
+    shift = len(pairs)
+    # trace[x] = tr L_{e_x}, the sum over the letters y of the e_y coefficient of e_x e_y
+    trace = {x: sum((v for y in letters for c, v in pairs[x][y] if c == y), _ZERO) for x in letters}
+    form = (
+        {b: t for b in letters if (t := sum((v * trace[c] for c, v in pairs[a][b]), _ZERO))}
+        for a in letters
+    )
+    if _rank(form, shift) < len(letters):
+        return None
+    commutators = (
+        _combine(((_ONE, pairs[a][b]), (-_ONE, pairs[b][a])))
+        for a in letters
+        for b in letters
+        if a < b and pairs[a][b] != pairs[b][a]
+    )
+    return len(letters) - _rank(commutators, shift)
+
+
+# Degree T of Connes' complex has this many weight-0 words at most, in the
+# corner's letters before it is split; past it, hp_homology is an input
+# error on a corner that is not separable.  Words are a loose proxy for
+# the cost, which is elimination fill-in on the cells that survive the
+# reductions.  On one pinned CPU (2 vCPUs, Python 3.11.7) the slowest
+# admitted run measured is dual numbers at T = 18 (2^19 words), 1.5-2.3 s;
+# a separable corner, such as the u^2 = i algebra or Q(i)[Z/5], never
+# reaches the complex and is admitted at every T up to MAX_TRUNCATION.
 MAX_CHAIN_WORDS = 2**19
 
-# A corner of one letter (M_r, the ground field) has one word per degree,
-# so the word bound never fires; its columns have n terms of n letters,
-# and the work grows like T^3.  From two letters on, MAX_CHAIN_WORDS binds
-# first (at T = 19 at the latest): two weight-0 letters alone make 2^(T+1)
-# weight-0 words.
+# A separable corner costs two ranks on its letters at every T, and the
+# closed form writes T numbers.  A corner that is not separable has two
+# letters or more (a one-letter corner is Q(i)), so MAX_CHAIN_WORDS binds
+# first there (at T = 19 at the latest): two weight-0 letters alone make
+# 2^(T+1) weight-0 words.
 MAX_TRUNCATION = 64
-
-
-def _int_table(pairs, letters: tuple) -> tuple:
-    """b's integer table (re, im) on the letters ``letters``, renumbered in their order.
-
-    ``pairs[a][b]`` lists the (c, v) with e_a e_b = sum v e_c.  b is
-    linear in the structure constants, so L * b has the rank of b,
-    with L the lcm of the denominators of the letters' products; their
-    products must stay among them.  A constant (a + b i)/d becomes
-    a L/d in re and b L/d in im.  im is None when those products are all
-    real, and the complex is then not realified.
-    """
-    new = {a: k for k, a in enumerate(letters)}
-    products = [[pairs[a][b] for b in letters] for a in letters]
-    triples = [v.triple for row in products for p in row for _, v in p]
-    scale = math.lcm(*(t[2] for t in triples))
-
-    def table(part):
-        return tuple(
-            tuple(
-                tuple((new[c], t[part] * (scale // t[2])) for c, v in p if (t := v.triple)[part])
-                for p in row
-            )
-            for row in products
-        )
-
-    return table(0), table(1) if any(t[1] for t in triples) else None
-
-
-def _rank_table(pairs, letters: tuple, weights: tuple, truncation: int):
-    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
-
-    The complex is built on the letters ``letters`` of the product table
-    ``pairs`` alone (`_int_table`), with ``weights`` their letter weights.
-    Each degree is one pass (`_reduce_degree`): its cells come from the necklaces and
-    their periods, and each cell's columns of b serve both the b o b check
-    and the rank.  The memo of degree n-1 (`_classes`) and the columns of
-    degree n-1 live only while degree n is reduced.
-    """
-    tables = _int_table(pairs, letters)
-    ranks, cells, modes, below = [0], [], [], {}
-    for n in range(truncation + 1):
-        words = list(_cells(weights, n))
-        cells.append(len(words))
-        # b vanishes on C_0
-        if n:
-            rank, mode, below = _reduce_degree(
-                tables, n, words, _classes(len(letters)), below, n < truncation
-            )
-            ranks.append(rank)
-            if n >= 2:
-                modes.append(mode)
-    mode = "full" if all(m == "full" for m in modes) else "sampled"
-    return tuple(ranks), tuple(cells), mode
 
 
 class HPReport(NamedTuple):
@@ -714,46 +547,52 @@ class HPReport(NamedTuple):
 def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     """Cyclic homology HC_0..HC_{T-1} of A, with T = `truncation`.
 
-    HC_n is the homology of Connes' complex C^lambda (Loday, Cyclic
-    Homology, Thm 2.1.5), so it needs the ranks of b up to degree T.  A is
-    first cut to a full corner eAe (`_corner`), which has the same cyclic
-    homology by Morita invariance (Loday, sections 1.2 and 2.2), and only
-    the weight-0 block of the corner's Peirce grading is reduced (see the
-    module docstring); an algebra without such a grading keeps every
-    letter and gets the trivial grading through the same code.  The product
-    of a corner of two or more letters is then rewritten in a basis of
-    Peirce spaces of orthogonal idempotents (`blocks.split_corner`), and
-    cut again: Q(i)[S3] falls from 6 letters to 3.  The report's
-    (hp0, hp1) are the homology dimensions in the top even and odd degrees
-    below T;
-    `stabilized` records whether they agree with the pair two degrees
-    down, which is the same comparison as rerunning at T - 2.
-    `boundary_check` says whether b o b = 0 was verified on every cell of
-    each C^lambda_n (n >= 2) or, past `_SQUARE_CHECK_LIMIT` cells, on 64
-    sampled ones.  T above `MAX_TRUNCATION`, or more than `MAX_CHAIN_WORDS`
-    words of weight 0 in degree T of the corner (counted before the split
-    and before any table is built), is an InputError.
-    """
-    grading = _peirce_grading(A)
-    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
-    return _hp(A, grading, _corner(A._pairs, idem, grading), truncation, split=True)
-
-
-def _hp(
-    A: FinAlgebra, grading: tuple, letters: tuple, truncation: int, split: bool = False
-) -> HPReport:
-    """The `hp_homology` report of A, computed on the basis letters ``letters``.
-
-    ``grading`` is A's `_peirce_grading`, and ``letters`` spans a full
-    corner of A, or is every letter of A.  With ``split``, a corner of two
-    or more letters that passes the size guards is replaced by the full
-    corner of `blocks.split_corner`'s product table, whose idempotents are
-    the first letters of their (i, i) spaces.
+    A is first cut to a full corner eAe (`_corner`), which has the same
+    cyclic homology by Morita invariance (Loday, Cyclic Homology, sections
+    1.2 and 2.2).  When the corner is separable (`_separable_hc0`), as
+    every group algebra Q(i)[G] is by Maschke's theorem, HH_n vanishes for
+    n > 0, so Connes' SBI sequence gives HC_n = HC_{n-2} for n >= 2 and
+    HC_1 = 0: hc is (h, 0, h, 0, ...) with h = HC_0, and no complex is
+    built.  Otherwise HC_n is the homology of Connes' complex C^lambda
+    (Loday, Thm 2.1.5), reduced by `_hp` up to degree T on the weight-0
+    block of the corner's Peirce grading (see the module docstring).  The
+    report's (hp0, hp1) are the homology dimensions in the top even and
+    odd degrees below T; `stabilized` records whether they agree with the
+    pair two degrees down, which is the same comparison as rerunning at
+    T - 2.  `boundary_check` is "separable" when the closed form gave hc,
+    and otherwise says whether b o b = 0 was verified on every cell of
+    each C^lambda_n (n >= 2) or, past `connes._SQUARE_CHECK_LIMIT` cells,
+    on 64 sampled ones.  T below 2 or above `MAX_TRUNCATION` is an
+    InputError, checked before anything else.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
     if truncation > MAX_TRUNCATION:
         raise InputError(f"truncation {truncation} is above {MAX_TRUNCATION}")
+    grading = _peirce_grading(A)
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    letters = _corner(A._pairs, idem, grading)
+    h = _separable_hc0(A._pairs, letters)
+    if h is not None:
+        return _report(tuple(0 if m % 2 else h for m in range(truncation)), "separable")
+    return _hp(A, grading, letters, truncation, split=True)
+
+
+def _hp(
+    A: FinAlgebra, grading: tuple, letters: tuple, truncation: int, split: bool = False
+) -> HPReport:
+    """The `hp_homology` report of A from Connes' complex on the basis letters ``letters``.
+
+    ``grading`` is A's `_peirce_grading`, ``letters`` spans a full corner
+    of A, or is every letter of A, and ``truncation`` is one that
+    `hp_homology` admits.  More than `MAX_CHAIN_WORDS` words of weight 0
+    in degree T on ``letters`` is an InputError, raised before any table
+    is built.  With ``split``, a corner of two or more letters that passes
+    the word bound is replaced by the full corner of
+    `blocks.split_corner`'s product table, whose idempotents are the first
+    letters of their (i, i) spaces.  `connes` is imported here, so only a
+    command that reduces the complex compiles it.
+    """
     length = truncation + 1
     weights = _letter_weights(tuple(grading[a] for a in letters), length)
     # weights.count(0)^length <= count <= len(letters)^length bound the exact count
@@ -775,6 +614,8 @@ def _hp(
             idem = [grading.index((i, i)) for i in sorted({i for i, _ in grading})]
             letters = _corner(pairs, idem, grading)
             weights = _letter_weights(tuple(grading[a] for a in letters), length)
+    from .connes import _rank_table
+
     ranks, cells, mode = _rank_table(pairs, letters, weights, truncation)
     hc = []
     for m in range(truncation):
@@ -782,7 +623,12 @@ def _hp(
         if h < 0:
             raise RuntimeError(f"negative homology dimension at degree {m}")
         hc.append(h)
-    top = truncation - 1
+    return _report(tuple(hc), mode)
+
+
+def _report(hc: tuple, mode: str) -> HPReport:
+    """The report of HC_0..HC_{T-1} = hc, with T = len(hc) and boundary check ``mode``."""
+    top = len(hc) - 1
     e = top if top % 2 == 0 else top - 1
     o = top if top % 2 == 1 else top - 1
     hp0, hp1 = hc[e], hc[o]
@@ -792,4 +638,4 @@ def _hp(
     else:
         previous = ()
         stabilized = False
-    return HPReport(truncation, hp0, hp1, tuple(hc), stabilized, previous, mode)
+    return HPReport(len(hc), hp0, hp1, hc, stabilized, previous, mode)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -397,16 +398,45 @@ def check_dirac_pairs(alpha: PolyOneForm, max_degree: int) -> dict:
 # before multiplying, which bounds the work of every product.  The parser
 # recurses once per parenthesis, so parentheses nested deeper than
 # MAX_NESTING are rejected before Python's recursion limit is reached.
+#
+# The reports write integer combinations of the form's coefficients: each
+# written value sums products of coefficients with derivative factors of
+# the exponents, far fewer and smaller than 10^_DIGIT_MARGIN.  Such a value
+# has a denominator dividing the lcm L of the coefficients' denominators
+# and a numerator below 10^_DIGIT_MARGIN * M * L, with M the largest
+# numerator (real or imaginary part).  So a form whose M * L reaches
+# 10^(limit - _DIGIT_MARGIN), with limit Python's int-string digit limit,
+# could not be written and is rejected, and so is every product and every
+# power step on the way to it, which also bounds the work of powers of
+# large constants.
 
 MAX_EXPONENT = 64
 MAX_TERMS = 1000
 MAX_NESTING = 64
+_DIGIT_MARGIN = 32
+
+
+def _check_digits(polys) -> None:
+    """InputError when the coefficients of ``polys`` have M * L past the digit bound."""
+    digits = (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - _DIGIT_MARGIN
+    top, dens = 0, []
+    for poly in polys:
+        for c in poly.terms.values():
+            a, b, d = c.triple
+            top = max(top, abs(a), abs(b))
+            dens.append(d)
+    size = top * math.lcm(*dens)
+    # 2^(3k) < 10^k, so a size of at most 3k bits has at most k digits
+    if size.bit_length() > 3 * digits and size >= 10**digits:
+        raise InputError(f"the coefficients need more than {digits} digits")
 
 
 def _product(left: "Poly", right: "Poly") -> "Poly":
     if len(left.terms) * len(right.terms) > MAX_TERMS:
         raise InputError(f"a product may have at most {MAX_TERMS} terms")
-    return left * right
+    out = left * right
+    _check_digits([out])
+    return out
 
 
 _TOKEN = re.compile(
@@ -521,6 +551,7 @@ class _Parser:
             out = Poly.constant(self.model, 1)
             for _ in range(e):
                 out = out * poly
+                _check_digits([out])
             return out, None
         return poly, dvar
 
@@ -558,13 +589,14 @@ def parse_poly(text: str, model: SymplecticModel) -> Poly:
     """Parse a polynomial like ``"q1^2*p1 - 3/2*q1 + i*hbar"``.
 
     Powers of degree above MAX_EXPONENT, powers or products bounded above
-    MAX_TERMS terms, and parentheses nested deeper than MAX_NESTING are an
-    InputError.
+    MAX_TERMS terms, parentheses nested deeper than MAX_NESTING, and
+    coefficients past the digit bound (`_check_digits`) are an InputError.
     """
     parser = _Parser(_tokenize(text), model, allow_dvar=False)
     acc = parser.parse_expr()
     if parser.k != len(parser.tokens):
         raise InputError(f"trailing input in {text!r}")
+    _check_digits([acc[0][0]])
     return acc[0][0]
 
 
@@ -581,4 +613,5 @@ def parse_one_form(text: str, model: SymplecticModel) -> PolyOneForm:
                 continue
             raise InputError("every one-form term needs exactly one dq/dp symbol")
         comps[dvar] = comps[dvar] + poly
+    _check_digits(comps)
     return PolyOneForm(model, tuple(comps))

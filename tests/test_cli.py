@@ -105,6 +105,19 @@ def test_every_report_matches_its_schema():
         assert report["version"] == orbitkit.__version__
 
 
+def test_qgroup_verify_schema_admits_the_torus_samples_the_command_admits():
+    # joint_kernel_rank needs at least 3 torus samples, so a report holds 3 or more
+    ranks = load_schema("qgroup_verify")["properties"]["result"]["properties"]["ranks"]
+    assert ranks["properties"]["t_samples"]["minimum"] == 3
+    code, output = invoke(["qgroup", "verify", "--q", "0.5", "--truncation", "8",
+                           "--t-samples", "2"])
+    assert code == 2, output
+    code, output = invoke(["qgroup", "verify", "--q", "0.5", "--truncation", "8",
+                           "--t-samples", "3"])
+    assert code == 0, output
+    assert json.loads(output)["result"]["ranks"]["t_samples"] == 3
+
+
 def test_reports_are_byte_identical_across_runs():
     for argv in (
         ["lie", "strata", "--algebra", str(FIXTURES / "sl2.json"), "--samples", "300"],
@@ -123,7 +136,8 @@ def test_cyclic_hp_on_the_s3_group_algebra():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)["result"]
     assert report["hc"] == [3, 0, 3, 0, 3, 0]
-    assert report["boundary_check"] == "full"
+    # Q(i)[S3] is semisimple (Maschke), so no complex is reduced
+    assert report["boundary_check"] == "separable"
 
 
 def test_seed_enters_the_digest():
@@ -136,11 +150,13 @@ def test_seed_enters_the_digest():
 SL2 = str(FIXTURES / "sl2.json")
 # (allocating calls that must not be entered, argv rejected by a size guard)
 SIZE_GUARDED = [
-    # C^2 has no smaller corner, and 2^20 words in degree 19
-    (("orbitkit.homology._classes",),
-     ["cyclic", "hp", "--algebra", str(FIXTURES / "qi2.json"), "--truncation", "19"]),
-    # dim 1: one word per degree, stopped by the truncation bound
-    (("orbitkit.homology._necklaces", "orbitkit.homology._classes"),
+    # dual numbers are not semisimple, have no smaller corner, and have 2^20
+    # words in degree 19
+    (("orbitkit.connes._classes", "orbitkit.blocks.split_corner"),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "dual.json"), "--truncation", "19"]),
+    # the truncation bound fires before the closed form and the complex
+    (("orbitkit.homology._separable_hc0", "orbitkit.connes._necklaces",
+      "orbitkit.connes._classes"),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "100000"]),
     (("orbitkit.strata.SamplerConfig.draw",),
      ["lie", "strata", "--algebra", SL2, "--samples", "100000000"]),
@@ -175,11 +191,14 @@ SIZE_GUARDED = [
 # a patch of a binding that nothing calls would pass above without proving
 # anything, so here each patched call must be entered
 ADMITTED = [
-    # C^2 has 2^19 words in degree 18, exactly MAX_CHAIN_WORDS
-    (("orbitkit.homology._classes",),
-     ["cyclic", "hp", "--algebra", str(FIXTURES / "qi2.json"), "--truncation", "18"]),
-    (("orbitkit.homology._necklaces", "orbitkit.homology._classes"),
+    # dual numbers have 2^19 words in degree 18, exactly MAX_CHAIN_WORDS
+    (("orbitkit.connes._classes",),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "dual.json"), "--truncation", "18"]),
+    (("orbitkit.homology._separable_hc0",),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "64"]),
+    # C^2 is separable, so the word bound that refused it at T = 19 no longer applies
+    (("orbitkit.homology._separable_hc0",),
+     ["cyclic", "hp", "--algebra", str(FIXTURES / "qi2.json"), "--truncation", "19"]),
     (("orbitkit.cyclic._random_element",),
      ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
       "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "100000"]),
@@ -212,6 +231,22 @@ def test_size_guard_patches_are_entered_under_the_bound(monkeypatch, targets, ar
     assert json.loads(output)["error"]["message"] == (
         "AssertionError: allocation entered before the size guard fired"
     )
+
+
+@pytest.mark.parametrize("name, h", [("qi2", 2), ("qi_s3", 3)])
+def test_separable_algebras_are_admitted_up_to_the_truncation_bound(monkeypatch, name, h):
+    # the closed form builds no word table and no split, at any admitted T
+    _forbid(monkeypatch, ("orbitkit.connes._classes", "orbitkit.connes._necklaces",
+                          "orbitkit.blocks.split_corner"))
+    for truncation in (19, 64):
+        argv = ["cyclic", "hp", "--algebra", str(FIXTURES / f"{name}.json"),
+                "--truncation", str(truncation)]
+        code, output = invoke(argv)
+        assert code == 0, output
+        report = json.loads(output)["result"]
+        assert report["hc"] == [0 if m % 2 else h for m in range(truncation)]
+        assert (report["hp0"], report["hp1"], report["stabilized"]) == (h, 0, True)
+        assert report["boundary_check"] == "separable"
 
 
 def test_input_errors_exit_two_with_error_object(tmp_path):
@@ -369,8 +404,9 @@ def test_huge_decimal_exponents_are_input_errors(tmp_path):
         assert json.loads(proc.stdout)["error"]["kind"] == "input"
 
 
-# 5000 digits pass Python's 4300-digit int-string limit
+# 5000 digits pass Python's 4300-digit int-string limit, and 3000 do not
 LONG = "9" * 5000
+SHORT = "9" * 3000
 
 
 @pytest.mark.parametrize(
@@ -392,6 +428,21 @@ LONG = "9" * 5000
             )
         ),
         pytest.param(["quantize", "verify", "--alpha", LONG + "*p1*dq1"], id="quantize-literal"),
+        # literals under the digit limit whose product or power is past it
+        # once exited 1 when the report was written
+        pytest.param(["quantize", "verify", "--alpha", f"{SHORT}*{SHORT}*p1*dq1"],
+                     id="quantize-product"),
+        pytest.param(["quantize", "verify", "--alpha", f"({SHORT}*p1)^2*dq1"],
+                     id="quantize-power"),
+        # a sum with coprime denominators, and a literal whose derivatives
+        # pass the limit
+        pytest.param(["quantize", "verify", "--alpha",
+                      f"1/{'7' * 3000}*q1*dp1 + 1/{'3' * 2999}1*p1*dq1"], id="quantize-sum"),
+        pytest.param(["quantize", "verify", "--alpha", "9" * 4299 + "*p1^3*dq1"],
+                     id="quantize-derivative"),
+        # each power of a constant has degree 0, so nesting once ran for minutes
+        pytest.param(["quantize", "verify", "--alpha", "(((((9^64)^64)^64)^64)^64)*p1*dq1"],
+                     id="quantize-nested-power"),
     ],
 )
 def test_oversized_literals_are_prompt_input_errors(argv):
@@ -401,6 +452,14 @@ def test_oversized_literals_are_prompt_input_errors(argv):
     assert code == 2, output
     jsonschema.validate(json.loads(output), load_schema("error"))
     assert json.loads(output)["error"]["kind"] == "input"
+
+
+def test_quantize_writes_coefficients_under_the_digit_bound():
+    # 4000 digits times the derivative factors stay under the limit
+    code, output = invoke(["quantize", "verify", "--alpha", "9" * 4000 + "*p1^3*dq1",
+                           "--max-degree", "2"])
+    assert code == 0, output
+    assert not json.loads(output)["result"]["curvature"]["passes"]
 
 
 def test_cyclic_entire_has_no_horizon_option():
@@ -495,8 +554,8 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     lazy = ["numpy"] + [
         f"orbitkit.{name}"
         for name in (
-            "affine", "blocks", "chern", "cyclic", "exactnum", "liealg", "qgroup", "quantize",
-            "strata",
+            "affine", "blocks", "chern", "connes", "cyclic", "entire", "exactnum", "homology",
+            "liealg", "qgroup", "quantize", "strata",
         )
     ]
     code = f"import sys, orbitkit.cli; print([m for m in {lazy!r} if m in sys.modules])"
@@ -515,26 +574,29 @@ def test_qgroup_reps_leaves_numpy_unloaded():
 
 
 def test_only_corners_of_two_letters_load_the_block_split():
-    # M2's corner is one letter, so cyclic hp compiles no orbitkit.blocks;
-    # Q(i)[S3]'s corner is all six letters
+    # M2's corner is one letter, and those of C^2 and Q(i)[S3] are separable,
+    # so cyclic hp compiles neither orbitkit.blocks nor orbitkit.connes on
+    # them; the dual numbers' corner is two letters and not separable
     code = "import contextlib, io, sys; from orbitkit import cli\n"
-    for name in ("m2", "qi2", "qi_s3"):
+    for name in ("m2", "qi2", "qi_s3", "dual"):
         argv = ["cyclic", "hp", "--algebra", str(FIXTURES / f"{name}.json"), "--truncation", "3"]
         code += (
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    cli.main({argv!r}, standalone_mode=False)\n"
-            "print('orbitkit.blocks' in sys.modules)\n"
+            "print('orbitkit.blocks' in sys.modules, 'orbitkit.connes' in sys.modules)\n"
         )
-    assert run_python(code).split() == ["False", "True", "True"]
+    assert run_python(code).split() == ["False"] * 6 + ["True"] * 2
 
 
 @pytest.mark.parametrize(
     "argvs, loaded, absent",
     [
-        # a one-letter corner (M2) and a split one (Q(i)[S3])
+        # a one-letter corner (M2) and a separable one of six letters
+        # (Q(i)[S3]): neither compiles Connes' complex nor the block split
         ([["cyclic", "hp", "--algebra", str(FIXTURES / f"{name}.json"), "--truncation", "3"]
           for name in ("m2", "qi_s3")],
-         "orbitkit.homology", ("orbitkit.cyclic", "orbitkit.entire")),
+         "orbitkit.homology",
+         ("orbitkit.cyclic", "orbitkit.entire", "orbitkit.connes", "orbitkit.blocks")),
         ([["cyclic", "entire", "--pattern", "floor-half-fact/fact"]],
          "orbitkit.entire", ("orbitkit.cyclic", "orbitkit.homology")),
     ],

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import orbitkit.blocks as blocks_module
+import orbitkit.connes as connes_module
 import orbitkit.cyclic as cyclic_module
 import orbitkit.exactnum as exactnum
 import orbitkit.homology as homology_module
@@ -1124,11 +1125,11 @@ def _full_connes_hc(A, truncation, weight_zero=False):
                 reps.append(word)
         tables.append(table)
         cells.append(reps)
-    ranks, int_table = [0], homology_module._int_table(A._pairs, tuple(range(A.dim)))
+    ranks, int_table = [0], connes_module._int_table(A._pairs, tuple(range(A.dim)))
     for n in range(1, truncation + 1):
         pivots = {}
         for word in cells[n]:
-            for col in homology_module._columns(int_table, n, word, tables[n - 1]):
+            for col in connes_module._columns(int_table, n, word, tables[n - 1]):
                 if col:
                     reduce_column(col, pivots)
         ranks.append(len(pivots) // (1 if int_table[1] is None else 2))
@@ -1273,6 +1274,12 @@ def _corner(A):
     return homology_module._corner(A._pairs, idem, homology_module._peirce_grading(A))
 
 
+def _connes(A, truncation):
+    """The report of Connes' complex on A's corner, split: `hp_homology` without the closed form."""
+    grading = homology_module._peirce_grading(A)
+    return homology_module._hp(A, grading, _corner(A), truncation, split=True)
+
+
 def test_corner_letter_counts():
     counts = {name: len(_corner(make())) for name, make in _CORNER_CASES.items()}
     # every Peirce idempotent of a matrix algebra is conjugate to the first
@@ -1346,7 +1353,9 @@ def test_hp_gauss_field_frozen_values():
     assert report.hc == (1, 0, 1, 0, 1, 0)
     assert report.stabilized
     assert report.previous == (1, 0)
-    assert report.boundary_check == "full"
+    # a separable corner takes the closed form, and Connes' complex agrees
+    assert report.boundary_check == "separable"
+    assert _connes(gauss_field(), 6) == report._replace(boundary_check="full")
 
 
 def test_hp_direct_sums_are_additive():
@@ -1405,9 +1414,10 @@ def _pauli_m2():
 def test_hp_pauli_basis_matches_matrix_units():
     # imaginary structure constants: the realified columns and their
     # composite in the square check both see the i
-    report = hp_homology(_pauli_m2(), truncation=6)
+    report = _connes(_pauli_m2(), 6)
     assert report.hc == hp_homology(matrix_algebra(2), truncation=6).hc == (1, 0, 1, 0, 1, 0)
     assert report.boundary_check == "full"
+    assert hp_homology(_pauli_m2(), 6) == report._replace(boundary_check="separable")
 
 
 def _split_idempotents(side):
@@ -1428,7 +1438,7 @@ def test_pauli_splits_to_a_one_letter_corner():
     assert len(table) == 4 and len(corner) == 1
     assert side == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # one word per degree, killed in odd degrees
-    _, cells, _ = homology_module._rank_table(table, corner, (0,), 6)
+    _, cells, _ = connes_module._rank_table(table, corner, (0,), 6)
     assert cells == (1, 0, 1, 0, 1, 0, 1)
 
 
@@ -1446,8 +1456,8 @@ def test_rescaled_pauli_units_keep_their_cells_and_homology(factors):
     A = _rescaled(P, factors)
     (table, _, corner), (pauli, _, pauli_corner) = _split_corner(A), _split_corner(P)
     assert len(corner) == len(pauli_corner) == 1
-    assert homology_module._rank_table(table, corner, (0,), 5) == (
-        homology_module._rank_table(pauli, pauli_corner, (0,), 5)
+    assert connes_module._rank_table(table, corner, (0,), 5) == (
+        connes_module._rank_table(pauli, pauli_corner, (0,), 5)
     )
     assert hp_homology(A, 5).hc == hp_homology(P, 5).hc == (1, 0, 1, 0, 1)
 
@@ -1462,7 +1472,8 @@ def test_tensor_square_of_pauli_keeps_one_block_in_sixteen():
 
 
 def test_morita_check_on_pauli_keeps_its_amplified_side_independent(monkeypatch):
-    # only the base is split: the amplified side keeps all 16 letters
+    # neither side is split: the base takes the closed form, and the
+    # amplified side keeps all 16 letters
     split, seen = blocks_module.split_corner, []
 
     def recorded(A, letters, grading):
@@ -1473,7 +1484,7 @@ def test_morita_check_on_pauli_keeps_its_amplified_side_independent(monkeypatch)
     verdict = morita_check(_pauli_m2(), 2, truncation=4)
     assert verdict["verdict"] == "pass"
     assert verdict["base"] == verdict["amplified"] == [1, 0]
-    assert seen == [4]
+    assert seen == []
 
 
 def _group_algebra(elements):
@@ -1630,8 +1641,11 @@ def test_a_corner_that_the_involution_leaves_is_split():
     table, _, corner = _split_corner(A)
     assert (len(table), len(corner)) == (4, 1)
     for truncation, hc in ((4, (1, 0, 1, 0)), (7, (1, 0, 1, 0, 1, 0, 1))):
-        report = hp_homology(A, truncation)
+        report = _connes(A, truncation)
         assert (report.hc, report.boundary_check) == (hc, "full")
+        assert hp_homology(A, truncation) == report._replace(boundary_check="separable")
+    # the word bound refused T = 9 on the corner's 4 letters; the closed form admits it
+    assert hp_homology(A, 9).hc == (1, 0) * 4 + (1,)
 
 
 def _table_product(table, x, y):
@@ -1710,6 +1724,87 @@ def test_idempotents_summing_to_an_idempotent_are_orthogonal(monkeypatch):
             assert A._mul(q.items(), r.items()) == {}
 
 
+# every semisimple algebra of these tests; T = 6 unless the word bound
+# refuses the complex on the corner there (16^5 and 8^7 words)
+_SEPARABLE = {
+    **{
+        name: make
+        for name, make in _CORNER_CASES.items()
+        if name not in ("M2(dual)", "M2(dual) reordered", "two cycle")
+    },
+    **_SPLIT_INPUTS,
+    "C": gauss_field,
+    "u^2=i": _u_squared_i,
+    "skew M2": _skew_m2,
+    "M2 unit/2": lambda: _rescaled(matrix_algebra(2), ["1/2", 1, 1, 1]),
+    "M2 i e12": lambda: _rescaled(matrix_algebra(2), [1, I, 1, 1]),
+}
+_SEPARABLE_TRUNCATION = {"Pauli(x)Pauli": 3, "B2": 5}
+
+
+@pytest.mark.parametrize("name", list(_SEPARABLE))
+def test_closed_form_agrees_with_connes_complex_on_separable_algebras(name):
+    A = _SEPARABLE[name]()
+    truncation = _SEPARABLE_TRUNCATION.get(name, 6)
+    closed = hp_homology(A, truncation)
+    assert closed.boundary_check == "separable"
+    assert _connes(A, truncation) == closed._replace(boundary_check="full")
+
+
+def _truncated_polynomials(m):
+    """k[x]/(x^m) in the basis 1, x, ..., x^(m-1)."""
+    zero = GaussRational.zero()
+    return FinAlgebra(
+        m,
+        tuple(
+            tuple(tuple(ONE if c == a + b else zero for c in range(m)) for b in range(m))
+            for a in range(m)
+        ),
+        tuple(ONE if c == 0 else zero for c in range(m)),
+        tuple(tuple(ONE if c == a else zero for c in range(m)) for a in range(m)),
+        tuple(f"x^{a}" for a in range(m)),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, truncation, agrees",
+    [
+        ("dual", 6, True),
+        ("x^3", 6, True),
+        ("x^4", 5, True),
+        ("dual(x)dual", 4, False),
+        ("two cycle", 5, False),
+    ],
+)
+def test_closed_form_falls_through_on_algebras_that_are_not_semisimple(name, truncation, agrees):
+    A = {
+        "dual": dual_numbers,
+        "x^3": lambda: _truncated_polynomials(3),
+        "x^4": lambda: _truncated_polynomials(4),
+        "dual(x)dual": lambda: tensor_product(dual_numbers(), dual_numbers()),
+        "two cycle": _two_cycle,
+    }[name]()
+    letters = _corner(A)
+    # the trace form has a kernel, the radical, so the corner falls through
+    assert homology_module._separable_hc0(A._pairs, letters) is None
+    report = hp_homology(A, truncation)
+    assert report == _connes(A, truncation)
+    assert report.boundary_check == "full"
+    # (h, 0, h, ...) with h = dim - rank of the commutators, the closed form
+    # without the trace-form test, happens to hold for the truncated
+    # polynomial algebras, but not for the other two
+    commutators = [
+        [x - y for x, y in zip(A.mul_coords(e, f), A.mul_coords(f, e))]
+        for e, f in itertools.combinations(
+            [tuple(ONE if c == a else GaussRational.zero() for c in range(A.dim)) for a in letters],
+            2,
+        )
+    ]
+    h = len(letters) - (gauss_rank(commutators) if commutators else 0)
+    unchecked = tuple(0 if m % 2 else h for m in range(truncation))
+    assert (report.hc == unchecked) is agrees
+
+
 def test_the_split_runs_after_the_size_guards_on_corners_of_two_letters(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the corner was split")
@@ -1718,10 +1813,12 @@ def test_the_split_runs_after_the_size_guards_on_corners_of_two_letters(monkeypa
     # one-letter corners skip the split
     for A in (matrix_algebra(4), gauss_field(), FinAlgebra.load(FIXTURES / "qi.json")):
         assert hp_homology(A, 4).hc == (1, 0, 1, 0)
-    # admission is decided on the corner before the split, with the same message
+    # admission is decided on the corner before the split, with the same
+    # message; a separable corner such as Pauli M2 never reaches the split
     message = f"more than {MAX_CHAIN_WORDS} chain words of weight 0 in degree 9, on 4 of the 4"
     with pytest.raises(InputError, match=re.escape(message)):
-        hp_homology(_pauli_m2(), 9)
+        hp_homology(tensor_product(dual_numbers(), dual_numbers()), 9)
+    assert hp_homology(_pauli_m2(), 9).hc == (1, 0) * 4 + (1,)
 
 
 def test_hp_truncation_guard():
@@ -1733,19 +1830,21 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
     def forbidden(*args):
         raise AssertionError("word table built before the size guard fired")
 
-    monkeypatch.setattr(homology_module, "_classes", forbidden)
-    monkeypatch.setattr(homology_module, "_necklaces", forbidden)
-    # the corner cannot shrink these: C^2 has 2^20 words in degree 19,
-    # dual numbers as many, and Pauli M2 4^10 in degree 9
+    monkeypatch.setattr(connes_module, "_classes", forbidden)
+    monkeypatch.setattr(connes_module, "_necklaces", forbidden)
+    # the corner cannot shrink these, and none is separable: dual numbers
+    # have 2^20 words in degree 19, and their tensor square 4^10 in degree 9
     for A, truncation in (
-        (gauss_field_power(2), 19),
         (dual_numbers(), 19),
-        (_pauli_m2(), 9),
         (tensor_product(dual_numbers(), dual_numbers()), 9),
         (_two_cycle(), 10),
     ):
         with pytest.raises(InputError, match=f"more than {MAX_CHAIN_WORDS} chain words"):
             hp_homology(A, truncation)
+    # separable corners take the closed form before the word bound: C^2 at
+    # 2^20 words and Pauli M2 at 4^10 build no word table
+    assert hp_homology(gauss_field_power(2), 19).hc == (2, 0) * 9 + (2,)
+    assert hp_homology(_pauli_m2(), 9).hc == (1, 0) * 4 + (1,)
     # one word per degree never meets the word bound; the truncation bound
     # stops a dim-1 algebra, and a matrix algebra's one-letter corner, instead
     for A in (gauss_field(), matrix_algebra(4)):
@@ -1754,14 +1853,16 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
     # the bound counts weight-0 words only: degree 9 of the two-cycle
     # algebra holds C(20, 10) = 184,756 of its 4^10 words
     monkeypatch.setattr(
-        homology_module,
+        connes_module,
         "_rank_table",
         lambda table, letters, weights, T: ((0,) * (T + 1), (0,) * (T + 1), "full"),
     )
     assert hp_homology(_two_cycle(), 9).hc == (0,) * 9
-    assert hp_homology(gauss_field_power(2), 18).hc == (0,) * 18
-    assert hp_homology(_pauli_m2(), 8).hc == (0,) * 8
-    assert hp_homology(gauss_field(), MAX_TRUNCATION).hc == (0,) * MAX_TRUNCATION
+    assert hp_homology(dual_numbers(), 18).hc == (0,) * 18
+    assert hp_homology(tensor_product(dual_numbers(), dual_numbers()), 8).hc == (0,) * 8
+    # a one-letter corner is separable, so only Connes' complex called
+    # directly reaches the top truncation on it
+    assert _connes(gauss_field(), MAX_TRUNCATION).hc == (0,) * MAX_TRUNCATION
 
 
 def test_weight_zero_word_count_is_exact():
@@ -1778,10 +1879,10 @@ def test_weight_zero_word_count_is_exact():
 def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
     # the two-cycle algebra keeps all 4 letters and has 152 weight-0 cells
     # in degree 5, so degree 5 is sampled; the corner of M2(C^2) is C^2,
-    # with 10 cells in degree 5
-    monkeypatch.setattr(homology_module, "_SQUARE_CHECK_LIMIT", 100)
+    # with 10 cells in degree 5 of its complex
+    monkeypatch.setattr(connes_module, "_SQUARE_CHECK_LIMIT", 100)
     report = hp_homology(_two_cycle(), 5)
-    small = hp_homology(matrix_amplification(gauss_field_power(2), 2), 5)
+    small = _connes(matrix_amplification(gauss_field_power(2), 2), 5)
     assert report.boundary_check == "sampled"
     assert report.hc == (2, 1, 2, 1, 2)
     assert small.boundary_check == "full"
@@ -1802,13 +1903,13 @@ def test_necklace_periods_kill_the_cells_that_rotations_kill(dims, lengths, peir
             else:
                 weights = (0,) * dim
             n, kept = length - 1, []
-            for word, p in homology_module._necklaces(weights, length):
-                cell = homology_module._cell(word, dim)
+            for word, p in connes_module._necklaces(weights, length):
+                cell = connes_module._cell(word, dim)
                 assert (n * p % 2 == 1) == (cell is None), (word, p)
                 if cell is not None:
-                    assert cell == (homology_module._flat(word, dim), False)
+                    assert cell == (connes_module._flat(word, dim), False)
                     kept.append(word)
-            assert list(homology_module._cells(weights, n)) == kept
+            assert list(connes_module._cells(weights, n)) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -1822,13 +1923,13 @@ def _two_pass_rank_table(A, weights, truncation):
     check rebuilds the columns of b that the rank has used, and those of
     the degree below.
     """
-    dim, tables = A.dim, homology_module._int_table(A._pairs, tuple(range(A.dim)))
+    dim, tables = A.dim, connes_module._int_table(A._pairs, tuple(range(A.dim)))
     classes, ranks, cells, modes = [], [], [], []
     for n in range(truncation + 1):
-        classes.append(homology_module._classes(dim))
+        classes.append(connes_module._classes(dim))
         words = [
             word
-            for word, _ in homology_module._necklaces(weights, n + 1)
+            for word, _ in connes_module._necklaces(weights, n + 1)
             if classes[n][word] is not None
         ]
         cells.append(len(words))
@@ -1837,7 +1938,7 @@ def _two_pass_rank_table(A, weights, truncation):
             continue
         pivots = {}
         for word in words:
-            for col in homology_module._columns(tables, n, word, classes[n - 1]):
+            for col in connes_module._columns(tables, n, word, classes[n - 1]):
                 if col:
                     reduce_column(col, pivots)
         ranks.append(len(pivots) // (1 if tables[1] is None else 2))
@@ -1850,14 +1951,14 @@ def _two_pass_square_check(tables, n, cells, classes_prev, classes_prev2):
     dim = len(tables[0])
     shift = dim**n
     below = {}
-    sampled = len(cells) > homology_module._SQUARE_CHECK_LIMIT
+    sampled = len(cells) > connes_module._SQUARE_CHECK_LIMIT
     for word in random.Random(2026 * n + dim).sample(cells, 64) if sampled else cells:
         acc = {}
-        for r, v in homology_module._columns(tables, n, word, classes_prev)[0].items():
+        for r, v in connes_module._columns(tables, n, word, classes_prev)[0].items():
             row = r % shift
             if row not in below:
                 prev = cyclic_module._unflatten(row, dim, n)
-                below[row] = homology_module._columns(tables, n - 1, prev, classes_prev2)
+                below[row] = connes_module._columns(tables, n - 1, prev, classes_prev2)
             for r2, v2 in below[row][r // shift].items():
                 acc[r2] = acc.get(r2, 0) + v * v2
         assert not any(acc.values()), (n, word)
@@ -1888,10 +1989,10 @@ def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, tr
         "two-cycle": _two_cycle,
     }[name]()
     if limit is not None:
-        monkeypatch.setattr(homology_module, "_SQUARE_CHECK_LIMIT", limit)
+        monkeypatch.setattr(connes_module, "_SQUARE_CHECK_LIMIT", limit)
     grading = homology_module._peirce_grading(A)
     weights = homology_module._letter_weights(grading, truncation + 1)
-    got = homology_module._rank_table(A._pairs, tuple(range(A.dim)), weights, truncation)
+    got = connes_module._rank_table(A._pairs, tuple(range(A.dim)), weights, truncation)
     assert got == _two_pass_rank_table(A, weights, truncation)
     assert got[2] == ("full" if limit is None else "sampled")
 
@@ -1901,14 +2002,14 @@ def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
     A = _two_cycle()
     weights = homology_module._letter_weights(homology_module._peirce_grading(A), 6)
     # the target is the first of the 64 cells that sampled mode checks
-    cells = list(homology_module._cells(weights, 5))
+    cells = list(connes_module._cells(weights, 5))
     target = random.Random(2026 * 5 + 4).sample(cells, 64)[0]
     if limit is not None:
-        monkeypatch.setattr(homology_module, "_SQUARE_CHECK_LIMIT", limit)
+        monkeypatch.setattr(connes_module, "_SQUARE_CHECK_LIMIT", limit)
     # the target's column gets a stray e1 e1 e1 e1 e2, whose b is the
     # degree-3 cell e1 e1 e1 e2, so b o b is nonzero on the target
-    columns = homology_module._columns
-    row = homology_module._flat((0, 0, 0, 0, 1), 4)
+    columns = connes_module._columns
+    row = connes_module._flat((0, 0, 0, 0, 1), 4)
 
     def stray(tables, n, word, classes):
         cols = columns(tables, n, word, classes)
@@ -1916,7 +2017,7 @@ def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
             cols[0][row] = cols[0].get(row, 0) + 1
         return cols
 
-    monkeypatch.setattr(homology_module, "_columns", stray)
+    monkeypatch.setattr(connes_module, "_columns", stray)
     message = f"b o b is nonzero at level 5 on word {target}"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         hp_homology(A, 5)
@@ -1963,8 +2064,8 @@ def test_a_corner_with_real_products_is_not_realified():
     grading = homology_module._peirce_grading(A)
     corner, everything = _corner(A), tuple(range(A.dim))
     assert corner == (0,)
-    assert homology_module._int_table(A._pairs, corner)[1] is None
-    assert homology_module._int_table(A._pairs, everything)[1] is not None
+    assert connes_module._int_table(A._pairs, corner)[1] is None
+    assert connes_module._int_table(A._pairs, everything)[1] is not None
     for truncation in range(2, 6):
         realified = homology_module._hp(A, grading, everything, truncation)
         assert hp_homology(A, truncation).hc == realified.hc
@@ -1978,9 +2079,11 @@ def test_morita_scalars_to_two_by_two():
 
 def test_morita_amplified_side_is_reduced_on_every_letter(monkeypatch):
     # the corner of M_2(A) is A's, so a corner on both sides would
-    # compare A's corner with itself
-    corners, letters = [], {}
-    corner, rank_table = homology_module._corner, homology_module._rank_table
+    # compare A's corner with itself; the base's corner takes the closed
+    # form, and the amplified side Connes' complex
+    corners, letters, closed = [], {}, {}
+    corner, rank_table = homology_module._corner, connes_module._rank_table
+    separable = homology_module._separable_hc0
 
     def recorded_corner(table, idem, grading):
         corners.append(len(table))
@@ -1990,12 +2093,18 @@ def test_morita_amplified_side_is_reduced_on_every_letter(monkeypatch):
         letters[len(table)] = used
         return rank_table(table, used, *args)
 
+    def recorded_closed_form(table, used):
+        closed[len(table)] = used
+        return separable(table, used)
+
     monkeypatch.setattr(homology_module, "_corner", recorded_corner)
-    monkeypatch.setattr(homology_module, "_rank_table", recorded_table)
+    monkeypatch.setattr(connes_module, "_rank_table", recorded_table)
+    monkeypatch.setattr(homology_module, "_separable_hc0", recorded_closed_form)
     verdict = morita_check(matrix_algebra(2), 2, truncation=4)
     assert verdict["verdict"] == "pass"
     assert corners == [4]
-    assert letters == {4: (0,), 16: tuple(range(16))}
+    assert closed == {4: (0,)}
+    assert letters == {16: tuple(range(16))}
 
 
 def test_morita_matrix_base_at_reduced_truncation():

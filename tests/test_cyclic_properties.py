@@ -1,5 +1,5 @@
-"""Property tests of the sparse chain operators and of the weight grading
-(optional: needs hypothesis)."""
+"""Property tests of the sparse chain operators, of the weight grading and
+of the closed form of separable algebras (optional: needs hypothesis)."""
 
 import itertools
 
@@ -14,8 +14,10 @@ from orbitkit.cyclic import (  # noqa: E402
     FinAlgebra,
     apply_operator,
     chain_pairing,
+    direct_sum,
     dual_numbers,
     gauss_field,
+    gauss_field_power,
     hp_homology,
     matrix_algebra,
 )
@@ -134,3 +136,66 @@ def test_permuted_matrix_units_keep_the_grading_and_hc(case):
         assert (idem[i], idem[j]) == (f"e{label[1]}{label[1]}", f"e{label[2]}{label[2]}")
     truncation = 5 if m == 2 else 4
     assert hp_homology(A, truncation).hc == hp_homology(matrix_algebra(m), truncation).hc
+
+
+def _rebased(A, U):
+    """A in the basis f_a = sum_j U[a][j] e_j, for an upper unitriangular integer U."""
+    d = range(A.dim)
+    rows = [tuple(GaussRational(x) for x in row) for row in U]
+
+    def coords(x):
+        # x = U^T y with U^T lower unitriangular: forward substitution
+        y = []
+        for a in d:
+            y.append(x[a] - sum((U[j][a] * y[j] for j in range(a)), ZERO))
+        return tuple(y)
+
+    return FinAlgebra(
+        A.dim,
+        tuple(tuple(coords(A.mul_coords(rows[a], rows[b])) for b in d) for a in d),
+        coords(A.unit),
+        tuple(coords(A.star_coords(rows[a])) for a in d),
+        tuple(f"f{a}" for a in d),
+    )
+
+
+# (algebra, HC_0): M_r has one trace, Q(i)^k k, and the field Q(i)(u), u^2 = i, two
+_SUMMANDS = {
+    "M1": (gauss_field(), 1),
+    "M2": (matrix_algebra(2), 1),
+    "C^2": (gauss_field_power(2), 2),
+    "u^2=i": (GAUSSIAN_LINE, 2),
+}
+
+
+@st.composite
+def rebased_sums(draw):
+    """(A, h, T): a direct sum of one or two separable summands in a random
+    unitriangular integer basis, its HC_0, and a truncation."""
+    names = draw(st.lists(st.sampled_from(sorted(_SUMMANDS)), min_size=1, max_size=2))
+    A, h = _SUMMANDS[names[0]]
+    for name in names[1:]:
+        A, h = direct_sum(A, _SUMMANDS[name][0]), h + _SUMMANDS[name][1]
+    entries = st.integers(-2, 2)
+    U = [[1 if a == b else draw(entries) if a < b else 0 for b in range(A.dim)] for a in range(A.dim)]
+    # the complex on every letter of an unsplit corner of dim letters has up
+    # to dim^(T+1) words; keep that small
+    truncation = draw(st.integers(2, 6))
+    while A.dim ** (truncation + 1) > 20000:
+        truncation -= 1
+    return _rebased(A, U), h, truncation
+
+
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@hypothesis.given(rebased_sums())
+def test_closed_form_matches_connes_complex_in_random_bases(case):
+    A, h, truncation = case
+    closed = hp_homology(A, truncation)
+    assert closed.boundary_check == "separable"
+    assert closed.hc == tuple(0 if m % 2 else h for m in range(truncation))
+    grading = homology_module._peirce_grading(A)
+    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    corner = homology_module._corner(A._pairs, idem, grading)
+    complex_ = homology_module._hp(A, grading, corner, truncation, split=True)
+    assert complex_.boundary_check == "full"
+    assert complex_ == closed._replace(boundary_check="full")
