@@ -26,8 +26,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .homology import FinAlgebra, _combine, _realified
-from .exactnum import GaussRational, reduce_column
+from .homology import FinAlgebra, _combine
+from .exactnum import GaussRational, gauss_columns, reduce_column
 
 _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
@@ -37,7 +37,7 @@ class _Span:
     """A basis over Q(i) of sparse vectors, grown by `reduce_column` on realified columns.
 
     Basis vector t enters as two integer columns, v and i v, scaled by the
-    lcm L of v's denominators (`homology._realified`), with rows r and
+    lcm L of v's denominators (`exactnum.gauss_columns`), with rows r and
     r + ``shift`` holding the real and imaginary parts of coordinate r and
     L in tag rows -1-2t and -2-2t; every column's data rows are then the
     sum of tag_t times the unscaled column t.
@@ -49,7 +49,7 @@ class _Span:
     def add(self, v: dict):
         """Add v and return None when it is independent, else its coordinates {t: c}."""
         t = self.size
-        scale, col, icol = _realified(v, self.shift)
+        scale, col, icol = gauss_columns(v, self.shift)
         col[-1 - 2 * t] = scale
         left = reduce_column(col, self.pivots)
         if left is not None:

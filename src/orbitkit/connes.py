@@ -18,18 +18,18 @@ Ranks are computed exactly by streaming each column of b through
 linear in the structure constants, so it runs on one integer table built
 on the corner's letters and scaled by the lcm of their products'
 denominators (`_int_table`), and a corner with imaginary products is
-realified (rank over Q(i) is half the real rank of the doubled matrix).
-Each degree is reduced in one pass: a cell's columns are built once,
-checked for b o b = 0 against the kept columns of the degree below, and
-then reduced.
+realified in `exactnum.realify`'s layout (rank over Q(i) is half the
+real rank of the doubled matrix).  Each degree is reduced in one pass:
+a cell's columns are built once, checked for b o b = 0 (Loday, Cyclic
+Homology, section 2.1) against the kept columns of the degree below,
+and then reduced; every cell is checked.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
-from .exactnum import reduce_column
+from .exactnum import realify, reduce_column
 from .homology import _op_terms
 
 
@@ -120,14 +120,15 @@ def _cells(weights: tuple, n: int):
     return (word for word, p in _necklaces(weights, n + 1) if n * p % 2 == 0)
 
 
-def _columns(tables: tuple, n: int, word, classes) -> list:
+def _columns(tables: tuple, n: int, word, classes) -> list | tuple:
     """Integer columns of L * b on `word`, from C_n to C^lambda_{n-1}.
 
     ``tables`` is an integer table (re, im) from `_int_table` and
     ``classes`` maps each word of C_{n-1} to (row, negate), or None when
     killed.  A real algebra gives one column; a Gaussian one gives the two
     real columns of the realification (the images of the word and of i
-    times it), with imaginary parts in rows shifted by dim^n.
+    times it, `exactnum.realify`), with imaginary parts in rows shifted by
+    dim^n.
     """
     parts = []
     for pairs in tables:
@@ -142,36 +143,28 @@ def _columns(tables: tuple, n: int, word, classes) -> list:
         parts.append({r: v for r, v in col.items() if v})
     if len(parts) == 1:
         return parts
-    re_col, im_col = parts
-    shift = len(tables[0]) ** n
-    return [
-        {**re_col, **{r + shift: v for r, v in im_col.items()}},
-        {**{r + shift: v for r, v in re_col.items()}, **{r: -v for r, v in im_col.items()}},
-    ]
+    return realify(*parts, len(tables[0]) ** n)
 
 
 def _reduce_degree(tables: tuple, n: int, cells: list, classes, below: dict, keep: bool):
-    """(rank, mode, columns) of b: C^lambda_n -> C^lambda_{n-1} on the given cells.
+    """(rank, columns) of b: C^lambda_n -> C^lambda_{n-1} on the given cells.
 
     Each cell's columns (`_columns`, with ``classes`` the degree-(n-1)
-    memo) are built once.  For n >= 2 they are first checked for
-    b o b = 0 against ``below``, the columns of degree n-1 keyed by the
-    flat index of each cell's least word, which is the row that cell has
-    here; a realified column's row past dim^n is the image of i times
-    that cell, the cell's second column.  The check runs on every cell
-    when there are at most `_SQUARE_CHECK_LIMIT` of them, and otherwise on
-    64 random ones; mode says which.  The columns are then reduced by
-    `reduce_column`, which leaves them unchanged, so with ``keep`` they
-    are returned, keyed the same way, for the check of degree n+1.
+    memo) are built once.  For n >= 2 every cell's columns are first
+    checked for b o b = 0 against ``below``, the columns of degree n-1
+    keyed by the flat index of each cell's least word, which is the row
+    that cell has here; a realified column's row past dim^n is the image
+    of i times that cell, the cell's second column.  A nonzero b o b is a
+    RuntimeError.  The columns are then reduced by `reduce_column`, which
+    leaves them unchanged, so with ``keep`` they are returned, keyed the
+    same way, for the check of degree n+1.
     """
     dim = len(tables[0])
     shift = dim**n
-    sampled = len(cells) > _SQUARE_CHECK_LIMIT
-    checked = set(random.Random(2026 * n + dim).sample(cells, 64)) if sampled else None
     pivots, kept = {}, {}
     for word in cells:
         cols = _columns(tables, n, word, classes)
-        if n >= 2 and (checked is None or word in checked):
+        if n >= 2:
             acc = {}
             for r, v in cols[0].items():
                 for r2, v2 in below[r % shift][r // shift].items():
@@ -188,10 +181,7 @@ def _reduce_degree(tables: tuple, n: int, cells: list, classes, below: dict, kee
         if rank % 2:
             raise RuntimeError("realified rank is odd; exact reduction is broken")
         rank //= 2
-    return rank, "sampled" if sampled else "full", kept
-
-
-_SQUARE_CHECK_LIMIT = 50000
+    return rank, kept
 
 
 def _int_table(pairs, letters: tuple) -> tuple:
@@ -222,7 +212,7 @@ def _int_table(pairs, letters: tuple) -> tuple:
 
 
 def _rank_table(pairs, letters: tuple, weights: tuple, truncation: int):
-    """Ranks of b, cell counts and the square-check mode of weight-0 C^lambda up to T.
+    """Ranks of b and cell counts of weight-0 C^lambda up to T.
 
     The complex is built on the letters ``letters`` of the product table
     ``pairs`` alone (`_int_table`), with ``weights`` their letter weights.
@@ -232,17 +222,14 @@ def _rank_table(pairs, letters: tuple, weights: tuple, truncation: int):
     degree n-1 live only while degree n is reduced.
     """
     tables = _int_table(pairs, letters)
-    ranks, cells, modes, below = [0], [], [], {}
+    ranks, cells, below = [0], [], {}
     for n in range(truncation + 1):
         words = list(_cells(weights, n))
         cells.append(len(words))
         # b vanishes on C_0
         if n:
-            rank, mode, below = _reduce_degree(
+            rank, below = _reduce_degree(
                 tables, n, words, _classes(len(letters)), below, n < truncation
             )
             ranks.append(rank)
-            if n >= 2:
-                modes.append(mode)
-    mode = "full" if all(m == "full" for m in modes) else "sampled"
-    return tuple(ranks), tuple(cells), mode
+    return tuple(ranks), tuple(cells)

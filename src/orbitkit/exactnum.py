@@ -8,9 +8,10 @@ Vol. 2, section 4.5.1); their parts read back as
 :func:`reduce_column`, a sparse column reduction over the integers, run
 by Connes' complex and by :class:`ExactMatrix` over Q, whose rank, pivot
 columns, determinant and kernel come from one reduction of its tagged
-columns.  The rank of a Gaussian-rational matrix over Q(i) is
-:func:`gauss_rank`, the halved rank of its realification.  No floating
-point is involved anywhere in this module.
+columns.  A Gaussian vector enters it as the two columns of
+:func:`realify`, the one realified layout; :func:`gauss_rank`, the rank
+over Q(i), is half the rank they give.  No floating point is involved
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from typing import Callable, Sequence, Union
 __all__ = [
     "GaussRational",
     "ExactMatrix",
+    "gauss_columns",
     "gauss_rank",
     "gauss_reader",
+    "realify",
     "reduce_column",
     "rational_to_str",
     "rational_from_str",
@@ -447,17 +450,58 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-def gauss_rank(rows: Sequence[Sequence]) -> int:
+def realify(re: dict, im: dict, shift: int) -> tuple:
+    """The integer columns (v, i v) over Q of v = re + i im, nonzero parts in rows below ``shift``.
+
+    Real parts go in row r and imaginary parts in row r + ``shift``; i v
+    has real part -im and imaginary part re.
+
+    >>> realify({0: 1}, {1: 2}, 10)
+    ({0: 1, 11: 2}, {10: 1, 1: -2})
+    """
+    return (
+        {**re, **{r + shift: b for r, b in im.items()}},
+        {**{r + shift: a for r, a in re.items()}, **{r: -b for r, b in im.items()}},
+    )
+
+
+def gauss_columns(v: dict, shift: int) -> tuple:
+    """(L, col, icol) for a sparse Gaussian-rational v = {row: coeff}, rows below ``shift``.
+
+    L is the lcm of v's denominators, and (col, icol) is `realify` of L v.
+    """
+    parts = [(r, *x.triple) for r, x in v.items()]
+    scale = math.lcm(*(d for *_, d in parts))
+    re = {r: a * (scale // d) for r, a, _, d in parts if a}
+    im = {r: b * (scale // d) for r, _, b, d in parts if b}
+    return (scale, *realify(re, im, shift))
+
+
+def gauss_rank(rows) -> int:
     """Rank over Q(i) of the Gaussian-rational matrix with these rows.
 
-    For M = A + iB the real matrix [[A, -B], [B, A]] represents M acting
-    on C^n = R^n + iR^n, and its rank over Q is twice the rank of M.
+    A row is a sequence or a sparse dict {column >= 0: entry}, of Gaussian
+    rationals, ints or Fractions.  Each row v enters `reduce_column` as
+    the integer columns of v and i v (`gauss_columns`), which span M's row
+    space over Q(i) as a space over Q, so their rank is twice M's.
 
     >>> i = GaussRational.i()
     >>> gauss_rank([[1, i], [i, -1]])
     1
+    >>> gauss_rank([{0: 1, 5: i}, {0: i, 5: -1}])
+    1
     """
-    gauss = [[_coerce(x) for x in r] for r in rows]
-    real = [[x.re for x in r] + [-x.im for x in r] for r in gauss]
-    real += [[x.im for x in r] + [x.re for x in r] for r in gauss]
-    return ExactMatrix(real).rank() // 2
+    rows = list(rows)
+    vectors = [
+        {j: z for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if (z := _coerce(x))}
+        for r in rows
+    ]
+    if len({len(r) for r in rows if not isinstance(r, dict)}) > 1:
+        raise ValueError("ragged rows")
+    shift = 1 + max((max(v) for v in vectors if v), default=0)
+    pivots = {}
+    for v in vectors:
+        for col in gauss_columns(v, shift)[1:]:
+            if col:
+                reduce_column(col, pivots)
+    return len(pivots) // 2

@@ -47,13 +47,12 @@ neither `connes` nor `blocks` either.
 from __future__ import annotations
 
 import json
-import math
 from itertools import compress
 from operator import ne
 from typing import NamedTuple
 
 from . import InputError
-from .exactnum import GaussRational, gauss_reader, reduce_column
+from .exactnum import GaussRational, gauss_rank, gauss_reader
 
 _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
@@ -440,39 +439,6 @@ def _corner(pairs, idem: list, grading: tuple) -> tuple:
     return tuple(a for a, (i, j) in enumerate(grading) if i in kept and j in kept)
 
 
-def _realified(v: dict, shift: int) -> tuple:
-    """(L, col, icol) for a sparse Gaussian-rational vector v = {row: coeff}, rows below ``shift``.
-
-    L is the lcm of v's denominators, and col and icol are the integer
-    columns of L v and L i v over Q: real parts in rows r and imaginary
-    parts in rows r + ``shift``.
-    """
-    parts = [(r, *x.triple) for r, x in v.items()]
-    scale = math.lcm(*(d for *_, d in parts))
-    re = {r: a * (scale // d) for r, a, _, d in parts if a}
-    im = {r: b * (scale // d) for r, _, b, d in parts if b}
-    return (
-        scale,
-        {**re, **{r + shift: b for r, b in im.items()}},
-        {**{r + shift: a for r, a in re.items()}, **{r: -b for r, b in im.items()}},
-    )
-
-
-def _rank(vectors, shift: int) -> int:
-    """Rank over Q(i) of sparse Gaussian-rational vectors, with rows below ``shift``.
-
-    Each vector enters `exactnum.reduce_column` as the two integer columns
-    of its realification (`_realified`); the real rank is twice the rank
-    over Q(i).
-    """
-    pivots = {}
-    for v in vectors:
-        for col in _realified(v, shift)[1:]:
-            if col:
-                reduce_column(col, pivots)
-    return len(pivots) // 2
-
-
 def _separable_hc0(pairs, letters: tuple):
     """HC_0 of the corner spanned by ``letters`` when the corner is separable, else None.
 
@@ -483,16 +449,16 @@ def _separable_hc0(pairs, letters: tuple):
     (Curtis and Reiner, 1962), so the corner is semisimple exactly when t
     has full rank on its letters; Q(i) is perfect, so it is then
     separable.  HC_0 = HH_0 is the corner modulo its commutators, of
-    dimension the letters minus the rank of the e_a e_b - e_b e_a.
+    dimension the letters minus the rank of the e_a e_b - e_b e_a.  Both
+    ranks are `exactnum.gauss_rank`'s, on sparse rows.
     """
-    shift = len(pairs)
     # trace[x] = tr L_{e_x}, the sum over the letters y of the e_y coefficient of e_x e_y
     trace = {x: sum((v for y in letters for c, v in pairs[x][y] if c == y), _ZERO) for x in letters}
     form = (
         {b: t for b in letters if (t := sum((v * trace[c] for c, v in pairs[a][b]), _ZERO))}
         for a in letters
     )
-    if _rank(form, shift) < len(letters):
+    if gauss_rank(form) < len(letters):
         return None
     commutators = (
         _combine(((_ONE, pairs[a][b]), (-_ONE, pairs[b][a])))
@@ -500,16 +466,16 @@ def _separable_hc0(pairs, letters: tuple):
         for b in letters
         if a < b and pairs[a][b] != pairs[b][a]
     )
-    return len(letters) - _rank(commutators, shift)
+    return len(letters) - gauss_rank(commutators)
 
 
 # Degree T of Connes' complex has this many weight-0 words at most, in the
 # corner's letters before it is split; past it, hp_homology is an input
-# error on a corner that is not separable.  Words are a loose proxy for
-# the cost, which is elimination fill-in on the cells that survive the
-# reductions.  On one pinned CPU (2 vCPUs, Python 3.11.7) the slowest
-# admitted run measured is dual numbers at T = 18 (2^19 words), 1.5-2.3 s;
-# a separable corner, such as the u^2 = i algebra or Q(i)[Z/5], never
+# error on a corner that is not separable.  Elimination fill-in, not the
+# word count, sets the cost: on one pinned CPU (2 vCPUs, Python 3.11.7)
+# dual numbers at T = 18 (2^19 words) take 1.5-2.3 s, but k[x]/(x^10) in
+# the basis 1, x + x^2, ..., x^8 + x^9, x^9 takes 127 s at T = 4 (10^5 words).
+# A separable corner, such as the u^2 = i algebra or Q(i)[Z/5], never
 # reaches the complex and is admitted at every T up to MAX_TRUNCATION.
 MAX_CHAIN_WORDS = 2**19
 
@@ -560,10 +526,9 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     odd degrees below T; `stabilized` records whether they agree with the
     pair two degrees down, which is the same comparison as rerunning at
     T - 2.  `boundary_check` is "separable" when the closed form gave hc,
-    and otherwise says whether b o b = 0 was verified on every cell of
-    each C^lambda_n (n >= 2) or, past `connes._SQUARE_CHECK_LIMIT` cells,
-    on 64 sampled ones.  T below 2 or above `MAX_TRUNCATION` is an
-    InputError, checked before anything else.
+    and "full" when Connes' complex gave it, for b o b = 0 is then checked
+    on every cell of each C^lambda_n (n >= 2).  T below 2 or above
+    `MAX_TRUNCATION` is an InputError, checked before anything else.
     """
     if truncation < 2:
         raise InputError("truncation must be at least 2")
@@ -616,14 +581,14 @@ def _hp(
             weights = _letter_weights(tuple(grading[a] for a in letters), length)
     from .connes import _rank_table
 
-    ranks, cells, mode = _rank_table(pairs, letters, weights, truncation)
+    ranks, cells = _rank_table(pairs, letters, weights, truncation)
     hc = []
     for m in range(truncation):
         h = cells[m] - ranks[m] - ranks[m + 1]
         if h < 0:
             raise RuntimeError(f"negative homology dimension at degree {m}")
         hc.append(h)
-    return _report(tuple(hc), mode)
+    return _report(tuple(hc), "full")
 
 
 def _report(hc: tuple, mode: str) -> HPReport:

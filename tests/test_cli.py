@@ -105,6 +105,19 @@ def test_every_report_matches_its_schema():
         assert report["version"] == orbitkit.__version__
 
 
+def test_every_boundary_check_in_the_schema_is_reported_on_a_fixture():
+    # a value no shipped algebra reports is a dead entry of the enum
+    result = load_schema("cyclic_hp")["properties"]["result"]["properties"]
+    reported = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        if "mult" in json.loads(path.read_text()):
+            code, output = invoke(["cyclic", "hp", "--algebra", str(path), "--truncation", "4"])
+            assert code == 0, output
+            reported[path.stem] = json.loads(output)["result"]["boundary_check"]
+    assert (reported["m2"], reported["dual"]) == ("separable", "full")
+    assert set(result["boundary_check"]["enum"]) == set(reported.values())
+
+
 def test_qgroup_verify_schema_admits_the_torus_samples_the_command_admits():
     # joint_kernel_rank needs at least 3 torus samples, so a report holds 3 or more
     ranks = load_schema("qgroup_verify")["properties"]["result"]["properties"]["ranks"]

@@ -1438,7 +1438,7 @@ def test_pauli_splits_to_a_one_letter_corner():
     assert len(table) == 4 and len(corner) == 1
     assert side == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # one word per degree, killed in odd degrees
-    _, cells, _ = connes_module._rank_table(table, corner, (0,), 6)
+    _, cells = connes_module._rank_table(table, corner, (0,), 6)
     assert cells == (1, 0, 1, 0, 1, 0, 1)
 
 
@@ -1855,7 +1855,7 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
     monkeypatch.setattr(
         connes_module,
         "_rank_table",
-        lambda table, letters, weights, T: ((0,) * (T + 1), (0,) * (T + 1), "full"),
+        lambda table, letters, weights, T: ((0,) * (T + 1), (0,) * (T + 1)),
     )
     assert hp_homology(_two_cycle(), 9).hc == (0,) * 9
     assert hp_homology(dual_numbers(), 18).hc == (0,) * 18
@@ -1876,15 +1876,18 @@ def test_weight_zero_word_count_is_exact():
     assert homology_module._weight_zero_words(weights, 8) == 65218204
 
 
-def test_square_check_samples_weight_zero_cells_past_the_limit(monkeypatch):
-    # the two-cycle algebra keeps all 4 letters and has 152 weight-0 cells
-    # in degree 5, so degree 5 is sampled; the corner of M2(C^2) is C^2,
-    # with 10 cells in degree 5 of its complex
-    monkeypatch.setattr(connes_module, "_SQUARE_CHECK_LIMIT", 100)
+def test_square_check_covers_every_cell_of_a_large_degree():
+    # k[x]/(x^22) keeps all 22 letters, and degree 3 holds 58,674 cells;
+    # HC of k[x]/(x^m) is (m, 0, m, 0, ...) in characteristic 0
+    A = _truncated_polynomials(22)
+    assert len(list(connes_module._cells((0,) * 22, 3))) == 58674
+    report = hp_homology(A, 3)
+    assert (report.hc, report.boundary_check) == ((22, 0, 22), "full")
+    # the two-cycle algebra keeps all 4 letters, with 152 weight-0 cells
+    # in degree 5; the corner of M2(C^2) is C^2, with 10 cells there
     report = hp_homology(_two_cycle(), 5)
     small = _connes(matrix_amplification(gauss_field_power(2), 2), 5)
-    assert report.boundary_check == "sampled"
-    assert report.hc == (2, 1, 2, 1, 2)
+    assert (report.hc, report.boundary_check) == ((2, 1, 2, 1, 2), "full")
     assert small.boundary_check == "full"
 
 
@@ -1917,14 +1920,14 @@ def test_necklace_periods_kill_the_cells_that_rotations_kill(dims, lengths, peir
 
 
 def _two_pass_rank_table(A, weights, truncation):
-    """(ranks, cells, mode) of `_rank_table` on every letter of A, in two passes.
+    """(ranks, cells) of `_rank_table` on every letter of A, in two passes.
 
     Cells are the necklaces that `_cell` does not kill, and the square
-    check rebuilds the columns of b that the rank has used, and those of
-    the degree below.
+    check of every cell rebuilds the columns of b that the rank has used,
+    and those of the degree below.
     """
     dim, tables = A.dim, connes_module._int_table(A._pairs, tuple(range(A.dim)))
-    classes, ranks, cells, modes = [], [], [], []
+    classes, ranks, cells = [], [], []
     for n in range(truncation + 1):
         classes.append(connes_module._classes(dim))
         words = [
@@ -1943,16 +1946,15 @@ def _two_pass_rank_table(A, weights, truncation):
                     reduce_column(col, pivots)
         ranks.append(len(pivots) // (1 if tables[1] is None else 2))
         if n >= 2:
-            modes.append(_two_pass_square_check(tables, n, words, classes[n - 1], classes[n - 2]))
-    return tuple(ranks), tuple(cells), "full" if all(m == "full" for m in modes) else "sampled"
+            _two_pass_square_check(tables, n, words, classes[n - 1], classes[n - 2])
+    return tuple(ranks), tuple(cells)
 
 
 def _two_pass_square_check(tables, n, cells, classes_prev, classes_prev2):
     dim = len(tables[0])
     shift = dim**n
     below = {}
-    sampled = len(cells) > connes_module._SQUARE_CHECK_LIMIT
-    for word in random.Random(2026 * n + dim).sample(cells, 64) if sampled else cells:
+    for word in cells:
         acc = {}
         for r, v in connes_module._columns(tables, n, word, classes_prev)[0].items():
             row = r % shift
@@ -1962,11 +1964,10 @@ def _two_pass_square_check(tables, n, cells, classes_prev, classes_prev2):
             for r2, v2 in below[row][r // shift].items():
                 acc[r2] = acc.get(r2, 0) + v * v2
         assert not any(acc.values()), (n, word)
-    return "sampled" if sampled else "full"
 
 
 @pytest.mark.parametrize(
-    "name, truncation, limit",
+    "name, truncation, top_cells",
     [
         *(("Pauli", t, None) for t in range(2, 7)),
         ("Pauli(x)Pauli", 3, None),
@@ -1974,11 +1975,11 @@ def _two_pass_square_check(tables, n, cells, classes_prev, classes_prev2):
         ("S3", 4, None),
         ("Z/3", 6, None),
         ("M2(C^2)", 4, None),
-        # 152 cells in degree 5, so degree 5 is sampled
-        ("two-cycle", 5, 100),
+        # 152 weight-0 cells in degree 5
+        ("two-cycle", 5, 152),
     ],
 )
-def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, truncation, limit):
+def test_one_pass_reduction_matches_the_two_pass_reference(name, truncation, top_cells):
     A = {
         "Pauli": _pauli_m2,
         "Pauli(x)Pauli": lambda: tensor_product(_pauli_m2(), _pauli_m2()),
@@ -1988,45 +1989,53 @@ def test_one_pass_reduction_matches_the_two_pass_reference(monkeypatch, name, tr
         "M2(C^2)": lambda: matrix_amplification(gauss_field_power(2), 2),
         "two-cycle": _two_cycle,
     }[name]()
-    if limit is not None:
-        monkeypatch.setattr(connes_module, "_SQUARE_CHECK_LIMIT", limit)
     grading = homology_module._peirce_grading(A)
     weights = homology_module._letter_weights(grading, truncation + 1)
     got = connes_module._rank_table(A._pairs, tuple(range(A.dim)), weights, truncation)
     assert got == _two_pass_rank_table(A, weights, truncation)
-    assert got[2] == ("full" if limit is None else "sampled")
+    assert top_cells in (None, got[1][-1])
 
 
-@pytest.mark.parametrize("limit", [None, 100])
-def test_a_nonzero_b_square_is_an_internal_error(monkeypatch, tmp_path, limit):
-    A = _two_cycle()
-    weights = homology_module._letter_weights(homology_module._peirce_grading(A), 6)
-    # the target is the first of the 64 cells that sampled mode checks
-    cells = list(connes_module._cells(weights, 5))
-    target = random.Random(2026 * 5 + 4).sample(cells, 64)[0]
-    if limit is not None:
-        monkeypatch.setattr(connes_module, "_SQUARE_CHECK_LIMIT", limit)
-    # the target's column gets a stray e1 e1 e1 e1 e2, whose b is the
-    # degree-3 cell e1 e1 e1 e2, so b o b is nonzero on the target
+@pytest.mark.parametrize(
+    "name, truncation, target, stray",
+    [
+        # a stray e1 e1 e1 e1 e2, whose b is the degree-3 cell e1 e1 e1 e2
+        ("two-cycle", 5, (0, 0, 3, 2, 0, 1), (0, 0, 0, 0, 1)),
+        # a stray 1 1 x, whose b is x 1 = -(1 x) in degree 1; the target is
+        # one of 58,674 cells, so a check of fewer cells would likely miss it
+        ("x^22", 3, (0, 0, 0, 1), (0, 0, 1)),
+    ],
+    ids=["two-cycle", "x^22"],
+)
+def test_a_nonzero_b_square_is_an_internal_error(
+    monkeypatch, tmp_path, name, truncation, target, stray
+):
+    A = {"two-cycle": _two_cycle, "x^22": lambda: _truncated_polynomials(22)}[name]()
+    grading = homology_module._peirce_grading(A)
+    weights = homology_module._letter_weights(grading, truncation + 1)
+    assert target in connes_module._cells(weights, truncation)
+    # the target's column gets the stray cell of the degree below, whose b
+    # is nonzero, so b o b is nonzero on the target
     columns = connes_module._columns
-    row = connes_module._flat((0, 0, 0, 0, 1), 4)
+    row = connes_module._flat(stray, A.dim)
 
-    def stray(tables, n, word, classes):
+    def with_stray(tables, n, word, classes):
         cols = columns(tables, n, word, classes)
-        if n == 5 and word == target:
+        if n == truncation and word == target:
             cols[0][row] = cols[0].get(row, 0) + 1
         return cols
 
-    monkeypatch.setattr(connes_module, "_columns", stray)
-    message = f"b o b is nonzero at level 5 on word {target}"
+    monkeypatch.setattr(connes_module, "_columns", with_stray)
+    message = f"b o b is nonzero at level {truncation} on word {target}"
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        hp_homology(A, 5)
-    path = tmp_path / "two_cycle.json"
+        hp_homology(A, truncation)
+    path = tmp_path / "algebra.json"
     path.write_text(json.dumps(A.to_json()))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(
-            ["cyclic", "hp", "--algebra", str(path), "--truncation", "5"], standalone_mode=False
+            ["cyclic", "hp", "--algebra", str(path), "--truncation", str(truncation)],
+            standalone_mode=False,
         )
     assert code == 1
     assert json.loads(out.getvalue())["error"] == {

@@ -117,6 +117,11 @@ def test_matrix_rank_over_gaussian_entries():
     assert gauss_rank([[1, i], [i, 1]]) == 2
     assert gauss_rank([[1, i]]) == 1
     assert gauss_rank([]) == 0
+    assert gauss_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    with pytest.raises(ValueError, match="ragged rows"):
+        gauss_rank([[1, i], [1]])
+    with pytest.raises(TypeError):
+        gauss_rank([[1.5]])
 
 
 def test_identity_rank_and_fraction_pivot_scaling():
@@ -215,7 +220,9 @@ def test_gauss_rank_matches_sympy():
     for _ in range(40):
         n, k = rng.randint(1, 5), rng.randint(1, 5)
         rows = _random_rows(rng, n, k, entry)
-        assert gauss_rank(rows) == _to_sympy(sympy, rows, k).rank()
+        # the same rows as sparse dicts, on spread-out columns
+        sparse = [{3 * j + 1: x for j, x in enumerate(r) if x} for r in rows]
+        assert gauss_rank(rows) == gauss_rank(sparse) == _to_sympy(sympy, rows, k).rank()
 
 
 def test_reduce_column_leaves_its_column_and_the_stored_pivots_unchanged():
