@@ -23,11 +23,22 @@ neither loads `orbitkit.cyclic`.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+
+# The interpreter's builtin SHA-256, as random.py imports its SHA-512:
+# hashlib would map OpenSSL's libcrypto, 3.5 MB of resident memory, into
+# every CLI process to hash a few kilobytes.  Builds without the builtin
+# hashes fall back to hashlib; every branch gives the same digest.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import InputError, __version__
 
@@ -73,7 +84,7 @@ def _digest(inputs: dict) -> str:
     shares one dict per distinct coefficient and one list per distinct row,
     and each is encoded once.
     """
-    return hashlib.sha256(_canonical(inputs).encode("utf-8")).hexdigest()
+    return sha256(_canonical(inputs).encode("utf-8")).hexdigest()
 
 
 def _flatten(value, prefix: str, out: list) -> None:

@@ -53,9 +53,9 @@ MAX_TRUNCATION = 1024
 # more is an input error.  Its SVD copies it, so a run takes about 32 bytes
 # per entry above start-up; the relation residuals hold O(N).  On one
 # pinned CPU (2 vCPUs, max RSS from wait4) `qgroup verify --truncation 4
-# --degree 4` peaks at 97 MB at --t-samples 2242, the most this admits,
-# and --truncation 1024 at 34 MB with --degree 1 --t-samples 3 and 92 MB
-# with --degree 4 --t-samples 4.
+# --degree 4` peaks at 93 MB at --t-samples 2242, the most this admits,
+# and --truncation 1024 at 30.5 MB with --degree 1 --t-samples 3 and
+# about 90 MB with --degree 4 --t-samples 4.
 MAX_STACKED_ENTRIES = 2**21
 
 
@@ -440,7 +440,9 @@ def joint_kernel_rank(
     the diagonals the monomials reach are stacked (`_stacked_matrix`);
     the rank counts the singular values above numpy's `matrix_rank`
     tolerance S.max() * max(rows, dense width) * eps, the dense width
-    being t_samples * (N^2 + 1).  Full rank is the desk-scale faithfulness
+    being t_samples * (N^2 + 1).  The report states that tolerance, the
+    smallest singular value kept and the largest dropped (None at full
+    rank).  Full rank is the desk-scale faithfulness
     witness: the characters alone kill every monomial containing c, so
     the infinite-dimensional representations carry the rank.  q and N are
     checked first; then a stacked matrix of more than MAX_STACKED_ENTRIES
@@ -464,10 +466,15 @@ def joint_kernel_rank(
     width = t_samples * (N * N + 1)
     tol = singular.max() * (max(len(monomials), width) * np.finfo(singular.dtype).eps)
     rank = int(np.count_nonzero(singular > tol))
+    # svd sorts the singular values in descending order, and the rank is
+    # at least 1: the monomial 1 maps to the identity
     return {
         "rank": rank,
         "monomials": len(monomials),
         "full": rank == len(monomials),
+        "tolerance": float(tol),
+        "smallest_kept": float(singular[rank - 1]),
+        "largest_dropped": float(singular[rank]) if rank < len(singular) else None,
         "degree": degree,
         "t_samples": t_samples,
         "N": N,

@@ -160,6 +160,37 @@ def test_seed_enters_the_digest():
     assert base["input_digest"] != reseeded["input_digest"]
 
 
+# README's example: `orbitkit chern phi 3 2 3`
+README_DIGEST = "5ceee56732b62dcdf7963b9dd3999916889902c45f01b97c08ac3b2b0cde52b9"
+
+
+def test_input_digest_is_the_sha256_of_the_canonical_inputs():
+    import hashlib
+
+    code, output = invoke(["chern", "phi", "3", "2", "3"])
+    assert code == 0, output
+    text = json.dumps(
+        {"inputs": {"n": 3, "k": 2, "q": 3}, "subcommand": "chern phi"},
+        sort_keys=True, separators=(",", ":"),
+    )
+    assert json.loads(output)["input_digest"] == hashlib.sha256(text.encode()).hexdigest()
+    assert json.loads(output)["input_digest"] == README_DIGEST
+
+
+def test_input_digest_is_the_same_without_the_builtin_sha256():
+    # with neither builtin module importable, the CLI falls back to hashlib
+    code = """
+import contextlib, io, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from orbitkit import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["chern", "phi", "3", "2", "3"], standalone_mode=False) == 0
+print(json.loads(out.getvalue())["input_digest"], "hashlib" in sys.modules)
+"""
+    assert run_python(code).split() == [README_DIGEST, "True"]
+
+
 SL2 = str(FIXTURES / "sl2.json")
 # (allocating calls that must not be entered, argv rejected by a size guard)
 SIZE_GUARDED = [
@@ -633,8 +664,9 @@ def test_commands_load_neither_dataclasses_nor_inspect():
     # they load different modules), in one interpreter:
     # the modules they add to sys.modules, measured from a snapshot so
     # that what the interpreter's site already loaded does not count.
-    # numpy loads inspect itself, so affine verify runs after numpy is in
-    # a second snapshot.
+    # numpy loads inspect itself, so affine verify and qgroup verify run
+    # after numpy is in, in a second snapshot.  None of them maps OpenSSL:
+    # the input digest uses the interpreter's builtin SHA-256.
     heis = str(FIXTURES / "heisenberg.json")
     argvs = [
         ["--help"],
@@ -648,7 +680,10 @@ def test_commands_load_neither_dataclasses_nor_inspect():
         ["qgroup", "reps", "--family", "A", "--rank", "1", "--t-samples", "1"],
         ["tower", "report", "--algebra", heis, "--samples", "5"],
     ]
-    affine = ["affine", "verify", "--l", "1.0", "--h", "0.5", "--trials", "1"]
+    with_numpy = [
+        ["affine", "verify", "--l", "1.0", "--h", "0.5", "--trials", "1"],
+        ["qgroup", "verify", "--q", "0.5", "--truncation", "8", "--degree", "1", "--t-samples", "3"],
+    ]
     code = f"""
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -663,12 +698,13 @@ for argv in {argvs!r}:
 added = set(sys.modules) - before
 import numpy
 before = set(sys.modules)
-run({affine!r})
+for argv in {with_numpy!r}:
+    run(argv)
 added |= set(sys.modules) - before
 print(json.dumps(sorted(added)))
 """
     added = json.loads(run_python(code))
-    assert {"dataclasses", "inspect"}.isdisjoint(added)
+    assert {"dataclasses", "inspect", "hashlib", "_hashlib"}.isdisjoint(added)
     modules = (
         "affine", "chern", "cyclic", "entire", "exactnum", "homology", "liealg", "qgroup",
         "quantize", "strata",

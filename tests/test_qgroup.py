@@ -318,6 +318,8 @@ def test_joint_kernel_full_rank_with_infinite_reps():
     report = joint_kernel_rank(0.5, degree=2, t_samples=5, N=16)
     assert report["full"]
     assert report["rank"] == report["monomials"] == 14
+    assert report["smallest_kept"] > report["tolerance"] > 0
+    assert report["largest_dropped"] is None
 
 
 def test_joint_kernel_guards():
@@ -474,6 +476,9 @@ def test_joint_kernel_rank_matches_the_dense_matrix_rank():
         dense = _dense_stacked(*case)
         report = joint_kernel_rank(*case)
         assert report["rank"] == np.linalg.matrix_rank(dense), case
+        dropped = report["largest_dropped"]
+        assert report["smallest_kept"] > report["tolerance"] >= (dropped or 0), case
+        assert (dropped is None) == report["full"], case
         # dropping the all-zero columns keeps every singular value
         angles = [2.0 * math.pi * i / t_samples for i in range(t_samples)]
         compact = qgroup_module._stacked_matrix(q, pbw_monomials(degree), angles, N)
@@ -483,8 +488,13 @@ def test_joint_kernel_rank_matches_the_dense_matrix_rank():
             np.linalg.svd(compact, compute_uv=False), top, rtol=0, atol=1e-12 * top.max()
         )
     # at q = 1e-320, c is e^{it} on e_0 and zero to rounding past it, and a
-    # kills e_0, so a c and a c* vanish: rank 12 of 14
-    assert joint_kernel_rank(1e-320, degree=2, t_samples=5, N=64)["rank"] == 12
+    # kills e_0, so a c and a c* vanish: rank 12 of 14, with the two
+    # dropped singular values at rounding, far below the tolerance
+    report = joint_kernel_rank(1e-320, degree=2, t_samples=5, N=64)
+    assert report["rank"] == 12
+    assert report["tolerance"] == pytest.approx(8.2e-11, rel=1e-2)
+    assert report["smallest_kept"] == pytest.approx(2.22, rel=1e-2)
+    assert report["largest_dropped"] < 1e-15
 
 
 def test_joint_kernel_rank_holds_no_dense_image():
