@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -87,6 +88,11 @@ def _digest(inputs: dict) -> str:
     return sha256(_canonical(inputs).encode("utf-8")).hexdigest()
 
 
+def _scalar(v) -> str:
+    """A scalar as the JSON report spells it (true, null), with strings unquoted."""
+    return v if isinstance(v, str) else json.dumps(v)
+
+
 def _flatten(value, prefix: str, out: list) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
@@ -94,12 +100,12 @@ def _flatten(value, prefix: str, out: list) -> None:
             _flatten(value[key], sub, out)
     elif isinstance(value, (list, tuple)):
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            out.append((prefix, ", ".join(str(v) for v in value)))
+            out.append((prefix, ", ".join(map(_scalar, value))))
         else:
             for idx, v in enumerate(value):
                 _flatten(v, f"{prefix}[{idx}]", out)
     else:
-        out.append((prefix, str(value)))
+        out.append((prefix, _scalar(value)))
 
 
 def _result_table(result: dict) -> str:
@@ -258,8 +264,7 @@ def _cyclic_trace(args):
 
     A = cyclic.FinAlgebra.load(args.algebra)
     tau = cyclic.Trace.load(args.trace)
-    verdict = cyclic.verify_trace(A, tau, samples=args.samples, seed=args.seed)
-    return verdict, {"algebra": A.to_json(), "trace": tau.to_json(), "seed": args.seed}, None
+    return cyclic.verify_trace(A, tau), {"algebra": A.to_json(), "trace": tau.to_json()}, None
 
 
 def _chern_phi(args):
@@ -381,9 +386,7 @@ COMMANDS = {
         "entire": (_cyclic_entire, [
             _required("--pattern", help='Norm pattern, e.g. "floor-half-fact/fact".'),
         ]),
-        "trace": (_cyclic_trace, [
-            _FIN_ALGEBRA, _required("--trace", help="Trace JSON file."), _count("--samples", 64)
-        ]),
+        "trace": (_cyclic_trace, [_FIN_ALGEBRA, _required("--trace", help="Trace JSON file.")]),
     }),
     "chern": ("Chern-character coefficients and matrices.", {
         "phi": (_chern_phi, [((name,), {"type": int}) for name in ("n", "k", "q")]),
@@ -497,15 +500,23 @@ def main(argv=None, standalone_mode: bool = True):
 
     ``argv`` defaults to ``sys.argv[1:]``.  With ``standalone_mode`` (the
     default, for ``python -m`` and the console script) the process exits
-    with the status instead of returning it.
+    with the status instead of returning it.  If the reader of stdout is
+    gone, the status is 1 and nothing is written to stderr.
     """
     words = _joined(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser(words).parse_args(words)
-    except SystemExit as stop:  # --help, --version, or a usage error's object
-        code = stop.code
-    else:
-        code = _finish(args)
+        try:
+            args = _parser(words).parse_args(words)
+        except SystemExit as stop:  # --help, --version, or a usage error's object
+            code = stop.code
+        else:
+            code = _finish(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the signal module's note on SIGPIPE advises: stdout goes to
+        # devnull, so that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     if standalone_mode:
         sys.exit(code)
     return code

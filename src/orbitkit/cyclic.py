@@ -13,8 +13,8 @@ that can reach the chain's support, read off an inverse product table
 (`_op_sources`), so it costs the support times the level times the
 preimages per letter, not dim^(n+1).
 
-`verify_trace` checks the four trace axioms (normalization, positivity on
-samples, strict positivity via the Gram matrix, ad-invariance), with
+`verify_trace` decides the four trace axioms (normalization, positivity
+and strict positivity on the Gram matrix, ad-invariance), with
 tau(1) = 1 standing in for the norm condition.  `morita_check` reduces
 Connes' complex of the amplified side M_m(A) on every letter, so it stays
 an independent check of Morita invariance rather than a comparison of
@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import InputError
@@ -40,7 +39,7 @@ from . import InputError
 # entirety and parse_norm_pattern are imported only to be re-exported;
 # FinAlgebra and hp_homology are used here and re-exported too
 from .entire import entirety, parse_norm_pattern
-from .exactnum import GaussRational, gauss_rank, gauss_reader
+from .exactnum import ExactMatrix, GaussRational, gauss_reader
 from .homology import (
     _ONE,
     _ZERO,
@@ -201,51 +200,32 @@ class Trace(NamedTuple):
         return Trace.from_json(data)
 
 
-def _random_element(A: FinAlgebra, rng: random.Random) -> tuple:
-    return tuple(
-        GaussRational(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-        )
-        for _ in range(A.dim)
-    )
+def verify_trace(A: FinAlgebra, tau: Trace) -> dict:
+    """Decide the four trace axioms; failures are listed, never raised.
 
-
-# verify_trace's largest positivity sample count, checked before the first
-# sample; a sample of M2 takes about 0.5 ms
-MAX_TRACE_SAMPLES = 10**5
-
-
-def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) -> dict:
-    """Check the four trace axioms; failures are listed, never raised.
-
-    Normalization tau(1) = 1 stands in for the norm condition, positivity
-    is sampled on random rational elements, strict positivity is the exact
-    nondegeneracy of the Gram matrix G[a][b] = tau(e_a* e_b), and
+    Normalization tau(1) = 1 stands in for the norm condition, and
     ad-invariance tau(xy) = tau(yx) is checked on all basis pairs, which
-    decides it by bilinearity.  A sample count below 1 or above
-    MAX_TRACE_SAMPLES is an InputError.
+    decides it by bilinearity.  As tau(x* x) = x^H G x for the Gram matrix
+    G[a][b] = tau(e_a* e_b), tau is positive exactly when G's realification
+    S = [[Re G, -Im G], [Im G, Re G]] is symmetric and positive definite on
+    its pivot columns C, and faithful exactly when S has full rank (Horn
+    and Johnson, Matrix Analysis, 7.1-7.2).
     """
-    if samples < 1:
-        raise InputError("samples must be at least 1")
-    if samples > MAX_TRACE_SAMPLES:
-        raise InputError(f"samples may be at most {MAX_TRACE_SAMPLES}")
     if len(tau.coords) != A.dim:
         raise InputError("trace coordinate count does not match the algebra")
     normalized = tau(A.unit) == _ONE
-    rng = random.Random(seed)
-    positive = True
-    for _ in range(samples):
-        x = _random_element(A, rng)
-        v = tau(A.mul_coords(A.star_coords(x), x))
-        if v.im != 0 or v.re < 0:
-            positive = False
-            break
     gram = [
         [tau(A._dense(A._mul(A._star_pairs[a], ((b, _ONE),)))) for b in range(A.dim)]
         for a in range(A.dim)
     ]
-    faithful = gauss_rank(gram) == A.dim
+    S = ExactMatrix(
+        [[z.re for z in row] + [-z.im for z in row] for row in gram]
+        + [[z.im for z in row] + [z.re for z in row] for row in gram]
+    )
+    C = S.pivot_columns()
+    corner = ExactMatrix([[S.rows[r][c] for c in C] for r in C])
+    positive = S.rows == tuple(zip(*S.rows)) and corner.leading_minors_positive()
+    faithful = len(C) == 2 * A.dim
     tracial = all(
         tau(A.mult[a][b]) == tau(A.mult[b][a]) for a in range(A.dim) for b in range(A.dim)
     )
@@ -258,7 +238,6 @@ def verify_trace(A: FinAlgebra, tau: Trace, samples: int = 64, seed: int = 0) ->
     failures = [name for name, ok in checks.items() if not ok]
     return {
         **checks,
-        "samples": samples,
         "failures": failures,
         "passed": not failures,
         "norm_note": "tau(1) = 1 stands in for the norm-one condition",

@@ -6,12 +6,11 @@ costs integer operations and at most one gcd per result (Knuth, TAOCP
 Vol. 2, section 4.5.1); their parts read back as
 :class:`fractions.Fraction`.  The package's one elimination is
 :func:`reduce_column`, a sparse column reduction over the integers, run
-by Connes' complex and by :class:`ExactMatrix` over Q, whose rank, pivot
-columns, determinant and kernel come from one reduction of its tagged
-columns.  A Gaussian vector enters it as the two columns of
-:func:`realify`, the one realified layout; :func:`gauss_rank`, the rank
-over Q(i), is half the rank they give.  No floating point is involved
-anywhere in this module.
+by Connes' complex and by :class:`ExactMatrix` over Q, whose every query
+is read off a reduction of its tagged columns.  A Gaussian vector enters
+it as the two columns of :func:`realify`, the one realified layout;
+:func:`gauss_rank`, the rank over Q(i), is half the rank they give.  No
+floating point is involved anywhere in this module.
 """
 
 from __future__ import annotations
@@ -355,9 +354,10 @@ class ExactMatrix:
 
     Entries are Fractions, read through ``rows``; ints are converted, and
     anything else, Gaussian rationals included, is a TypeError.  The
-    matrix answers four reduction queries (rank, pivot columns,
-    determinant, kernel basis) and has no arithmetic.  The rank over Q(i)
-    of a Gaussian-rational matrix is :func:`gauss_rank`, by realification.
+    matrix answers five reduction queries (rank, pivot columns,
+    determinant, the signs of the leading minors, kernel basis) and has
+    no arithmetic.  The rank over Q(i) of a Gaussian-rational matrix is
+    :func:`gauss_rank`, by realification.
 
     >>> m = ExactMatrix([[1, 2], [2, 4]])
     >>> m.rank()
@@ -428,6 +428,29 @@ class ExactMatrix:
         num = math.prod(c[p] for p, c in pivots.items())
         den = math.prod(c[min(c)] for c in pivots.values())
         return Fraction(-num if swaps % 2 else num, den)
+
+    def leading_minors_positive(self) -> bool:
+        """Whether every leading principal minor of a square matrix is positive.
+
+        For a symmetric matrix that is positive definiteness (Sylvester's
+        criterion; Horn and Johnson, Matrix Analysis, 7.2.5).  Fed with its
+        rows reversed, the reduction clears column j on the pivot rows of
+        the columns before it, from the top down; while the minors D_k are
+        nonzero, that leaves column j's pivot on its own diagonal row, and
+        pivot / own tag, the quantities `determinant` multiplies, is
+        D_{j+1} / D_j.
+
+        >>> ExactMatrix([[2, -1], [-1, 2]]).leading_minors_positive()
+        True
+        >>> ExactMatrix([[1, 2], [2, 1]]).leading_minors_positive()
+        False
+        """
+        if self.nrows != self.ncols:
+            raise ValueError("leading minors of a non-square matrix")
+        pivots, free = ExactMatrix(self.rows[::-1])._reduce()
+        # column j's own tag is -1-j, and its diagonal row, reversed, is n-1-j
+        n = self.nrows
+        return not free and all(p == n + min(c) and c[p] * c[min(c)] > 0 for p, c in pivots.items())
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel, one vector per free column.

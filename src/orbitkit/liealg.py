@@ -237,20 +237,6 @@ class ComplexSubspace:
         self.vectors = vectors  # tuple of tuples of GaussRational
 
     @staticmethod
-    def spanned_by(vectors: Sequence[Sequence], dim_ambient: int) -> "ComplexSubspace":
-        vs = []
-        for v in vectors:
-            if len(v) != dim_ambient:
-                raise InputError("spanning vector has wrong length")
-            vs.append(
-                tuple(
-                    x if isinstance(x, GaussRational) else GaussRational.from_rational(Fraction(x))
-                    for x in v
-                )
-            )
-        return ComplexSubspace(dim_ambient, tuple(vs))
-
-    @staticmethod
     def from_json(obj, dim_ambient: int) -> "ComplexSubspace":
         vecs = obj.get("vectors") if isinstance(obj, dict) else obj
         if not isinstance(vecs, list):

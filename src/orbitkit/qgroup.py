@@ -479,5 +479,4 @@ def joint_kernel_rank(
         "t_samples": t_samples,
         "N": N,
         "q": q,
-        "include_infinite": True,
     }

@@ -10,7 +10,8 @@ from pathlib import Path
 
 from orbitkit import affine, chern, cyclic, qgroup, quantize, strata
 from orbitkit.exactnum import GaussRational
-from orbitkit.liealg import ComplexSubspace, Covector, LieAlgebra, check_polarization
+from orbitkit.liealg import Covector, LieAlgebra, check_polarization
+from subspaces import spanned_by
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONFIG = strata.SamplerConfig(seed=0, samples=1000, coordinate_range=3)
@@ -199,20 +200,20 @@ def test_criterion_06_polarizations():
     F = Covector.of(0, 0, 1)
     i = GaussRational.i()
     real = check_polarization(
-        h3, F, ComplexSubspace.spanned_by([[0, 0, 1], [1, 0, 0]], 3)
+        h3, F, spanned_by([[0, 0, 1], [1, 0, 0]], 3)
     )
     _check(failures, real.passed, "real polarization span{Z, X}")
     _check(
         failures, real.mixed_type == (1, 0, 1), f"real mixed type {real.mixed_type}"
     )
     cplx = check_polarization(
-        h3, F, ComplexSubspace.spanned_by([[0, 0, 1], [1, i, 0]], 3)
+        h3, F, spanned_by([[0, 0, 1], [1, i, 0]], 3)
     )
     _check(failures, cplx.passed, "complex polarization span{Z, X+iY}")
     _check(
         failures, cplx.mixed_type == (0, 1, 0), f"complex mixed type {cplx.mixed_type}"
     )
-    lone = check_polarization(h3, F, ComplexSubspace.spanned_by([[1, 0, 0]], 3))
+    lone = check_polarization(h3, F, spanned_by([[1, 0, 0]], 3))
     _check(failures, not lone.subalgebra, "span{X} should fail condition (a)")
     _verdict(6, "polarization conditions on the Heisenberg algebra", failures)
 

@@ -223,9 +223,6 @@ SIZE_GUARDED = [
     # 1000 trials of 600,001 nodes each would run for about 10 minutes
     (("orbitkit.affine._random_functions",),
      ["affine", "verify", "--l", "30", "--h", "1e-4", "--trials", "1000"]),
-    (("orbitkit.cyclic._random_element",),
-     ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
-      "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "100000000000"]),
     (("orbitkit.qgroup.weyl_group",),
      ["qgroup", "reps", "--family", "A", "--rank", "2", "--t-samples", "100000000000"]),
 ]
@@ -243,9 +240,6 @@ ADMITTED = [
     # C^2 is separable, so the word bound that refused it at T = 19 no longer applies
     (("orbitkit.homology._separable_hc0",),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi2.json"), "--truncation", "19"]),
-    (("orbitkit.cyclic._random_element",),
-     ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
-      "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "100000"]),
 ]
 
 
@@ -354,9 +348,6 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         # a count below 1 would report a pass built from no samples
         ["affine", "verify", "--l", "2.0", "--h", "0.25", "--trials", "0"],
         ["affine", "verify", "--l", "2.0", "--h", "0.25", "--trials", "-1"],
-        *(["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
-           "--trace", str(FIXTURES / "m2_trace.json"), "--samples", count]
-          for count in ("0", "-1")),
         # the value would pass Python's 4300-digit limit for str(int)
         ["chern", "phi", "3", "2", "20000"],
         # size guards, each checked before its allocation
@@ -504,6 +495,39 @@ def test_quantize_writes_coefficients_under_the_digit_bound():
                            "--max-degree", "2"])
     assert code == 0, output
     assert not json.loads(output)["result"]["curvature"]["passes"]
+
+
+def test_cyclic_trace_has_no_samples_option():
+    # positivity is decided on the Gram matrix, so there is nothing to sample
+    argv = ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+            "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "5"]
+    code, output = invoke(argv)
+    assert code == 2
+    jsonschema.validate(json.loads(output), load_schema("error"))
+    assert json.loads(output)["error"] == {
+        "kind": "input",
+        # other commands take --samples, so its value is joined to it
+        "message": "unrecognized arguments: --samples=5",
+        "subcommand": "cyclic trace",
+    }
+
+
+def test_cyclic_trace_decides_positivity_at_every_seed(tmp_path):
+    # tau is normalized, tracial and faithful on C^3, but tau(e_3* e_3) < 0;
+    # a sample finds that direction only when it draws x_1 = x_2 = 0
+    from orbitkit.cyclic import gauss_field_power
+
+    (tmp_path / "c3.json").write_text(json.dumps(gauss_field_power(3).to_json()))
+    (tmp_path / "tau.json").write_text(json.dumps({"coords": ["1/2", "501/1000", "-1/1000"]}))
+    argv = ["cyclic", "trace", "--algebra", str(tmp_path / "c3.json"),
+            "--trace", str(tmp_path / "tau.json")]
+    runs = [run_cli("--seed", seed, *argv) for seed in ("0", "1", "7")]
+    assert all(proc.returncode == 0 and proc.stderr == "" for proc in runs)
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    result = json.loads(runs[0].stdout)["result"]
+    assert (result["normalized"], result["faithful"], result["tracial"]) == (True, True, True)
+    assert (result["positive"], result["passed"]) == (False, False)
+    assert result["failures"] == ["positive"]
 
 
 def test_cyclic_entire_has_no_horizon_option():
@@ -675,7 +699,7 @@ def test_commands_load_neither_dataclasses_nor_inspect():
         ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "2"],
         ["cyclic", "entire", "--pattern", "floor-half-fact/fact"],
         ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
-         "--trace", str(FIXTURES / "m2_trace.json"), "--samples", "2"],
+         "--trace", str(FIXTURES / "m2_trace.json")],
         ["chern", "matrix", "--family", "SU", "--rank", "2"],
         ["qgroup", "reps", "--family", "A", "--rank", "1", "--t-samples", "1"],
         ["tower", "report", "--algebra", heis, "--samples", "5"],
@@ -813,6 +837,29 @@ def test_table_format_renders_header_and_rows():
     assert proc.stdout.startswith("subcommand: chern matrix")
     assert "determinant: 1" in proc.stdout
     assert "x_5" in proc.stdout
+
+
+def test_table_format_spells_scalars_as_json_does():
+    argv = ["qgroup", "verify", "--q", "0.5", "--truncation", "8", "--t-samples", "3"]
+    code, output = invoke(["--format", "table", *argv])
+    assert code == 0
+    rows = dict(line.split(None, 1) for line in output.split("\n\n", 1)[1].splitlines())
+    assert (rows["ranks.full"], rows["ranks.largest_dropped"]) == ("true", "null")
+    assert rows["character.verdict"] == "pass"
+    # the JSON report is unchanged
+    ranks = json.loads(invoke(argv)[1])["result"]["ranks"]
+    assert (ranks["full"], ranks["largest_dropped"]) == (True, None)
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([*CLI, "chern", "phi", "3", "2", "2"], stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_timing_flag_adds_wall_time():

@@ -660,6 +660,22 @@ def test_zero_trace_fails_normalization_and_faithfulness():
     assert "faithful" in report["failures"]
 
 
+def test_a_trace_negative_on_one_projection_is_not_positive():
+    # normalized, tracial and faithful, but tau(e_3* e_3) = -1/1000
+    A = gauss_field_power(3)
+    tau = Trace(tuple(GaussRational(Fraction(n, 1000)) for n in (500, 501, -1)))
+    assert verify_trace(A, tau)["failures"] == ["positive"]
+
+
+def test_a_trace_that_is_not_hermitian_is_not_positive():
+    # normalized, tracial and faithful, but tau(e_1* e_1) = (1 + i)/2 is not real
+    half = Fraction(1, 2)
+    tau = Trace((GaussRational(half, half), GaussRational(half, -half)))
+    report = verify_trace(gauss_field_power(2), tau)
+    assert report["positive"] is False
+    assert report["failures"] == ["positive"]
+
+
 def test_trace_dimension_mismatch():
     with pytest.raises(InputError):
         verify_trace(gauss_field(), _normalized_matrix_trace(2))

@@ -2,6 +2,7 @@
 of the closed form of separable algebras (optional: needs hypothesis)."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -18,8 +19,10 @@ from orbitkit.cyclic import (  # noqa: E402
     dual_numbers,
     gauss_field,
     gauss_field_power,
+    Trace,
     hp_homology,
     matrix_algebra,
+    verify_trace,
 )
 from orbitkit.exactnum import GaussRational  # noqa: E402
 
@@ -199,3 +202,96 @@ def test_closed_form_matches_connes_complex_in_random_bases(case):
     complex_ = homology_module._hp(A, grading, corner, truncation, split=True)
     assert complex_.boundary_check == "full"
     assert complex_ == closed._replace(boundary_check="full")
+
+
+# ---------------------------------------------------------------------------
+# trace positivity, decided on the Gram matrix
+
+_GAUSS_INTS = st.builds(GaussRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _vectors(n, **kwargs):
+    return st.lists(st.lists(_GAUSS_INTS, min_size=n, max_size=n), **kwargs)
+
+
+def _gram(B, n):
+    """B^H B for the n-column matrix B given by its rows."""
+    return [[sum((r[a].conjugate() * r[b] for r in B), ZERO) for b in range(n)]
+            for a in range(n)]
+
+
+def _minus(rho, eps, v):
+    """rho - eps v v^H."""
+    return [[x - eps * v[a] * v[b].conjugate() for b, x in enumerate(row)]
+            for a, row in enumerate(rho)]
+
+
+def _positive(rho) -> bool:
+    """verify_trace's positivity of tau(x) = tr(rho x) on M_n.
+
+    tau(e_ij* e_kl) = delta_ik rho_lj, so the Gram matrix is I (x) rho^T,
+    and tau is positive exactly when rho is positive semidefinite.
+    """
+    n = len(rho)
+    tau = Trace(tuple(rho[l][j] for j in range(n) for l in range(n)))
+    return verify_trace(matrix_algebra(n), tau)["positive"]
+
+
+@st.composite
+def grams_with_a_kernel(draw):
+    """(B^H B, v) for a random Gaussian-integer B and a nonzero v with B v = 0."""
+    n = draw(st.integers(1, 3))
+    v = draw(_vectors(n, min_size=1, max_size=1).filter(lambda vs: any(vs[0])))[0]
+    norm = sum((z.conjugate() * z for z in v), ZERO)
+    # each row r less its component along v^H: r' = (v^H v) r - (r v) v^H
+    B = [[norm * x - sum((y * z for y, z in zip(r, v)), ZERO) * w.conjugate()
+          for x, w in zip(r, v)] for r in draw(_vectors(n, max_size=n))]
+    return _gram(B, n), v
+
+
+@SETTINGS
+@hypothesis.given(grams_with_a_kernel())
+def test_a_gram_matrix_gives_a_positive_trace(case):
+    rho, _ = case
+    assert _positive(rho)
+
+
+@SETTINGS
+@hypothesis.given(grams_with_a_kernel(), st.fractions(min_value=0, max_value=2,
+                                                      max_denominator=100))
+def test_less_a_kernel_direction_it_is_not_positive(case, eps):
+    rho, v = case
+    hypothesis.assume(eps > 0)
+    assert not _positive(_minus(rho, GaussRational(eps), v))
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """B^H B, positive semidefinite, or half the time B^H B - c w w^H, often indefinite."""
+    n = draw(st.integers(1, 3))
+    rho = _gram(draw(_vectors(n, max_size=n)), n)
+    if draw(st.booleans()):
+        w = draw(_vectors(n, min_size=1, max_size=1))[0]
+        c = draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4))
+        rho = _minus(rho, GaussRational(c), w)
+    return rho
+
+
+@hypothesis.settings(SETTINGS, max_examples=200)
+@hypothesis.given(hermitian_matrices())
+def test_positivity_agrees_with_the_principal_minors_oracle(rho):
+    # a Hermitian matrix is positive semidefinite exactly when every
+    # principal minor is nonnegative (Horn and Johnson, 7.1.5 and 7.2.5)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ_I = sympy.QQ_I
+    n = len(rho)
+    M = DomainMatrix([[QQ_I(z.re, z.im) for z in row] for row in rho], (n, n), QQ_I)
+    minors = [
+        M.extract(list(s), list(s)).det()
+        for k in range(1, n + 1)
+        for s in itertools.combinations(range(n), k)
+    ]
+    assert all(d.y == 0 for d in minors)
+    assert _positive(rho) == all(d.x >= 0 for d in minors)

@@ -186,3 +186,33 @@ def test_equal_values_hash_equally(zp, wp):
     )
     assert spelled == z and hash(spelled) == hash(z)
     assert rational_from_str(z.to_json()["re"]) == zp[0]
+
+
+@st.composite
+def square_matrices(draw):
+    """Rational square matrices: any, symmetric, or Gram matrices B^T B (often definite)."""
+    n = draw(st.integers(0, 4))
+    rows = [[draw(_PARTS) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "symmetric", "gram"]))
+    if kind == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif kind == "gram":
+        rows = [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
+    return rows
+
+
+@SETTINGS
+@hypothesis.given(square_matrices())
+# the pivots are positive, but off the diagonal: D_1 = 0
+@hypothesis.example([[0, 1], [1, 0]])
+def test_leading_minors_positive_agrees_with_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix(len(rows), len(rows), [sympy.Rational(x.numerator, x.denominator)
+                                            for r in rows for x in r])
+    expected = all(M[:k, :k].det() > 0 for k in range(1, len(rows) + 1))
+    assert ExactMatrix(rows).leading_minors_positive() == expected
+
+
+def test_leading_minors_positive_needs_a_square_matrix():
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 0]]).leading_minors_positive()

@@ -10,7 +10,6 @@ import pytest
 import orbitkit
 from orbitkit.exactnum import ExactMatrix, GaussRational
 from orbitkit.liealg import (
-    ComplexSubspace,
     Covector,
     MAX_DIM,
     InputError,
@@ -24,6 +23,7 @@ from orbitkit.liealg import (
     sl2,
     stabilizer,
 )
+from subspaces import spanned_by
 
 
 def test_jacobi_holds_on_standard_algebras():
@@ -245,7 +245,7 @@ def test_poisson_matrix_is_antisymmetric_at_sampled_covectors():
 
 def test_polarization_real_heisenberg():
     L = heisenberg()
-    p = ComplexSubspace.spanned_by([[0, 0, 1], [1, 0, 0]], 3)
+    p = spanned_by([[0, 0, 1], [1, 0, 0]], 3)
     report = check_polarization(L, Covector.of(0, 0, 1), p)
     assert report.passed
     assert report.mixed_type == (1, 0, 1)
@@ -254,7 +254,7 @@ def test_polarization_real_heisenberg():
 def test_polarization_complex_heisenberg():
     L = heisenberg()
     i = GaussRational.i()
-    p = ComplexSubspace.spanned_by([[0, 0, 1], [1, i, 0]], 3)
+    p = spanned_by([[0, 0, 1], [1, i, 0]], 3)
     report = check_polarization(L, Covector.of(0, 0, 1), p)
     assert report.passed
     assert report.mixed_type == (0, 1, 0)
@@ -262,7 +262,7 @@ def test_polarization_complex_heisenberg():
 
 def test_polarization_missing_stabilizer_fails_condition_a():
     L = heisenberg()
-    p = ComplexSubspace.spanned_by([[1, 0, 0]], 3)
+    p = spanned_by([[1, 0, 0]], 3)
     report = check_polarization(L, Covector.of(0, 0, 1), p)
     assert not report.subalgebra
     assert not report.passed
@@ -271,7 +271,7 @@ def test_polarization_missing_stabilizer_fails_condition_a():
 def test_full_complexification_is_always_a_polarization():
     for L in (heisenberg(), aff1(), sl2()):
         span = [[1 if c == r else 0 for c in range(L.dim)] for r in range(L.dim)]
-        p = ComplexSubspace.spanned_by(span, L.dim)
+        p = spanned_by(span, L.dim)
         for coords in ([0] * L.dim, [1] + [0] * (L.dim - 1)):
             report = check_polarization(L, Covector.of(*coords), p)
             assert report.subalgebra and report.passed
@@ -282,6 +282,6 @@ def test_full_complexification_is_always_a_polarization():
 
 def test_polarization_dimension_mismatch_rejected():
     L = heisenberg()
-    p = ComplexSubspace.spanned_by([[1, 0]], 2)
+    p = spanned_by([[1, 0]], 2)
     with pytest.raises(InputError):
         check_polarization(L, Covector.of(0, 0, 1), p)

@@ -12,7 +12,6 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from orbitkit.exactnum import GaussRational  # noqa: E402
 from orbitkit.liealg import (  # noqa: E402
-    ComplexSubspace,
     Covector,
     LieAlgebra,
     abelian,
@@ -22,6 +21,7 @@ from orbitkit.liealg import (  # noqa: E402
     sl2,
     stabilizer,
 )
+from subspaces import spanned_by  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=300, deadline=None, derandomize=True, database=None
@@ -112,7 +112,7 @@ def cases(draw):
 @hypothesis.given(case=cases())
 def test_polarization_verdict_matches_the_sympy_oracle(case):
     name, L, F, vectors = case
-    report = check_polarization(L, F, ComplexSubspace.spanned_by(vectors, L.dim))
+    report = check_polarization(L, F, spanned_by(vectors, L.dim))
     expected = _oracle(L, F, vectors)
     assert report.passed == report.subalgebra == expected["passed"], name
     assert report.dims["real_points_sum"] == report.dims["p_plus_conj"]
