@@ -141,7 +141,7 @@ def split_corner(A: FinAlgebra, letters: tuple, grading: tuple):
     and ``side[a]`` is the (i, j) of letter a.  None when the refinement
     finds no idempotent beyond the grading's.
     """
-    e = {a: A.unit[a] for a in letters if A.unit[a]}
+    e = {a: v for a, v in A.unit if a in letters}
 
     def mul(x, y):
         return A._mul(x.items(), y.items())

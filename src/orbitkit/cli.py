@@ -48,8 +48,8 @@ def _canonical(obj) -> str:
     """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, encoding each object once.
 
     The text of each object met is kept by its id for the length of the
-    call, so a list or dict that the input holds many times, such as a
-    loaded algebra's shared zero row, is encoded once.  Strings go through
+    call, so a list or dict that the input holds many times, such as an
+    algebra's shared zero row, is encoded once.  Strings go through
     json's own string encoder, and any other scalar, and any dict key that
     is not a string, through `json.JSONEncoder` itself, errors included.
     """
@@ -81,9 +81,10 @@ def _canonical(obj) -> str:
 def _digest(inputs: dict) -> str:
     """SHA-256 of the canonical JSON of ``inputs`` (`_canonical`).
 
-    Its cost follows the distinct objects in ``inputs``: a loaded algebra
-    shares one dict per distinct coefficient and one list per distinct row,
-    and each is encoded once.
+    Its cost follows the distinct objects in ``inputs``: an algebra's JSON
+    (`homology.FinAlgebra.to_json`) shares one dict per distinct
+    coefficient and one list for all of its zero rows, and each is encoded
+    once.
     """
     return sha256(_canonical(inputs).encode("utf-8")).hexdigest()
 
@@ -447,7 +448,8 @@ class _Parser(argparse.ArgumentParser):
         # not by the top level
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
+            typed = (getattr(word, "typed", word) for word in extras)
+            self.error(f"unrecognized arguments: {' '.join(typed)}")
         return namespace, extras
 
     def error(self, message):
@@ -482,6 +484,15 @@ def _parser(words) -> _Parser:
     return parser
 
 
+class _Joined(str):
+    """The option word and value typed as two words, as "--opt=value"; ``typed`` keeps the two."""
+
+    def __new__(cls, option: str, value: str):
+        joined = super().__new__(cls, f"{option}={value}")
+        joined.typed = f"{option} {value}"
+        return joined
+
+
 def _joined(words) -> list:
     """Join each value-taking option word to the next word, as "--opt=value".
 
@@ -491,7 +502,7 @@ def _joined(words) -> list:
     out, rest = [], iter(words)
     for word in rest:
         value = next(rest, None) if word in _VALUED else None
-        out.append(word if value is None else f"{word}={value}")
+        out.append(word if value is None else _Joined(word, value))
     return out
 
 

@@ -69,11 +69,6 @@ class _Lookup(dict):
         return cell
 
 
-def _classes(dim: int) -> dict:
-    """An empty memo, word -> `_cell`, for the words of one degree."""
-    return _Lookup(dim)
-
-
 def _necklaces(weights: tuple, length: int):
     """(word, p) for each least rotation of a weight-0 word of `length` letters, in word order.
 
@@ -218,7 +213,7 @@ def _rank_table(pairs, letters: tuple, weights: tuple, truncation: int):
     ``pairs`` alone (`_int_table`), with ``weights`` their letter weights.
     Each degree is one pass (`_reduce_degree`): its cells come from the necklaces and
     their periods, and each cell's columns of b serve both the b o b check
-    and the rank.  The memo of degree n-1 (`_classes`) and the columns of
+    and the rank.  The memo of degree n-1 (`_Lookup`) and the columns of
     degree n-1 live only while degree n is reduced.
     """
     tables = _int_table(pairs, letters)
@@ -229,7 +224,7 @@ def _rank_table(pairs, letters: tuple, weights: tuple, truncation: int):
         # b vanishes on C_0
         if n:
             rank, below = _reduce_degree(
-                tables, n, words, _classes(len(letters)), below, n < truncation
+                tables, n, words, _Lookup(len(letters)), below, n < truncation
             )
             ranks.append(rank)
     return tuple(ranks), tuple(cells)

@@ -45,7 +45,6 @@ from .homology import (
     _ZERO,
     FinAlgebra,
     _hp,
-    _nonzero,
     _op_terms,
     _peirce_grading,
     hp_homology,
@@ -58,38 +57,25 @@ from .homology import (
 def _from_rule(basis: tuple, product, star, unit) -> FinAlgebra:
     """The algebra on ``basis`` given by a sparse product rule.
 
-    ``product(a, b)`` lists the (c, v) with e_a e_b = sum v e_c,
-    ``star(a)`` the (c, v) with e_a^* = sum v e_c, and ``unit`` the (a, v)
-    with 1 = sum v e_a.  The `FinAlgebra` constructor validates the result
-    as it validates a loaded algebra.
+    ``product(a, b)`` is the sparse row of e_a e_b, ``star(a)`` that of
+    e_a^*, and ``unit`` that of 1 (see `FinAlgebra`).  The `FinAlgebra`
+    constructor validates the result as it validates a loaded algebra.
     """
     d = len(basis)
-    zero = (_ZERO,) * d  # every zero row is this one tuple, as in a loaded algebra
-
-    def dense(pairs) -> tuple:
-        row = list(zero)
-        for c, v in pairs:
-            row[c] = v
-        row = tuple(row)
-        return zero if row == zero else row
-
-    mult = tuple(tuple(dense(product(a, b)) for b in range(d)) for a in range(d))
-    return FinAlgebra(d, mult, dense(unit), tuple(dense(star(a)) for a in range(d)), basis)
+    products = tuple(tuple(product(a, b) for b in range(d)) for a in range(d))
+    return FinAlgebra(d, products, unit, tuple(map(star, range(d))), basis)
 
 
 def gauss_field() -> FinAlgebra:
     """The ground field as a one-dimensional algebra."""
-    return FinAlgebra(1, (((_ONE,),),), (_ONE,), ((_ONE,),), ("1",))
+    one = ((0, _ONE),)
+    return FinAlgebra(1, ((one,),), one, (one,), ("1",))
 
 
 def dual_numbers() -> FinAlgebra:
     """Q(i)[eps] with eps^2 = 0 and eps self-adjoint."""
-    mult = (
-        ((_ONE, _ZERO), (_ZERO, _ONE)),
-        ((_ZERO, _ONE), (_ZERO, _ZERO)),
-    )
-    ident = ((_ONE, _ZERO), (_ZERO, _ONE))
-    return FinAlgebra(2, mult, (_ONE, _ZERO), ident, ("1", "eps"))
+    one, eps = ((0, _ONE),), ((1, _ONE),)
+    return FinAlgebra(2, ((one, eps), (eps, ())), one, (one, eps), ("1", "eps"))
 
 
 def direct_sum(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
@@ -109,7 +95,7 @@ def direct_sum(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
         tuple(f"({n},0)" for n in left.basis) + tuple(f"(0,{n})" for n in right.basis),
         product,
         lambda a: shifted(part[a][0]._star_pairs[a - part[a][1]], part[a][1]),
-        _nonzero(left.unit) + shifted(_nonzero(right.unit), dl),
+        left.unit + shifted(right.unit, dl),
     )
 
 
@@ -144,7 +130,7 @@ def _tensor(left: FinAlgebra, right: FinAlgebra, basis: tuple) -> FinAlgebra:
         basis,
         product,
         lambda p: pairs(left._star_pairs[p // dr], right._star_pairs[p % dr]),
-        pairs(_nonzero(left.unit), _nonzero(right.unit)),
+        pairs(left.unit, right.unit),
     )
 
 
@@ -177,7 +163,8 @@ class Trace(NamedTuple):
     coords: tuple
 
     def __call__(self, x) -> GaussRational:
-        return sum((t * v for t, v in zip(self.coords, x)), _ZERO)
+        """tau(x) for sparse x, given as (index, coeff) pairs."""
+        return sum((self.coords[a] * v for a, v in x), _ZERO)
 
     def to_json(self) -> dict:
         return {"coords": [v.to_json() for v in self.coords]}
@@ -215,7 +202,7 @@ def verify_trace(A: FinAlgebra, tau: Trace) -> dict:
         raise InputError("trace coordinate count does not match the algebra")
     normalized = tau(A.unit) == _ONE
     gram = [
-        [tau(A._dense(A._mul(A._star_pairs[a], ((b, _ONE),)))) for b in range(A.dim)]
+        [tau(A._mul(A._star_pairs[a], ((b, _ONE),)).items()) for b in range(A.dim)]
         for a in range(A.dim)
     ]
     S = ExactMatrix(
@@ -227,7 +214,7 @@ def verify_trace(A: FinAlgebra, tau: Trace) -> dict:
     positive = S.rows == tuple(zip(*S.rows)) and corner.leading_minors_positive()
     faithful = len(C) == 2 * A.dim
     tracial = all(
-        tau(A.mult[a][b]) == tau(A.mult[b][a]) for a in range(A.dim) for b in range(A.dim)
+        tau(A._pairs[a][b]) == tau(A._pairs[b][a]) for a in range(A.dim) for b in range(A.dim)
     )
     checks = {
         "normalized": normalized,

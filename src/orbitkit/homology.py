@@ -1,7 +1,10 @@
 """Finite *-algebras and their truncated cyclic homology.
 
 A `FinAlgebra` is a finite-dimensional unital *-algebra over the Gaussian
-rationals, given by structure constants.  `_op_terms` is the one
+rationals, held as one sparse table of its structure constants: each
+product e_a e_b, the unit and each e_a^* as the (index, coeff) pairs of
+its nonzero coordinates, which every computation reads; only `to_json`
+writes the dense form of the algebra files.  `_op_terms` is the one
 word-level expansion of the operators b, b', lambda, N and S: the
 boundary of Connes' complex (`orbitkit.connes`) and
 `cyclic.apply_operator` are both built from it.
@@ -47,7 +50,8 @@ neither `connes` nor `blocks` either.
 from __future__ import annotations
 
 import json
-from itertools import compress
+from functools import cache
+from itertools import compress, repeat
 from operator import ne
 from typing import NamedTuple
 
@@ -58,9 +62,15 @@ _ZERO = GaussRational.zero()
 _ONE = GaussRational.one()
 
 
-def _nonzero(x) -> tuple:
-    """The (index, coeff) pairs of the nonzero coordinates of x."""
-    return tuple((a, v) for a, v in enumerate(x) if not v.is_zero())
+def _check_row(row, dim: int, name: str) -> None:
+    """Raise InputError, naming the row ``name``, unless it is a sparse row (see `FinAlgebra`)."""
+    indices = [c for c, _ in row]
+    if indices != sorted(set(indices)):
+        raise InputError(f"{name} has indices out of increasing order")
+    if indices and not 0 <= indices[0] <= indices[-1] < dim:
+        raise InputError(f"{name} has an index outside 0..{dim - 1}")
+    if any(v.is_zero() for _, v in row):
+        raise InputError(f"{name} has a zero coefficient")
 
 
 def _default_basis(dim: int) -> tuple:
@@ -90,61 +100,58 @@ def _combine(terms) -> dict:
 class FinAlgebra:
     """Finite-dimensional unital *-algebra over the Gaussian rationals.
 
-    ``mult[a][b]`` holds the coordinates of e_a e_b, ``unit`` the
-    coordinates of 1, and ``star`` the matrix of the involution: the
-    involution sends sum t_a e_a to sum conj(t_a) star[a][c] e_c, so it is
-    conjugate-linear by construction.  The constructor checks the table
-    shapes before it allocates anything of size dim, then associativity,
-    the unit laws, and the involution axioms on the basis, and raises
-    InputError on any failure.
+    The algebra is held as sparse rows, each a tuple of (c, v) pairs with
+    c strictly increasing in 0..dim-1 and v nonzero: ``products[a][b]``
+    lists the (c, v) with e_a e_b = sum v e_c, ``unit`` the (a, v) with
+    1 = sum v e_a, and ``star[a]`` the (c, v) with e_a^* = sum v e_c,
+    kept as `_pairs`, `unit` and `_star_pairs`; the involution is
+    conjugate-linear, sum t_a e_a |-> sum conj(t_a) e_a^*.  The
+    constructor checks the shapes before it allocates anything of size
+    dim (`from_json` passes a row that is not dim entries long as None),
+    then that every row is sparse, then associativity, the unit laws and
+    the involution axioms on the basis, and raises InputError on any
+    failure.
 
-    Loading costs what the file's distinct rows, distinct coefficients and
-    nonzero products cost.  `from_json` reads only the entries that differ
-    from the JSON zero, parses each distinct spelling once and gives equal
-    values one shared instance, and every zero row is one shared tuple; the
-    constructor builds each distinct row's sparse form once.  Validation
-    compares only the basis triples (a, b, c) where e_a e_b or e_b e_c is
-    nonzero, passes a pair (a, b) with e_a e_b = 0 at once when e_a kills
-    every e_m that a product e_b e_c reaches, compares two one-term sides
-    with equal coefficients by their rows, and a product by the shared
-    one() is free.  `to_json` writes each shared instance and each shared
-    row once, and `cli._digest` encodes each of them once.
+    `from_json` reads only the entries that differ from the JSON zero and
+    parses each distinct spelling once.  Validation compares only the
+    basis triples (a, b, c) where e_a e_b or e_b e_c is nonzero, passes a
+    pair (a, b) with e_a e_b = 0 at once when e_a kills every e_m that a
+    product e_b e_c reaches, compares two one-term sides with equal
+    coefficients by their rows, and a product by the shared one() is
+    free.
     """
 
-    def __init__(self, dim: int, mult: tuple, unit: tuple, star: tuple, basis: tuple = ()):
+    def __init__(self, dim: int, products: tuple, unit: tuple, star: tuple, basis: tuple = ()):
         if dim < 1:
             raise InputError("algebra dimension must be positive")
         d = dim
         if basis and len(basis) != d:
             raise InputError("basis label count does not match dim")
-        if len(mult) != d or any(
-            len(plane) != d or any(len(row) != d for row in plane)
-            for plane in mult
-        ):
+        if len(products) != d or any(len(plane) != d or None in plane for plane in products):
             raise InputError("multiplication table must be dim x dim x dim")
-        if len(unit) != d:
+        if unit is None:
             raise InputError("unit vector must have length dim")
-        if len(star) != d or any(len(row) != d for row in star):
+        if len(star) != d or None in star:
             raise InputError("involution matrix must be dim x dim")
-        self.dim, self.mult, self.unit, self.star = dim, mult, unit, star
-        self.basis = basis or _default_basis(d)
-        # one _nonzero per distinct row object: a loaded algebra's zero rows are one
-        rows = {id(row): row for plane in mult for row in plane}
-        sparse = {key: _nonzero(row) for key, row in rows.items()}
-        self._pairs = pairs = tuple(tuple(sparse[id(row)] for row in plane) for plane in mult)
+        _check_row(unit, d, "unit")
+        for a, row in enumerate(star):
+            _check_row(row, d, f"involution of e_{a}")
         # inverse[c] lists the (a, b) whose product e_a e_b has a nonzero e_c
         # coefficient: the letter pairs that b, b' and S can merge into c
         inverse = [[] for _ in range(d)]
-        for a in range(d):
-            for b in range(d):
-                for c, _ in pairs[a][b]:
-                    inverse[c].append((a, b))
+        for a, plane in enumerate(products):
+            for b, row in enumerate(plane):
+                if row:
+                    _check_row(row, d, f"product e_{a} e_{b}")
+                    for c, _ in row:
+                        inverse[c].append((a, b))
         self._inverse_pairs = tuple(map(tuple, inverse))
-        self._star_pairs = tuple(_nonzero(row) for row in star)
+        self.dim, self._pairs, self.unit, self._star_pairs = dim, products, unit, star
+        self.basis = basis or _default_basis(d)
         self._validate()
 
     def _key(self) -> tuple:
-        return self.dim, self.mult, self.unit, self.star, self.basis
+        return self.dim, self._pairs, self.unit, self._star_pairs, self.basis
 
     def __eq__(self, other):
         return isinstance(other, FinAlgebra) and self._key() == other._key()
@@ -153,8 +160,7 @@ class FinAlgebra:
         return hash(self._key())
 
     def _validate(self):
-        d, pairs, star = self.dim, self._pairs, self._star_pairs
-        unit = _nonzero(self.unit)
+        d, pairs, star, unit = self.dim, self._pairs, self._star_pairs, self.unit
         for b in range(d):
             e_b = {b: _ONE}
             if _combine((s, pairs[k][b]) for k, s in unit) != e_b:
@@ -224,38 +230,23 @@ class FinAlgebra:
         """x^* for sparse x, given as (index, coeff) pairs."""
         return _combine((s.conjugate(), self._star_pairs[a]) for a, s in x)
 
-    def mul_coords(self, x, y) -> tuple:
-        return self._dense(self._mul(_nonzero(x), _nonzero(y)))
-
-    def star_coords(self, x) -> tuple:
-        return self._dense(self._star(_nonzero(x)))
-
-    def _dense(self, x: dict) -> tuple:
-        return tuple(x.get(c, _ZERO) for c in range(self.dim))
-
     def to_json(self) -> dict:
-        """The JSON form; entries holding one shared instance share one dict, and
-        rows that are one tuple share one list."""
-        text = {}
+        """The dense JSON form: one dict per distinct coefficient, and one list for every zero row."""
+        entry = cache(GaussRational.to_json)
+        zero = [entry(_ZERO)] * self.dim
 
-        def entry(v):
-            out = text.get(id(v))
-            if out is None:
-                out = text[id(v)] = v.to_json()
-            return out
-
-        def row(r):
-            out = text.get(id(r))
-            if out is None:
-                out = text[id(r)] = list(map(entry, r))
+        def row(pairs):
+            out = list(zero) if pairs else zero
+            for c, v in pairs:
+                out[c] = entry(v)
             return out
 
         return {
             "dim": self.dim,
             "basis": list(self.basis),
-            "mult": [list(map(row, plane)) for plane in self.mult],
-            "unit": list(map(entry, self.unit)),
-            "star": list(map(row, self.star)),
+            "mult": [list(map(row, plane)) for plane in self._pairs],
+            "unit": row(self.unit),
+            "star": list(map(row, self._star_pairs)),
         }
 
     @staticmethod
@@ -264,30 +255,20 @@ class FinAlgebra:
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise InputError("algebra file needs an integer 'dim'")
         read = gauss_reader()
-        zero_json = zero = None
-        # the zero rows, JSON and read, are built only for a file that holds
-        # dim planes, so they are no larger than the file
-        if isinstance(data.get("mult"), list) and len(data["mult"]) == dim:
-            zero_json, zero = [{"im": "0", "re": "0"}] * dim, (_ZERO,) * dim
+        zero = {"im": "0", "re": "0"}
 
-        def row(entries) -> tuple:
-            # an entry equal to the JSON zero reads as the shared zero, so only
-            # the others are read, in order: the first bad entry raises as in a
-            # read of every entry.  A row that reads to 0 is the shared zero row
-            if zero is None or not isinstance(entries, list) or len(entries) != dim:
-                return tuple(map(read, entries))
-            out = None
-            for c in compress(range(dim), map(ne, entries, zero_json)):
-                v = read(entries[c])
-                if v is not _ZERO:
-                    if out is None:
-                        out = list(zero)
-                    out[c] = v
-            return zero if out is None else tuple(out)
+        def row(entries):
+            # the sparse row of a dense one, or None when it is not dim entries
+            # long; only the entries that differ from the JSON zero are read, in
+            # order, so the first bad entry raises as in a read of every entry
+            entries = entries if isinstance(entries, list) else list(entries)
+            nonzero = compress(range(len(entries)), map(ne, entries, repeat(zero)))
+            out = tuple((c, v) for c in nonzero if (v := read(entries[c])) is not _ZERO)
+            return out if len(entries) == dim else None
 
         try:
             mult = tuple(tuple(map(row, plane)) for plane in data["mult"])
-            unit = tuple(map(read, data["unit"]))
+            unit = row(data["unit"])
             star = tuple(map(row, data["star"]))
             basis = data.get("basis", [])
             if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
@@ -363,7 +344,7 @@ def _peirce_grading(A: FinAlgebra) -> tuple:
     trivial = ((0, 0),) * A.dim
     # the basis elements in the support of the unit; once they are
     # orthogonal idempotents, e = e 1 forces each coefficient to be 1
-    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    idem = [a for a, _ in A.unit]
     for e in idem:
         for f in idem:
             if A.basis_product(e, f) != (((e, _ONE),) if e == f else ()):
@@ -535,7 +516,7 @@ def hp_homology(A: FinAlgebra, truncation: int = 6) -> HPReport:
     if truncation > MAX_TRUNCATION:
         raise InputError(f"truncation {truncation} is above {MAX_TRUNCATION}")
     grading = _peirce_grading(A)
-    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    idem = [a for a, _ in A.unit]
     letters = _corner(A._pairs, idem, grading)
     h = _separable_hc0(A._pairs, letters)
     if h is not None:

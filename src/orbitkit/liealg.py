@@ -1,10 +1,10 @@
 """Lie algebras by structure constants and coadjoint-orbit linear algebra.
 
-A Lie algebra is stored as exact rational structure constants
-``c[i][j][k]`` with ``[X_i, X_j] = sum_k c[i][j][k] X_k``, and built once
-into a sparse table (i, j) -> ((k, c[i][j][k]), ...) of the nonzero
-constants, which the bracket (over Q and over Q(i)), the Poisson matrix
-and the Jacobi check read.  The Jacobiator J(i, j, k) comes straight from
+A Lie algebra is stored as one sparse table of its exact rational
+structure constants, (i, j) -> ((k, c_ijk), ...) over the nonzero c_ijk
+with ``[X_i, X_j] = sum_k c_ijk X_k``, which the bracket (over Q and
+over Q(i)), the Poisson matrix and the Jacobi check read.  The
+Jacobiator J(i, j, k) comes straight from
 the constants, over i < j < k only: antisymmetry makes J alternating and
 zero on a repeated index, so the first violating ordered triple in
 lexicographic order is sorted.  Covectors live in the dual with rational
@@ -56,38 +56,31 @@ __all__ = [
 ]
 
 # largest dimension a LieAlgebra file may declare; the shipped and benchmark
-# algebras have dim at most 8, and the table holds dim^3 rationals
+# algebras have dim at most 8, and the table holds dim^2 rows
 MAX_DIM = 64
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra over the rationals.
 
-    ``c[i][j][k]`` is the coefficient of ``X_k`` in ``[X_i, X_j]``.
-    Antisymmetry ``c[i][j][k] == -c[j][i][k]`` is enforced at
-    construction; the Jacobi identity is checked separately by
-    :func:`check_jacobi` so that deliberately broken tables can still
+    ``pairs[i][j]`` is the sparse row of ``[X_i, X_j]``: the (k, c) with
+    ``[X_i, X_j] = sum c X_k``, k increasing and c a nonzero Fraction.
+    Antisymmetry, ``pairs[j][i]`` the negation of ``pairs[i][j]``, is
+    enforced at construction; the Jacobi identity is checked separately
+    by :func:`check_jacobi` so that deliberately broken tables can still
     be built for testing.
     """
 
-    def __init__(self, dim: int, basis: tuple, c: tuple):
-        # c[i][j] = tuple of Fraction, length dim
-        if len(basis) != dim or len(c) != dim or any(
-            len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
-        ):
+    def __init__(self, dim: int, basis: tuple, pairs: tuple):
+        if len(basis) != dim or len(pairs) != dim or any(len(plane) != dim for plane in pairs):
             raise InputError("structure constant table does not match dim")
-        # _pairs[i][j] holds the (k, c[i][j][k]) with a nonzero constant
-        pairs = tuple(
-            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
-            for plane in c
-        )
         for i in range(dim):
             for j in range(dim):
                 if pairs[i][j] != tuple((k, -x) for k, x in pairs[j][i]):
                     raise InputError(
                         f"structure constants not antisymmetric at ({i},{j})"
                     )
-        self.dim, self.basis, self.c, self._pairs = dim, basis, c, pairs
+        self.dim, self.basis, self._pairs = dim, basis, pairs
 
     @staticmethod
     def from_brackets(dim: int, brackets: dict, basis: Optional[Sequence[str]] = None) -> "LieAlgebra":
@@ -97,31 +90,24 @@ class LieAlgebra:
         orientations are present they must already be consistent.
         """
         names = tuple(basis) if basis else tuple(f"X{i+1}" for i in range(dim))
-        zero = tuple(Fraction(0) for _ in range(dim))
-        table = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-        given = set()
+        table = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InputError(f"bracket index ({i},{j}) out of range")
+            row = {}
             for k, v in coeffs.items():
                 if not 0 <= k < dim:
                     raise InputError(f"bracket target index {k} out of range")
-                table[i][j][k] = Fraction(v)
-            given.add((i, j))
-        for (i, j) in sorted(given):
-            if (j, i) in given:
-                for k in range(dim):
-                    if table[j][i][k] != -table[i][j][k]:
-                        raise InputError(
-                            f"brackets ({i},{j}) and ({j},{i}) are inconsistent"
-                        )
-            else:
-                for k in range(dim):
-                    table[j][i][k] = -table[i][j][k]
+                row[k] = Fraction(v)
+            table[i, j] = tuple(sorted((k, x) for k, x in row.items() if x))
+        for i, j in sorted(brackets):
+            negated = tuple((k, -x) for k, x in table[i, j])
+            if table.setdefault((j, i), negated) != negated:
+                raise InputError(f"brackets ({i},{j}) and ({j},{i}) are inconsistent")
         return LieAlgebra(
             dim,
             names,
-            tuple(tuple(tuple(row) for row in plane) for plane in table),
+            tuple(tuple(table.get((i, j), ()) for j in range(dim)) for i in range(dim)),
         )
 
     @staticmethod
@@ -130,7 +116,7 @@ class LieAlgebra:
 
         Each bracket entry is ``{"i": i, "j": j, "coeffs": {"k": "p/q"}}``.
         ``dim`` is a JSON integer from 1 to MAX_DIM, checked before the
-        dim^3 table is built; ``i`` and ``j`` are JSON integers too, and
+        dim^2 table is built; ``i`` and ``j`` are JSON integers too, and
         ``basis`` and ``brackets`` are lists.
         """
         dim = obj.get("dim") if isinstance(obj, dict) else None

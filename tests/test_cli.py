@@ -196,11 +196,11 @@ SL2 = str(FIXTURES / "sl2.json")
 SIZE_GUARDED = [
     # dual numbers are not semisimple, have no smaller corner, and have 2^20
     # words in degree 19
-    (("orbitkit.connes._classes", "orbitkit.blocks.split_corner"),
+    (("orbitkit.connes._Lookup", "orbitkit.blocks.split_corner"),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "dual.json"), "--truncation", "19"]),
     # the truncation bound fires before the closed form and the complex
     (("orbitkit.homology._separable_hc0", "orbitkit.connes._necklaces",
-      "orbitkit.connes._classes"),
+      "orbitkit.connes._Lookup"),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "100000"]),
     (("orbitkit.strata.SamplerConfig.draw",),
      ["lie", "strata", "--algebra", SL2, "--samples", "100000000"]),
@@ -233,7 +233,7 @@ SIZE_GUARDED = [
 # anything, so here each patched call must be entered
 ADMITTED = [
     # dual numbers have 2^19 words in degree 18, exactly MAX_CHAIN_WORDS
-    (("orbitkit.connes._classes",),
+    (("orbitkit.connes._Lookup",),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "dual.json"), "--truncation", "18"]),
     (("orbitkit.homology._separable_hc0",),
      ["cyclic", "hp", "--algebra", str(FIXTURES / "qi.json"), "--truncation", "64"]),
@@ -274,7 +274,7 @@ def test_size_guard_patches_are_entered_under_the_bound(monkeypatch, targets, ar
 @pytest.mark.parametrize("name, h", [("qi2", 2), ("qi_s3", 3)])
 def test_separable_algebras_are_admitted_up_to_the_truncation_bound(monkeypatch, name, h):
     # the closed form builds no word table and no split, at any admitted T
-    _forbid(monkeypatch, ("orbitkit.connes._classes", "orbitkit.connes._necklaces",
+    _forbid(monkeypatch, ("orbitkit.connes._Lookup", "orbitkit.connes._necklaces",
                           "orbitkit.blocks.split_corner"))
     for truncation in (19, 64):
         argv = ["cyclic", "hp", "--algebra", str(FIXTURES / f"{name}.json"),
@@ -506,9 +506,22 @@ def test_cyclic_trace_has_no_samples_option():
     jsonschema.validate(json.loads(output), load_schema("error"))
     assert json.loads(output)["error"] == {
         "kind": "input",
-        # other commands take --samples, so its value is joined to it
-        "message": "unrecognized arguments: --samples=5",
+        # other commands take --samples, so its value is joined to it, but
+        # the error shows the two words as typed
+        "message": "unrecognized arguments: --samples 5",
         "subcommand": "cyclic trace",
+    }
+
+
+def test_unrecognized_options_are_reported_as_typed():
+    # affine verify takes --trials, so "--trials 9" is joined to one word;
+    # chern phi takes no options, and names both words as they were typed
+    code, output = invoke(["chern", "phi", "3", "2", "2", "--trials", "9", "--trials", "-1"])
+    assert code == 2
+    assert json.loads(output)["error"] == {
+        "kind": "input",
+        "message": "unrecognized arguments: --trials 9 --trials -1",
+        "subcommand": "chern phi",
     }
 
 

@@ -42,6 +42,7 @@ from orbitkit.entire import NormSequence
 from orbitkit.exactnum import GaussRational, gauss_rank, rational_to_str, reduce_column
 from orbitkit.homology import MAX_CHAIN_WORDS, MAX_TRUNCATION
 from orbitkit.liealg import InputError
+from tables import dense, fin_algebra, mul, star
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ONE = GaussRational.one()
@@ -73,13 +74,7 @@ def _u_squared_i():
         ((one, zero), (zero, one)),
         ((zero, one), (i, zero)),
     )
-    return FinAlgebra(
-        dim=2,
-        mult=mult,
-        unit=(one, zero),
-        star=((one, zero), (zero, i)),
-        basis=("1", "u"),
-    )
+    return fin_algebra(mult, (one, zero), ((one, zero), (zero, i)), ("1", "u"))
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +97,13 @@ def test_fixture_algebras_validate():
 def test_gauss_field_is_the_scalar_line():
     A = gauss_field()
     assert A.dim == 1
-    assert A.mul_coords((I,), (I,)) == (-ONE,)
+    assert mul(A, (I,), (I,)) == (-ONE,)
 
 
 def test_dual_numbers_nilpotent():
     A = dual_numbers()
     eps = (GaussRational.zero(), ONE)
-    assert all(v.is_zero() for v in A.mul_coords(eps, eps))
+    assert all(v.is_zero() for v in mul(A, eps, eps))
 
 
 def test_matrix_units_multiply():
@@ -122,7 +117,7 @@ def test_star_is_conjugate_linear():
     A = matrix_algebra(2)
     x = [GaussRational.zero()] * 4
     x[1] = I  # i e12
-    starred = A.star_coords(tuple(x))
+    starred = star(A, tuple(x))
     assert starred[2] == -I  # -i e21
     assert all(starred[k].is_zero() for k in (0, 1, 3))
 
@@ -164,12 +159,12 @@ def test_amplification_obeys_the_matrix_unit_identities(name, r):
     zero = (GaussRational.zero(),) * M.dim
     for i, j, x in basis:
         left = _kron(e[i * r + j], x)
-        assert M.star_coords(left) == _kron(e[j * r + i], A.star_coords(x))
+        assert star(M, left) == _kron(e[j * r + i], star(A, x))
         for k, l, y in basis:
-            expected = _kron(e[i * r + l], A.mul_coords(x, y)) if j == k else zero
-            assert M.mul_coords(left, _kron(e[k * r + l], y)) == expected
+            expected = _kron(e[i * r + l], mul(A, x, y)) if j == k else zero
+            assert mul(M, left, _kron(e[k * r + l], y)) == expected
     diagonal = tuple(ONE if p // r == p % r else GaussRational.zero() for p in range(r * r))
-    assert M.unit == _kron(diagonal, A.unit)
+    assert dense(M)[1] == _kron(diagonal, dense(A)[1])
     suffix = [""] if A.dim == 1 else [f"*{n}" for n in A.basis]
     assert M.basis == tuple(f"e{i + 1}{j + 1}{s}" for i in range(r) for j in range(r) for s in suffix)
 
@@ -181,11 +176,11 @@ def test_tensor_product_multiplies_factorwise():
         T = tensor_product(L, R)
         basis = [(x, u) for x in _basis_vectors(L.dim) for u in _basis_vectors(R.dim)]
         for x, u in basis:
-            assert T.star_coords(_kron(x, u)) == _kron(L.star_coords(x), R.star_coords(u))
+            assert star(T, _kron(x, u)) == _kron(star(L, x), star(R, u))
             for y, v in basis:
-                expected = _kron(L.mul_coords(x, y), R.mul_coords(u, v))
-                assert T.mul_coords(_kron(x, u), _kron(y, v)) == expected, (m, n)
-        assert T.unit == _kron(L.unit, R.unit)
+                expected = _kron(mul(L, x, y), mul(R, u, v))
+                assert mul(T, _kron(x, u), _kron(y, v)) == expected, (m, n)
+        assert dense(T)[1] == _kron(dense(L)[1], dense(R)[1])
         assert T.basis == tuple(f"{a}*{b}" for a in L.basis for b in R.basis)
 
 
@@ -196,12 +191,12 @@ def test_direct_sum_multiplies_blockwise():
         S = direct_sum(L, R)
         for z in _basis_vectors(S.dim):
             x, u = z[: L.dim], z[L.dim :]
-            assert S.star_coords(z) == L.star_coords(x) + R.star_coords(u)
+            assert star(S, z) == star(L, x) + star(R, u)
             for w in _basis_vectors(S.dim):
                 y, v = w[: L.dim], w[L.dim :]
-                expected = L.mul_coords(x, y) + R.mul_coords(u, v)
-                assert S.mul_coords(z, w) == expected, (m, n)
-        assert S.unit == L.unit + R.unit
+                expected = mul(L, x, y) + mul(R, u, v)
+                assert mul(S, z, w) == expected, (m, n)
+        assert dense(S)[1] == dense(L)[1] + dense(R)[1]
         assert S.basis == tuple(f"({a},0)" for a in L.basis) + tuple(f"(0,{b})" for b in R.basis)
 
 
@@ -350,6 +345,34 @@ def test_validation_rejects_breaks_through_coefficients_off_one():
     test_validation_rejects_broken_star(SCALED_BASIS)
 
 
+@pytest.mark.parametrize(
+    "where, row, message",
+    [
+        ("product", ((1, ONE), (0, ONE)), "product e_1 e_1 has indices out of increasing order"),
+        ("product", ((1, ONE), (1, ONE)), "product e_1 e_1 has indices out of increasing order"),
+        ("product", ((1, GaussRational.zero()),), "product e_1 e_1 has a zero coefficient"),
+        ("product", ((2, ONE),), "product e_1 e_1 has an index outside 0..1"),
+        ("product", ((-1, ONE),), "product e_1 e_1 has an index outside 0..1"),
+        ("unit", ((0, ONE), (1, GaussRational.zero())), "unit has a zero coefficient"),
+        ("star", ((1, ONE), (0, ONE)), "involution of e_1 has indices out of increasing order"),
+        ("star", ((5, ONE),), "involution of e_1 has an index outside 0..1"),
+    ],
+)
+def test_constructor_rejects_rows_that_are_not_sparse(where, row, message):
+    # the dual numbers with one row replaced: e_1 e_1, the unit, or e_1^*
+    A = dual_numbers()
+    products, unit, star_rows = A._pairs, A.unit, A._star_pairs
+    if where == "product":
+        products = (products[0], (products[1][0], row))
+    elif where == "unit":
+        unit = row
+    else:
+        star_rows = (star_rows[0], row)
+    with pytest.raises(InputError, match=re.escape(message)):
+        FinAlgebra(2, products, unit, star_rows, A.basis)
+    assert FinAlgebra(2, A._pairs, A.unit, A._star_pairs, A.basis) == A
+
+
 def test_algebra_json_round_trip():
     for A in (gauss_field(), matrix_algebra(2)):
         again = FinAlgebra.from_json(json.loads(json.dumps(A.to_json())))
@@ -357,26 +380,33 @@ def test_algebra_json_round_trip():
 
 
 def _per_entry(data):
-    """FinAlgebra.from_json with one GaussRational.from_json per entry: the
-    oracle of the shared parse."""
-    read = GaussRational.from_json
+    """FinAlgebra.from_json with one GaussRational.from_json per entry, every
+    entry read: the oracle of the shared parse."""
+    dim = data["dim"]
+
+    def row(entries):
+        values = [GaussRational.from_json(x) for x in entries]
+        pairs = tuple((c, v) for c, v in enumerate(values) if not v.is_zero())
+        return pairs if len(values) == dim else None
+
     return FinAlgebra(
-        data["dim"],
-        tuple(tuple(tuple(map(read, row)) for row in plane) for plane in data["mult"]),
-        tuple(map(read, data["unit"])),
-        tuple(tuple(map(read, row)) for row in data["star"]),
+        dim,
+        tuple(tuple(map(row, plane)) for plane in data["mult"]),
+        row(data["unit"]),
+        tuple(map(row, data["star"])),
         tuple(data.get("basis", ())),
     )
 
 
 def _per_entry_json(A):
     """FinAlgebra.to_json with one GaussRational.to_json per entry."""
+    mult, unit, involution = dense(A)
     return {
         "dim": A.dim,
         "basis": list(A.basis),
-        "mult": [[[v.to_json() for v in row] for row in plane] for plane in A.mult],
-        "unit": [v.to_json() for v in A.unit],
-        "star": [[v.to_json() for v in row] for row in A.star],
+        "mult": [[[v.to_json() for v in row] for row in plane] for plane in mult],
+        "unit": [v.to_json() for v in unit],
+        "star": [[v.to_json() for v in row] for row in involution],
     }
 
 
@@ -406,10 +436,10 @@ def _respelled(A, rng):
             return {"re": re, "im": im}
         return rng.choice([{"re": re, "im": im}, {"re": re}, re])
 
-    data = A.to_json()
-    data["mult"] = [[list(map(spell, row)) for row in plane] for plane in A.mult]
-    data["unit"] = list(map(spell, A.unit))
-    data["star"] = [list(map(spell, row)) for row in A.star]
+    data, (mult, unit, involution) = A.to_json(), dense(A)
+    data["mult"] = [[list(map(spell, row)) for row in plane] for plane in mult]
+    data["unit"] = list(map(spell, unit))
+    data["star"] = [list(map(spell, row)) for row in involution]
     return data
 
 
@@ -460,12 +490,11 @@ def test_shared_parse_and_serialize_match_per_entry(name, tmp_path):
         assert loaded == _per_entry(data) == A
         written = loaded.to_json()
         assert written == _per_entry_json(loaded) == canonical
-        # equal coefficients are one instance, and the zero rows are one
-        # tuple, written as one list
-        entries = [v for p in loaded.mult for r in p for v in r] + list(loaded.unit)
-        entries += [v for r in loaded.star for v in r]
+        # equal coefficients are one instance, and the zero rows are written
+        # as one list
+        entries = [v for p in loaded._pairs for r in p for _, v in r]
+        entries += [v for _, v in loaded.unit] + [v for r in loaded._star_pairs for _, v in r]
         assert len(set(map(id, entries))) == len(set(entries))
-        assert len({id(r) for p in loaded.mult for r in p if not any(r)}) <= 1
         assert len({id(r) for p in written["mult"] for r in p if r == zero}) <= 1
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(data))
@@ -516,34 +545,17 @@ def _matrix_units_json(m: int) -> dict:
     }
 
 
-def test_loading_m8_costs_its_distinct_rows(monkeypatch, tmp_path):
+def test_loading_m8_costs_its_distinct_rows(tmp_path):
     data = _matrix_units_json(8)
     path = tmp_path / "m8.json"
     path.write_text(json.dumps(data))
-    seen = []
-    nonzero = homology_module._nonzero
-
-    def counted(x):
-        seen.append(x)
-        return nonzero(x)
-
-    monkeypatch.setattr(homology_module, "_nonzero", counted)
     A = FinAlgebra.load(path)
-    rows = [r for p in A.mult for r in p]
-    # 512 products are nonzero; the other 3584 rows are one tuple
-    zero_rows = [r for r in rows if not any(r)]
-    assert (len(zero_rows), len({id(r) for r in zero_rows})) == (4096 - 512, 1)
-    distinct = {id(r) for r in rows}
-    assert len(distinct) == 513
-    # _nonzero is entered once per distinct row of the table (and once for
-    # each star row and the unit)
-    met = [id(x) for x in seen]
-    assert len(met) == len(set(met)) == 513 + 64 + 1
-    assert distinct <= set(met)
+    # 512 products are nonzero, each of one term; the other 3584 rows are empty
+    rows = [r for p in A._pairs for r in p]
+    assert (sum(map(len, rows)), rows.count(())) == (512, 4096 - 512)
     written = A.to_json()
     zero = [{"im": "0", "re": "0"}] * 64
     assert len({id(r) for p in written["mult"] for r in p if r == zero}) == 1
-    monkeypatch.undo()
     # the algebra read is the constructed one, and its shared JSON and its
     # digest are those of its JSON written entry by entry
     assert A == matrix_algebra(8)
@@ -568,10 +580,8 @@ def test_loading_m8_costs_its_distinct_rows(monkeypatch, tmp_path):
 )
 def test_constructed_algebras_share_one_zero_row(build, nonzero):
     A = build()
-    rows = [r for p in A.mult for r in p]
-    zero_rows = [r for r in rows if not any(r)]
-    assert len(zero_rows) == A.dim**2 - nonzero
-    assert len({id(r) for r in zero_rows}) == 1
+    rows = [r for p in A._pairs for r in p]
+    assert rows.count(()) == A.dim**2 - nonzero
     # the JSON and the digest are those written entry by entry, from fresh objects
     per_entry = _per_entry_json(A)
     assert A.to_json() == per_entry
@@ -915,14 +925,11 @@ def _rescaled(A, factors):
     ]
     d = range(A.dim)
     inv = [_inverse(x) for x in s]
-    return FinAlgebra(
-        A.dim,
-        tuple(
-            tuple(tuple(s[a] * s[b] * A.mult[a][b][c] * inv[c] for c in d) for b in d)
-            for a in d
-        ),
-        tuple(A.unit[c] * inv[c] for c in d),
-        tuple(tuple(s[a].conjugate() * A.star[a][c] * inv[c] for c in d) for a in d),
+    mult, unit, involution = dense(A)
+    return fin_algebra(
+        [[[s[a] * s[b] * mult[a][b][c] * inv[c] for c in d] for b in d] for a in d],
+        [unit[c] * inv[c] for c in d],
+        [[s[a].conjugate() * involution[a][c] * inv[c] for c in d] for a in d],
         A.basis,
     )
 
@@ -1187,15 +1194,14 @@ def _skew_m2():
         (a, b), (c, d) = m
         return tuple(GaussRational.from_rational(Fraction(v)) for v in (a, b, c - b, d))
 
-    def mul(x, y):
+    def matmul(x, y):
         return tuple(
             tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
             for i in range(2)
         )
 
-    return FinAlgebra(
-        4,
-        tuple(tuple(coords(mul(x, y)) for y in mats) for x in mats),
+    return fin_algebra(
+        tuple(tuple(coords(matmul(x, y)) for y in mats) for x in mats),
         coords(((1, 0), (0, 1))),
         tuple(coords(tuple(zip(*x))) for x in mats),
         ("e11", "e12+e21", "e21", "e22"),
@@ -1229,15 +1235,12 @@ def test_algebras_without_a_peirce_basis_get_the_trivial_grading(name):
 def _permuted(A, perm):
     """A in the basis order e'_k = e_{perm[k]}."""
     d = range(A.dim)
-    return FinAlgebra(
-        A.dim,
-        tuple(
-            tuple(tuple(A.mult[perm[a]][perm[b]][perm[c]] for c in d) for b in d)
-            for a in d
-        ),
-        tuple(A.unit[perm[a]] for a in d),
-        tuple(tuple(A.star[perm[a]][perm[c]] for c in d) for a in d),
-        tuple(A.basis[perm[a]] for a in d),
+    mult, unit, involution = dense(A)
+    return fin_algebra(
+        [[[mult[perm[a]][perm[b]][perm[c]] for c in d] for b in d] for a in d],
+        [unit[perm[a]] for a in d],
+        [[involution[perm[a]][perm[c]] for c in d] for a in d],
+        [A.basis[perm[a]] for a in d],
     )
 
 
@@ -1252,9 +1255,8 @@ def _two_cycle():
     mult = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
     for a, b, c in ((0, 0, 0), (1, 1, 1), (0, 2, 2), (2, 1, 2), (1, 3, 3), (3, 0, 3)):
         mult[a][b][c] = ONE
-    return FinAlgebra(
-        4,
-        tuple(tuple(tuple(row) for row in plane) for plane in mult),
+    return fin_algebra(
+        mult,
         (ONE, ONE, zero, zero),
         tuple(tuple(ONE if c == (0, 1, 3, 2)[a] else zero for c in range(4)) for a in range(4)),
         ("e1", "e2", "x", "y"),
@@ -1286,7 +1288,7 @@ _CORNER_CASES = {
 
 def _corner(A):
     """The corner letters of a loaded algebra, whose idempotents are the unit's support."""
-    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    idem = [a for a, _ in A.unit]
     return homology_module._corner(A._pairs, idem, homology_module._peirce_grading(A))
 
 
@@ -1402,7 +1404,7 @@ def test_hp_is_independent_of_rational_basis_scaling():
     # which no single denominator reaches
     A = matrix_algebra(2)
     scaled = _rescaled(A, ["1/2", 1, 1, "1/3"])
-    assert {v.re.denominator for p in scaled.mult for r in p for v in r} == {1, 2, 3}
+    assert {v.re.denominator for p in scaled._pairs for r in p for _, v in r} == {1, 2, 3}
     assert hp_homology(scaled, 4).hc == hp_homology(A, 4).hc == (1, 0, 1, 0)
     dual = _rescaled(dual_numbers(), ["1/2", "2/3"])
     assert hp_homology(dual, 5).hc == hp_homology(dual_numbers(), 5).hc
@@ -1418,9 +1420,8 @@ def _pauli_m2():
         mult[a][a][0] = ONE
     for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         mult[a][b][c], mult[b][a][c] = I, -I
-    return FinAlgebra(
-        4,
-        tuple(tuple(tuple(row) for row in plane) for plane in mult),
+    return fin_algebra(
+        mult,
         (ONE, zero, zero, zero),
         tuple(tuple(ONE if a == c else zero for c in range(4)) for a in range(4)),
         ("1", "sx", "sy", "sz"),
@@ -1514,8 +1515,7 @@ def _group_algebra(elements):
     def inverse(g):
         return tuple(sorted(range(len(g)), key=g.__getitem__))
 
-    return FinAlgebra(
-        d,
+    return fin_algebra(
         tuple(tuple(letter(tuple(g[k] for k in h)) for h in elements) for g in elements),
         letter(tuple(range(len(elements[0])))),
         tuple(letter(inverse(g)) for g in elements),
@@ -1646,7 +1646,8 @@ def _symplectic_m2():
     star = tuple(
         tuple(images[a][1] if c == images[a][0] else zero for c in range(4)) for a in range(4)
     )
-    return FinAlgebra(4, M.mult, M.unit, star, M.basis)
+    mult, unit, _ = dense(M)
+    return fin_algebra(mult, unit, star, M.basis)
 
 
 def test_a_corner_that_the_involution_leaves_is_split():
@@ -1770,8 +1771,7 @@ def test_closed_form_agrees_with_connes_complex_on_separable_algebras(name):
 def _truncated_polynomials(m):
     """k[x]/(x^m) in the basis 1, x, ..., x^(m-1)."""
     zero = GaussRational.zero()
-    return FinAlgebra(
-        m,
+    return fin_algebra(
         tuple(
             tuple(tuple(ONE if c == a + b else zero for c in range(m)) for b in range(m))
             for a in range(m)
@@ -1810,7 +1810,7 @@ def test_closed_form_falls_through_on_algebras_that_are_not_semisimple(name, tru
     # without the trace-form test, happens to hold for the truncated
     # polynomial algebras, but not for the other two
     commutators = [
-        [x - y for x, y in zip(A.mul_coords(e, f), A.mul_coords(f, e))]
+        [x - y for x, y in zip(mul(A, e, f), mul(A, f, e))]
         for e, f in itertools.combinations(
             [tuple(ONE if c == a else GaussRational.zero() for c in range(A.dim)) for a in letters],
             2,
@@ -1846,7 +1846,7 @@ def test_chain_word_guard_fires_before_the_word_tables(monkeypatch):
     def forbidden(*args):
         raise AssertionError("word table built before the size guard fired")
 
-    monkeypatch.setattr(connes_module, "_classes", forbidden)
+    monkeypatch.setattr(connes_module, "_Lookup", forbidden)
     monkeypatch.setattr(connes_module, "_necklaces", forbidden)
     # the corner cannot shrink these, and none is separable: dual numbers
     # have 2^20 words in degree 19, and their tensor square 4^10 in degree 9
@@ -1945,7 +1945,7 @@ def _two_pass_rank_table(A, weights, truncation):
     dim, tables = A.dim, connes_module._int_table(A._pairs, tuple(range(A.dim)))
     classes, ranks, cells = [], [], []
     for n in range(truncation + 1):
-        classes.append(connes_module._classes(dim))
+        classes.append(connes_module._Lookup(dim))
         words = [
             word
             for word, _ in connes_module._necklaces(weights, n + 1)
@@ -2077,7 +2077,7 @@ class _Unhashable(FinAlgebra):
 
 def test_hp_homology_keys_nothing_by_the_algebra():
     for A in (_pauli_m2(), matrix_algebra(2), _two_cycle()):
-        B = _Unhashable(A.dim, A.mult, A.unit, A.star, A.basis)
+        B = _Unhashable(A.dim, A._pairs, A.unit, A._star_pairs, A.basis)
         with pytest.raises(TypeError):
             hash(B)
         assert hp_homology(B, 4) == hp_homology(A, 4)

@@ -12,7 +12,6 @@ st = pytest.importorskip("hypothesis.strategies")
 import orbitkit.homology as homology_module  # noqa: E402
 from orbitkit.cyclic import (  # noqa: E402
     Chain,
-    FinAlgebra,
     apply_operator,
     chain_pairing,
     direct_sum,
@@ -25,12 +24,12 @@ from orbitkit.cyclic import (  # noqa: E402
     verify_trace,
 )
 from orbitkit.exactnum import GaussRational  # noqa: E402
+from tables import dense, fin_algebra, mul, star  # noqa: E402
 
 ZERO, ONE, I = GaussRational.zero(), GaussRational.one(), GaussRational.i()
 # u^2 = i and u* = i u: a structure constant off the real line, so the
 # adjoint's conjugation shows
-GAUSSIAN_LINE = FinAlgebra(
-    2,
+GAUSSIAN_LINE = fin_algebra(
     (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (I, ZERO))),
     (ONE, ZERO),
     ((ONE, ZERO), (ZERO, I)),
@@ -111,15 +110,12 @@ def test_dense_view_matches_word_map(x):
 def _permuted(A, perm):
     """A in the basis order e'_k = e_{perm[k]}."""
     d = range(A.dim)
-    return FinAlgebra(
-        A.dim,
-        tuple(
-            tuple(tuple(A.mult[perm[a]][perm[b]][perm[c]] for c in d) for b in d)
-            for a in d
-        ),
-        tuple(A.unit[perm[a]] for a in d),
-        tuple(tuple(A.star[perm[a]][perm[c]] for c in d) for a in d),
-        tuple(A.basis[perm[a]] for a in d),
+    mult, unit, involution = dense(A)
+    return fin_algebra(
+        [[[mult[perm[a]][perm[b]][perm[c]] for c in d] for b in d] for a in d],
+        [unit[perm[a]] for a in d],
+        [[involution[perm[a]][perm[c]] for c in d] for a in d],
+        [A.basis[perm[a]] for a in d],
     )
 
 
@@ -133,7 +129,7 @@ def test_permuted_matrix_units_keep_the_grading_and_hc(case):
     m, perm = case
     A = _permuted(matrix_algebra(m), perm)
     # the idempotents e_ii, numbered in the permuted basis order
-    idem = [A.basis[a] for a, v in enumerate(A.unit) if not v.is_zero()]
+    idem = [A.basis[a] for a, _ in A.unit]
     for label, (i, j) in zip(A.basis, homology_module._peirce_grading(A)):
         # label is e<row><col>; it lies in e_row,row A e_col,col
         assert (idem[i], idem[j]) == (f"e{label[1]}{label[1]}", f"e{label[2]}{label[2]}")
@@ -153,12 +149,11 @@ def _rebased(A, U):
             y.append(x[a] - sum((U[j][a] * y[j] for j in range(a)), ZERO))
         return tuple(y)
 
-    return FinAlgebra(
-        A.dim,
-        tuple(tuple(coords(A.mul_coords(rows[a], rows[b])) for b in d) for a in d),
-        coords(A.unit),
-        tuple(coords(A.star_coords(rows[a])) for a in d),
-        tuple(f"f{a}" for a in d),
+    return fin_algebra(
+        [[coords(mul(A, rows[a], rows[b])) for b in d] for a in d],
+        coords(dense(A)[1]),
+        [coords(star(A, rows[a])) for a in d],
+        [f"f{a}" for a in d],
     )
 
 
@@ -197,7 +192,7 @@ def test_closed_form_matches_connes_complex_in_random_bases(case):
     assert closed.boundary_check == "separable"
     assert closed.hc == tuple(0 if m % 2 else h for m in range(truncation))
     grading = homology_module._peirce_grading(A)
-    idem = [a for a, v in enumerate(A.unit) if not v.is_zero()]
+    idem = [a for a, _ in A.unit]
     corner = homology_module._corner(A._pairs, idem, grading)
     complex_ = homology_module._hp(A, grading, corner, truncation, split=True)
     assert complex_.boundary_check == "full"

@@ -24,6 +24,7 @@ from orbitkit.liealg import (
     stabilizer,
 )
 from subspaces import spanned_by
+from tables import lie_algebra
 
 
 def test_jacobi_holds_on_standard_algebras():
@@ -44,42 +45,52 @@ def test_jacobi_fails_with_first_violating_triple():
     assert witness == (0, 1, 2)
 
 
-def _dense_bracket(L, u, v):
+def _constants(n, brackets):
+    """The dense constants c[i][j][k] of brackets given for i < j, filled by antisymmetry."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in brackets.items():
+        for k, x in coeffs.items():
+            c[i][j][k], c[j][i][k] = Fraction(x), -Fraction(x)
+    return c
+
+
+def _dense_bracket(c, u, v):
     """[u, v] read from the dense constants c[i][j][k], every k scanned."""
-    out = [Fraction(0)] * L.dim
-    for i, j in itertools.product(range(L.dim), repeat=2):
+    n = len(c)
+    out = [Fraction(0)] * n
+    for i, j in itertools.product(range(n), repeat=2):
         if u[i] and v[j]:
-            for k in range(L.dim):
-                out[k] += u[i] * v[j] * L.c[i][j][k]
+            for k in range(n):
+                out[k] += u[i] * v[j] * c[i][j][k]
     return out
 
 
-def _jacobi_oracle(L):
+def _jacobi_oracle(c):
     """Jacobi over every ordered basis triple, by nested brackets."""
-    e = [[Fraction(int(t == i)) for t in range(L.dim)] for i in range(L.dim)]
-    for i, j, k in itertools.product(range(L.dim), repeat=3):
-        lhs = [Fraction(0)] * L.dim
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            outer = _dense_bracket(L, _dense_bracket(L, e[a], e[b]), e[c])
+    n = len(c)
+    e = [[Fraction(int(t == i)) for t in range(n)] for i in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = [Fraction(0)] * n
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            outer = _dense_bracket(c, _dense_bracket(c, e[a], e[b]), e[d])
             lhs = [x + y for x, y in zip(lhs, outer)]
         if any(lhs):
             return False, (i, j, k)
     return True, None
 
 
-def _dense_poisson(L, F):
+def _dense_poisson(c, F):
     return ExactMatrix(
-        [[sum(c * f for c, f in zip(L.c[i][j], F.coords)) for j in range(L.dim)]
-         for i in range(L.dim)]
+        [[sum(x * f for x, f in zip(row, F.coords)) for row in plane] for plane in c]
     )
 
 
-def _stabilizer_oracle(L, F):
+def _stabilizer_oracle(c, F):
     """ker B, or None when some [u, v] raises the rank of the kernel basis."""
-    vectors = _dense_poisson(L, F).kernel_basis()
+    vectors = _dense_poisson(c, F).kernel_basis()
     for u in vectors:
         for v in vectors:
-            if ExactMatrix(vectors + [_dense_bracket(L, u, v)]).rank() != len(vectors):
+            if ExactMatrix(vectors + [_dense_bracket(c, u, v)]).rank() != len(vectors):
                 return None
     return vectors
 
@@ -100,14 +111,15 @@ def test_sparse_table_agrees_with_the_dense_oracles():
             for j in range(i + 1, n)
             if rng.random() < density
         }
-        L = LieAlgebra.from_brackets(n, brackets)
+        L, c = LieAlgebra.from_brackets(n, brackets), _constants(n, brackets)
+        assert L._pairs == lie_algebra(c)._pairs
         verdict = check_jacobi(L)
-        assert verdict == _jacobi_oracle(L), brackets
+        assert verdict == _jacobi_oracle(c), brackets
         u, v = ([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in "uv")
-        assert list(L.bracket(u, v)) == _dense_bracket(L, u, v)
+        assert list(L.bracket(u, v)) == _dense_bracket(c, u, v)
         F = Covector(tuple(Fraction(rng.choice((0, 0, 0, 1, -2))) for _ in range(n)))
-        assert poisson_matrix(L, F).rows == _dense_poisson(L, F).rows
-        expected = _stabilizer_oracle(L, F)
+        assert poisson_matrix(L, F).rows == _dense_poisson(c, F).rows
+        expected = _stabilizer_oracle(c, F)
         if expected is None:
             with pytest.raises(InputError, match="not closed under the bracket"):
                 stabilizer(L, F)
@@ -135,11 +147,11 @@ def test_bracket_extends_bilinearly_to_the_complexification():
 
 
 def test_constructor_rejects_constants_that_are_not_antisymmetric():
-    z, one = Fraction(0), Fraction(1)
-    symmetric = (((z, z), (z, one)), ((z, one), (z, z)))  # [X0, X1] = [X1, X0] = X1
+    x1 = ((1, Fraction(1)),)
+    symmetric = (((), x1), (x1, ()))  # [X0, X1] = [X1, X0] = X1
     with pytest.raises(InputError, match=r"not antisymmetric at \(0,1\)"):
         LieAlgebra(2, ("a", "b"), symmetric)
-    diagonal = (((z, one), (z, z)), ((z, z), (z, z)))  # [X0, X0] = X1
+    diagonal = ((x1, ()), ((), ()))  # [X0, X0] = X1
     with pytest.raises(InputError, match=r"not antisymmetric at \(0,0\)"):
         LieAlgebra(2, ("a", "b"), diagonal)
 
@@ -152,8 +164,8 @@ def test_loader_rejects_inconsistent_orientations():
 def test_loader_round_trip_and_antisymmetric_completion():
     L = heisenberg()
     again = LieAlgebra.from_json(L.to_json())
-    assert again.c == L.c
-    assert again.c[1][0][2] == -1  # filled from the (0,1) entry
+    assert again._pairs == L._pairs
+    assert again._pairs[1][0] == ((2, -1),)  # filled from the (0,1) entry
 
 
 def test_input_error_is_the_package_class():

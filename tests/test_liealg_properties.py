@@ -62,9 +62,10 @@ def _oracle(L: LieAlgebra, F: Covector, vectors: list) -> dict:
     p leaves the rank over Q(i) unchanged.
     """
     n = L.dim
-    table = [[QQ(x) for x in row] for plane in L.c for row in plane]
+    c = [[[dict(row).get(k, 0) for k in range(n)] for row in plane] for plane in L._pairs]
+    table = [[QQ(x) for x in row] for plane in c for row in plane]
     poisson = [[sum((QQ(x) * QQ(f) for x, f in zip(row, F.coords)), QQ(0)) for row in plane]
-               for plane in L.c]
+               for plane in c]
     stab = _matrix(poisson, n, QQ).nullspace().convert_to(QQ_I)
     p = _matrix([[_gauss(x) for x in v] for v in vectors], n, QQ_I)
     tensors = [[x * y for x in u for y in v] for u in p.to_list() for v in p.to_list()]
