@@ -68,6 +68,14 @@ def _commands(h3h3q2: str) -> dict:
         ["qgroup", "verify", "--q", "0.5", "--truncation", "64"],
     ]
     out.update({f"mix-{k:02d}": argv for k, argv in enumerate(mix)})
+    # forms that fail both checks: on a conjugate pair, with hbar and i, and off the pairs
+    failing = {
+        "scaled": ["--alpha", "2*p1*dq1"],
+        "hbar-i": ["--alpha", "hbar*p1*dq1 + i*q1*dp1 + hbar^2*q1*p1*dp1"],
+        "off-pair": ["--vars", "2", "--alpha", "p1*dq1 + q1*dp2"],
+    }
+    for name, argv in failing.items():
+        out[f"quantize-{name}"] = ["quantize", "verify", *argv, "--max-degree", "2"]
     return {**out, **{f"{name}-table": ["--format", "table", *argv] for name, argv in out.items()}}
 
 
@@ -136,6 +144,12 @@ PINNED = {
     "mix-16-table": (0, "311c7e814eb9eb0b01695b7a745000ecb7403a12c2c58924f1128ff70cb4ebc6"),
     "mix-17": (0, "609fbbeb7a71aef2fe6b011eec2f72f485108337e90fb62bf4f7ff89580d15d9"),
     "mix-17-table": (0, "8060103815b1d821ca05a16a72e36f04b525807a2b34303233a3218cb90bc341"),
+    "quantize-hbar-i": (0, "a94c07e60acc0b4fcf007fa80df21af8c5ff76f79709beaa29e140cac29e7324"),
+    "quantize-hbar-i-table": (0, "aa00a3ba0f520b1e465ecb2daee81b7665928200e22808c31c3df57e86294cdd"),
+    "quantize-off-pair": (0, "dd2f5b8883803773a7d116351b57162d2d729d3d58db9254d4cc4cbbe5357e98"),
+    "quantize-off-pair-table": (0, "77a4f28eb2f1cbeccb6ea95caf64b9e77ffec3e19800019d0d67d8be8345ab13"),
+    "quantize-scaled": (0, "b360e20594f45f546bdc57fa4137c8f81c1b0e945bf793b2298dba28eda410fa"),
+    "quantize-scaled-table": (0, "9646796c7f68c0ba99577e808a72e0a2790817868f888fb45191ee7641527ad6"),
     "strata-abelian3": (0, "12b3412d28516eeaa8ba5ffe713ae7c4ca1fa13d42bf207c14468e65335e8170"),
     "strata-abelian3-table": (0, "c1efd976405c6e9002cab228e37d8008b3ec5d5ebd1602676319bf5a6941ce32"),
     "strata-aff1": (0, "5a487641f6de61221541ca9bbc4f83f81fecc8d10dff1d3ebb95fa4f39b3486b"),
