@@ -172,6 +172,8 @@ class Trace(NamedTuple):
     @staticmethod
     def from_json(data: dict) -> "Trace":
         try:
+            if not isinstance(data["coords"], list):
+                raise TypeError("'coords' must be a JSON array")
             coords = tuple(map(gauss_reader(), data["coords"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad trace description: {exc}") from None

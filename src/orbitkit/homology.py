@@ -261,7 +261,8 @@ class FinAlgebra:
             # the sparse row of a dense one, or None when it is not dim entries
             # long; only the entries that differ from the JSON zero are read, in
             # order, so the first bad entry raises as in a read of every entry
-            entries = entries if isinstance(entries, list) else list(entries)
+            if not isinstance(entries, list):
+                raise TypeError("'mult', 'unit', 'star' and their rows must be JSON arrays")
             nonzero = compress(range(len(entries)), map(ne, entries, repeat(zero)))
             out = tuple((c, v) for c in nonzero if (v := read(entries[c])) is not _ZERO)
             return out if len(entries) == dim else None

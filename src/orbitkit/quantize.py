@@ -14,10 +14,11 @@ with ``xi_f`` the Hamiltonian field of f and ``alpha`` a polynomial
 one-form whose curvature should satisfy ``d alpha = -omega``.  Q(f) is
 first order, so the bracket-compatibility residual
 ``Q({f,g}) - (i/hbar)[Q(f), Q(g)]`` is the multiplication operator by
-the curvature defect ``-(d alpha + omega)(xi_f, xi_g)`` (the
-Kostant-Souriau prequantization condition).  `check_dirac` evaluates
-that polynomial directly, without composing operators; it vanishes on
-every pair exactly when alpha is admissible.
+``-(d alpha + omega)(xi_f, xi_g)`` (the Kostant-Souriau prequantization
+condition).  The curvature defect ``d alpha + omega`` is computed once;
+`check_curvature` reports its components and `check_dirac` reads each
+residual off them, without composing operators.  Both vanish exactly
+when alpha is admissible.
 """
 
 from __future__ import annotations
@@ -208,12 +209,6 @@ class PolyOneForm(NamedTuple):
     model: SymplecticModel
     comps: tuple  # tuple of Poly, length 2n
 
-    def evaluate_on(self, field: "VectorField") -> Poly:
-        out = Poly.zero(self.model)
-        for a, x in zip(self.comps, field.comps):
-            out = out + a * x
-        return out
-
 
 class VectorField(NamedTuple):
     """Vector field sum_j comps[j] d/d(x_j)."""
@@ -238,13 +233,10 @@ def hamiltonian_field(f: Poly) -> VectorField:
     Componentwise: -df/dp_i along d/dq_i and +df/dq_i along d/dp_i,
     which pins {q_i, p_i} = +1.
     """
-    model = f.model
-    comps = []
-    for i in range(model.n):
-        comps.append(-f.diff(model.n + i))
-    for i in range(model.n):
-        comps.append(f.diff(i))
-    return VectorField(model, tuple(comps))
+    n = f.model.n
+    dq = [f.diff(i) for i in range(n)]
+    dp = [f.diff(n + i) for i in range(n)]
+    return VectorField(f.model, tuple([-d for d in dp] + dq))
 
 
 def poisson(f: Poly, g: Poly) -> Poly:
@@ -252,41 +244,46 @@ def poisson(f: Poly, g: Poly) -> Poly:
     return hamiltonian_field(f).apply(g)
 
 
+def _curvature_defect(alpha: PolyOneForm) -> dict:
+    """The nonzero components F_ab of d(alpha) + omega, keyed by (a, b) with a < b.
+
+    F_ab = d_a alpha_b - d_b alpha_a + omega_ab, where omega_ab is 1 on
+    the conjugate pairs (q_i, p_i) and 0 elsewhere.
+
+    >>> _curvature_defect(parse_one_form("2*p1*dq1", SymplecticModel(1)))
+    {(0, 1): -1}
+    """
+    model = alpha.model
+    defect = {}
+    for a in range(model.nvars):
+        for b in range(a + 1, model.nvars):
+            omega_ab = Poly.constant(model, int(b == a + model.n))
+            f_ab = alpha.comps[b].diff(a) - alpha.comps[a].diff(b) + omega_ab
+            if not f_ab.is_zero():
+                defect[a, b] = f_ab
+    return defect
+
+
+def _residual(defect: dict, xi_f: VectorField, xi_g: VectorField) -> Poly:
+    """R(f, g) = -(d alpha + omega)(xi_f, xi_g) = -sum F_ab (xi_f^a xi_g^b - xi_f^b xi_g^a)."""
+    out = Poly.zero(xi_f.model)
+    for (a, b), f_ab in defect.items():
+        out = out - f_ab * (xi_f.comps[a] * xi_g.comps[b] - xi_f.comps[b] * xi_g.comps[a])
+    return out
+
+
 def check_curvature(alpha: PolyOneForm) -> dict:
     """Verify d(alpha) = -omega exactly.
 
-    The 2-form components (d alpha)_{ab} = d_a alpha_b - d_b alpha_a
-    over pairs a < b must equal -1 on conjugate pairs (q_i, p_i) and 0
-    elsewhere.
+    Each deviation is a nonzero component of the curvature defect
+    d(alpha) + omega, named by its coordinate pair.
     """
-    model = alpha.model
-    deviations = {}
-    for a in range(model.nvars):
-        for b in range(a + 1, model.nvars):
-            d_ab = alpha.comps[b].diff(a) - alpha.comps[a].diff(b)
-            expected = (
-                Poly.constant(model, -1)
-                if (b == a + model.n and a < model.n)
-                else Poly.zero(model)
-            )
-            gap = d_ab - expected
-            if not gap.is_zero():
-                deviations[f"d{model.var_name(a)}^d{model.var_name(b)}"] = str(gap)
+    name = alpha.model.var_name
+    deviations = {
+        f"d{name(a)}^d{name(b)}": str(f_ab)
+        for (a, b), f_ab in _curvature_defect(alpha).items()
+    }
     return {"passes": not deviations, "deviations": deviations}
-
-
-def _dirac_residual(alpha: PolyOneForm, xi_f, xi_g, g: Poly, alpha_f, alpha_g) -> Poly:
-    """R(f, g) = alpha(xi_{f,g}) - {f,g} - xi_f(alpha_g) + xi_g(alpha_f).
-
-    ``alpha_f`` is alpha(xi_f) and ``alpha_g`` is alpha(xi_g).
-    """
-    bracket = xi_f.apply(g)
-    return (
-        alpha.evaluate_on(hamiltonian_field(bracket))
-        - bracket
-        - xi_f.apply(alpha_g)
-        + xi_g.apply(alpha_f)
-    )
 
 
 def check_dirac(f: Poly, g: Poly, alpha: PolyOneForm) -> dict:
@@ -300,13 +297,10 @@ def check_dirac(f: Poly, g: Poly, alpha: PolyOneForm) -> dict:
         R(f, g) = alpha(xi_{f,g}) - {f,g} - xi_f(alpha(xi_g)) + xi_g(alpha(xi_f)),
 
     which is -(d alpha + omega)(xi_f, xi_g) by Cartan's formula for
-    d alpha and omega(xi_f, xi_g) = {f,g}.  R is evaluated as a
-    polynomial; no operator is composed.
+    d alpha and omega(xi_f, xi_g) = {f,g}.  R is read off the defect's
+    components and the two fields; no operator is composed.
     """
-    xi_f, xi_g = hamiltonian_field(f), hamiltonian_field(g)
-    residual = _dirac_residual(
-        alpha, xi_f, xi_g, g, alpha.evaluate_on(xi_f), alpha.evaluate_on(xi_g)
-    )
+    residual = _residual(_curvature_defect(alpha), hamiltonian_field(f), hamiltonian_field(g))
     text = "0" if residual.is_zero() else f"({residual})"
     return {"passes": residual.is_zero(), "residual": text}
 
@@ -359,18 +353,19 @@ def monomials(model: SymplecticModel, max_degree: int) -> list:
 def check_dirac_pairs(alpha: PolyOneForm, max_degree: int) -> dict:
     """`check_dirac` on every ordered pair of `monomials` up to max_degree.
 
-    xi_f and alpha(xi_f) are built once per monomial and R once per
-    unordered pair: R(g, f) = -R(f, g) and R(f, f) = 0.  Failures are
-    listed by monomial names in ordered-pair order, never raised.
+    The defect d alpha + omega is computed once, xi_f once per monomial,
+    and R, read off both, once per unordered pair: R(g, f) = -R(f, g) and
+    R(f, f) = 0.  Failures are listed by monomial names in ordered-pair
+    order, never raised.
     """
     pairs = dirac_pair_count(alpha.model.n, max_degree)
     monos = monomials(alpha.model, max_degree)
     fields = [hamiltonian_field(f) for _, f in monos]
-    potentials = [alpha.evaluate_on(xi) for xi in fields]
+    defect = _curvature_defect(alpha)
     residuals = {}
-    for j, (_, g) in enumerate(monos):
+    for j in range(len(monos)):
         for k in range(j):
-            r = _dirac_residual(alpha, fields[k], fields[j], g, potentials[k], potentials[j])
+            r = _residual(defect, fields[k], fields[j])
             if not r.is_zero():
                 residuals[k, j] = r
                 residuals[j, k] = -r

@@ -310,6 +310,15 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         labelled = json.loads((FIXTURES / "qi2.json").read_text())
         labelled["basis"] = basis
         (tmp_path / f"basis{k}.json").write_text(json.dumps(labelled))
+    # rows and trace coordinates must be JSON arrays: a row "10" once read as
+    # the digits [1, 0], an object as its keys, and coords "1001" as (1, 0, 0, 1)
+    not_arrays = json.loads((FIXTURES / "qi2.json").read_text())
+    not_arrays["mult"][0][0] = "10"
+    (tmp_path / "row_string.json").write_text(json.dumps(not_arrays))
+    not_arrays = json.loads((FIXTURES / "qi2.json").read_text())
+    not_arrays["star"][0] = {"1": 0, "0": 1}
+    (tmp_path / "row_object.json").write_text(json.dumps(not_arrays))
+    (tmp_path / "coords_string.json").write_text(json.dumps({"coords": "1001"}))
     # [X1, X3] = X3, [X1, X4] = X3, [X2, X4] = X1, [X3, X4] = X4 breaks
     # Jacobi; the stabilizer of X3* is then no subalgebra, which once exited 1
     non_jacobi = {
@@ -357,6 +366,10 @@ def test_input_errors_exit_two_with_error_object(tmp_path):
         ["cyclic", "hp", "--algebra", str(tmp_path / "fractional.json")],
         *(["cyclic", "hp", "--algebra", str(tmp_path / f"basis{k}.json")]
           for k in range(len(bases))),
+        *(["cyclic", "hp", "--algebra", str(tmp_path / f"row_{kind}.json")]
+          for kind in ("string", "object")),
+        ["cyclic", "trace", "--algebra", str(FIXTURES / "m2.json"),
+         "--trace", str(tmp_path / "coords_string.json")],
     ]
     for argv in cases:
         proc = run_cli(*argv)

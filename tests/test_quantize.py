@@ -310,7 +310,10 @@ def quantize_op(f, alpha):
     nvars = f.model.nvars
     xi = hamiltonian_field(f)
     minus_i_hbar = Poly.variable(f.model, nvars) * -GaussRational.i()
-    terms = {(0,) * nvars: f + alpha.evaluate_on(xi)}
+    potential = Poly.zero(f.model)
+    for a_j, xi_j in zip(alpha.comps, xi.comps):
+        potential = potential + a_j * xi_j
+    terms = {(0,) * nvars: f + potential}
     for j, comp in enumerate(xi.comps):
         terms[tuple(int(t == j) for t in range(nvars))] = comp * minus_i_hbar
     return PolyDiffOp(f.model, terms)
@@ -380,6 +383,7 @@ def test_operator_composition_associative():
         ("-q1*dp1", 1, 3),
         ("-q1*dp1", 2, 2),
         ("2*p1*dq1", 1, 3),
+        ("p1*dq1 + p2*dq2 + p3*dq3 + q1*dp3", 3, 2),
     ],
 )
 def test_curvature_defect_matches_operator_composition(alpha, n, max_degree):
